@@ -129,6 +129,20 @@ class DClock:
         if now + self.offset < target:
             self.offset = target - now
 
+    def chase(self, peer_value: Timestamp) -> None:
+        """What a PCT report does to its receiver's clock (§4.2), in one
+        call: ``observe(peer_value)`` then
+        ``calibrate_to_time(peer_value.time)``."""
+        if not self.calibration_enabled:
+            return
+        t = peer_value.time
+        floor = self._floor_fn() if (self._floor_fn is not None and self.stretch_enabled) else None
+        if (floor is None or t < floor.time) and peer_value > self.last:
+            self.last = Timestamp(t, peer_value.frac, self.nid)
+        now = self.source.now()
+        if now + self.offset < t:
+            self.offset = t - now
+
     def jump_to(self, ts: Timestamp) -> None:
         """Force the clock strictly past ``ts`` (failover/new-replica path).
 

@@ -170,8 +170,7 @@ class DastManager:
                 # Enforce the anticipation promise on reports even if the
                 # clock overshot a late-arriving pending entry.
                 value = just_below(floor)
-            for node in self.members:
-                self.endpoint.send(node, PctReport(value=value))
+            self.endpoint.multicast(self.members, PctReport(value=value))
             self._gc_pending()
 
     def _pending_floor(self) -> Optional[Timestamp]:
@@ -278,8 +277,7 @@ class DastManager:
 
     def on_pct_report(self, src: str, payload: PctReport) -> None:
         # Managers use node reports only to keep their clock calibrated.
-        self.dclock.observe(payload.value)
-        self.dclock.calibrate_to_time(payload.value.time)
+        self.dclock.chase(payload.value)
 
     # ------------------------------------------------------------------
     # Fast failover: removing suspected nodes (Algorithm 3)

@@ -62,7 +62,7 @@ from repro.wire.messages import (
     TransferCkpt,
     ViewSync,
 )
-from repro.wire.schema import WireMessage, encode
+from repro.wire.schema import WireMessage
 
 __all__ = ["DastNode"]
 
@@ -202,23 +202,23 @@ class DastNode(CoordinatorMixin):
         wait_floor = self.wait_q.min()
         if wait_floor is not None and value >= wait_floor:
             value = just_below(wait_floor)
-        targets = [m for m in self.members if m != self.host]
-        targets.append(self.manager)
-        # Uncapped reports (the common case) share one encoded frame across
-        # the whole fan-out: frames are immutable snapshots, receivers decode
-        # their own copies, and the byte accounting is per-send regardless.
-        frame = None
+        targets = self._peers_and_manager()
+        # A destination with an unacknowledged obligation below ``value``
+        # gets a report capped just below it, in its usual slot.
+        capped = {}
         for dst in targets:
             pending = self._obligations.get(dst)
             if pending:
                 floor = min(pending.values())
                 if value >= floor:
-                    self.endpoint.send(dst, PctReport(value=just_below(floor)))
-                    continue
-            if frame is None:
-                frame = encode(PctReport(value=value))
-            self.endpoint.send(dst, "pct_report", frame)
+                    capped[dst] = PctReport(value=just_below(floor))
+        self.endpoint.multicast(targets, PctReport(value=value), capped)
         self._try_execute()
+
+    def _peers_and_manager(self) -> List[str]:
+        targets = [m for m in self.members if m != self.host]
+        targets.append(self.manager)
+        return targets
 
     def on_pct_report(self, src: str, payload: PctReport) -> None:
         value: Timestamp = payload.value
@@ -230,8 +230,7 @@ class DastNode(CoordinatorMixin):
         # a skew-advanced manager so CRT latency recovers (Fig 10a).
         # Reported times are always <= the sender's physical reading, so
         # chasing them cannot ratchet past the fastest real clock.
-        self.dclock.observe(value)
-        self.dclock.calibrate_to_time(value.time)
+        self.dclock.chase(value)
         self._try_execute()
 
     def _clocks_passed(self, ts: Timestamp) -> bool:
@@ -249,17 +248,13 @@ class DastNode(CoordinatorMixin):
     def _try_execute(self) -> None:
         # Hoisted PCT threshold: a record is peer-clock-eligible iff its ts
         # is strictly below every peer's latest report — i.e. below their
-        # minimum, computed once per sweep instead of once per record.  The
-        # local-clock peek/tick dance stays per record (it has the tick side
-        # effect and must run in exactly the order _clocks_passed ran it).
-        max_get = self.max_ts.get
-        threshold = max_get(self.manager, ZERO_TS)
-        host = self.host
-        for member in self.members:
-            if member != host:
-                reported = max_get(member, ZERO_TS)
-                if reported < threshold:
-                    threshold = reported
+        # minimum, computed at most once per sweep instead of once per
+        # record, and only when a record gets as far as the peer-clock check
+        # (most sweeps stop at an empty queue, an uncommitted head or the
+        # waitQ floor).  The local-clock peek/tick dance stays per record (it
+        # has the tick side effect and must run in exactly the order
+        # _clocks_passed ran it).
+        threshold = None
         dclock = self.dclock
         while True:
             rec = self.ready_q.head()
@@ -282,6 +277,15 @@ class DastNode(CoordinatorMixin):
                 dclock.tick()
                 if dclock.peek() <= ts:
                     return
+            if threshold is None:
+                max_get = self.max_ts.get
+                threshold = max_get(self.manager, ZERO_TS)
+                host = self.host
+                for member in self.members:
+                    if member != host:
+                        reported = max_get(member, ZERO_TS)
+                        if reported < threshold:
+                            threshold = reported
             if ts >= threshold:
                 return
             if not rec.t_order_ready:
@@ -353,10 +357,8 @@ class DastNode(CoordinatorMixin):
         )
         if rec.is_crt:
             # Let non-participants drop their waitQ floor for this CRT.
-            for peer in self.members:
-                if peer != self.host:
-                    self.endpoint.send(peer, CrtExecuted(txn_id=rec.txn_id))
-            self.endpoint.send(self.manager, CrtExecuted(txn_id=rec.txn_id))
+            self.endpoint.multicast(
+                self._peers_and_manager(), CrtExecuted(txn_id=rec.txn_id))
         self._try_execute()
 
     # ------------------------------------------------------------------
@@ -496,11 +498,10 @@ class DastNode(CoordinatorMixin):
             self.wait_q.insert(txn.txn_id, anticipated)
             # Tell every intra-region node so their dclocks stretch too
             # (§4.3, "a subtlety").
-            for peer in self.members:
-                if peer != self.host:
-                    self.endpoint.send(
-                        peer, CrtAnnounce(txn_id=txn.txn_id, anticipated_ts=anticipated)
-                    )
+            self.endpoint.multicast(
+                [m for m in self.members if m != self.host],
+                CrtAnnounce(txn_id=txn.txn_id, anticipated_ts=anticipated),
+            )
         # ACK straight to the coordinator with our region's anticipation.
         self.endpoint.send(
             coord,

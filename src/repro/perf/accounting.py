@@ -24,6 +24,7 @@ class KernelAccounting:
         "same_instant_events",
         "heap_peak",
         "by_callsite",
+        "deliveries",
     )
 
     def __init__(self) -> None:
@@ -37,6 +38,10 @@ class KernelAccounting:
         self.same_instant_events = 0
         self.heap_peak = 0
         self.by_callsite: Dict[str, int] = {}
+        # Messages the network handed to a host handler.  Not one per event:
+        # a multicast delivers a whole fan-out from a single
+        # ``Network._deliver_many`` event (bumped by ``repro.sim.network``).
+        self.deliveries = 0
 
     # ------------------------------------------------------------------
     def record(self, fn: Callable, from_ready: bool, advanced: bool) -> None:
@@ -68,6 +73,12 @@ class KernelAccounting:
         same-instant work should ride the O(1) ready deque)."""
         return self.heap_events / self.events_total if self.events_total else 0.0
 
+    @property
+    def events_per_delivery(self) -> float:
+        """Kernel events spent per delivered message (all events, not only
+        delivery events)."""
+        return self.events_total / self.deliveries if self.deliveries else 0.0
+
     def top_callsites(self, n: int = 15) -> List[Tuple[str, int]]:
         """The ``n`` busiest callbacks, by (count desc, name asc)."""
         return sorted(self.by_callsite.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
@@ -81,5 +92,7 @@ class KernelAccounting:
             "same_instant_ratio": round(self.same_instant_ratio, 4),
             "heap_churn_ratio": round(self.heap_churn_ratio, 4),
             "heap_peak": self.heap_peak,
+            "deliveries": self.deliveries,
+            "events_per_delivery": round(self.events_per_delivery, 4),
             "by_callsite": dict(self.by_callsite),
         }

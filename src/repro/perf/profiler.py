@@ -5,7 +5,7 @@ The profiler reruns a spec in-process with
 * :mod:`cProfile` capturing the Python-level cost of every function, and
 * a :class:`repro.perf.KernelAccounting` attached to the simulator capturing
   kernel-level event counters (callbacks by callsite, same-instant and
-  heap-churn ratios).
+  heap-churn ratios, messages delivered).
 
 Wall-clock measurement lives here — never inside ``repro.sim`` — so the
 derived rates (events/s, virtual-ms-per-wall-s) stay out of the
@@ -38,6 +38,8 @@ class ProfileReport:
     same_instant_ratio: float
     heap_churn_ratio: float
     heap_peak: int
+    deliveries: int
+    events_per_delivery: float
     events_per_s: float
     virtual_ms_per_wall_s: float
     callsites: List[Tuple[str, int]] = field(default_factory=list)
@@ -55,6 +57,8 @@ class ProfileReport:
             "same_instant_ratio": self.same_instant_ratio,
             "heap_churn_ratio": self.heap_churn_ratio,
             "heap_peak": self.heap_peak,
+            "deliveries": self.deliveries,
+            "events_per_delivery": self.events_per_delivery,
             "events_per_s": self.events_per_s,
             "virtual_ms_per_wall_s": self.virtual_ms_per_wall_s,
             "callsites": [list(pair) for pair in self.callsites],
@@ -74,6 +78,8 @@ class ProfileReport:
             f"(heap {self.heap_events:,d}; churn ratio {self.heap_churn_ratio:.3f})",
             f"  same-instant      {self.same_instant_ratio:10.3f} of events",
             f"  heap peak         {self.heap_peak:10,d} entries",
+            f"  deliveries        {self.deliveries:10,d} messages "
+            f"({self.events_per_delivery:.3f} kernel events each)",
             "",
             "hot callbacks (kernel events by callsite):",
         ]
@@ -160,6 +166,8 @@ def profile_spec(
         same_instant_ratio=round(acct.same_instant_ratio, 4),
         heap_churn_ratio=round(acct.heap_churn_ratio, 4),
         heap_peak=acct.heap_peak,
+        deliveries=acct.deliveries,
+        events_per_delivery=round(acct.events_per_delivery, 4),
         events_per_s=round(acct.events_total / wall, 1) if wall else 0.0,
         virtual_ms_per_wall_s=round(virtual_ms / wall, 1) if wall else 0.0,
         callsites=acct.top_callsites(callsites),

@@ -27,7 +27,7 @@ pre-crash traffic, just as a rebooted server's TCP connections are gone.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigError, NetworkError
 from repro.sim.kernel import Simulator
@@ -80,6 +80,14 @@ class NetworkStats:
         except KeyError:
             self.per_type_sent[type_name] = 1
             self.per_type_bytes[type_name] = size
+
+    def record_sends(self, src: str, type_name: str, size: int, n: int) -> None:
+        """``n`` sends of one ``size``-byte message type, in one update."""
+        self.messages_sent += n
+        self.bytes_sent += n * size
+        self.per_host_sent[src] = self.per_host_sent.get(src, 0) + n
+        self.per_type_sent[type_name] = self.per_type_sent.get(type_name, 0) + n
+        self.per_type_bytes[type_name] = self.per_type_bytes.get(type_name, 0) + n * size
 
     def record_receive(self, dst: str) -> None:
         try:
@@ -380,6 +388,75 @@ class Network:
             self.stats.messages_duplicated += 1
             self._schedule_delivery(src, dst, payload, size)
 
+    def multicast(self, src: str, dsts: Sequence[str], envelopes: Sequence[object]) -> None:
+        """Fire-and-forget delivery of ``envelopes[i]`` to ``dsts[i]``, in order.
+
+        This *is* ``for dst, envelope in zip(dsts, envelopes): send(src, dst,
+        envelope)`` — that loop runs whenever any destination could get its
+        own delay, RNG draw or drop decision.  When none can
+        (:meth:`_uniform_delay`), the sends would occupy consecutive
+        ``(time, seq)`` slots and land at one instant in send order, so they
+        are accounted in bulk and ride **one** kernel event instead; each is
+        still a message on the modelled network (``messages_sent``,
+        ``wire_log`` and the delivery-time crash/partition checks are per
+        destination).  Destinations may share one envelope object.
+        """
+        delay = self._uniform_delay(src, dsts) if dsts else None
+        if delay is None:
+            for dst, envelope in zip(dsts, envelopes):
+                self.send(src, dst, envelope)
+            return
+        # Delivery reads these one half-RTT from now; callers pass live
+        # membership lists.
+        dsts = tuple(dsts)
+        envelopes = tuple(envelopes)
+        stats = self.stats
+        wire_log = self.wire_log
+        now = self.sim.now
+        # Account one run of destinations sharing an envelope at a time: the
+        # common fan-out is a single run.
+        n = len(dsts)
+        start = 0
+        for end in range(1, n + 1):
+            if end == n or envelopes[end] is not envelopes[start]:
+                type_name = envelopes[start].type_name
+                size = envelopes[start].wire_size()
+                stats.record_sends(src, type_name, size, end - start)
+                if wire_log is not None:
+                    wire_log.extend(
+                        (now, src, dst, type_name, size) for dst in dsts[start:end])
+                start = end
+        stats.in_flight += n
+        incarnation = self._incarnation.get
+        self.sim.schedule(delay, self._deliver_many, src, dsts, envelopes,
+                          [incarnation(dst, 0) for dst in dsts])
+
+    def _uniform_delay(self, src: str, dsts: Sequence[str]) -> Optional[float]:
+        """The one delay every ``src -> dst`` send would get right now, or
+        ``None`` if the per-destination path has anything to decide."""
+        if (self._par is not None or self.causal is not None or not self._fault_free
+                or self.intra_jitter or self.reorder_spread or self.drop_probability
+                or self.duplicate_probability or self.bandwidth_bytes_per_ms is not None
+                or self._link_bandwidth or self.serialization_cost_per_kb):
+            return None
+        regions = self._host_region
+        region = regions.get(src)
+        if region is None:
+            return None
+        for dst in dsts:
+            # Unknown hosts fall through to send(), which names them.
+            if dst == src or regions.get(dst) != region:
+                return None
+        return max(0.01, self.intra_region_rtt / 2.0)
+
+    def _deliver_many(self, src: str, dsts: Sequence[str], envelopes: Sequence[object],
+                      incarnations: Sequence[int]) -> None:
+        """One multicast arriving: :meth:`_deliver` per destination, in send
+        order, each with its own delivery-time re-checks."""
+        deliver = self._deliver
+        for dst, envelope, incarnation in zip(dsts, envelopes, incarnations):
+            deliver(src, dst, envelope, incarnation)
+
     def _byte_delay(self, src: str, dst: str, size: int) -> float:
         """Extra delay charged by the bandwidth/serialization hooks."""
         return self._byte_delay_r(size, self.region_of(src), self.region_of(dst))
@@ -427,6 +504,9 @@ class Network:
                     self.causal.mark_dropped(ctx)
             return
         self.stats.record_receive(dst)
+        acct = self.sim._acct
+        if acct is not None:
+            acct.deliveries += 1
         self._handlers[dst](src, payload)
 
     # ------------------------------------------------------------------

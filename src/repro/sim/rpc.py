@@ -37,7 +37,7 @@ None`` check per site: a detached run does no extra work.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import ProtocolError, RpcTimeout
 from repro.sim.kernel import Event, Process, Simulator
@@ -47,6 +47,7 @@ from repro.wire.schema import (
     WireMessage,
     batch_size,
     decode,
+    decode_shared,
     encode,
     schema_for,
     sizeof,
@@ -106,12 +107,16 @@ class _Response:
 
 
 class _Oneway:
-    __slots__ = ("method", "payload", "trace_ctx")
+    __slots__ = ("method", "payload", "trace_ctx", "decoded")
 
     def __init__(self, method: str, payload: Any, trace_ctx=None):
         self.method = method
         self.payload = payload
         self.trace_ctx = trace_ctx
+        # The typed payload as cheap handlers see it, decoded on first
+        # delivery.  A multicast shares one envelope across its destinations,
+        # so they share this too — read-only (repro.wire.decode_shared).
+        self.decoded = None
 
     @property
     def type_name(self) -> str:
@@ -161,7 +166,7 @@ class Endpoint:
         self.service_time = service_time
         self.batch_window = batch_window
         self._busy_until = 0.0
-        self._cheap: set = set()
+        self._cheap: Dict[str, Callable] = {}
         self._handlers: Dict[str, Callable] = {}
         self._pending: Dict[int, Event] = {}
         self._batch_buf: Dict[str, List[Encoded]] = {}
@@ -176,13 +181,15 @@ class Endpoint:
 
         ``cheap`` methods bypass the CPU service-time queue — used for
         control-plane traffic (clock reports) that a real implementation
-        piggybacks on other messages at negligible cost.
+        piggybacks on other messages at negligible cost.  As one-ways they
+        are also called straight from delivery, so a cheap handler must be a
+        plain function: a generator would never be spawned there.
         """
         if method in self._handlers:
             raise ProtocolError(f"{self.host}: handler for {method!r} already registered")
         self._handlers[method] = handler
         if cheap:
-            self._cheap.add(method)
+            self._cheap[method] = handler
 
     def charge(self, cost: float) -> None:
         """Consume ``cost`` ms of this node's CPU (sender-side work such as
@@ -201,22 +208,29 @@ class Endpoint:
         causal = self.network.causal
         # Cheap one-ways (clock reports) dominate traffic: dispatch them
         # inline without the _is_cheap/_process indirection.
-        if envelope.__class__ is _Oneway and envelope.method in self._cheap:
-            payload = envelope.payload
-            if payload.__class__ is Encoded:
-                payload = decode(payload)
-            if causal is None:
-                self._invoke(envelope.method, src, payload)
+        if envelope.__class__ is _Oneway:
+            handler = self._cheap.get(envelope.method)
+            if handler is not None:
+                # Cheap handlers only read their payload, so one decode
+                # serves every destination of a shared envelope; everything
+                # else goes through _dispatch and gets a copy of its own.
+                payload = envelope.decoded
+                if payload is None:
+                    payload = envelope.payload
+                    if payload.__class__ is Encoded:
+                        payload = envelope.decoded = decode_shared(payload)
+                if causal is None:
+                    handler(src, payload)
+                    return
+                ctx = envelope.trace_ctx
+                if ctx is not None:
+                    causal.end_hop(ctx, self.sim.now, 0.0, 0.0)
+                causal.push_active(ctx)
+                try:
+                    handler(src, payload)
+                finally:
+                    causal.pop_active()
                 return
-            ctx = envelope.trace_ctx
-            if ctx is not None:
-                causal.end_hop(ctx, self.sim.now, 0.0, 0.0)
-            causal.push_active(ctx)
-            try:
-                self._invoke(envelope.method, src, payload)
-            finally:
-                causal.pop_active()
-            return
         if envelope.__class__ is _Batch and self._is_cheap(envelope):
             self._process(src, envelope)
             return
@@ -404,7 +418,33 @@ class Endpoint:
         for dst in sorted(self._batch_buf):
             self._flush_batch(dst)
 
-    def broadcast(self, dsts, method: Union[str, WireMessage], payload: Any = None) -> None:
-        method, payload = self._coerce(method, payload)
-        for dst in dsts:
-            self.send(dst, method, payload)
+    def multicast(
+        self,
+        dsts: Sequence[str],
+        msg: WireMessage,
+        overrides: Optional[Mapping[str, WireMessage]] = None,
+    ) -> None:
+        """One-way ``msg`` to every host in ``dsts``, in order.
+
+        ``overrides`` maps a destination to the message it gets instead, in
+        its own slot of the order.  Equivalent to one :meth:`send` per
+        destination, and exactly that when sends batch, carry a per-hop
+        trace context, or may be pickled across kernel partitions.
+        Otherwise the destinations share one envelope — encoded once, and
+        for a cheap method decoded once into a read-only message — and the
+        network may deliver the whole fan-out as one event
+        (:meth:`Network.multicast`).
+        """
+        network = self.network
+        if self.batch_window > 0 or network.causal is not None or network._par is not None:
+            for dst in dsts:
+                self.send(dst, overrides.get(dst, msg) if overrides else msg)
+            return
+        shared = _Oneway(msg.NAME, encode(msg))
+        envelopes = [shared] * len(dsts)
+        if overrides:
+            for i, dst in enumerate(dsts):
+                other = overrides.get(dst)
+                if other is not None:
+                    envelopes[i] = _Oneway(other.NAME, encode(other))
+        network.multicast(self.host, dsts, envelopes)

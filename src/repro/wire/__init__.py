@@ -15,6 +15,7 @@ from repro.wire.schema import (
     WireMessage,
     batch_size,
     decode,
+    decode_shared,
     encode,
     message,
     registered_messages,
@@ -28,6 +29,7 @@ __all__ = [
     "WireMessage",
     "batch_size",
     "decode",
+    "decode_shared",
     "encode",
     "message",
     "registered_messages",

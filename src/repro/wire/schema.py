@@ -40,6 +40,7 @@ __all__ = [
     "message",
     "encode",
     "decode",
+    "decode_shared",
     "sizeof",
     "schema_for",
     "registered_messages",
@@ -89,6 +90,8 @@ class WireMessage:
     _WIRE_FIELDS: ClassVar[Optional[Tuple[str, ...]]] = None
     _WIRE_FIELD_SET: ClassVar[FrozenSet[str]] = frozenset()
     _WIRE_BASE: ClassVar[int] = 0
+    # Read-only subclass handed out by :func:`decode_shared`.
+    _SHARED_VIEW: ClassVar[Optional[type]] = None
 
     def __getitem__(self, key: str) -> Any:
         try:
@@ -117,6 +120,12 @@ class WireMessage:
         return size
 
 
+def _reject_mutation(self, name: str, value: Any = None) -> None:
+    raise WireError(
+        f"cannot set or delete {name!r}: this decoded message is shared with other receivers",
+        self.NAME)
+
+
 def message(name: str, *, version: int = 1, batchable: bool = False) -> Callable:
     """Class decorator: register a dataclass schema under ``name``.
 
@@ -138,6 +147,11 @@ def message(name: str, *, version: int = 1, batchable: bool = False) -> Callable
         cls._WIRE_FIELDS = tuple(f.name for f in dataclasses.fields(cls))
         cls._WIRE_FIELD_SET = frozenset(cls._WIRE_FIELDS)
         cls._WIRE_BASE = _FRAME_OVERHEAD + len(name) + _SIZE_TINY  # name + version
+        cls._SHARED_VIEW = type(cls.__name__, (cls,), {
+            "__slots__": (),
+            "__setattr__": _reject_mutation,
+            "__delattr__": _reject_mutation,
+        })
         _REGISTRY[name] = cls
         return cls
 
@@ -221,6 +235,20 @@ def decode(frame: Encoded) -> WireMessage:
     if missing:
         raise WireError(f"missing required field(s) {missing}", frame.name)
     return cls(**fields)
+
+
+def decode_shared(frame: Encoded) -> WireMessage:
+    """:func:`decode` for a frame that several receivers will read.
+
+    One envelope can reach many hosts (``Endpoint.multicast``) and is decoded
+    once, so every receiver gets the *same* object.  It comes back as a
+    read-only view of its schema class — same fields, same ``isinstance`` —
+    so a handler that assigns to it fails at the assignment instead of
+    silently editing what its peers see.
+    """
+    msg = decode(frame)
+    msg.__class__ = msg._SHARED_VIEW
+    return msg
 
 
 # Exact-type dispatch for the hot sizeof cases.  Keyed by ``value.__class__``

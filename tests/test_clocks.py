@@ -184,6 +184,36 @@ class TestDClock:
         assert clock.physical() == pytest.approx(0.0)
         assert clock.peek() <= ZERO_TS.with_nid(1)
 
+    @given(st.lists(st.sampled_from(
+        ["tick", "advance", "report", "floor", "unfloor", "ablate"]), max_size=60))
+    @settings(max_examples=100, deadline=None)
+    def test_chase_is_observe_then_calibrate(self, actions):
+        # Two clocks fed the same history; one takes PCT reports through
+        # chase(), the other through the two calls it fuses.
+        sim = Simulator()
+        holder = [None]
+        fused, split = (DClock(ClockSource(sim), nid=1, floor_fn=lambda: holder[0])
+                        for _ in range(2))
+        t = 0.0
+        for step, action in enumerate(actions):
+            if action == "tick":
+                assert fused.tick() == split.tick()
+            elif action == "advance":
+                t += 7.0
+                sim.run(until=t)
+            elif action == "report":
+                value = Timestamp(t + (step % 5) * 4.0 - 6.0, step % 3, 2)
+                fused.chase(value)
+                split.observe(value)
+                split.calibrate_to_time(value.time)
+            elif action == "floor":
+                holder[0] = Timestamp(t + 9.0, 0, 9)
+            elif action == "unfloor":
+                holder[0] = None
+            else:
+                fused.calibration_enabled = split.calibration_enabled = step % 2 == 0
+            assert (fused.last, fused.offset) == (split.last, split.offset)
+
     @given(st.lists(st.sampled_from(["tick", "advance", "observe", "floor", "unfloor"]), max_size=80))
     @settings(max_examples=100, deadline=None)
     def test_monotone_under_arbitrary_interleavings(self, actions):

@@ -227,6 +227,7 @@ class TestKernelAccounting:
         acct = KernelAccounting()
         assert acct.same_instant_ratio == 0.0
         assert acct.heap_churn_ratio == 0.0
+        assert acct.events_per_delivery == 0.0
         assert acct.to_dict()["events_total"] == 0
 
     def test_accounting_does_not_perturb_results(self, sim):
@@ -258,7 +259,7 @@ class TestProfiler:
             duration_ms=600.0, warmup_ms=100.0, cooldown_ms=100.0, seed=1,
             label="perf-smoke",
         )
-        report = profile_spec(spec, top=5, callsites=5)
+        report = profile_spec(spec, top=5, callsites=50)
         assert isinstance(report, ProfileReport)
         assert report.label == "perf-smoke"
         assert report.events_total > 0
@@ -266,13 +267,23 @@ class TestProfiler:
         assert report.wall_clock_s > 0
         assert report.virtual_ms > 0
         assert report.events_per_s > 0
-        assert len(report.callsites) <= 5
+        assert len(report.callsites) <= 50
         assert len(report.functions) <= 5
         assert report.callsites and report.callsites[0][1] > 0
+        # PCT fan-outs ride one Network._deliver_many event each, so a DAST
+        # trial delivers more messages than it spends delivery events on.
+        sites = dict(report.callsites)
+        assert sites["Network._deliver_many"] > 0
+        assert report.deliveries > (
+            sites["Network._deliver_many"] + sites.get("Network._deliver", 0))
+        assert report.events_per_delivery == pytest.approx(
+            report.events_total / report.deliveries, abs=1e-4)
         text = report.to_text()
         assert "hot callbacks" in text and "hot functions" in text
+        assert "deliveries" in text
         payload = report.to_dict()
         assert payload["events_total"] == report.events_total
+        assert payload["deliveries"] == report.deliveries
 
     def test_profile_spec_rejects_bad_sort(self):
         from repro.fleet.spec import TrialSpec

@@ -7,6 +7,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.network import Network
 from repro.sim.rng import RngRegistry
 from repro.sim.rpc import Endpoint, RpcRemoteError
+from repro.wire.messages import Suspect
 
 
 @pytest.fixture
@@ -142,15 +143,18 @@ class TestOneWay:
         sim.run()
         assert seen == [("r0.a", "hello")]
 
-    def test_broadcast(self, setup):
+    def test_multicast(self, setup):
         sim, net, a, b = setup
         c = Endpoint(sim, net, "r0.c", "r0")
         seen = []
-        b.register("n", lambda s, p: seen.append("b"))
-        c.register("n", lambda s, p: seen.append("c"))
-        a.broadcast(["r0.b", "r0.c"], "n", None)
+        b.register("suspect", lambda s, p: seen.append(("b", s, p.node)))
+        c.register("suspect", lambda s, p: seen.append(("c", s, p.node)))
+        a.multicast(["r0.c", "r0.b"], Suspect(node="x"),
+                    overrides={"r0.b": Suspect(node="y")})
         sim.run()
-        assert sorted(seen) == ["b", "c"]
+        # Send order, and the override lands on its own destination only.
+        assert seen == [("c", "r0.a", "x"), ("b", "r0.a", "y")]
+        assert net.stats.messages_sent == 2
 
 
 class TestCpuModel:
