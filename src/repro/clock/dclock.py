@@ -136,9 +136,12 @@ class DClock:
         if not self.calibration_enabled:
             return
         t = peer_value.time
-        floor = self._floor_fn() if (self._floor_fn is not None and self.stretch_enabled) else None
-        if (floor is None or t < floor.time) and peer_value > self.last:
-            self.last = Timestamp(t, peer_value.frac, self.nid)
+        # Most reports trail this clock (they left half an RTT ago), so the
+        # floor is only asked for when there is something to adopt.
+        if peer_value > self.last:
+            floor = self._floor_fn() if (self._floor_fn is not None and self.stretch_enabled) else None
+            if floor is None or t < floor.time:
+                self.last = Timestamp(t, peer_value.frac, self.nid)
         now = self.source.now()
         if now + self.offset < t:
             self.offset = t - now

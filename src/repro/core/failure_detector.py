@@ -42,20 +42,19 @@ class FailureDetector:
         if self._running:
             return
         self._running = True
-        self.sim.spawn(self._loop(), name=f"{self.manager.host}.fd")
+        self.sim.every(self.interval, self._probe_members,
+                       name=f"{self.manager.host}.fd", alive=lambda: self._running)
 
     def stop(self) -> None:
         self._running = False
 
-    def _loop(self):
-        while self._running:
-            yield self.sim.timeout(self.interval)
-            if not self.manager.active:
+    def _probe_members(self) -> None:
+        if not self.manager.active:
+            return
+        for node in list(self.manager.members):
+            if node in self.suspected:
                 continue
-            for node in list(self.manager.members):
-                if node in self.suspected:
-                    continue
-                self.sim.spawn(self._probe(node), name=f"{self.manager.host}.fd.{node}")
+            self.sim.spawn(self._probe(node), name=f"{self.manager.host}.fd.{node}")
 
     def _probe(self, node: str):
         try:

@@ -154,29 +154,32 @@ class DastManager:
         if self._running:
             return
         self._running = True
-        self.sim.spawn(self._report_loop(), name=f"{self.host}.report")
+        self.sim.every(self.timing.pct_interval, self._send_report,
+                       name=f"{self.host}.report", alive=lambda: self._running)
 
     def stop(self) -> None:
         self._running = False
 
-    def _report_loop(self):
-        while self._running:
-            yield self.sim.timeout(self.timing.pct_interval)
-            if not self.active:
-                continue
-            value = self.dclock.tick()
-            floor = self._pending_floor()
-            if floor is not None and value >= floor:
-                # Enforce the anticipation promise on reports even if the
-                # clock overshot a late-arriving pending entry.
-                value = just_below(floor)
-            self.endpoint.multicast(self.members, PctReport(value=value))
+    def _send_report(self) -> None:
+        if not self.active:
+            return
+        value = self.dclock.tick()
+        floor = self._pending_floor()
+        if floor is not None and value >= floor:
+            # Enforce the anticipation promise on reports even if the
+            # clock overshot a late-arriving pending entry.
+            value = just_below(floor)
+        self.endpoint.multicast(self.members, PctReport(value=value))
+        if self.pending:
             self._gc_pending()
 
     def _pending_floor(self) -> Optional[Timestamp]:
-        if not self.pending:
-            return None
-        return min(p.anticipated for p in self.pending.values())
+        # Anticipations are strictly increasing per manager (on_prep_remote)
+        # and ``pending`` keeps insertion order, so its oldest entry is its
+        # smallest.
+        for entry in self.pending.values():
+            return entry.anticipated
+        return None
 
     def _gc_pending(self) -> None:
         """Drop pending entries long past their anticipated time.

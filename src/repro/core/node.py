@@ -20,7 +20,7 @@ cross-shard inputs have arrived (the push mechanism of §4.1).
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.clock.dclock import DClock
 from repro.clock.hlc import Timestamp, ZERO_TS, just_below
@@ -121,7 +121,9 @@ class DastNode(CoordinatorMixin):
         self.members: List[str] = topology.nodes_in_region(self.region)
         self.removed: Set[str] = set()
         self.max_ts: Dict[str, Timestamp] = {}
+        # dst -> {obligation id: timestamp} of unacknowledged messages.
         self._obligations: Dict[str, Dict[int, Timestamp]] = {}
+        self._targets: Optional[Tuple[str, ...]] = None  # _peers_and_manager() cache
         self.coordinating: Dict[str, Any] = {}
         self._early_commits: Dict[str, Timestamp] = {}
         self.stats = Stats()
@@ -148,7 +150,7 @@ class DastNode(CoordinatorMixin):
         ep.register("crt_input_ready", self._guard(self.on_crt_input_ready))
         ep.register("send_output", self._guard(self.on_send_output))
         ep.register("exec_done", self._guard(self.on_exec_done))
-        ep.register("pct_report", self._guard(self.on_pct_report), cheap=True)
+        ep.register("pct_report", self.on_pct_report, cheap=True)
         ep.register("abort_crt", self._guard(self.on_abort_crt))
         ep.register("remove_prep", self.on_remove_prep)
         ep.register("remove_commit", self.on_remove_commit)
@@ -179,7 +181,8 @@ class DastNode(CoordinatorMixin):
         if self._running:
             return
         self._running = True
-        self.sim.spawn(self._report_loop(), name=f"{self.host}.pct")
+        self.sim.every(self.timing.pct_interval, self._send_reports,
+                       name=f"{self.host}.pct", alive=lambda: self._running)
 
     def stop(self) -> None:
         self._running = False
@@ -187,11 +190,6 @@ class DastNode(CoordinatorMixin):
     # ------------------------------------------------------------------
     # PCT: clock reports and execution gating
     # ------------------------------------------------------------------
-    def _report_loop(self):
-        while self._running:
-            yield self.sim.timeout(self.timing.pct_interval)
-            self._send_reports()
-
     def _send_reports(self) -> None:
         value = self.dclock.tick()
         # The promise, enforced unconditionally: never report at or above
@@ -202,25 +200,39 @@ class DastNode(CoordinatorMixin):
         wait_floor = self.wait_q.min()
         if wait_floor is not None and value >= wait_floor:
             value = just_below(wait_floor)
-        targets = self._peers_and_manager()
         # A destination with an unacknowledged obligation below ``value``
-        # gets a report capped just below it, in its usual slot.
-        capped = {}
-        for dst in targets:
-            pending = self._obligations.get(dst)
+        # gets a report capped just below it, in its usual slot.  _reliable
+        # drops a destination's entry with its last obligation, so usually
+        # there is little or nothing to walk.
+        capped = None
+        for dst, pending in self._obligations.items():
             if pending:
                 floor = min(pending.values())
                 if value >= floor:
+                    if capped is None:
+                        capped = {}
                     capped[dst] = PctReport(value=just_below(floor))
-        self.endpoint.multicast(targets, PctReport(value=value), capped)
+        self.endpoint.multicast(
+            self._peers_and_manager(), PctReport(value=value), capped)
         self._try_execute()
 
-    def _peers_and_manager(self) -> List[str]:
-        targets = [m for m in self.members if m != self.host]
-        targets.append(self.manager)
+    def _peers_and_manager(self) -> Tuple[str, ...]:
+        """Who a fan-out from this node goes to: every other member, then
+        the manager.  Cached; whatever changes ``members`` or ``manager``
+        calls :meth:`_view_changed`."""
+        targets = self._targets
+        if targets is None:
+            targets = self._targets = tuple(
+                [m for m in self.members if m != self.host] + [self.manager])
         return targets
 
+    def _view_changed(self) -> None:
+        self._targets = None
+
     def on_pct_report(self, src: str, payload: PctReport) -> None:
+        # Registered without _guard (six of these arrive per millisecond).
+        if src in self.removed:
+            return
         value: Timestamp = payload.value
         if value > self.max_ts.get(src, ZERO_TS):
             self.max_ts[src] = value
@@ -231,7 +243,10 @@ class DastNode(CoordinatorMixin):
         # Reported times are always <= the sender's physical reading, so
         # chasing them cannot ratchet past the fastest real clock.
         self.dclock.chase(value)
-        self._try_execute()
+        # The sweep's two commonest exits, taken without entering it.
+        head = self.ready_q.head()
+        if head is not None and head.status != TxnStatus.PREPARED:
+            self._try_execute()
 
     def _clocks_passed(self, ts: Timestamp) -> bool:
         if self.dclock.peek() <= ts:
@@ -751,6 +766,8 @@ class DastNode(CoordinatorMixin):
                 pending = self._obligations.get(dst)
                 if pending is not None:
                     pending.pop(obl_id, None)
+                    if not pending:
+                        del self._obligations[dst]
 
         self.sim.spawn(proc(), name=f"{self.host}.reliable.{msg.NAME}")
 
@@ -792,6 +809,7 @@ class DastNode(CoordinatorMixin):
         removed = set(payload.removed)
         self.removed |= removed
         self.members = [m for m in self.members if m not in removed]
+        self._view_changed()
         for node in removed:
             self.max_ts.pop(node, None)
             self._obligations.pop(node, None)
@@ -819,6 +837,7 @@ class DastNode(CoordinatorMixin):
     def on_mgr_takeover(self, src: str, payload: MgrTakeover):
         old_manager = self.manager
         self.manager = src
+        self._view_changed()
         # Report our current view: the standby's membership may be stale
         # (removals happen while it is passive), and it adopts the freshest
         # view among the replies.
@@ -920,11 +939,13 @@ class DastNode(CoordinatorMixin):
             # We are the new replica: jump our clock past the install point.
             self.dclock.jump_to(ts_ins)
             self.members = list(payload.members)
+            self._view_changed()
             for shard_id in [payload.shard]:
                 self.catalog.add_replica(shard_id, new_node)
         else:
             if new_node not in self.members:
                 self.members.append(new_node)
+                self._view_changed()
             self.catalog.add_replica(payload.shard, new_node)
             self.max_ts[new_node] = ts_ins
             donor_state = getattr(self, "_ckpt_donor_state", None)
@@ -962,6 +983,7 @@ class DastNode(CoordinatorMixin):
             for host in [h for h in self.max_ts if h not in keep]:
                 self.max_ts.pop(host, None)
                 self._obligations.pop(host, None)
+        self._view_changed()
         self._try_execute()
         return {"node": self.host}
 

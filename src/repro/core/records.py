@@ -89,6 +89,12 @@ class TxnRecord:
 # remove/re-key churn without paying a rebuild on ordinary traffic.
 _COMPACT_MIN = 64
 
+# ``ReadyQueue.head()`` / ``WaitQueue.min()`` are read far more often than the
+# queues change (every clock report asks both), so each remembers its answer
+# until the next mutation.  Compaction drops only stale entries and keeps the
+# answer.  ``_STALE`` marks "recompute" (``None`` is a valid answer: empty).
+_STALE = object()
+
 
 class ReadyQueue:
     """Min-heap of records by ordering timestamp with lazy deletion.
@@ -105,12 +111,14 @@ class ReadyQueue:
         self._seq = itertools.count()
         self._members: Dict[str, TxnRecord] = {}
         self._sorted: Optional[List[TxnRecord]] = None  # cached records() view
+        self._head: Any = None  # cached head() answer, or _STALE
 
     def insert(self, ts: Timestamp, record: TxnRecord) -> None:
         record.ts = ts
         self._members[record.txn_id] = record
         heapq.heappush(self._heap, (ts.time, ts.frac, ts.nid, next(self._seq), ts, record))
         self._sorted = None
+        self._head = _STALE
         if len(self._heap) > _COMPACT_MIN and len(self._heap) > 2 * len(self._members):
             self._compact()
 
@@ -129,6 +137,9 @@ class ReadyQueue:
         self._heap = live
 
     def head(self) -> Optional[TxnRecord]:
+        record = self._head
+        if record is not _STALE:
+            return record
         heap = self._heap
         members = self._members
         while heap:
@@ -137,17 +148,17 @@ class ReadyQueue:
             if members.get(record.txn_id) is record:
                 ts = record.ts
                 if ts is entry[4] or ts == entry[4]:
+                    self._head = record
                     return record
             heapq.heappop(heap)  # stale (removed or re-keyed) entry
+        self._head = None
         return None
 
     def pop(self) -> TxnRecord:
         record = self.head()
         if record is None:
             raise IndexError("pop from empty ReadyQueue")
-        heapq.heappop(self._heap)
-        del self._members[record.txn_id]
-        self._sorted = None
+        self.pop_head(record)
         return record
 
     def pop_head(self, record: TxnRecord) -> None:
@@ -157,11 +168,13 @@ class ReadyQueue:
         heapq.heappop(self._heap)
         del self._members[record.txn_id]
         self._sorted = None
+        self._head = _STALE
 
     def remove(self, txn_id: str) -> Optional[TxnRecord]:
         record = self._members.pop(txn_id, None)
         if record is not None:
             self._sorted = None
+            self._head = _STALE
             if len(self._heap) > _COMPACT_MIN and len(self._heap) > 2 * len(self._members):
                 self._compact()
         return record
@@ -194,15 +207,18 @@ class WaitQueue:
         self._heap: List[Tuple] = []
         self._seq = itertools.count()
         self._entries: Dict[str, Timestamp] = {}
+        self._min: Any = None  # cached min() answer, or _STALE
 
     def insert(self, key: str, ts: Timestamp) -> None:
         self._entries[key] = ts
         heapq.heappush(self._heap, (ts.time, ts.frac, ts.nid, next(self._seq), ts, key))
+        self._min = _STALE
         if len(self._heap) > _COMPACT_MIN and len(self._heap) > 2 * len(self._entries):
             self._compact()
 
     def remove(self, key: str) -> None:
-        self._entries.pop(key, None)
+        if self._entries.pop(key, None) is not None:
+            self._min = _STALE
         if len(self._heap) > _COMPACT_MIN and len(self._heap) > 2 * len(self._entries):
             self._compact()
 
@@ -221,6 +237,9 @@ class WaitQueue:
         self._heap = live
 
     def min(self) -> Optional[Timestamp]:
+        ts = self._min
+        if ts is not _STALE:
+            return ts
         heap = self._heap
         entries = self._entries
         while heap:
@@ -228,8 +247,10 @@ class WaitQueue:
             ts = entry[4]
             current = entries.get(entry[5])
             if current is not None and (current is ts or current == ts):
+                self._min = ts
                 return ts
             heapq.heappop(heap)
+        self._min = None
         return None
 
     def __contains__(self, key: str) -> bool:

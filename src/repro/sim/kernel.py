@@ -37,6 +37,7 @@ __all__ = [
     "Process",
     "AllOf",
     "AnyOf",
+    "Timer",
     "Simulator",
 ]
 
@@ -218,6 +219,52 @@ class AnyOf(Event):
             self.fail(ev.exception)
 
 
+class Timer:
+    """Handle of a periodic callback started by :meth:`Simulator.every`.
+
+    Each period takes two ``(time, seq)`` slots: a heap entry due at the
+    tick instant (:meth:`_fire`), which only queues :meth:`_tick` on the
+    ready deque.  The detour is what orders a tick among its instant's
+    other work: every heap entry already due at that instant — whatever its
+    seq — runs before the ready entry, so a message processed at the tick
+    instant is seen by ``fn``.  A timer that called ``fn`` straight from the
+    heap entry would run ahead of the due entries scheduled after it.
+    """
+
+    __slots__ = ("sim", "interval", "fn", "name", "alive", "cancelled")
+
+    def __init__(self, sim: "Simulator", interval: float, fn: Callable[[], Any],
+                 name: str, alive: Optional[Callable[[], Any]]):
+        self.sim = sim
+        self.interval = interval
+        self.fn = fn
+        self.name = name
+        self.alive = alive
+        self.cancelled = False
+        sim.call_soon(self._arm)
+
+    def _arm(self) -> None:
+        if self.cancelled or (self.alive is not None and not self.alive()):
+            return
+        sim = self.sim
+        heapq.heappush(
+            sim._heap, (sim.now + self.interval, next(sim._seq), self._fire, ()))
+
+    def _fire(self) -> None:
+        sim = self.sim
+        sim._ready.append((next(sim._seq), self._tick, ()))
+
+    def _tick(self) -> None:
+        if self.cancelled:
+            return
+        self.fn()
+        self._arm()
+
+    def interrupt(self) -> None:
+        """Cancel the timer; an already scheduled tick becomes a no-op."""
+        self.cancelled = True
+
+
 class Simulator:
     """The event loop: a heap of ``(time, seq, callback)`` entries plus a
     FIFO "ready" deque for same-instant work.
@@ -304,22 +351,20 @@ class Simulator:
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
 
-    def every(self, interval: float, fn: Callable[[], Any], name: str = "timer") -> Process:
-        """Run ``fn()`` every ``interval`` virtual ms until interrupted.
+    def every(self, interval: float, fn: Callable[[], Any], name: str = "timer",
+              alive: Optional[Callable[[], Any]] = None) -> Timer:
+        """Run ``fn()`` every ``interval`` virtual ms: the one way to do
+        something periodically (PCT reports, heartbeats, probes).
 
-        Returns the timer :class:`Process`; cancel with
-        :meth:`Process.interrupt`.  Used by periodic samplers (observability
-        probes) that must not keep their own scheduling state.
+        The timer runs until its :class:`Timer` handle is interrupted or
+        ``alive()`` — read once before the first period and once after each
+        ``fn()`` — returns false.  The period is re-armed from the instant
+        ``fn`` returned, so a timer's instants are ``now + interval``
+        accumulated, exactly like a loop around ``yield timeout(interval)``.
         """
         if interval <= 0:
             raise SimulationError(f"timer interval must be positive, got {interval}")
-
-        def ticker():
-            while True:
-                yield self.timeout(interval)
-                fn()
-
-        return self.spawn(ticker(), name=name)
+        return Timer(self, interval, fn, name, alive)
 
     # ------------------------------------------------------------------
     # Running

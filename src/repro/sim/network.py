@@ -143,6 +143,10 @@ class Network:
         self.serialization_cost_per_kb: float = 0.0
         self._link_bandwidth: Dict[Tuple[str, str], float] = {}
         self._host_region: Dict[str, str] = {}
+        # src -> the last destination tuple found to hold only *other* hosts
+        # of src's region.  A host never changes region and a tuple never
+        # changes content, so multicast() need not walk that tuple again.
+        self._same_region: Dict[str, Tuple[str, ...]] = {}
         self._handlers: Dict[str, Callable] = {}
         # Every Endpoint built on this network registers itself here so
         # drain/shutdown paths can flush pending batch windows in one sweep.
@@ -406,30 +410,39 @@ class Network:
             for dst, envelope in zip(dsts, envelopes):
                 self.send(src, dst, envelope)
             return
-        # Delivery reads these one half-RTT from now; callers pass live
+        # Delivery reads these one half-RTT from now; callers may pass live
         # membership lists.
         dsts = tuple(dsts)
         envelopes = tuple(envelopes)
-        stats = self.stats
-        wire_log = self.wire_log
-        now = self.sim.now
+        n = len(dsts)
         # Account one run of destinations sharing an envelope at a time: the
         # common fan-out is a single run.
-        n = len(dsts)
-        start = 0
-        for end in range(1, n + 1):
-            if end == n or envelopes[end] is not envelopes[start]:
-                type_name = envelopes[start].type_name
-                size = envelopes[start].wire_size()
-                stats.record_sends(src, type_name, size, end - start)
-                if wire_log is not None:
-                    wire_log.extend(
-                        (now, src, dst, type_name, size) for dst in dsts[start:end])
-                start = end
-        stats.in_flight += n
-        incarnation = self._incarnation.get
-        self.sim.schedule(delay, self._deliver_many, src, dsts, envelopes,
-                          [incarnation(dst, 0) for dst in dsts])
+        first = envelopes[0]
+        if envelopes.count(first) == n:
+            self._account_run(src, dsts, first)
+        else:
+            start = 0
+            for end in range(1, n + 1):
+                if end == n or envelopes[end] is not envelopes[start]:
+                    self._account_run(src, dsts[start:end], envelopes[start])
+                    start = end
+        self.stats.in_flight += n
+        # No host has ever crashed (the usual case): every incarnation is 0
+        # and ``None`` says so without a list per fan-out.
+        incarnation = self._incarnation
+        self.sim.schedule(
+            delay, self._deliver_many, src, dsts, envelopes,
+            [incarnation.get(dst, 0) for dst in dsts] if incarnation else None)
+
+    def _account_run(self, src: str, dsts: Sequence[str], envelope: object) -> None:
+        """``len(dsts)`` sends of one envelope, accounted in one update."""
+        type_name = envelope.type_name
+        size = envelope.wire_size()
+        self.stats.record_sends(src, type_name, size, len(dsts))
+        wire_log = self.wire_log
+        if wire_log is not None:
+            now = self.sim.now
+            wire_log.extend((now, src, dst, type_name, size) for dst in dsts)
 
     def _uniform_delay(self, src: str, dsts: Sequence[str]) -> Optional[float]:
         """The one delay every ``src -> dst`` send would get right now, or
@@ -439,23 +452,49 @@ class Network:
                 or self.duplicate_probability or self.bandwidth_bytes_per_ms is not None
                 or self._link_bandwidth or self.serialization_cost_per_kb):
             return None
-        regions = self._host_region
-        region = regions.get(src)
-        if region is None:
-            return None
-        for dst in dsts:
-            # Unknown hosts fall through to send(), which names them.
-            if dst == src or regions.get(dst) != region:
+        if self._same_region.get(src) is not dsts:
+            regions = self._host_region
+            region = regions.get(src)
+            if region is None:
                 return None
+            for dst in dsts:
+                # Unknown hosts fall through to send(), which names them.
+                if dst == src or regions.get(dst) != region:
+                    return None
+            if dsts.__class__ is tuple:
+                self._same_region[src] = dsts
         return max(0.01, self.intra_region_rtt / 2.0)
 
     def _deliver_many(self, src: str, dsts: Sequence[str], envelopes: Sequence[object],
-                      incarnations: Sequence[int]) -> None:
-        """One multicast arriving: :meth:`_deliver` per destination, in send
-        order, each with its own delivery-time re-checks."""
-        deliver = self._deliver
-        for dst, envelope, incarnation in zip(dsts, envelopes, incarnations):
-            deliver(src, dst, envelope, incarnation)
+                      incarnations: Optional[Sequence[int]]) -> None:
+        """One multicast arriving: what :meth:`_deliver` does, per destination
+        in send order, each with its own delivery-time re-checks."""
+        stats = self.stats
+        stats.in_flight -= len(dsts)
+        received = stats.per_host_received
+        handlers = self._handlers
+        current = self._incarnation
+        acct = self.sim._acct
+        for i, dst in enumerate(dsts):
+            envelope = envelopes[i]
+            # A crash bumps the incarnation, so an empty table means none of
+            # these destinations restarted in flight either.
+            if (not self._fault_free and self._blocked(src, dst)) or (
+                    current and current.get(dst, 0)
+                    != (incarnations[i] if incarnations is not None else 0)):
+                stats.record_drop()
+                if self.causal is not None:
+                    ctx = getattr(envelope, "trace_ctx", None)
+                    if ctx is not None:
+                        self.causal.mark_dropped(ctx)
+                continue
+            try:
+                received[dst] += 1
+            except KeyError:
+                received[dst] = 1
+            if acct is not None:
+                acct.deliveries += 1
+            handlers[dst](src, envelope)
 
     def _byte_delay(self, src: str, dst: str, size: int) -> float:
         """Extra delay charged by the bandwidth/serialization hooks."""

@@ -49,6 +49,7 @@ from repro.wire.schema import (
     decode,
     decode_shared,
     encode,
+    encode_shared,
     schema_for,
     sizeof,
 )
@@ -109,14 +110,15 @@ class _Response:
 class _Oneway:
     __slots__ = ("method", "payload", "trace_ctx", "decoded")
 
-    def __init__(self, method: str, payload: Any, trace_ctx=None):
+    def __init__(self, method: str, payload: Any, trace_ctx=None, decoded=None):
         self.method = method
         self.payload = payload
         self.trace_ctx = trace_ctx
-        # The typed payload as cheap handlers see it, decoded on first
-        # delivery.  A multicast shares one envelope across its destinations,
-        # so they share this too — read-only (repro.wire.decode_shared).
-        self.decoded = None
+        # The typed payload as cheap handlers see it: built with the frame by
+        # a multicast (repro.wire.encode_shared), else decoded on first
+        # delivery (decode_shared).  A multicast shares one envelope across
+        # its destinations, so they share this too — it is read-only.
+        self.decoded = decoded
 
     @property
     def type_name(self) -> str:
@@ -430,21 +432,23 @@ class Endpoint:
         its own slot of the order.  Equivalent to one :meth:`send` per
         destination, and exactly that when sends batch, carry a per-hop
         trace context, or may be pickled across kernel partitions.
-        Otherwise the destinations share one envelope — encoded once, and
-        for a cheap method decoded once into a read-only message — and the
-        network may deliver the whole fan-out as one event
-        (:meth:`Network.multicast`).
+        Otherwise the destinations share one envelope — encoded once, with
+        the read-only message cheap handlers will be handed built beside the
+        frame (:func:`repro.wire.encode_shared`) — and the network may
+        deliver the whole fan-out as one event (:meth:`Network.multicast`).
         """
         network = self.network
         if self.batch_window > 0 or network.causal is not None or network._par is not None:
             for dst in dsts:
                 self.send(dst, overrides.get(dst, msg) if overrides else msg)
             return
-        shared = _Oneway(msg.NAME, encode(msg))
-        envelopes = [shared] * len(dsts)
+        frame, view = encode_shared(msg)
+        envelopes = (_Oneway(msg.NAME, frame, None, view),) * len(dsts)
         if overrides:
+            envelopes = list(envelopes)
             for i, dst in enumerate(dsts):
                 other = overrides.get(dst)
                 if other is not None:
-                    envelopes[i] = _Oneway(other.NAME, encode(other))
+                    frame, view = encode_shared(other)
+                    envelopes[i] = _Oneway(other.NAME, frame, None, view)
         network.multicast(self.host, dsts, envelopes)

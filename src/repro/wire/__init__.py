@@ -17,6 +17,7 @@ from repro.wire.schema import (
     decode,
     decode_shared,
     encode,
+    encode_shared,
     message,
     registered_messages,
     schema_for,
@@ -31,6 +32,7 @@ __all__ = [
     "decode",
     "decode_shared",
     "encode",
+    "encode_shared",
     "message",
     "registered_messages",
     "schema_for",

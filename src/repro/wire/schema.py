@@ -41,6 +41,7 @@ __all__ = [
     "encode",
     "decode",
     "decode_shared",
+    "encode_shared",
     "sizeof",
     "schema_for",
     "registered_messages",
@@ -235,6 +236,26 @@ def decode(frame: Encoded) -> WireMessage:
     if missing:
         raise WireError(f"missing required field(s) {missing}", frame.name)
     return cls(**fields)
+
+
+def encode_shared(msg: WireMessage) -> Tuple[Encoded, WireMessage]:
+    """:func:`encode` for a frame that several receivers will read, together
+    with the message :func:`decode_shared` would rebuild from it.
+
+    The frame is built here from a registered message, so a decode has
+    nothing left to validate: the read-only view is filled from the same
+    field snapshot, which the frame and the view then share (a private
+    :func:`decode` of the frame copies it).
+    """
+    cls = type(msg)
+    if _REGISTRY.get(msg.NAME) is not cls:
+        raise WireError("message type is not registered", msg.NAME or cls.__name__)
+    view = object.__new__(cls._SHARED_VIEW)
+    fields = view.__dict__
+    values = msg.__dict__
+    for name in cls._WIRE_FIELDS:
+        fields[name] = values[name]
+    return Encoded(msg.NAME, msg.VERSION, fields, msg.wire_size()), view
 
 
 def decode_shared(frame: Encoded) -> WireMessage:

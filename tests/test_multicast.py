@@ -159,6 +159,45 @@ class TestDeliveryTimeChecks:
         assert stats.messages_dropped == 1 and stats.in_flight == 0
 
 
+    def test_earlier_crash_elsewhere_does_not_void_a_later_fan_out(self, region):
+        # Once any host has crashed the fan-out carries per-destination
+        # incarnations instead of the "nobody ever crashed" shorthand.
+        sim, network, _eps, _seen = region
+        network.crash_host("r0.n4")
+        network.restart_host("r0.n4")
+        sim.schedule(2.0, network.restart_host, "r0.n2")
+        stats, got = self._send_then(region, 1.0, network.crash_host, "r0.n2")
+        assert got == [p for p in PEERS if p != "r0.n2"]  # r0.n4 included
+        assert stats.messages_dropped == 1 and stats.in_flight == 0
+
+    def test_a_drop_at_delivery_is_reported_to_the_causal_tracer(self, region):
+        # Traced sends never group, but a tracer can attach mid-flight.
+        sim, network, endpoints, seen = region
+
+        class Causal:
+            dropped = []
+
+            def mark_dropped(self, ctx):
+                self.dropped.append(ctx)
+
+            def end_hop(self, *args):
+                pass
+
+            push_active = pop_active = end_hop
+
+        endpoints["r0.n0"].multicast(PEERS, _report())
+        (_t, _seq, fn, (_src, _dsts, envelopes, _inc)), = sim._heap
+        assert fn == network._deliver_many
+        envelopes[0].trace_ctx = "ctx-of-the-shared-envelope"
+        network.causal = Causal()
+        network.crash_host("r0.n3")
+        network.partition_hosts("r0.n0", "r0.n5")
+        sim.run(until=2.5)
+        assert Causal.dropped == ["ctx-of-the-shared-envelope"] * 2
+        assert network.stats.messages_dropped == 2 and network.stats.in_flight == 0
+        assert sorted(network.stats.per_host_received) == ["r0.n1", "r0.n2", "r0.n4", "r0.n6"]
+
+
 # ---------------------------------------------------------------------------
 # (d) Overrides keep their slot; (e) shared messages are read-only.
 # ---------------------------------------------------------------------------
@@ -287,3 +326,25 @@ def test_same_results_as_the_per_destination_loop(make_trial, groups, monkeypatc
             reference, grouped_events = _signature(make_trial)
         assert grouped_events == 0
         assert reference == product
+
+
+# ---------------------------------------------------------------------------
+# (f) pct_report is registered without the removed-sender guard closure; the
+# handler makes the check itself.
+# ---------------------------------------------------------------------------
+def test_a_removed_peers_report_is_still_ignored():
+    from repro.config import Topology, TopologyConfig
+    from repro.core.system import DastSystem
+    from repro.workloads.tpca import TpcaWorkload
+
+    topology = Topology(TopologyConfig(num_regions=1, shards_per_region=2, replication=3))
+    workload = TpcaWorkload(topology)
+    system = DastSystem(topology, workload.schemas(), workload.load)
+    node = system.nodes["r0.n0"]
+    late = PctReport(value=Timestamp(50.0, 0, 1))
+    node.removed.add("r0.n1")
+    before = (dict(node.max_ts), node.dclock.last, node.dclock.offset)
+    node.endpoint._cheap["pct_report"]("r0.n1", late)
+    assert (dict(node.max_ts), node.dclock.last, node.dclock.offset) == before
+    node.endpoint._cheap["pct_report"]("r0.n2", late)
+    assert node.max_ts["r0.n2"] == late.value and node.dclock.last.time == 50.0

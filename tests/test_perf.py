@@ -291,3 +291,78 @@ class TestProfiler:
         spec = TrialSpec(system="dast", workload="tpca", label="x")
         with pytest.raises(ValueError):
             profile_spec(spec, sort="ncalls")
+
+
+# ---------------------------------------------------------------------------
+# What a PCT tick costs (docs/PERF.md): counted, not timed, so machine noise
+# cannot trip it.  An idle system does nothing but exchange clock reports.
+# ---------------------------------------------------------------------------
+class TestPctTickCost:
+    # Python-level calls, measured when the tick was flattened; +10 %.
+    CALLS_PER_NODE_TICK = 23
+    CALLS_PER_DELIVERED_REPORT = 5.03
+
+    @staticmethod
+    def _idle_exchange(virtual_ms=200.0):
+        """Calls made inside ``DastNode._send_reports`` and inside
+        ``Network._deliver_many``, and the kernel events, over ``virtual_ms``
+        of an idle 2 x 2 x 3 DAST system (12 nodes + 2 active managers)."""
+        import sys
+
+        from repro.config import Topology, TopologyConfig
+        from repro.core.node import DastNode
+        from repro.core.system import DastSystem
+        from repro.sim.network import Network
+        from repro.workloads.tpca import TpcaWorkload
+
+        topology = Topology(TopologyConfig(num_regions=2, shards_per_region=2, replication=3))
+        workload = TpcaWorkload(topology)
+        system = DastSystem(topology, workload.schemas(), workload.load)
+        system.start()
+        system.run(until=50.0)
+        scopes = {DastNode._send_reports.__code__: "tick",
+                  Network._deliver_many.__code__: "deliver"}
+        calls = {"tick": 0, "deliver": 0}
+        entered = {"tick": 0, "deliver": 0}
+        scope, depth = None, 0
+
+        def count(frame, event, _arg):
+            nonlocal scope, depth
+            if event == "call":
+                if scope is None:
+                    scope = scopes.get(frame.f_code)
+                    if scope is None:
+                        return
+                    entered[scope] += 1
+                    depth = 0
+                depth += 1
+                calls[scope] += 1
+            elif event == "return" and scope is not None:
+                depth -= 1
+                if depth == 0:
+                    scope = None
+
+        acct = KernelAccounting()
+        system.sim.attach_accounting(acct)
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            system.run(until=50.0 + virtual_ms)
+        finally:
+            sys.setprofile(previous)
+        return calls, entered, acct
+
+    def test_calls_per_tick_and_per_delivered_report(self):
+        calls, entered, acct = self._idle_exchange()
+        assert entered["tick"] == 12 * 200 and acct.deliveries == 14 * 6 * 200
+        assert calls == self._idle_exchange()[0]  # the counts repeat exactly
+        per_tick = calls["tick"] / entered["tick"]
+        per_report = calls["deliver"] / acct.deliveries
+        assert per_tick <= self.CALLS_PER_NODE_TICK * 1.1, per_tick
+        assert per_report <= self.CALLS_PER_DELIVERED_REPORT * 1.1, per_report
+
+    def test_three_kernel_events_per_host_per_tick(self):
+        _calls, _entered, acct = self._idle_exchange()
+        ticks = 14 * 200  # 12 nodes + 2 active managers, one tick per ms
+        assert acct.by_callsite == {
+            "Timer._fire": ticks, "Timer._tick": ticks, "Network._deliver_many": ticks}

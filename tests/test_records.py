@@ -194,3 +194,75 @@ class TestWaitQueueCompaction:
             q.insert(f"k{i}", ts(500 + i))  # re-key everything upward
         assert q.min() == ts(500)
         assert len(q._heap) < 300
+
+
+class TestHeadAndMinMemo:
+    """``head()`` / ``min()`` remember their answer between mutations; it
+    must equal a recompute after every operation, across compaction."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_wait_queue_min_equals_recompute(self, seed, monkeypatch):
+        import random
+
+        rng = random.Random(seed)
+        q = WaitQueue()
+        compactions = []
+        compact = q._compact
+        monkeypatch.setattr(q, "_compact", lambda: (compactions.append(1), compact()))
+        model = {}
+        for _ in range(3000):
+            key = f"k{rng.randrange(120)}"
+            op = rng.random()
+            if op < 0.45:
+                q.insert(key, ts(rng.randrange(500), rng.randrange(3)))
+                model[key] = q._entries[key]
+            elif op < 0.6:
+                stamp = ts(rng.randrange(500))
+                q.update(key, stamp)
+                model[key] = stamp
+            else:
+                q.remove(key)
+                model.pop(key, None)
+            for _ in range(rng.randrange(3)):  # 0 reads: the memo stays stale
+                assert q.min() == (min(model.values()) if model else None)
+        assert compactions and len(q) == len(model)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_ready_queue_head_equals_recompute(self, seed, monkeypatch):
+        import random
+
+        rng = random.Random(seed)
+        q = ReadyQueue()
+        compactions = []
+        compact = q._compact
+        monkeypatch.setattr(q, "_compact", lambda: (compactions.append(1), compact()))
+        records = {f"t{i}": rec(f"t{i}") for i in range(120)}
+        model = {}  # txn_id -> (ts, insertion seq): ties pop in insertion order
+        seq = 0
+
+        def expected():
+            return min(model, key=model.get) if model else None
+
+        for _ in range(3000):
+            txn_id = f"t{rng.randrange(120)}"
+            op = rng.random()
+            if op < 0.5:  # insert, or re-key a member
+                seq += 1
+                stamp = ts(rng.randrange(500), rng.randrange(3))
+                q.insert(stamp, records[txn_id])
+                model[txn_id] = (stamp, seq)
+            elif op < 0.7:
+                q.remove(txn_id)
+                model.pop(txn_id, None)
+            elif op < 0.85 and model:
+                assert q.pop().txn_id == expected()
+                del model[expected()]
+            elif model:
+                head = q.head()
+                assert head.txn_id == expected()
+                q.pop_head(head)
+                del model[head.txn_id]
+            for _ in range(rng.randrange(3)):
+                head = q.head()
+                assert (head.txn_id if head is not None else None) == expected()
+        assert compactions and len(q) == len(model)

@@ -284,6 +284,125 @@ class TestEvery:
         with pytest.raises(SimulationError):
             sim.every(-1.0, lambda: None)
 
+    def test_interrupt_before_the_first_period(self, sim):
+        ticks = []
+        sim.every(10.0, lambda: ticks.append(sim.now)).interrupt()
+        sim.run(until=50.0)
+        assert ticks == [] and sim.pending_events == 0
+
+    def test_alive_is_read_after_fn_not_before(self, sim):
+        # The loops' rule: a stop() still lets the tick that is already
+        # scheduled run, and only then ends the timer.
+        state = {"running": True}
+        ticks = []
+        sim.every(10.0, lambda: ticks.append(sim.now), alive=lambda: state["running"])
+        sim.schedule(15.0, state.update, {"running": False})
+        sim.run(until=100.0)
+        assert ticks == [10.0, 20.0] and sim.pending_events == 0
+
+    def test_not_alive_at_arming_never_ticks(self, sim):
+        ticks = []
+        sim.every(10.0, lambda: ticks.append(sim.now), alive=lambda: False)
+        sim.run(until=50.0)
+        assert ticks == [] and sim.pending_events == 0
+
+    def test_two_slots_per_period(self, sim):
+        from repro.perf import KernelAccounting
+
+        acct = KernelAccounting()
+        sim.attach_accounting(acct)
+        sim.every(1.0, lambda: None)
+        sim.run(until=10.0)
+        assert acct.by_callsite == {
+            "Timer._arm": 1, "Timer._fire": 10, "Timer._tick": 10}
+        assert acct.heap_events == 10 and acct.ready_events == 11
+
+
+def _generator_every(sim, interval, fn, alive=None):
+    """What ``Simulator.every`` and the three periodic loops of ``repro.core``
+    were before the callback timer: the order reference."""
+
+    def ticker():
+        while alive is None or alive():
+            yield sim.timeout(interval)
+            fn()
+
+    return sim.spawn(ticker())
+
+
+class TestEveryKeepsTheGeneratorOrder:
+    """``every`` must fire exactly where a ``yield timeout()`` loop fired
+    among the other work of its instant (docs/SIMULATOR.md)."""
+
+    @staticmethod
+    def _run(seed, every):
+        import random
+
+        rng = random.Random(seed)
+        sim = Simulator()
+        log = []
+        state = {"running": True}
+
+        def work(tag, depth=0):
+            log.append((sim.now, tag))
+            if depth < 2 and rng.random() < 0.5:
+                # call_soon work queued by a same-instant handler
+                sim.call_soon(work, f"{tag}.soon", depth + 1)
+            if depth < 2 and rng.random() < 0.5:
+                # lands on a later tick instant with a seq *above* that
+                # tick's heap entry whenever it crosses a tick
+                sim.schedule(rng.choice([0.25, 0.5, 0.75, 1.0, 1.5]),
+                             work, f"{tag}.later", depth + 1)
+
+        # Heap entries due at tick instants, queued before the timers exist
+        # (smaller seqs than every timer entry).
+        for i in range(30):
+            sim.schedule(rng.choice([0.5, 1.0, 2.0, 3.0, 4.5, 5.0, 7.0]), work, f"pre{i}")
+        handles = []
+        for name, interval in (("a", 1.0), ("b", 0.5), ("c", 1.0)):
+            def fn(name=name):
+                log.append((sim.now, f"tick.{name}"))
+                if rng.random() < 0.7:
+                    work(f"from.{name}", 1)
+            handles.append(every(sim, interval, fn, lambda: state["running"]))
+        for i in range(30):
+            sim.schedule(rng.choice([0.25, 1.0, 2.0, 2.5, 4.0, 6.0, 8.0]), work, f"post{i}")
+        # stop-then-start inside one period: the old timers keep going and
+        # a second set joins them, as with two loops.
+        sim.schedule(3.25, state.update, {"running": False})
+
+        def restart():
+            state["running"] = True
+            handles.append(every(sim, 1.0, lambda: log.append((sim.now, "tick.d")),
+                                 lambda: state["running"]))
+
+        sim.schedule(3.5, restart)
+        sim.schedule(6.25, lambda: handles[1].interrupt())
+        sim.schedule(9.25, state.update, {"running": False})
+        sim.run(until=12.0)
+        return log, sim.pending_events
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_same_global_order_as_the_generator_loop(self, seed):
+        new = self._run(seed, lambda sim, i, fn, alive: sim.every(i, fn, alive=alive))
+        old = self._run(seed, _generator_every)
+        assert new == old
+        log = new[0]
+        assert len({tag for _t, tag in log if tag.startswith("tick.")}) == 4
+        assert any(t > 6.25 and tag == "tick.a" for t, tag in log)
+        assert not any(t > 6.5 and tag == "tick.b" for t, tag in log)
+        assert not any(t > 10.0 and tag.startswith("tick.") for t, tag in log)
+        assert new[1] == 0  # every timer ended; nothing left scheduled
+
+    def test_a_due_heap_entry_with_a_larger_seq_runs_before_the_tick(self, sim):
+        # The case a one-event timer gets wrong: work scheduled *after* the
+        # tick's heap entry, due at the tick instant, still precedes fn.
+        log = []
+        sim.every(1.0, lambda: log.append("tick"))
+        sim.schedule(0.5, lambda: sim.schedule(0.5, log.append, "due-at-tick"))
+        sim.run(until=1.0)
+        assert log == ["due-at-tick", "tick"]
+
 
 class TestScheduleAt:
     def test_schedule_at_fires_at_absolute_time(self, sim):
