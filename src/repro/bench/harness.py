@@ -16,6 +16,7 @@ from repro.baselines.tapir import TapirSystem
 from repro.bench.metrics import LatencyRecorder, Summary
 from repro.config import TimingConfig, Topology, TopologyConfig
 from repro.core.system import DastSystem
+from repro.errors import LivenessFailure
 from repro.workloads.base import Workload
 from repro.workloads.client import ClosedLoopClient, spawn_clients
 
@@ -152,6 +153,27 @@ class TrialResult:
         if counters is not None:
             self.summary.attach_topology(counters())
 
+    def stall(self) -> Optional[LivenessFailure]:
+        """``None``, or why this trial counts as wedged: requests are still
+        outstanding and nothing finished during the final ``max(4 x
+        cross-region RTT, 400 ms)`` of the run.
+
+        A post-run check (it adds no kernel event, so results are unchanged).
+        The serializability auditor cannot see a wedge — a run that stopped
+        is vacuously serializable.  Under the process backend client and
+        node state live in the workers: open-loop trials then report
+        ``None`` and closed-loop failures carry no per-node state.
+        """
+        outstanding = sum(client.outstanding for client in self.clients)
+        now = self.system.sim.now
+        last_finish = self.recorder.last_finish
+        quiet = max(4 * self.trial.timing.cross_region_rtt, 400.0)
+        if not outstanding or now - last_finish < quiet:
+            return None
+        nodes = {} if self.parallel_mode == "process" else _dast_node_states(self.system)
+        return LivenessFailure(now, last_finish, outstanding, nodes,
+                               _shared_crt_times(self.system))
+
     def drain(self, extra_ms: float = 4000.0) -> None:
         """Stop clients and let in-flight transactions finish (for audits)."""
         for client in self.clients:
@@ -186,6 +208,42 @@ class TrialResult:
         par_group = getattr(self.system, "par_group", None)
         if par_group is not None:
             par_group.shutdown()
+
+
+def _dast_nodes(system) -> Dict[str, object]:
+    """The system's DAST nodes (none for the baselines)."""
+    return {host: node for host, node in getattr(system, "nodes", {}).items()
+            if hasattr(node, "wait_q")}
+
+
+def _dast_node_states(system) -> Dict[str, dict]:
+    """Per DAST node: dclock, waitQ entries, first three readyQ records and
+    the ``max_ts`` row."""
+    return {
+        host: {
+            "dclock": node.dclock.peek(),
+            "wait_q": node.wait_q.entries(),
+            "ready_q": [
+                {"txn_id": rec.txn_id, "ts": rec.ts, "status": rec.status,
+                 "input_ready": rec.input_ready(), "needed": rec.needed}
+                for rec in node.ready_q.records()[:3]],
+            "max_ts": dict(node.max_ts),
+        }
+        for host, node in _dast_nodes(system).items()}
+
+
+def _shared_crt_times(system) -> List:
+    """``(time, {txn_id: timestamp})`` for every ``.time`` that the commit or
+    anticipated timestamps of two different CRTs share."""
+    by_time: Dict[float, Dict[str, object]] = {}
+    for node in _dast_nodes(system).values():
+        for rec in node.records.values():
+            if not rec.is_crt:
+                continue
+            for ts in (getattr(rec, "ts", None), getattr(rec, "anticipated_ts", None)):
+                if ts is not None:
+                    by_time.setdefault(ts.time, {})[rec.txn_id] = ts
+    return sorted((time, txns) for time, txns in by_time.items() if len(txns) > 1)
 
 
 def _reset_global_id_streams() -> None:

@@ -112,20 +112,27 @@ class LatencyRecorder:
         self.warm_start = warm_start
         self.warm_end = warm_end
         self.results: List[TxnResult] = []
-        # Out-of-window results are only *counted*; kept as list appends
-        # (not a scalar +=) so concurrent region partitions (repro.sim.par
+        # Of an out-of-window result only the finish time is kept (it is
+        # counted, and dates the latest completion); kept as list appends
+        # (not a scalar update) so concurrent region partitions (repro.sim.par
         # threaded backend) can record without a read-modify-write race.
-        self._out_of_window: List[None] = []
+        self._out_of_window: List[float] = []
 
     @property
     def all_count(self) -> int:
         return len(self.results) + len(self._out_of_window)
 
+    @property
+    def last_finish(self) -> float:
+        """When the latest recorded transaction finished (0.0 if none did)."""
+        return max(max((r.finish_time for r in self.results), default=0.0),
+                   max(self._out_of_window, default=0.0))
+
     def record(self, result: TxnResult) -> None:
         if self.warm_start <= result.finish_time <= self.warm_end:
             self.results.append(result)
         else:
-            self._out_of_window.append(None)
+            self._out_of_window.append(result.finish_time)
 
     # ------------------------------------------------------------------
     def _committed(self, crt: Optional[bool] = None) -> List[TxnResult]:
@@ -252,7 +259,7 @@ class _RegionSeries:
 
     __slots__ = ("irt_open", "irt_svc", "irt_finish",
                  "crt_open", "crt_svc", "crt_finish",
-                 "committed", "aborted", "arrivals", "failures")
+                 "committed", "aborted", "arrivals", "failures", "last_finish")
 
     def __init__(self) -> None:
         self.irt_open = array("d")
@@ -265,6 +272,7 @@ class _RegionSeries:
         self.aborted = 0
         self.arrivals = 0
         self.failures = 0
+        self.last_finish = 0.0  # latest completion, in or out of the window
 
 
 class OpenLoopRecorder:
@@ -300,6 +308,11 @@ class OpenLoopRecorder:
     def failed(self) -> int:
         return sum(s.failures for s in self._regions.values())
 
+    @property
+    def last_finish(self) -> float:
+        """When the latest recorded transaction finished (0.0 if none did)."""
+        return max((s.last_finish for s in self._regions.values()), default=0.0)
+
     def _series(self, region: str) -> _RegionSeries:
         series = self._regions.get(region)
         if series is None:
@@ -315,6 +328,8 @@ class OpenLoopRecorder:
         if self.keep_results:
             self.results.append(result)
         finish = result.finish_time
+        if finish > series.last_finish:
+            series.last_finish = finish
         if not (self.warm_start <= finish <= self.warm_end):
             return
         if result.committed:
@@ -336,6 +351,8 @@ class OpenLoopRecorder:
         without materialising (or recycling) a TxnResult at all."""
         series = self._series(region)
         series.arrivals += 1
+        if finish > series.last_finish:
+            series.last_finish = finish
         if finish < self.warm_start or finish > self.warm_end:
             return
         if committed:

@@ -191,6 +191,10 @@ def cmd_run(args) -> int:
         print(render_report(result.obs))
         n = export_jsonl(result.obs, trace_out)
         print(f"wrote {n} obs records to {trace_out}")
+    stall = result.stall()
+    if stall is not None:
+        print(stall.report(), file=sys.stderr)
+        return 1
     return 0
 
 

@@ -220,18 +220,13 @@ class CoordinatorMixin:
         if self.tracer is not None:
             self._trace("crt_prepared", txn=txn.txn_id)
 
-        # Phase 2: commit strictly above the max anticipated timestamp, on a
-        # fresh `.time` coordinate: the coordinator-nid lane plus a local
-        # monotone guard keeps commit timestamps globally unique in time, so
-        # no clock frozen at another CRT's floor can deadlock against this
-        # one (see the lane comment in DastManager.on_prep_remote).
+        # Phase 2: commit strictly above the max anticipated timestamp, at a
+        # `.time` no other CRT timestamp can have (repro.clock.hlc.CrtLane),
+        # so no clock frozen at another CRT's floor can deadlock against
+        # this one.
         max_anticipated = max(list(state.anticipated.values()) + [self.dclock.tick()])
-        commit_time = max_anticipated.time + (self.nid + 1) * 1e-7
-        last_commit = getattr(self, "_last_commit_time", 0.0)
-        if commit_time <= last_commit:
-            commit_time = last_commit + 1e-7
-        self._last_commit_time = commit_time
-        commit_ts = Timestamp(commit_time, max_anticipated.frac, self.nid)
+        commit_ts = Timestamp(self._crt_lane.next_after(max_anticipated.time),
+                              max_anticipated.frac, self.nid)
         state.commit_ts = commit_ts
         # Replicate the commit decision locally (async, off the critical path).
         if home_shards:

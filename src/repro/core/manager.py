@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from repro.clock.dclock import DClock
-from repro.clock.hlc import Timestamp, ZERO_TS, just_below
+from repro.clock.hlc import CrtLane, Timestamp, ZERO_TS, just_below
 from repro.config import TimingConfig, Topology
 from repro.consensus.smr import SmrCluster
 from repro.errors import RpcTimeout
@@ -134,7 +134,9 @@ class DastManager:
         self.members: List[str] = topology.nodes_in_region(region)
         self.removed: Set[str] = set()
         self.stats = Stats()
-        self._last_anticipated = ZERO_TS
+        # Where this manager's anticipations and replica-add timestamps get
+        # their ``.time``: unique to it, and strictly increasing.
+        self._crt_lane = CrtLane(nid)
         # Ablation switch: with anticipation off, CRTs are bound to the
         # manager's current time instead of one estimated RTT in the future
         # (the §3.2 strawman).
@@ -174,8 +176,8 @@ class DastManager:
             self._gc_pending()
 
     def _pending_floor(self) -> Optional[Timestamp]:
-        # Anticipations are strictly increasing per manager (on_prep_remote)
-        # and ``pending`` keeps insertion order, so its oldest entry is its
+        # Anticipations are strictly increasing per manager (CrtLane) and
+        # ``pending`` keeps insertion order, so its oldest entry is its
         # smallest.
         for entry in self.pending.values():
             return entry.anticipated
@@ -224,16 +226,8 @@ class DastManager:
                 )
             else:
                 anticipated_time = self.dclock.physical()
-            # Unique sub-microsecond "lane" per issuing entity: no two
-            # distinct CRT timestamps may share a `.time` coordinate, or a
-            # clock frozen below one CRT's floor could never pass another
-            # CRT that happens to sit at the same physical time (a cross-
-            # region execution deadlock).
-            anticipated_time += (self.nid + 1) * 1e-7
-            if anticipated_time <= self._last_anticipated.time:
-                anticipated_time = self._last_anticipated.time + 1e-3
-            anticipated = Timestamp(anticipated_time, 0, self.nid)
-            self._last_anticipated = anticipated
+            anticipated = Timestamp(
+                self._crt_lane.next_after(anticipated_time), 0, self.nid)
             entry = _PendingCrt(txn, coord, anticipated, self.sim.now)
             self.pending[txn.txn_id] = entry
             if self.tracer is not None:
@@ -452,8 +446,8 @@ class DastManager:
                 default=4 * self.timing.intra_region_rtt,
             )
             ts_ins = Timestamp(
-                self.dclock.physical() + horizon + 10.0, 0, self.nid
-            )
+                self._crt_lane.next_after(self.dclock.physical() + horizon + 10.0),
+                0, self.nid)
             if self.smr is not None:
                 yield self.sim.spawn(
                     self.smr.put_from(
@@ -536,7 +530,7 @@ class DastManager:
                 self.vid = max(self.vid, best_view["vid"] + 1)
             # Monotonicity of anticipated timestamps across failovers (§4.5).
             self.dclock.jump_to(max_seen)
-            self._last_anticipated = max(self._last_anticipated, max_seen)
+            self._crt_lane.last = max(self._crt_lane.last, max_seen.time)
             self.active = True
             if self.smr is not None:
                 yield self.sim.spawn(

@@ -23,7 +23,7 @@ import itertools
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.clock.dclock import DClock
-from repro.clock.hlc import Timestamp, ZERO_TS, just_below
+from repro.clock.hlc import CrtLane, Timestamp, ZERO_TS, just_below
 from repro.config import TimingConfig, Topology
 from repro.core.coordinator import CoordinatorMixin
 from repro.core.records import ReadyQueue, TxnRecord, TxnStatus, WaitQueue
@@ -117,6 +117,7 @@ class DastNode(CoordinatorMixin):
         # the log is pure memory growth (audits re-enable it explicitly).
         self.keep_executed_log = True
         self.dclock = DClock(clock_source, nid, floor_fn=self.wait_q.min)
+        self._crt_lane = CrtLane(nid)  # `.time` of the CRTs we coordinate
 
         self.members: List[str] = topology.nodes_in_region(self.region)
         self.removed: Set[str] = set()

@@ -66,3 +66,45 @@ class ProtocolError(ReproError):
 
 class ConfigError(ReproError):
     """An experiment or topology configuration is invalid."""
+
+
+class LivenessFailure(ReproError):
+    """A trial stopped completing transactions while requests were still
+    outstanding (:meth:`repro.bench.harness.TrialResult.stall`).
+
+    Carries what is needed to see who waits on whom: per DAST node the
+    dclock, the waitQ entries, the first readyQ records and the ``max_ts``
+    row, and every ``.time`` that two CRT timestamps share (which the
+    protocol's freeze rule cannot survive, see docs/PROTOCOL.md).
+    """
+
+    def __init__(self, now: float, last_finish: float, outstanding: int,
+                 nodes: dict, shared_times: list):
+        super().__init__(
+            f"no transaction finished in the last {now - last_finish:.1f} of "
+            f"{now:.1f} virtual ms with {outstanding} request(s) outstanding")
+        self.now = now
+        self.last_finish = last_finish
+        self.outstanding = outstanding
+        self.nodes = nodes  # host -> {"dclock", "wait_q", "ready_q", "max_ts"}
+        self.shared_times = shared_times  # [(time, {txn_id: Timestamp})]
+
+    def report(self) -> str:
+        """The failure as text, one block per node, full-precision times."""
+        lines = [f"LivenessFailure: {self}"]
+        for time, txns in self.shared_times:
+            lines.append(f"  CRT timestamps sharing .time {time!r}: " + ", ".join(
+                f"{txn_id}={tuple(ts)!r}" for txn_id, ts in sorted(txns.items())))
+        if not self.nodes:
+            lines.append("  (no per-node DAST state available)")
+        for host, state in sorted(self.nodes.items()):
+            lines.append(f"  {host}: dclock={tuple(state['dclock'])!r}")
+            for key, ts in state["wait_q"].items():
+                lines.append(f"    waitQ  {key} {tuple(ts)!r}")
+            for rec in state["ready_q"]:
+                lines.append(
+                    f"    readyQ {rec['txn_id']} {tuple(rec['ts'])!r} {rec['status']} "
+                    f"input_ready={rec['input_ready']} needed={sorted(rec['needed'])}")
+            lines.append("    max_ts " + ", ".join(
+                f"{src}={tuple(ts)!r}" for src, ts in sorted(state["max_ts"].items())))
+        return "\n".join(lines)

@@ -304,7 +304,7 @@ def _worker_collect(group, idx: int, state: _WorkerState) -> Dict:
             payload["open_regions"] = dict(regions)
         oow = getattr(rec, "_out_of_window", None)
         if oow is not None and len(oow) > state.oow_cursor:
-            payload["oow"] = len(oow) - state.oow_cursor
+            payload["oow"] = oow[state.oow_cursor:]
             state.oow_cursor = len(oow)
     wire = network.wire_log
     if wire is not None and len(wire) > state.wire_cursor:
@@ -553,7 +553,7 @@ class ProcessGroup(PartitionGroup):
                     rec._regions.update(regions)
                 oow = payload.get("oow")
                 if oow:
-                    rec._out_of_window.extend([None] * oow)
+                    rec._out_of_window.extend(oow)
             wire = payload.get("wire")
             if wire and self.network.wire_log is not None:
                 self.network.wire_log.extend(wire)

@@ -58,6 +58,12 @@ class ClosedLoopClient:
     def stop(self) -> None:
         self._running = False
 
+    @property
+    def outstanding(self) -> int:
+        """Requests awaiting completion: a running closed-loop client always
+        has exactly one (in flight, or backing off before its retry)."""
+        return 1 if self._running else 0
+
     def _loop(self):
         sim = self._sim()
         while self._running:

@@ -694,6 +694,11 @@ class OpenLoopEngine:
     def failed(self) -> int:
         return sum(rs.failed for rs in self.regions)
 
+    @property
+    def outstanding(self) -> int:
+        """Arrivals submitted or queued whose completion is still awaited."""
+        return sum(rs.inflight + len(rs.backlog) for rs in self.regions)
+
     def _finish_failure(self, rs: _RegionState, slot: _Slot) -> None:
         rs.failed += 1
         self.recorder.record_failure(rs.region)
