@@ -170,7 +170,9 @@ class TrialResult:
         quiet = max(4 * self.trial.timing.cross_region_rtt, 400.0)
         if not outstanding or now - last_finish < quiet:
             return None
-        nodes = {} if self.parallel_mode == "process" else _dast_node_states(self.system)
+        from repro.sim.par import MODE_PROCESS
+
+        nodes = {} if self.parallel_mode == MODE_PROCESS else _dast_node_states(self.system)
         return LivenessFailure(now, last_finish, outstanding, nodes,
                                _shared_crt_times(self.system))
 

@@ -246,13 +246,10 @@ class Timer:
     def _arm(self) -> None:
         if self.cancelled or (self.alive is not None and not self.alive()):
             return
-        sim = self.sim
-        heapq.heappush(
-            sim._heap, (sim.now + self.interval, next(sim._seq), self._fire, ()))
+        self.sim.schedule(self.interval, self._fire)
 
     def _fire(self) -> None:
-        sim = self.sim
-        sim._ready.append((next(sim._seq), self._tick, ()))
+        self.sim.call_soon(self._tick)
 
     def _tick(self) -> None:
         if self.cancelled:

@@ -295,3 +295,37 @@ class TestCascadingFailures:
         assert result.committed
         assert dast2.nodes["r0.n0"].vid >= 1
         assert dast2.nodes["r1.n0"].vid >= 1
+
+
+class TestFanOutTargetsFollowTheView:
+    """``DastNode._peers_and_manager()`` is cached; each of the four handlers
+    that change ``members`` / ``manager`` must drop the cache."""
+
+    def test_every_view_handler_refreshes_the_targets(self):
+        from repro.clock.hlc import Timestamp
+        from repro.wire.messages import AddCommit, MgrTakeover, RemoveCommit, ViewSync
+
+        system = make_dast(regions=1, spr=2)
+        node = system.nodes["r0.n0"]
+
+        def recomputed():
+            return tuple([m for m in node.members if m != node.host] + [node.manager])
+
+        assert node._peers_and_manager() == recomputed() and len(recomputed()) == 6
+        node.on_remove_commit("r0.mgr", RemoveCommit(
+            vid=1, removed=["r0.n4"], members=[], commit_irts=[], abort_crts=[],
+            commit_crts=[]))
+        assert "r0.n4" not in node._peers_and_manager()
+        assert node._peers_and_manager() == recomputed()
+        node.on_mgr_takeover("r0.mgrb", MgrTakeover(vid=2))
+        assert node._peers_and_manager()[-1] == "r0.mgrb"
+        assert node._peers_and_manager() == recomputed()
+        node.on_add_commit("r0.mgrb", AddCommit(  # appends to members in place
+            vid=3, node="r0.n4", ts_ins=Timestamp(500.0, 0, 7),
+            members=list(node.members) + ["r0.n4"], shard="s1"))
+        assert "r0.n4" in node._peers_and_manager()
+        assert node._peers_and_manager() == recomputed()
+        node.on_view_sync("r0.mgrb", ViewSync(
+            shard="s1", region="r0", manager="r0.mgr", members=["r0.n0", "r0.n1", "r0.n2"]))
+        assert node._peers_and_manager() == ("r0.n1", "r0.n2", "r0.mgr")
+        assert node._peers_and_manager() is node._peers_and_manager()  # cached

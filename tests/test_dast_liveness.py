@@ -137,6 +137,19 @@ def test_stall_report_names_the_colliding_crts(monkeypatch):
     assert set(node["ready_q"][0]) == {"txn_id", "ts", "status", "input_ready", "needed"}
 
 
+def test_repro_run_prints_the_report_and_exits_nonzero(monkeypatch, capsys):
+    from repro.cli import main
+
+    monkeypatch.setattr(CrtLane, "next_after", _additive)
+    code = main(["run", "--workload", "payment", "--crt-ratio", "0.4", "--regions", "2",
+                 "--shards-per-region", "2", "--clients", "8", "--duration-ms", "1500",
+                 "--seed", "17"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("LivenessFailure: no transaction finished in the last")
+    assert "sharing .time 162.98100209999996: t0000006=" in err
+
+
 def test_no_stall_once_the_clients_are_drained():
     result = run_trial(payment_trial(1))
     assert result.stall() is None
