@@ -57,8 +57,6 @@ class Trial:
         request_timeout: float = 10000.0,
         batch_window: float = 0.0,
         open_loop: Optional[dict] = None,
-        parallel_regions: int = 0,
-        parallel_backend: str = "auto",
         topology_plan=None,
         rtt_profile: Optional[str] = None,
         service_multipliers=None,
@@ -107,20 +105,11 @@ class Trial:
         # recorder.  None (the default) leaves every existing trial —
         # including all pinned golden digests — byte-identical.
         self.open_loop = open_loop
-        # Region-partitioned execution (--parallel-regions/-j): >= 2
-        # requests the repro.sim.par kernel; repro.sim.par.resolve_mode
-        # decides the backend (or declines with a named reason).  Virtual
-        # -time outputs are identical either way; only wall-clock changes.
-        # parallel_backend picks *which* eligible backend runs the windows
-        # ("auto"/"serial"/"lockstep"/"threads"/"process"); it narrows but
-        # never widens eligibility.
-        self.parallel_regions = parallel_regions
-        self.parallel_backend = parallel_backend
-        # Dynamic topology (repro.topo): a TopologyPlan of mid-trial events
-        # (forces the serial kernel when present), a named cross-region RTT
-        # profile, per-region CPU service-time multipliers (name, list, or
-        # {region: factor} dict), and spare (initially empty) regions that
-        # region_join events can reshard work onto.
+        # Dynamic topology (repro.topo): a TopologyPlan of mid-trial events,
+        # a named cross-region RTT profile, per-region CPU service-time
+        # multipliers (name, list, or {region: factor} dict), and spare
+        # (initially empty) regions that region_join events can reshard
+        # work onto.
         self.topology_plan = topology_plan
         self.rtt_profile = rtt_profile
         self.service_multipliers = service_multipliers
@@ -131,8 +120,7 @@ class TrialResult:
     """What a trial produces: the recorder, the system, and the summary."""
 
     def __init__(self, trial: Trial, system, recorder: LatencyRecorder,
-                 clients: List[ClosedLoopClient], obs=None, chaos=None,
-                 parallel_mode: str = "serial", serial_reason=None, topo=None):
+                 clients: List[ClosedLoopClient], obs=None, chaos=None, topo=None):
         self.trial = trial
         self.system = system
         self.recorder = recorder
@@ -140,10 +128,6 @@ class TrialResult:
         self.obs = obs  # ObsBundle when the trial ran with obs=True
         self.chaos = chaos  # ChaosRunner when the trial ran a fault plan
         self.topo = topo  # TopoRunner when the trial ran a topology plan
-        # How the kernel actually executed ("serial"/"lockstep"/"threads")
-        # and, when parallelism was requested but declined, why.
-        self.parallel_mode = parallel_mode
-        self.serial_reason = serial_reason
         self.summary: Summary = recorder.summarize(trial.system)
         self.summary.attach_network(getattr(system.network, "stats", None))
         self._attach_topo()
@@ -160,9 +144,7 @@ class TrialResult:
 
         A post-run check (it adds no kernel event, so results are unchanged).
         The serializability auditor cannot see a wedge — a run that stopped
-        is vacuously serializable.  Under the process backend client and
-        node state live in the workers: open-loop trials then report
-        ``None`` and closed-loop failures carry no per-node state.
+        is vacuously serializable.
         """
         outstanding = sum(client.outstanding for client in self.clients)
         now = self.system.sim.now
@@ -170,10 +152,8 @@ class TrialResult:
         quiet = max(4 * self.trial.timing.cross_region_rtt, 400.0)
         if not outstanding or now - last_finish < quiet:
             return None
-        from repro.sim.par import MODE_PROCESS
-
-        nodes = {} if self.parallel_mode == MODE_PROCESS else _dast_node_states(self.system)
-        return LivenessFailure(now, last_finish, outstanding, nodes,
+        return LivenessFailure(now, last_finish, outstanding,
+                               _dast_node_states(self.system),
                                _shared_crt_times(self.system))
 
     def drain(self, extra_ms: float = 4000.0) -> None:
@@ -190,26 +170,10 @@ class TrialResult:
         for endpoint in getattr(self.system.network, "endpoints", ()):
             endpoint.batch_window = 0.0
             endpoint.flush()
-        par_group = getattr(self.system, "par_group", None)
-        if par_group is not None:
-            # Under the process backend the stops/flushes above only
-            # touched the parent's copies; repeat them inside the workers.
-            par_group.drain_prep()
         self.system.run(until=self.system.sim.now + extra_ms)
         # Topology events may still be completing when the measured window
         # closes; refresh the summary's churn counters after the drain.
         self._attach_topo()
-
-    def close(self) -> None:
-        """Release kernel workers (thread pools / partition processes).
-
-        Idempotent; safe on serial trials.  Process-backend workers are
-        also reaped by an atexit hook, but callers that run many trials
-        in one process should close each result when done with it.
-        """
-        par_group = getattr(self.system, "par_group", None)
-        if par_group is not None:
-            par_group.shutdown()
 
 
 def _dast_nodes(system) -> Dict[str, object]:
@@ -293,18 +257,6 @@ def run_trial(trial: Trial, hooks: Optional[Callable] = None) -> TrialResult:
     kwargs = {}
     if trial.system == "dast" and trial.variant:
         kwargs["variant"] = trial.variant
-    from repro.sim.par import MODE_SERIAL, plan_partitions, resolve_mode
-
-    mode, serial_reason = resolve_mode(
-        trial, getattr(trial, "parallel_regions", 0), hooks=hooks is not None)
-    if mode != MODE_SERIAL:
-        kwargs["parallel"] = mode
-        # Sub-region sharding: a single populated region splits into shard
-        # partitions (resolve_mode already gated eligibility); None keeps
-        # the one-partition-per-region default.
-        parts = plan_partitions(topology, getattr(trial, "parallel_regions", 0))
-        if parts is not None:
-            kwargs["parallel_parts"] = parts
     system = system_cls(
         topology, workload.schemas(), workload.load,
         seed=trial.seed, clock_skew=trial.clock_skew, **kwargs,
@@ -379,15 +331,6 @@ def run_trial(trial: Trial, hooks: Optional[Callable] = None) -> TrialResult:
                                  origin=0.0).install()
     if hooks is not None:
         hooks(system, recorder)
-    par_group = getattr(system, "par_group", None)
-    if par_group is not None:
-        # The process backend forks at first run; register the runtime
-        # objects its workers must reach (recorder, clients, engine,
-        # nodes) before that snapshot is taken.  In-process backends
-        # share memory, so for them this is pure bookkeeping.
-        par_group.register_runtime(recorder=recorder, clients=clients,
-                                   engine=engine,
-                                   nodes=getattr(system, "nodes", None))
     if open_cfg is not None:
         # Open-loop trials churn through millions of short-lived objects
         # whose lifetimes are purely refcounted (pools hold the rest);
@@ -407,5 +350,4 @@ def run_trial(trial: Trial, hooks: Optional[Callable] = None) -> TrialResult:
     else:
         system.run(until=trial.duration_ms)
     return TrialResult(trial, system, recorder, clients, obs=bundle, chaos=chaos,
-                       parallel_mode=mode, serial_reason=serial_reason,
                        topo=topo_runner)

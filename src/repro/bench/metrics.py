@@ -112,27 +112,18 @@ class LatencyRecorder:
         self.warm_start = warm_start
         self.warm_end = warm_end
         self.results: List[TxnResult] = []
-        # Of an out-of-window result only the finish time is kept (it is
-        # counted, and dates the latest completion); kept as list appends
-        # (not a scalar update) so concurrent region partitions (repro.sim.par
-        # threaded backend) can record without a read-modify-write race.
-        self._out_of_window: List[float] = []
-
-    @property
-    def all_count(self) -> int:
-        return len(self.results) + len(self._out_of_window)
-
-    @property
-    def last_finish(self) -> float:
-        """When the latest recorded transaction finished (0.0 if none did)."""
-        return max(max((r.finish_time for r in self.results), default=0.0),
-                   max(self._out_of_window, default=0.0))
+        # Every recorded result is counted and dates the latest completion,
+        # whether or not it falls in the measurement window.
+        self.all_count = 0
+        self.last_finish = 0.0  # when the latest one finished; 0.0 if none did
 
     def record(self, result: TxnResult) -> None:
-        if self.warm_start <= result.finish_time <= self.warm_end:
+        finish = result.finish_time
+        self.all_count += 1
+        if finish > self.last_finish:
+            self.last_finish = finish
+        if self.warm_start <= finish <= self.warm_end:
             self.results.append(result)
-        else:
-            self._out_of_window.append(result.finish_time)
 
     # ------------------------------------------------------------------
     def _committed(self, crt: Optional[bool] = None) -> List[TxnResult]:
@@ -297,9 +288,8 @@ class OpenLoopRecorder:
         self.keep_results = keep_results
         self.results: List[TxnResult] = []
 
-    # All-arrival and failure totals live in the per-region series (one
-    # writer per region under the partitioned kernel's threaded backend);
-    # the process-wide view is a sum, never a racy shared scalar.
+    # All-arrival and failure totals live in the per-region series; the
+    # trial-wide view is their sum.
     @property
     def all_count(self) -> int:
         return sum(s.arrivals for s in self._regions.values())

@@ -205,8 +205,6 @@ def run_chaos_trial(
     request_timeout: float = 2000.0,
     obs: bool = False,
     batch_window: float = 0.0,
-    parallel_regions: int = 0,
-    parallel_backend: str = "auto",
 ) -> ChaosReport:
     """Run one fault-injected trial end to end and audit the outcome."""
     from repro.bench.harness import Trial, run_trial
@@ -230,8 +228,6 @@ def run_chaos_trial(
         obs=obs,
         request_timeout=request_timeout,
         batch_window=batch_window,
-        parallel_regions=parallel_regions,
-        parallel_backend=parallel_backend,
     )
     result = run_trial(trial)
     result.drain(extra_ms=drain_ms)

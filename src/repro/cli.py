@@ -131,8 +131,6 @@ def _build_trial(args, obs: bool = False, causal: bool = False) -> Trial:
         obs_causal=causal,
         batch_window=_batch_window(args),
         open_loop=_open_loop_dict(args),
-        parallel_regions=getattr(args, "parallel_regions", 0),
-        parallel_backend=getattr(args, "parallel_backend", "auto"),
         topology_plan=topology_plan,
         rtt_profile=getattr(args, "rtt_profile", None),
         service_multipliers=getattr(args, "service_profile", None),
@@ -170,12 +168,6 @@ def cmd_run(args) -> int:
         print(f"bad trial configuration: {exc}", file=sys.stderr)
         return 2
     print(format_table([result.summary.as_row()]))
-    if getattr(args, "parallel_regions", 0):
-        if result.serial_reason:
-            print(f"kernel: serial ({result.serial_reason})")
-        else:
-            print(f"kernel: {result.parallel_mode} "
-                  f"({args.parallel_regions} partitions requested)")
     if args.breakdown and args.system == "dast":
         for label, dep in (("without value deps", False), ("with value deps", True)):
             breakdown = result.recorder.phase_breakdown(with_dependency=dep)
@@ -404,21 +396,13 @@ def cmd_bench(args) -> int:
     fleet, cache = _build_fleet(args)
     payload = run_bench(jobs=args.jobs, quick=args.quick, cache=cache,
                         refresh=args.refresh, progress=_progress,
-                        timeout_s=args.timeout_s,
-                        parallel_regions=getattr(args, "parallel_regions", 0),
-                        parallel_backend=getattr(args, "parallel_backend",
-                                                 "auto"))
+                        timeout_s=args.timeout_s)
     with open(args.out, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    # Parallel-kernel rows get two extra Summary columns; all-serial
-    # payloads keep the historical six-column table.
-    columns = ["label", "cached", "wall_clock_s",
-               "throughput_tps", "irt_p99_ms", "crt_p99_ms"]
-    if any("parallel_mode" in row for row in payload["rows"]):
-        columns += ["parallel_mode", "speedup_vs_serial"]
     print(format_table([
-        {k: ("" if row.get(k, "") is None else row.get(k, "")) for k in columns}
+        {k: row.get(k, "") for k in ("label", "cached", "wall_clock_s",
+                                     "throughput_tps", "irt_p99_ms", "crt_p99_ms")}
         for row in payload["rows"]
     ]))
     print(f"trials={payload['trials']} executed={payload['executed']} "
@@ -767,7 +751,7 @@ def build_parser() -> argparse.ArgumentParser:
                             f"within a {BATCH_WINDOW_MS} ms flush window")
         p.add_argument("--topology", metavar="FILE", default=None,
                        help="execute a TopologyPlan JSON schedule mid-trial "
-                            "(docs/TOPOLOGY.md); forces the serial kernel")
+                            "(docs/TOPOLOGY.md)")
         p.add_argument("--rtt-profile", metavar="NAME", default=None,
                        help="named cross-region RTT preset (aws-like, "
                             "metro-edge)")
@@ -777,18 +761,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--spare-regions", type=int, default=0, metavar="N",
                        help="extra initially-empty regions available for "
                             "elastic region_join events")
-        p.add_argument("-j", "--parallel-regions", type=int, default=0,
-                       metavar="N",
-                       help="run the kernel region-partitioned across N "
-                            "partitions (docs/PARALLEL.md); virtual-time "
-                            "results are identical to the serial kernel")
-        p.add_argument("--backend", dest="parallel_backend",
-                       choices=["auto", "serial", "lockstep", "threads",
-                                "process"],
-                       default="auto",
-                       help="which partitioned backend executes -j windows "
-                            "(docs/PARALLEL.md); 'process' forks one OS "
-                            "process per partition")
 
     run_p = sub.add_parser("run", help="run one trial and print its summary")
     run_p.add_argument("--system", choices=sorted(SYSTEMS), default="dast")
@@ -870,23 +842,11 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p = sub.add_parser(
         "bench", help="run the pinned wall-clock benchmark matrix")
     bench_p.add_argument("--quick", action="store_true",
-                         help="run the trimmed 6-trial matrix")
+                         help="run the trimmed 9-trial matrix")
     bench_p.add_argument("--out", metavar="PATH", default="BENCH_fleet.json",
                          help="where to write the benchmark payload JSON")
     bench_p.add_argument("--timeout-s", type=float, default=None,
                          help="per-trial wall-clock timeout in seconds")
-    bench_p.add_argument("-j", "--parallel-regions", type=int, default=0,
-                         metavar="N",
-                         help="rerun every serial multi-region spec with the "
-                              "region-partitioned kernel across N partitions "
-                              "(exploration knob; the pinned matrix carries "
-                              "its own -j3 twins)")
-    bench_p.add_argument("--backend", dest="parallel_backend",
-                         choices=["auto", "serial", "lockstep", "threads",
-                                  "process"],
-                         default="auto",
-                         help="backend for the -j override rows "
-                              "(docs/PARALLEL.md)")
     add_fleet_args(bench_p)
     bench_p.set_defaults(fn=cmd_bench)
 

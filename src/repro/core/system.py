@@ -48,8 +48,6 @@ class DastSystem:
         with_smr: bool = False,
         with_failure_detector: bool = False,
         variant: Optional[Dict[str, bool]] = None,
-        parallel: str = "",
-        parallel_parts: Optional[Dict[str, str]] = None,
     ):
         # Ablation variant flags: {"stretch": bool, "calibration": bool,
         # "anticipation": bool}; all default True (full DAST).
@@ -60,29 +58,6 @@ class DastSystem:
         self.topology = topology
         self.timing = topology.config.timing
         self.sim = Simulator()
-        # Region-partitioned execution (repro.sim.par): "" = plain serial
-        # (everything on self.sim), else "lockstep"/"threads"/"process" —
-        # one kernel per partition, with self.sim demoted to the *control
-        # kernel* (chaos plans, probe timers, harness bookkeeping).
-        # Partitions are regions unless ``parallel_parts`` carries a
-        # host -> partition-name map (sub-region sharding: one region's
-        # shards spread over several kernels, see plan_partitions).
-        self.parallel_mode = parallel
-        self.region_sims: Dict[str, Simulator] = {}
-        self.partition_sims: Dict[str, Simulator] = {}
-        self.host_partition: Optional[Dict[str, str]] = None
-        if parallel and parallel_parts:
-            self.host_partition = dict(parallel_parts)
-            names: List[str] = []
-            for part in self.host_partition.values():
-                if part not in names:
-                    names.append(part)
-            names.sort(key=lambda p: (p.rpartition("@")[0],
-                                      int(p.rpartition("@")[2])))
-            self.partition_sims = {name: Simulator() for name in names}
-        elif parallel:
-            self.region_sims = {region: Simulator() for region in topology.regions}
-        self.par_group = None
         self.rng = RngRegistry(seed)
         self.network = Network(
             self.sim,
@@ -127,17 +102,15 @@ class DastSystem:
             for shard_id in topology.shards_in_region(region):
                 self.catalog.add_shard(shard_id, region, topology.replicas_of(shard_id))
         for region in topology.regions:
-            rsim = self.sim_for(region)
             if with_smr:
-                self.smr_clusters[region] = SmrCluster(rsim, self.network, region)
+                self.smr_clusters[region] = SmrCluster(self.sim, self.network, region)
             for node_host in topology.nodes_in_region(region):
                 shard_id = topology.shard_of_node(node_host)
                 shard = Shard(shard_id, self.schemas)
                 self.loader(shard, topology.shard_index(shard_id))
-                nsim = self.sim_for_host(node_host)
-                source = self._clock_source(node_host, clock_skew, skew_rng, nsim)
+                source = self._clock_source(node_host, clock_skew, skew_rng)
                 node = DastNode(
-                    nsim, self.network, topology, self.catalog, self.timing,
+                    self.sim, self.network, topology, self.catalog, self.timing,
                     node_host, shard, source, nid, self.manager_directory,
                 )
                 node.dclock.stretch_enabled = self.variant["stretch"]
@@ -148,10 +121,9 @@ class DastSystem:
                 (topology.manager_of(region), True),
                 (topology.manager_backup_of(region), False),
             ):
-                msim = self.sim_for_host(mgr_host)
-                source = self._clock_source(mgr_host, clock_skew, skew_rng, msim)
+                source = self._clock_source(mgr_host, clock_skew, skew_rng)
                 manager = DastManager(
-                    msim, self.network, topology, self.catalog, self.timing,
+                    self.sim, self.network, topology, self.catalog, self.timing,
                     mgr_host, region, source, nid,
                     smr=self.smr_clusters.get(region), active=active,
                 )
@@ -166,52 +138,11 @@ class DastSystem:
         self.client_endpoints: Dict[str, Endpoint] = {}
         for client in topology.all_clients():
             region = client.split(".", 1)[0]
-            self.client_endpoints[client] = Endpoint(
-                self.sim_for_host(client), self.network, client, region)
-        if parallel:
-            from repro.sim.par import MODE_PROCESS, PartitionGroup
+            self.client_endpoints[client] = Endpoint(self.sim, self.network, client, region)
 
-            if parallel == MODE_PROCESS:
-                from repro.sim.par.proc import ProcessGroup
-
-                group_cls = ProcessGroup
-            else:
-                group_cls = PartitionGroup
-            self.par_group = group_cls(
-                self.sim, self.partition_sims or self.region_sims,
-                self.network, mode=parallel,
-                host_partition=self.host_partition)
-            self.network.attach_partitions(self.par_group)
-
-    def sim_for(self, region: str) -> Simulator:
-        """The kernel owning ``region`` (the shared kernel when serial).
-
-        Under sub-region sharding a region has no single kernel; callers
-        with a host in hand should use :meth:`sim_for_host`.  This falls
-        back to the control kernel then, which only region-agnostic
-        paths (faults, SMR) hit — none of which sub-shard trials host.
-        """
-        if not self.region_sims:
-            return self.sim
-        return self.region_sims.get(region, self.sim)
-
-    def sim_for_host(self, host: str) -> Simulator:
-        """The kernel owning ``host`` (region kernel, shard-partition
-        kernel under sub-region sharding, or the shared serial kernel)."""
-        hp = self.host_partition
-        if hp is not None:
-            part = hp.get(host)
-            if part is not None:
-                return self.partition_sims[part]
-            return self.sim
-        if not self.region_sims:
-            return self.sim
-        return self.region_sims.get(host.split(".", 1)[0], self.sim)
-
-    def _clock_source(self, host: str, skew: float, rng,
-                      sim: Optional[Simulator] = None) -> ClockSource:
+    def _clock_source(self, host: str, skew: float, rng) -> ClockSource:
         offset = rng.uniform(-skew, skew) if skew else 0.0
-        source = ClockSource(sim if sim is not None else self.sim, offset=offset)
+        source = ClockSource(self.sim, offset=offset)
         self.clock_sources[host] = source
         return source
 
@@ -235,8 +166,6 @@ class DastSystem:
                 self.failure_detectors[manager.region] = detector
 
     def run(self, until: Optional[float] = None) -> float:
-        if self.par_group is not None:
-            return self.par_group.run(until=until)
         return self.sim.run(until=until)
 
     # ------------------------------------------------------------------
@@ -252,8 +181,7 @@ class DastSystem:
         endpoint = self.client_endpoints.get(client)
         if endpoint is None:
             region = client.split(".", 1)[0]
-            endpoint = Endpoint(self.sim_for_host(client), self.network,
-                                client, region)
+            endpoint = Endpoint(self.sim, self.network, client, region)
             self.client_endpoints[client] = endpoint
         if self.track_submitted:
             self.submitted[txn.txn_id] = txn
@@ -266,10 +194,7 @@ class DastSystem:
         else:
             event = endpoint.call(node_host, Submit(txn=txn), timeout=timeout)
         if tracer is not None:
-            # The endpoint's kernel, not self.sim: under partitioned
-            # execution the control kernel's clock lags the region kernels
-            # inside a window, and these emits carry timestamps.
-            trace_client_rpc(endpoint.sim, tracer, client, txn.txn_id, event)
+            trace_client_rpc(self.sim, tracer, client, txn.txn_id, event)
         return event
 
     def home_nodes(self, region: str) -> List[str]:
@@ -318,8 +243,7 @@ class DastSystem:
         if report:
             region = self.topology.region_of_node(node_host)
             manager = self.managers[region]
-            self.sim_for(region).spawn(
-                manager.remove_nodes([node_host]), name=f"remove.{node_host}")
+            self.sim.spawn(manager.remove_nodes([node_host]), name=f"remove.{node_host}")
 
     def fail_manager(self, region: str) -> DastManager:
         """Crash the active manager and promote the standby via SMR + 2PC."""
@@ -332,7 +256,7 @@ class DastSystem:
         standby = self.standby_managers[region]
         self.manager_directory[region] = standby.host
         self.managers[region] = standby
-        self.sim_for(region).spawn(standby.takeover(), name=f"takeover.{region}")
+        self.sim.spawn(standby.takeover(), name=f"takeover.{region}")
         return standby
 
     def skew_clocks(self, prefix: str, delta_ms: float) -> int:
@@ -349,15 +273,14 @@ class DastSystem:
                 touched += 1
         return touched
 
-    def _provision_node(self, region: str, new_host: str, shard_id: str,
+    def _provision_node(self, new_host: str, shard_id: str,
                         manager_host: Optional[str] = None,
                         members: Optional[List[str]] = None) -> DastNode:
         """Build, register and start a fresh (empty) replica node."""
-        rsim = self.sim_for(region)
-        source = self._clock_source(new_host, 0.0, self.rng.stream("clock-skew"), rsim)
+        source = self._clock_source(new_host, 0.0, self.rng.stream("clock-skew"))
         shard = Shard(shard_id, self.schemas)  # empty until checkpoint install
         node = DastNode(
-            rsim, self.network, self.topology, self.catalog, self.timing,
+            self.sim, self.network, self.topology, self.catalog, self.timing,
             new_host, shard, source, nid=1000 + len(self.nodes), managers=self.manager_directory,
         )
         if manager_host is not None:
@@ -379,10 +302,9 @@ class DastSystem:
 
     def add_replica(self, region: str, new_host: str, shard_id: str) -> Event:
         """Add ``new_host`` as a fresh replica of ``shard_id`` (Algorithm 4)."""
-        self._provision_node(region, new_host, shard_id)
+        self._provision_node(new_host, shard_id)
         manager = self.managers[region]
-        return self.sim_for(region).spawn(
-            manager.add_replica(new_host, shard_id), name=f"add.{new_host}")
+        return self.sim.spawn(manager.add_replica(new_host, shard_id), name=f"add.{new_host}")
 
     # ------------------------------------------------------------------
     # Elastic resharding (repro.topo)
@@ -430,9 +352,7 @@ class DastSystem:
         the source manager so the PCT promise holds across the stretch),
         Algorithm 3 retires the donors after a freeze-and-drain window,
         and a final ViewSync flips the migrated replicas to the
-        destination manager with fully symmetric member sets.  Runs on
-        the serial kernel (the PDES gate forces MODE_SERIAL for plans
-        with structural events).
+        destination manager with fully symmetric member sets.
         """
         src_region = self.catalog.region_of_shard(shard_id)
         if src_region == dst_region:
@@ -440,7 +360,6 @@ class DastSystem:
         old_replicas = list(self.catalog.replicas_of(shard_id))
         mgr_src = self.managers[src_region]
         mgr_dst = self.managers[dst_region]
-        sim = self.sim_for(src_region)
         self._trace_fault("reshard_start", shard=shard_id,
                           src=src_region, dst=dst_region)
         # Phase 1 — freeze new submissions and drain the in-flight window:
@@ -454,16 +373,16 @@ class DastSystem:
         self.catalog.frozen_shards.add(shard_id)
         settled = 0
         while settled < 2:
-            yield sim.timeout(self.timing.cross_region_rtt)
+            yield self.sim.timeout(self.timing.cross_region_rtt)
             settled = settled + 1 if self._shard_quiesced(shard_id, old_replicas) else 0
         # Phase 2 — admit one migrating replica per donor (Algorithm 4).
         guests: List[str] = []
         for _ in old_replicas:
             host = self.next_guest_host(dst_region)
-            self._provision_node(dst_region, host, shard_id,
+            self._provision_node(host, shard_id,
                                  manager_host=mgr_src.host, members=[host])
             guests.append(host)
-            yield sim.spawn(
+            yield self.sim.spawn(
                 mgr_src.add_replica(host, shard_id, donor=old_replicas[0]),
                 name=f"reshard.add.{host}")
         # Phase 3 — snapshot the donors' logs for the auditor (one batch
@@ -475,8 +394,8 @@ class DastSystem:
             (host, list(self.nodes[host].executed_log),
              self.nodes[host].shard.digest())
             for host in old_replicas if host in self.nodes])
-        yield sim.spawn(mgr_src.remove_nodes(old_replicas),
-                        name=f"reshard.rm.{shard_id}")
+        yield self.sim.spawn(mgr_src.remove_nodes(old_replicas),
+                             name=f"reshard.rm.{shard_id}")
         for host in old_replicas:
             node = self.nodes.get(host)
             if node is not None:
@@ -506,7 +425,7 @@ class DastSystem:
         # RemoveCommit lands at a surviving member and prunes the donors),
         # so no thawed submission can still route to a retired replica.
         while any(h in self.catalog.replicas_of(shard_id) for h in old_replicas):
-            yield sim.timeout(self.timing.intra_region_rtt)
+            yield self.sim.timeout(self.timing.intra_region_rtt)
         self.catalog.frozen_shards.discard(shard_id)
         self.stats.inc("topo_reshards")
         self._trace_fault("reshard_done", shard=shard_id,

@@ -16,7 +16,7 @@ import time
 from dataclasses import replace
 from typing import Dict, List, Optional
 
-from repro.fleet.spec import TrialOutcome, TrialSpec, canonical_json, code_version
+from repro.fleet.spec import TrialOutcome, TrialSpec, code_version
 
 __all__ = ["bench_matrix", "run_bench", "BENCH_SCHEMA"]
 
@@ -64,27 +64,14 @@ def bench_matrix(quick: bool = False) -> List[TrialSpec]:
             open_loop={"users_per_region": 5000, "txn_per_user_s": 4.0},
             label="openloop-10k/dast",
         ))
-        # Appended: the region-partitioned kernel smoke pair — the same
-        # 3-region trial once serial and once under -j 3.  CI's smoke
-        # gate asserts the two rows' deterministic content is identical
-        # (docs/PARALLEL.md; .github/workflows/ci.yml).
-        par_base = TrialSpec(
+        # Appended: a short 3-region, one-shard-per-region trial (rows are
+        # matched by label across PRs, so the label stays).
+        specs.append(TrialSpec(
             system="dast", workload="tpcc",
             num_regions=3, shards_per_region=1, clients_per_region=4,
             duration_ms=1200.0, warmup_ms=200.0, cooldown_ms=100.0, seed=1,
             label="par-smoke/dast",
-        )
-        specs.append(par_base)
-        specs.append(replace(par_base, parallel_regions=3,
-                             label="par-smoke-j3/dast"))
-        # Appended: the same trial on the process backend — one forked OS
-        # process per region partition (docs/PARALLEL.md).  CI's smoke
-        # gate asserts this row's deterministic content matches the serial
-        # row too, and on multi-core hosts that its speedup_vs_serial
-        # exceeds 1.0.
-        specs.append(replace(par_base, parallel_regions=3,
-                             parallel_backend="process",
-                             label="par-smoke-p3/dast"))
+        ))
         # Appended: topology-churn smoke (docs/TOPOLOGY.md) — one region
         # joins and pulls a shard in by elastic resharding, 10% of a
         # region's open-loop users migrate (their IRTs become CRT
@@ -179,24 +166,14 @@ def bench_matrix(quick: bool = False) -> List[TrialSpec]:
                    "flash_mult": 3.0, "flash_redirect": 0.5},
         label="openloop-flash/dast",
     ))
-    # Appended: region-partitioned kernel rows (docs/PARALLEL.md) — each
-    # config once serial and once with -j 3, so one payload carries both
-    # twins and the Summary can report speedup-vs-serial.
-    tpcc3 = TrialSpec(
+    # Appended: three-region rows, closed-loop TPC-C and open-loop YCSB.
+    specs.append(TrialSpec(
         system="dast", workload="tpcc",
         num_regions=3, shards_per_region=2, clients_per_region=6,
         duration_ms=5000.0, warmup_ms=500.0, cooldown_ms=200.0, seed=1,
         label="tpcc-3regions/dast",
-    )
-    specs.append(tpcc3)
-    specs.append(replace(tpcc3, parallel_regions=3,
-                         label="tpcc-3regions-j3/dast"))
-    # Appended: the shared-nothing process backend twin of the same trial
-    # — the row that actually escapes the GIL on multi-core hosts.
-    specs.append(replace(tpcc3, parallel_regions=3,
-                         parallel_backend="process",
-                         label="tpcc-3regions-p3/dast"))
-    ol3 = TrialSpec(
+    ))
+    specs.append(TrialSpec(
         system="dast", workload="ycsb",
         workload_params={"theta": 0.7, "crt_ratio": 0.0,
                          "read_ratio": 0.95, "ops_per_txn": 2},
@@ -206,15 +183,11 @@ def bench_matrix(quick: bool = False) -> List[TrialSpec]:
         timing={"service_time": 0.01},
         open_loop={"users_per_region": 34_000, "txn_per_user_s": 6.0},
         label="openloop-100k3r/dast",
-    )
-    specs.append(ol3)
-    specs.append(replace(ol3, parallel_regions=3,
-                         label="openloop-100k3r-j3/dast"))
+    ))
     # Appended: heterogeneous edge (docs/TOPOLOGY.md) — the metro-edge RTT
     # matrix (three close edge sites, one far cloud site) with tiered
-    # per-region CPU service times, static (no churn), so the row stays
-    # eligible for the partitioned kernel and isolates what heterogeneity
-    # alone does to tail latency.
+    # per-region CPU service times, static (no churn), so the row isolates
+    # what heterogeneity alone does to tail latency.
     specs.append(TrialSpec(
         system="dast", workload="tpcc",
         num_regions=4, shards_per_region=1, clients_per_region=4,
@@ -228,42 +201,6 @@ def bench_matrix(quick: bool = False) -> List[TrialSpec]:
     return specs
 
 
-def _attach_speedups(specs: List[TrialSpec], rows: List[Dict]) -> None:
-    """Set ``speedup_vs_serial`` on each parallel row with a serial twin.
-
-    Twins are matched on the full spec payload minus ``parallel_regions``
-    and ``parallel_backend`` (labels are display-only), so the pairing
-    survives relabelling and a ``--backend process`` twin still finds the
-    serial row it should be compared against.  When
-    both twins executed in this run the ratio is a live measurement
-    (``speedup_source: "measured"``).  When either side was served from
-    the cache, the cache's *recorded* wall clock still describes a real
-    run of the same fingerprint — use it rather than dropping the column,
-    flagged ``speedup_source: "cached"`` so readers know the two sides
-    may come from different machine states.
-    """
-    def twin_key(spec: TrialSpec) -> str:
-        payload = spec.payload()
-        payload.pop("parallel_regions", None)
-        payload.pop("parallel_backend", None)
-        return canonical_json(payload)
-
-    serial_rows: Dict[str, Dict] = {}
-    for spec, row in zip(specs, rows):
-        if not spec.parallel_regions and "failure" not in row:
-            serial_rows[twin_key(spec)] = row
-    for spec, row in zip(specs, rows):
-        if spec.parallel_regions < 2 or "failure" in row:
-            continue
-        twin = serial_rows.get(twin_key(spec))
-        speedup = None
-        if twin is not None and row["wall_clock_s"] and twin["wall_clock_s"]:
-            speedup = round(twin["wall_clock_s"] / row["wall_clock_s"], 2)
-            row["speedup_source"] = (
-                "cached" if (row["cached"] or twin["cached"]) else "measured")
-        row["speedup_vs_serial"] = speedup
-
-
 def run_bench(
     jobs: int = 1,
     quick: bool = False,
@@ -271,29 +208,11 @@ def run_bench(
     refresh: bool = False,
     progress=None,
     timeout_s: Optional[float] = None,
-    parallel_regions: int = 0,
-    parallel_backend: str = "auto",
 ) -> Dict:
-    """Run the pinned matrix and reduce it to the ``BENCH_fleet.json`` payload.
-
-    ``parallel_regions`` >= 2 (the CLI's ``-j``) reruns every serial
-    multi-region spec under the region-partitioned kernel;
-    ``parallel_backend`` picks which backend executes those windows
-    (docs/PARALLEL.md).  The overrides move each spec's fingerprint, so
-    they never pollute the pinned cache rows — exploration knobs, not
-    part of the pinned matrix (which carries its own ``-j3`` and process
-    twins).
-    """
+    """Run the pinned matrix and reduce it to the ``BENCH_fleet.json`` payload."""
     from repro.fleet.executor import FleetExecutor
 
     specs = bench_matrix(quick=quick)
-    if parallel_regions >= 2:
-        specs = [
-            replace(s, parallel_regions=parallel_regions,
-                    parallel_backend=parallel_backend)
-            if s.num_regions >= 2 and not s.parallel_regions else s
-            for s in specs
-        ]
     fleet = FleetExecutor(jobs=jobs, cache=cache, refresh=refresh,
                           timeout_s=timeout_s, progress=progress)
     start = time.perf_counter()
@@ -302,7 +221,7 @@ def run_bench(
 
     rows = []
     failures = 0
-    for spec, result in zip(specs, results):
+    for result in results:
         if isinstance(result, TrialOutcome):
             row = {
                 "label": result.label,
@@ -318,10 +237,6 @@ def run_bench(
             if result.row.get("topo"):
                 # Churn rows: migration/reshard counts from the Summary.
                 row["topo"] = result.row["topo"]
-            if spec.parallel_regions:
-                row["parallel_regions"] = spec.parallel_regions
-                row["parallel_mode"] = result.parallel_mode
-                row["parallel_backend"] = result.parallel_backend
             rows.append(row)
         else:
             failures += 1
@@ -331,7 +246,6 @@ def run_bench(
                 "failure": result.kind,
                 "message": result.message,
             })
-    _attach_speedups(specs, rows)
 
     executed = sum(1 for r in results if isinstance(r, TrialOutcome) and not r.cached)
     cached = sum(1 for r in results if isinstance(r, TrialOutcome) and r.cached)

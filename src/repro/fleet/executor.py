@@ -59,19 +59,6 @@ def _peak_rss_kb() -> int:
         return 0
 
 
-def _trial_rss_kb(result) -> int:
-    """Peak RSS of the whole trial: this process plus every partition
-    worker it forked (the process backend's children self-report their
-    ``ru_maxrss`` through the collect protocol).  run_spec itself already
-    executes inside the fleet pool worker when jobs > 1, so RUSAGE_SELF
-    is the right parent term in both deployment shapes."""
-    rss = _peak_rss_kb()
-    par_group = getattr(result.system, "par_group", None)
-    if par_group is not None:
-        rss += par_group.child_rss_kb()
-    return rss
-
-
 def _collect_extras(spec: TrialSpec, result) -> Dict:
     """Compute the JSON-safe extras a spec asked for (sorted for determinism)."""
     from repro.errors import ConfigError
@@ -115,11 +102,8 @@ def run_spec(spec: TrialSpec) -> TrialOutcome:
         committed=result.summary.committed,
         aborted=result.summary.aborted,
         wall_clock_s=round(time.perf_counter() - start, 3),
-        peak_rss_kb=_trial_rss_kb(result),
-        parallel_mode=result.parallel_mode,
-        parallel_backend=spec.parallel_backend,
+        peak_rss_kb=_peak_rss_kb(),
     )
-    result.close()  # reap partition workers / thread pools deterministically
     # Normalise through JSON so in-process results are indistinguishable
     # from worker/cache results: tuples -> lists, int/float identity, and
     # sorted keys so nested dict iteration order (e.g. the row's top-type

@@ -101,18 +101,6 @@ class TrialSpec:
     # keeps its exact semantics); a mapping of OpenLoopConfig knobs runs
     # the aggregate arrival engine instead (docs/WORKLOADS.md).
     open_loop: Optional[Mapping] = None
-    # Region-partitioned execution (docs/PARALLEL.md): >= 2 requests the
-    # repro.sim.par kernel.  Virtual-time results are identical either
-    # way, but the knob stays in the fingerprint so a serial row and its
-    # parallel twin are cached separately — their wall-clock provenance
-    # is the whole point of running both.
-    parallel_regions: int = 0
-    # Which partitioned backend executes the windows when parallel_regions
-    # requests parallelism: "auto" (threads, demoted by faults/obs),
-    # "serial"/"lockstep"/"threads"/"process".  Fingerprint-bearing like
-    # parallel_regions — backend twins are distinct cached rows whose
-    # wall-clock comparison is the point.
-    parallel_backend: str = "auto"
     # repro.topo (docs/TOPOLOGY.md): a mid-trial reconfiguration schedule
     # (``TopologyPlan.to_dict()``), a named cross-region RTT preset, a
     # per-region CPU service-tier map (or named preset string), and extra
@@ -158,12 +146,6 @@ class TrialSpec:
                     f"choose from {sorted(RTT_PROFILES)}")
         if self.spare_regions < 0:
             raise ConfigError("spare_regions must be >= 0")
-        from repro.sim.par import BACKENDS
-
-        if self.parallel_backend not in BACKENDS:
-            raise ConfigError(
-                f"unknown parallel_backend {self.parallel_backend!r}; "
-                f"choose from {list(BACKENDS)}")
 
     # ------------------------------------------------------------------
     def payload(self) -> Dict[str, Any]:
@@ -231,8 +213,6 @@ class TrialSpec:
             request_timeout=self.request_timeout,
             batch_window=self.batch_window,
             open_loop=dict(self.open_loop) if self.open_loop is not None else None,
-            parallel_regions=self.parallel_regions,
-            parallel_backend=self.parallel_backend,
             topology_plan=(TopologyPlan.from_dict(dict(self.topology))
                            if self.topology is not None else None),
             rtt_profile=self.rtt_profile,
@@ -265,12 +245,6 @@ class TrialOutcome:
     wall_clock_s: float = 0.0
     peak_rss_kb: int = 0
     cached: bool = False
-    # How the kernel executed ("serial"/"lockstep"/"threads"/"process")
-    # and which backend the spec asked for.  Provenance like wall clock:
-    # excluded from deterministic_blob — the invariant is precisely that
-    # the mode never changes the deterministic content.
-    parallel_mode: str = "serial"
-    parallel_backend: str = "auto"
 
     ok: ClassVar[bool] = True
 
@@ -293,8 +267,6 @@ class TrialOutcome:
             "aborted": self.aborted,
             "wall_clock_s": self.wall_clock_s,
             "peak_rss_kb": self.peak_rss_kb,
-            "parallel_mode": self.parallel_mode,
-            "parallel_backend": self.parallel_backend,
         }
 
     @classmethod

@@ -133,8 +133,8 @@ def _serialize_traces(traces: Mapping) -> List[Dict]:
     """Canonical, id-free form of a trace set.
 
     Trace ids and span ids are allocation-order artifacts: two runs that
-    behave identically may hand them out differently (e.g. a parallel
-    kernel interleaving transaction starts across regions).  The golden
+    behave identically may hand them out differently (e.g. a change in
+    the order same-instant transactions start across regions).  The golden
     digest must not see that, so traces sort by ``(t0, client)`` — unique
     per run, a client submits one transaction at a time — span ids are
     renumbered per trace (root = 0, hops in canonical hop order), parent
@@ -171,7 +171,7 @@ def wire_digest(wire_log) -> Optional[str]:
 
     Sorted before hashing: the *set* of frames and their virtual-time
     stamps is the invariant; the append order of same-instant frames is
-    not (the threaded kernel interleaves appends across partitions).
+    not.
     """
     if wire_log is None:
         return None

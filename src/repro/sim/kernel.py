@@ -327,12 +327,6 @@ class Simulator:
         else:
             heapq.heappush(self._heap, (when, next(self._seq), fn, args))
 
-    def peek_time(self) -> Optional[float]:
-        """The instant the next scheduled callback fires, or None when idle."""
-        if self._ready:
-            return self.now
-        return self._heap[0][0] if self._heap else None
-
     def event(self) -> Event:
         return Event(self)
 
@@ -433,49 +427,6 @@ class Simulator:
                 fn(*args)
         if until is not None and self.now < until:
             self.now = until
-        return self.now
-
-    def run_window(self, bound: float) -> float:
-        """Run every callback due **strictly before** ``bound``, then advance
-        the clock to exactly ``bound``.
-
-        This is the partition-execution primitive of the region-parallel
-        kernel (:mod:`repro.sim.par`): conservative lookahead guarantees no
-        other partition can inject an event earlier than ``bound``, so
-        everything below it is safe to execute.  Events scheduled *at*
-        ``bound`` stay queued for the next window — unlike :meth:`run`,
-        whose ``until`` is inclusive.  Ready-deque entries always carry
-        ``time == now < bound``, so only the heap needs the boundary check.
-        """
-        if bound < self.now:
-            raise SimulationError(
-                f"window bound {bound} precedes current time {self.now}")
-        self._stopped = False
-        ready = self._ready
-        heap = self._heap
-        heappop = heapq.heappop
-        while not self._stopped:
-            if ready:
-                now = self.now
-                if heap and heap[0][0] <= now and heap[0][1] < ready[0][0]:
-                    t, _seq, fn, args = heappop(heap)
-                    if t < now:
-                        raise SimulationError(
-                            "scheduler heap corrupted: time went backwards")
-                    fn(*args)
-                else:
-                    _seq, fn, args = ready.popleft()
-                    fn(*args)
-                continue
-            if not heap or heap[0][0] >= bound:
-                break
-            t, _seq, fn, args = heappop(heap)
-            if t < self.now:
-                raise SimulationError("scheduler heap corrupted: time went backwards")
-            self.now = t
-            fn(*args)
-        if self.now < bound:
-            self.now = bound
         return self.now
 
     def _run_accounted(self, until: Optional[float]) -> None:

@@ -167,11 +167,6 @@ class Network:
         # tracing touchpoint in the send/deliver path is guarded by a single
         # ``is None`` check on this attribute.
         self.causal = None
-        # Region-partitioned execution (repro.sim.par.PartitionGroup) or
-        # None.  While attached, send() routes through _send_par: timing is
-        # read from the *sender's* region kernel and cross-region traffic is
-        # buffered on the group's channel instead of scheduled directly.
-        self._par = None
         # Optional wire tap: a list collecting (send_time, src, dst,
         # type_name, size) for every send — the canary's wire-message
         # stream digest.  None (the default) costs one attribute check.
@@ -357,8 +352,6 @@ class Network:
         accounted per message type and in virtual bytes; legacy opaque
         payloads are sized with the fallback model.
         """
-        if self._par is not None:
-            return self._send_par(src, dst, payload)
         if dst not in self._handlers:
             raise NetworkError(f"unknown destination host {dst!r}")
         # Typed envelopes expose wire_size(); calling it directly skips the
@@ -447,7 +440,7 @@ class Network:
     def _uniform_delay(self, src: str, dsts: Sequence[str]) -> Optional[float]:
         """The one delay every ``src -> dst`` send would get right now, or
         ``None`` if the per-destination path has anything to decide."""
-        if (self._par is not None or self.causal is not None or not self._fault_free
+        if (self.causal is not None or not self._fault_free
                 or self.intra_jitter or self.reorder_spread or self.drop_probability
                 or self.duplicate_probability or self.bandwidth_bytes_per_ms is not None
                 or self._link_bandwidth or self.serialization_cost_per_kb):
@@ -546,98 +539,4 @@ class Network:
         acct = self.sim._acct
         if acct is not None:
             acct.deliveries += 1
-        self._handlers[dst](src, payload)
-
-    # ------------------------------------------------------------------
-    # Region-partitioned delivery (repro.sim.par)
-    # ------------------------------------------------------------------
-    def attach_partitions(self, group) -> None:
-        """Route traffic through a :class:`repro.sim.par.PartitionGroup`.
-
-        Only legal while every delivery-path randomness source is off —
-        the partitioned path never consumes the network RNG, so a stream
-        draw here would silently diverge from the serial kernel.  The
-        eligibility gate (:func:`repro.sim.par.resolve_mode`) enforces
-        this before construction; the check is a belt-and-braces assert.
-        """
-        if self.drop_probability or self.jitter or self.intra_jitter \
-                or self.reorder_spread or self.duplicate_probability:
-            raise ConfigError(
-                "partitioned execution requires deterministic delivery "
-                "(drop/jitter/reorder/duplicate must be off)")
-        if self.bandwidth_bytes_per_ms is not None or self._link_bandwidth \
-                or self.serialization_cost_per_kb:
-            raise ConfigError(
-                "partitioned execution does not support byte-cost hooks")
-        self._par = group
-
-    def detach_partitions(self) -> None:
-        self._par = None
-
-    def _send_par(self, src: str, dst: str, payload: object) -> None:
-        """send() while a partition group is attached.
-
-        Identical accounting and delay model, with three differences: the
-        clock is the *sender's region kernel* (the control kernel lags
-        inside a window), stats go to the sender partition's lane (a
-        shared-counter race guard for the threaded backend), and
-        cross-region messages are buffered on the group channel for
-        canonical injection at the next window barrier.
-        """
-        if dst not in self._handlers:
-            raise NetworkError(f"unknown destination host {dst!r}")
-        wire_size = getattr(payload, "wire_size", None)
-        if wire_size is not None and callable(wire_size):
-            type_name = getattr(payload, "type_name", "opaque")
-            size = wire_size()
-        else:
-            type_name = getattr(payload, "type_name", "opaque")
-            size = sizeof(payload)
-        par = self._par
-        src_idx, src_sim = par.locate(src)
-        now = src_sim.now
-        stats = par.stats_lane(src_idx)
-        stats.record_send(src, type_name, size)
-        if self.wire_log is not None:
-            self.wire_log.append((now, src, dst, type_name, size))
-        causal = self.causal
-        ctx = None
-        if causal is not None:
-            ctx = getattr(payload, "trace_ctx", None)
-            if ctx is not None:
-                stats.trace_bytes_sent += TRACE_CTX_BYTES
-                causal.stamp_send(ctx, now, size)
-        if not self._fault_free and self._blocked(src, dst):
-            stats.record_drop()
-            if ctx is not None:
-                causal.mark_dropped(ctx)
-            return
-        regions = self._host_region
-        r_dst = regions[dst]
-        delay = self._one_way_delay(src, dst, regions[src], r_dst)
-        stats.in_flight += 1
-        incarnation = self._incarnation.get(dst, 0)
-        # Partition of the destination *host* — its region by default, its
-        # shard group under sub-region sharding (par.locate handles both).
-        dst_idx = par.locate(dst)[0]
-        if dst_idx == src_idx:
-            src_sim.schedule(delay, self._deliver_par, src, dst, payload,
-                             incarnation, dst_idx)
-        else:
-            par.channel.push(src_idx, now + delay, now, src, dst, payload,
-                             incarnation)
-
-    def _deliver_par(self, src: str, dst: str, payload: object,
-                     incarnation: int, dst_idx: int) -> None:
-        stats = self._par.stats_lane(dst_idx)
-        stats.in_flight -= 1
-        if (not self._fault_free and self._blocked(src, dst)) \
-                or self._incarnation.get(dst, 0) != incarnation:
-            stats.record_drop()
-            if self.causal is not None:
-                ctx = getattr(payload, "trace_ctx", None)
-                if ctx is not None:
-                    self.causal.mark_dropped(ctx)
-            return
-        stats.record_receive(dst)
         self._handlers[dst](src, payload)

@@ -430,15 +430,15 @@ class Endpoint:
 
         ``overrides`` maps a destination to the message it gets instead, in
         its own slot of the order.  Equivalent to one :meth:`send` per
-        destination, and exactly that when sends batch, carry a per-hop
-        trace context, or may be pickled across kernel partitions.
-        Otherwise the destinations share one envelope — encoded once, with
-        the read-only message cheap handlers will be handed built beside the
-        frame (:func:`repro.wire.encode_shared`) — and the network may
-        deliver the whole fan-out as one event (:meth:`Network.multicast`).
+        destination, and exactly that when sends batch or carry a per-hop
+        trace context.  Otherwise the destinations share one envelope —
+        encoded once, with the read-only message cheap handlers will be
+        handed built beside the frame (:func:`repro.wire.encode_shared`) —
+        and the network may deliver the whole fan-out as one event
+        (:meth:`Network.multicast`).
         """
         network = self.network
-        if self.batch_window > 0 or network.causal is not None or network._par is not None:
+        if self.batch_window > 0 or network.causal is not None:
             for dst in dsts:
                 self.send(dst, overrides.get(dst, msg) if overrides else msg)
             return

@@ -15,9 +15,7 @@ makes the layout itself a first-class, fuzzable workload dimension:
   with the serializability auditor as oracle.
 
 Every scenario keeps byte-identical replay: plans are deterministic
-schedules, mobility draws from the trial's seeded RNG registry, and the
-PDES gate falls back to the serial kernel (with a named reason) whenever
-structural churn would cross a partition window.
+schedules and mobility draws from the trial's seeded RNG registry.
 """
 
 from repro.topo.generator import TopoProfile, generate_topology_plan

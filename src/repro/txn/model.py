@@ -99,10 +99,9 @@ class Transaction:
         if not pieces:
             raise TransactionError("a transaction needs at least one piece")
         # Auto-drawn ids are zero-padded to a fixed width: id strings feed
-        # the virtual wire-size model, and the region-partitioned kernel
-        # (repro.sim.par) interleaves draws differently than serial — with
-        # a fixed width, *which* id a transaction gets can never change a
-        # message's byte size, so byte accounting stays partition-invariant.
+        # the virtual wire-size model, and with a fixed width *which* id a
+        # transaction gets can never change a message's byte size — byte
+        # accounting does not depend on how many ids were drawn before.
         self.txn_id = txn_id or f"t{next(self._ids):07d}"
         self.txn_type = txn_type
         self.params = dict(params or {})

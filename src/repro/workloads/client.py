@@ -38,22 +38,9 @@ class ClosedLoopClient:
         self.failed = 0
         self._running = False
 
-    def _sim(self):
-        # The kernel owning this client under partitioned execution
-        # (repro.sim.par): its region kernel, or its shard-partition
-        # kernel under sub-region sharding; systems without partition
-        # kernels fall back to the shared one.
-        sim_for_host = getattr(self.system, "sim_for_host", None)
-        if sim_for_host is not None:
-            return sim_for_host(self.binding.client)
-        sim_for = getattr(self.system, "sim_for", None)
-        if sim_for is not None:
-            return sim_for(self.binding.region)
-        return self.system.sim
-
     def start(self) -> None:
         self._running = True
-        self._sim().spawn(self._loop(), name=f"client.{self.binding.client}")
+        self.system.sim.spawn(self._loop(), name=f"client.{self.binding.client}")
 
     def stop(self) -> None:
         self._running = False
@@ -65,7 +52,7 @@ class ClosedLoopClient:
         return 1 if self._running else 0
 
     def _loop(self):
-        sim = self._sim()
+        sim = self.system.sim
         while self._running:
             txn = self.workload.next_transaction(self.binding, self.rng)
             replicas = [

@@ -161,21 +161,15 @@ class _Slot:
 class _RegionState:
     """One region's arrival process, user population, and backlog."""
 
-    __slots__ = ("region", "sim", "stream", "users", "sample_uid", "gen_rng",
+    __slots__ = ("region", "stream", "users", "sample_uid", "gen_rng",
                  "route_rng", "bindings", "next_arrival", "inflight",
                  "backlog", "arrivals", "launched", "flash", "sub_bytes",
                  "failed", "migrated")
 
-    def __init__(self, region: str, sim, stream: ArrivalStream,
+    def __init__(self, region: str, stream: ArrivalStream,
                  users: ZipfGenerator, gen_rng, route_rng,
                  bindings: List[ClientBinding]):
         self.region = region
-        # The kernel this region's arrivals run on: the system's region
-        # kernel under partitioned execution, the shared kernel otherwise.
-        # Every schedule/now in the per-arrival hot path goes through this,
-        # never through engine.sim (the control kernel, which lags inside
-        # a partition window).
-        self.sim = sim
         self.stream = stream
         self.users = users
         self.sample_uid = users.sampler()
@@ -187,8 +181,8 @@ class _RegionState:
         self.backlog: deque = deque()
         self.arrivals = 0
         self.launched = 0
-        # Per-region tallies (single-writer under the threaded backend):
-        # wire bytes of express submits, and failed launches.
+        # Per-region tallies: wire bytes of express submits, and failed
+        # launches.
         self.sub_bytes = 0
         self.failed = 0
         # True only for the flash region of a trial with flash redirect
@@ -299,7 +293,6 @@ class OpenLoopEngine:
                 kwargs["flash_mult"] = 1.0
             self.regions.append(_RegionState(
                 region,
-                system.sim_for(region) if hasattr(system, "sim_for") else system.sim,
                 ArrivalStream(rate, system.rng.stream(f"openloop.arrivals.{region}"),
                               **kwargs),
                 ZipfGenerator(config.users_per_region, config.user_theta,
@@ -331,10 +324,10 @@ class OpenLoopEngine:
         self._tracer = getattr(self.system, "tracer", None)
         pump = self._pump_chunk if self._chunked else self._pump
         for rs in self.regions:
-            first = rs.stream.next_after(rs.sim.now)
+            first = rs.stream.next_after(self.sim.now)
             rs.next_arrival = first
             if first <= until:
-                rs.sim.schedule_abs(first, pump, rs)
+                self.sim.schedule_abs(first, pump, rs)
 
     def stop(self) -> None:
         self._running = False
@@ -386,7 +379,7 @@ class OpenLoopEngine:
         if self._running:
             rs.arrivals += 1
             uid = rs.sample_uid()
-            now = rs.sim.now
+            now = self.sim.now
             cap = self._cap
             if cap and rs.inflight >= cap:
                 rs.backlog.append((now, uid))
@@ -395,7 +388,7 @@ class OpenLoopEngine:
         nxt = rs.stream.next_after(rs.next_arrival)
         rs.next_arrival = nxt
         if self._running and nxt <= self._until:
-            rs.sim.schedule_abs(nxt, self._pump, rs)
+            self.sim.schedule_abs(nxt, self._pump, rs)
 
     def _pump_chunk(self, rs: _RegionState) -> None:
         """Uncapped express arrival loop: materialise up to ``_CHUNK``
@@ -419,14 +412,14 @@ class OpenLoopEngine:
             if nxt > until:
                 return
             t = nxt
-        rs.sim.schedule_abs(t, self._pump_chunk, rs)
+        self.sim.schedule_abs(t, self._pump_chunk, rs)
 
     def _drain(self, rs: _RegionState) -> None:
         cap = self._cap
         backlog = rs.backlog
         while backlog and (not cap or rs.inflight < cap):
             intended, uid = backlog.popleft()
-            self._launch(rs, intended, uid, rs.sim.now)
+            self._launch(rs, intended, uid, self.sim.now)
 
     # ------------------------------------------------------------------
     # Submission
@@ -469,8 +462,8 @@ class OpenLoopEngine:
                 tracer.emit(submit, binding.client, "arrival",
                             txn=txn.txn_id, intended=intended, region=rs.region)
         if migrated_to is not None:
-            if submit > rs.sim.now:
-                rs.sim.schedule_abs(submit, self._launch_handoff, rs, slot,
+            if submit > self.sim.now:
+                self.sim.schedule_abs(submit, self._launch_handoff, rs, slot,
                                     binding, migrated_to)
             else:
                 self._launch_handoff(rs, slot, binding, migrated_to)
@@ -478,11 +471,11 @@ class OpenLoopEngine:
         if (self.express and len(txn.pieces) == 1
                 and txn.pieces[0].shard_id == binding.home_shard):
             self._launch_express(rs, slot, binding.home_shard)
-        elif submit > rs.sim.now:
+        elif submit > self.sim.now:
             # Chunked pumping generated this (rare, e.g. CRT) arrival ahead
             # of simulated time; the RPC path runs through live coroutines,
             # so defer the spawn to the submission instant.
-            rs.sim.schedule_abs(submit, self._launch_rpc, rs, slot,
+            self.sim.schedule_abs(submit, self._launch_rpc, rs, slot,
                                 binding.home_shard)
         else:
             self._launch_rpc(rs, slot, binding.home_shard)
@@ -528,7 +521,7 @@ class OpenLoopEngine:
         start = max(arrive, self._busy.get(node_host, 0.0))
         self._busy[node_host] = start + self._service
         self._pending[slot.txn_id] = slot
-        rs.sim.schedule_abs(start, self._deliver_express, rs, slot)
+        self.sim.schedule_abs(start, self._deliver_express, rs, slot)
 
     def _deliver_express(self, rs: _RegionState, slot: _Slot) -> None:
         node_host = slot.node_host
@@ -569,11 +562,11 @@ class OpenLoopEngine:
             rs = slot.rs
             self.recorder.record_irt(
                 not outcome.aborted, slot.intended, slot.submit,
-                rs.sim.now + delay, rs.region)
+                self.sim.now + delay, rs.region)
             rs.inflight -= 1
             self._free_slots.append(slot)
             return
-        slot.rs.sim.schedule(delay, self._complete_express, slot,
+        self.sim.schedule(delay, self._complete_express, slot,
                              outcome.aborted, outcome.abort_reason)
 
     def _complete_express(self, slot: _Slot, aborted: bool, reason: str) -> None:
@@ -585,7 +578,7 @@ class OpenLoopEngine:
         result = self.result_pool.acquire(
             slot.txn_id, slot.txn_type, not aborted, False, abort_reason=reason)
         result.submit_time = slot.submit
-        result.finish_time = slot.rs.sim.now
+        result.finish_time = self.sim.now
         rs = slot.rs
         self.recorder.record_result(result, slot.intended, rs.region)
         self.result_pool.release(result)
@@ -662,7 +655,7 @@ class OpenLoopEngine:
             self._finish_failure(rs, slot)
             return
         slot.node_host = rs.route_rng.choice(replicas)
-        rs.sim.spawn(self._rpc(rs, slot), name=f"ol.{slot.txn_id}")
+        self.sim.spawn(self._rpc(rs, slot), name=f"ol.{slot.txn_id}")
 
     def _rpc(self, rs: _RegionState, slot: _Slot):
         event = self.system.submit(slot.client, slot.node_host, slot.txn,
@@ -682,7 +675,7 @@ class OpenLoopEngine:
             self._finish_failure(rs, slot)
             return
         result.submit_time = slot.submit
-        result.finish_time = rs.sim.now
+        result.finish_time = self.sim.now
         self.recorder.record_result(result, slot.intended, rs.region)
         rs.inflight -= 1
         slot.txn = None

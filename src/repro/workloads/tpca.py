@@ -91,11 +91,10 @@ class TpcaWorkload(Workload):
     def _pick_account(self, shard_index: int, rng: random.Random,
                       consumer_region: int = -1) -> int:
         # Zipf streams are keyed by (shard, consuming region) so a remote
-        # pick never shares a stream with the shard's own region — the
-        # partitioned kernel (repro.sim.par) executes regions in window
-        # order, and a cross-region shared stream would be drawn in a
-        # different order than the serial kernel.  Same-region picks keep
-        # the original per-shard stream.
+        # pick never shares a stream with the shard's own region: the keys
+        # a region's clients draw do not depend on how fast another
+        # region's clients run.  Same-region picks keep the original
+        # per-shard stream.  Every golden digest pins this keying.
         spr = self.topology.config.shards_per_region
         if consumer_region < 0 or consumer_region == shard_index // spr:
             key = shard_index

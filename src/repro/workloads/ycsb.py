@@ -107,12 +107,10 @@ class YcsbWorkload(Workload):
         Samplers are keyed by (shard, consuming region): a remote draw —
         a client in region A picking a key on a shard in region B — comes
         from a stream only region A ever touches.  Generation randomness
-        is therefore region-local, which the partitioned kernel
-        (repro.sim.par) requires: a stream shared across regions would be
-        consumed in window order instead of global virtual-time order and
-        the parallel run would diverge from the serial one.  Same-region
-        draws keep the original per-shard stream, so workloads that never
-        cross regions (crt_ratio=0) are byte-identical to earlier builds.
+        is therefore region-local: the keys a region's clients draw do not
+        depend on how fast another region's clients run.  Same-region
+        draws keep the original per-shard stream.  Every golden digest
+        pins this keying.
         """
         spr = self.topology.config.shards_per_region
         if consumer_region < 0 or consumer_region == shard_index // spr:

@@ -109,28 +109,6 @@ class TestWireDigest:
         bumped = [log[0], (1.0, "r1.n0", "r0.n0", "ack", 41), log[2]]
         assert wire_digest(log) != wire_digest(bumped)
 
-    def test_parallel_twin_is_exact_match(self, golden):
-        """The region-partitioned kernel (demoted to lockstep under causal
-        tracing) must reproduce both digests byte-for-byte."""
-        from dataclasses import replace
-
-        twin = tuple(replace(s, parallel_regions=2) for s in SMALL)
-        report = compare(golden, capture(twin))
-        assert report["ok"]
-        assert report["scenarios"]["small-tpcc"]["status"] == "exact"
-
-    def test_process_backend_twin_is_exact_match(self, golden):
-        """Requesting the forked process backend on a canary scenario must
-        reproduce both digests byte-for-byte too (causal tracing demotes
-        it to lockstep — the knob never widens eligibility)."""
-        from dataclasses import replace
-
-        twin = tuple(replace(s, parallel_regions=2,
-                             parallel_backend="process") for s in SMALL)
-        report = compare(golden, capture(twin))
-        assert report["ok"]
-        assert report["scenarios"]["small-tpcc"]["status"] == "exact"
-
     def test_legacy_golden_without_wire_digest_still_exact(self, golden):
         entry = dict(golden["scenarios"]["small-tpcc"])
         entry.pop("wire_digest")

@@ -95,16 +95,15 @@ class TestHotPathHygiene:
             + "\n".join(offenders)
         )
 
-    # Concurrency primitives are confined to the subsystems built for
-    # them: repro.sim.par (the region-partitioned kernel) and the two
-    # process-pool fan-out harnesses (repro.fleet, repro.chaos.parallel).
-    # Anywhere else, a thread or a process is an undeclared determinism
-    # hazard.  Mirrors the ruff TID251 ban.
+    # Concurrency primitives are confined to the two process-pool fan-out
+    # harnesses (repro.fleet, repro.chaos.parallel), which run whole trials
+    # in spawned workers.  Anywhere else, a thread or a process is an
+    # undeclared determinism hazard.  Mirrors the ruff TID251 ban.
     BANNED_CONCURRENCY = re.compile(
         r"^\s*(?:import\s+(?:threading|multiprocessing)\b"
         r"|from\s+(?:threading|multiprocessing)[.\s])"
     )
-    CONCURRENCY_ALLOWED = ("sim/par/", "fleet/", "chaos/parallel.py")
+    CONCURRENCY_ALLOWED = ("fleet/", "chaos/parallel.py")
 
     def test_threading_confined_to_par_and_fleet(self):
         offenders = []
@@ -117,28 +116,21 @@ class TestHotPathHygiene:
                 if self.BANNED_CONCURRENCY.search(code):
                     offenders.append(f"{rel}:{lineno}: {line.strip()}")
         assert not offenders, (
-            "threading/multiprocessing outside repro.sim.par / repro.fleet:\n"
+            "threading/multiprocessing outside repro.fleet / repro.chaos.parallel:\n"
             + "\n".join(offenders)
         )
 
-    # Raw process forking is even more confined than threading: only the
-    # process backend's worker module may call it.  Everything else that
-    # needs process fan-out goes through multiprocessing's spawn context
-    # (repro.fleet, repro.chaos.parallel), which never inherits mutable
-    # simulation state.
+    # Raw process forking is banned outright: process fan-out goes through
+    # multiprocessing's spawn context (repro.fleet, repro.chaos.parallel),
+    # which never inherits mutable simulation state.
     BANNED_FORK = re.compile(r"\bos\.(?:fork|forkpty)\s*\(")
-    FORK_ALLOWED = ("sim/par/proc.py",)
 
     def test_os_fork_confined_to_process_backend(self):
         offenders = []
         for path in sorted(SRC.rglob("*.py")):
             rel = path.relative_to(SRC).as_posix()
-            if rel in self.FORK_ALLOWED:
-                continue
             for lineno, line in enumerate(path.read_text().splitlines(), 1):
                 code = line.split("#", 1)[0]
                 if self.BANNED_FORK.search(code):
                     offenders.append(f"{rel}:{lineno}: {line.strip()}")
-        assert not offenders, (
-            "os.fork outside repro.sim.par.proc:\n" + "\n".join(offenders)
-        )
+        assert not offenders, "os.fork under src/:\n" + "\n".join(offenders)

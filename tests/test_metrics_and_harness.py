@@ -86,6 +86,16 @@ class TestLatencyRecorder:
         assert len(rec.results) == 1
         assert rec.all_count == 3
 
+    @given(st.lists(st.floats(0, 400), max_size=50))
+    @settings(max_examples=60, deadline=None)
+    def test_count_and_last_finish_cover_out_of_window_results(self, finishes):
+        rec = LatencyRecorder(warm_start=100.0, warm_end=200.0)
+        for finish in finishes:
+            rec.record(result(finish=finish))
+        assert rec.all_count == len(finishes)
+        assert rec.last_finish == max(finishes, default=0.0)
+        assert len(rec.results) == sum(100.0 <= f <= 200.0 for f in finishes)
+
     def test_summary_splits_irt_crt(self):
         rec = LatencyRecorder()
         for i in range(10):

@@ -306,7 +306,6 @@ def _signature(make_trial):
     }
     if trial.obs_causal:
         signature["traces"] = capture_scenario(result)["trace_digest"]
-    result.close()
     assert summary.committed > 0 and stats.per_type_sent["pct_report"] > 0
     return signature, acct.by_callsite.get("Network._deliver_many", 0)
 

@@ -17,7 +17,6 @@ import pytest
 from repro.bench.auditor import audit_dast_run
 from repro.bench.harness import Trial, run_trial
 from repro.chaos import FaultPlan, shrink_plan
-from repro.sim.par import MODE_SERIAL, resolve_mode
 from repro.topo import TopologyPlan, generate_topology_plan
 from repro.topo.runner import run_topo_trial
 from repro.workloads.tpca import TpcaWorkload
@@ -94,32 +93,6 @@ class TestDeterminism:
         assert runs[0].ok, runs[0].to_text()
         assert runs[0].to_text() == runs[1].to_text()
         assert runs[0].counters == runs[1].counters
-
-
-class TestSerialFallback:
-    """The PDES gate: dynamic reconfiguration names its serial fallback."""
-
-    def _trial(self, **kw) -> Trial:
-        return Trial("dast", lambda topo: TpcaWorkload(topo),
-                     num_regions=3, shards_per_region=1, replication=1,
-                     clients_per_region=2, duration_ms=500.0, **kw)
-
-    def test_topology_plan_forces_serial_with_named_reason(self):
-        trial = self._trial(topology_plan=_smoke_plan(), spare_regions=1)
-        mode, reason = resolve_mode(trial, requested=3)
-        assert mode == MODE_SERIAL
-        assert reason == ("topology plan: dynamic reconfiguration "
-                          "requires the serial kernel")
-
-    def test_static_heterogeneity_stays_partition_eligible(self):
-        # rtt_profile / service_multipliers / an *empty* plan are static
-        # config, not mid-trial churn: the partitioned kernel stays on.
-        trial = self._trial(topology_plan=TopologyPlan(),
-                            rtt_profile="aws-like",
-                            service_multipliers="edge-tiers")
-        mode, reason = resolve_mode(trial, requested=3)
-        assert mode != MODE_SERIAL
-        assert reason is None
 
 
 class TestTopoFuzzMatrix:
