@@ -90,7 +90,6 @@ class JanusNode:
         self.endpoint = Endpoint(
             self.sim, system.network, host, self.region,
             service_time=self.timing.service_time,
-            batch_window=self.timing.batch_window,
         )
         self.records: Dict[str, _JanusRec] = {}
         self.executed_ids: Set[str] = set()

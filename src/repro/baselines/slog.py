@@ -62,7 +62,6 @@ class SlogGlobalOrderer:
         self.endpoint = Endpoint(
             self.sim, system.network, self.host, GLOBAL_REGION,
             service_time=system.timing.service_time,
-            batch_window=system.timing.batch_window,
         )
         self._follower_eps = [
             Endpoint(self.sim, system.network, h, GLOBAL_REGION,
@@ -138,7 +137,6 @@ class SlogSequencer:
         self.endpoint = Endpoint(
             self.sim, system.network, self.host, region,
             service_time=system.timing.service_time,
-            batch_window=system.timing.batch_window,
         )
         self.log_index = 0
         self.stats = Stats()
@@ -190,7 +188,6 @@ class SlogNode:
         self.endpoint = Endpoint(
             self.sim, system.network, host, self.region,
             service_time=self.timing.service_time,
-            batch_window=self.timing.batch_window,
         )
         self.locks = LockManager(self.sim)
         self.next_index = 0

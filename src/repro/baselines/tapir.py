@@ -70,7 +70,6 @@ class TapirNode:
         self.endpoint = Endpoint(
             self.sim, system.network, host, self.region,
             service_time=self.timing.service_time,
-            batch_window=self.timing.batch_window,
         )
         self.versions: Dict[Key, int] = {}
         self.prepared: Dict[str, _Prepared] = {}

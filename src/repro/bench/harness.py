@@ -55,7 +55,6 @@ class Trial:
         obs_wire: bool = False,
         fault_plan=None,
         request_timeout: float = 10000.0,
-        batch_window: float = 0.0,
         open_loop: Optional[dict] = None,
         topology_plan=None,
         rtt_profile: Optional[str] = None,
@@ -95,10 +94,6 @@ class Trial:
         # lossy plans a short request timeout keeps closed-loop clients live.
         self.fault_plan = fault_plan
         self.request_timeout = request_timeout
-        # Endpoint-level message coalescing (repro.wire batching).  A
-        # non-zero window overrides timing.batch_window for this trial.
-        if batch_window:
-            self.timing.batch_window = batch_window
         # Open-loop mode: a non-None dict of OpenLoopConfig knobs replaces
         # the closed-loop clients with the aggregate arrival engine and the
         # LatencyRecorder with the (coordinated-omission-free) open-loop
@@ -163,13 +158,6 @@ class TrialResult:
         orderer = getattr(self.system, "orderer", None)
         if orderer is not None:
             orderer.stop()
-        # Batch windows coalesce small messages for up to batch_window
-        # virtual ms per destination.  Disable coalescing and flush every
-        # pending buffer so the post-drain audit can never miss tail
-        # messages that were still sitting in an open window.
-        for endpoint in getattr(self.system.network, "endpoints", ()):
-            endpoint.batch_window = 0.0
-            endpoint.flush()
         self.system.run(until=self.system.sim.now + extra_ms)
         # Topology events may still be completing when the measured window
         # closes; refresh the summary's churn counters after the drain.

@@ -204,7 +204,6 @@ def run_chaos_trial(
     crt_ratio: float = 0.2,
     request_timeout: float = 2000.0,
     obs: bool = False,
-    batch_window: float = 0.0,
 ) -> ChaosReport:
     """Run one fault-injected trial end to end and audit the outcome."""
     from repro.bench.harness import Trial, run_trial
@@ -227,7 +226,6 @@ def run_chaos_trial(
         fault_plan=plan,
         obs=obs,
         request_timeout=request_timeout,
-        batch_window=batch_window,
     )
     result = run_trial(trial)
     result.drain(extra_ms=drain_ms)

@@ -22,7 +22,7 @@ Examples::
     python -m repro topo --fuzz 4 --seed 0          # seeded churn matrix
     python -m repro run --topology plan.json --spare-regions 1
     python -m repro run --rtt-profile aws-like --service-profile edge-tiers
-    python -m repro bench --jobs 4                  # pinned wall-clock matrix
+    python -m repro bench --jobs 4                  # pinned trial matrix
 """
 
 from __future__ import annotations
@@ -65,12 +65,6 @@ EXPERIMENTS = {
     "fig10b": lambda a, f: format_table(exp.fig10b_asymmetric_delay(fleet=f)),
     "ablations": lambda a, f: format_table(exp.ablation_sweep(fleet=f)),
 }
-
-
-# Flush window (virtual ms) used when --batching on: just above the 1.0 ms
-# PCT report period so consecutive same-destination clock reports coalesce,
-# while adding at most ~1 ms to tail latency (within seed noise).
-BATCH_WINDOW_MS = 1.25
 
 
 def _workload_factory(args):
@@ -129,17 +123,12 @@ def _build_trial(args, obs: bool = False, causal: bool = False) -> Trial:
         obs=obs,
         obs_interval=getattr(args, "interval", 50.0),
         obs_causal=causal,
-        batch_window=_batch_window(args),
         open_loop=_open_loop_dict(args),
         topology_plan=topology_plan,
         rtt_profile=getattr(args, "rtt_profile", None),
         service_multipliers=getattr(args, "service_profile", None),
         spare_regions=getattr(args, "spare_regions", 0),
     )
-
-
-def _batch_window(args) -> float:
-    return BATCH_WINDOW_MS if getattr(args, "batching", "off") == "on" else 0.0
 
 
 def _check_out_path(path, what: str) -> Optional[str]:
@@ -152,6 +141,16 @@ def _check_out_path(path, what: str) -> Optional[str]:
     if not os.path.isdir(parent):
         return f"{what} directory does not exist: {parent}"
     return None
+
+
+def _stalled(result) -> bool:
+    """Whether the trial wedged (``TrialResult.stall``); prints the
+    ``LivenessFailure`` report to stderr if so."""
+    stall = result.stall()
+    if stall is None:
+        return False
+    print(stall.report(), file=sys.stderr)
+    return True
 
 
 def cmd_run(args) -> int:
@@ -183,11 +182,7 @@ def cmd_run(args) -> int:
         print(render_report(result.obs))
         n = export_jsonl(result.obs, trace_out)
         print(f"wrote {n} obs records to {trace_out}")
-    stall = result.stall()
-    if stall is not None:
-        print(stall.report(), file=sys.stderr)
-        return 1
-    return 0
+    return 1 if _stalled(result) else 0
 
 
 def cmd_obs(args) -> int:
@@ -213,7 +208,7 @@ def cmd_obs(args) -> int:
     if args.csv_dir:
         paths = export_csv(bundle, args.csv_dir)
         print(f"wrote CSV files: {', '.join(sorted(paths.values()))}")
-    return 0
+    return 1 if _stalled(result) else 0
 
 
 def cmd_trace(args) -> int:
@@ -257,7 +252,7 @@ def cmd_trace(args) -> int:
     if args.jsonl_out:
         n = export_jsonl(bundle, args.jsonl_out)
         print(f"wrote {n} obs records to {args.jsonl_out}")
-    return 0
+    return 1 if _stalled(result) else 0
 
 
 def _worst_canary_label(report) -> Optional[str]:
@@ -394,21 +389,22 @@ def cmd_bench(args) -> int:
         print(error, file=sys.stderr)
         return 2
     fleet, cache = _build_fleet(args)
+    start = time.perf_counter()
     payload = run_bench(jobs=args.jobs, quick=args.quick, cache=cache,
                         refresh=args.refresh, progress=_progress,
                         timeout_s=args.timeout_s)
+    wall_clock_s = time.perf_counter() - start
     with open(args.out, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(format_table([
-        {k: row.get(k, "") for k in ("label", "cached", "wall_clock_s",
-                                     "throughput_tps", "irt_p99_ms", "crt_p99_ms")}
+        {k: row.get(k, "") for k in ("label", "cached", "throughput_tps",
+                                     "irt_p99_ms", "crt_p99_ms", "msgs_total")}
         for row in payload["rows"]
     ]))
     print(f"trials={payload['trials']} executed={payload['executed']} "
           f"cached={payload.get('cached', 0)} "
-          f"failures={payload['failures']} wall_clock_s={payload['wall_clock_s']} "
-          f"trials_per_min={payload['trials_per_min']}")
+          f"failures={payload['failures']} wall_clock_s={wall_clock_s:.2f}")
     if payload["cache"] is not None:
         stats = payload["cache"]
         hits = stats["hits"] + stats["misses"]
@@ -448,7 +444,6 @@ def cmd_profile(args) -> int:
             clients_per_region=args.clients,
             duration_ms=args.duration_ms,
             seed=args.seed,
-            batch_window=_batch_window(args),
         )
     report = profile_spec(spec, sort=args.sort, top=args.top,
                           callsites=args.callsites)
@@ -473,7 +468,6 @@ def _chaos_trial_kwargs(args) -> dict:
         duration_ms=args.duration_ms,
         drain_ms=args.drain_ms,
         crt_ratio=args.crt_ratio,
-        batch_window=_batch_window(args),
     )
 
 
@@ -704,11 +698,14 @@ def cmd_topo(args) -> int:
 def cmd_audit(args) -> int:
     args.system = "dast"
     result = run_trial(_build_trial(args))
+    # Before drain(), which stops the clients: a wedged run has executed
+    # nothing the auditor could fault, so it would pass vacuously.
+    stalled = _stalled(result)
     result.drain()
     report = audit_dast_run(result.system)
     print(format_table([result.summary.as_row()]))
     print(report)
-    return 0 if report.ok else 1
+    return 0 if report.ok and not stalled else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -746,9 +743,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ol-flash-redirect", type=float, default=0.5,
                        metavar="P", help="open loop: fraction of flash-region "
                                          "arrivals redirected to the hot shard")
-        p.add_argument("--batching", choices=["off", "on"], default="off",
-                       help="coalesce batchable small messages per destination "
-                            f"within a {BATCH_WINDOW_MS} ms flush window")
         p.add_argument("--topology", metavar="FILE", default=None,
                        help="execute a TopologyPlan JSON schedule mid-trial "
                             "(docs/TOPOLOGY.md)")
@@ -840,7 +834,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp_p.set_defaults(fn=cmd_experiment)
 
     bench_p = sub.add_parser(
-        "bench", help="run the pinned wall-clock benchmark matrix")
+        "bench", help="run the pinned trial matrix (virtual-result determinism gate)")
     bench_p.add_argument("--quick", action="store_true",
                          help="run the trimmed 9-trial matrix")
     bench_p.add_argument("--out", metavar="PATH", default="BENCH_fleet.json",

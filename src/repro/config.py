@@ -30,15 +30,10 @@ class TimingConfig:
     slog_batch_interval: float = 5.0  # SLOG global-log exchange interval (§6)
     anticipation_margin: float = 5.0  # slack added to anticipated timestamps
     drop_probability: float = 0.0
-    # Endpoint-level message batching: coalesce batchable one-way messages
-    # per destination for this many virtual ms (0 disables batching).
-    batch_window: float = 0.0
 
     def validate(self) -> None:
         if self.intra_region_rtt <= 0 or self.cross_region_rtt <= 0:
             raise ConfigError("RTTs must be positive")
-        if self.batch_window < 0:
-            raise ConfigError("batch_window must be >= 0")
         if self.intra_region_rtt > self.cross_region_rtt:
             raise ConfigError("edge model expects intra-region RTT << cross-region RTT")
         if self.service_time < 0 or self.pct_interval <= 0:

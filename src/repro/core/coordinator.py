@@ -413,10 +413,3 @@ class CoordinatorMixin:
 
     def _cross_timeout(self) -> float:
         return max(4 * self.timing.cross_region_rtt, 100.0)
-
-    def _rtt_guess(self, region: str) -> float:
-        return (
-            self.timing.intra_region_rtt
-            if region == self.region
-            else self.timing.cross_region_rtt
-        )

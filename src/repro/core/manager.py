@@ -126,7 +126,6 @@ class DastManager:
         self.endpoint = Endpoint(
             sim, network, host, region,
             service_time=timing.service_time,
-            batch_window=timing.batch_window,
         )
         self.pending: Dict[str, _PendingCrt] = {}
         self.rtt = RttEstimator(default_rtt=timing.cross_region_rtt)

@@ -105,7 +105,6 @@ class DastNode(CoordinatorMixin):
         self.endpoint = Endpoint(
             sim, network, host, self.region,
             service_time=timing.service_time,
-            batch_window=timing.batch_window,
         )
 
         self.wait_q = WaitQueue()
@@ -249,27 +248,14 @@ class DastNode(CoordinatorMixin):
         if head is not None and head.status != TxnStatus.PREPARED:
             self._try_execute()
 
-    def _clocks_passed(self, ts: Timestamp) -> bool:
-        if self.dclock.peek() <= ts:
-            self.dclock.tick()
-            if self.dclock.peek() <= ts:
-                return False
-        for member in self.members:
-            if member == self.host:
-                continue
-            if self.max_ts.get(member, ZERO_TS) <= ts:
-                return False
-        return self.max_ts.get(self.manager, ZERO_TS) > ts
-
     def _try_execute(self) -> None:
         # Hoisted PCT threshold: a record is peer-clock-eligible iff its ts
         # is strictly below every peer's latest report — i.e. below their
         # minimum, computed at most once per sweep instead of once per
         # record, and only when a record gets as far as the peer-clock check
         # (most sweeps stop at an empty queue, an uncommitted head or the
-        # waitQ floor).  The local-clock peek/tick dance stays per record (it
-        # has the tick side effect and must run in exactly the order
-        # _clocks_passed ran it).
+        # waitQ floor).  The local-clock peek/tick dance stays per record: it
+        # has the tick side effect, so it must run before the peer check.
         threshold = None
         dclock = self.dclock
         while True:

@@ -197,9 +197,6 @@ class DastSystem:
             trace_client_rpc(self.sim, tracer, client, txn.txn_id, event)
         return event
 
-    def home_nodes(self, region: str) -> List[str]:
-        return self.topology.nodes_in_region(region)
-
     def attach_tracer(self, kinds=None, hosts=None, capacity: int = 200_000,
                       causal: bool = False):
         """Attach a :class:`repro.sim.trace.Tracer` to every node/manager.
@@ -456,6 +453,3 @@ class DastSystem:
 
     def total_stretches(self) -> int:
         return sum(n.dclock.stretch_count for n in self.nodes.values())
-
-    def executed_counts(self) -> Dict[str, int]:
-        return {h: len(n.executed_log) for h, n in self.nodes.items()}

@@ -47,19 +47,6 @@ class CyclicDependencyError(TransactionError):
     """A transaction declared cyclic cross-shard value dependencies."""
 
 
-class TransactionAborted(TransactionError):
-    """Raised through to clients when a transaction aborts.
-
-    ``reason`` distinguishes conditional (user-level) aborts from
-    system-induced aborts (conflicts in deferred-update systems, failovers).
-    """
-
-    def __init__(self, txn_id: str, reason: str):
-        super().__init__(f"transaction {txn_id} aborted: {reason}")
-        self.txn_id = txn_id
-        self.reason = reason
-
-
 class ProtocolError(ReproError):
     """A protocol implementation reached a state it never should."""
 

@@ -11,7 +11,7 @@ loop into a deterministic multi-process run:
   result ordering, structured crash/timeout capture, and live progress;
 * :class:`ResultCache` — an on-disk ``<fingerprint>.json`` store so
   unchanged configurations are never recomputed;
-* :func:`run_bench` — the pinned wall-clock benchmark matrix behind
+* :func:`run_bench` — the pinned trial matrix behind
   ``repro bench`` / ``BENCH_fleet.json``.
 
 See docs/FLEET.md for the determinism contract.

@@ -93,7 +93,6 @@ class TrialSpec:
     variant: Optional[Mapping] = None
     timing: Mapping = field(default_factory=dict)
     request_timeout: float = 10000.0
-    batch_window: float = 0.0
     hook: Optional[str] = None
     hook_params: Mapping = field(default_factory=dict)
     collect: Mapping = field(default_factory=dict)
@@ -211,7 +210,6 @@ class TrialSpec:
             clock_skew=self.clock_skew,
             variant=dict(self.variant) if self.variant else None,
             request_timeout=self.request_timeout,
-            batch_window=self.batch_window,
             open_loop=dict(self.open_loop) if self.open_loop is not None else None,
             topology_plan=(TopologyPlan.from_dict(dict(self.topology))
                            if self.topology is not None else None),

@@ -58,8 +58,6 @@ def chrome_events(traces: Iterable[TxnTrace],
                      "retries": root.retries, "complete": root.t1 is not None},
         })
         for h in trace.hops:
-            if h.status == "batched":
-                continue
             flow_id = f"{root.trace_id}.{h.span_id}"
             events.append({
                 "name": h.method, "cat": "hop", "ph": "s",

@@ -44,9 +44,7 @@ TraceCtx = Tuple[str, int]  # (trace_id, span_id)
 class HopSpan:
     """One message hop: src --method--> dst, with the receive-side split.
 
-    ``status`` lifecycle: ``sent`` -> ``delivered`` | ``dropped``;
-    batched frames are recorded as ``batched`` (buffered into a batch
-    window; never on a critical path).
+    ``status`` lifecycle: ``sent`` -> ``delivered`` | ``dropped``.
     """
 
     __slots__ = ("span_id", "parent_id", "trace_id", "method", "src", "dst",
@@ -274,15 +272,6 @@ class CausalTracer(Tracer):
         span = self._by_id.get(ctx[1])
         if span is not None and span.t_recv is None:
             span.status = "dropped"
-
-    def note_batched(self, src: str, dst: str, payload: Any, t: float) -> None:
-        """Record a frame buffered into a batch window.  Batched frames are
-        cheap fan-outs; they are counted but excluded from critical paths."""
-        ctx = self.begin_hop(src, dst, getattr(payload, "name", "frame"), payload)
-        if ctx is not None:
-            span = self._by_id[ctx[1]]
-            span.t_send = t
-            span.status = "batched"
 
 
 def build_traces(tracer: CausalTracer,

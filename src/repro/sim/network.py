@@ -42,7 +42,7 @@ class NetworkStats:
 
     Byte totals use the deterministic virtual-byte size model of
     :mod:`repro.wire.schema` — per-message sizes computed at send time from
-    typed envelopes (opaque legacy payloads fall back to ``sizeof``).
+    typed envelopes (any other payload falls back to ``sizeof``).
     """
 
     def __init__(self) -> None:
@@ -61,7 +61,7 @@ class NetworkStats:
         self.per_host_sent: Dict[str, int] = {}
         self.per_host_received: Dict[str, int] = {}
         # Keyed by message type: the envelope's payload name ("pct_report",
-        # "resp:irt_prepare", "batch", or "opaque" for untyped payloads).
+        # "resp:irt_prepare", or "opaque" for untyped payloads).
         self.per_type_sent: Dict[str, int] = {}
         self.per_type_bytes: Dict[str, int] = {}
 
@@ -132,25 +132,12 @@ class Network:
         # extra delay (reorder) / are delivered twice with probability p.
         self.reorder_spread = 0.0
         self.duplicate_probability = 0.0
-        # Bandwidth/serialization cost hooks (virtual bytes -> extra delay).
-        # Both default off so the base delay model — and every pinned timing
-        # in the tier-1 suite — is unchanged unless an experiment opts in.
-        # ``bandwidth_bytes_per_ms`` adds size/bandwidth ms per delivery;
-        # ``serialization_cost_per_kb`` adds a flat encode/decode CPU-ish
-        # cost of ``size/1024 * cost`` ms.  Per-link overrides are keyed by
-        # (src_region, dst_region).
-        self.bandwidth_bytes_per_ms: Optional[float] = None
-        self.serialization_cost_per_kb: float = 0.0
-        self._link_bandwidth: Dict[Tuple[str, str], float] = {}
         self._host_region: Dict[str, str] = {}
         # src -> the last destination tuple found to hold only *other* hosts
         # of src's region.  A host never changes region and a tuple never
         # changes content, so multicast() need not walk that tuple again.
         self._same_region: Dict[str, Tuple[str, ...]] = {}
         self._handlers: Dict[str, Callable] = {}
-        # Every Endpoint built on this network registers itself here so
-        # drain/shutdown paths can flush pending batch windows in one sweep.
-        self.endpoints: List = []
         self._rtt_overrides: Dict[Tuple[str, str], float] = {}
         self._host_partitions: Set[Tuple[str, str]] = set()
         self._region_partitions: Set[Tuple[str, str]] = set()
@@ -208,16 +195,6 @@ class Network:
         else:
             self._rtt_overrides[(r1, r2)] = rtt
             self._rtt_overrides[(r2, r1)] = rtt
-
-    def set_link_bandwidth(self, src_region: str, dst_region: str,
-                           bytes_per_ms: Optional[float]) -> None:
-        """Per-link bandwidth override (``None`` clears it)."""
-        if bytes_per_ms is not None and bytes_per_ms <= 0:
-            raise ConfigError("bandwidth must be positive")
-        if bytes_per_ms is None:
-            self._link_bandwidth.pop((src_region, dst_region), None)
-        else:
-            self._link_bandwidth[(src_region, dst_region)] = bytes_per_ms
 
     def partition_hosts(self, a: str, b: str) -> None:
         """Silently drop all traffic between hosts ``a`` and ``b``."""
@@ -349,8 +326,8 @@ class Network:
         Lost messages (partition, crash, random drop) vanish silently —
         reliability is the sender's problem, as on a real network.  Typed
         envelopes (anything exposing ``type_name``/``wire_size``) are
-        accounted per message type and in virtual bytes; legacy opaque
-        payloads are sized with the fallback model.
+        accounted per message type and in virtual bytes; any other payload
+        is sized with the fallback model and counted as ``"opaque"``.
         """
         if dst not in self._handlers:
             raise NetworkError(f"unknown destination host {dst!r}")
@@ -380,10 +357,10 @@ class Network:
             if ctx is not None:
                 causal.mark_dropped(ctx)
             return
-        self._schedule_delivery(src, dst, payload, size)
+        self._schedule_delivery(src, dst, payload)
         if self.duplicate_probability and self._rng.random() < self.duplicate_probability:
             self.stats.messages_duplicated += 1
-            self._schedule_delivery(src, dst, payload, size)
+            self._schedule_delivery(src, dst, payload)
 
     def multicast(self, src: str, dsts: Sequence[str], envelopes: Sequence[object]) -> None:
         """Fire-and-forget delivery of ``envelopes[i]`` to ``dsts[i]``, in order.
@@ -442,8 +419,7 @@ class Network:
         ``None`` if the per-destination path has anything to decide."""
         if (self.causal is not None or not self._fault_free
                 or self.intra_jitter or self.reorder_spread or self.drop_probability
-                or self.duplicate_probability or self.bandwidth_bytes_per_ms is not None
-                or self._link_bandwidth or self.serialization_cost_per_kb):
+                or self.duplicate_probability):
             return None
         if self._same_region.get(src) is not dsts:
             regions = self._host_region
@@ -489,22 +465,7 @@ class Network:
                 acct.deliveries += 1
             handlers[dst](src, envelope)
 
-    def _byte_delay(self, src: str, dst: str, size: int) -> float:
-        """Extra delay charged by the bandwidth/serialization hooks."""
-        return self._byte_delay_r(size, self.region_of(src), self.region_of(dst))
-
-    def _byte_delay_r(self, size: int, r_src: str, r_dst: str) -> float:
-        if size <= 0:
-            return 0.0
-        extra = 0.0
-        bandwidth = self._link_bandwidth.get((r_src, r_dst), self.bandwidth_bytes_per_ms)
-        if bandwidth:
-            extra += size / bandwidth
-        if self.serialization_cost_per_kb:
-            extra += (size / 1024.0) * self.serialization_cost_per_kb
-        return extra
-
-    def _schedule_delivery(self, src: str, dst: str, payload: object, size: int = 0) -> None:
+    def _schedule_delivery(self, src: str, dst: str, payload: object) -> None:
         regions = self._host_region
         try:
             r_src = regions[src]
@@ -512,11 +473,6 @@ class Network:
         except KeyError as missing:
             raise NetworkError(f"unknown host {missing.args[0]!r}") from None
         delay = self._one_way_delay(src, dst, r_src, r_dst)
-        # Byte-cost hooks are off in the base model; skip the per-link
-        # lookup entirely unless an experiment opted in.
-        if self.bandwidth_bytes_per_ms is not None or self._link_bandwidth \
-                or self.serialization_cost_per_kb:
-            delay += self._byte_delay_r(size, r_src, r_dst)
         if self.reorder_spread:
             delay += self._rng.uniform(0.0, self.reorder_spread)
         self.stats.in_flight += 1

@@ -11,17 +11,11 @@ Handlers are registered per method name and may be plain functions (returning
 the response directly) or generator coroutines (spawned as kernel processes;
 their return value is the response).
 
-Wire layer: payloads travel as typed envelopes.  A sender may pass a
-:class:`repro.wire.WireMessage` (the method name is taken from the schema and
-the payload is encoded into a sized frame), or a legacy
-``(method, payload)`` pair whose payload rides opaquely.  Encoded frames are
-decoded back into typed messages at delivery — an unknown or malformed frame
-raises :class:`repro.wire.WireError` naming the message.
-
-Batching: with ``batch_window > 0`` the endpoint coalesces *batchable*
-one-way messages (see ``repro.wire.messages``) per destination; the buffer
-flushes ``batch_window`` virtual ms after its first message as a single
-network message carrying all frames, which the receiver unpacks in order.
+Wire layer: payloads travel as typed envelopes.  A sender passes a
+:class:`repro.wire.WireMessage`: the method name is taken from the schema and
+the payload is encoded into a sized frame.  Frames are decoded back into
+typed messages at delivery — an unknown or malformed frame raises
+:class:`repro.wire.WireError` naming the message.
 
 Envelope schema v2 (causal tracing): every envelope carries an optional
 ``trace_ctx`` — a compact ``(trace_id, span_id)`` pair stamped at send time
@@ -37,7 +31,7 @@ None`` check per site: a detached run does no extra work.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence
 
 from repro.errors import ProtocolError, RpcTimeout
 from repro.sim.kernel import Event, Process, Simulator
@@ -45,12 +39,10 @@ from repro.sim.network import Network
 from repro.wire.schema import (
     Encoded,
     WireMessage,
-    batch_size,
     decode,
     decode_shared,
     encode,
     encode_shared,
-    schema_for,
     sizeof,
 )
 
@@ -130,21 +122,6 @@ class _Oneway:
         return _ENVELOPE_OVERHEAD + len(self.method) + inner
 
 
-class _Batch:
-    __slots__ = ("frames", "trace_ctx")
-
-    def __init__(self, frames: Tuple[Encoded, ...]):
-        self.frames = frames
-        self.trace_ctx = None  # batches aggregate many txns; never traced
-
-    @property
-    def type_name(self) -> str:
-        return "batch"
-
-    def wire_size(self) -> int:
-        return _ENVELOPE_OVERHEAD + batch_size(self.frames)
-
-
 class Endpoint:
     """One RPC endpoint per simulated host."""
 
@@ -159,21 +136,17 @@ class Endpoint:
         host: str,
         region: str,
         service_time: float = 0.0,
-        batch_window: float = 0.0,
     ):
         self.sim = sim
         self.network = network
         self.host = host
         self.region = region
         self.service_time = service_time
-        self.batch_window = batch_window
         self._busy_until = 0.0
         self._cheap: Dict[str, Callable] = {}
         self._handlers: Dict[str, Callable] = {}
         self._pending: Dict[int, Event] = {}
-        self._batch_buf: Dict[str, List[Encoded]] = {}
         network.register(host, region, self._on_message)
-        network.endpoints.append(self)
 
     # ------------------------------------------------------------------
     # Server side
@@ -198,18 +171,10 @@ class Endpoint:
         a leader fanning a batch out to many followers)."""
         self._busy_until = max(self.sim.now, self._busy_until) + cost
 
-    def _is_cheap(self, envelope: Any) -> bool:
-        kind = envelope.__class__
-        if kind is _Oneway:
-            return envelope.method in self._cheap
-        if kind is _Batch:
-            return all(frame.name in self._cheap for frame in envelope.frames)
-        return False
-
     def _on_message(self, src: str, envelope: Any) -> None:
         causal = self.network.causal
         # Cheap one-ways (clock reports) dominate traffic: dispatch them
-        # inline without the _is_cheap/_process indirection.
+        # inline without the _process indirection.
         if envelope.__class__ is _Oneway:
             handler = self._cheap.get(envelope.method)
             if handler is not None:
@@ -218,9 +183,7 @@ class Endpoint:
                 # else goes through _dispatch and gets a copy of its own.
                 payload = envelope.decoded
                 if payload is None:
-                    payload = envelope.payload
-                    if payload.__class__ is Encoded:
-                        payload = envelope.decoded = decode_shared(payload)
+                    payload = envelope.decoded = decode_shared(envelope.payload)
                 if causal is None:
                     handler(src, payload)
                     return
@@ -233,9 +196,6 @@ class Endpoint:
                 finally:
                     causal.pop_active()
                 return
-        if envelope.__class__ is _Batch and self._is_cheap(envelope):
-            self._process(src, envelope)
-            return
         # Serialize processing through the node's single CPU.
         start = max(self.sim.now, self._busy_until)
         self._busy_until = start + self.service_time
@@ -263,23 +223,16 @@ class Endpoint:
 
     def _dispatch(self, src: str, envelope: Any) -> None:
         # Dispatch ordered by observed frequency: one-way fan-outs (clock
-        # reports) dominate, then request/response pairs, then batches.
+        # reports) dominate, then request/response pairs.
         kind = envelope.__class__
         if kind is _Oneway:
-            self._invoke(envelope.method, src, self._decode(envelope.payload))
+            self._invoke(envelope.method, src, decode(envelope.payload))
         elif kind is _Request:
             self._handle_request(src, envelope)
         elif kind is _Response:
             self._handle_response(envelope.rpc_id, envelope.ok, envelope.value)
-        elif kind is _Batch:
-            for frame in envelope.frames:
-                self._invoke(frame.name, src, decode(frame))
         else:
             raise ProtocolError(f"{self.host}: bad envelope {envelope!r}")
-
-    @staticmethod
-    def _decode(payload: Any) -> Any:
-        return decode(payload) if payload.__class__ is Encoded else payload
 
     def _invoke(self, method: str, src: str, payload: Any):
         handler = self._handlers.get(method)
@@ -291,7 +244,7 @@ class Endpoint:
         return result
 
     def _handle_request(self, src: str, req: _Request) -> None:
-        result = self._invoke(req.method, src, self._decode(req.payload))
+        result = self._invoke(req.method, src, decode(req.payload))
         if isinstance(result, Process):
             result.add_callback(
                 lambda ev: self._reply(
@@ -329,38 +282,21 @@ class Endpoint:
     # ------------------------------------------------------------------
     # Client side
     # ------------------------------------------------------------------
-    def _coerce(
-        self, method: Union[str, WireMessage], payload: Any
-    ) -> Tuple[str, Any]:
-        """Normalize the two calling conventions into (method, wire payload).
+    def _encode(self, msg: WireMessage) -> Encoded:
+        if not isinstance(msg, WireMessage):
+            raise ProtocolError(
+                f"{self.host}: {msg!r} is not a wire message; "
+                "sends take a typed repro.wire message, not a method name")
+        return encode(msg)
 
-        ``send(dst, msg)`` — a typed message; name comes from the schema.
-        ``send(dst, "method", payload)`` — legacy; a typed payload is still
-        encoded, anything else rides opaquely.
-        """
-        if method.__class__ is not str and isinstance(method, WireMessage):
-            if payload is not None:
-                raise ProtocolError(
-                    f"{self.host}: passing both a typed message and a payload"
-                )
-            return method.NAME, encode(method)
-        if isinstance(payload, WireMessage):
-            return method, encode(payload)
-        return method, payload
-
-    def call(
-        self,
-        dst: str,
-        method: Union[str, WireMessage],
-        payload: Any = None,
-        timeout: Optional[float] = None,
-    ) -> Event:
+    def call(self, dst: str, msg: WireMessage, timeout: Optional[float] = None) -> Event:
         """Send a request; the returned event resolves with the response.
 
         On ``timeout`` (ms) the event fails with :class:`RpcTimeout` and any
         late response is discarded.
         """
-        method, payload = self._coerce(method, payload)
+        payload = self._encode(msg)
+        method = payload.name
         rpc_id = next(self._ids)
         event = self.sim.event()
         self._pending[rpc_id] = event
@@ -380,45 +316,14 @@ class Endpoint:
         if not event.triggered:
             event.fail(RpcTimeout(f"{self.host}->{dst} {method} timed out"))
 
-    def send(self, dst: str, method: Union[str, WireMessage], payload: Any = None) -> None:
-        """One-way message; no response, no delivery guarantee.
-
-        Batchable typed messages are coalesced per destination while a batch
-        window is configured; everything else goes out immediately.
-        """
-        method, payload = self._coerce(method, payload)
+    def send(self, dst: str, msg: WireMessage) -> None:
+        """One-way message; no response, no delivery guarantee."""
+        payload = self._encode(msg)
         causal = self.network.causal
-        if self.batch_window > 0 and isinstance(payload, Encoded):
-            schema = schema_for(payload.name)
-            if schema is not None and schema.BATCHABLE:
-                if causal is not None:
-                    # Buffered frames are recorded (for message-count
-                    # honesty) but never carry a context: the batch that
-                    # eventually flushes aggregates many transactions.
-                    causal.note_batched(self.host, dst, payload, self.sim.now)
-                buf = self._batch_buf.setdefault(dst, [])
-                buf.append(payload)
-                if len(buf) == 1:
-                    self.sim.schedule(self.batch_window, self._flush_batch, dst)
-                return
         ctx = None
         if causal is not None:
-            ctx = causal.begin_hop(self.host, dst, method, payload)
-        self.network.send(self.host, dst, _Oneway(method, payload, ctx))
-
-    def _flush_batch(self, dst: str) -> None:
-        frames = self._batch_buf.pop(dst, None)
-        if not frames:
-            return
-        if len(frames) == 1:
-            self.network.send(self.host, dst, _Oneway(frames[0].name, frames[0]))
-        else:
-            self.network.send(self.host, dst, _Batch(tuple(frames)))
-
-    def flush(self) -> None:
-        """Flush all pending batches immediately (e.g. on shutdown)."""
-        for dst in sorted(self._batch_buf):
-            self._flush_batch(dst)
+            ctx = causal.begin_hop(self.host, dst, payload.name, payload)
+        self.network.send(self.host, dst, _Oneway(payload.name, payload, ctx))
 
     def multicast(
         self,
@@ -430,15 +335,15 @@ class Endpoint:
 
         ``overrides`` maps a destination to the message it gets instead, in
         its own slot of the order.  Equivalent to one :meth:`send` per
-        destination, and exactly that when sends batch or carry a per-hop
-        trace context.  Otherwise the destinations share one envelope —
+        destination, and exactly that when sends carry a per-hop trace
+        context.  Otherwise the destinations share one envelope —
         encoded once, with the read-only message cheap handlers will be
         handed built beside the frame (:func:`repro.wire.encode_shared`) —
         and the network may deliver the whole fan-out as one event
         (:meth:`Network.multicast`).
         """
         network = self.network
-        if self.batch_window > 0 or network.causal is not None:
+        if network.causal is not None:
             for dst in dsts:
                 self.send(dst, overrides.get(dst, msg) if overrides else msg)
             return

@@ -1,4 +1,4 @@
-"""Typed wire protocol: schemas, codec, size model, and batching.
+"""Typed wire protocol: schemas, codec and size model.
 
 ``repro.wire.schema`` holds the registry/codec machinery, and
 ``repro.wire.messages`` the concrete taxonomy (importing it registers every
@@ -13,7 +13,6 @@ from repro.wire.schema import (
     Encoded,
     WireError,
     WireMessage,
-    batch_size,
     decode,
     decode_shared,
     encode,
@@ -28,7 +27,6 @@ __all__ = [
     "Encoded",
     "WireError",
     "WireMessage",
-    "batch_size",
     "decode",
     "decode_shared",
     "encode",

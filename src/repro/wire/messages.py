@@ -1,17 +1,11 @@
 """The message taxonomy: every protocol hop in DAST and the baselines.
 
 One dataclass per message, registered by name in :mod:`repro.wire.schema`.
-Field names match the historical dict keys one-to-one, so handler bodies map
-``payload["ts"]`` to ``msg.ts`` mechanically.  ``docs/WIRE.md`` holds the
-full taxonomy table (direction, fields, batchable).
+Handlers read fields as attributes (``msg.ts``).  ``docs/WIRE.md`` holds the
+full taxonomy table (direction, fields).
 
-Conventions:
-
-* ``Optional`` fields with a ``None`` default are genuinely optional on the
-  wire — the receiving handler treats absence as "not supplied";
-* ``batchable=True`` marks small one-way fan-out messages the endpoint
-  batcher may coalesce within its flush window (clock reports, executed /
-  announce / commit-log / abort fan-outs) — never request/response traffic.
+``Optional`` fields with a ``None`` default are genuinely optional on the
+wire — the receiving handler treats absence as "not supplied".
 """
 
 from __future__ import annotations
@@ -85,7 +79,7 @@ class CrtLocallog(WireMessage):
     coord: str
 
 
-@message("crt_commitlog", batchable=True)
+@message("crt_commitlog")
 class CrtCommitlog(WireMessage):
     """Coordinator -> home-region replicas: commit decision for the log."""
 
@@ -138,7 +132,7 @@ class CrtCommit(WireMessage):
     phys_tag: Optional[float] = None
 
 
-@message("crt_announce", batchable=True)
+@message("crt_announce")
 class CrtAnnounce(WireMessage):
     """Participant -> intra-region peers: stretch your dclocks too (§4.3)."""
 
@@ -157,7 +151,7 @@ class CrtUpdate(WireMessage):
     input_ready: bool
 
 
-@message("crt_executed", batchable=True)
+@message("crt_executed")
 class CrtExecuted(WireMessage):
     """Participant -> peers + manager: CRT executed, drop its floor."""
 
@@ -194,7 +188,7 @@ class ExecDone(WireMessage):
     phases: Optional[Tuple[float, float, float, float]] = None
 
 
-@message("pct_report", batchable=True)
+@message("pct_report")
 class PctReport(WireMessage):
     """Node/manager -> intra-region members: periodic capped clock report."""
 
@@ -380,7 +374,7 @@ class RaftAppend(WireMessage):
     n: int
 
 
-@message("slog_log", batchable=True)
+@message("slog_log")
 class SlogLog(WireMessage):
     """Regional sequencer -> region nodes: one regional log entry."""
 
@@ -411,7 +405,7 @@ class TapirPrepare(WireMessage):
     writes: List[Any]
 
 
-@message("tapir_commit", batchable=True)
+@message("tapir_commit")
 class TapirCommit(WireMessage):
     """Coordinator -> every replica: apply buffered ops (async)."""
 
@@ -419,7 +413,7 @@ class TapirCommit(WireMessage):
     ops_by_shard: Dict[str, list]
 
 
-@message("tapir_abort", batchable=True)
+@message("tapir_abort")
 class TapirAbort(WireMessage):
     """Coordinator -> every replica: drop prepared state."""
 

@@ -14,14 +14,10 @@ network model could not account for wire bytes.  This module provides:
   unexpected field;
 * :func:`sizeof` — a **deterministic size model in virtual bytes**.  The
   simulator never serializes real bytes, but per-message sizes let the
-  network account for bandwidth and serialization costs.  The model (see
+  network account for traffic in bytes.  The model (see
   ``docs/WIRE.md``) is: ``None``/``bool`` = 1, numbers = 8, strings =
   4 + length, containers = 4 + contents, objects with a ``wire_size()``
   method delegate, anything else a flat 64-byte blob.
-
-Messages double as *read-only mappings* (``msg["ts"]``, ``msg.get("txn")``)
-— the thin adapter that kept handler bodies diff-compatible during the
-migration off raw dicts.
 """
 
 from __future__ import annotations
@@ -77,15 +73,12 @@ _REGISTRY: Dict[str, Type["WireMessage"]] = {}
 class WireMessage:
     """Base class for registered wire messages (see :func:`message`).
 
-    Subclasses are dataclasses; ``NAME``/``VERSION``/``BATCHABLE`` are set by
-    the decorator.  The mapping-style accessors keep pre-migration handler
-    bodies (``payload["ts"]``, ``payload.get("txn")``) working on typed
-    messages.
+    Subclasses are dataclasses; ``NAME``/``VERSION`` are set by the
+    decorator.
     """
 
     NAME: ClassVar[str] = ""
     VERSION: ClassVar[int] = 1
-    BATCHABLE: ClassVar[bool] = False
     # Shape metadata precomputed by the :func:`message` decorator so the hot
     # codec paths never re-walk ``dataclasses.fields`` per message instance.
     _WIRE_FIELDS: ClassVar[Optional[Tuple[str, ...]]] = None
@@ -93,18 +86,6 @@ class WireMessage:
     _WIRE_BASE: ClassVar[int] = 0
     # Read-only subclass handed out by :func:`decode_shared`.
     _SHARED_VIEW: ClassVar[Optional[type]] = None
-
-    def __getitem__(self, key: str) -> Any:
-        try:
-            return getattr(self, key)
-        except AttributeError:
-            raise KeyError(key) from None
-
-    def __contains__(self, key: str) -> bool:
-        return hasattr(self, key)
-
-    def get(self, key: str, default: Any = None) -> Any:
-        return getattr(self, key, default)
 
     def wire_size(self) -> int:
         """Virtual wire size of this message's encoded frame."""
@@ -127,12 +108,8 @@ def _reject_mutation(self, name: str, value: Any = None) -> None:
         self.NAME)
 
 
-def message(name: str, *, version: int = 1, batchable: bool = False) -> Callable:
-    """Class decorator: register a dataclass schema under ``name``.
-
-    ``batchable`` marks small one-way messages the endpoint batcher may
-    coalesce (clock reports, commit/abort fan-outs).
-    """
+def message(name: str, *, version: int = 1) -> Callable:
+    """Class decorator: register a dataclass schema under ``name``."""
 
     def wrap(cls: type) -> type:
         cls = dataclass(cls)
@@ -142,7 +119,6 @@ def message(name: str, *, version: int = 1, batchable: bool = False) -> Callable
             raise WireError("duplicate schema registration", name)
         cls.NAME = name
         cls.VERSION = version
-        cls.BATCHABLE = batchable
         # Shape precomputation: field-name tuple, the set used by the decode
         # fast path, and the size-model constant part of every frame.
         cls._WIRE_FIELDS = tuple(f.name for f in dataclasses.fields(cls))
@@ -319,8 +295,3 @@ def _sizeof_general(value: Any) -> int:
     if isinstance(value, (tuple, list, set, frozenset)):
         return _CONTAINER_OVERHEAD + sum(sizeof(item) for item in value)
     return _OPAQUE_SIZE
-
-
-def batch_size(frames: Tuple[Encoded, ...]) -> int:
-    """Virtual size of a coalesced batch: per-entry frames plus one header."""
-    return _CONTAINER_OVERHEAD + sum(f.size for f in frames)

@@ -140,9 +140,6 @@ class OpenLoopConfig:
             flash_mult=self.flash_mult,
         )
 
-    def as_dict(self) -> Dict:
-        return {name: getattr(self, name) for name in self._FIELDS}
-
     @classmethod
     def from_dict(cls, data) -> "OpenLoopConfig":
         unknown = sorted(set(data) - set(cls._FIELDS))

@@ -88,7 +88,6 @@ class YcsbWorkload(Workload):
         self.read_ratio = read_ratio
         self.ops_per_txn = ops_per_txn
         self.crt_ratio = crt_ratio
-        self._zipfs: Dict[int, ZipfGenerator] = {}
         self._samplers: Dict[int, object] = {}
         self._pool_keys: Dict[int, tuple] = {}
 
@@ -124,13 +123,8 @@ class YcsbWorkload(Workload):
         if sampler is None:
             zipf = ZipfGenerator(RECORDS_PER_SHARD, self.theta,
                                  random.Random(seed))
-            self._zipfs[key] = zipf
             sampler = self._samplers[key] = zipf.sampler()
         return sampler
-
-    def _pick_key(self, shard_index: int) -> int:
-        self._sampler(shard_index)
-        return self._zipfs[shard_index].sample()
 
     def _gen_ops(self, binding: ClientBinding, rng: random.Random):
         """Draw one transaction's op list; the rng draw order here is the

@@ -19,12 +19,14 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_removed_kernel_flags_are_refused(self, capsys):
-        # -j/--backend selected the deleted partitioned kernel; a script that
-        # still passes them must fail loudly, not run with the flag ignored.
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "-j", "3"])
-        assert exc.value.code == 2
-        assert "-j" in capsys.readouterr().err
+        # -j/--backend selected the deleted partitioned kernel, --batching the
+        # deleted endpoint batcher; a script that still passes them must fail
+        # loudly, not run with the flag ignored.
+        for flag in (["-j", "3"], ["--batching", "on"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["run", *flag])
+            assert exc.value.code == 2
+            assert flag[0] in capsys.readouterr().err
 
     def test_all_paper_artifacts_registered(self):
         expected = {

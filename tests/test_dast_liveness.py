@@ -137,17 +137,36 @@ def test_stall_report_names_the_colliding_crts(monkeypatch):
     assert set(node["ready_q"][0]) == {"txn_id", "ts", "status", "input_ready", "needed"}
 
 
+WEDGED_TRIAL = ["--workload", "payment", "--crt-ratio", "0.4", "--regions", "2",
+                "--shards-per-region", "2", "--clients", "8", "--duration-ms", "1500",
+                "--seed", "17"]
+
+
 def test_repro_run_prints_the_report_and_exits_nonzero(monkeypatch, capsys):
     from repro.cli import main
 
     monkeypatch.setattr(CrtLane, "next_after", _additive)
-    code = main(["run", "--workload", "payment", "--crt-ratio", "0.4", "--regions", "2",
-                 "--shards-per-region", "2", "--clients", "8", "--duration-ms", "1500",
-                 "--seed", "17"])
+    code = main(["run", *WEDGED_TRIAL])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("LivenessFailure: no transaction finished in the last")
     assert "sharing .time 162.98100209999996: t0000006=" in err
+
+
+@pytest.mark.parametrize("command", [["audit"], ["obs"], ["trace", "--no-chrome"]],
+                         ids=["audit", "obs", "trace"])
+def test_every_trial_subcommand_reports_a_wedge(monkeypatch, capsys, command):
+    # ``audit`` most of all: a run that stopped is vacuously serializable.
+    from repro.cli import main
+
+    monkeypatch.setattr(CrtLane, "next_after", _additive)
+    code = main([*command, *WEDGED_TRIAL])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("LivenessFailure: no transaction finished in the last")
+    assert "sharing .time 162.98100209999996: t0000006=" in err
+    if command == ["audit"]:
+        assert "AuditReport(ok)" in out  # the auditor alone would have passed it
 
 
 def test_no_stall_once_the_clients_are_drained():

@@ -42,7 +42,7 @@ class TestSpecRoundTrip:
         # Spec JSON comes from outside (files, stale cache entries): a field
         # this build does not have — a removed knob included — is refused by
         # name, never ignored.
-        for field in ("bogus", "parallel_regions"):
+        for field in ("bogus", "parallel_regions", "batch_window"):
             with pytest.raises(ConfigError,
                                match=rf"unknown TrialSpec fields \['{field}'\]"):
                 TrialSpec.from_dict({"system": "dast", field: 1})
@@ -54,8 +54,10 @@ class TestSpecRoundTrip:
             small_spec(workload="voter").validate()
         with pytest.raises(ConfigError, match="unknown hook"):
             small_spec(hook="nope").validate()
-        with pytest.raises(ConfigError, match="unknown timing"):
-            small_spec(timing={"warp_speed": 1}).validate()
+        for knob in ("warp_speed", "batch_window"):  # the latter: removed
+            with pytest.raises(ConfigError,
+                               match=rf"unknown timing overrides \['{knob}'\]"):
+                small_spec(timing={knob: 1.25}).validate()
 
     def test_to_trial_builds_runnable_trial(self):
         trial = small_spec().to_trial()
@@ -84,7 +86,6 @@ class TestFingerprint:
             "variant": {"stretch": False},
             "timing": {"cross_region_rtt": 80.0},
             "request_timeout": 5000.0,
-            "batch_window": 1.25,
             "hook": "rtt_jitter",
             "hook_params": {"jitter": 10.0},
             "collect": {"crt_cdf": {"points": 10}},

@@ -83,13 +83,8 @@ class TestOneEvent:
         lambda net, eps: setattr(net, "reorder_spread", 1.0),
         lambda net, eps: setattr(net, "drop_probability", 1e-9),
         lambda net, eps: setattr(net, "duplicate_probability", 1e-9),
-        lambda net, eps: setattr(net, "bandwidth_bytes_per_ms", 1e9),
-        lambda net, eps: setattr(net, "serialization_cost_per_kb", 1e-9),
-        lambda net, eps: net.set_link_bandwidth("r0", "r0", 1e9),
         lambda net, eps: net.partition_hosts("r1.n0", "r0.n1"),
-        lambda net, eps: setattr(eps["r0.n0"], "batch_window", 1.0),
-    ], ids=["intra-jitter", "reorder", "drop", "duplicate", "bandwidth",
-            "serialization", "link-bandwidth", "fault-active", "batching"])
+    ], ids=["intra-jitter", "reorder", "drop", "duplicate", "fault-active"])
     def test_anything_per_destination_takes_the_send_loop(self, region, knob):
         sim, network, endpoints, seen = region
         knob(network, endpoints)

@@ -8,6 +8,17 @@ from repro.sim.network import Network
 from repro.sim.rng import RngRegistry
 from repro.sim.rpc import Endpoint, RpcRemoteError
 from repro.wire.messages import Suspect
+from repro.wire.schema import WireMessage, message
+
+
+@message("test_rpc_note")
+class Note(WireMessage):
+    """The one message these tests send; each test registers its own handler."""
+
+    value: object = None
+
+
+NOTE = Note.NAME
 
 
 @pytest.fixture
@@ -29,8 +40,8 @@ def run_call(sim, event):
 class TestRequestResponse:
     def test_plain_handler(self, setup):
         sim, _net, a, b = setup
-        b.register("add", lambda src, p: p + 1)
-        out = run_call(sim, a.call("r0.b", "add", 41))
+        b.register(NOTE, lambda src, p: p.value + 1)
+        out = run_call(sim, a.call("r0.b", Note(41)))
         assert out["ok"] and out["value"] == 42
         assert sim.now == pytest.approx(5.0)  # one intra-region RTT
 
@@ -39,10 +50,10 @@ class TestRequestResponse:
 
         def handler(src, payload):
             yield sim.timeout(10.0)
-            return payload * 2
+            return payload.value * 2
 
-        b.register("slow", handler)
-        out = run_call(sim, a.call("r0.b", "slow", 5))
+        b.register(NOTE, handler)
+        out = run_call(sim, a.call("r0.b", Note(5)))
         assert out["value"] == 10
         assert sim.now == pytest.approx(15.0)
 
@@ -53,17 +64,17 @@ class TestRequestResponse:
             yield sim.timeout(1.0)
             raise ValueError("kaput")
 
-        b.register("bad", handler)
-        out = run_call(sim, a.call("r0.b", "bad", None))
+        b.register(NOTE, handler)
+        out = run_call(sim, a.call("r0.b", Note()))
         assert not out["ok"]
         assert isinstance(out["exc"], RpcRemoteError)
         assert "kaput" in str(out["exc"])
 
     def test_timeout_fails_call(self, setup):
         sim, net, a, b = setup
-        b.register("echo", lambda src, p: p)
+        b.register(NOTE, lambda src, p: p.value)
         net.partition_hosts("r0.a", "r0.b")
-        out = run_call(sim, a.call("r0.b", "echo", 1, timeout=20.0))
+        out = run_call(sim, a.call("r0.b", Note(1), timeout=20.0))
         assert not out["ok"]
         assert isinstance(out["exc"], RpcTimeout)
 
@@ -74,8 +85,8 @@ class TestRequestResponse:
             yield sim.timeout(50.0)
             return "late"
 
-        b.register("slow", handler)
-        out = run_call(sim, a.call("r0.b", "slow", None, timeout=10.0))
+        b.register(NOTE, handler)
+        out = run_call(sim, a.call("r0.b", Note(), timeout=10.0))
         assert isinstance(out["exc"], RpcTimeout)
         sim.run()  # late response arrives and must not blow up
 
@@ -86,8 +97,8 @@ class TestRequestResponse:
             yield sim.timeout(50.0)
             return "late"
 
-        b.register("slow", handler)
-        event = a.call("r0.b", "slow", None, timeout=10.0)
+        b.register(NOTE, handler)
+        event = a.call("r0.b", Note(), timeout=10.0)
         resolutions = []
         event.add_callback(lambda e: resolutions.append(e.exception))
         sim.run()  # timeout fires, then the late response arrives
@@ -99,10 +110,10 @@ class TestRequestResponse:
 
     def test_duplicated_response_resolves_once(self, setup):
         sim, net, a, b = setup
-        b.register("echo", lambda src, p: p)
+        b.register(NOTE, lambda src, p: p.value)
         net.open_duplicate_window(1.0)  # every message delivered twice
         resolutions = []
-        event = a.call("r0.b", "echo", 9)
+        event = a.call("r0.b", Note(9))
         event.add_callback(lambda e: resolutions.append(e.value))
         sim.run()
         assert resolutions == [9]
@@ -123,9 +134,16 @@ class TestRequestResponse:
 
     def test_unknown_method_raises_at_server(self, setup):
         sim, _net, a, b = setup
-        a.call("r0.b", "ghost", None)
+        a.call("r0.b", Note())
         with pytest.raises(ProtocolError):
             sim.run()
+
+    @pytest.mark.parametrize("verb", ["call", "send"])
+    def test_method_name_in_place_of_a_message_is_refused(self, setup, verb):
+        _sim, net, a, _b = setup
+        with pytest.raises(ProtocolError, match="'ghost' is not a wire message"):
+            getattr(a, verb)("r0.b", "ghost")
+        assert net.stats.messages_sent == 0
 
     def test_duplicate_handler_rejected(self, setup):
         _sim, _net, _a, b = setup
@@ -138,8 +156,8 @@ class TestOneWay:
     def test_send_delivers_without_response(self, setup):
         sim, _net, a, b = setup
         seen = []
-        b.register("note", lambda src, p: seen.append((src, p)))
-        a.send("r0.b", "note", "hello")
+        b.register(NOTE, lambda src, p: seen.append((src, p.value)))
+        a.send("r0.b", Note("hello"))
         sim.run()
         assert seen == [("r0.a", "hello")]
 
@@ -164,9 +182,9 @@ class TestCpuModel:
         a = Endpoint(sim, network, "r0.a", "r0")
         b = Endpoint(sim, network, "r0.b", "r0", service_time=1.0)
         stamps = []
-        b.register("work", lambda src, p: stamps.append(sim.now))
+        b.register(NOTE, lambda src, p: stamps.append(sim.now))
         for _ in range(5):
-            a.send("r0.b", "work", None)
+            a.send("r0.b", Note())
         sim.run()
         # All arrive at 2.5ms; CPU serializes them 1ms apart.
         assert stamps == pytest.approx([3.5, 4.5, 5.5, 6.5, 7.5])
@@ -177,8 +195,8 @@ class TestCpuModel:
         a = Endpoint(sim, network, "r0.a", "r0")
         b = Endpoint(sim, network, "r0.b", "r0", service_time=0.5)
         stamps = []
-        b.register("work", lambda src, p: stamps.append(sim.now))
+        b.register(NOTE, lambda src, p: stamps.append(sim.now))
         b.charge(10.0)
-        a.send("r0.b", "work", None)
+        a.send("r0.b", Note())
         sim.run()
         assert stamps[0] == pytest.approx(10.5)  # waits out the charge

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.txn.model import Transaction
-from repro.wire.messages import CrtAck, PctReport, Submit
+from repro.wire.messages import PctReport, Submit
 from repro.wire.schema import (
     Encoded,
     WireError,
@@ -33,12 +33,6 @@ class TestRegistry:
             @message("pct_report")
             class Dup(WireMessage):
                 value: int
-
-    def test_batchable_flags(self):
-        assert schema_for("pct_report").BATCHABLE
-        assert schema_for("crt_executed").BATCHABLE
-        assert not schema_for("submit").BATCHABLE
-        assert not schema_for("prep_remote").BATCHABLE
 
 
 class TestCodec:
@@ -91,18 +85,6 @@ class TestCodec:
 
         with pytest.raises(WireError):
             encode(Rogue())
-
-
-class TestMappingAdapter:
-    def test_getitem_and_get(self):
-        msg = CrtAck(txn_id="t1", node="r0.n0", shard="s0",
-                     anticipated_ts=None, region="r0")
-        assert msg["txn_id"] == "t1"
-        assert msg.get("shard") == "s0"
-        assert msg.get("absent", 7) == 7
-        assert "node" in msg
-        with pytest.raises(KeyError):
-            msg["absent"]
 
 
 class TestSizeModel:

@@ -1,4 +1,4 @@
-"""Network byte accounting and the endpoint-level message batcher."""
+"""Network byte accounting of typed sends, and its determinism."""
 
 import pytest
 
@@ -6,9 +6,14 @@ from repro.sim.kernel import Simulator
 from repro.sim.network import Network
 from repro.sim.rng import RngRegistry
 from repro.sim.rpc import Endpoint
-from repro.wire.messages import CrtExecuted, PctReport, Submit
-from repro.wire.schema import encode
+from repro.wire.messages import CrtExecuted, PctReport
+from repro.wire.schema import WireMessage, encode, message
 from repro.clock.hlc import Timestamp
+
+
+@message("test_wire_echo")
+class Echo(WireMessage):
+    value: int
 
 
 @pytest.fixture
@@ -18,8 +23,8 @@ def setup():
     return sim, network
 
 
-def make_ep(sim, network, host, batch_window=0.0):
-    return Endpoint(sim, network, host, "r0", batch_window=batch_window)
+def make_ep(sim, network, host):
+    return Endpoint(sim, network, host, "r0")
 
 
 TS = Timestamp(1.0, 0, 0)
@@ -42,11 +47,11 @@ class TestByteAccounting:
         sim, net = setup
         a = make_ep(sim, net, "r0.a")
         b = make_ep(sim, net, "r0.b")
-        b.register("echo", lambda src, p: p)
-        a.call("r0.b", "echo", 41)
+        b.register("test_wire_echo", lambda src, p: p.value)
+        a.call("r0.b", Echo(41))
         sim.run()
-        assert net.stats.per_type_sent["echo"] == 1
-        assert net.stats.per_type_sent["resp:echo"] == 1
+        assert net.stats.per_type_sent["test_wire_echo"] == 1
+        assert net.stats.per_type_sent["resp:test_wire_echo"] == 1
 
     def test_top_types_ordering(self, setup):
         sim, net = setup
@@ -74,86 +79,8 @@ class TestByteAccounting:
         assert net.stats.per_type_bytes["pct_report"] > frame_size
 
 
-class TestBatcher:
-    def test_window_coalesces_same_destination(self, setup):
-        sim, net = setup
-        a = make_ep(sim, net, "r0.a", batch_window=1.0)
-        b = make_ep(sim, net, "r0.b")
-        got = []
-        b.register("pct_report", lambda src, p: got.append(p.value))
-        for i in range(4):
-            a.send("r0.b", PctReport(value=Timestamp(float(i), 0, 0)))
-        sim.run()
-        # One network message carrying all four frames, delivered in order.
-        assert net.stats.per_type_sent.get("batch") == 1
-        assert "pct_report" not in net.stats.per_type_sent
-        assert [ts.time for ts in got] == [0.0, 1.0, 2.0, 3.0]
-
-    def test_singleton_flushes_as_plain_oneway(self, setup):
-        sim, net = setup
-        a = make_ep(sim, net, "r0.a", batch_window=1.0)
-        b = make_ep(sim, net, "r0.b")
-        got = []
-        b.register("pct_report", lambda src, p: got.append(p))
-        a.send("r0.b", PctReport(value=TS))
-        sim.run()
-        assert net.stats.per_type_sent.get("pct_report") == 1
-        assert "batch" not in net.stats.per_type_sent
-        assert len(got) == 1
-
-    def test_non_batchable_bypasses_buffer(self, setup):
-        sim, net = setup
-        a = make_ep(sim, net, "r0.a", batch_window=1.0)
-        b = make_ep(sim, net, "r0.b")
-        b.register("submit", lambda src, p: None)
-        a.send("r0.b", Submit(txn=None))
-        assert net.stats.per_type_sent.get("submit") == 1  # sent immediately
-
-    def test_flush_respects_window_timing(self, setup):
-        sim, net = setup
-        a = make_ep(sim, net, "r0.a", batch_window=2.0)
-        b = make_ep(sim, net, "r0.b")
-        arrivals = []
-        b.register("pct_report", lambda src, p: arrivals.append(sim.now))
-        a.send("r0.b", PctReport(value=TS))
-        sim.run(until=1.5)
-        assert arrivals == []  # still buffered
-        sim.run()
-        # window (2.0) + intra-region one-way delay (2.5)
-        assert arrivals and arrivals[0] == pytest.approx(4.5)
-
-    def test_messages_after_flush_start_new_window(self, setup):
-        sim, net = setup
-        a = make_ep(sim, net, "r0.a", batch_window=1.0)
-        b = make_ep(sim, net, "r0.b")
-        count = []
-        b.register("pct_report", lambda src, p: count.append(p))
-        a.send("r0.b", PctReport(value=TS))
-        sim.run()  # first window flushes
-        a.send("r0.b", PctReport(value=TS))
-        a.send("r0.b", PctReport(value=TS))
-        sim.run()
-        assert len(count) == 3
-        assert net.stats.per_type_sent.get("pct_report") == 1
-        assert net.stats.per_type_sent.get("batch") == 1
-
-    def test_manual_flush_drains_all_destinations(self, setup):
-        sim, net = setup
-        a = make_ep(sim, net, "r0.a", batch_window=50.0)
-        b = make_ep(sim, net, "r0.b")
-        c = make_ep(sim, net, "r0.c")
-        got = []
-        b.register("pct_report", lambda src, p: got.append("b"))
-        c.register("pct_report", lambda src, p: got.append("c"))
-        a.send("r0.b", PctReport(value=TS))
-        a.send("r0.c", PctReport(value=TS))
-        a.flush()
-        sim.run(until=10.0)
-        assert sorted(got) == ["b", "c"]
-
-
 class TestDeterminism:
-    def _totals(self, batch_window):
+    def _totals(self):
         import itertools
 
         from repro.bench.harness import Trial, run_trial
@@ -175,7 +102,6 @@ class TestDeterminism:
             duration_ms=1500.0,
             warmup_ms=200.0,
             seed=7,
-            batch_window=batch_window,
         )
         result = run_trial(trial)
         stats = result.system.network.stats
@@ -183,25 +109,4 @@ class TestDeterminism:
                 dict(stats.per_type_sent), result.summary.committed)
 
     def test_same_seed_same_bytes_batching_off(self):
-        assert self._totals(0.0) == self._totals(0.0)
-
-    def test_same_seed_same_bytes_batching_on(self):
-        assert self._totals(0.25) == self._totals(0.25)
-
-    def test_batching_reduces_message_count(self):
-        off = self._totals(0.0)
-        on = self._totals(0.25)
-        assert on[0] < off[0]  # fewer network messages
-        assert on[3] == off[3]  # same committed transactions
-
-    def test_chaos_trial_deterministic_with_batching(self):
-        from repro.chaos import generate_plan
-        from repro.chaos.runner import run_chaos_trial
-
-        plan = generate_plan(3, num_regions=2, shards_per_region=1)
-        kwargs = dict(duration_ms=2000.0, drain_ms=2000.0, seed=3,
-                      batch_window=0.25)
-        r1 = run_chaos_trial(plan, **kwargs)
-        r2 = run_chaos_trial(plan, **kwargs)
-        assert r1.to_text() == r2.to_text()
-        assert r1.ok
+        assert self._totals() == self._totals()
