@@ -16,10 +16,10 @@ scalability to many regions.  This package contains:
 
 Quickstart::
 
-    from repro.bench import Trial, run_trial
-    from repro.workloads import TpccWorkload
+    from repro.bench import run_trial
+    from repro.fleet import TrialSpec
 
-    result = run_trial(Trial("dast", lambda t: TpccWorkload(t)))
+    result = run_trial(TrialSpec(system="dast", workload="tpcc").to_trial())
     print(result.summary)
 """
 

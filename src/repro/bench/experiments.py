@@ -20,14 +20,12 @@ directly (no trial) and stays serial.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from repro.bench.harness import Trial, run_trial
 from repro.config import Topology, TopologyConfig
 from repro.fleet.executor import run_specs
 from repro.fleet.spec import TrialSpec
-from repro.workloads.base import Workload
-from repro.workloads.tpcc import TpccWorkload
+from repro.workloads.registry import workload_factory
 
 __all__ = [
     "fig2_tail_latency",
@@ -96,7 +94,7 @@ def table2_transaction_mix(
         clients_per_region=4, seed=seed,
     )
     topology = Topology(config)
-    workload = TpccWorkload(topology, seed=seed)
+    workload = workload_factory("tpcc")(topology)  # seeded by the topology
     bindings = workload.bind_clients()
     rng = random.Random(seed)
     counts: Dict[str, Dict[str, int]] = {}
@@ -177,24 +175,10 @@ def table3_crt_breakdown(
     clients_per_region: int = 8,
     duration_ms: float = 8000.0,
     seed: int = 1,
-    workload_factory: Optional[Callable[[Topology], Workload]] = None,
     workload: str = "tpcc",
     workload_params: Optional[Dict] = None,
     fleet=None,
 ) -> Dict[str, Dict[str, float]]:
-    if workload_factory is not None:
-        # Legacy escape hatch: an arbitrary callable cannot cross a process
-        # boundary, so run it serially in-process.
-        result = run_trial(Trial(
-            "dast", workload_factory,
-            num_regions=num_regions, shards_per_region=shards_per_region,
-            clients_per_region=clients_per_region, duration_ms=duration_ms,
-            seed=seed,
-        ))
-        return {
-            "without_dependency": result.recorder.phase_breakdown(with_dependency=False),
-            "with_dependency": result.recorder.phase_breakdown(with_dependency=True),
-        }
     spec = TrialSpec(
         system="dast", workload=workload, workload_params=workload_params or {},
         num_regions=num_regions, shards_per_region=shards_per_region,

@@ -227,8 +227,12 @@ def _reset_global_id_streams() -> None:
 
 
 def run_trial(trial: Trial, hooks: Optional[Callable] = None) -> TrialResult:
-    """Execute one trial; ``hooks(system, recorder)`` runs after start (for
-    fault/anomaly injection schedules)."""
+    """Execute one trial; ``hooks(system, recorder)`` runs once, after the
+    system has started and its clients are spawned and before the simulation
+    runs.  Three things attach through it: the fleet's named fault/anomaly
+    schedules (``repro.fleet.hooks``), the profiler's kernel accounting
+    (``repro.perf.profile_trial``), and the ledger's span clock, sampler and
+    accounting (``benchmarks/ledger/child.py``)."""
     _reset_global_id_streams()
     config = TopologyConfig(
         num_regions=trial.num_regions,
@@ -237,7 +241,7 @@ def run_trial(trial: Trial, hooks: Optional[Callable] = None) -> TrialResult:
         clients_per_region=trial.clients_per_region,
         seed=trial.seed,
         timing=trial.timing,
-        spare_regions=getattr(trial, "spare_regions", 0),
+        spare_regions=trial.spare_regions,
     )
     topology = Topology(config)
     workload = trial.workload_factory(topology)
@@ -249,9 +253,9 @@ def run_trial(trial: Trial, hooks: Optional[Callable] = None) -> TrialResult:
         topology, workload.schemas(), workload.load,
         seed=trial.seed, clock_skew=trial.clock_skew, **kwargs,
     )
-    topo_plan = getattr(trial, "topology_plan", None)
-    rtt_profile = getattr(trial, "rtt_profile", None)
-    service_mults = getattr(trial, "service_multipliers", None)
+    topo_plan = trial.topology_plan
+    rtt_profile = trial.rtt_profile
+    service_mults = trial.service_multipliers
     if rtt_profile:
         from repro.topo import apply_rtt_profile
 
@@ -292,7 +296,7 @@ def run_trial(trial: Trial, hooks: Optional[Callable] = None) -> TrialResult:
         bundle = attach_obs(system, capacity=trial.obs_capacity,
                             probe_interval=trial.obs_interval,
                             causal=trial.obs_causal)
-    if getattr(trial, "obs_wire", False):
+    if trial.obs_wire:
         system.network.wire_log = []
     system.start()
     engine = None

@@ -1,9 +1,10 @@
 """Parallel chaos fuzzing: fan seeded scenarios over worker processes.
 
-A chaos scenario is already fully serializable — a :class:`FaultPlan`
-round-trips through JSON and every other trial knob is a plain value — so
-``repro chaos --fuzz N --jobs J`` ships ``(seed, plan_json, trial_kwargs)``
-to spawn-context workers and collects one compact result row per scenario.
+A chaos scenario is already fully serializable — a :class:`FaultPlan` and a
+:class:`~repro.fleet.spec.TrialSpec` both round-trip through JSON — so
+``repro chaos --fuzz N --jobs J`` ships ``(seed, plan_json, spec.to_dict(),
+drain_ms)`` to spawn-context workers and collects one compact result row
+per scenario.
 
 Mirrors the :mod:`repro.fleet.executor` contract:
 
@@ -26,19 +27,17 @@ def _scenario_worker(payload: Dict) -> Dict:
     """Top-level worker entry point (must stay importable for spawn)."""
     from repro.chaos.plan import FaultPlan
     from repro.chaos.runner import run_chaos_trial
+    from repro.fleet.spec import TrialSpec
 
     try:
-        plan = FaultPlan.from_json(payload["plan_json"])
-        report = run_chaos_trial(plan, seed=payload["seed"],
-                                 **payload["trial_kwargs"])
+        report = run_chaos_trial(FaultPlan.from_json(payload["plan_json"]),
+                                 TrialSpec.from_dict(payload["spec"]),
+                                 drain_ms=payload["drain_ms"])
         return {
             "seed": payload["seed"],
             "crashed": False,
             "ok": report.ok,
-            "events": len(plan),
-            "faults_applied": report.faults_applied,
-            "committed": report.committed,
-            "aborted": report.aborted,
+            "line": report.summary_line(),
             "text": report.to_text(),
         }
     except Exception as exc:
@@ -46,28 +45,30 @@ def _scenario_worker(payload: Dict) -> Dict:
             "seed": payload["seed"],
             "crashed": True,
             "ok": False,
-            "kind": "error",
-            "message": f"{type(exc).__name__}: {exc}",
+            "line": f"worker error: {type(exc).__name__}: {exc}",
             "traceback": traceback.format_exc(),
         }
 
 
 def run_scenarios_parallel(
     scenarios: Sequence[Tuple[int, object]],
-    trial_kwargs: Dict,
+    spec,
+    drain_ms: float,
     jobs: int = 2,
     progress: Optional[Callable[[str], None]] = None,
 ) -> List[Dict]:
     """Run ``(seed, FaultPlan)`` scenarios over a spawn pool.
 
-    Returns one row per scenario, in input order.  ``trial_kwargs`` are the
-    :func:`~repro.chaos.runner.run_chaos_trial` keywords shared by every
-    scenario (the per-scenario seed is supplied separately).
+    Returns one row per scenario, in input order.  Every scenario runs
+    ``spec`` with its own seed as the trial seed, exactly as the serial
+    loop does.
     """
     import multiprocessing
+    from dataclasses import replace
 
     payloads = [
-        {"seed": seed, "plan_json": plan.to_json(), "trial_kwargs": dict(trial_kwargs)}
+        {"seed": seed, "plan_json": plan.to_json(),
+         "spec": replace(spec, seed=seed).to_dict(), "drain_ms": drain_ms}
         for seed, plan in scenarios
     ]
     results: List[Optional[Dict]] = [None] * len(payloads)
@@ -84,8 +85,7 @@ def run_scenarios_parallel(
                     "seed": payloads[i]["seed"],
                     "crashed": True,
                     "ok": False,
-                    "kind": "crash",
-                    "message": f"worker died: {type(exc).__name__}: {exc}",
+                    "line": f"worker died: {type(exc).__name__}: {exc}",
                 }
             if progress is not None:
                 row = results[i]

@@ -10,8 +10,9 @@ the dispatch duck-types the system's fault surface).  Each applied fault is
 * recorded on :attr:`ChaosRunner.applied` with the apply-time result
   (e.g. the event returned by a replica re-add).
 
-:func:`run_chaos_trial` is the push-button oracle: build a trial, install a
-plan, run, drain, then audit — one-copy serializability for DAST, replica
+:func:`run_chaos_trial` is the push-button oracle: take a
+:class:`~repro.fleet.spec.TrialSpec` (:data:`DEFAULT_SPEC` unless varied),
+install a plan, run, drain, then audit — one-copy serializability for DAST, replica
 digest agreement for the baselines — and fold everything into a
 :class:`ChaosReport` whose text rendering is deterministic (same seed, same
 bytes).
@@ -23,8 +24,10 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.chaos.plan import FaultEvent, FaultPlan
 from repro.errors import ConfigError
+from repro.fleet.spec import TrialSpec
 
-__all__ = ["ChaosRunner", "ChaosReport", "run_chaos_trial", "BENIGN_ABORT_REASONS"]
+__all__ = ["ChaosRunner", "ChaosReport", "run_chaos_trial", "DEFAULT_SPEC",
+           "BENIGN_ABORT_REASONS"]
 
 # Abort reasons a healthy run may legitimately produce: workload-level
 # conditional aborts and client-visible timeouts.  Anything else — in
@@ -174,6 +177,11 @@ class ChaosReport:
             return False
         return not self.replica_mismatches and not self.conflict_aborts
 
+    def summary_line(self) -> str:
+        """The per-scenario columns ``repro chaos`` prints after ``seed=``."""
+        return (f"events={len(self.plan)} faults={self.faults_applied} "
+                f"committed={self.committed} aborted={self.aborted}")
+
     def to_text(self) -> str:
         lines = [self.plan.timeline(), ""]
         lines.append(f"system={self.system_name} faults_applied={self.faults_applied} "
@@ -191,69 +199,55 @@ class ChaosReport:
         return f"ChaosReport({self.system_name}, {'ok' if self.ok else 'FAIL'})"
 
 
-def run_chaos_trial(
-    plan: FaultPlan,
-    system: str = "dast",
-    workload: str = "tpca",
-    num_regions: int = 2,
-    shards_per_region: int = 1,
-    clients_per_region: int = 3,
-    duration_ms: float = 4000.0,
-    drain_ms: float = 6000.0,
-    seed: int = 1,
-    crt_ratio: float = 0.2,
-    request_timeout: float = 2000.0,
-    obs: bool = False,
-) -> ChaosReport:
-    """Run one fault-injected trial end to end and audit the outcome."""
-    from repro.bench.harness import Trial, run_trial
-    from repro.workloads.tpca import TpcaWorkload
-    from repro.workloads.tpcc import PaymentOnlyWorkload, TpccWorkload
+# The trial a chaos scenario lands on unless the caller varies it
+# (``dataclasses.replace``).  The short request timeout keeps closed-loop
+# clients live under lossy plans.
+DEFAULT_SPEC = TrialSpec(
+    system="dast", workload="tpca",
+    # PIN(commit 1): the pre-spec runner built every workload with seed 1.
+    workload_params={"crt_ratio": 0.2, "seed": 1},
+    num_regions=2, shards_per_region=1, clients_per_region=3,
+    duration_ms=4000.0, request_timeout=2000.0,
+)
 
-    factories = {
-        "tpca": lambda topo: TpcaWorkload(topo, crt_ratio=crt_ratio),
-        "tpcc": lambda topo: TpccWorkload(topo),
-        "payment": lambda topo: PaymentOnlyWorkload(topo, crt_ratio=crt_ratio),
-    }
-    trial = Trial(
-        system,
-        factories[workload],
-        num_regions=num_regions,
-        shards_per_region=shards_per_region,
-        clients_per_region=clients_per_region,
-        duration_ms=duration_ms,
-        seed=seed,
-        fault_plan=plan,
-        obs=obs,
-        request_timeout=request_timeout,
-    )
+
+def run_chaos_trial(plan: FaultPlan, spec: TrialSpec = DEFAULT_SPEC,
+                    drain_ms: float = 6000.0) -> ChaosReport:
+    """Run ``spec`` under ``plan`` end to end, drain, and audit the outcome."""
+    from repro.bench.harness import run_trial
+
+    trial = spec.to_trial()
+    trial.fault_plan = plan
     result = run_trial(trial)
     result.drain(extra_ms=drain_ms)
 
     audit = None
-    if system == "dast":
+    if spec.system == "dast":
         from repro.bench.auditor import audit_dast_run
 
         audit = audit_dast_run(result.system)
-    mismatches: List[str] = []
-    for shard_id in result.system.topology.all_shards():
-        digests = set(result.system.replicas_digest(shard_id))
-        if len(digests) > 1:
-            mismatches.append(f"{shard_id}: replica digests diverge")
-
-    committed = sum(1 for r in result.recorder.results if r.committed)
-    aborted = [r for r in result.recorder.results if not r.committed]
-    conflicts = sorted(
-        f"{r.txn_id}({'crt' if r.is_crt else 'irt'}): {r.abort_reason}"
-        for r in aborted if r.abort_reason not in BENIGN_ABORT_REASONS
-    )
     return ChaosReport(
         plan,
-        system_name=system,
+        system_name=spec.system,
         audit=audit,
-        replica_mismatches=mismatches,
-        committed=committed,
-        aborted=len(aborted),
-        conflict_aborts=conflicts,
-        faults_applied=len(getattr(result, "chaos").applied) if result.chaos else 0,
+        faults_applied=len(result.chaos.applied),
+        **judge_results(result, result.system.topology.all_shards()),
     )
+
+
+def judge_results(result, shard_ids) -> Dict:
+    """What a drained run's retained results and replicas say, as the report
+    fields the chaos and churn oracles share: diverging replica digests,
+    commit / abort counts, and the aborts no healthy run may produce."""
+    results = result.recorder.results
+    aborted = [r for r in results if not r.committed]
+    return {
+        "replica_mismatches": [
+            f"{shard_id}: replica digests diverge" for shard_id in shard_ids
+            if len(set(result.system.replicas_digest(shard_id))) > 1],
+        "committed": len(results) - len(aborted),
+        "aborted": len(aborted),
+        "conflict_aborts": sorted(
+            f"{r.txn_id}({'crt' if r.is_crt else 'irt'}): {r.abort_reason}"
+            for r in aborted if r.abort_reason not in BENIGN_ABORT_REASONS),
+    }

@@ -1,16 +1,19 @@
-"""Command-line interface: ``python -m repro run|experiment|audit|obs|trace|canary|chaos|topo|bench``.
+"""Command-line interface: ``python -m repro run|experiment|canary|chaos|topo|bench``.
+
+One trial is one command: ``repro run`` builds a :class:`TrialSpec` from the
+trial flags (or reads one with ``--spec``), runs it once, and hangs any of
+``--attach obs,trace,profile,audit`` on that one simulation.
 
 Examples::
 
     python -m repro run --system dast --workload tpcc --regions 3
     python -m repro run --system slog --workload payment --crt-ratio 0.4
-    python -m repro run --regions 3 --trace-out trial.jsonl
+    python -m repro run --regions 3 --attach obs --out artifacts
+    python -m repro run --workload tpcc --attach trace   # causal trace + attribution
+    python -m repro run --attach obs,trace,profile,audit --out artifacts
+    python -m repro run --spec artifacts/spec.json  # the same trial again
     python -m repro experiment fig2 table3
     python -m repro experiment fig2 fig8 --jobs 4   # parallel, cached
-    python -m repro audit --regions 2 --duration-ms 4000
-    python -m repro obs --regions 3 --out trial.jsonl --csv-dir obs_csv
-    python -m repro trace --workload tpcc           # causal trace + attribution
-    python -m repro trace --chrome-out t.json       # load in chrome://tracing
     python -m repro canary capture                  # pin golden traces
     python -m repro canary compare                  # gate a candidate build
     python -m repro chaos --seed 7                  # one generated scenario
@@ -28,17 +31,22 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import sys
 import time
+from dataclasses import replace
+from functools import partial
 from typing import List, Optional
 
 from repro.bench import experiments as exp
-from repro.bench.auditor import audit_dast_run
-from repro.bench.harness import SYSTEMS, Trial, run_trial
+from repro.bench.harness import SYSTEMS, run_trial
 from repro.bench.report import format_series, format_table
-from repro.workloads.tpca import TpcaWorkload
-from repro.workloads.tpcc import PaymentOnlyWorkload, TpccWorkload
-from repro.workloads.ycsb import YcsbWorkload
+from repro.chaos.runner import DEFAULT_SPEC as CHAOS_SPEC
+from repro.errors import ConfigError
+from repro.fleet.spec import TrialSpec
+from repro.topo.runner import DEFAULT_SPEC as TOPO_SPEC
+from repro.workloads.registry import WORKLOADS
 
 # Each artifact renderer takes (args, fleet); trial-shaped artifacts hand
 # ``fleet`` down to repro.bench.experiments so --jobs/--cache apply.
@@ -66,26 +74,38 @@ EXPERIMENTS = {
     "ablations": lambda a, f: format_table(exp.ablation_sweep(fleet=f)),
 }
 
+# What ``repro run --attach`` can hang on the one simulation.
+ATTACHMENTS = ("obs", "trace", "profile", "audit")
+# The trace report's sizes: slow-transaction exemplars printed, transactions
+# in a Chrome trace-event export.
+SLOWEST_EXEMPLARS = 3
+CHROME_TRACE_LIMIT = 200
 
-def _workload_factory(args):
-    if args.workload == "tpcc":
-        return lambda topo: TpccWorkload(topo)
-    if args.workload == "tpca":
-        return lambda topo: TpcaWorkload(topo, theta=args.theta, crt_ratio=args.crt_ratio)
-    if args.workload == "ycsb":
-        return lambda topo: YcsbWorkload(topo, theta=args.theta,
-                                         crt_ratio=args.crt_ratio)
-    return lambda topo: PaymentOnlyWorkload(topo, crt_ratio=args.crt_ratio)
+_OPEN_LOOP_FLAGS = ("--open-loop-users", "--ol-rate", "--ol-model",
+                    "--ol-max-inflight", "--ol-flash-at", "--ol-flash-duration",
+                    "--ol-flash-mult", "--ol-flash-redirect")
+
+# Trial flag (argparse dest) -> the TrialSpec field it sets verbatim.
+# ``--theta`` / ``--crt-ratio``, the ``--open-loop-*`` / ``--ol-*`` group and
+# ``--topology`` are composed in _spec_from_args.
+_SPEC_FIELD = {
+    "system": "system",
+    "workload": "workload",
+    "regions": "num_regions",
+    "shards_per_region": "shards_per_region",
+    "clients": "clients_per_region",
+    "duration_ms": "duration_ms",
+    "seed": "seed",
+    "rtt_profile": "rtt_profile",
+    "service_profile": "service_multipliers",
+    "spare_regions": "spare_regions",
+}
 
 
-def _open_loop_dict(args) -> Optional[dict]:
-    """OpenLoopConfig knobs from the ``--open-loop-*`` / ``--ol-*`` flags
-    (None when ``--open-loop-users`` is absent or 0: closed-loop clients)."""
-    users = getattr(args, "open_loop_users", 0)
-    if not users:
-        return None
+def _open_loop_dict(args) -> dict:
+    """OpenLoopConfig knobs from the ``--open-loop-*`` / ``--ol-*`` flags."""
     out = {
-        "users_per_region": users,
+        "users_per_region": args.open_loop_users,
         "txn_per_user_s": args.ol_rate,
         "model": args.ol_model,
         "max_inflight_per_region": args.ol_max_inflight,
@@ -100,159 +120,170 @@ def _open_loop_dict(args) -> Optional[dict]:
     return out
 
 
-def _build_trial(args, obs: bool = False, causal: bool = False) -> Trial:
-    topology_plan = None
-    topo_path = getattr(args, "topology", None)
-    if topo_path:
-        from repro.errors import ConfigError
+def _spec_from_args(args) -> TrialSpec:
+    """The one place trial flags become a trial description: ``args.base``
+    (the subcommand's default trial) with every registered flag applied.  A
+    flag the subcommand did not register (``add_trial_args(omit=)``) keeps
+    the base's value."""
+    given = vars(args)
+    base = args.base
+    fields = {field: given[dest] for dest, field in _SPEC_FIELD.items()
+              if dest in given}
+    # PIN(commit 1): the pre-spec CLI built every workload with seed 1.
+    params: dict = {"seed": 1}
+    if args.workload in ("tpca", "ycsb"):
+        params["theta"] = args.theta
+    if args.workload != "tpcc":
+        params["crt_ratio"] = args.crt_ratio
+    fields["workload_params"] = params
+    if given.get("open_loop_users"):
+        fields["open_loop"] = _open_loop_dict(args)
+    if "users" in given:  # topo: --rate is the aggregate arrival rate per region
+        fields["open_loop"] = {**base.open_loop, "users_per_region": args.users,
+                               "txn_per_user_s": args.rate / args.users}
+    if given.get("topology"):
         from repro.topo import TopologyPlan
 
-        try:
-            with open(topo_path) as fh:
-                topology_plan = TopologyPlan.from_json(fh.read()).validate()
-        except OSError as exc:
-            raise ConfigError(f"cannot read --topology plan: {exc}") from exc
-    return Trial(
-        args.system,
-        _workload_factory(args),
-        num_regions=args.regions,
-        shards_per_region=args.shards_per_region,
-        clients_per_region=args.clients,
-        duration_ms=args.duration_ms,
-        seed=args.seed,
-        obs=obs,
-        obs_interval=getattr(args, "interval", 50.0),
-        obs_causal=causal,
-        open_loop=_open_loop_dict(args),
-        topology_plan=topology_plan,
-        rtt_profile=getattr(args, "rtt_profile", None),
-        service_multipliers=getattr(args, "service_profile", None),
-        spare_regions=getattr(args, "spare_regions", 0),
-    )
+        fields["topology"] = _load_plan(
+            TopologyPlan, args.topology, "--topology").to_dict()
+    spec = replace(base, **fields)
+    if given.get("spec"):
+        if spec != _spec_from_args(build_parser().parse_args([args.command])):
+            raise ConfigError("--spec replaces the trial flags; pass one or the other")
+        return TrialSpec.load(args.spec)
+    return spec
 
 
-def _check_out_path(path, what: str) -> Optional[str]:
+def _check_out_path(path, what: str) -> None:
     """Fail fast on an unwritable output location (before the trial runs)."""
-    import os
-
-    if path is None:
-        return None
-    parent = os.path.dirname(os.path.abspath(path))
-    if not os.path.isdir(parent):
-        return f"{what} directory does not exist: {parent}"
-    return None
+    if path is not None:
+        parent = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(parent):
+            raise ConfigError(f"{what} directory does not exist: {parent}")
 
 
-def _stalled(result) -> bool:
-    """Whether the trial wedged (``TrialResult.stall``); prints the
-    ``LivenessFailure`` report to stderr if so."""
-    stall = result.stall()
-    if stall is None:
-        return False
-    print(stall.report(), file=sys.stderr)
-    return True
+def _load_plan(plan_cls, path: str, flag: str):
+    """A validated FaultPlan / TopologyPlan from the JSON file ``flag`` names."""
+    try:
+        with open(path) as fh:
+            return plan_cls.from_json(fh.read()).validate()
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {flag} plan: {exc}") from exc
+
+
+def _print_trace_report(result) -> None:
+    """Critical-path attribution tables and the slowest transactions of a
+    causally-traced trial."""
+    from repro.obs import attribution, render_attribution, render_exemplar, slowest
+
+    traces = result.obs.traces()
+    for label, crt in (("CRT", True), ("IRT", False)):
+        table = attribution(traces.values(), crt=crt)
+        if table["txns"]:
+            print()
+            print(render_attribution(table, f"{label} critical-path attribution"))
+    top = slowest(traces.values(), k=SLOWEST_EXEMPLARS)
+    if top:
+        print()
+        print(f"== slowest {len(top)} transaction(s) ==")
+        for trace, path_result in top:
+            print(render_exemplar(trace, path_result))
+    orphans = sum(len(t.orphans()) for t in traces.values())
+    print()
+    print(f"traces={len(traces)} partial_spans={result.obs.partial_count()} "
+          f"orphan_spans={orphans} "
+          f"trace_ctx_bytes={result.system.network.stats.trace_bytes_sent}")
+
+
+def _write_artifacts(directory: str, result, profile) -> None:
+    """Everything the attachments of one run export, at fixed names under
+    ``directory`` (``spec.json`` is already there)."""
+    from repro.obs import export_chrome, export_csv, export_jsonl
+
+    written = ["spec.json"]
+    bundle = result.obs
+    if bundle is not None:
+        export_jsonl(bundle, os.path.join(directory, "obs.jsonl"))
+        written.append("obs.jsonl")
+        written += sorted(os.path.basename(path)
+                          for path in export_csv(bundle, directory).values())
+        if bundle.causal:  # load in chrome://tracing or ui.perfetto.dev
+            export_chrome(bundle.traces().values(),
+                          os.path.join(directory, "trace_events.json"),
+                          limit=CHROME_TRACE_LIMIT)
+            written.append("trace_events.json")
+    if profile is not None:
+        with open(os.path.join(directory, "profile.json"), "w") as fh:
+            json.dump(profile.to_dict(), fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        written.append("profile.json")
+    print(f"wrote {', '.join(written)} under {directory}")
 
 
 def cmd_run(args) -> int:
-    trace_out = getattr(args, "trace_out", None)
-    error = _check_out_path(trace_out, "--trace-out")
-    if error:
-        print(error, file=sys.stderr)
-        return 2
-    from repro.errors import ConfigError
+    """One trial, any instruments: spec -> trial -> attachments -> summary
+    row -> each attachment's report -> one stall check -> one exit code."""
+    from repro.fleet.hooks import make_hook
 
-    try:
-        result = run_trial(_build_trial(args, obs=trace_out is not None))
-    except ConfigError as exc:
-        print(f"bad trial configuration: {exc}", file=sys.stderr)
-        return 2
+    attach = args.attach
+    spec = _spec_from_args(args)
+    if "audit" in attach and spec.system != "dast":
+        raise ConfigError(
+            f"--attach audit: no serializability auditor for --system "
+            f"{spec.system} yet (ROADMAP item 5); only dast can be audited")
+    trial = spec.to_trial()
+    trial.obs = "obs" in attach
+    trial.obs_causal = "trace" in attach
+    if args.out:
+        try:
+            os.makedirs(args.out, exist_ok=True)
+            spec.dump(os.path.join(args.out, "spec.json"))
+        except OSError as exc:
+            raise ConfigError(f"cannot write under --out: {exc}") from exc
+    hooks = make_hook(spec.hook, spec.hook_params)
+    profile = None
+    if "profile" in attach:
+        from repro.perf import profile_trial
+
+        profile, result = profile_trial(trial, spec.display_label(), hooks=hooks)
+    else:
+        result = run_trial(trial, hooks=hooks)
+    if result.obs is not None:
+        result.obs.stop()
     print(format_table([result.summary.as_row()]))
-    if args.breakdown and args.system == "dast":
+    if args.breakdown and spec.system == "dast":
         for label, dep in (("without value deps", False), ("with value deps", True)):
             breakdown = result.recorder.phase_breakdown(with_dependency=dep)
             if breakdown:
                 print(f"{label}: " + ", ".join(
                     f"{k}={v:.1f}" for k, v in breakdown.items()
                 ))
-    if result.obs is not None:
-        from repro.obs import export_jsonl, render_report
+    if "obs" in attach:
+        from repro.obs import render_report
 
-        result.obs.stop()
         print()
         print(render_report(result.obs))
-        n = export_jsonl(result.obs, trace_out)
-        print(f"wrote {n} obs records to {trace_out}")
-    return 1 if _stalled(result) else 0
-
-
-def cmd_obs(args) -> int:
-    """Run one observed trial and render/export the observability bundle."""
-    from repro.obs import export_csv, export_jsonl, render_report
-
-    if args.interval <= 0:
-        print(f"--interval must be positive, got {args.interval}", file=sys.stderr)
-        return 2
-    error = _check_out_path(args.out, "--out")
-    if error:
-        print(error, file=sys.stderr)
-        return 2
-    result = run_trial(_build_trial(args, obs=True))
-    bundle = result.obs
-    bundle.stop()
-    print(format_table([result.summary.as_row()]))
-    print()
-    print(render_report(bundle))
-    if args.out:
-        n = export_jsonl(bundle, args.out)
-        print(f"wrote {n} obs records to {args.out}")
-    if args.csv_dir:
-        paths = export_csv(bundle, args.csv_dir)
-        print(f"wrote CSV files: {', '.join(sorted(paths.values()))}")
-    return 1 if _stalled(result) else 0
-
-
-def cmd_trace(args) -> int:
-    """Run one causally-traced trial: attribution tables, slow-transaction
-    exemplars, and a chrome://tracing-loadable trace-event export."""
-    from repro.obs import (attribution, export_chrome, export_jsonl,
-                           render_attribution, render_exemplar, slowest)
-
-    for path, what in ((args.chrome_out, "--chrome-out"),
-                       (args.jsonl_out, "--jsonl-out")):
-        error = _check_out_path(path, what)
-        if error:
-            print(error, file=sys.stderr)
-            return 2
-    result = run_trial(_build_trial(args, causal=True))
-    bundle = result.obs
-    bundle.stop()
-    print(format_table([result.summary.as_row()]))
-    traces = bundle.traces()
-    for label, crt in (("CRT", True), ("IRT", False)):
-        table = attribution(traces.values(), crt=crt)
-        if table["txns"]:
-            print()
-            print(render_attribution(table, f"{label} critical-path attribution"))
-    top = slowest(traces.values(), k=args.top)
-    if top:
+    if "trace" in attach:
+        _print_trace_report(result)
+    if profile is not None:
         print()
-        print(f"== slowest {len(top)} transaction(s) ==")
-        for trace, path_result in top:
-            print(render_exemplar(trace, path_result))
-    partial = bundle.partial_count()
-    orphans = sum(len(t.orphans()) for t in traces.values())
-    print()
-    print(f"traces={len(traces)} partial_spans={partial} "
-          f"orphan_spans={orphans} "
-          f"trace_ctx_bytes={result.system.network.stats.trace_bytes_sent}")
-    if args.chrome_out:
-        n = export_chrome(traces.values(), args.chrome_out, limit=args.limit)
-        print(f"wrote {n} trace events to {args.chrome_out} "
-              f"(load in chrome://tracing or ui.perfetto.dev)")
-    if args.jsonl_out:
-        n = export_jsonl(bundle, args.jsonl_out)
-        print(f"wrote {n} obs records to {args.jsonl_out}")
-    return 1 if _stalled(result) else 0
+        print(profile.to_text())
+    if args.out:
+        _write_artifacts(args.out, result, profile)
+    stall = result.stall()
+    if stall is not None:
+        print(stall.report(), file=sys.stderr)
+    ok = stall is None
+    if "audit" in attach:
+        from repro.bench.auditor import audit_dast_run
+
+        # After the stall check: drain() stops the clients, and a wedged run
+        # has executed nothing the auditor could fault, so it passes vacuously.
+        result.drain()
+        report = audit_dast_run(result.system)
+        print(report)
+        ok = ok and report.ok
+    return 0 if ok else 1
 
 
 def _worst_canary_label(report) -> Optional[str]:
@@ -274,9 +305,6 @@ def _worst_canary_label(report) -> Optional[str]:
 def cmd_canary(args) -> int:
     """Golden-trace canary: ``capture`` pins the scenario goldens,
     ``compare`` replays the candidate build and gates on the diff."""
-    import json
-    import os
-
     from repro.obs.canary import (SCENARIOS, capture, compare, render_report,
                                   scenario_by_label)
 
@@ -285,18 +313,12 @@ def cmd_canary(args) -> int:
         try:
             specs = tuple(scenario_by_label(s) for s in args.scenario)
         except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 2
-
+            raise ConfigError(exc.args[0]) from None
     if args.seeds < 1:
-        print(f"--seeds must be >= 1, got {args.seeds}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
 
     if args.mode == "capture":
-        error = _check_out_path(args.goldens, "--goldens")
-        if error:
-            print(error, file=sys.stderr)
-            return 2
+        _check_out_path(args.goldens, "--goldens")
         doc = capture(specs, progress=_progress, seeds=args.seeds)
         with open(args.goldens, "w") as fh:
             json.dump(doc, fh, indent=1, sort_keys=True)
@@ -310,10 +332,13 @@ def cmd_canary(args) -> int:
         with open(args.goldens) as fh:
             golden = json.load(fh)
     except (OSError, ValueError) as exc:
-        print(f"cannot read goldens from {args.goldens}: {exc}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"cannot read goldens from {args.goldens}: {exc}") from exc
     candidate = capture(specs, progress=_progress)
-    report = compare(golden, candidate, tolerance=args.tolerance)
+    # A failing scenario's repro spec lands next to its Chrome trace, else
+    # next to the goldens it failed against.
+    report = compare(golden, candidate, tolerance=args.tolerance,
+                     repro_dir=args.chrome_dir
+                     or os.path.dirname(os.path.abspath(args.goldens)))
     print(render_report(report))
     if args.chrome_dir and not report["ok"]:
         worst = _worst_canary_label(report)
@@ -324,7 +349,8 @@ def cmd_canary(args) -> int:
             os.makedirs(args.chrome_dir, exist_ok=True)
             result = run_scenario(scenario_by_label(worst))
             path = os.path.join(args.chrome_dir, f"{worst}.trace.json")
-            export_chrome(result.obs.traces().values(), path, limit=200)
+            export_chrome(result.obs.traces().values(), path,
+                          limit=CHROME_TRACE_LIMIT)
             print(f"wrote Chrome trace for worst scenario {worst!r} to {path}")
     return 0 if report["ok"] else 1
 
@@ -348,9 +374,8 @@ def _build_fleet(args):
 def cmd_experiment(args) -> int:
     unknown = [n for n in args.names if n not in EXPERIMENTS]
     if unknown:
-        print(f"unknown experiments: {unknown}; choose from {sorted(EXPERIMENTS)}",
-              file=sys.stderr)
-        return 2
+        raise ConfigError(
+            f"unknown experiments: {unknown}; choose from {sorted(EXPERIMENTS)}")
     fleet, cache = _build_fleet(args)
     failed: List[str] = []
     total_start = time.perf_counter()
@@ -380,14 +405,9 @@ def cmd_experiment(args) -> int:
 
 def cmd_bench(args) -> int:
     """Run the pinned trial matrix and write the BENCH_fleet.json payload."""
-    import json
-
     from repro.fleet import run_bench
 
-    error = _check_out_path(args.out, "--out")
-    if error:
-        print(error, file=sys.stderr)
-        return 2
+    _check_out_path(args.out, "--out")
     fleet, cache = _build_fleet(args)
     start = time.perf_counter()
     payload = run_bench(jobs=args.jobs, quick=args.quick, cache=cache,
@@ -415,90 +435,24 @@ def cmd_bench(args) -> int:
     return 1 if payload["failures"] else 0
 
 
-def cmd_profile(args) -> int:
-    """Profile one TrialSpec: cProfile + kernel hot-callback accounting."""
-    import json
+def _run_scenarios(args, spec, plan_cls, generate, run_plan, run_parallel=None) -> int:
+    """The loop ``chaos`` and ``topo`` share: emit a plan, or run a plan
+    file, one generated seed or a fuzz matrix against the audit oracle, then
+    ddmin-shrink and write out the first failure.
 
-    from repro.fleet.spec import TrialSpec
-    from repro.perf import profile_spec
-
-    error = _check_out_path(args.out, "--out")
-    if error:
-        print(error, file=sys.stderr)
-        return 2
-    if args.spec:
-        with open(args.spec) as fh:
-            spec = TrialSpec.from_dict(json.load(fh))
-    else:
-        params = {}
-        if args.workload == "tpca":
-            params = {"theta": args.theta, "crt_ratio": args.crt_ratio}
-        elif args.workload == "payment":
-            params = {"crt_ratio": args.crt_ratio}
-        spec = TrialSpec(
-            system=args.system,
-            workload=args.workload,
-            workload_params=params,
-            num_regions=args.regions,
-            shards_per_region=args.shards_per_region,
-            clients_per_region=args.clients,
-            duration_ms=args.duration_ms,
-            seed=args.seed,
-        )
-    report = profile_spec(spec, sort=args.sort, top=args.top,
-                          callsites=args.callsites)
-    print(report.to_text())
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.out}")
-    return 0
-
-
-def _chaos_trial_kwargs(args) -> dict:
-    """run_chaos_trial keyword arguments shared by serial and parallel paths
-    (everything but the per-scenario plan and seed)."""
-    return dict(
-        system=args.system,
-        workload=args.workload,
-        num_regions=args.regions,
-        shards_per_region=args.shards_per_region,
-        clients_per_region=args.clients,
-        duration_ms=args.duration_ms,
-        drain_ms=args.drain_ms,
-        crt_ratio=args.crt_ratio,
-    )
-
-
-def _run_chaos_plan(plan, args):
-    from repro.chaos import run_chaos_trial
-
-    return run_chaos_trial(plan, seed=args.seed, **_chaos_trial_kwargs(args))
-
-
-def cmd_chaos(args) -> int:
-    """Run fault scenarios: a plan file, one generated seed, or a fuzz matrix."""
-    from repro.chaos import ChaosProfile, FaultPlan, generate_plan, shrink_plan
-    from repro.errors import ConfigError
+    ``generate(seed)`` makes a plan, ``run_plan(plan, spec)`` returns a
+    report with ``.ok`` / ``.summary_line()`` / ``.to_text()``, and
+    ``run_parallel(scenarios)``, when given, returns one row per scenario
+    from worker processes instead.  Every scenario's seed is its trial seed.
+    """
+    from repro.chaos.shrink import shrink_plan
 
     for path, what in ((args.out, "--out"), (args.shrunk_out, "--shrunk-out"),
                        (args.emit_plan, "--emit-plan")):
-        error = _check_out_path(path, what)
-        if error:
-            print(error, file=sys.stderr)
-            return 2
-
-    def generated(seed: int) -> FaultPlan:
-        # Baselines lack DAST's recovery paths (manager failover, replica
-        # re-add), so generate only the generic network/crash faults for them.
-        profile = ChaosProfile(allow_dast_faults=(args.system == "dast"))
-        return generate_plan(seed, num_regions=args.regions,
-                             shards_per_region=args.shards_per_region,
-                             profile=profile)
+        _check_out_path(path, what)
 
     if args.emit_plan:
-        plan = generated(args.seed)
+        plan = generate(args.seed)
         with open(args.emit_plan, "w") as fh:
             fh.write(plan.to_json() + "\n")
         print(plan.timeline())
@@ -506,51 +460,33 @@ def cmd_chaos(args) -> int:
         return 0
 
     if args.plan:
-        with open(args.plan) as fh:
-            scenarios = [(args.seed, FaultPlan.from_json(fh.read()))]
-    elif args.fuzz:
-        scenarios = [(s, generated(s)) for s in range(args.seed, args.seed + args.fuzz)]
+        scenarios = [(args.seed, _load_plan(plan_cls, args.plan, "--plan"))]
     else:
-        scenarios = [(args.seed, generated(args.seed))]
+        scenarios = [(s, generate(s))
+                     for s in range(args.seed, args.seed + max(args.fuzz, 1))]
 
-    report_lines = []
-    failed = None  # (seed, plan, report_text, shrinkable)
-    if args.jobs > 1 and len(scenarios) > 1:
-        # Fan the matrix out over worker processes; rows come back in
-        # scenario order, so the printed lines match a serial run's (a
-        # serial run stops at the first failure, a parallel one reports
-        # every scenario it already paid for).
-        from repro.chaos.parallel import run_scenarios_parallel
-
-        rows = run_scenarios_parallel(scenarios, _chaos_trial_kwargs(args),
-                                      jobs=args.jobs, progress=_progress)
-        for (seed, plan), row in zip(scenarios, rows):
-            if row.get("crashed"):
-                line = f"seed={seed} worker {row['kind']}: {row['message']}"
-            else:
-                verdict = "OK" if row["ok"] else "FAIL"
-                line = (f"seed={seed} events={row['events']} faults={row['faults_applied']} "
-                        f"committed={row['committed']} aborted={row['aborted']} {verdict}")
-            print(line)
-            report_lines.append(line)
-            if failed is None and not row.get("ok"):
-                failed = (seed, plan, row.get("text", line), not row.get("crashed"))
-    else:
+    def serial():
         for seed, plan in scenarios:
-            args.seed = seed  # the trial (workload/topology) seed tracks the scenario
-            try:
-                report = _run_chaos_plan(plan, args)
-            except ConfigError as exc:
-                print(f"plan not runnable against --system {args.system}: {exc}",
-                      file=sys.stderr)
-                return 2
-            verdict = "OK" if report.ok else "FAIL"
-            line = (f"seed={seed} events={len(plan)} faults={report.faults_applied} "
-                    f"committed={report.committed} aborted={report.aborted} {verdict}")
-            print(line)
-            report_lines.append(line)
-            if not report.ok:
-                failed = (seed, plan, report.to_text(), True)
+            report = run_plan(plan, replace(spec, seed=seed))
+            yield seed, plan, report.summary_line(), report.ok, report.to_text()
+
+    def parallel():
+        # Rows come back in scenario order, so the printed lines match a
+        # serial run's (a serial run stops at the first failure, a parallel
+        # one reports every scenario it already paid for).
+        for (seed, plan), row in zip(scenarios, run_parallel(scenarios)):
+            yield seed, plan, row["line"], row["ok"], row.get("text")
+
+    fan_out = run_parallel is not None and len(scenarios) > 1
+    report_lines = []
+    failed = None  # (seed, plan, report text, printed line) of the first failure
+    for seed, plan, line, ok, text in (parallel() if fan_out else serial()):
+        line = f"seed={seed} {line} {'OK' if ok else 'FAIL'}"
+        print(line)
+        report_lines.append(line)
+        if not ok and failed is None:
+            failed = (seed, plan, text, line)
+            if not fan_out:
                 break
 
     if failed is None:
@@ -560,14 +496,16 @@ def cmd_chaos(args) -> int:
             print(f"wrote report to {args.out}")
         return 0
 
-    seed, plan, report_text, shrinkable = failed
-    args.seed = seed  # shrinker reruns must use the failing scenario's seed
+    seed, plan, report_text, line = failed
+    shrinkable = report_text is not None  # a crashed worker leaves no report
+    report_text = report_text or line
     print()
     print(report_text)
     text = "\n".join(report_lines) + "\n\n" + report_text + "\n"
     if args.shrink and shrinkable:
+        failing = replace(spec, seed=seed)  # reruns keep the failing trial
         result = shrink_plan(
-            plan, lambda p: not _run_chaos_plan(p, args).ok, max_runs=args.shrink_budget,
+            plan, lambda p: not run_plan(p, failing).ok, max_runs=args.shrink_budget,
         )
         print()
         print(f"shrunk to {len(result.plan)} events in {result.runs} runs:")
@@ -584,128 +522,56 @@ def cmd_chaos(args) -> int:
             fh.write(text)
         print(f"wrote report to {args.out}")
     return 1
+
+
+def cmd_chaos(args) -> int:
+    """Run fault scenarios: a plan file, one generated seed, or a fuzz matrix."""
+    from repro.chaos import ChaosProfile, FaultPlan, generate_plan, run_chaos_trial
+
+    spec = _spec_from_args(args)
+    # Baselines lack DAST's recovery paths (manager failover, replica
+    # re-add), so generate only the generic network/crash faults for them.
+    profile = ChaosProfile(allow_dast_faults=(spec.system == "dast"))
+    run_parallel = None
+    if args.jobs > 1:
+        from repro.chaos.parallel import run_scenarios_parallel
+
+        run_parallel = lambda scenarios: run_scenarios_parallel(
+            scenarios, spec, args.drain_ms, jobs=args.jobs, progress=_progress)
+    return _run_scenarios(
+        args, spec, FaultPlan,
+        generate=lambda seed: generate_plan(
+            seed, num_regions=spec.num_regions,
+            shards_per_region=spec.shards_per_region, profile=profile),
+        run_plan=partial(run_chaos_trial, drain_ms=args.drain_ms),
+        run_parallel=run_parallel)
 
 
 def cmd_topo(args) -> int:
     """Run topology-churn scenarios: a plan file, one generated seed, or a
     fuzz matrix — every scenario gated by the serializability auditor."""
-    from repro.chaos.shrink import shrink_plan
-    from repro.errors import ConfigError
     from repro.topo import TopologyPlan, generate_topology_plan
     from repro.topo.runner import run_topo_trial
 
-    for path, what in ((args.out, "--out"), (args.shrunk_out, "--shrunk-out"),
-                       (args.emit_plan, "--emit-plan")):
-        error = _check_out_path(path, what)
-        if error:
-            print(error, file=sys.stderr)
-            return 2
-
-    def generated(seed: int) -> "TopologyPlan":
-        return generate_topology_plan(
-            seed, num_regions=args.regions,
-            shards_per_region=args.shards_per_region,
-            spare_regions=args.spare_regions)
-
-    def run_plan(plan, seed: int):
-        return run_topo_trial(
-            plan, workload=args.workload, num_regions=args.regions,
-            shards_per_region=args.shards_per_region,
-            spare_regions=args.spare_regions,
-            users_per_region=args.users, arrival_rate_tps=args.rate,
-            duration_ms=args.duration_ms, drain_ms=args.drain_ms,
-            seed=seed, crt_ratio=args.crt_ratio)
-
-    if args.emit_plan:
-        plan = generated(args.seed)
-        with open(args.emit_plan, "w") as fh:
-            fh.write(plan.to_json() + "\n")
-        print(plan.timeline())
-        print(f"wrote plan to {args.emit_plan}")
-        return 0
-
-    if args.plan:
-        try:
-            with open(args.plan) as fh:
-                scenarios = [(args.seed,
-                              TopologyPlan.from_json(fh.read()).validate())]
-        except (OSError, ConfigError) as exc:
-            print(f"bad --plan: {exc}", file=sys.stderr)
-            return 2
-    elif args.fuzz:
-        scenarios = [(s, generated(s))
-                     for s in range(args.seed, args.seed + args.fuzz)]
-    else:
-        scenarios = [(args.seed, generated(args.seed))]
-
-    report_lines = []
-    failed = None  # (seed, plan, report_text)
-    for seed, plan in scenarios:
-        try:
-            report = run_plan(plan, seed)
-        except ConfigError as exc:
-            print(f"plan not runnable: {exc}", file=sys.stderr)
-            return 2
-        verdict = "OK" if report.ok else "FAIL"
-        c = report.counters
-        line = (f"seed={seed} events={len(plan)} "
-                f"applied={report.events_applied} "
-                f"reshards={c.get('reshards', 0)} "
-                f"handoffs={c.get('handoff_txns', 0)} "
-                f"committed={report.committed} aborted={report.aborted} "
-                f"{verdict}")
-        print(line)
-        report_lines.append(line)
-        if not report.ok:
-            failed = (seed, plan, report.to_text())
-            break
-
-    if failed is None:
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write("\n".join(report_lines) + "\nverdict: OK\n")
-            print(f"wrote report to {args.out}")
-        return 0
-
-    seed, plan, report_text = failed
-    print()
-    print(report_text)
-    text = "\n".join(report_lines) + "\n\n" + report_text + "\n"
-    if args.shrink:
-        # The chaos ddmin shrinker duck-types TopologyPlan (subset()); the
-        # auditor verdict is the oracle.
-        result = shrink_plan(
-            plan, lambda p: not run_plan(p, seed).ok,
-            max_runs=args.shrink_budget,
-        )
-        print()
-        print(f"shrunk to {len(result.plan)} events in {result.runs} runs:")
-        print(result.plan.timeline())
-        print(result.plan.to_json())
-        text += f"\nshrunk reproducer ({len(result.plan)} events):\n"
-        text += result.plan.timeline() + "\n" + result.plan.to_json() + "\n"
-        if args.shrunk_out:
-            with open(args.shrunk_out, "w") as fh:
-                fh.write(result.plan.to_json() + "\n")
-            print(f"wrote shrunk plan to {args.shrunk_out}")
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"wrote report to {args.out}")
-    return 1
+    spec = _spec_from_args(args)
+    return _run_scenarios(
+        args, spec, TopologyPlan,
+        generate=lambda seed: generate_topology_plan(
+            seed, num_regions=spec.num_regions,
+            shards_per_region=spec.shards_per_region,
+            spare_regions=spec.spare_regions),
+        run_plan=partial(run_topo_trial, drain_ms=args.drain_ms))
 
 
-def cmd_audit(args) -> int:
-    args.system = "dast"
-    result = run_trial(_build_trial(args))
-    # Before drain(), which stops the clients: a wedged run has executed
-    # nothing the auditor could fault, so it would pass vacuously.
-    stalled = _stalled(result)
-    result.drain()
-    report = audit_dast_run(result.system)
-    print(format_table([result.summary.as_row()]))
-    print(report)
-    return 0 if report.ok and not stalled else 1
+def _attachments(text: str) -> frozenset:
+    """argparse type of ``--attach``: a comma-separated subset of ATTACHMENTS."""
+    names = frozenset(name for name in text.split(",") if name)
+    unknown = sorted(names - set(ATTACHMENTS))
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown attachment(s) {', '.join(unknown)}; "
+            f"choose from {', '.join(ATTACHMENTS)}")
+    return names
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -714,87 +580,80 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_trial_args(p):
-        p.add_argument("--workload", choices=["tpcc", "tpca", "payment", "ycsb"],
-                       default="tpcc")
-        p.add_argument("--regions", type=int, default=2)
-        p.add_argument("--shards-per-region", type=int, default=2)
-        p.add_argument("--clients", type=int, default=8)
-        p.add_argument("--duration-ms", type=float, default=6000.0)
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--theta", type=float, default=0.5, help="TPC-A zipf coefficient")
-        p.add_argument("--crt-ratio", type=float, default=0.1)
-        p.add_argument("--open-loop-users", type=int, default=0, metavar="N",
-                       help="simulated users per region; >0 replaces the "
-                            "closed-loop clients with the open-loop arrival "
-                            "engine (docs/WORKLOADS.md)")
-        p.add_argument("--ol-rate", type=float, default=1.0, metavar="TPS",
-                       help="open loop: transactions per user per second")
-        p.add_argument("--ol-model", choices=["poisson", "mmpp"],
-                       default="poisson", help="open loop: arrival process")
-        p.add_argument("--ol-max-inflight", type=int, default=0, metavar="N",
-                       help="open loop: per-region in-flight cap (0 = unlimited)")
-        p.add_argument("--ol-flash-at", type=float, default=0.0, metavar="MS",
-                       help="open loop: flash-crowd start (virtual ms; 0 = off)")
-        p.add_argument("--ol-flash-duration", type=float, default=200.0,
-                       metavar="MS", help="open loop: flash-crowd duration")
-        p.add_argument("--ol-flash-mult", type=float, default=4.0, metavar="X",
-                       help="open loop: flash-crowd rate multiplier")
-        p.add_argument("--ol-flash-redirect", type=float, default=0.5,
-                       metavar="P", help="open loop: fraction of flash-region "
-                                         "arrivals redirected to the hot shard")
-        p.add_argument("--topology", metavar="FILE", default=None,
-                       help="execute a TopologyPlan JSON schedule mid-trial "
-                            "(docs/TOPOLOGY.md)")
-        p.add_argument("--rtt-profile", metavar="NAME", default=None,
-                       help="named cross-region RTT preset (aws-like, "
-                            "metro-edge)")
-        p.add_argument("--service-profile", metavar="NAME", default=None,
-                       help="named per-region CPU service-tier preset "
-                            "(edge-tiers, uniform-slow)")
-        p.add_argument("--spare-regions", type=int, default=0, metavar="N",
-                       help="extra initially-empty regions available for "
-                            "elastic region_join events")
+    def add_trial_args(p, omit=()):
+        """Register the trial flags on ``p`` except those in ``omit``: a
+        flag the subcommand cannot honour is not registered, never parsed
+        and dropped."""
+        def flag(name, **kwargs):
+            if name not in omit:
+                p.add_argument(name, **kwargs)
 
-    run_p = sub.add_parser("run", help="run one trial and print its summary")
-    run_p.add_argument("--system", choices=sorted(SYSTEMS), default="dast")
+        flag("--system", choices=sorted(SYSTEMS), default="dast")
+        flag("--workload", choices=sorted(WORKLOADS), default="tpcc")
+        flag("--regions", type=int, default=2)
+        flag("--shards-per-region", type=int, default=2)
+        flag("--clients", type=int, default=8)
+        flag("--duration-ms", type=float, default=6000.0)
+        flag("--seed", type=int, default=1)
+        flag("--theta", type=float, default=0.5,
+             help="zipf coefficient (tpca, ycsb)")
+        flag("--crt-ratio", type=float, default=0.1)
+        flag("--open-loop-users", type=int, default=0, metavar="N",
+             help="simulated users per region; >0 replaces the closed-loop "
+                  "clients with the open-loop arrival engine "
+                  "(docs/WORKLOADS.md)")
+        flag("--ol-rate", type=float, default=1.0, metavar="TPS",
+             help="open loop: transactions per user per second")
+        flag("--ol-model", choices=["poisson", "mmpp"], default="poisson",
+             help="open loop: arrival process")
+        flag("--ol-max-inflight", type=int, default=0, metavar="N",
+             help="open loop: per-region in-flight cap (0 = unlimited)")
+        flag("--ol-flash-at", type=float, default=0.0, metavar="MS",
+             help="open loop: flash-crowd start (virtual ms; 0 = off)")
+        flag("--ol-flash-duration", type=float, default=200.0, metavar="MS",
+             help="open loop: flash-crowd duration")
+        flag("--ol-flash-mult", type=float, default=4.0, metavar="X",
+             help="open loop: flash-crowd rate multiplier")
+        flag("--ol-flash-redirect", type=float, default=0.5, metavar="P",
+             help="open loop: fraction of flash-region arrivals redirected "
+                  "to the hot shard")
+        flag("--topology", metavar="FILE", default=None,
+             help="execute a TopologyPlan JSON schedule mid-trial "
+                  "(docs/TOPOLOGY.md)")
+        flag("--rtt-profile", metavar="NAME", default=None,
+             help="named cross-region RTT preset (aws-like, metro-edge)")
+        flag("--service-profile", metavar="NAME", default=None,
+             help="named per-region CPU service-tier preset "
+                  "(edge-tiers, uniform-slow)")
+        flag("--spare-regions", type=int, default=0, metavar="N",
+             help="extra initially-empty regions available for elastic "
+                  "region_join events")
+
+    # No abbreviations: ``--top 5`` (a removed flag) must be refused by
+    # name, not read as ``--topology 5``.
+    run_p = sub.add_parser(
+        "run", allow_abbrev=False,
+        help="run one trial, print its summary, and report from whatever "
+             "is attached to it")
+    add_trial_args(run_p)
+    run_p.add_argument("--spec", metavar="FILE", default=None,
+                       help="run the TrialSpec in a JSON file (the spec.json "
+                            "of an earlier --out) instead of the trial flags")
+    run_p.add_argument("--attach", type=_attachments, default=frozenset(),
+                       metavar="LIST",
+                       help="comma-separated instruments on this one run: "
+                            "obs (phase spans + probes), trace (causal "
+                            "critical-path attribution), profile (cProfile + "
+                            "kernel hot callbacks), audit (drain, then verify "
+                            "serializability; dast only)")
+    run_p.add_argument("--out", metavar="DIR", default=None,
+                       help="write spec.json (re-runnable through --spec) and "
+                            "each attachment's files into DIR: obs.jsonl, "
+                            "spans/probes/counters.csv, trace_events.json, "
+                            "profile.json")
     run_p.add_argument("--breakdown", action="store_true",
                        help="also print the CRT phase breakdown (DAST)")
-    run_p.add_argument("--trace-out", metavar="PATH", default=None,
-                       help="attach observability, print a phase/probe report, "
-                            "and write the obs bundle as JSONL to PATH")
-    add_trial_args(run_p)
-    run_p.set_defaults(fn=cmd_run)
-
-    obs_p = sub.add_parser(
-        "obs", help="run one observed trial: phase spans, probes, exports")
-    obs_p.add_argument("--system", choices=sorted(SYSTEMS), default="dast")
-    obs_p.add_argument("--out", metavar="PATH", default=None,
-                       help="write the obs bundle as JSONL to PATH")
-    obs_p.add_argument("--csv-dir", metavar="DIR", default=None,
-                       help="write spans/probes/counters CSV files into DIR")
-    obs_p.add_argument("--interval", type=float, default=50.0,
-                       help="probe sampling interval in virtual ms")
-    add_trial_args(obs_p)
-    obs_p.set_defaults(fn=cmd_obs)
-
-    trace_p = sub.add_parser(
-        "trace", help="run one causally-traced trial: critical-path "
-                      "attribution + Chrome trace export")
-    trace_p.add_argument("--system", choices=sorted(SYSTEMS), default="dast")
-    trace_p.add_argument("--chrome-out", metavar="PATH", default="trace_events.json",
-                         help="Chrome trace-event JSON output "
-                              "(chrome://tracing / ui.perfetto.dev)")
-    trace_p.add_argument("--no-chrome", dest="chrome_out", action="store_const",
-                         const=None, help="skip the Chrome trace export")
-    trace_p.add_argument("--jsonl-out", metavar="PATH", default=None,
-                         help="also write the obs bundle as JSONL to PATH")
-    trace_p.add_argument("--top", type=int, default=3,
-                         help="slow-transaction exemplars to print")
-    trace_p.add_argument("--limit", type=int, default=200,
-                         help="max transactions in the Chrome export")
-    add_trial_args(trace_p)
-    trace_p.set_defaults(fn=cmd_trace)
+    run_p.set_defaults(fn=cmd_run, base=TrialSpec())
 
     canary_p = sub.add_parser(
         "canary", help="golden-trace canary: capture pinned scenarios or "
@@ -844,94 +703,64 @@ def build_parser() -> argparse.ArgumentParser:
     add_fleet_args(bench_p)
     bench_p.set_defaults(fn=cmd_bench)
 
-    profile_p = sub.add_parser(
-        "profile", help="profile one trial: cProfile + kernel hot-callback report")
-    profile_p.add_argument("--system", choices=sorted(SYSTEMS), default="dast")
-    profile_p.add_argument("--spec", metavar="FILE", default=None,
-                           help="profile a TrialSpec loaded from a JSON file "
-                                "(overrides the trial flags)")
-    profile_p.add_argument("--sort", choices=["tottime", "cumtime"],
-                           default="tottime",
-                           help="cProfile ranking for the hot-function table")
-    profile_p.add_argument("--top", type=int, default=20,
-                           help="hot functions to list")
-    profile_p.add_argument("--callsites", type=int, default=15,
-                           help="kernel callsites to list")
-    profile_p.add_argument("--out", metavar="PATH", default=None,
-                           help="also write the full report as JSON to PATH")
-    add_trial_args(profile_p)
-    profile_p.set_defaults(fn=cmd_profile)
+    def add_scenario_args(p, what: str, shrink_budget: int, drain_ms: float):
+        """The plan / fuzz / report / shrink flags ``chaos`` and ``topo`` share."""
+        p.add_argument("--plan", metavar="FILE", default=None,
+                       help=f"run one {what} from a JSON file")
+        p.add_argument("--fuzz", type=int, metavar="N", default=0,
+                       help="generate and run N seeded scenarios (seed..seed+N-1)")
+        p.add_argument("--emit-plan", metavar="PATH", default=None,
+                       help="write the generated plan as JSON and exit")
+        p.add_argument("--drain-ms", type=float, default=drain_ms,
+                       help="extra virtual ms to drain before the audit")
+        p.add_argument("--out", metavar="PATH", default=None,
+                       help="write the report text to PATH")
+        p.add_argument("--shrunk-out", metavar="PATH", default=None,
+                       help="write the shrunk reproducer plan JSON to PATH")
+        p.add_argument("--no-shrink", dest="shrink", action="store_false",
+                       help="skip delta-debugging a failing scenario")
+        p.add_argument("--shrink-budget", type=int, default=shrink_budget,
+                       help="max trial runs the shrinker may spend")
 
-    audit_p = sub.add_parser("audit", help="run DAST, drain, verify serializability")
-    add_trial_args(audit_p)
-    audit_p.set_defaults(fn=cmd_audit)
-
+    # A fault or churn scenario is judged from retained closed-loop (chaos)
+    # or keep_records open-loop (topo) results, so neither takes the
+    # open-loop flags; the churn plan is topo's own --plan.
     chaos_p = sub.add_parser(
         "chaos", help="run fault scenarios against the audit oracle")
-    chaos_p.add_argument("--system", choices=sorted(SYSTEMS), default="dast")
-    chaos_p.add_argument("--plan", metavar="FILE", default=None,
-                         help="run one fault plan from a JSON file")
-    chaos_p.add_argument("--fuzz", type=int, metavar="N", default=0,
-                         help="generate and run N seeded scenarios (seed..seed+N-1)")
-    chaos_p.add_argument("--emit-plan", metavar="PATH", default=None,
-                         help="write the generated plan as JSON and exit")
-    chaos_p.add_argument("--drain-ms", type=float, default=6000.0,
-                         help="extra virtual ms to drain before the audit")
-    chaos_p.add_argument("--out", metavar="PATH", default=None,
-                         help="write the audit report text to PATH")
-    chaos_p.add_argument("--shrunk-out", metavar="PATH", default=None,
-                         help="write the shrunk reproducer plan JSON to PATH")
-    chaos_p.add_argument("--no-shrink", dest="shrink", action="store_false",
-                         help="skip delta-debugging a failing scenario")
-    chaos_p.add_argument("--shrink-budget", type=int, default=48,
-                         help="max trial runs the shrinker may spend")
+    add_scenario_args(chaos_p, "fault plan", shrink_budget=48, drain_ms=6000.0)
     chaos_p.add_argument("--jobs", type=int, default=1,
                          help="worker processes for --fuzz matrices (1 = serial)")
-    add_trial_args(chaos_p)
-    chaos_p.set_defaults(fn=cmd_chaos, shrink=True)
+    add_trial_args(chaos_p, omit=_OPEN_LOOP_FLAGS + ("--topology", "--spare-regions"))
+    chaos_p.set_defaults(fn=cmd_chaos, base=CHAOS_SPEC)
 
     topo_p = sub.add_parser(
         "topo", help="run topology-churn scenarios against the audit oracle "
                      "(docs/TOPOLOGY.md)")
-    topo_p.add_argument("--plan", metavar="FILE", default=None,
-                        help="run one TopologyPlan from a JSON file")
-    topo_p.add_argument("--fuzz", type=int, metavar="N", default=0,
-                        help="generate and run N seeded churn scenarios "
-                             "(seed..seed+N-1)")
-    topo_p.add_argument("--seed", type=int, default=1)
-    topo_p.add_argument("--emit-plan", metavar="PATH", default=None,
-                        help="write the generated plan as JSON and exit")
-    topo_p.add_argument("--workload",
-                        choices=["tpcc", "tpca", "payment", "ycsb"],
-                        default="tpca")
-    topo_p.add_argument("--regions", type=int, default=3)
-    topo_p.add_argument("--shards-per-region", type=int, default=1)
-    topo_p.add_argument("--spare-regions", type=int, default=1,
-                        help="extra initially-empty regions for region_join")
+    add_scenario_args(topo_p, "TopologyPlan", shrink_budget=32, drain_ms=9000.0)
     topo_p.add_argument("--users", type=int, default=60,
                         help="open-loop users per region")
     topo_p.add_argument("--rate", type=float, default=40.0,
                         help="aggregate arrivals per region per second")
-    topo_p.add_argument("--crt-ratio", type=float, default=0.1)
-    topo_p.add_argument("--duration-ms", type=float, default=3500.0)
-    topo_p.add_argument("--drain-ms", type=float, default=9000.0,
-                        help="extra virtual ms to drain before the audit")
-    topo_p.add_argument("--out", metavar="PATH", default=None,
-                        help="write the report text to PATH")
-    topo_p.add_argument("--shrunk-out", metavar="PATH", default=None,
-                        help="write the shrunk reproducer plan JSON to PATH")
-    topo_p.add_argument("--no-shrink", dest="shrink", action="store_false",
-                        help="skip delta-debugging a failing scenario")
-    topo_p.add_argument("--shrink-budget", type=int, default=32,
-                        help="max trial runs the shrinker may spend")
-    topo_p.set_defaults(fn=cmd_topo, shrink=True)
+    add_trial_args(topo_p, omit=_OPEN_LOOP_FLAGS + ("--system", "--topology"))
+    topo_p.set_defaults(fn=cmd_topo, base=TOPO_SPEC, workload="tpca", regions=3,
+                        shards_per_region=1, spare_regions=1, clients=2,
+                        duration_ms=3500.0)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in ATTACHMENTS:
+        parser.error(f"the `{argv[0]}` subcommand was removed: use "
+                     f"`repro run --attach {argv[0]}` with the same trial flags "
+                     f"(files go under `--out DIR`)")
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConfigError as exc:  # bad input, wherever it was noticed
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

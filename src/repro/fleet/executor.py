@@ -59,30 +59,31 @@ def _peak_rss_kb() -> int:
         return 0
 
 
+def _phase_breakdown(result, opts) -> Dict:
+    return {
+        "without_dependency": result.recorder.phase_breakdown(with_dependency=False),
+        "with_dependency": result.recorder.phase_breakdown(with_dependency=True),
+    }
+
+
+# ``TrialSpec.collect`` key -> ``(result, opts) -> JSON-safe extra``.  The one
+# table: ``TrialSpec.validate`` refuses any other key before a trial runs.
+COLLECTORS: Dict[str, Callable] = {
+    "crt_cdf": lambda result, opts: result.recorder.cdf(
+        crt=True, points=int(opts.get("points", 50))),
+    "irt_cdf": lambda result, opts: result.recorder.cdf(
+        crt=False, points=int(opts.get("points", 50))),
+    "phase_breakdown": _phase_breakdown,
+    "timeseries": lambda result, opts: result.recorder.timeseries(
+        bucket_ms=float(opts.get("bucket_ms", 500.0))),
+    "stretches": lambda result, opts: result.system.total_stretches(),
+}
+
+
 def _collect_extras(spec: TrialSpec, result) -> Dict:
     """Compute the JSON-safe extras a spec asked for (sorted for determinism)."""
-    from repro.errors import ConfigError
-
-    extras: Dict = {}
-    for key in sorted(spec.collect):
-        opts = spec.collect[key] or {}
-        if key == "crt_cdf":
-            extras[key] = result.recorder.cdf(crt=True, points=int(opts.get("points", 50)))
-        elif key == "irt_cdf":
-            extras[key] = result.recorder.cdf(crt=False, points=int(opts.get("points", 50)))
-        elif key == "phase_breakdown":
-            extras[key] = {
-                "without_dependency": result.recorder.phase_breakdown(with_dependency=False),
-                "with_dependency": result.recorder.phase_breakdown(with_dependency=True),
-            }
-        elif key == "timeseries":
-            extras[key] = result.recorder.timeseries(
-                bucket_ms=float(opts.get("bucket_ms", 500.0)))
-        elif key == "stretches":
-            extras[key] = result.system.total_stretches()
-        else:
-            raise ConfigError(f"unknown collect key {key!r}")
-    return extras
+    return {key: COLLECTORS[key](result, spec.collect[key] or {})
+            for key in sorted(spec.collect)}
 
 
 def run_spec(spec: TrialSpec) -> TrialOutcome:

@@ -114,6 +114,7 @@ class TrialSpec:
     # ------------------------------------------------------------------
     def validate(self) -> None:
         from repro.bench.harness import SYSTEMS
+        from repro.fleet.executor import COLLECTORS
         from repro.fleet.hooks import HOOKS
         from repro.workloads.registry import WORKLOADS
 
@@ -127,6 +128,10 @@ class TrialSpec:
         bad = sorted(set(self.timing) - _TIMING_FIELDS())
         if bad:
             raise ConfigError(f"unknown timing overrides {bad}")
+        bad = sorted(set(self.collect) - set(COLLECTORS))
+        if bad:
+            raise ConfigError(
+                f"unknown collect keys {bad}; choose from {sorted(COLLECTORS)}")
         if self.open_loop is not None:
             from repro.workloads.openloop import OpenLoopConfig
 
@@ -184,6 +189,27 @@ class TrialSpec:
         if bad:
             raise ConfigError(f"unknown TrialSpec fields {bad}")
         return cls(**dict(data))
+
+    def dump(self, path: str) -> None:
+        """Write the spec as JSON, with the fingerprint it has under this
+        code version alongside; :meth:`load` (``repro run --spec``) reads
+        it back."""
+        with open(path, "w") as fh:
+            json.dump({**self.to_dict(), "fingerprint": self.fingerprint()},
+                      fh, indent=1, sort_keys=True)
+            fh.write("\n")
+
+    @classmethod
+    def load(cls, path: str) -> "TrialSpec":
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read trial spec: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"trial spec {path} is not a JSON object")
+        data.pop("fingerprint", None)
+        return cls.from_dict(data)
 
     # ------------------------------------------------------------------
     def to_trial(self):

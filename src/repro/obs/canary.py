@@ -17,8 +17,9 @@ depends only on observable behaviour, never on allocation order.
 * otherwise **tolerance bands** — each metric in :data:`BANDS` may move by
   ``max(rel * |golden|, abs_floor)``; anything beyond is a violation.  A
   latency violation names the **offending hop**: the critical-path segment
-  whose per-transaction mean grew the most, plus a one-line ``repro
-  trace`` command that reproduces the regression locally.
+  whose per-transaction mean grew the most, plus a one-line ``repro run
+  --attach trace --spec <file>`` command that re-runs the scenario's exact
+  :class:`TrialSpec` locally.
 
 The CI ``canary`` job captures goldens on the base ref and compares the PR
 branch's capture, uploading the worst scenario's Chrome trace on failure.
@@ -29,6 +30,7 @@ never enters a golden, so captures are machine-independent.
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import replace
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -267,24 +269,13 @@ def capture(specs: Iterable[TrialSpec] = SCENARIOS,
     return doc
 
 
-def repro_command(spec: TrialSpec) -> str:
-    """A copy-pasteable ``repro trace`` invocation for one scenario."""
-    parts = [
-        "python -m repro trace",
-        f"--system {spec.system}",
-        f"--workload {spec.workload}",
-        f"--regions {spec.num_regions}",
-        f"--shards-per-region {spec.shards_per_region}",
-        f"--clients {spec.clients_per_region}",
-        f"--duration-ms {spec.duration_ms:g}",
-        f"--seed {spec.seed}",
-    ]
-    params = dict(spec.workload_params)
-    if "theta" in params:
-        parts.append(f"--theta {params['theta']:g}")
-    if "crt_ratio" in params:
-        parts.append(f"--crt-ratio {params['crt_ratio']:g}")
-    return " ".join(parts)
+def repro_command(spec: TrialSpec, directory: str = ".") -> str:
+    """Write ``spec`` to ``<directory>/<label>.spec.json`` and return the
+    command line that re-runs exactly that trial with causal tracing."""
+    os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, f"{spec.label}.spec.json")
+    spec.dump(path)
+    return f"python -m repro run --attach trace --spec {path}"
 
 
 def _offending_hop(golden_hops: List[Dict], candidate_hops: List[Dict]) -> Optional[Dict]:
@@ -339,14 +330,14 @@ def _band_violations(golden: Mapping, candidate: Mapping,
 
 
 def compare(golden: Mapping, candidate: Mapping,
-            tolerance: Optional[float] = None) -> Dict:
+            tolerance: Optional[float] = None, repro_dir: str = ".") -> Dict:
     """Diff a candidate capture against a golden document.
 
     Returns ``{"ok": bool, "scenarios": {label: {...}}}``; a scenario is an
     ``exact`` pass when digests match byte-for-byte (determinism-preserving
     change), a ``band`` pass when only within-tolerance drift remains, and
     a failure otherwise — carrying the violations, the offending hop, and
-    a minimal repro command line.
+    a repro command line whose spec file is written into ``repro_dir``.
     """
     report: Dict = {"ok": True, "scenarios": {}}
     for schema_doc, name in ((golden, "golden"), (candidate, "candidate")):
@@ -381,7 +372,8 @@ def compare(golden: Mapping, candidate: Mapping,
         if violations:
             entry["offending_hop"] = _offending_hop(g["hops"], c["hops"])
             try:
-                entry["repro"] = repro_command(scenario_by_label(label))
+                entry["repro"] = repro_command(scenario_by_label(label),
+                                               repro_dir)
             except KeyError:
                 entry["repro"] = None
             report["ok"] = False

@@ -4,7 +4,7 @@ JSONL is the machine interchange format (one self-describing record per
 line, ``type`` in {``meta``, ``counter``, ``gauge``, ``histogram``,
 ``span``, ``probe``}); CSV splits the same data into ``spans.csv``,
 ``probes.csv``, and ``counters.csv`` for spreadsheet work.  The text
-report is what ``repro obs`` / ``repro run --trace-out`` print: the
+report is what ``repro run --attach obs`` prints: the
 CRT/IRT per-phase breakdown tables plus a one-line unicode sparkline per
 probe series.
 """

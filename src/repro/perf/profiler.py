@@ -1,6 +1,6 @@
-"""``repro profile``: cProfile + kernel accounting over any TrialSpec.
+"""``repro run --attach profile``: cProfile + kernel accounting over a trial.
 
-The profiler reruns a spec in-process with
+The profiler runs a trial in-process with
 
 * :mod:`cProfile` capturing the Python-level cost of every function, and
 * a :class:`repro.perf.KernelAccounting` attached to the simulator capturing
@@ -19,10 +19,10 @@ from __future__ import annotations
 import cProfile
 import pstats
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Dict, List, Optional, Tuple
 
-__all__ = ["ProfileReport", "profile_spec"]
+__all__ = ["ProfileReport", "profile_spec", "profile_trial"]
 
 
 @dataclass
@@ -47,24 +47,7 @@ class ProfileReport:
     row: Dict = field(default_factory=dict)
 
     def to_dict(self) -> Dict:
-        return {
-            "label": self.label,
-            "wall_clock_s": self.wall_clock_s,
-            "virtual_ms": self.virtual_ms,
-            "events_total": self.events_total,
-            "ready_events": self.ready_events,
-            "heap_events": self.heap_events,
-            "same_instant_ratio": self.same_instant_ratio,
-            "heap_churn_ratio": self.heap_churn_ratio,
-            "heap_peak": self.heap_peak,
-            "deliveries": self.deliveries,
-            "events_per_delivery": self.events_per_delivery,
-            "events_per_s": self.events_per_s,
-            "virtual_ms_per_wall_s": self.virtual_ms_per_wall_s,
-            "callsites": [list(pair) for pair in self.callsites],
-            "functions": self.functions,
-            "row": self.row,
-        }
+        return asdict(self)
 
     def to_text(self) -> str:
         lines = [
@@ -124,28 +107,31 @@ def _top_functions(profile: cProfile.Profile, sort: str, top: int) -> List[Dict]
     return out
 
 
-def profile_spec(
-    spec,
+def profile_trial(
+    trial,
+    label: str,
+    hooks: Optional[Callable] = None,
     sort: str = "tottime",
     top: int = 20,
     callsites: int = 15,
-    hooks: Optional[object] = None,
-) -> ProfileReport:
-    """Run ``spec`` under cProfile with kernel accounting attached."""
+) -> Tuple[ProfileReport, object]:
+    """Run ``trial`` under cProfile with kernel accounting attached.
+
+    Returns the report and the :class:`~repro.bench.harness.TrialResult`,
+    so ``repro run --attach profile`` profiles the one simulation every
+    other attachment reads.
+    """
     from repro.bench.harness import run_trial
     from repro.perf.accounting import KernelAccounting
 
     if sort not in ("tottime", "cumtime"):
         raise ValueError(f"sort must be 'tottime' or 'cumtime', got {sort!r}")
-    trial = spec.to_trial()
     acct = KernelAccounting()
-    state: Dict = {}
 
     def install(system, recorder):
         system.sim.attach_accounting(acct)
-        state["system"] = system
         if hooks is not None:
-            hooks(system, recorder)  # type: ignore[operator]
+            hooks(system, recorder)
 
     profile = cProfile.Profile()
     start = time.perf_counter()
@@ -153,11 +139,11 @@ def profile_spec(
     result = run_trial(trial, hooks=install)
     profile.disable()
     wall = time.perf_counter() - start
-    system = state["system"]
-    system.sim.detach_accounting()
-    virtual_ms = system.sim.now
-    return ProfileReport(
-        label=spec.display_label(),
+    sim = result.system.sim
+    sim.detach_accounting()
+    virtual_ms = sim.now
+    report = ProfileReport(
+        label=label,
         wall_clock_s=round(wall, 3),
         virtual_ms=virtual_ms,
         events_total=acct.events_total,
@@ -174,3 +160,9 @@ def profile_spec(
         functions=_top_functions(profile, sort, top),
         row=result.summary.as_row(),
     )
+    return report, result
+
+
+def profile_spec(spec, **options) -> ProfileReport:
+    """:func:`profile_trial` over ``spec.to_trial()``; the report only."""
+    return profile_trial(spec.to_trial(), spec.display_label(), **options)[0]

@@ -15,7 +15,8 @@ Every applied event is counted into the system's ``stats`` bag
 event when a tracer is attached, and recorded on :attr:`TopoRunner.applied`.
 
 :func:`run_topo_trial` is the push-button oracle used by the churn fuzzer:
-build an open-loop DAST trial with a spare region, install a plan, run,
+take a :class:`~repro.fleet.spec.TrialSpec` (:data:`DEFAULT_SPEC`, an
+open-loop DAST trial with a spare region, unless varied), install a plan, run,
 drain, then audit — one-copy serializability over the merged (live +
 retired) logs, replica digest agreement, and no conflict-driven aborts —
 folded into a :class:`TopoReport` whose text rendering is deterministic.
@@ -23,13 +24,15 @@ folded into a :class:`TopoReport` whose text rendering is deterministic.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
+from repro.fleet.spec import TrialSpec
 from repro.topo.plan import STRUCTURAL_KINDS, TopoEvent, TopologyPlan
 from repro.topo.profiles import apply_rtt_profile, apply_service_multipliers
 
-__all__ = ["TopoRunner", "TopoReport", "run_topo_trial"]
+__all__ = ["TopoRunner", "TopoReport", "run_topo_trial", "DEFAULT_SPEC"]
 
 
 class TopoRunner:
@@ -191,6 +194,13 @@ class TopoReport:
             return False  # an event never ran: drain window too short
         return not self.replica_mismatches and not self.conflict_aborts
 
+    def summary_line(self) -> str:
+        """The per-scenario columns ``repro topo`` prints after ``seed=``."""
+        return (f"events={len(self.plan)} applied={self.events_applied} "
+                f"reshards={self.counters.get('reshards', 0)} "
+                f"handoffs={self.counters.get('handoff_txns', 0)} "
+                f"committed={self.committed} aborted={self.aborted}")
+
     def to_text(self) -> str:
         lines = [self.plan.timeline(), ""]
         lines.append(
@@ -213,70 +223,35 @@ class TopoReport:
         return f"TopoReport({self.system_name}, {'ok' if self.ok else 'FAIL'})"
 
 
-def run_topo_trial(
-    plan: TopologyPlan,
-    workload: str = "tpca",
-    num_regions: int = 3,
-    shards_per_region: int = 1,
-    spare_regions: int = 1,
-    users_per_region: int = 60,
-    arrival_rate_tps: float = 40.0,
-    duration_ms: float = 4000.0,
-    drain_ms: float = 8000.0,
-    seed: int = 1,
-    crt_ratio: float = 0.1,
-    obs: bool = False,
-) -> TopoReport:
-    """Run one churn-injected open-loop DAST trial end to end and audit it."""
-    from repro.bench.auditor import audit_dast_run
-    from repro.bench.harness import Trial, run_trial
-    from repro.chaos.runner import BENIGN_ABORT_REASONS
-    from repro.workloads.tpca import TpcaWorkload
-    from repro.workloads.tpcc import PaymentOnlyWorkload, TpccWorkload
+# The open-loop DAST trial a churn scenario lands on unless the caller
+# varies it (``dataclasses.replace``): one spare region to join, and
+# ``keep_records`` so the audit below can read every TxnResult.
+DEFAULT_SPEC = TrialSpec(
+    system="dast", workload="tpca",
+    # PIN(commit 1): the pre-spec runner built every workload with seed 1.
+    workload_params={"crt_ratio": 0.1, "seed": 1},
+    num_regions=3, shards_per_region=1, replication=1, clients_per_region=2,
+    duration_ms=4000.0, spare_regions=1,
+    # 40 arrivals per region per second over 60 users.
+    open_loop={"users_per_region": 60, "txn_per_user_s": 40.0 / 60,
+               "keep_records": True},
+)
 
-    factories = {
-        "tpca": lambda topo: TpcaWorkload(topo, crt_ratio=crt_ratio),
-        "tpcc": lambda topo: TpccWorkload(topo),
-        "payment": lambda topo: PaymentOnlyWorkload(topo, crt_ratio=crt_ratio),
-    }
-    trial = Trial(
-        "dast",
-        factories[workload],
-        num_regions=num_regions,
-        shards_per_region=shards_per_region,
-        replication=1,
-        clients_per_region=2,
-        duration_ms=duration_ms,
-        seed=seed,
-        obs=obs,
-        topology_plan=plan,
-        spare_regions=spare_regions,
-        open_loop={
-            "users_per_region": users_per_region,
-            # The engine's per-region rate is users * txn_per_user_s / 1000.
-            "txn_per_user_s": arrival_rate_tps / users_per_region,
-            "keep_records": True,
-        },
-    )
-    result = run_trial(trial)
+
+def run_topo_trial(plan: TopologyPlan, spec: TrialSpec = DEFAULT_SPEC,
+                   drain_ms: float = 8000.0) -> TopoReport:
+    """Run ``spec`` (a DAST trial) under ``plan`` end to end, drain, and
+    audit it.  The plan rides ``TrialSpec.topology``."""
+    from repro.bench.auditor import audit_dast_run
+    from repro.bench.harness import run_trial
+    from repro.chaos.runner import judge_results
+
+    if spec.system != "dast":
+        raise ConfigError(f"{spec.system}: topology churn unsupported")
+    result = run_trial(replace(spec, topology=plan.to_dict()).to_trial())
     result.drain(extra_ms=drain_ms)
 
     audit = audit_dast_run(result.system)
-    mismatches: List[str] = []
-    for shard_id in result.system.catalog.all_shards():
-        digests = set(result.system.replicas_digest(shard_id))
-        if len(digests) > 1:
-            mismatches.append(f"{shard_id}: replica digests diverge")
-
-    # Open-loop trials with keep_records retain TxnResults on the recorder's
-    # results list (the same shape run_chaos_trial consumes).
-    results = getattr(result.recorder, "results", [])
-    committed = sum(1 for r in results if r.committed)
-    aborted = [r for r in results if not r.committed]
-    conflicts = sorted(
-        f"{r.txn_id}({'crt' if r.is_crt else 'irt'}): {r.abort_reason}"
-        for r in aborted if r.abort_reason not in BENIGN_ABORT_REASONS
-    )
     tc = result.system.topo_counters()
     counters = {
         "reshards": tc.get("topo_reshards", 0),
@@ -288,12 +263,11 @@ def run_topo_trial(
     }
     return TopoReport(
         plan,
-        system_name="dast",
+        system_name=spec.system,
         audit=audit,
-        replica_mismatches=mismatches,
-        committed=committed,
-        aborted=len(aborted),
-        conflict_aborts=conflicts,
         events_applied=len(result.topo.applied) if result.topo else 0,
         counters=counters,
+        # Open-loop trials with keep_records retain TxnResults on the
+        # recorder's results list (the same shape run_chaos_trial consumes).
+        **judge_results(result, result.system.catalog.all_shards()),
     )

@@ -32,12 +32,22 @@ class TestCapture:
         assert entry["hops"] and entry["msgs_by_type"]
         assert "crt_p99_ms" in entry["row"]
 
-    def test_pinned_scenarios_resolve(self):
+    def test_pinned_scenarios_resolve(self, tmp_path):
+        from repro.cli import _spec_from_args, build_parser
+
+        assert len(SCENARIOS) == 4
         for spec in SCENARIOS:
             assert scenario_by_label(spec.label) is spec
-            cmd = repro_command(spec)
-            assert cmd.startswith("python -m repro trace")
-            assert f"--seed {spec.seed}" in cmd
+            # The repro line must reproduce the scenario: warm-up, cool-down,
+            # workload parameters and the open loop included.  Feed the
+            # printed command to the real parser and compare fingerprints.
+            cmd = repro_command(spec, str(tmp_path))
+            prefix = "python -m repro "
+            assert cmd.startswith(prefix + "run --attach trace --spec ")
+            args = build_parser().parse_args(cmd[len(prefix):].split())
+            rerun = _spec_from_args(args)
+            assert rerun.fingerprint() == spec.fingerprint()
+            assert rerun.open_loop == spec.open_loop
         with pytest.raises(KeyError):
             scenario_by_label("nope")
 
@@ -64,6 +74,26 @@ class TestCompare:
         assert entry["offending_hop"]["delta_ms"] > 0
         text = render_report(report)
         assert "FAIL" in text and "offending hop" in text
+
+    def test_failing_pinned_scenario_writes_its_repro_spec(self, golden, tmp_path):
+        """The repro line of a failing pinned scenario names a spec file that
+        compare() wrote, and that file is the scenario."""
+        import copy
+
+        pinned = scenario_by_label("dast-openloop")
+        gold = dict(golden, scenarios={pinned.label: golden["scenarios"]["small-tpcc"]})
+        candidate = copy.deepcopy(gold)
+        entry = candidate["scenarios"][pinned.label]
+        entry["trace_digest"] = "0" * 64
+        entry["row"]["crt_p99_ms"] *= 2
+        out_dir = tmp_path / "canary-traces"  # created on demand
+        report = compare(gold, candidate, repro_dir=str(out_dir))
+        path = out_dir / "dast-openloop.spec.json"
+        assert report["scenarios"][pinned.label]["repro"] == (
+            f"python -m repro run --attach trace --spec {path}")
+        assert f"repro: python -m repro run --attach trace --spec {path}" in (
+            render_report(report))
+        assert TrialSpec.load(str(path)) == pinned
 
     def test_missing_scenario_fails(self, golden):
         candidate = {"schema": CANARY_SCHEMA, "code_version": "x",

@@ -10,9 +10,12 @@ reproducer, ready to pin as a regression (see
 ``TestPinnedRegressions`` for the shape).
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.chaos import FaultPlan, generate_plan, run_chaos_trial, shrink_plan
+from repro.chaos.runner import DEFAULT_SPEC
 
 # ≥10 seeded scenarios per the chaos-matrix contract; each seed yields a
 # different mix of crashes, failovers, partitions, drop bursts, latency
@@ -30,11 +33,12 @@ class TestChaosMatrix:
     @pytest.mark.parametrize("seed", MATRIX_SEEDS)
     def test_generated_scenario_stays_serializable(self, seed):
         plan = generate_plan(seed)
-        report = run_chaos_trial(plan, seed=_trial_seed(seed))
+        spec = replace(DEFAULT_SPEC, seed=_trial_seed(seed))
+        report = run_chaos_trial(plan, spec)
         if not report.ok:
             shrunk = shrink_plan(
                 plan,
-                lambda p: not run_chaos_trial(p, seed=_trial_seed(seed)).ok,
+                lambda p: not run_chaos_trial(p, spec).ok,
                 max_runs=32,
             )
             pytest.fail(
@@ -60,7 +64,7 @@ class TestPinnedRegressions:
             .add(1000.0, "fail_manager", region="r1")
             .add(1700.0, "heal_regions", r1="r0", r2="r1")
         )
-        report = run_chaos_trial(plan, seed=7)
+        report = run_chaos_trial(plan, replace(DEFAULT_SPEC, seed=7))
         assert report.ok, report.to_text()
         assert report.audit.ok
         assert report.conflict_aborts == []
@@ -78,9 +82,10 @@ class TestPinnedRegressions:
             .add(1381.5, "fail_manager", region="r1")
             .add(2061.8, "crash_node", host="r0.n5")
         )
-        report = run_chaos_trial(plan, workload="tpcc", num_regions=2,
-                                 shards_per_region=2, clients_per_region=8,
-                                 duration_ms=6000.0, drain_ms=6000.0, seed=0)
+        spec = replace(DEFAULT_SPEC, workload="tpcc", workload_params={},
+                       num_regions=2, shards_per_region=2,
+                       clients_per_region=8, duration_ms=6000.0, seed=0)
+        report = run_chaos_trial(plan, spec, drain_ms=6000.0)
         assert report.ok, report.to_text()
         assert report.conflict_aborts == []
 
@@ -88,8 +93,9 @@ class TestPinnedRegressions:
 class TestDeterminism:
     def test_same_plan_same_seed_byte_identical_reports(self):
         plan = generate_plan(4)
-        first = run_chaos_trial(plan, seed=104)
-        second = run_chaos_trial(generate_plan(4), seed=104)
+        spec = replace(DEFAULT_SPEC, seed=104)
+        first = run_chaos_trial(plan, spec)
+        second = run_chaos_trial(generate_plan(4), spec)
         assert first.to_text() == second.to_text()
         assert plan.timeline() == generate_plan(4).timeline()
 
@@ -110,8 +116,9 @@ class TestShrinkerAcceptance:
 
         def is_failing(plan):
             report = run_chaos_trial(
-                plan, duration_ms=2000.0, drain_ms=4000.0,
-                clients_per_region=2, seed=5,
+                plan, replace(DEFAULT_SPEC, duration_ms=2000.0,
+                              clients_per_region=2, seed=5),
+                drain_ms=4000.0,
             )
             return not report.ok
 

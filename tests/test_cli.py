@@ -36,16 +36,6 @@ class TestParser:
         }
         assert set(EXPERIMENTS) == expected
 
-    def test_run_trace_out_default_off(self):
-        args = build_parser().parse_args(["run"])
-        assert args.trace_out is None
-
-    def test_obs_defaults(self):
-        args = build_parser().parse_args(["obs"])
-        assert args.system == "dast"
-        assert args.out is None and args.csv_dir is None
-        assert args.interval == 50.0
-
     def test_chaos_defaults(self):
         args = build_parser().parse_args(["chaos"])
         assert args.system == "dast"
@@ -54,11 +44,26 @@ class TestParser:
         assert args.drain_ms == 6000.0
 
 
+SMALL_TRIAL = ["--workload", "tpca", "--regions", "2", "--shards-per-region", "1",
+               "--clients", "2", "--duration-ms", "2500"]
+
+
+def _exit_code(argv):
+    """``main(argv)``'s exit code, whether returned or raised by argparse."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _row(out: str) -> str:
+    """The summary table (header, rule, row) a trial command prints first."""
+    return "\n".join(out.splitlines()[:3])
+
+
 class TestCommands:
     def test_run_prints_summary(self, capsys):
-        code = main(["run", "--system", "dast", "--workload", "tpca",
-                     "--regions", "2", "--shards-per-region", "1",
-                     "--clients", "2", "--duration-ms", "2500"])
+        code = main(["run", "--system", "dast", *SMALL_TRIAL])
         out = capsys.readouterr().out
         assert code == 0
         assert "throughput_tps" in out and "dast" in out
@@ -69,9 +74,7 @@ class TestCommands:
         assert "unknown experiments" in capsys.readouterr().err
 
     def test_audit_reports_ok(self, capsys):
-        code = main(["audit", "--workload", "tpca", "--regions", "2",
-                     "--shards-per-region", "1", "--clients", "2",
-                     "--duration-ms", "2500"])
+        code = main(["run", "--attach", "audit", *SMALL_TRIAL])
         out = capsys.readouterr().out
         assert code == 0
         assert "AuditReport(ok)" in out
@@ -79,10 +82,9 @@ class TestCommands:
     def test_run_trace_out_writes_jsonl(self, capsys, tmp_path):
         import json
 
-        path = tmp_path / "trace.jsonl"
-        code = main(["run", "--workload", "tpca", "--regions", "2",
-                     "--shards-per-region", "1", "--clients", "2",
-                     "--duration-ms", "2500", "--trace-out", str(path)])
+        path = tmp_path / "obs.jsonl"
+        code = main(["run", "--attach", "obs", "--out", str(tmp_path),
+                     *SMALL_TRIAL])
         out = capsys.readouterr().out
         assert code == 0
         assert "phase breakdown" in out and "== probes ==" in out
@@ -91,14 +93,179 @@ class TestCommands:
         assert any(r["type"] == "span" for r in records)
 
     def test_obs_command_prints_report(self, capsys, tmp_path):
-        code = main(["obs", "--workload", "tpca", "--regions", "2",
-                     "--shards-per-region", "1", "--clients", "2",
-                     "--duration-ms", "2500", "--csv-dir", str(tmp_path)])
+        out_dir = tmp_path / "artifacts"  # --out creates its directory
+        code = main(["run", "--attach", "obs", "--out", str(out_dir), *SMALL_TRIAL])
         out = capsys.readouterr().out
         assert code == 0
         assert "phase breakdown" in out
-        assert (tmp_path / "spans.csv").exists()
-        assert (tmp_path / "probes.csv").exists()
+        assert (out_dir / "spans.csv").exists()
+        assert (out_dir / "probes.csv").exists()
+
+
+# A non-default value for every trial flag, and the flags that must already
+# be set for another to mean anything (--theta needs a workload that has a
+# zipf coefficient, the --ol-* knobs need the open loop on, ...).
+FLAG_VALUES = {
+    "--system": "janus", "--workload": "ycsb", "--regions": "4",
+    "--shards-per-region": "3", "--clients": "5", "--duration-ms": "1234",
+    "--seed": "9", "--theta": "0.95", "--crt-ratio": "0.35",
+    "--open-loop-users": "77", "--ol-rate": "2.5", "--ol-model": "mmpp",
+    "--ol-max-inflight": "7", "--ol-flash-at": "150",
+    "--ol-flash-duration": "55", "--ol-flash-mult": "6",
+    "--ol-flash-redirect": "0.25", "--topology": None,  # a file, see below
+    "--rtt-profile": "aws-like", "--service-profile": "edge-tiers",
+    "--spare-regions": "2", "--users": "33", "--rate": "12.5",
+}
+FLAG_CONTEXT = {"--workload": "tpca", "--open-loop-users": "40", "--ol-flash-at": "100"}
+NOT_TRIAL_FLAGS = {
+    "-h", "--help", "--spec", "--attach", "--out", "--breakdown", "--plan", "--fuzz",
+    "--emit-plan", "--drain-ms", "--shrunk-out", "--no-shrink",
+    "--shrink-budget", "--jobs",
+}
+
+
+class TestTrialFlags:
+    """Drift 2: a trial flag that a subcommand parses must reach its spec."""
+
+    @pytest.mark.parametrize("command", ["run", "chaos", "topo"])
+    def test_every_registered_trial_flag_changes_the_spec(self, command, tmp_path):
+        from repro.cli import _spec_from_args
+        from repro.topo import TopologyPlan
+
+        plan_file = tmp_path / "plan.json"
+        plan_file.write_text(
+            TopologyPlan().add(500.0, "set_rtt_profile", profile="aws-like").to_json())
+        values = dict(FLAG_VALUES, **{"--topology": str(plan_file)})
+        parser = build_parser()
+        subparser = parser._subparsers._group_actions[0].choices[command]
+        registered = {opt for action in subparser._actions
+                      for opt in action.option_strings} - NOT_TRIAL_FLAGS
+        assert registered <= set(values), registered - set(values)
+        assert {"--workload", "--regions", "--seed", "--crt-ratio"} <= registered
+
+        def payload(overrides):
+            flags = {f: v for f, v in FLAG_CONTEXT.items() if f in registered}
+            flags.update(overrides)
+            argv = [part for flag, value in flags.items() for part in (flag, value)]
+            return _spec_from_args(parser.parse_args([command, *argv])).payload()
+
+        dropped = [flag for flag in sorted(registered)
+                   if payload({flag: values[flag]}) == payload({})]
+        assert not dropped, f"repro {command} parses and drops {dropped}"
+
+    def test_a_flag_a_subcommand_cannot_honour_is_not_registered(self, capsys):
+        for argv in (["chaos", "--open-loop-users", "50"],
+                     ["chaos", "--topology", "plan.json"],
+                     ["topo", "--system", "janus"],
+                     ["topo", "--ol-rate", "2"]):
+            assert _exit_code(argv) == 2
+            assert argv[1] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "chaos", "topo"])
+    def test_workload_choices_are_the_registry(self, command):
+        from repro.workloads.registry import WORKLOADS
+
+        for workload in WORKLOADS:
+            args = build_parser().parse_args([command, "--workload", workload])
+            assert args.workload == workload
+
+
+class TestOneTrialAnyInstruments:
+    """One trial, one command: the attachments read the same simulation."""
+
+    def test_same_flags_same_row_under_every_attachment(self, capsys, tmp_path):
+        import json
+
+        from repro.cli import _spec_from_args
+        from repro.fleet.spec import TrialSpec
+
+        rows = []
+        for extra in ([], ["--attach", "profile"],
+                      ["--attach", "obs,trace,audit", "--out", str(tmp_path)]):
+            assert main(["run", *SMALL_TRIAL, *extra]) == 0
+            rows.append(_row(capsys.readouterr().out))
+        assert rows[0] == rows[1] == rows[2]
+        # ...and --out leaves what it takes to run exactly that trial again.
+        written = TrialSpec.load(str(tmp_path / "spec.json"))
+        flags = _spec_from_args(build_parser().parse_args(["run", *SMALL_TRIAL]))
+        assert written == flags
+        recorded = json.loads((tmp_path / "spec.json").read_text())["fingerprint"]
+        assert recorded == flags.fingerprint()
+        assert main(["run", "--spec", str(tmp_path / "spec.json")]) == 0
+        assert _row(capsys.readouterr().out) == rows[0]
+        assert json.loads((tmp_path / "trace_events.json").read_text())
+
+    def test_every_attachment_reports_from_one_run(self, capsys, tmp_path):
+        import json
+
+        code = main(["run", "--attach", "obs,trace,profile,audit",
+                     "--out", str(tmp_path), *SMALL_TRIAL])
+        out = capsys.readouterr().out
+        assert code == 0
+        for marker in ("throughput_tps", "phase breakdown", "== probes ==",
+                       "CRT critical-path attribution",
+                       "IRT critical-path attribution", "hot callbacks",
+                       "AuditReport(ok)"):
+            assert marker in out, marker
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "counters.csv", "obs.jsonl", "probes.csv", "profile.json",
+            "spans.csv", "spec.json", "trace_events.json"]
+        assert json.loads((tmp_path / "profile.json").read_text())["events_total"] > 0
+
+
+class TestRefusals:
+    """Removed spellings and bad input exit 2 with one line, never a traceback."""
+
+    @pytest.mark.parametrize("name", ["obs", "trace", "profile", "audit"])
+    def test_removed_subcommands_name_their_replacement(self, capsys, name):
+        assert _exit_code([name, "--regions", "2"]) == 2
+        assert f"run --attach {name}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [
+        "--trace-out", "--csv-dir", "--interval", "--chrome-out", "--no-chrome",
+        "--jsonl-out", "--top", "--limit", "--sort", "--callsites"])
+    def test_removed_flags_are_refused_by_name(self, capsys, flag):
+        assert _exit_code(["run", "--attach", "obs,trace,profile", flag, "5"]) == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in err
+
+    def test_unknown_attachment(self, capsys):
+        assert _exit_code(["run", "--attach", "obs,flamegraph"]) == 2
+        err = capsys.readouterr().err
+        assert "flamegraph" in err and "obs, trace, profile, audit" in err
+
+    def test_audit_of_a_system_without_an_auditor(self, capsys):
+        assert _exit_code(["run", "--attach", "audit", "--system", "janus"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err and "janus" in err and "ROADMAP item 5" in err
+
+    @pytest.mark.parametrize("attach", ["", "obs", "trace", "profile", "audit"])
+    def test_bad_topology_file_under_every_attachment(self, capsys, tmp_path, attach):
+        for bad in (tmp_path / "missing.json", tmp_path / "garbage.json"):
+            (tmp_path / "garbage.json").write_text("{not json")
+            assert _exit_code(["run", "--attach", attach, "--topology", str(bad)]) == 2
+            err = capsys.readouterr().err.strip()
+            assert "\n" not in err and "--topology" in err
+
+    def test_spec_and_trial_flags_are_one_or_the_other(self, capsys, tmp_path):
+        from repro.fleet.spec import TrialSpec
+
+        path = tmp_path / "spec.json"
+        TrialSpec(workload="tpca").dump(str(path))
+        assert _exit_code(["run", "--spec", str(path), "--seed", "9"]) == 2
+        assert "--spec" in capsys.readouterr().err
+        assert _exit_code(["run", "--spec", str(tmp_path / "missing.json")]) == 2
+        assert "cannot read trial spec" in capsys.readouterr().err
+
+    def test_unwritable_out_directory(self, capsys, tmp_path):
+        (tmp_path / "file").write_text("")
+        assert _exit_code(["run", "--out", str(tmp_path / "file" / "dir")]) == 2
+        assert "--out" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["chaos", "topo"])
+    def test_bad_plan_file(self, capsys, tmp_path, command):
+        assert _exit_code([command, "--plan", str(tmp_path / "missing.json")]) == 2
+        assert "--plan" in capsys.readouterr().err
 
 
 CHAOS_TRIAL = ["--workload", "tpca", "--regions", "2", "--shards-per-region", "1",

@@ -153,19 +153,18 @@ def test_repro_run_prints_the_report_and_exits_nonzero(monkeypatch, capsys):
     assert "sharing .time 162.98100209999996: t0000006=" in err
 
 
-@pytest.mark.parametrize("command", [["audit"], ["obs"], ["trace", "--no-chrome"]],
-                         ids=["audit", "obs", "trace"])
-def test_every_trial_subcommand_reports_a_wedge(monkeypatch, capsys, command):
+@pytest.mark.parametrize("attach", ["audit", "obs", "trace", "profile"])
+def test_every_trial_subcommand_reports_a_wedge(monkeypatch, capsys, attach):
     # ``audit`` most of all: a run that stopped is vacuously serializable.
     from repro.cli import main
 
     monkeypatch.setattr(CrtLane, "next_after", _additive)
-    code = main([*command, *WEDGED_TRIAL])
+    code = main(["run", "--attach", attach, *WEDGED_TRIAL])
     assert code == 1
     out, err = capsys.readouterr()
     assert err.startswith("LivenessFailure: no transaction finished in the last")
     assert "sharing .time 162.98100209999996: t0000006=" in err
-    if command == ["audit"]:
+    if attach == "audit":
         assert "AuditReport(ok)" in out  # the auditor alone would have passed it
 
 

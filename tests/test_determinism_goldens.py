@@ -55,14 +55,17 @@ class TestGoldens:
         )
 
     def test_chaos_trial_golden(self):
+        from dataclasses import replace
+
         from repro.chaos.generator import generate_plan
-        from repro.chaos.runner import run_chaos_trial
+        from repro.chaos.runner import DEFAULT_SPEC, run_chaos_trial
 
         plan = generate_plan(3, num_regions=2, shards_per_region=2)
         report = run_chaos_trial(
-            plan, seed=3, system="dast", workload="tpca",
-            num_regions=2, shards_per_region=2, clients_per_region=3,
-            duration_ms=2000.0, drain_ms=3000.0,
+            plan, replace(DEFAULT_SPEC, seed=3, system="dast", workload="tpca",
+                          num_regions=2, shards_per_region=2,
+                          clients_per_region=3, duration_ms=2000.0),
+            drain_ms=3000.0,
         )
         assert report.ok
         digest = hashlib.sha256(report.to_text().encode()).hexdigest()

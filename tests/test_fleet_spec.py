@@ -59,6 +59,31 @@ class TestSpecRoundTrip:
                                match=rf"unknown timing overrides \['{knob}'\]"):
                 small_spec(timing={knob: 1.25}).validate()
 
+    def test_validate_rejects_unknown_collect_key_before_any_trial_runs(self, monkeypatch):
+        # A mistyped key used to surface only after the trial had run: one
+        # wasted trial per spec under FleetExecutor, which validates first
+        # precisely so that nothing is dispatched for a bad sweep.
+        from repro.fleet import FleetExecutor
+        from repro.fleet import executor
+
+        bad = small_spec(collect={"crt_cdf": {}, "crt_cfd": {}})
+        with pytest.raises(ConfigError, match=r"unknown collect keys \['crt_cfd'\]"):
+            bad.validate()
+        monkeypatch.setattr(executor, "run_spec", lambda spec: pytest.fail("dispatched"))
+        with pytest.raises(ConfigError, match="crt_cfd"):
+            FleetExecutor(jobs=1).run([small_spec(), bad])
+
+    def test_dump_load_round_trip(self, tmp_path):
+        spec = small_spec(open_loop={"users_per_region": 50}, label="x")
+        path = str(tmp_path / "spec.json")
+        spec.dump(path)
+        assert json.loads(open(path).read())["fingerprint"] == spec.fingerprint()
+        assert TrialSpec.load(path) == spec
+        (tmp_path / "list.json").write_text("[1]")
+        for bad in ("missing.json", "list.json"):
+            with pytest.raises(ConfigError):
+                TrialSpec.load(str(tmp_path / bad))
+
     def test_to_trial_builds_runnable_trial(self):
         trial = small_spec().to_trial()
         assert trial.system == "dast"

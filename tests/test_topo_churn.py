@@ -12,13 +12,15 @@ client-migration burst, and a region leave that reshards work back — all
 under open-loop load, audited, and byte-identical across reruns.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.bench.auditor import audit_dast_run
 from repro.bench.harness import Trial, run_trial
 from repro.chaos import FaultPlan, shrink_plan
 from repro.topo import TopologyPlan, generate_topology_plan
-from repro.topo.runner import run_topo_trial
+from repro.topo.runner import DEFAULT_SPEC, run_topo_trial
 from repro.workloads.tpca import TpcaWorkload
 
 # Small budgets: structural events finish inside the drain window (the
@@ -40,11 +42,15 @@ def _smoke_plan() -> TopologyPlan:
     )
 
 
+def _spec(seed: int, duration_ms: float = DURATION_MS):
+    """The default churn trial (tpca, 3 regions x 1 shard + 1 spare, 60
+    open-loop users at 40 arrivals/s per region, CRT ratio 0.1)."""
+    return replace(DEFAULT_SPEC, seed=seed, duration_ms=duration_ms)
+
+
 def _run_smoke():
-    return run_topo_trial(
-        _smoke_plan(), workload="tpca", num_regions=3, shards_per_region=1,
-        spare_regions=1, users_per_region=60, arrival_rate_tps=40.0,
-        duration_ms=3500.0, drain_ms=9000.0, seed=3, crt_ratio=0.1)
+    return run_topo_trial(_smoke_plan(), _spec(3, duration_ms=3500.0),
+                          drain_ms=9000.0)
 
 
 _SMOKE = None
@@ -86,8 +92,7 @@ class TestDeterminism:
         plan = generate_topology_plan(3, num_regions=3, shards_per_region=1,
                                       spare_regions=1)
         runs = [
-            run_topo_trial(plan, duration_ms=DURATION_MS, drain_ms=DRAIN_MS,
-                           seed=3)
+            run_topo_trial(plan, _spec(3), drain_ms=DRAIN_MS)
             for _ in range(2)
         ]
         assert runs[0].ok, runs[0].to_text()
@@ -100,14 +105,12 @@ class TestTopoFuzzMatrix:
     def test_generated_churn_stays_serializable(self, seed):
         plan = generate_topology_plan(seed, num_regions=3,
                                       shards_per_region=1, spare_regions=1)
-        report = run_topo_trial(plan, duration_ms=DURATION_MS,
-                                drain_ms=DRAIN_MS, seed=seed)
+        report = run_topo_trial(plan, _spec(seed), drain_ms=DRAIN_MS)
         if not report.ok:
             shrunk = shrink_plan(
                 plan,
                 lambda p: not run_topo_trial(
-                    p, duration_ms=DURATION_MS, drain_ms=DRAIN_MS,
-                    seed=seed).ok,
+                    p, _spec(seed), drain_ms=DRAIN_MS).ok,
                 max_runs=32,
             )
             pytest.fail(
