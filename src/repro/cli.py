@@ -129,8 +129,7 @@ def _spec_from_args(args) -> TrialSpec:
     base = args.base
     fields = {field: given[dest] for dest, field in _SPEC_FIELD.items()
               if dest in given}
-    # PIN(commit 1): the pre-spec CLI built every workload with seed 1.
-    params: dict = {"seed": 1}
+    params = {}  # no "seed": a registry workload follows the trial seed
     if args.workload in ("tpca", "ycsb"):
         params["theta"] = args.theta
     if args.workload != "tpcc":

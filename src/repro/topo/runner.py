@@ -227,9 +227,7 @@ class TopoReport:
 # varies it (``dataclasses.replace``): one spare region to join, and
 # ``keep_records`` so the audit below can read every TxnResult.
 DEFAULT_SPEC = TrialSpec(
-    system="dast", workload="tpca",
-    # PIN(commit 1): the pre-spec runner built every workload with seed 1.
-    workload_params={"crt_ratio": 0.1, "seed": 1},
+    system="dast", workload="tpca", workload_params={"crt_ratio": 0.1},
     num_regions=3, shards_per_region=1, replication=1, clients_per_region=2,
     duration_ms=4000.0, spare_regions=1,
     # 40 arrivals per region per second over 60 users.

@@ -24,8 +24,11 @@ MATRIX_SEEDS = list(range(12))
 
 
 def _trial_seed(seed: int) -> int:
-    # Decouple the workload/network seed from the plan seed so the matrix
-    # varies both the fault mix and the traffic it lands on.
+    # A trial seed distinct from the plan seed, so the matrix varies the
+    # traffic as well as the fault mix.  It reaches the workload only since
+    # run_chaos_trial takes a TrialSpec (registry workloads follow the trial
+    # seed); the hand-built Trial before it gave every scenario workload
+    # seed 1, so only the network and client streams varied.
     return 100 + seed
 
 

@@ -195,6 +195,22 @@ class TestOneTrialAnyInstruments:
         assert _row(capsys.readouterr().out) == rows[0]
         assert json.loads((tmp_path / "trace_events.json").read_text())
 
+    def test_run_prints_the_row_of_its_trialspec(self, capsys):
+        """Drift 1: ``--seed`` reaches the workload, so the CLI simulates the
+        trial its flags describe — the one the fleet, the bench and the
+        ledger run from the same spec."""
+        from repro.bench.harness import run_trial
+        from repro.bench.report import format_table
+        from repro.fleet.spec import TrialSpec
+
+        assert main(["run", *SMALL_TRIAL, "--seed", "7"]) == 0
+        spec = TrialSpec(
+            workload="tpca", workload_params={"theta": 0.5, "crt_ratio": 0.1},
+            num_regions=2, shards_per_region=1, clients_per_region=2,
+            duration_ms=2500.0, seed=7)
+        row = run_trial(spec.to_trial()).summary.as_row()
+        assert _row(capsys.readouterr().out) == format_table([row]).rstrip("\n")
+
     def test_every_attachment_reports_from_one_run(self, capsys, tmp_path):
         import json
 
@@ -293,6 +309,28 @@ class TestChaosCommand:
         assert code == 0
         assert "seed=3" in out and " OK" in out
         assert out_path.read_text().endswith("verdict: OK\n")
+
+    def test_report_counts_the_whole_run(self, capsys):
+        """Drift 4: the oracle used to see only [1500, duration - 500], so a
+        1,500 ms scenario passed on committed=0 aborted=0."""
+        import re
+
+        code = main(["chaos", "--seed", "3", "--workload", "tpca", "--regions", "2",
+                     "--shards-per-region", "1", "--clients", "2",
+                     "--duration-ms", "1500", "--drain-ms", "4000"])
+        assert code == 0
+        assert int(re.search(r"committed=(\d+)", capsys.readouterr().out).group(1)) > 0
+
+    @pytest.mark.parametrize("command", ["chaos", "topo"])
+    def test_ycsb_is_a_workload_like_any_other(self, capsys, command):
+        """Drift 3: the parser took ``ycsb`` and the runner died on KeyError."""
+        sizes = {"chaos": ["--regions", "2", "--shards-per-region", "1",
+                           "--clients", "2", "--drain-ms", "4000"],
+                 "topo": ["--drain-ms", "7000"]}[command]
+        code = _exit_code([command, "--workload", "ycsb", "--seed", "0",
+                           "--duration-ms", "2000", "--no-shrink", *sizes])
+        assert code == 0
+        assert "seed=0" in capsys.readouterr().out
 
     def test_plan_file_scenario(self, capsys, tmp_path):
         from repro.chaos import FaultPlan
