@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import traceback
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["run_scenarios_parallel"]
@@ -64,7 +65,6 @@ def run_scenarios_parallel(
     loop does.
     """
     import multiprocessing
-    from dataclasses import replace
 
     payloads = [
         {"seed": seed, "plan_json": plan.to_json(),

@@ -26,8 +26,8 @@ from repro.chaos.plan import FaultEvent, FaultPlan
 from repro.errors import ConfigError
 from repro.fleet.spec import TrialSpec
 
-__all__ = ["ChaosRunner", "ChaosReport", "run_chaos_trial", "DEFAULT_SPEC",
-           "BENIGN_ABORT_REASONS"]
+__all__ = ["ChaosRunner", "ChaosReport", "run_chaos_trial", "judge_results",
+           "DEFAULT_SPEC", "BENIGN_ABORT_REASONS"]
 
 # Abort reasons a healthy run may legitimately produce: workload-level
 # conditional aborts and client-visible timeouts.  Anything else — in
@@ -212,6 +212,24 @@ DEFAULT_SPEC = TrialSpec(
 )
 
 
+def judge_results(result, shard_ids) -> Dict:
+    """What a drained run's retained results and replicas say, as the report
+    fields the chaos and churn oracles share: diverging replica digests,
+    commit / abort counts, and the aborts no healthy run may produce."""
+    results = result.recorder.results
+    aborted = [r for r in results if not r.committed]
+    return {
+        "replica_mismatches": [
+            f"{shard_id}: replica digests diverge" for shard_id in shard_ids
+            if len(set(result.system.replicas_digest(shard_id))) > 1],
+        "committed": len(results) - len(aborted),
+        "aborted": len(aborted),
+        "conflict_aborts": sorted(
+            f"{r.txn_id}({'crt' if r.is_crt else 'irt'}): {r.abort_reason}"
+            for r in aborted if r.abort_reason not in BENIGN_ABORT_REASONS),
+    }
+
+
 def run_chaos_trial(plan: FaultPlan, spec: TrialSpec = DEFAULT_SPEC,
                     drain_ms: float = 6000.0) -> ChaosReport:
     """Run ``spec`` under ``plan`` end to end, drain, and audit the outcome."""
@@ -234,21 +252,3 @@ def run_chaos_trial(plan: FaultPlan, spec: TrialSpec = DEFAULT_SPEC,
         faults_applied=len(result.chaos.applied),
         **judge_results(result, result.system.topology.all_shards()),
     )
-
-
-def judge_results(result, shard_ids) -> Dict:
-    """What a drained run's retained results and replicas say, as the report
-    fields the chaos and churn oracles share: diverging replica digests,
-    commit / abort counts, and the aborts no healthy run may produce."""
-    results = result.recorder.results
-    aborted = [r for r in results if not r.committed]
-    return {
-        "replica_mismatches": [
-            f"{shard_id}: replica digests diverge" for shard_id in shard_ids
-            if len(set(result.system.replicas_digest(shard_id))) > 1],
-        "committed": len(results) - len(aborted),
-        "aborted": len(aborted),
-        "conflict_aborts": sorted(
-            f"{r.txn_id}({'crt' if r.is_crt else 'irt'}): {r.abort_reason}"
-            for r in aborted if r.abort_reason not in BENIGN_ABORT_REASONS),
-    }

@@ -81,9 +81,7 @@ ATTACHMENTS = ("obs", "trace", "profile", "audit")
 SLOWEST_EXEMPLARS = 3
 CHROME_TRACE_LIMIT = 200
 
-_OPEN_LOOP_FLAGS = ("--open-loop-users", "--ol-rate", "--ol-model",
-                    "--ol-max-inflight", "--ol-flash-at", "--ol-flash-duration",
-                    "--ol-flash-mult", "--ol-flash-redirect")
+_OPEN_LOOP_FLAGS = ("--open-loop-", "--ol-")  # name prefixes, for omit=
 
 # Trial flag (argparse dest) -> the TrialSpec field it sets verbatim.
 # ``--theta`` / ``--crt-ratio``, the ``--open-loop-*`` / ``--ol-*`` group and
@@ -161,6 +159,12 @@ def _check_out_path(path, what: str) -> None:
             raise ConfigError(f"{what} directory does not exist: {parent}")
 
 
+def _write_json(path: str, doc) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 def _load_plan(plan_cls, path: str, flag: str):
     """A validated FaultPlan / TopologyPlan from the JSON file ``flag`` names."""
     try:
@@ -212,9 +216,7 @@ def _write_artifacts(directory: str, result, profile) -> None:
                           limit=CHROME_TRACE_LIMIT)
             written.append("trace_events.json")
     if profile is not None:
-        with open(os.path.join(directory, "profile.json"), "w") as fh:
-            json.dump(profile.to_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        _write_json(os.path.join(directory, "profile.json"), profile.to_dict())
         written.append("profile.json")
     print(f"wrote {', '.join(written)} under {directory}")
 
@@ -319,9 +321,7 @@ def cmd_canary(args) -> int:
     if args.mode == "capture":
         _check_out_path(args.goldens, "--goldens")
         doc = capture(specs, progress=_progress, seeds=args.seeds)
-        with open(args.goldens, "w") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.goldens, doc)
         suffix = f" ({args.seeds} seeds each)" if args.seeds > 1 else ""
         print(f"captured {len(doc['scenarios'])} golden scenario(s)"
               f"{suffix} to {args.goldens}")
@@ -413,9 +413,7 @@ def cmd_bench(args) -> int:
                         refresh=args.refresh, progress=_progress,
                         timeout_s=args.timeout_s)
     wall_clock_s = time.perf_counter() - start
-    with open(args.out, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(args.out, payload)
     print(format_table([
         {k: row.get(k, "") for k in ("label", "cached", "throughput_tps",
                                      "irt_p99_ms", "crt_p99_ms", "msgs_total")}
@@ -580,11 +578,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_trial_args(p, omit=()):
-        """Register the trial flags on ``p`` except those in ``omit``: a
-        flag the subcommand cannot honour is not registered, never parsed
-        and dropped."""
+        """Register the trial flags on ``p`` except those whose name starts
+        with an ``omit`` entry: a flag the subcommand cannot honour is not
+        registered, never parsed and dropped."""
         def flag(name, **kwargs):
-            if name not in omit:
+            if not name.startswith(omit):
                 p.add_argument(name, **kwargs)
 
         flag("--system", choices=sorted(SYSTEMS), default="dast")
