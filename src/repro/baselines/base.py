@@ -132,27 +132,6 @@ class BaselineSystem:
                 touched += 1
         return touched
 
-    # -- observability ---------------------------------------------------------
-    def attach_tracer(self, kinds=None, hosts=None, capacity: int = 200_000,
-                      causal: bool = False):
-        """Attach a system-wide tracer (client + node events)."""
-        from repro.obs.bundle import attach_tracer
-
-        return attach_tracer(self, kinds=kinds, hosts=hosts, capacity=capacity,
-                             causal=causal)
-
-    def attach_registry(self, registry=None):
-        from repro.obs.bundle import attach_registry
-
-        return attach_registry(self, registry=registry)
-
-    def attach_obs(self, kinds=None, hosts=None, capacity: int = 200_000,
-                   probe_interval: float = 50.0, causal: bool = False):
-        from repro.obs.bundle import attach_obs
-
-        return attach_obs(self, kinds=kinds, hosts=hosts, capacity=capacity,
-                          probe_interval=probe_interval, causal=causal)
-
     # -- shared introspection -------------------------------------------------
     def replicas_digest(self, shard_id: str) -> List[str]:
         return [

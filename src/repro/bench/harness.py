@@ -95,10 +95,11 @@ class Trial:
         self.fault_plan = fault_plan
         self.request_timeout = request_timeout
         # Open-loop mode: a non-None dict of OpenLoopConfig knobs replaces
-        # the closed-loop clients with the aggregate arrival engine and the
-        # LatencyRecorder with the (coordinated-omission-free) open-loop
-        # recorder.  None (the default) leaves every existing trial —
-        # including all pinned golden digests — byte-identical.
+        # the closed-loop clients with the aggregate arrival engine, which
+        # hands the recorder each arrival's intended time (the
+        # coordinated-omission-free anchor).  None (the default) leaves
+        # every existing trial — including all pinned golden digests —
+        # byte-identical.
         self.open_loop = open_loop
         # Dynamic topology (repro.topo): a TopologyPlan of mid-trial events,
         # a named cross-region RTT profile, per-region CPU service-time
@@ -125,9 +126,14 @@ class TrialResult:
         self.topo = topo  # TopoRunner when the trial ran a topology plan
         self.summary: Summary = recorder.summarize(trial.system)
         self.summary.attach_network(getattr(system.network, "stats", None))
-        self._attach_topo()
+        self._attach_late()
 
-    def _attach_topo(self) -> None:
+    def _attach_late(self) -> None:
+        """Fold in what can still move after the measured run, during a
+        drain: the requests that never completed (each driver counts its
+        own — a closed-loop client has no other way to report one) and the
+        churn counters."""
+        self.summary.failed = sum(client.failed for client in self.clients)
         counters = getattr(self.system, "topo_counters", None)
         if counters is not None:
             self.summary.attach_topology(counters())
@@ -159,9 +165,9 @@ class TrialResult:
         if orderer is not None:
             orderer.stop()
         self.system.run(until=self.system.sim.now + extra_ms)
-        # Topology events may still be completing when the measured window
-        # closes; refresh the summary's churn counters after the drain.
-        self._attach_topo()
+        # Topology events may still be completing, and requests timing out,
+        # when the measured window closes.
+        self._attach_late()
 
 
 def _dast_nodes(system) -> Dict[str, object]:
@@ -268,27 +274,23 @@ def run_trial(trial: Trial, hooks: Optional[Callable] = None) -> TrialResult:
             system, resolve_service_multipliers(service_mults, topology.regions))
     open_cfg = None
     if trial.open_loop is not None:
-        from repro.bench.metrics import OpenLoopRecorder
         from repro.workloads.openloop import OpenLoopConfig
 
         open_cfg = OpenLoopConfig.from_dict(trial.open_loop)
-        if topo_plan is not None or service_mults:
-            # The express path bypasses the submit-side freeze check and
-            # models a uniform CPU cost; dynamic topology and heterogeneous
-            # service times both need the fully general path.
+        if topo_plan is not None or service_mults or open_cfg.keep_records:
+            # The express path bypasses the submit-side freeze check, models
+            # a uniform CPU cost and recycles its transactions and results
+            # through pools; dynamic topology, heterogeneous service times
+            # and retained records each need the fully general path.
             open_cfg.express = False
-        recorder = OpenLoopRecorder(
-            warm_start=trial.warmup_ms,
-            warm_end=trial.duration_ms - trial.cooldown_ms,
-            # Audits need the TxnResults; safe only off the express path
-            # (express recycles result objects through a pool).
-            keep_results=open_cfg.keep_records and not open_cfg.express,
-        )
-    else:
-        recorder = LatencyRecorder(
-            warm_start=trial.warmup_ms,
-            warm_end=trial.duration_ms - trial.cooldown_ms,
-        )
+    recorder = LatencyRecorder(
+        warm_start=trial.warmup_ms,
+        warm_end=trial.duration_ms - trial.cooldown_ms,
+        open_loop=open_cfg is not None,
+        # The TxnResults themselves (phase breakdowns, audits), unless the
+        # open-loop engine recycles them.
+        keep_results=open_cfg is None or open_cfg.keep_records,
+    )
     bundle = None
     if trial.obs or trial.obs_causal:
         from repro.obs import attach_obs

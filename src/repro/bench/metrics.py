@@ -2,7 +2,9 @@
 
 Follows the paper's methodology (§6): client-side latency including
 retries, measured inside a warm window (the paper uses the middle 15 s of a
-30 s run), with 99th-percentile tail latency as the headline metric.
+30 s run), with 99th-percentile tail latency as the headline metric.  One
+recorder and one summary serve every trial: a closed-loop completion is an
+arrival whose intended time is its submit time.
 """
 
 from __future__ import annotations
@@ -13,8 +15,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.txn.result import TxnResult
 
-__all__ = ["LatencyRecorder", "OpenLoopRecorder", "OpenLoopSummary",
-           "percentile", "Summary"]
+__all__ = ["LatencyRecorder", "NO_PHASE_BREAKDOWN", "percentile", "Summary"]
+
+# What a caller that was asked for phase_breakdown() says when the recorder
+# was built with keep_results off, instead of showing an unexplained nothing.
+NO_PHASE_BREAKDOWN = ("no phase breakdown: this trial recycles its results "
+                      "(open loop without keep_records)")
 
 
 def percentile(values: Sequence[float], p: float, interpolate: bool = False) -> float:
@@ -41,20 +47,39 @@ def percentile(values: Sequence[float], p: float, interpolate: bool = False) -> 
 
 
 class Summary:
-    """One experiment trial's headline numbers."""
+    """One experiment trial's headline numbers.
 
-    def __init__(self, system: str, window: float):
+    The headline IRT/CRT percentiles are anchored at the **intended arrival
+    time** — the coordinated-omission-free measurement.  The service-anchored
+    (submit→finish) percentiles and the queue delay (intended→submit) are
+    carried alongside, so a stalled system shows up as a widening
+    open-vs-service gap rather than being hidden by deferred submissions.  A
+    closed-loop client submits the moment it intends to, so there the two
+    anchors coincide and the queue delay is zero.
+    """
+
+    def __init__(self, system: str, window: float, open_loop: bool = False):
         self.system = system
         self.window = window
+        self.open_loop = open_loop
         self.throughput = 0.0
         self.irt_median = 0.0
         self.irt_p99 = 0.0
         self.crt_median = 0.0
         self.crt_p99 = 0.0
+        self.irt_p50_svc = 0.0
+        self.irt_p99_svc = 0.0
+        self.crt_p99_svc = 0.0
+        self.queue_p99 = 0.0
         self.abort_rate = 0.0
         self.committed = 0
         self.aborted = 0
         self.mean_retries = 0.0
+        # Everything the recorder was handed, in or out of the window, and
+        # the requests among them that never completed (timed out, or no
+        # live replica to send to).
+        self.arrivals = 0
+        self.failed = 0
         # Wire traffic totals, filled in by attach_network() when the trial's
         # NetworkStats is available (virtual-byte model of repro.wire).
         self.msgs_total = 0
@@ -95,6 +120,18 @@ class Summary:
         }
         if self.topo:
             row["topo"] = dict(self.topo)
+        if self.open_loop:
+            row["open_loop"] = True
+            row["irt_p50_svc_ms"] = round(self.irt_p50_svc, 2)
+            row["irt_p99_svc_ms"] = round(self.irt_p99_svc, 2)
+            row["crt_p99_svc_ms"] = round(self.crt_p99_svc, 2)
+            row["queue_p99_ms"] = round(self.queue_p99, 2)
+            row["arrivals"] = self.arrivals
+            row["failed"] = self.failed
+        elif self.failed:
+            # Like ``topo``: present only when there is something to report,
+            # so a fault-free closed-loop row keeps its keys.
+            row["failed"] = self.failed
         return row
 
     def __repr__(self) -> str:
@@ -105,152 +142,15 @@ class Summary:
         )
 
 
-class LatencyRecorder:
-    """Collects TxnResults and reduces them to paper-style metrics."""
-
-    def __init__(self, warm_start: float = 0.0, warm_end: float = float("inf")):
-        self.warm_start = warm_start
-        self.warm_end = warm_end
-        self.results: List[TxnResult] = []
-        # Every recorded result is counted and dates the latest completion,
-        # whether or not it falls in the measurement window.
-        self.all_count = 0
-        self.last_finish = 0.0  # when the latest one finished; 0.0 if none did
-
-    def record(self, result: TxnResult) -> None:
-        finish = result.finish_time
-        self.all_count += 1
-        if finish > self.last_finish:
-            self.last_finish = finish
-        if self.warm_start <= finish <= self.warm_end:
-            self.results.append(result)
-
-    # ------------------------------------------------------------------
-    def _committed(self, crt: Optional[bool] = None) -> List[TxnResult]:
-        out = []
-        for r in self.results:
-            if not r.committed and r.abort_reason != "":
-                # Conditional aborts still count as completions (TPC-C
-                # new-order rollbacks are part of the workload).
-                pass
-            if crt is not None and r.is_crt != crt:
-                continue
-            out.append(r)
-        return out
-
-    def latencies(self, crt: Optional[bool] = None) -> List[float]:
-        return [r.latency for r in self._committed(crt)]
-
-    def summarize(self, system: str = "") -> Summary:
-        window = min(self.warm_end, max((r.finish_time for r in self.results), default=0.0))
-        window -= self.warm_start
-        window = max(window, 1e-9)
-        summary = Summary(system, window)
-        summary.committed = sum(1 for r in self.results if r.committed)
-        summary.aborted = sum(1 for r in self.results if not r.committed)
-        total = summary.committed + summary.aborted
-        summary.throughput = total / (window / 1000.0)
-        irts = self.latencies(crt=False)
-        crts = self.latencies(crt=True)
-        summary.irt_median = percentile(irts, 50)
-        summary.irt_p99 = percentile(irts, 99)
-        summary.crt_median = percentile(crts, 50)
-        summary.crt_p99 = percentile(crts, 99)
-        summary.abort_rate = (summary.aborted / total) if total else 0.0
-        summary.mean_retries = (
-            sum(r.retries for r in self.results) / total if total else 0.0
-        )
-        return summary
-
-    # ------------------------------------------------------------------
-    def cdf(self, crt: Optional[bool] = None, points: int = 50) -> List[Tuple[float, float]]:
-        """(latency_ms, cumulative fraction) pairs for CDF plots (Fig 5d)."""
-        values = sorted(self.latencies(crt))
-        if not values:
-            return []
-        step = max(1, len(values) // points)
-        out = []
-        for i in range(0, len(values), step):
-            out.append((values[i], (i + 1) / len(values)))
-        out.append((values[-1], 1.0))
-        return out
-
-    def timeseries(self, bucket_ms: float = 500.0) -> List[Dict[str, float]]:
-        """Per-bucket throughput and median latency (Figs 9b, 10a)."""
-        if not self.results:
-            return []
-        buckets: Dict[int, List[TxnResult]] = {}
-        for r in self.results:
-            buckets.setdefault(int(r.finish_time // bucket_ms), []).append(r)
-        series = []
-        for b in sorted(buckets):
-            rs = buckets[b]
-            irts = [r.latency for r in rs if not r.is_crt]
-            crts = [r.latency for r in rs if r.is_crt]
-            series.append(
-                {
-                    "t_ms": b * bucket_ms,
-                    "throughput_tps": len(rs) / (bucket_ms / 1000.0),
-                    "irt_p50_ms": percentile(irts, 50),
-                    "irt_p99_ms": percentile(irts, 99),
-                    "crt_p50_ms": percentile(crts, 50),
-                    "crt_p99_ms": percentile(crts, 99),
-                }
-            )
-        return series
-
-    def phase_breakdown(self, with_dependency: Optional[bool] = None) -> Dict[str, float]:
-        """Mean CRT phase durations (Tables 3 and 4)."""
-        rows = [r for r in self.results if r.is_crt and r.phases]
-        if with_dependency is not None:
-            rows = [r for r in rows if bool(r.phases.get("has_dep")) == with_dependency]
-        if not rows:
-            return {}
-        keys = ["local_prepare", "remote_prepare", "wait_exec", "wait_input", "wait_output"]
-        out = {k: sum(r.phases.get(k, 0.0) for r in rows) / len(rows) for k in keys}
-        out["total"] = sum(r.latency for r in rows) / len(rows)
-        out["count"] = float(len(rows))
-        return out
-
-
-class OpenLoopSummary(Summary):
-    """Summary for open-loop trials.
-
-    The headline IRT/CRT percentiles are anchored at the **intended
-    arrival time**, not the submit time — the coordinated-omission-free
-    measurement.  The service-anchored (submit→finish) percentiles and the
-    queue delay (intended→submit) are carried alongside, so a stalled
-    system shows up as a widening open-vs-service gap rather than being
-    hidden by deferred submissions.
-    """
-
-    def __init__(self, system: str, window: float):
-        super().__init__(system, window)
-        self.irt_p50_svc = 0.0
-        self.irt_p99_svc = 0.0
-        self.crt_p99_svc = 0.0
-        self.queue_p99 = 0.0
-        self.arrivals = 0
-        self.failed = 0
-
-    def as_row(self) -> Dict[str, float]:
-        row = super().as_row()
-        row["open_loop"] = True
-        row["irt_p50_svc_ms"] = round(self.irt_p50_svc, 2)
-        row["irt_p99_svc_ms"] = round(self.irt_p99_svc, 2)
-        row["crt_p99_svc_ms"] = round(self.crt_p99_svc, 2)
-        row["queue_p99_ms"] = round(self.queue_p99, 2)
-        row["arrivals"] = self.arrivals
-        row["failed"] = self.failed
-        return row
-
-
-class _RegionSeries:
-    """Compact per-region latency arrays (8 bytes/sample, not a TxnResult)."""
+class _Samples:
+    """One region's windowed samples as packed doubles — 24 B per transaction
+    (intended-anchored latency, submit-anchored latency, finish time), not a
+    TxnResult — plus that region's tallies."""
 
     __slots__ = ("irt_open", "irt_svc", "irt_finish",
                  "crt_open", "crt_svc", "crt_finish",
-                 "committed", "aborted", "arrivals", "failures", "last_finish")
+                 "committed", "aborted", "retries", "arrivals", "failures",
+                 "last_finish")
 
     def __init__(self) -> None:
         self.irt_open = array("d")
@@ -261,35 +161,37 @@ class _RegionSeries:
         self.crt_finish = array("d")
         self.committed = 0
         self.aborted = 0
+        self.retries = 0
         self.arrivals = 0
         self.failures = 0
         self.last_finish = 0.0  # latest completion, in or out of the window
 
 
-class OpenLoopRecorder:
-    """Aggregate recorder for open-loop trials.
+class LatencyRecorder:
+    """Collects completions and reduces them to paper-style metrics.
 
-    Unlike :class:`LatencyRecorder` it never retains TxnResult objects —
-    at millions of transactions that would dominate memory — only packed
-    float arrays of (intended-anchored, submit-anchored, finish) samples,
-    split per region so coordinated-omission tests can compare a stalled
-    region against the rest.
+    The sample store is the packed per-region arrays of :class:`_Samples`
+    (split per region so coordinated-omission tests can compare a stalled
+    region against the rest).  **``results`` holds what the window admits**
+    — the TxnResult objects themselves, for phase breakdowns and post-hoc
+    audits — unless ``keep_results`` is off (the open-loop engine recycles
+    its results through a pool, and millions of them would dominate
+    memory).  A caller that audits rather than measures opens the window
+    (``warm_start, warm_end = 0, inf``) before the run, through
+    ``run_trial(trial, hooks=...)``.
     """
 
     def __init__(self, warm_start: float = 0.0, warm_end: float = float("inf"),
-                 keep_results: bool = False):
+                 keep_results: bool = True, open_loop: bool = False):
         self.warm_start = warm_start
         self.warm_end = warm_end
-        self._regions: Dict[str, _RegionSeries] = {}
-        # Post-hoc audits (repro.topo churn trials) need the TxnResult
-        # objects themselves.  Only safe off the express path (express
-        # recycles results through a pool); the harness enables it for
-        # keep_records trials where express is forced off.
         self.keep_results = keep_results
+        self.open_loop = open_loop
         self.results: List[TxnResult] = []
+        self._regions: Dict[str, _Samples] = {}
 
-    # All-arrival and failure totals live in the per-region series; the
-    # trial-wide view is their sum.
+    # Totals over everything handed in, whether or not it fell in the
+    # measurement window, live in the per-region tallies.
     @property
     def all_count(self) -> int:
         return sum(s.arrivals for s in self._regions.values())
@@ -303,36 +205,43 @@ class OpenLoopRecorder:
         """When the latest recorded transaction finished (0.0 if none did)."""
         return max((s.last_finish for s in self._regions.values()), default=0.0)
 
-    def _series(self, region: str) -> _RegionSeries:
+    def _series(self, region: str) -> _Samples:
         series = self._regions.get(region)
         if series is None:
-            series = self._regions[region] = _RegionSeries()
+            series = self._regions[region] = _Samples()
         return series
 
     # ------------------------------------------------------------------
-    def record_result(self, result: TxnResult, intended: float, region: str) -> None:
-        """Fold one completed transaction in; ``result`` may be recycled by
-        the caller immediately after this returns."""
+    def record(self, result: TxnResult, intended: Optional[float] = None,
+               region: str = "") -> None:
+        """Fold one completed transaction in.  ``intended`` is when the
+        request was meant to be sent (``None``: when it was — closed loop)."""
         series = self._series(region)
         series.arrivals += 1
-        if self.keep_results:
-            self.results.append(result)
         finish = result.finish_time
         if finish > series.last_finish:
             series.last_finish = finish
-        if not (self.warm_start <= finish <= self.warm_end):
+        if finish < self.warm_start or finish > self.warm_end:
             return
+        if self.keep_results:
+            self.results.append(result)
         if result.committed:
             series.committed += 1
         else:
+            # Conditional aborts still count as completions (TPC-C
+            # new-order rollbacks are part of the workload).
             series.aborted += 1
+        series.retries += result.retries
+        submit = result.submit_time
+        if intended is None:
+            intended = submit
         if result.is_crt:
             series.crt_open.append(finish - intended)
-            series.crt_svc.append(finish - result.submit_time)
+            series.crt_svc.append(finish - submit)
             series.crt_finish.append(finish)
         else:
             series.irt_open.append(finish - intended)
-            series.irt_svc.append(finish - result.submit_time)
+            series.irt_svc.append(finish - submit)
             series.irt_finish.append(finish)
 
     def record_irt(self, committed: bool, intended: float, submit: float,
@@ -359,52 +268,45 @@ class OpenLoopRecorder:
         series.failures += 1
 
     # ------------------------------------------------------------------
-    def _merged(self, field: str, region: Optional[str] = None) -> List[float]:
-        if region is not None:
-            series = self._regions.get(region)
-            return list(getattr(series, field)) if series is not None else []
+    def _samples(self, field: str, crt: Optional[bool] = None,
+                 region: Optional[str] = None) -> List[float]:
+        """The ``irt_<field>`` and/or ``crt_<field>`` samples of one region,
+        or of all of them in region-name order."""
+        if crt is None:
+            return self._samples(field, False, region) + self._samples(field, True, region)
+        name = ("crt_" if crt else "irt_") + field
+        names = sorted(self._regions) if region is None else [region]
         out: List[float] = []
-        for name in sorted(self._regions):
-            out.extend(getattr(self._regions[name], field))
+        for key in names:
+            if key in self._regions:
+                out.extend(getattr(self._regions[key], name))
         return out
 
-    def open_latencies(self, crt: Optional[bool] = None,
-                       region: Optional[str] = None) -> List[float]:
-        """Intended-arrival-anchored latencies (the open-loop measurement)."""
-        if crt is True:
-            return self._merged("crt_open", region)
-        if crt is False:
-            return self._merged("irt_open", region)
-        return self._merged("irt_open", region) + self._merged("crt_open", region)
+    def latencies(self, crt: Optional[bool] = None,
+                  region: Optional[str] = None) -> List[float]:
+        """Intended-arrival-anchored latencies: the headline measurement."""
+        return self._samples("open", crt, region)
 
     def service_latencies(self, crt: Optional[bool] = None,
                           region: Optional[str] = None) -> List[float]:
         """Submit-anchored latencies (what a closed-loop client would see)."""
-        if crt is True:
-            return self._merged("crt_svc", region)
-        if crt is False:
-            return self._merged("irt_svc", region)
-        return self._merged("irt_svc", region) + self._merged("crt_svc", region)
-
-    # Compatibility with LatencyRecorder call sites (CDF export & CLI):
-    # open-loop latencies are the honest headline numbers.
-    def latencies(self, crt: Optional[bool] = None) -> List[float]:
-        return self.open_latencies(crt)
+        return self._samples("svc", crt, region)
 
     # ------------------------------------------------------------------
-    def summarize(self, system: str = "") -> OpenLoopSummary:
-        finishes = self._merged("irt_finish") + self._merged("crt_finish")
-        window = min(self.warm_end, max(finishes, default=0.0)) - self.warm_start
+    def summarize(self, system: str = "") -> Summary:
+        window = min(self.warm_end, max(self._samples("finish"), default=0.0))
+        window -= self.warm_start
         window = max(window, 1e-9)
-        summary = OpenLoopSummary(system, window)
-        summary.committed = sum(s.committed for s in self._regions.values())
-        summary.aborted = sum(s.aborted for s in self._regions.values())
+        summary = Summary(system, window, open_loop=self.open_loop)
+        regions = self._regions.values()
+        summary.committed = sum(s.committed for s in regions)
+        summary.aborted = sum(s.aborted for s in regions)
         summary.arrivals = self.all_count
         summary.failed = self.failed
         total = summary.committed + summary.aborted
         summary.throughput = total / (window / 1000.0)
-        irts_open = self.open_latencies(crt=False)
-        crts_open = self.open_latencies(crt=True)
+        irts_open = self.latencies(crt=False)
+        crts_open = self.latencies(crt=True)
         irts_svc = self.service_latencies(crt=False)
         crts_svc = self.service_latencies(crt=True)
         summary.irt_median = percentile(irts_open, 50)
@@ -418,12 +320,14 @@ class OpenLoopRecorder:
         queue.extend(o - s for o, s in zip(crts_open, crts_svc))
         summary.queue_p99 = percentile(queue, 99)
         summary.abort_rate = (summary.aborted / total) if total else 0.0
-        summary.mean_retries = 0.0
+        summary.mean_retries = (
+            sum(s.retries for s in regions) / total if total else 0.0)
         return summary
 
     # ------------------------------------------------------------------
     def cdf(self, crt: Optional[bool] = None, points: int = 50) -> List[Tuple[float, float]]:
-        values = sorted(self.open_latencies(crt))
+        """(latency_ms, cumulative fraction) pairs for CDF plots (Fig 5d)."""
+        values = sorted(self.latencies(crt))
         if not values:
             return []
         step = max(1, len(values) // points)
@@ -434,13 +338,10 @@ class OpenLoopRecorder:
         return out
 
     def timeseries(self, bucket_ms: float = 500.0) -> List[Dict[str, float]]:
+        """Per-bucket throughput and median latency (Figs 9b, 10a)."""
         buckets: Dict[int, Dict[str, List[float]]] = {}
-        for crt, fin_field, lat_field in (
-            (False, "irt_finish", "irt_open"),
-            (True, "crt_finish", "crt_open"),
-        ):
-            key = "crt" if crt else "irt"
-            for finish, lat in zip(self._merged(fin_field), self._merged(lat_field)):
+        for crt, key in ((False, "irt"), (True, "crt")):
+            for finish, lat in zip(self._samples("finish", crt), self.latencies(crt)):
                 bucket = buckets.setdefault(int(finish // bucket_ms), {"irt": [], "crt": []})
                 bucket[key].append(lat)
         series = []
@@ -457,4 +358,15 @@ class OpenLoopRecorder:
         return series
 
     def phase_breakdown(self, with_dependency: Optional[bool] = None) -> Dict[str, float]:
-        return {}  # open-loop trials do not retain per-txn phase maps
+        """Mean CRT phase durations (Tables 3 and 4) over the retained
+        results; empty when ``keep_results`` is off."""
+        rows = [r for r in self.results if r.is_crt and r.phases]
+        if with_dependency is not None:
+            rows = [r for r in rows if bool(r.phases.get("has_dep")) == with_dependency]
+        if not rows:
+            return {}
+        keys = ["local_prepare", "remote_prepare", "wait_exec", "wait_input", "wait_output"]
+        out = {k: sum(r.phases.get(k, 0.0) for r in rows) / len(rows) for k in keys}
+        out["total"] = sum(r.latency for r in rows) / len(rows)
+        out["count"] = float(len(rows))
+        return out

@@ -27,7 +27,7 @@ from repro.errors import ConfigError
 from repro.fleet.spec import TrialSpec
 
 __all__ = ["ChaosRunner", "ChaosReport", "run_chaos_trial", "judge_results",
-           "DEFAULT_SPEC", "BENIGN_ABORT_REASONS"]
+           "audit_every_completion", "DEFAULT_SPEC", "BENIGN_ABORT_REASONS"]
 
 # Abort reasons a healthy run may legitimately produce: workload-level
 # conditional aborts and client-visible timeouts.  Anything else — in
@@ -210,6 +210,14 @@ DEFAULT_SPEC = TrialSpec(
     duration_ms=4000.0, warmup_ms=0.0, cooldown_ms=0.0,
     request_timeout=2000.0,
 )
+
+
+def audit_every_completion(system, recorder) -> None:
+    """``run_trial`` hook for a run that audits rather than measures: open
+    the recorder's window, so ``recorder.results`` — what
+    :func:`judge_results` reads — holds every completion it is handed,
+    those of the drain included."""
+    recorder.warm_start, recorder.warm_end = 0.0, float("inf")
 
 
 def judge_results(result, shard_ids) -> Dict:

@@ -41,6 +41,7 @@ from typing import List, Optional
 
 from repro.bench import experiments as exp
 from repro.bench.harness import SYSTEMS, run_trial
+from repro.bench.metrics import NO_PHASE_BREAKDOWN
 from repro.bench.report import format_series, format_table
 from repro.chaos.runner import DEFAULT_SPEC as CHAOS_SPEC
 from repro.errors import ConfigError
@@ -253,6 +254,8 @@ def cmd_run(args) -> int:
         result.obs.stop()
     print(format_table([result.summary.as_row()]))
     if args.breakdown and spec.system == "dast":
+        if not result.recorder.keep_results:
+            print(NO_PHASE_BREAKDOWN)
         for label, dep in (("without value deps", False), ("with value deps", True)):
             breakdown = result.recorder.phase_breakdown(with_dependency=dep)
             if breakdown:

@@ -197,32 +197,6 @@ class DastSystem:
             trace_client_rpc(self.sim, tracer, client, txn.txn_id, event)
         return event
 
-    def attach_tracer(self, kinds=None, hosts=None, capacity: int = 200_000,
-                      causal: bool = False):
-        """Attach a :class:`repro.sim.trace.Tracer` to every node/manager.
-
-        Returns the tracer; tracing is off unless this is called.  With
-        ``causal=True`` the tracer also records cross-node span trees.
-        """
-        from repro.obs.bundle import attach_tracer
-
-        return attach_tracer(self, kinds=kinds, hosts=hosts, capacity=capacity,
-                             causal=causal)
-
-    def attach_registry(self, registry=None):
-        """Attach a metrics registry; all Stats bags mirror into it."""
-        from repro.obs.bundle import attach_registry
-
-        return attach_registry(self, registry=registry)
-
-    def attach_obs(self, kinds=None, hosts=None, capacity: int = 200_000,
-                   probe_interval: float = 50.0, causal: bool = False):
-        """Full observability: tracer + registry + periodic probes."""
-        from repro.obs.bundle import attach_obs
-
-        return attach_obs(self, kinds=kinds, hosts=hosts, capacity=capacity,
-                          probe_interval=probe_interval, causal=causal)
-
     # ------------------------------------------------------------------
     # Fault injection
     # ------------------------------------------------------------------

@@ -19,9 +19,8 @@ the test suite relies on this).
   :class:`TrialFailure` in its slot while the other trials complete;
 * **cache-aware** — an attached :class:`~repro.fleet.cache.ResultCache`
   is consulted before dispatch and fed after, with hit/miss accounting;
-* **observable** — counters and a wall-clock histogram live in a
-  :class:`repro.obs.registry.MetricsRegistry`, and an optional
-  ``progress`` callback receives one live line per finished trial.
+* **observable** — an optional ``progress`` callback receives one live
+  line per finished trial; hit/miss counts are the cache's own.
 """
 
 from __future__ import annotations
@@ -141,32 +140,22 @@ class FleetExecutor:
         refresh: bool = False,
         timeout_s: Optional[float] = None,
         progress: Optional[Callable[[str], None]] = None,
-        registry=None,
     ):
-        from repro.obs.registry import MetricsRegistry
-
         self.jobs = max(1, int(jobs))
         self.cache = cache
         self.refresh = refresh
         self.timeout_s = timeout_s
         self.progress = progress
-        self.registry = registry or MetricsRegistry(now_fn=time.perf_counter)
 
     # ------------------------------------------------------------------
     def _emit(self, done: int, total: int, result: FleetResult) -> None:
-        self.registry.counter("fleet_trials_done").inc()
+        if self.progress is None:
+            return
         if isinstance(result, TrialOutcome):
-            if result.cached:
-                self.registry.counter("fleet_cache_hits").inc()
-                status = "cached"
-            else:
-                status = f"{result.wall_clock_s:.1f}s"
-            self.registry.histogram("fleet_trial_wall_s").observe(result.wall_clock_s)
+            status = "cached" if result.cached else f"{result.wall_clock_s:.1f}s"
         else:
-            self.registry.counter("fleet_failures").inc()
             status = result.kind.upper()
-        if self.progress is not None:
-            self.progress(f"[fleet] {done}/{total} {result.label} {status}")
+        self.progress(f"[fleet] {done}/{total} {result.label} {status}")
 
     # ------------------------------------------------------------------
     def run(self, specs: Sequence[TrialSpec]) -> List[FleetResult]:

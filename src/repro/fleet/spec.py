@@ -136,7 +136,11 @@ class TrialSpec:
             from repro.workloads.openloop import OpenLoopConfig
 
             # Raises ConfigError on unknown keys or bad values.
-            OpenLoopConfig.from_dict(self.open_loop)
+            open_cfg = OpenLoopConfig.from_dict(self.open_loop)
+            if "phase_breakdown" in self.collect and not open_cfg.keep_records:
+                from repro.bench.metrics import NO_PHASE_BREAKDOWN
+
+                raise ConfigError(NO_PHASE_BREAKDOWN)
         if self.topology is not None:
             from repro.topo.plan import TopologyPlan
 

@@ -29,7 +29,7 @@ from repro.obs.critical_path import (
 from repro.obs.export import export_csv, export_jsonl, render_report, sparkline
 from repro.obs.trace import CausalTracer, HopSpan, RootSpan, TxnTrace, build_traces
 from repro.obs.probes import ProbeRunner, standard_probes
-from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry, Series
+from repro.obs.registry import Counter, MetricsRegistry, Series
 from repro.obs.spans import (
     CRT_PHASES,
     IRT_PHASES,
@@ -51,8 +51,6 @@ __all__ = [
     "ProbeRunner",
     "standard_probes",
     "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "Series",
     "CRT_PHASES",

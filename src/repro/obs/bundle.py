@@ -9,17 +9,18 @@ explicitly attached — an unobserved trial does strictly zero extra work.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.obs.probes import ProbeRunner, standard_probes
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import PhaseSpan, assemble_spans, phase_breakdown
+from repro.util import Stats
 
 __all__ = ["ObsBundle", "attach_tracer", "attach_registry", "attach_probes", "attach_obs"]
 
 
 def _observables(system) -> List:
-    """Every component that can hold a ``tracer``/``stats`` reference."""
+    """Every component that holds a ``tracer`` reference / a ``stats`` bag."""
     out = list(getattr(system, "nodes", {}).values())
     out.extend(getattr(system, "managers", {}).values())
     out.extend(getattr(system, "standby_managers", {}).values())
@@ -50,23 +51,28 @@ def attach_tracer(system, kinds=None, hosts=None, capacity: int = 200_000,
     return tracer
 
 
-def attach_registry(system, registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
-    """Attach a metrics registry and bind every ``Stats`` bag into it.
+def _read_stats(system) -> Iterator[Tuple[str, int]]:
+    """Every count in every ``Stats`` bag the system holds *now*, as
+    ``<host>.<counter>`` per component and ``system.<counter>``."""
+    bags = [(getattr(component, "host", component.__class__.__name__),
+             getattr(component, "stats", None))
+            for component in _observables(system)]
+    bags.append(("system", getattr(system, "stats", None)))
+    for prefix, stats in bags:
+        if isinstance(stats, Stats):
+            for name, value in stats.counters.items():
+                yield f"{prefix}.{name}", value
 
-    The per-component counter bags keep their local dicts (back-compat)
-    but mirror increments into registry counters named
-    ``<host>.<counter>`` from the moment of attachment.
+
+def attach_registry(system) -> MetricsRegistry:
+    """Attach a metrics registry that reads every ``Stats`` bag.
+
+    Nothing is bound or copied: the bags are walked when a snapshot is
+    taken, so a replica provisioned mid-trial is read like any other (and a
+    component the system no longer holds — a failed-over manager — is not).
     """
-    if registry is None:
-        registry = MetricsRegistry(now_fn=lambda: system.sim.now)
-    for component in _observables(system):
-        stats = getattr(component, "stats", None)
-        if stats is not None and hasattr(stats, "bind"):
-            host = getattr(component, "host", component.__class__.__name__)
-            stats.bind(registry, prefix=f"{host}.")
-    system_stats = getattr(system, "stats", None)
-    if system_stats is not None and hasattr(system_stats, "bind"):
-        system_stats.bind(registry, prefix="system.")
+    registry = MetricsRegistry()
+    registry.add_source(lambda: _read_stats(system))
     system.registry = registry
     return registry
 

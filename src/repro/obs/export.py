@@ -1,12 +1,11 @@
 """Exporters for observability bundles: JSONL, CSV, and a text report.
 
 JSONL is the machine interchange format (one self-describing record per
-line, ``type`` in {``meta``, ``counter``, ``gauge``, ``histogram``,
-``span``, ``probe``}); CSV splits the same data into ``spans.csv``,
-``probes.csv``, and ``counters.csv`` for spreadsheet work.  The text
-report is what ``repro run --attach obs`` prints: the
-CRT/IRT per-phase breakdown tables plus a one-line unicode sparkline per
-probe series.
+line, ``type`` in {``meta``, ``counter``, ``span``, ``probe``}); CSV
+splits the same data into ``spans.csv``, ``probes.csv``, and
+``counters.csv`` for spreadsheet work.  The text report is what ``repro run
+--attach obs`` prints: the CRT/IRT per-phase breakdown tables plus a
+one-line unicode sparkline per probe series.
 """
 
 from __future__ import annotations
@@ -63,10 +62,6 @@ def export_jsonl(bundle: ObsBundle, path: str) -> int:
         })
         for name, value in snapshot["counters"].items():
             emit({"type": "counter", "name": name, "value": value})
-        for name, value in snapshot["gauges"].items():
-            emit({"type": "gauge", "name": name, "value": value})
-        for name, stats in snapshot["histograms"].items():
-            emit({"type": "histogram", "name": name, **stats})
         for span in bundle.spans(include_partial=True):
             emit({
                 "type": "span", "txn": span.txn_id, "is_crt": span.is_crt,
@@ -116,8 +111,8 @@ def export_csv(bundle: ObsBundle, directory: str) -> Dict[str, str]:
     with open(paths["counters"], "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["counter", "value"])
-        for name, counter in sorted(bundle.registry.counters.items()):
-            writer.writerow([name, f"{counter.value:g}"])
+        for name, value in bundle.registry.counter_values().items():
+            writer.writerow([name, f"{value:g}"])
     return paths
 
 

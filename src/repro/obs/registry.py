@@ -1,29 +1,19 @@
-"""Virtual-time metrics registry: counters, gauges, histograms, time series.
+"""Virtual-time metrics registry: counters and probe time series.
 
-All instruments are sampled in **virtual simulation time** (the kernel's
+Everything is sampled in **virtual simulation time** (the kernel's
 millisecond clock), never wall clock: a run is deterministic, so its
-metrics are too.  The registry is the single sink the rest of the system
-writes into; the ad-hoc :class:`repro.util.Stats` counter bags forward
-into it through a compatibility shim (``Stats.bind``) so existing
-telemetry call sites keep working unchanged.
-
-Design notes:
-
-* **Zero cost when absent** — instruments only exist once something calls
-  :meth:`MetricsRegistry.counter` (etc.); protocol code guards on the
-  registry/tracer being attached, so an un-instrumented run does no work.
-* **Fixed log-scale histogram buckets** — latencies in this simulator span
-  ~0.01 ms (loopback) to ~10 s (timeouts under faults); geometric buckets
-  give constant relative error across that range and make two histograms
-  mergeable without resampling.
+metrics are too.  The registry is where a run's counters are *read*, not a
+second place they are written: the :class:`repro.util.Stats` counter bags
+stay the only copy of their counts and the registry walks them when a
+snapshot is taken, so an observed run does no per-increment work an
+unobserved one does not.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-__all__ = ["Counter", "Gauge", "Histogram", "Series", "MetricsRegistry"]
+__all__ = ["Counter", "Series", "MetricsRegistry"]
 
 
 class Counter:
@@ -42,96 +32,6 @@ class Counter:
 
     def __repr__(self) -> str:
         return f"Counter({self.name}={self.value:g})"
-
-
-class Gauge:
-    """A point-in-time value that can move both ways (queue depth, lag)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def add(self, by: float = 1.0) -> None:
-        self.value += by
-
-    def __repr__(self) -> str:
-        return f"Gauge({self.name}={self.value:g})"
-
-
-class Histogram:
-    """Fixed log-scale bucket histogram for latency-like distributions.
-
-    Bucket ``i`` covers ``(bound[i-1], bound[i]]`` with
-    ``bound[i] = start * growth**i``; one underflow bucket catches values
-    at or below ``start`` and one overflow bucket everything past the last
-    bound.  Quantiles are estimated by linear interpolation inside the
-    bucket where the requested rank falls (the interpolated-percentile
-    convention of :func:`repro.bench.metrics.percentile`).
-    """
-
-    __slots__ = ("name", "bounds", "counts", "n", "total", "vmin", "vmax")
-
-    def __init__(self, name: str, start: float = 0.05, growth: float = 1.4,
-                 buckets: int = 48):
-        if start <= 0 or growth <= 1.0 or buckets < 1:
-            raise ValueError("histogram needs start > 0, growth > 1, buckets >= 1")
-        self.name = name
-        self.bounds: Tuple[float, ...] = tuple(start * growth ** i for i in range(buckets))
-        self.counts: List[int] = [0] * (buckets + 1)  # + overflow
-        self.n = 0
-        self.total = 0.0
-        self.vmin = math.inf
-        self.vmax = -math.inf
-
-    def observe(self, value: float) -> None:
-        self.n += 1
-        self.total += value
-        if value < self.vmin:
-            self.vmin = value
-        if value > self.vmax:
-            self.vmax = value
-        lo, hi = 0, len(self.bounds)
-        while lo < hi:  # first bound >= value (bisect_left on bounds)
-            mid = (lo + hi) // 2
-            if self.bounds[mid] < value:
-                lo = mid + 1
-            else:
-                hi = mid
-        self.counts[lo] += 1
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.n if self.n else 0.0
-
-    def quantile(self, p: float) -> float:
-        """Interpolated quantile estimate from bucket counts (0 if empty)."""
-        if self.n == 0:
-            return 0.0
-        rank = (p / 100.0) * (self.n - 1)  # numpy 'linear' convention
-        cum = 0
-        for i, count in enumerate(self.counts):
-            if count == 0:
-                continue
-            if rank < cum + count:
-                lo = self.bounds[i - 1] if i > 0 else min(self.vmin, self.bounds[0])
-                hi = self.bounds[i] if i < len(self.bounds) else self.vmax
-                lo = max(lo, self.vmin)
-                hi = min(hi, self.vmax)
-                if hi <= lo:
-                    return lo
-                # Position of the rank inside this bucket's count mass.
-                frac = min(1.0, max(0.0, (rank - cum) / count))
-                return lo + frac * (hi - lo)
-            cum += count
-        return self.vmax
-
-    def __repr__(self) -> str:
-        return f"Histogram({self.name}: n={self.n}, mean={self.mean:.2f})"
 
 
 class Series:
@@ -165,16 +65,20 @@ class Series:
 class MetricsRegistry:
     """Named instrument factory + container.
 
-    ``now_fn`` supplies virtual time for convenience helpers; instruments
-    themselves are timestamp-free except :class:`Series`.
+    Counters come from two places and read as one: the registry's own
+    :class:`Counter` objects, and **sources** — callables that report
+    ``(name, value)`` pairs from wherever the counts already live, read
+    afresh each time :meth:`counter_values` (or :meth:`snapshot`) is called.
+    The per-component :class:`repro.util.Stats` bags are one such source
+    (:func:`repro.obs.bundle.attach_registry`): there is no second copy of a
+    count to keep in step, and a component created mid-run is read like any
+    other.
     """
 
-    def __init__(self, now_fn: Optional[Callable[[], float]] = None):
-        self.now_fn = now_fn or (lambda: 0.0)
+    def __init__(self) -> None:
         self.counters: Dict[str, Counter] = {}
-        self.gauges: Dict[str, Gauge] = {}
-        self.histograms: Dict[str, Histogram] = {}
         self.series: Dict[str, Series] = {}
+        self._sources: List[Callable[[], Iterable[Tuple[str, float]]]] = []
 
     # -- get-or-create factories ---------------------------------------
     def counter(self, name: str) -> Counter:
@@ -183,40 +87,29 @@ class MetricsRegistry:
             inst = self.counters[name] = Counter(name)
         return inst
 
-    def gauge(self, name: str) -> Gauge:
-        inst = self.gauges.get(name)
-        if inst is None:
-            inst = self.gauges[name] = Gauge(name)
-        return inst
-
-    def histogram(self, name: str, **kwargs) -> Histogram:
-        inst = self.histograms.get(name)
-        if inst is None:
-            inst = self.histograms[name] = Histogram(name, **kwargs)
-        return inst
-
     def timeseries(self, name: str) -> Series:
         inst = self.series.get(name)
         if inst is None:
             inst = self.series[name] = Series(name)
         return inst
 
-    # -- recording helpers ---------------------------------------------
-    def sample(self, name: str, value: float) -> None:
-        """Append ``value`` to series ``name`` at the current virtual time."""
-        self.timeseries(name).append(self.now_fn(), value)
+    def add_source(self, source: Callable[[], Iterable[Tuple[str, float]]]) -> None:
+        """Register a callable whose ``(name, value)`` pairs are read at
+        every :meth:`counter_values`."""
+        self._sources.append(source)
 
     # -- snapshot --------------------------------------------------------
+    def counter_values(self) -> Dict[str, float]:
+        """Every counter's current value, sorted by name."""
+        values = {name: counter.value for name, counter in self.counters.items()}
+        for source in self._sources:
+            for name, value in source():
+                values[name] = float(value)
+        return dict(sorted(values.items()))
+
     def snapshot(self) -> Dict[str, Dict]:
         """A plain-dict view of everything, for reports and exporters."""
         return {
-            "counters": {n: c.value for n, c in sorted(self.counters.items())},
-            "gauges": {n: g.value for n, g in sorted(self.gauges.items())},
-            "histograms": {
-                n: {"n": h.n, "mean": h.mean, "p50": h.quantile(50),
-                    "p99": h.quantile(99), "min": (h.vmin if h.n else 0.0),
-                    "max": (h.vmax if h.n else 0.0)}
-                for n, h in sorted(self.histograms.items())
-            },
+            "counters": self.counter_values(),
             "series": {n: list(s.points) for n, s in sorted(self.series.items())},
         }

@@ -18,7 +18,8 @@ coordinator bookkeeping:
   generator drew.  Such spans are anchored at the *intended* time and gain
   a leading ``queue`` phase (intended -> first submit) covering client-side
   backlog delay, so the span total is the open-loop latency — immune to
-  coordinated omission, matching ``OpenLoopRecorder``.
+  coordinated omission, matching what ``LatencyRecorder`` reports for an
+  arrival handed in with its intended time.
 
 Boundary times are picked from the **critical path** — the latest event of
 each kind not after the reply — and clamped monotone, so phase durations

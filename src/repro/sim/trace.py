@@ -2,11 +2,12 @@
 
 A :class:`Tracer` collects ``(time, host, kind, fields)`` events with cheap
 filtering.  DAST nodes/managers emit traces when a tracer is attached to
-the system (``DastSystem.attach_tracer()``); nothing is recorded otherwise.
+the system (``repro.obs.attach_tracer(system)``); nothing is recorded
+otherwise.
 
 Typical debugging session::
 
-    tracer = system.attach_tracer(kinds={"execute", "commit"})
+    tracer = attach_tracer(system, kinds={"execute", "commit"})
     ... run ...
     for ev in tracer.query(host="r0.n0", txn="t42"):
         print(ev)

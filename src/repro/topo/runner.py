@@ -242,11 +242,12 @@ def run_topo_trial(plan: TopologyPlan, spec: TrialSpec = DEFAULT_SPEC,
     audit it.  The plan rides ``TrialSpec.topology``."""
     from repro.bench.auditor import audit_dast_run
     from repro.bench.harness import run_trial
-    from repro.chaos.runner import judge_results
+    from repro.chaos.runner import audit_every_completion, judge_results
 
     if spec.system != "dast":
         raise ConfigError(f"{spec.system}: topology churn unsupported")
-    result = run_trial(replace(spec, topology=plan.to_dict()).to_trial())
+    result = run_trial(replace(spec, topology=plan.to_dict()).to_trial(),
+                       hooks=audit_every_completion)
     result.drain(extra_ms=drain_ms)
 
     audit = audit_dast_run(result.system)
@@ -265,7 +266,5 @@ def run_topo_trial(plan: TopologyPlan, spec: TrialSpec = DEFAULT_SPEC,
         audit=audit,
         events_applied=len(result.topo.applied) if result.topo else 0,
         counters=counters,
-        # Open-loop trials with keep_records retain TxnResults on the
-        # recorder's results list (the same shape run_chaos_trial consumes).
         **judge_results(result, result.system.catalog.all_shards()),
     )

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 __all__ = ["Stats"]
 
@@ -10,48 +10,23 @@ __all__ = ["Stats"]
 class Stats:
     """A named counter bag used by nodes and systems for telemetry.
 
-    Historically this was the only metrics surface; it now doubles as a
-    **compatibility shim** over the observability layer: once bound to a
-    :class:`repro.obs.registry.MetricsRegistry` (via ``bind``), every
-    increment is mirrored into a registry counter named
-    ``<prefix><name>``.  Unbound, it behaves exactly as before — a plain
-    dict with no extra work on the hot path beyond one ``is None`` check.
+    The bag is the only copy of its counts.  An attached
+    :class:`repro.obs.registry.MetricsRegistry` reads the bags of whatever
+    components exist when a snapshot is taken
+    (:func:`repro.obs.bundle.attach_registry`); nothing is pushed, so ``inc``
+    costs the same whether or not the system is observed.
     """
 
-    __slots__ = ("counters", "_registry", "_prefix")
+    __slots__ = ("counters",)
 
     def __init__(self) -> None:
         self.counters: Dict[str, int] = {}
-        self._registry = None
-        self._prefix = ""
-
-    def bind(self, registry, prefix: str = "") -> None:
-        """Mirror all future (and already-recorded) counts into ``registry``."""
-        self._registry = registry
-        self._prefix = prefix
-        for name, value in self.counters.items():
-            if value:
-                registry.counter(prefix + name).inc(value)
-
-    def unbind(self) -> None:
-        self._registry = None
-        self._prefix = ""
-
-    @property
-    def bound(self) -> bool:
-        return self._registry is not None
 
     def inc(self, name: str, by: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + by
-        if self._registry is not None:
-            self._registry.counter(self._prefix + name).inc(by)
 
     def get(self, name: str, default: int = 0) -> int:
         return self.counters.get(name, default)
-
-    def merge(self, other: "Stats") -> None:
-        for name, value in other.counters.items():
-            self.counters[name] = self.counters.get(name, 0) + value
 
     def __repr__(self) -> str:
         return f"Stats({self.counters})"

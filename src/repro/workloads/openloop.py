@@ -577,7 +577,7 @@ class OpenLoopEngine:
         result.submit_time = slot.submit
         result.finish_time = self.sim.now
         rs = slot.rs
-        self.recorder.record_result(result, slot.intended, rs.region)
+        self.recorder.record(result, slot.intended, rs.region)
         self.result_pool.release(result)
         rs.inflight -= 1
         self._free_slots.append(slot)
@@ -673,7 +673,7 @@ class OpenLoopEngine:
             return
         result.submit_time = slot.submit
         result.finish_time = self.sim.now
-        self.recorder.record_result(result, slot.intended, rs.region)
+        self.recorder.record(result, slot.intended, rs.region)
         rs.inflight -= 1
         slot.txn = None
         self._free_slots.append(slot)

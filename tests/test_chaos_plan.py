@@ -238,10 +238,11 @@ class TestChaosRunnerDispatch:
         assert system.stats.get("chaos_set_drop") == 2
 
     def test_faults_visible_to_tracer_and_probes(self):
+        from repro.obs import attach_tracer
         from tests.conftest import make_dast
 
         system = make_dast()
-        tracer = system.attach_tracer(kinds={"chaos"})
+        tracer = attach_tracer(system, kinds={"chaos"})
         system.start()
         ChaosRunner(system, FaultPlan().add(50.0, "set_jitter", jitter=3.0)).install()
         system.run(until=100.0)

@@ -101,6 +101,37 @@ class TestCommands:
         assert (out_dir / "spans.csv").exists()
         assert (out_dir / "probes.csv").exists()
 
+    def test_breakdown_under_open_loop_prints_tables_or_a_named_refusal(
+            self, capsys, tmp_path):
+        """``--breakdown`` never prints an unexplained nothing: a trial
+        whose results are recycled says so in one line, and a
+        ``keep_records`` one prints the two tables like a closed-loop run."""
+        from repro.bench.metrics import NO_PHASE_BREAKDOWN
+        from repro.fleet.spec import TrialSpec
+
+        flags = ["--workload", "payment", "--crt-ratio", "0.3", "--regions", "2",
+                 "--shards-per-region", "1", "--clients", "2",
+                 "--duration-ms", "2500", "--breakdown"]
+        assert main(["run", *flags]) == 0
+        closed = capsys.readouterr().out
+        assert "without value deps: " in closed and "with value deps: " in closed
+
+        assert main(["run", *flags, "--open-loop-users", "50", "--ol-rate", "2"]) == 0
+        recycled = capsys.readouterr().out.splitlines()
+        assert NO_PHASE_BREAKDOWN in recycled
+        assert not any("value deps" in line for line in recycled)
+
+        path = tmp_path / "spec.json"
+        TrialSpec(workload="payment", workload_params={"crt_ratio": 0.3},
+                  num_regions=2, shards_per_region=1, clients_per_region=2,
+                  duration_ms=2500.0,
+                  open_loop={"users_per_region": 50, "txn_per_user_s": 2.0,
+                             "keep_records": True}).dump(str(path))
+        assert main(["run", "--spec", str(path), "--breakdown"]) == 0
+        kept = capsys.readouterr().out
+        assert "without value deps: " in kept and "with value deps: " in kept
+        assert NO_PHASE_BREAKDOWN not in kept
+
 
 # A non-default value for every trial flag, and the flags that must already
 # be set for another to mean anything (--theta needs a workload that has a

@@ -73,6 +73,23 @@ class TestSpecRoundTrip:
         with pytest.raises(ConfigError, match="crt_cfd"):
             FleetExecutor(jobs=1).run([small_spec(), bad])
 
+    def test_phase_breakdown_of_recycled_results_is_refused_by_name(self):
+        # The collector used to return two empty dicts, unexplained, for
+        # every open-loop spec; only a keep_records trial retains the CRT
+        # results whose phase maps it averages.
+        from repro.bench.metrics import NO_PHASE_BREAKDOWN
+        from repro.fleet.executor import run_spec
+
+        open_loop = {"users_per_region": 50, "txn_per_user_s": 2.0}
+        spec = small_spec(workload="payment", workload_params={"crt_ratio": 0.3},
+                          open_loop=open_loop, collect={"phase_breakdown": {}})
+        with pytest.raises(ConfigError) as exc:
+            spec.validate()
+        assert str(exc.value) == NO_PHASE_BREAKDOWN
+        kept = dataclasses.replace(spec, open_loop={**open_loop, "keep_records": True})
+        tables = run_spec(kept).extras["phase_breakdown"]
+        assert tables["without_dependency"]["count"] > 0
+
     def test_dump_load_round_trip(self, tmp_path):
         spec = small_spec(open_loop={"users_per_region": 50}, label="x")
         path = str(tmp_path / "spec.json")

@@ -146,6 +146,105 @@ class TestLatencyRecorder:
         assert without["count"] == 1 and without["wait_output"] == pytest.approx(95.0)
 
 
+def _pcts(values, *ps):
+    return [percentile(values, p) for p in ps]
+
+
+def _reference(stream, warm_start, warm_end, bucket_ms, points):
+    """What the recorder must report, computed straight from the list of
+    ``(result, intended or None, region)`` it was handed."""
+    rows = [(r.finish_time, r.finish_time - (r.submit_time if i is None else i),
+             r.latency, r.is_crt, region, r)
+            for r, i, region in stream if warm_start <= r.finish_time <= warm_end]
+
+    def lat(crt=None, region=None, col=1):  # IRTs first, then CRTs
+        return [row[col] for kind in (False, True) for row in rows
+                if row[3] == kind and crt in (None, kind) and region in (None, row[4])]
+
+    total, aborted = len(rows), sum(not row[5].committed for row in rows)
+    window = max(min(warm_end, max((row[0] for row in rows), default=0.0))
+                 - warm_start, 1e-9)
+    summary = dict(zip(
+        ("irt_median", "irt_p99", "crt_median", "crt_p99", "irt_p50_svc",
+         "irt_p99_svc", "crt_p99_svc", "queue_p99"),
+        _pcts(lat(False), 50, 99) + _pcts(lat(True), 50, 99)
+        + _pcts(lat(False, col=2), 50, 99) + _pcts(lat(True, col=2), 99)
+        + _pcts([row[1] - row[2] for row in rows], 99)))
+    summary.update(
+        committed=total - aborted, aborted=aborted, arrivals=len(stream), failed=0,
+        throughput=total / (window / 1000.0),
+        abort_rate=aborted / total if total else 0.0,
+        mean_retries=sum(row[5].retries for row in rows) / total if total else 0.0)
+    series = []
+    for b in sorted({int(row[0] // bucket_ms) for row in rows}):
+        inside = [row for row in rows if int(row[0] // bucket_ms) == b]
+        cells = _pcts([row[1] for row in inside if not row[3]], 50, 99) \
+            + _pcts([row[1] for row in inside if row[3]], 50, 99)
+        series.append(dict(zip(
+            ("t_ms", "throughput_tps", "irt_p50_ms", "irt_p99_ms", "crt_p50_ms",
+             "crt_p99_ms"), [b * bucket_ms, len(inside) / (bucket_ms / 1000.0)] + cells)))
+
+    def cdf(crt):
+        values = sorted(lat(crt))
+        step = max(1, len(values) // points)
+        return [(values[i], (i + 1) / len(values))
+                for i in range(0, len(values), step)] + [(values[-1], 1.0)] if values else []
+
+    return [row[5] for row in rows], lat, summary, series, cdf
+
+
+# One completion: (finish, service latency, client-side queue delay or None
+# for a closed-loop submit, is_crt, committed, retries, region).
+_COMPLETIONS = st.lists(st.tuples(
+    st.floats(0, 400), st.floats(0, 50), st.none() | st.floats(0, 50),
+    st.booleans(), st.booleans(), st.integers(0, 3), st.sampled_from(["", "r0", "r1"]),
+), max_size=40)
+
+
+class TestOneRecorder:
+    """The one recorder, whichever loop feeds it, against a reference
+    computed straight from the list of what it was handed."""
+
+    @given(_COMPLETIONS, st.sampled_from([(0.0, float("inf")), (100.0, 300.0)]))
+    @settings(max_examples=120, deadline=None)
+    def test_every_view_equals_the_reference(self, completions, window):
+        stream = []
+        for finish, service, queue, crt, committed, retries, region in completions:
+            r = result(latency=service, finish=finish, crt=crt,
+                       committed=committed, retries=retries)
+            stream.append((r, None if queue is None else r.submit_time - queue, region))
+        rec = LatencyRecorder(*window)
+        for r, intended, region in stream:
+            rec.record(r, intended, region)
+        results, lat, want, series, cdf = _reference(stream, *window, 50.0, 7)
+
+        summary = rec.summarize("x")
+        assert {key: getattr(summary, key) for key in want} == want
+        assert rec.results == results
+        assert rec.all_count == len(stream)
+        assert rec.last_finish == max((r.finish_time for r, _, _ in stream), default=0.0)
+        assert rec.timeseries(bucket_ms=50.0) == series
+        for crt in (None, False, True):
+            assert rec.cdf(crt, points=7) == cdf(crt)
+            assert sorted(rec.latencies(crt)) == sorted(lat(crt))
+            assert sorted(rec.service_latencies(crt)) == sorted(lat(crt, col=2))
+            for region in ("", "r0", "r1", "nowhere"):
+                assert rec.latencies(crt, region=region) == lat(crt, region)
+
+    def test_closed_loop_row_has_no_open_loop_keys(self):
+        rec = LatencyRecorder()
+        rec.record(result(retries=2))
+        closed = rec.summarize("x").as_row()
+        assert closed["mean_retries"] == 2.0
+        assert not {"open_loop", "arrivals", "failed", "queue_p99_ms"} & set(closed)
+        rec = LatencyRecorder(open_loop=True)
+        rec.record(result(), intended=985.0, region="r0")
+        rec.record_failure("r0")
+        row = rec.summarize("x").as_row()
+        assert row["open_loop"] is True and row["queue_p99_ms"] == 5.0
+        assert (row["arrivals"], row["failed"]) == (2, 1)
+
+
 class TestHarness:
     def test_all_four_systems_registered(self):
         assert set(SYSTEMS) == {"dast", "janus", "tapir", "slog"}
@@ -192,6 +291,47 @@ class TestHarness:
         result = run_trial(trial)
         assert result.obs is None
         assert result.system.tracer is None
+
+    def test_open_loop_latency_includes_retries(self):
+        """§6 measures latency including retries; the open-loop summary
+        used to hard-code ``mean_retries = 0.0`` whatever it was handed."""
+        from repro.fleet.spec import TrialSpec
+
+        spec = TrialSpec(
+            system="tapir", workload="tpca", workload_params={"theta": 0.9},
+            num_regions=2, shards_per_region=1, clients_per_region=2,
+            duration_ms=1500.0, warmup_ms=300.0, cooldown_ms=100.0,
+            open_loop={"users_per_region": 100, "txn_per_user_s": 4.0})
+        result = run_trial(spec.to_trial())
+        assert result.system.network.stats.per_type_sent.get("tapir_abort", 0) > 0
+        assert result.summary.mean_retries > 0
+        assert result.summary.as_row()["mean_retries"] > 0
+
+    def test_closed_loop_requests_that_never_completed_are_reported(self):
+        """A timed-out closed-loop request used to bump the client's own
+        counter and appear nowhere; a fault-free row keeps its keys."""
+        from repro.chaos.plan import FaultPlan
+        from repro.fleet.spec import TrialSpec
+
+        spec = TrialSpec(
+            system="dast", workload="tpca", workload_params={"crt_ratio": 0.2},
+            num_regions=2, shards_per_region=1, clients_per_region=3,
+            duration_ms=2000.0, warmup_ms=300.0, cooldown_ms=100.0,
+            request_timeout=300.0)
+        clean = run_trial(spec.to_trial())
+        assert clean.summary.failed == 0
+        assert "failed" not in clean.summary.as_row()
+
+        trial = spec.to_trial()
+        trial.fault_plan = (FaultPlan(name="lossy")
+                            .add(400.0, "set_drop", probability=0.05)
+                            .add(1200.0, "set_drop", probability=0.0))
+        lossy = run_trial(trial)
+        lost = sum(client.failed for client in lossy.clients)
+        assert lossy.summary.failed == lost > 0
+        assert lossy.summary.as_row()["failed"] == lost
+        # Reported, not measured: a failure is not a completion.
+        assert lossy.recorder.all_count == sum(c.completed for c in lossy.clients)
 
     def test_seeded_trials_are_reproducible(self):
         def run_once():

@@ -25,6 +25,19 @@ def run_observed_dast(regions=2, txns=3):
     return system, bundle
 
 
+def _assert_registry_equals_bags(system, values):
+    """``values`` (a registry counter snapshot) is exactly the union of the
+    system's Stats bags, ``<host>.<name>`` per component and ``system.<name>``."""
+    components = [*system.nodes.values(), *system.managers.values(),
+                  *system.standby_managers.values()]
+    want = {f"{component.host}.{name}": float(count)
+            for component in components
+            for name, count in component.stats.counters.items()}
+    want.update({f"system.{name}": float(count)
+                 for name, count in system.stats.counters.items()})
+    assert values == want
+
+
 class TestProbeRunner:
     def test_interval_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -32,7 +45,7 @@ class TestProbeRunner:
 
     def test_periodic_sampling_in_virtual_time(self):
         sim = Simulator()
-        reg = MetricsRegistry(now_fn=lambda: sim.now)
+        reg = MetricsRegistry()
         runner = ProbeRunner(sim, reg, interval=10.0)
         depth = [0]
         runner.add("depth", lambda: depth[0])
@@ -45,7 +58,7 @@ class TestProbeRunner:
 
     def test_stop_halts_sampling(self):
         sim = Simulator()
-        reg = MetricsRegistry(now_fn=lambda: sim.now)
+        reg = MetricsRegistry()
         runner = ProbeRunner(sim, reg, interval=10.0)
         runner.add("x", lambda: 1)
         runner.start()
@@ -56,7 +69,7 @@ class TestProbeRunner:
 
     def test_probe_exception_does_not_kill_others(self):
         sim = Simulator()
-        reg = MetricsRegistry(now_fn=lambda: sim.now)
+        reg = MetricsRegistry()
         runner = ProbeRunner(sim, reg, interval=10.0)
         runner.add("bad", lambda: 1 / 0)
         runner.add("good", lambda: 1)
@@ -67,7 +80,7 @@ class TestProbeRunner:
 
     def test_none_values_skipped(self):
         sim = Simulator()
-        reg = MetricsRegistry(now_fn=lambda: sim.now)
+        reg = MetricsRegistry()
         runner = ProbeRunner(sim, reg, interval=10.0)
         runner.add("maybe", lambda: None)
         runner.start()
@@ -105,12 +118,16 @@ class TestAttachObs:
         assert bundle.spans()  # the CRTs produced complete spans
 
     def test_stats_mirrored_into_registry(self):
-        _system, bundle = run_observed_dast()
-        executed = [name for name in bundle.registry.counters
-                    if name.endswith(".executed")]
-        assert executed
-        for name in executed:
-            assert bundle.registry.counter(name).value > 0
+        """The registry shows every component's bag, read at snapshot time:
+        each value is the bag's own, whenever it was counted."""
+        system, bundle = run_observed_dast()
+        values = bundle.registry.snapshot()["counters"]
+        assert any(name.endswith(".executed") for name in values)
+        _assert_registry_equals_bags(system, values)
+        submit_and_run(system, Transaction("late", [kv_set(0, 9, 1)]))
+        later = bundle.registry.snapshot()["counters"]
+        assert later != values  # nothing was frozen at the first read
+        _assert_registry_equals_bags(system, later)
 
     def test_unobserved_system_pays_nothing(self):
         system = make_dast(regions=1, spr=1)
@@ -119,7 +136,6 @@ class TestAttachObs:
         assert system.tracer is None
         assert system.registry is None
         assert system.probes is None
-        assert not system.nodes["r0.n0"].stats.bound
 
 
 class TestExporters:

@@ -1,8 +1,8 @@
-"""Tests for the virtual-time metrics registry and the Stats shim."""
+"""Tests for the virtual-time metrics registry and the Stats bags it reads."""
 
 import pytest
 
-from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry, Series
+from repro.obs.registry import Counter, MetricsRegistry, Series
 from repro.util import Stats
 
 
@@ -16,74 +16,6 @@ class TestCounter:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             Counter("x").inc(-1)
-
-
-class TestGauge:
-    def test_set_and_add(self):
-        g = Gauge("depth")
-        g.set(5)
-        g.add(-2)
-        assert g.value == pytest.approx(3.0)
-
-
-class TestHistogram:
-    def test_bucket_bounds_are_geometric(self):
-        h = Histogram("lat", start=1.0, growth=2.0, buckets=4)
-        assert h.bounds == (1.0, 2.0, 4.0, 8.0)
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            Histogram("h", start=0.0)
-        with pytest.raises(ValueError):
-            Histogram("h", growth=1.0)
-        with pytest.raises(ValueError):
-            Histogram("h", buckets=0)
-
-    def test_observe_routes_to_correct_bucket(self):
-        h = Histogram("lat", start=1.0, growth=2.0, buckets=4)
-        h.observe(0.5)   # underflow bucket (<= 1.0)
-        h.observe(1.0)   # boundary: bucket covers (lo, hi], so still bucket 0
-        h.observe(3.0)   # (2, 4]
-        h.observe(100.0) # overflow
-        assert h.counts == [2, 0, 1, 0, 1]
-        assert h.n == 4
-        assert h.vmin == 0.5 and h.vmax == 100.0
-
-    def test_mean(self):
-        h = Histogram("lat")
-        for v in (1.0, 2.0, 3.0):
-            h.observe(v)
-        assert h.mean == pytest.approx(2.0)
-
-    def test_quantile_empty_is_zero(self):
-        assert Histogram("lat").quantile(50) == 0.0
-
-    def test_quantile_single_value_is_exact(self):
-        h = Histogram("lat")
-        h.observe(7.0)
-        assert h.quantile(0) == pytest.approx(7.0)
-        assert h.quantile(50) == pytest.approx(7.0)
-        assert h.quantile(99) == pytest.approx(7.0)
-
-    def test_quantile_within_relative_error(self):
-        """Log buckets bound relative error by the growth factor."""
-        h = Histogram("lat", start=0.05, growth=1.4, buckets=48)
-        values = [0.1 * (i + 1) for i in range(1000)]  # 0.1 .. 100
-        for v in values:
-            h.observe(v)
-        from repro.bench.metrics import percentile
-        for p in (50, 90, 99):
-            exact = percentile(values, p, interpolate=True)
-            approx = h.quantile(p)
-            assert approx == pytest.approx(exact, rel=0.4)
-
-    def test_quantile_monotone_in_p(self):
-        h = Histogram("lat")
-        for i in range(200):
-            h.observe(0.1 + i * 0.37)
-        qs = [h.quantile(p) for p in (1, 25, 50, 75, 99)]
-        assert qs == sorted(qs)
-        assert qs[-1] <= h.vmax and qs[0] >= h.vmin
 
 
 class TestSeries:
@@ -104,68 +36,42 @@ class TestMetricsRegistry:
     def test_get_or_create_is_stable(self):
         reg = MetricsRegistry()
         assert reg.counter("a") is reg.counter("a")
-        assert reg.gauge("b") is reg.gauge("b")
-        assert reg.histogram("c") is reg.histogram("c")
         assert reg.timeseries("d") is reg.timeseries("d")
-
-    def test_sample_uses_virtual_clock(self):
-        clock = [0.0]
-        reg = MetricsRegistry(now_fn=lambda: clock[0])
-        reg.sample("depth", 3)
-        clock[0] = 50.0
-        reg.sample("depth", 5)
-        assert reg.timeseries("depth").points == [(0.0, 3.0), (50.0, 5.0)]
 
     def test_snapshot_shape(self):
         reg = MetricsRegistry()
         reg.counter("sent").inc(4)
-        reg.gauge("depth").set(2)
-        reg.histogram("lat").observe(1.5)
-        reg.sample("q", 9)
+        reg.timeseries("q").append(0.0, 9)
         snap = reg.snapshot()
-        assert snap["counters"] == {"sent": 4.0}
-        assert snap["gauges"] == {"depth": 2.0}
-        assert snap["histograms"]["lat"]["n"] == 1
-        assert snap["histograms"]["lat"]["mean"] == pytest.approx(1.5)
-        assert snap["series"]["q"] == [(0.0, 9.0)]
+        assert snap == {"counters": {"sent": 4.0}, "series": {"q": [(0.0, 9.0)]}}
+
+    def test_sources_are_read_when_the_snapshot_is_taken(self):
+        """Pull, not push: a source reports where the counts already live,
+        so a bag created after the source was registered is read too and
+        there is no copy to fall out of step."""
+        bags = {"r0.n0": Stats()}
+        reg = MetricsRegistry()
+        reg.add_source(lambda: ((f"{host}.{name}", value)
+                                for host, bag in bags.items()
+                                for name, value in bag.counters.items()))
+        reg.counter("own").inc()
+        bags["r0.n0"].inc("executed", 5)
+        assert reg.counter_values() == {"own": 1.0, "r0.n0.executed": 5.0}
+        bags["r0.g0"] = Stats()  # provisioned mid-run
+        bags["r0.g0"].inc("executed")
+        bags["r0.n0"].inc("executed")
+        values = reg.snapshot()["counters"]
+        assert values == {"own": 1.0, "r0.g0.executed": 1.0, "r0.n0.executed": 6.0}
+        assert list(values) == sorted(values)
+        assert all(isinstance(v, float) for v in values.values())
 
 
-class TestStatsShim:
-    def test_unbound_stats_unchanged(self):
+class TestStats:
+    def test_is_a_plain_bag(self):
         stats = Stats()
         stats.inc("executed")
         stats.inc("executed", 2)
         assert stats.get("executed") == 3
-        assert not stats.bound
-
-    def test_bind_replays_existing_counts(self):
-        stats = Stats()
-        stats.inc("executed", 5)
-        reg = MetricsRegistry()
-        stats.bind(reg, prefix="r0.n0.")
-        assert reg.counter("r0.n0.executed").value == 5.0
-
-    def test_bind_mirrors_future_increments(self):
-        stats = Stats()
-        reg = MetricsRegistry()
-        stats.bind(reg, prefix="h.")
-        stats.inc("sent", 3)
-        assert stats.get("sent") == 3          # local dict still works
-        assert reg.counter("h.sent").value == 3.0
-
-    def test_unbind_stops_mirroring(self):
-        stats = Stats()
-        reg = MetricsRegistry()
-        stats.bind(reg)
-        stats.inc("a")
-        stats.unbind()
-        stats.inc("a")
-        assert stats.get("a") == 2
-        assert reg.counter("a").value == 1.0
-
-    def test_merge_still_works(self):
-        a, b = Stats(), Stats()
-        a.inc("x")
-        b.inc("x", 2)
-        a.merge(b)
-        assert a.get("x") == 3
+        assert stats.get("missing") == 0
+        assert stats.counters == {"executed": 3}
+        assert Stats.__slots__ == ("counters",)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs import attach_tracer
 from repro.obs.spans import (CRT_PHASES, IRT_PHASES, PhaseSpan, assemble_spans,
                              phase_breakdown)
 from repro.sim.trace import Tracer
@@ -30,7 +31,7 @@ def span_for(system, tracer, txn):
 class TestCrtSpans:
     def test_two_region_crt_phases_sum_to_client_latency(self):
         system = make_dast(regions=2, spr=1)
-        tracer = system.attach_tracer()
+        tracer = attach_tracer(system)
         system.start()
         crt = Transaction("crt", [kv_set(0, 1, 1), kv_set(1, 1, 2, piece_index=1)])
         span, latency = span_for(system, tracer, crt)
@@ -47,7 +48,7 @@ class TestCrtSpans:
 
     def test_crt_breakdown_rows(self):
         system = make_dast(regions=2, spr=1)
-        tracer = system.attach_tracer()
+        tracer = attach_tracer(system)
         system.start()
         for i in range(3):
             txn = Transaction(f"crt{i}",
@@ -66,7 +67,7 @@ class TestCrtSpans:
 class TestIrtSpans:
     def test_irt_uses_irt_layout_and_telescopes(self):
         system = make_dast(regions=2, spr=1)
-        tracer = system.attach_tracer()
+        tracer = attach_tracer(system)
         system.start()
         irt = Transaction("irt", [kv_set(0, 0, 42)])
         span, latency = span_for(system, tracer, irt)

@@ -4,7 +4,7 @@ arrival-anchored observability (spans + critical paths)."""
 import pytest
 
 from repro.bench.harness import Trial, run_trial
-from repro.bench.metrics import OpenLoopRecorder, percentile
+from repro.bench.metrics import LatencyRecorder, percentile
 from repro.config import Topology, TopologyConfig
 from repro.core.system import DastSystem
 from repro.obs.critical_path import attribution
@@ -65,7 +65,8 @@ class TestCoordinatedOmission:
             clients_per_region=4, seed=1))
         workload = workload_factory("ycsb", _YCSB)(topo)
         system = DastSystem(topo, workload.schemas(), workload.load, seed=1)
-        recorder = OpenLoopRecorder(warm_start=50.0, warm_end=450.0)
+        recorder = LatencyRecorder(warm_start=50.0, warm_end=450.0,
+                                    keep_results=False, open_loop=True)
         system.start()
         engine = OpenLoopEngine(
             system, workload,
@@ -89,17 +90,17 @@ class TestCoordinatedOmission:
         txns caught in flight — below the p90 rank.  Measuring only
         service time would hide the outage entirely."""
         rec = self._run_with_stall(150.0)
-        open_p90 = percentile(rec.open_latencies(region="r0"), 90)
+        open_p90 = percentile(rec.latencies(region="r0"), 90)
         svc_p90 = percentile(rec.service_latencies(region="r0"), 90)
         assert open_p90 > 100.0, open_p90  # the stall shows up open-loop
         assert open_p90 > svc_p90 + 50.0, (open_p90, svc_p90)
         # The untouched region keeps a quiet tail.
-        other = percentile(rec.open_latencies(region="r1"), 90)
+        other = percentile(rec.latencies(region="r1"), 90)
         assert other < open_p90 / 2, (other, open_p90)
 
     def test_without_stall_open_and_service_tails_agree(self):
         rec = self._run_with_stall(0.0)
-        open_p90 = percentile(rec.open_latencies(region="r0"), 90)
+        open_p90 = percentile(rec.latencies(region="r0"), 90)
         svc_p90 = percentile(rec.service_latencies(region="r0"), 90)
         assert open_p90 < svc_p90 + 20.0, (open_p90, svc_p90)
 

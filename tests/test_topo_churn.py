@@ -160,6 +160,27 @@ class TestFaultComposition:
         assert counters.get("topo_migrated_users", 0) > 0, counters
 
 
+class TestGuestCounters:
+    def test_registry_reads_replicas_provisioned_mid_trial(self):
+        """A guest replica inherits the tracer when a ``region_join``
+        provisions it; its counters reach the registry too, because the
+        registry reads whatever bags exist when the snapshot is taken."""
+        plan = TopologyPlan(name="join").add(
+            900.0, "region_join", region="r3", shards=["s0"])
+        trial = replace(_spec(3), topology=plan.to_dict()).to_trial()
+        trial.obs = True
+        result = run_trial(trial)
+        system = result.system
+        guests = [host for host in system.nodes if host.startswith("r3.g")]
+        assert guests, sorted(system.nodes)
+        counters = result.obs.registry.snapshot()["counters"]
+        for host in guests:
+            assert counters[f"{host}.executed"] > 0
+        for host, node in system.nodes.items():
+            for name, count in node.stats.counters.items():
+                assert counters[f"{host}.{name}"] == count
+
+
 class TestMigrationSpans:
     def test_handoff_spans_lead_with_migration_phase(self):
         """Open-loop spans for re-homed users anchor at the original arrival

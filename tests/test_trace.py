@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs import attach_tracer
 from repro.sim.trace import TraceEvent, Tracer
 from repro.txn.model import Transaction
 from tests.conftest import kv_set, make_dast, submit_and_run
@@ -100,7 +101,7 @@ class TestTruncationSignal:
 class TestTracerIntegration:
     def test_dast_run_traces_transaction_lifecycle(self):
         system = make_dast(regions=2, spr=1)
-        tracer = system.attach_tracer()
+        tracer = attach_tracer(system)
         system.start()
         crt = Transaction("crt", [kv_set(0, 1, 1), kv_set(1, 1, 2, piece_index=1)])
         submit_and_run(system, crt)
@@ -120,7 +121,7 @@ class TestTracerIntegration:
 
     def test_kind_scoped_system_tracer(self):
         system = make_dast(regions=1, spr=1)
-        tracer = system.attach_tracer(kinds={"execute"})
+        tracer = attach_tracer(system, kinds={"execute"})
         system.start()
         submit_and_run(system, Transaction("w", [kv_set(0, 0, 1)]))
         assert set(tracer.counts()) == {"execute"}
@@ -140,7 +141,7 @@ class TestLemma1ViaTraces:
         topo = make_topology(regions=2, spr=1, clients=4)
         workload = TpcaWorkload(topo, theta=0.9, crt_ratio=0.25)
         system = DastSystem(topo, workload.schemas(), workload.load, seed=2)
-        tracer = system.attach_tracer(kinds={"execute"})
+        tracer = attach_tracer(system, kinds={"execute"})
         recorder = LatencyRecorder()
         system.start()
         clients = spawn_clients(system, workload, recorder.record)
