@@ -161,13 +161,16 @@ class ChaosReport:
 
     def __init__(self, plan: FaultPlan, system_name: str, audit,
                  replica_mismatches: List[str], committed: int, aborted: int,
-                 conflict_aborts: List[str], faults_applied: int):
+                 failed: int, conflict_aborts: List[str], faults_applied: int):
         self.plan = plan
         self.system_name = system_name
         self.audit = audit  # AuditReport for DAST, None for baselines
         self.replica_mismatches = replica_mismatches
         self.committed = committed
         self.aborted = aborted
+        # Requests that never completed.  Reported, not judged: a fault may
+        # legitimately time a request out.
+        self.failed = failed
         self.conflict_aborts = conflict_aborts
         self.faults_applied = faults_applied
 
@@ -180,12 +183,14 @@ class ChaosReport:
     def summary_line(self) -> str:
         """The per-scenario columns ``repro chaos`` prints after ``seed=``."""
         return (f"events={len(self.plan)} faults={self.faults_applied} "
-                f"committed={self.committed} aborted={self.aborted}")
+                f"committed={self.committed} aborted={self.aborted} "
+                f"failed={self.failed}")
 
     def to_text(self) -> str:
         lines = [self.plan.timeline(), ""]
         lines.append(f"system={self.system_name} faults_applied={self.faults_applied} "
-                     f"committed={self.committed} aborted={self.aborted}")
+                     f"committed={self.committed} aborted={self.aborted} "
+                     f"failed={self.failed}")
         if self.audit is not None:
             lines.append(f"audit: {self.audit!r}")
         if self.replica_mismatches:
@@ -202,8 +207,8 @@ class ChaosReport:
 # The trial a chaos scenario lands on unless the caller varies it
 # (``dataclasses.replace``).  The short request timeout keeps closed-loop
 # clients live under lossy plans.  No warm-up or cool-down: the report is an
-# audit, not a measurement, so the conflict-abort check and the counts must
-# see every transaction the run completed.
+# audit, not a measurement (run_chaos_trial opens the recorder's window
+# altogether, so the drain's completions are judged too).
 DEFAULT_SPEC = TrialSpec(
     system="dast", workload="tpca", workload_params={"crt_ratio": 0.2},
     num_regions=2, shards_per_region=1, clients_per_region=3,
@@ -223,7 +228,9 @@ def audit_every_completion(system, recorder) -> None:
 def judge_results(result, shard_ids) -> Dict:
     """What a drained run's retained results and replicas say, as the report
     fields the chaos and churn oracles share: diverging replica digests,
-    commit / abort counts, and the aborts no healthy run may produce."""
+    commit / abort / never-completed counts, and the aborts no healthy run
+    may produce.  The population is everything the recorder was handed,
+    provided the run was started with :func:`audit_every_completion`."""
     results = result.recorder.results
     aborted = [r for r in results if not r.committed]
     return {
@@ -232,6 +239,7 @@ def judge_results(result, shard_ids) -> Dict:
             if len(set(result.system.replicas_digest(shard_id))) > 1],
         "committed": len(results) - len(aborted),
         "aborted": len(aborted),
+        "failed": result.summary.failed,
         "conflict_aborts": sorted(
             f"{r.txn_id}({'crt' if r.is_crt else 'irt'}): {r.abort_reason}"
             for r in aborted if r.abort_reason not in BENIGN_ABORT_REASONS),
@@ -245,7 +253,7 @@ def run_chaos_trial(plan: FaultPlan, spec: TrialSpec = DEFAULT_SPEC,
 
     trial = spec.to_trial()
     trial.fault_plan = plan
-    result = run_trial(trial)
+    result = run_trial(trial, hooks=audit_every_completion)
     result.drain(extra_ms=drain_ms)
 
     audit = None

@@ -174,7 +174,7 @@ class TopoReport:
 
     def __init__(self, plan: TopologyPlan, system_name: str, audit,
                  replica_mismatches: List[str], committed: int, aborted: int,
-                 conflict_aborts: List[str], events_applied: int,
+                 failed: int, conflict_aborts: List[str], events_applied: int,
                  counters: Dict[str, int]):
         self.plan = plan
         self.system_name = system_name
@@ -182,6 +182,7 @@ class TopoReport:
         self.replica_mismatches = replica_mismatches
         self.committed = committed
         self.aborted = aborted
+        self.failed = failed  # never completed: reported, not judged
         self.conflict_aborts = conflict_aborts
         self.events_applied = events_applied
         self.counters = counters  # reshards / migrations / handoffs / ...
@@ -199,13 +200,15 @@ class TopoReport:
         return (f"events={len(self.plan)} applied={self.events_applied} "
                 f"reshards={self.counters.get('reshards', 0)} "
                 f"handoffs={self.counters.get('handoff_txns', 0)} "
-                f"committed={self.committed} aborted={self.aborted}")
+                f"committed={self.committed} aborted={self.aborted} "
+                f"failed={self.failed}")
 
     def to_text(self) -> str:
         lines = [self.plan.timeline(), ""]
         lines.append(
             f"system={self.system_name} events_applied={self.events_applied} "
-            f"committed={self.committed} aborted={self.aborted}")
+            f"committed={self.committed} aborted={self.aborted} "
+            f"failed={self.failed}")
         lines.append("churn: " + " ".join(
             f"{key}={self.counters.get(key, 0)}"
             for key in ("reshards", "region_joins", "region_leaves",

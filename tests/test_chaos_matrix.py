@@ -93,6 +93,36 @@ class TestPinnedRegressions:
         assert report.conflict_aborts == []
 
 
+class TestOraclePopulation:
+    def test_completions_of_the_drain_are_judged_and_losses_reported(self, monkeypatch):
+        """The judge's population is everything the recorder was handed.
+        The closed-loop recorder used to cut ``results`` off at
+        ``duration_ms``, so the transactions a fault delayed past the end of
+        the run were never checked for conflict aborts; and a request that
+        timed out appeared nowhere."""
+        from repro.bench import harness
+
+        runs = []
+        run_trial = harness.run_trial
+
+        def spy(trial, hooks=None):
+            runs.append(run_trial(trial, hooks=hooks))
+            return runs[-1]
+
+        monkeypatch.setattr(harness, "run_trial", spy)
+        spec = replace(DEFAULT_SPEC, seed=_trial_seed(7))
+        report = run_chaos_trial(generate_plan(7), spec)
+        assert report.ok, report.to_text()
+        (result,) = runs
+        recorder = result.recorder
+        assert recorder.last_finish > spec.duration_ms  # the drain completed some
+        assert report.committed + report.aborted == recorder.all_count
+        lost = sum(client.failed for client in result.clients)
+        assert report.failed == lost > 0
+        assert f"failed={lost}" in report.summary_line()
+        assert f" failed={lost}\n" in report.to_text()
+
+
 class TestDeterminism:
     def test_same_plan_same_seed_byte_identical_reports(self):
         plan = generate_plan(4)

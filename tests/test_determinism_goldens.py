@@ -1,7 +1,7 @@
 """Cross-kernel determinism goldens and hot-path hygiene guards.
 
 The DAST golden digest below was captured from the pre-optimization
-(heap-only, no fast-path) kernel; the chaos one was re-pinned once, on
+(heap-only, no fast-path) kernel; the chaos one was re-pinned twice, on
 purpose (see the test).  Any change that perturbs virtual-time
 results — event ordering, RNG draw order, byte accounting, batching — moves
 a digest and fails here.  Wall-clock optimizations must keep both
@@ -76,10 +76,21 @@ class TestGoldens:
         # scenario, so the old digest pinned a report that had checked
         # nothing; the chaos spec now counts the whole run, and its tpca
         # workload follows the trial seed (3) instead of seed 1.
+        #
+        # Re-pinned a second time, when the recorders were merged: the
+        # report line "system=dast faults_applied=8 committed=159 aborted=0"
+        # became "... committed=165 aborted=0 failed=0".  The shared judge
+        # reads recorder.results, which the closed-loop recorder cut off at
+        # duration_ms while the churn runner's open-loop one kept
+        # everything; the six transactions that finish during the drain —
+        # the ones a fault delayed longest — were never checked for
+        # conflict aborts.  Both runners now open the recorder's window
+        # (audit_every_completion), and the line also reports the requests
+        # that never completed.
         assert report.committed > 0, "a vacuous report must never be pinned"
         digest = hashlib.sha256(report.to_text().encode()).hexdigest()
         assert digest == (
-            "7da87e5d0327a5308a296c67a6012b1192788eb9e1f239d24a0dc753950b7f4a"
+            "87c2b53789fef44326a4739d94e4116ce68496ebfd1eb7f0eab77b5c92a24933"
         )
 
 
