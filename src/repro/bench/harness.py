@@ -177,8 +177,8 @@ def _dast_nodes(system) -> Dict[str, object]:
 
 
 def _dast_node_states(system) -> Dict[str, dict]:
-    """Per DAST node: dclock, waitQ entries, first three readyQ records and
-    the ``max_ts`` row."""
+    """Per DAST node: dclock, waitQ entries, first three readyQ records, the
+    ``max_ts`` row and the peers' wants it has not answered."""
     return {
         host: {
             "dclock": node.dclock.peek(),
@@ -188,6 +188,8 @@ def _dast_node_states(system) -> Dict[str, dict]:
                  "input_ready": rec.input_ready(), "needed": rec.needed}
                 for rec in node.ready_q.records()[:3]],
             "max_ts": dict(node.max_ts),
+            "wants": {peer: list(wants)
+                      for peer, wants in node.reports.wants.items() if wants},
         }
         for host, node in _dast_nodes(system).items()}
 

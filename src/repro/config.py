@@ -25,7 +25,7 @@ class TimingConfig:
     cross_region_rtt: float = 100.0
     client_rtt: float = 5.0  # client <-> node, intra-region
     service_time: float = 0.05  # per-message CPU cost at a node
-    pct_interval: float = 1.0  # period of PCT clock reports (DAST)
+    pct_interval: float = 1.0  # grid of DAST's on-demand PCT report ticks; heartbeat = 10x
     rpc_timeout: float = 500.0  # generic retransmission timeout
     slog_batch_interval: float = 5.0  # SLOG global-log exchange interval (§6)
     anticipation_margin: float = 5.0  # slack added to anticipated timestamps

@@ -155,6 +155,10 @@ class CoordinatorMixin:
                     st, n, shard=(v or {}).get("shard")
                 ),
             )
+        if self.host in participants:
+            # After the obligations above: until a participant acknowledges
+            # the prepare, what it hears of this clock stays below ``ts``.
+            self._announce(ts)
         yield state.prepared_event
         state.t_prepared = self.sim.now
         if self.tracer is not None:

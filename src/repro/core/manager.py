@@ -6,8 +6,9 @@ Each region has one active manager that
   based on an estimated RTT to the coordinator's region, and dispatches the
   CRT to the participating nodes in its region (2DA phase 1);
 * occupies an entry in every node's PCT ``max_ts`` array: its clock report
-  is floored below the smallest *pending* (anticipated, not yet resolved)
-  CRT timestamp, closing the dispatch-window race in Lemma 1;
+  (sent on demand, :mod:`repro.core.records`) is floored below the smallest
+  *pending* (anticipated, not yet resolved) CRT timestamp, closing the
+  dispatch-window race in Lemma 1;
 * drives **fast failover** (removing suspected nodes, Algorithm 3) and
   **asynchronous recovery** (adding replicas back, Algorithm 4);
 * replicates its off-critical-path state (view id and membership) to the
@@ -20,9 +21,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from repro.clock.dclock import DClock
-from repro.clock.hlc import CrtLane, Timestamp, ZERO_TS, just_below
+from repro.clock.hlc import CrtLane, Timestamp, ZERO_TS
 from repro.config import TimingConfig, Topology
 from repro.consensus.smr import SmrCluster
+from repro.core.records import ReportLedger
 from repro.errors import RpcTimeout
 from repro.sim.clocks import ClockSource
 from repro.sim.kernel import Simulator
@@ -142,6 +144,11 @@ class DastManager:
         self.anticipation_enabled = True
         self.tracer = None  # optional repro.sim.trace.Tracer
         self._running = False
+        self.reports = ReportLedger(
+            sim, self.endpoint, self.stats, timing.pct_interval, self.dclock,
+            floor=self._pending_floor, targets=lambda: self.members,
+            sweep=self._gc_pending,
+            alive=lambda: self.active and self._running)
         ep = self.endpoint
         ep.register("prep_remote", self.on_prep_remote)
         ep.register("crt_update", self.on_crt_update)
@@ -155,24 +162,10 @@ class DastManager:
         if self._running:
             return
         self._running = True
-        self.sim.every(self.timing.pct_interval, self._send_report,
-                       name=f"{self.host}.report", alive=lambda: self._running)
+        self.reports.start()
 
     def stop(self) -> None:
         self._running = False
-
-    def _send_report(self) -> None:
-        if not self.active:
-            return
-        value = self.dclock.tick()
-        floor = self._pending_floor()
-        if floor is not None and value >= floor:
-            # Enforce the anticipation promise on reports even if the
-            # clock overshot a late-arriving pending entry.
-            value = just_below(floor)
-        self.endpoint.multicast(self.members, PctReport(value=value))
-        if self.pending:
-            self._gc_pending()
 
     def _pending_floor(self) -> Optional[Timestamp]:
         # Anticipations are strictly increasing per manager (CrtLane) and
@@ -189,6 +182,8 @@ class DastManager:
         do within one intra-region delivery of the dispatch); generously
         waiting several cross-region RTTs costs nothing.
         """
+        if not self.pending:
+            return
         horizon = self.dclock.physical() - 10 * self.timing.cross_region_rtt
         stale = [tid for tid, p in self.pending.items() if p.anticipated.time < horizon]
         for tid in stale:
@@ -260,20 +255,31 @@ class DastManager:
     # ------------------------------------------------------------------
     # Pending resolution
     # ------------------------------------------------------------------
+    def _resolve(self, txn_id: str) -> None:
+        """A pending CRT is settled: the floor may have moved, and with it
+        what the members waiting on this clock can be told."""
+        if self.pending.pop(txn_id, None) is not None:
+            self.reports.serve()
+
     def on_crt_update(self, src: str, payload: CrtUpdate):
-        self.pending.pop(payload.txn_id, None)
+        self._resolve(payload.txn_id)
         return {"node": self.host}
 
     def on_crt_executed(self, src: str, payload: CrtExecuted) -> None:
-        self.pending.pop(payload.txn_id, None)
+        self._resolve(payload.txn_id)
 
     def on_abort_crt(self, src: str, payload: AbortCrt):
-        self.pending.pop(payload.txn_id, None)
+        self._resolve(payload.txn_id)
         return {"node": self.host}
 
     def on_pct_report(self, src: str, payload: PctReport) -> None:
-        # Managers use node reports only to keep their clock calibrated.
+        # A manager executes nothing: a node's value only keeps this clock
+        # calibrated; its want is what the manager answers.
         self.dclock.chase(payload.value)
+        want = payload.want
+        if want is not None and src in self.members:
+            self.reports.add(src, want, payload.stream)
+            self.reports.serve()
 
     # ------------------------------------------------------------------
     # Fast failover: removing suspected nodes (Algorithm 3)

@@ -5,7 +5,8 @@ The node owns:
 * a **stretchable dclock** whose floor is the minimum of its waitQ,
 * the **readyQ/waitQ** pair of Algorithm 1/2,
 * the **PCT** state: ``max_ts`` per intra-region member (peers + manager),
-  advanced by periodic clock reports,
+  advanced by clock reports that members send on demand
+  (:mod:`repro.core.records`),
 * an **obligation ledger**: while a message that a peer must see before its
   ``max_ts`` passes some timestamp is unacknowledged, reports to that peer
   are capped just below that timestamp.  This implements the paper's
@@ -23,10 +24,16 @@ import itertools
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.clock.dclock import DClock
-from repro.clock.hlc import CrtLane, Timestamp, ZERO_TS, just_below
+from repro.clock.hlc import CrtLane, Timestamp, ZERO_TS
 from repro.config import TimingConfig, Topology
 from repro.core.coordinator import CoordinatorMixin
-from repro.core.records import ReadyQueue, TxnRecord, TxnStatus, WaitQueue
+from repro.core.records import (
+    ReadyQueue,
+    ReportLedger,
+    TxnRecord,
+    TxnStatus,
+    WaitQueue,
+)
 from repro.errors import RpcTimeout
 from repro.sim.clocks import ClockSource
 from repro.sim.kernel import Simulator
@@ -129,6 +136,11 @@ class DastNode(CoordinatorMixin):
         self.stats = Stats()
         self.tracer = None  # optional repro.sim.trace.Tracer
         self._running = False
+        self.reports = ReportLedger(
+            sim, self.endpoint, self.stats, timing.pct_interval, self.dclock,
+            floor=self.wait_q.min, targets=self._peers_and_manager,
+            sweep=self._sweep, alive=lambda: self._running,
+            obligations=self._obligations, own_want=self._head_ts)
         self._register_handlers()
 
     # ------------------------------------------------------------------
@@ -181,8 +193,7 @@ class DastNode(CoordinatorMixin):
         if self._running:
             return
         self._running = True
-        self.sim.every(self.timing.pct_interval, self._send_reports,
-                       name=f"{self.host}.pct", alive=lambda: self._running)
+        self.reports.start()
 
     def stop(self) -> None:
         self._running = False
@@ -190,31 +201,41 @@ class DastNode(CoordinatorMixin):
     # ------------------------------------------------------------------
     # PCT: clock reports and execution gating
     # ------------------------------------------------------------------
-    def _send_reports(self) -> None:
-        value = self.dclock.tick()
-        # The promise, enforced unconditionally: never report at or above
-        # the waitQ floor.  Even if the local clock overshot a floor that
-        # arrived late (possible under heavy skew — an anticipation can land
-        # below an already-parked clock), the *reported* value stays below
-        # it, so no peer executes past an unresolved CRT.
-        wait_floor = self.wait_q.min()
-        if wait_floor is not None and value >= wait_floor:
-            value = just_below(wait_floor)
-        # A destination with an unacknowledged obligation below ``value``
-        # gets a report capped just below it, in its usual slot.  _reliable
-        # drops a destination's entry with its last obligation, so usually
-        # there is little or nothing to walk.
-        capped = None
-        for dst, pending in self._obligations.items():
-            if pending:
-                floor = min(pending.values())
-                if value >= floor:
-                    if capped is None:
-                        capped = {}
-                    capped[dst] = PctReport(value=just_below(floor))
-        self.endpoint.multicast(
-            self._peers_and_manager(), PctReport(value=value), capped)
-        self._try_execute()
+    def pct_wait_ms(self) -> float:
+        """How long the readyQ head has been committed and short of some
+        member's reported clock (0.0 if it is not): the ``pct_lag_ms``
+        probe."""
+        head = self.ready_q.head()
+        if (head is not None and head.status == TxnStatus.COMMITTED
+                and self._awaited(head.ts)):
+            return self.sim.now - head.t_committed
+        return 0.0
+
+    def _head_ts(self) -> Optional[Timestamp]:
+        head = self.ready_q.head()
+        return head.ts if head is not None else None
+
+    def _awaited(self, ts: Timestamp) -> bool:
+        """Is some member not yet known to have passed ``ts``?"""
+        max_get = self.max_ts.get
+        for member in self._peers_and_manager():
+            if max_get(member, ZERO_TS) <= ts:
+                return True
+        return False
+
+    def _announce(self, ts: Timestamp) -> None:
+        """A record entered the readyQ at ``ts``: unless every member is
+        already known to have passed it, ask them all.  Call it after the
+        obligations that go with the record are registered, so the value
+        the announcement carries is capped for whoever they bind."""
+        if self._awaited(ts):
+            self.reports.announce(ts)
+
+    def _reannounce(self) -> None:
+        """The view changed under queued records: whoever joined it heard
+        none of their announcements."""
+        for rec in self.ready_q.records():
+            self._announce(rec.ts)
 
     def _peers_and_manager(self) -> Tuple[str, ...]:
         """Who a fan-out from this node goes to: every other member, then
@@ -230,7 +251,7 @@ class DastNode(CoordinatorMixin):
         self._targets = None
 
     def on_pct_report(self, src: str, payload: PctReport) -> None:
-        # Registered without _guard (six of these arrive per millisecond).
+        # Registered without _guard: the commonest message by far.
         if src in self.removed:
             return
         value: Timestamp = payload.value
@@ -243,12 +264,30 @@ class DastNode(CoordinatorMixin):
         # Reported times are always <= the sender's physical reading, so
         # chasing them cannot ratchet past the fastest real clock.
         self.dclock.chase(value)
+        want = payload.want
+        if want is not None and src in self._peers_and_manager():
+            self.reports.add(src, want, payload.stream)
         # The sweep's two commonest exits, taken without entering it.
         head = self.ready_q.head()
         if head is not None and head.status != TxnStatus.PREPARED:
-            self._try_execute()
+            self._sweep()
+        # (_try_execute, inlined: this is the commonest message by far.)
+        reports = self.reports
+        if reports.low is not None and self.wait_q.min() is not reports.settled:
+            reports.serve()
 
     def _try_execute(self) -> None:
+        """Execute what can be executed, then answer whoever that lets this
+        node answer: everything that moves the waitQ floor ends here.  The
+        peers' wants are examined only if there is something new to find —
+        one just arrived, or the floor is not the one they were last
+        examined against."""
+        self._sweep()
+        reports = self.reports
+        if reports.low is not None and self.wait_q.min() is not reports.settled:
+            reports.serve()
+
+    def _sweep(self) -> None:
         # Hoisted PCT threshold: a record is peer-clock-eligible iff its ts
         # is strictly below every peer's latest report — i.e. below their
         # minimum, computed at most once per sweep instead of once per
@@ -256,8 +295,12 @@ class DastNode(CoordinatorMixin):
         # (most sweeps stop at an empty queue, an uncommitted head or the
         # waitQ floor).  The local-clock peek/tick dance stays per record: it
         # has the tick side effect, so it must run before the peer check.
+        # The waitQ floor is read once too: inside the loop only executing a
+        # record that held an entry of its own moves it, and express records
+        # never do.
         threshold = None
         dclock = self.dclock
+        floor = self.wait_q.min()
         while True:
             rec = self.ready_q.head()
             if rec is None:
@@ -268,16 +311,17 @@ class DastNode(CoordinatorMixin):
             if rec.status != TxnStatus.COMMITTED:
                 return
             ts = rec.ts
-            floor = self.wait_q.min()
             if floor is not None and ts >= floor:
                 # An unresolved CRT may still commit below rec.ts: executing
                 # past it would break the promise.  With stretching enabled
                 # the frozen clocks enforce this implicitly; the explicit
                 # check keeps safety independent of the ablation switches.
                 return
-            if dclock.peek() <= ts:
+            if dclock.last <= ts:
                 dclock.tick()
-                if dclock.peek() <= ts:
+                if dclock.last <= ts:
+                    # Future-dated, and nothing but time will change that.
+                    self.reports.arm()
                     return
             if threshold is None:
                 max_get = self.max_ts.get
@@ -294,10 +338,12 @@ class DastNode(CoordinatorMixin):
                 rec.t_order_ready = self.sim.now
                 if self.tracer is not None:
                     self._trace("ready", txn=rec.txn_id, crt=rec.is_crt)
-            if not rec.input_ready():
+            if rec.needed and not rec.input_ready():
                 return  # strict timestamp order: wait for pushed inputs
             self.ready_q.pop_head(rec)
             self._execute(rec)
+            if rec.exec_cb is None:
+                floor = self.wait_q.min()
 
     def _execute(self, rec: TxnRecord) -> None:
         rec.status = TxnStatus.EXECUTED
@@ -306,10 +352,11 @@ class DastNode(CoordinatorMixin):
             self._trace("execute", txn=rec.txn_id, ts=str(rec.ts), crt=rec.is_crt)
         if not rec.t_input_ready:
             rec.t_input_ready = rec.t_order_ready
-        if rec.txn_id in self.wait_q:
-            self.wait_q.remove(rec.txn_id)
         txn = rec.txn
         cb = rec.exec_cb
+        # (Express records live only in the readyQ.)
+        if cb is None and rec.txn_id in self.wait_q:
+            self.wait_q.remove(rec.txn_id)
         if cb is not None and len(txn.pieces) == 1:
             # Express: sole-participant single-piece IRT with no external
             # inputs — the write-through executor skips the write buffer.
@@ -361,7 +408,6 @@ class DastNode(CoordinatorMixin):
             # Let non-participants drop their waitQ floor for this CRT.
             self.endpoint.multicast(
                 self._peers_and_manager(), CrtExecuted(txn_id=rec.txn_id))
-        self._try_execute()
 
     # ------------------------------------------------------------------
     # Record plumbing
@@ -385,7 +431,8 @@ class DastNode(CoordinatorMixin):
     # IRT handlers (Algorithm 1)
     # ------------------------------------------------------------------
     def _prepare_local_irt(self, txn, ts: Timestamp) -> None:
-        """Synchronous self-prepare used by the coordinator path."""
+        """Synchronous self-prepare used by the coordinator path, which
+        announces the record once its ``irt_prepare`` obligations stand."""
         rec = self._record(txn, is_crt=False, coordinator=self.host, status=TxnStatus.PREPARED)
         if rec.status in (TxnStatus.EXECUTED, TxnStatus.ABORTED):
             return
@@ -433,6 +480,12 @@ class DastNode(CoordinatorMixin):
         # committed on arrival and gone at execution), so the records
         # ledger is skipped entirely.
         self.ready_q.insert(ts, rec)
+        # Express submissions outrun one announcement each: the next tick
+        # announces the latest and asks the members to stream.
+        reports = self.reports
+        reports.stream_want = ts
+        if not reports.armed:
+            reports.arm()
         return True
 
     def on_irt_prepare(self, src: str, payload: IrtPrepare):
@@ -447,6 +500,7 @@ class DastNode(CoordinatorMixin):
         rec.t_prepared = self.sim.now
         if rec.txn_id not in self.ready_q and rec.status != TxnStatus.EXECUTED:
             self.ready_q.insert(ts, rec)
+            self._announce(ts)
         early_ts = self._early_commits.pop(txn.txn_id, None)
         if early_ts is not None and rec.status == TxnStatus.PREPARED:
             rec.status = TxnStatus.COMMITTED
@@ -468,6 +522,7 @@ class DastNode(CoordinatorMixin):
             rec.t_committed = self.sim.now
             if txn_id not in self.ready_q:
                 self.ready_q.insert(ts, rec)
+                self._announce(ts)
             self._try_execute()
         return {"node": self.host}
 
@@ -584,6 +639,8 @@ class DastNode(CoordinatorMixin):
                 if peer != self.host:
                     self._reliable(peer, update, obligation_ts=commit_ts)
             self._reliable(self.manager, update, obligation_ts=commit_ts)
+        if rec.participates:
+            self._announce(commit_ts)
         self._try_execute()
 
     def on_crt_update(self, src: str, payload: CrtUpdate):
@@ -755,6 +812,8 @@ class DastNode(CoordinatorMixin):
                     pending.pop(obl_id, None)
                     if not pending:
                         del self._obligations[dst]
+                if obligation_ts is not None:
+                    self.reports.released()
 
         self.sim.spawn(proc(), name=f"{self.host}.reliable.{msg.NAME}")
 
@@ -800,6 +859,7 @@ class DastNode(CoordinatorMixin):
         for node in removed:
             self.max_ts.pop(node, None)
             self._obligations.pop(node, None)
+            self.reports.forget(node)
             for shard_id in self.catalog.shards_on_node(node):
                 self.catalog.remove_replica(shard_id, node)
         # Commit orphaned IRTs seen by at least one node (low latency policy).
@@ -833,6 +893,8 @@ class DastNode(CoordinatorMixin):
         self.vid = max(self.vid, payload.vid)
         old_ts = self.max_ts.pop(old_manager, ZERO_TS)
         self.max_ts.setdefault(src, old_ts)
+        self.reports.forget(old_manager)
+        self._reannounce()
         return {"node": self.host, "mgr_max_ts": old_ts,
                 "my_clock": self.dclock.peek(), "view": view}
 
@@ -897,6 +959,12 @@ class DastNode(CoordinatorMixin):
             if status in (TxnStatus.COMMITTED, TxnStatus.EXECUTED):
                 if rec.status not in (TxnStatus.COMMITTED, TxnStatus.EXECUTED):
                     self._adopt_commit(rec, entry["ts"])
+                elif rec.status == TxnStatus.COMMITTED and rec.input_ready():
+                    # The donor's second delivery completed the inputs of a
+                    # record adopted short of them: its input-wait floor
+                    # sits at its own timestamp and must go, exactly as
+                    # when the last pushed output arrives.
+                    self.wait_q.remove(rec.txn_id)
             elif rec.status == TxnStatus.PREPARED and rec.txn_id not in self.ready_q:
                 if entry["is_crt"]:
                     if entry["anticipated_ts"] is not None:
@@ -904,6 +972,7 @@ class DastNode(CoordinatorMixin):
                         self.wait_q.insert(rec.txn_id, entry["anticipated_ts"])
                 else:
                     self.ready_q.insert(entry["ts"], rec)
+                    self._announce(entry["ts"])
         self._try_execute()
         return {"node": self.host}
 
@@ -944,6 +1013,7 @@ class DastNode(CoordinatorMixin):
                     yield self.sim.timeout(10 * self.timing.intra_region_rtt)
                     self._send_catchup(new_node, donor_state["ts_ckpt"])
                 self.sim.spawn(later(), name=f"{self.host}.catchup2")
+        self._reannounce()
         self._try_execute()
         return {"node": self.host}
 
@@ -957,11 +1027,12 @@ class DastNode(CoordinatorMixin):
         over to the new manager: the new manager's pending floor is
         independent of the old one's, so inheriting the old report could
         overstate the new floor and let us execute past a CRT the new
-        manager is still anticipating.  Until the new manager's next
-        periodic report arrives (one pct_interval), the PCT threshold sits
-        at ZERO — a brief stall, never an unsafe execution."""
+        manager is still anticipating.  Until the new manager answers the
+        re-announcement below (one intra-region RTT), the PCT threshold
+        sits at ZERO — a brief stall, never an unsafe execution."""
         if payload.manager is not None and payload.manager != self.manager:
             self.max_ts.pop(self.manager, None)
+            self.reports.forget(self.manager)
             self.manager = payload.manager
         if payload.members is not None:
             self.members = list(payload.members)
@@ -970,7 +1041,9 @@ class DastNode(CoordinatorMixin):
             for host in [h for h in self.max_ts if h not in keep]:
                 self.max_ts.pop(host, None)
                 self._obligations.pop(host, None)
+                self.reports.forget(host)
         self._view_changed()
+        self._reannounce()
         self._try_execute()
         return {"node": self.host}
 

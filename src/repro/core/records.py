@@ -8,18 +8,46 @@ Each node keeps two timestamp-ordered queues (§4.2):
   timestamps, committed CRTs still waiting for remote inputs at their commit
   timestamps, plus special failover entries (the fake CRT of Algorithm 4).
   The minimum of the waitQ is the dclock's stretch floor.
+
+A third book, kept by every node *and* every manager, is the
+:class:`ReportLedger`: who waits on this host's clock, and what each was
+last told — PCT clock reports are sent on demand (``docs/PROTOCOL.md``,
+"PCT: when may a replica execute?").  A replica may execute the record at
+``ts`` once every member of its region is *known* to have passed ``ts``.
+Nobody needs a member's clock at any other moment, so a host reports when
+asked, not every ``pct_interval``:
+
+* **announce** — the holder of a record multicasts its own value with
+  ``want=ts``;
+* **serve** — the asked host answers the moment its reportable value (its
+  ``dclock.tick()`` under the floor and obligation caps) passes ``ts``;
+* **heartbeat** — every ``HEARTBEAT_TICKS`` periods each host reports to
+  everyone regardless, which repairs a lost want or answer, keeps the
+  dclock calibration fed and brings new members and managers up to date.
+
+The ledger is the one place a report leaves a node or a manager.  Every
+value it sends is the owner's ``dclock.tick()`` under the same caps as
+ever; only when and to whom changed, so the promise a report makes
+(Lemma 1) is untouched.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from bisect import bisect_left, insort
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.clock.hlc import Timestamp
+from repro.clock.dclock import DClock
+from repro.clock.hlc import Timestamp, ZERO_TS, just_below
+from repro.sim.kernel import Simulator
+from repro.sim.rpc import Endpoint
 from repro.txn.model import Transaction
+from repro.util import Stats
+from repro.wire.messages import PctReport
 
-__all__ = ["TxnStatus", "TxnRecord", "ReadyQueue", "WaitQueue"]
+__all__ = ["TxnStatus", "TxnRecord", "ReadyQueue", "WaitQueue",
+           "HEARTBEAT_TICKS", "ReportLedger"]
 
 
 class TxnStatus:
@@ -261,3 +289,280 @@ class WaitQueue:
 
     def entries(self) -> Dict[str, Timestamp]:
         return dict(self._entries)
+
+
+# The heartbeat period, and the life of a stream lease, in ``pct_interval``s.
+HEARTBEAT_TICKS = 10
+
+
+class ReportLedger:
+    """Who waits on this host's clock, and the sending of its reports.
+
+    The owner supplies its ``dclock`` and ``floor()`` (the timestamp no
+    report may reach: the waitQ minimum, the lowest pending anticipation),
+    ``targets()`` (who a full fan-out reaches), its per-destination
+    ``obligations`` table, a ``sweep()`` run before each tick and heartbeat
+    (the node's execution loop, the manager's pending-CRT collection),
+    ``own_want()`` (the timestamp a heartbeat asks about) and ``alive()``
+    (may it report at all).
+    """
+
+    def __init__(
+        self,
+        sim: Simulator,
+        endpoint: Endpoint,
+        stats: Stats,
+        interval: float,
+        dclock: DClock,
+        floor: Callable[[], Optional[Timestamp]],
+        targets: Callable[[], Sequence[str]],
+        sweep: Callable[[], None],
+        alive: Callable[[], bool],
+        obligations: Optional[Dict[str, Dict[int, Timestamp]]] = None,
+        own_want: Callable[[], Optional[Timestamp]] = lambda: None,
+    ):
+        self.sim = sim
+        self.endpoint = endpoint
+        self.stats = stats
+        self.interval = interval
+        self.period = HEARTBEAT_TICKS * interval
+        self.dclock = dclock
+        self._floor = floor
+        self._targets = targets
+        self._sweep = sweep
+        self._alive = alive
+        self._own_want = own_want
+        self.obligations = obligations if obligations is not None else {}
+        # peer -> the timestamps it asked about that it has not been told
+        # past yet, ascending.
+        self.wants: Dict[str, List[Timestamp]] = {}
+        # The lowest and the highest of all of those (None: nobody waits).
+        self.low: Optional[Timestamp] = None
+        self.high: Optional[Timestamp] = None
+        # peer -> the last value sent to it.
+        self.told: Dict[str, Timestamp] = {}
+        # peer -> virtual time until which it gets every tick's value, and
+        # the peers as the tuple a tick multicasts to (None: rebuild it).
+        self.lease: Dict[str, float] = {}
+        self._feed: Optional[Tuple[str, ...]] = None
+        # The owner's latest express timestamp not yet announced: the owner
+        # sets it and arms the tick, which announces it with ``stream`` set.
+        self.stream_want: Optional[Timestamp] = None
+        # Until when the leases the members last granted this host have more
+        # than half their life left: no need to ask again before.
+        self.streaming_until = 0.0
+        self.armed = False
+        # The floor :meth:`serve` last examined the wants against.  Between
+        # ticks there is nothing new to find until the floor is another one;
+        # a want arriving or an obligation acknowledged resets it.
+        self.settled: object = self
+
+    # ------------------------------------------------------------------
+    # Sending
+    # ------------------------------------------------------------------
+    def _reportable(self, floor: Optional[Timestamp]) -> Timestamp:
+        """A fresh clock value, kept below the floor.  The promise, enforced
+        unconditionally: even if the clock overshot a floor that arrived
+        late (possible under heavy skew — an anticipation can land below an
+        already-parked clock), the *reported* value stays below it, so no
+        peer executes past an unresolved CRT."""
+        value = self.dclock.tick()
+        if floor is not None and value >= floor:
+            value = just_below(floor)
+        return value
+
+    def _caps(self, value: Timestamp) -> Optional[Dict[str, Timestamp]]:
+        """dst -> what it is told instead of ``value``: just below its
+        lowest unacknowledged obligation.  (``_reliable`` drops a
+        destination's entry with its last obligation.)"""
+        caps = None
+        for dst, owed in self.obligations.items():
+            lowest = min(owed.values())
+            if value >= lowest:
+                if caps is None:
+                    caps = {}
+                caps[dst] = just_below(lowest)
+        return caps
+
+    def _send(self, dsts: Sequence[str], value: Timestamp,
+              caps: Optional[Dict[str, Timestamp]],
+              want: Optional[Timestamp] = None, stream: bool = False) -> None:
+        """One multicast; afterwards the book says what each was told."""
+        overrides = None
+        if caps:
+            overrides = {dst: PctReport(capped, want, stream)
+                         for dst, capped in caps.items()}
+        self.endpoint.multicast(dsts, PctReport(value, want, stream), overrides)
+        told = self.told
+        if not caps and self.low is None:
+            told.update(dict.fromkeys(dsts, value))  # the saturated tick
+            return
+        wants = self.wants
+        passed = False
+        for dst in dsts:
+            sent = told[dst] = value if not caps else caps.get(dst, value)
+            pending = wants.get(dst)
+            if pending and pending[0] < sent:
+                del pending[:bisect_left(pending, sent)]
+                passed = True
+        if passed:
+            self._bounds()
+
+    def _bounds(self) -> None:
+        waiting = [pending for pending in self.wants.values() if pending]
+        self.low = min((p[0] for p in waiting), default=None)
+        self.high = max((p[-1] for p in waiting), default=None)
+
+    def _fan_out(self, counter: str, want: Optional[Timestamp]) -> None:
+        """The current value to everyone, counted under ``counter``."""
+        if not self._alive():
+            return
+        floor = self._floor()
+        value = self._reportable(floor)
+        self._send(self._targets(), value,
+                   self._caps(value) if self.obligations else None, want)
+        self.stats.inc(counter)
+        self._rearm(value, floor)
+
+    def announce(self, ts: Timestamp) -> None:
+        """A record entered the owner's readyQ at ``ts``: ask everyone."""
+        self._fan_out("pct_announced", ts)
+
+    # ------------------------------------------------------------------
+    # Being asked
+    # ------------------------------------------------------------------
+    def add(self, src: str, want: Timestamp, stream: bool) -> None:
+        """``src``'s report carried ``want``: unless it is answered already,
+        ``src`` now waits on this host's clock, and the next :meth:`serve`
+        examines it."""
+        if stream:
+            now = self.sim.now
+            running = self.lease.get(src)
+            if running is None:
+                self._feed = None
+            self.lease[src] = now + self.period
+            if not self.armed:
+                self.arm()
+            if running is not None and running > now:
+                return  # the feed it renews carries the answer
+        if want < self.told.get(src, ZERO_TS):
+            return  # told already; if that was lost, the heartbeat repeats it
+        pending = self.wants.setdefault(src, [])
+        if want in pending:
+            return
+        insort(pending, want)
+        self.settled = self
+        if self.low is None or want < self.low:
+            self.low = want
+        if self.high is None or want > self.high:
+            self.high = want
+
+    def released(self) -> None:
+        """An obligation was acknowledged: its destination's cap lifted."""
+        if self.low is not None:
+            self.settled = self
+            self.serve()
+
+    def forget(self, host: str) -> None:
+        """``host`` left the view."""
+        self.told.pop(host, None)
+        if self.lease.pop(host, None) is not None:
+            self._feed = None
+        if self.wants.pop(host, None):
+            self._bounds()
+
+    def serve(self, tick: bool = False) -> None:
+        """Report to every peer whose lowest want the reportable value has
+        passed, in one multicast.  A tick also feeds the lease holders, or
+        everyone when the owner has express work to announce and its own
+        leases need renewing."""
+        floor = self._floor()
+        if not tick:
+            if self.low is None or floor is self.settled:
+                return
+            if floor is not None and self.low >= floor:
+                self.settled = floor  # every value stays below the floor
+                return
+        if not self._alive():
+            return
+        self.settled = floor
+        value = self._reportable(floor)
+        want = None
+        feed: Sequence[str] = ()
+        if tick:
+            now = self.sim.now
+            want, self.stream_want = self.stream_want, None
+            if want is not None and now >= self.streaming_until:
+                self.streaming_until = now + self.period / 2
+                feed = self._targets()
+            else:
+                want = None  # no express work, or the members stream already
+                lease = self.lease
+                if lease:
+                    if min(lease.values()) <= now:
+                        self.lease = lease = {
+                            dst: end for dst, end in lease.items() if end > now}
+                        self._feed = None
+                    feed = self._feed
+                    if feed is None:
+                        feed = self._feed = tuple(lease)
+        passed = self.low is not None and value > self.low
+        if feed or passed:
+            caps = self._caps(value) if self.obligations else None
+            dsts = feed
+            if passed and want is None:
+                dsts = list(feed)
+                for dst, pending in self.wants.items():
+                    if pending and dst not in feed and pending[0] < (
+                            value if not caps else caps.get(dst, value)):
+                        dsts.append(dst)
+            if dsts:
+                self._send(dsts, value, caps, want, want is not None)
+                self.stats.inc("pct_served" if want is None else "pct_announced")
+        self._rearm(value, floor)
+
+    # ------------------------------------------------------------------
+    # The tick and the heartbeat
+    # ------------------------------------------------------------------
+    def _rearm(self, value: Timestamp, floor: Optional[Timestamp]) -> None:
+        """Tick again only while a lease runs, express work is unannounced,
+        or some want waits on the clock alone: a want at or above the floor
+        is re-examined when the floor moves, not when time passes."""
+        if not self.armed and (
+                self.lease or self.stream_want is not None
+                or (self.low is not None and value <= self.high
+                    and (floor is None or self.low < floor))):
+            self.arm()
+
+    def arm(self) -> None:
+        """Tick at the next instant of the ``pct_interval`` grid.  Every
+        host ticks on the same grid, so the members a record waits for pass
+        its timestamp together, not one random phase apart each."""
+        if not self.armed:
+            self.armed = True
+            interval = self.interval
+            self.sim.schedule_abs(
+                (self.sim.now // interval + 1) * interval, self._due)
+
+    def _due(self) -> None:
+        # A heap entry that only queues the tick on the ready deque, like
+        # ``Timer._fire``: every message processed at the tick's instant is
+        # seen by the tick.
+        self.sim.call_soon(self._tick)
+
+    def _tick(self) -> None:
+        self.armed = False
+        if self._alive():
+            self._sweep()
+            self.serve(tick=True)
+
+    def start(self) -> None:
+        """Heartbeats from now on, the first at once: a host that joins (a
+        new replica, a promoted manager) is heard within half an RTT."""
+        self.sim.every(self.period, self.heartbeat,
+                       name=f"{self.endpoint.host}.pct", alive=self._alive)
+        self.heartbeat()
+
+    def heartbeat(self) -> None:
+        self._sweep()
+        self._fan_out("pct_heartbeats", self._own_want())

@@ -60,9 +60,10 @@ class LivenessFailure(ReproError):
     outstanding (:meth:`repro.bench.harness.TrialResult.stall`).
 
     Carries what is needed to see who waits on whom: per DAST node the
-    dclock, the waitQ entries, the first readyQ records and the ``max_ts``
-    row, and every ``.time`` that two CRT timestamps share (which the
-    protocol's freeze rule cannot survive, see docs/PROTOCOL.md).
+    dclock, the waitQ entries, the first readyQ records, the ``max_ts`` row
+    and the wants of its peers that it has left unanswered, and every
+    ``.time`` that two CRT timestamps share (which the protocol's freeze
+    rule cannot survive, see docs/PROTOCOL.md).
     """
 
     def __init__(self, now: float, last_finish: float, outstanding: int,
@@ -73,7 +74,7 @@ class LivenessFailure(ReproError):
         self.now = now
         self.last_finish = last_finish
         self.outstanding = outstanding
-        self.nodes = nodes  # host -> {"dclock", "wait_q", "ready_q", "max_ts"}
+        self.nodes = nodes  # host -> {"dclock", "wait_q", "ready_q", "max_ts", "wants"}
         self.shared_times = shared_times  # [(time, {txn_id: Timestamp})]
 
     def report(self) -> str:
@@ -94,4 +95,7 @@ class LivenessFailure(ReproError):
                     f"input_ready={rec['input_ready']} needed={sorted(rec['needed'])}")
             lines.append("    max_ts " + ", ".join(
                 f"{src}={tuple(ts)!r}" for src, ts in sorted(state["max_ts"].items())))
+            for peer, wants in sorted(state["wants"].items()):
+                lines.append(f"    owes   {peer} a report past " + ", ".join(
+                    repr(tuple(ts)) for ts in wants))
         return "\n".join(lines)

@@ -114,20 +114,13 @@ def standard_probes(system) -> List[Tuple[str, Callable[[], float]]]:
 
 
 def _pct_lag(nodes) -> Optional[float]:
-    """Worst-case PCT watermark lag across nodes (ms).
+    """How long the oldest committed readyQ head has waited on a peer's
+    clock, worst case across nodes (ms).
 
-    A node may execute a transaction at timestamp ``ts`` only once every
-    intra-region member's reported clock passed ``ts``; the watermark is
-    therefore the *minimum* of the node's ``max_ts`` table, and its lag is
-    how far that sits behind the node's own calibrated physical clock.
+    A node may execute the record at ``ts`` only once every intra-region
+    member's reported clock passed ``ts``.  Members report on demand
+    (``repro.core.records``), so between demands a ``max_ts`` row idles up
+    to one heartbeat behind by design; what tells of trouble is a committed
+    head still short of some member's report, and for how long.
     """
-    worst = None
-    for node in nodes:
-        table = getattr(node, "max_ts", None)
-        if not table:
-            continue
-        watermark = min(table.values())
-        lag = node.dclock.physical() - watermark.time
-        if worst is None or lag > worst:
-            worst = lag
-    return worst
+    return max((node.pct_wait_ms() for node in nodes), default=None)

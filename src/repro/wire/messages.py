@@ -190,9 +190,16 @@ class ExecDone(WireMessage):
 
 @message("pct_report")
 class PctReport(WireMessage):
-    """Node/manager -> intra-region members: periodic capped clock report."""
+    """Node/manager -> intra-region members: capped clock report.
+
+    ``want`` asks the receiver to report back once its own reportable clock
+    has passed that timestamp; ``stream`` asks it to keep reporting every
+    ``pct_interval`` for one heartbeat period (express submissions arrive
+    faster than they could be announced one by one)."""
 
     value: Timestamp
+    want: Optional[Timestamp] = None
+    stream: bool = False
 
 
 @message("abort_crt")

@@ -18,7 +18,10 @@ def chaotic_result():
             .add(800.0, "heal_regions", r1="r0", r2="r1"))
     trial = Trial("dast", lambda topo: TpccWorkload(topo),
                   clients_per_region=4, duration_ms=2500.0,
-                  warmup_ms=300.0, cooldown_ms=200.0, seed=11,
+                  # Trial seed 3: found by search over seeds 1-11 (reports
+                  # on demand moved the timings; under seed 11 no request of
+                  # this plan times out any more, under 3 two do).
+                  warmup_ms=300.0, cooldown_ms=200.0, seed=3,
                   obs_causal=True, fault_plan=plan, request_timeout=1500.0)
     result = run_trial(trial)
     return result, result.obs.traces()

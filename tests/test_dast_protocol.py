@@ -2,11 +2,13 @@
 anticipation, obligations, and R1 under concurrent CRT load."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.clock.hlc import Timestamp
 from repro.config import TimingConfig
-from repro.core.records import TxnStatus
+from repro.core.records import HEARTBEAT_TICKS, ReportLedger, TxnStatus
 from repro.txn.model import Transaction
+from repro.wire.messages import AddCommit, MgrTakeover, PctReport, Ping, ViewSync
 from tests.conftest import (
     kv_apply_input,
     kv_read_forward,
@@ -181,17 +183,30 @@ class TestObligations:
         system = make_dast(regions=1, spr=1, timing=timing)
         system.start()
         system.run(until=50.0)
-        node = system.nodes["r0.n0"]
-        # Register an obligation slightly in the future; the peer's view of
-        # our clock must not advance past it until it clears.
+        node, peer = system.nodes["r0.n0"], system.nodes["r0.n1"]
+        # The peer asks about a timestamp slightly in the future, and we
+        # owe it something at that timestamp that it cannot acknowledge (its
+        # replies are cut off): the peer's view of our clock must not
+        # advance past it until the obligation clears.
         ts = Timestamp(system.sim.now + 30.0, 0, 0)
-        node._obligations.setdefault("r0.n1", {})[999] = ts
+        peer.reports.announce(ts)
+        system.run(until=system.sim.now + 3.0)
+        system.network.partition_hosts_oneway("r0.n1", "r0.n0")
+        node._reliable("r0.n1", Ping(), obligation_ts=ts)
         system.run(until=system.sim.now + 60.0)
-        peer = system.nodes["r0.n1"]
-        assert peer.max_ts["r0.n0"] < ts
-        # Clearing the obligation lets the next report jump ahead.
-        node._obligations["r0.n1"].clear()
-        system.run(until=system.sim.now + 10.0)
+        assert node._obligations["r0.n1"] and node.stats.get("retransmissions") > 0
+        assert node.reports.wants["r0.n1"] == [ts]
+        assert peer.max_ts["r0.n0"] < ts < node.dclock.peek()
+        # The acknowledgement releases it through _reliable's own path,
+        # which serves the peer at once: no heartbeat needed.
+        system.network.heal_hosts_oneway("r0.n1", "r0.n0")
+        served = node.stats.get("pct_served")
+        beats = node.stats.get("pct_heartbeats")
+        while "r0.n1" in node._obligations:
+            assert system.sim.step()
+        assert node.stats.get("pct_served") == served + 1
+        assert node.stats.get("pct_heartbeats") == beats
+        system.run(until=system.sim.now + 3.0)
         assert peer.max_ts["r0.n0"] > ts
 
     def test_obligations_cleared_after_delivery(self, dast2):
@@ -220,3 +235,195 @@ class TestLossTolerance:
         assert len(set(system.replicas_digest("s0"))) == 1
         retransmissions = sum(n.stats.get("retransmissions") for n in system.nodes.values())
         assert retransmissions > 0  # drops actually happened and were recovered
+
+
+# ---------------------------------------------------------------------------
+# PCT reports on demand (repro.core.records): announce / serve / heartbeat.
+# ---------------------------------------------------------------------------
+def spy_on_reports(system):
+    """Check the promise at every send: no ``pct_report`` leaving a node or
+    a manager reaches the sender's floor or an unacknowledged obligation
+    toward that destination.  Returns the list the violations land in."""
+    violations = []
+
+    def watch(owner, floor, obligations):
+        send = owner.endpoint.multicast
+
+        def multicast(dsts, msg, overrides=None):
+            for dst in dsts:
+                sent = (overrides or {}).get(dst, msg)
+                if not isinstance(sent, PctReport):
+                    continue
+                limit = floor()
+                owed = obligations.get(dst)
+                if limit is not None and sent.value >= limit:
+                    violations.append((owner.host, dst, sent.value, "floor", limit))
+                if owed and sent.value >= min(owed.values()):
+                    violations.append((owner.host, dst, sent.value, "obligation",
+                                       min(owed.values())))
+            send(dsts, msg, overrides)
+
+        owner.endpoint.multicast = multicast
+
+    for node in system.nodes.values():
+        watch(node, node.wait_q.min, node._obligations)
+    for manager in list(system.managers.values()) + list(system.standby_managers.values()):
+        watch(manager, manager._pending_floor, {})
+    return violations
+
+
+class TestReportsOnDemand:
+    @given(
+        ops=st.lists(
+            st.tuples(st.floats(0.0, 40.0), st.booleans(), st.integers(0, 2),
+                      st.integers(0, 4)),
+            min_size=2, max_size=8),
+        drop=st.sampled_from([0.0, 0.03]),
+        skew=st.sampled_from([0.0, 3.0]),
+        seed=st.integers(1, 50),
+    )
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_no_report_reaches_the_floor_or_an_obligation(self, ops, drop, skew, seed):
+        """Whatever the traffic, on every path a report leaves by — tick,
+        announcement, served reply, heartbeat."""
+        system = make_dast(regions=2, spr=1, seed=seed, clock_skew=skew,
+                           timing=TimingConfig(drop_probability=drop))
+        violations = spy_on_reports(system)
+        ticks = []
+        tick = ReportLedger._tick
+        try:
+            ReportLedger._tick = lambda ledger: (ticks.append(ledger), tick(ledger))
+            system.start()
+            # One CRT always: its commit timestamp lies in the future, so
+            # wants wait on clocks (ticks) and on floors (served replies).
+            crt = Transaction("crt", [kv_set(0, 0, 1), kv_set(1, 0, 1, piece_index=1)])
+            system.submit("r0.c0", "r0.n0", crt, timeout=60000.0)
+            at = 0.0
+            for gap, cross, coord, key in ops:
+                at += gap
+                pieces = [kv_set(0, key, at)]
+                if cross:
+                    pieces.append(kv_set(1, key, at, piece_index=1))
+                system.sim.schedule_at(
+                    at, system.submit, "r0.c1", f"r0.n{coord}",
+                    Transaction("w", pieces), 60000.0)
+            system.run(until=at + 1500.0)
+        finally:
+            ReportLedger._tick = tick
+        assert violations == []
+        if not drop:  # (a lossy link may lose the submissions themselves)
+            hosts = list(system.nodes.values()) + list(system.managers.values())
+            for counter in ("pct_announced", "pct_served", "pct_heartbeats"):
+                assert sum(h.stats.get(counter) for h in hosts) > 0, counter
+            assert ticks
+
+    @staticmethod
+    def _quiet_region():
+        """One region, started, just past a heartbeat: the next is a whole
+        period away."""
+        system = make_dast(regions=1, spr=1)
+        system.start()
+        period = HEARTBEAT_TICKS * system.timing.pct_interval
+        system.run(until=5 * period + 0.5)
+        return system, system.nodes["r0.n0"], period
+
+    @pytest.mark.parametrize("lost", ["want", "reply"])
+    def test_a_lost_want_or_reply_is_repaired_by_the_next_heartbeat(self, lost):
+        system, node, period = self._quiet_region()
+        rtt = system.timing.intra_region_rtt
+        t0 = system.sim.now
+        if lost == "want":
+            system.network.partition_hosts_oneway("r0.n0", "r0.n1")
+        else:
+            system.network.partition_hosts_oneway("r0.n1", "r0.n0")
+        system.sim.schedule(rtt / 2 + 1.0, system.network.heal_hosts_oneway,
+                            *(("r0.n0", "r0.n1") if lost == "want" else ("r0.n1", "r0.n0")))
+        ts = node.dclock.tick()
+        node._announce(ts)
+        system.run(until=t0 + rtt + 0.1)
+        assert node.max_ts["r0.n2"] > ts and node.max_ts["r0.mgr"] > ts  # served
+        assert node.max_ts["r0.n1"] < ts  # ...and one message went missing
+        asked = system.nodes["r0.n1"].reports
+        assert (asked.told.get("r0.n0", ts) > ts) == (lost == "reply")
+        system.run(until=t0 + period + rtt)
+        assert node.max_ts["r0.n1"] > ts
+
+    @pytest.mark.parametrize("hook", ["view_sync", "mgr_takeover", "add_commit"])
+    def test_a_view_change_reannounces_outstanding_wants(self, hook):
+        """After a manager flip the PCT threshold sits at ZERO until the new
+        manager reports: one RTT after the re-announcement, not one
+        heartbeat.  A replica that joins asks about what it caught up on."""
+        system, node, period = self._quiet_region()
+        rtt = system.timing.intra_region_rtt
+        standby = system.standby_managers["r0"]
+        standby.active = True
+        standby.start()
+        system.run(until=system.sim.now + period)  # just past its heartbeat too
+        txn = Transaction("w", [kv_set(0, 0, 1)])
+        ts = node.dclock.tick()
+        node._prepare_local_irt(txn, ts)  # queued, never announced
+        if hook == "view_sync":
+            node.on_view_sync("r0.mgr", ViewSync(
+                shard="s0", region="r0", manager=standby.host, members=None))
+        elif hook == "mgr_takeover":
+            node.on_mgr_takeover(standby.host, MgrTakeover(vid=1))
+        else:
+            node.max_ts.clear()  # as on a replica fresh from its checkpoint
+            node.on_add_commit("r0.mgr", AddCommit(
+                vid=1, node=node.host, ts_ins=ts, members=list(node.members), shard="s0"))
+        waited_for = standby.host if hook != "add_commit" else "r0.mgr"
+        assert node.manager == waited_for
+        assert node.max_ts.get(waited_for, ts) <= ts
+        beats = sum(h.stats.get("pct_heartbeats") for h in
+                    list(system.nodes.values()) + [standby, system.managers["r0"]])
+        system.run(until=system.sim.now + rtt + 0.1)
+        assert all(node.max_ts[m] > ts for m in node._peers_and_manager())
+        assert beats == sum(h.stats.get("pct_heartbeats") for h in
+                            list(system.nodes.values()) + [standby, system.managers["r0"]])
+
+    def test_an_express_stream_is_leased_not_announced_one_by_one(self):
+        """Express submissions ride the holder's tick with ``stream`` set;
+        the members then report every tick until the lease runs out."""
+        system, node, period = self._quiet_region()
+        peer = system.nodes["r0.n1"]
+        done = []
+        t0 = system.sim.now
+        for i in range(3):
+            txn = Transaction("w", [kv_set(0, i, i)])
+            system.sim.schedule(i * 0.2, node.submit_express, txn,
+                                lambda rec, outcome: done.append(system.sim.now))
+        system.run(until=t0 + 1.0)
+        assert node.stats.get("pct_announced") == 1  # three submissions, one tick
+        served = peer.stats.get("pct_served")
+        system.run(until=t0 + period + 4.0)
+        assert len(done) == 3 and max(done) < t0 + 1.0 + system.timing.intra_region_rtt + 0.1
+        # One lease: the answer at once, then a report per tick for one
+        # heartbeat period, then silence.
+        assert peer.stats.get("pct_served") - served == 1 + HEARTBEAT_TICKS
+        assert not peer.reports.armed and not node.reports.armed
+
+
+class TestCatchUpCompletesInputs:
+    def test_second_delivery_lifts_the_input_wait_floor(self, dast2):
+        """A replica that adopted a committed CRT short of its inputs holds a
+        floor at the CRT's own timestamp; when the donor's second catch-up
+        delivery brings the inputs, the floor must go or the CRT can never
+        execute (it would have to pass itself)."""
+        from repro.wire.messages import ReplicaCatchup
+
+        node = dast2.nodes["r1.n0"]
+        txn = Transaction("dep", [
+            kv_read_forward(0, 3, "x", piece_index=0),
+            kv_apply_input(1, 4, "x", piece_index=1),
+        ])
+        commit_ts = Timestamp(dast2.sim.now + 1.0, 0, 3)
+        entry = {"txn": txn, "ts": commit_ts, "status": TxnStatus.COMMITTED,
+                 "is_crt": True, "coord": "r0.n0", "inputs": {},
+                 "anticipated_ts": None}
+        node.on_replica_catchup("r1.n1", ReplicaCatchup(entries=[entry]))
+        assert node.wait_q.entries() == {txn.txn_id: commit_ts}
+        node.on_replica_catchup("r1.n1", ReplicaCatchup(
+            entries=[dict(entry, inputs={"x": 7})]))
+        assert txn.txn_id not in node.wait_q
+        dast2.run(until=dast2.sim.now + 50.0)
+        assert node.records[txn.txn_id].status == TxnStatus.EXECUTED

@@ -96,6 +96,26 @@ class TestStandardProbes:
                 "pending_crts", "net_inflight", "net_sent"} <= names
         assert any(n.startswith("executed.") for n in names)
 
+    def test_pct_lag_is_the_committed_heads_wait_on_a_peers_clock(self):
+        from repro.obs.probes import _pct_lag
+        from repro.txn.model import Transaction
+        from tests.conftest import kv_set
+
+        system = make_dast(regions=1, spr=1)
+        system.start()
+        system.run(until=57.0)  # max_ts rows idle seven ms behind: no lag
+        nodes = list(system.nodes.values())
+        assert _pct_lag(nodes) == 0.0
+        node = nodes[0]
+        ts = node.dclock.tick()
+        node._prepare_local_irt(Transaction("w", [kv_set(0, 0, 1)]), ts)
+        assert _pct_lag(nodes) == 0.0  # prepared, not committed
+        node._commit_local(node.ready_q.head().txn_id, ts)
+        system.run(until=58.5)
+        assert _pct_lag(nodes) == 1.5  # committed at 57, nobody was asked
+        system.run(until=65.0)  # the heartbeat at 60 passes it
+        assert _pct_lag(nodes) == 0.0 and len(node.ready_q) == 0
+
     def test_observed_run_collects_series(self):
         _system, bundle = run_observed_dast()
         series = bundle.registry.series

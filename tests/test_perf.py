@@ -294,36 +294,38 @@ class TestProfiler:
 
 
 # ---------------------------------------------------------------------------
-# What a PCT tick costs (docs/PERF.md): counted, not timed, so machine noise
-# cannot trip it.  An idle system does nothing but exchange clock reports.
+# What PCT reports cost (docs/PERF.md, "Reports on demand"): counted, not
+# timed, so machine noise cannot trip it.  An idle system only heartbeats;
+# an announcement costs one fan-out and one served report per member.
 # ---------------------------------------------------------------------------
 class TestPctTickCost:
-    # Python-level calls, measured when the tick was flattened; +10 %.
-    CALLS_PER_NODE_TICK = 23
-    CALLS_PER_DELIVERED_REPORT = 5.03
+    # Python-level calls, measured when reports went on demand; +10 %.
+    CALLS_PER_ANNOUNCEMENT = 32
+    CALLS_PER_SERVED_REPORT = 32
 
     @staticmethod
-    def _idle_exchange(virtual_ms=200.0):
-        """Calls made inside ``DastNode._send_reports`` and inside
-        ``Network._deliver_many``, and the kernel events, over ``virtual_ms``
-        of an idle 2 x 2 x 3 DAST system (12 nodes + 2 active managers)."""
-        import sys
-
+    def _idle_system(until=50.0):
+        """A started 2 x 2 x 3 DAST system (12 nodes + 2 active managers)
+        that has run idle for ``until`` virtual ms."""
         from repro.config import Topology, TopologyConfig
-        from repro.core.node import DastNode
         from repro.core.system import DastSystem
-        from repro.sim.network import Network
         from repro.workloads.tpca import TpcaWorkload
 
         topology = Topology(TopologyConfig(num_regions=2, shards_per_region=2, replication=3))
         workload = TpcaWorkload(topology)
         system = DastSystem(topology, workload.schemas(), workload.load)
         system.start()
-        system.run(until=50.0)
-        scopes = {DastNode._send_reports.__code__: "tick",
-                  Network._deliver_many.__code__: "deliver"}
-        calls = {"tick": 0, "deliver": 0}
-        entered = {"tick": 0, "deliver": 0}
+        system.run(until=until)
+        return system
+
+    @staticmethod
+    def _count_calls(scopes, run):
+        """Python calls made inside each function of ``scopes`` (code object
+        -> name) while ``run()`` executes, and how often each was entered."""
+        import sys
+
+        calls = dict.fromkeys(scopes.values(), 0)
+        entered = dict.fromkeys(scopes.values(), 0)
         scope, depth = None, 0
 
         def count(frame, event, _arg):
@@ -342,27 +344,51 @@ class TestPctTickCost:
                 if depth == 0:
                     scope = None
 
-        acct = KernelAccounting()
-        system.sim.attach_accounting(acct)
         previous = sys.getprofile()
         sys.setprofile(count)
         try:
-            system.run(until=50.0 + virtual_ms)
+            run()
         finally:
             sys.setprofile(previous)
-        return calls, entered, acct
+        return calls, entered
 
-    def test_calls_per_tick_and_per_delivered_report(self):
-        calls, entered, acct = self._idle_exchange()
-        assert entered["tick"] == 12 * 200 and acct.deliveries == 14 * 6 * 200
-        assert calls == self._idle_exchange()[0]  # the counts repeat exactly
-        per_tick = calls["tick"] / entered["tick"]
-        per_report = calls["deliver"] / acct.deliveries
-        assert per_tick <= self.CALLS_PER_NODE_TICK * 1.1, per_tick
-        assert per_report <= self.CALLS_PER_DELIVERED_REPORT * 1.1, per_report
-
-    def test_three_kernel_events_per_host_per_tick(self):
-        _calls, _entered, acct = self._idle_exchange()
-        ticks = 14 * 200  # 12 nodes + 2 active managers, one tick per ms
+    def test_idle_system_sends_heartbeats_only(self):
+        system = self._idle_system()
+        acct = KernelAccounting()
+        system.sim.attach_accounting(acct)
+        system.run(until=250.0)
+        beats = 14 * 20  # every host, every 10 pct_intervals, for 200 ms
+        # No tick events between heartbeats: nobody waits on anybody.
         assert acct.by_callsite == {
-            "Timer._fire": ticks, "Timer._tick": ticks, "Network._deliver_many": ticks}
+            "Timer._fire": beats, "Timer._tick": beats, "Network._deliver_many": beats}
+        assert acct.deliveries == beats * 6
+        for host in list(system.nodes.values()) + list(system.managers.values()):
+            assert host.stats.get("pct_announced") == host.stats.get("pct_served") == 0
+            assert not host.reports.armed
+
+    def _announce_and_serve(self):
+        from repro.core.records import ReportLedger
+
+        system = self._idle_system(until=52.0)
+        node = system.nodes["r0.n0"]
+        ts = node.dclock.tick()
+        scopes = {ReportLedger.announce.__code__: "announce",
+                  ReportLedger.serve.__code__: "serve"}
+
+        def run():
+            node._announce(ts)
+            system.run(until=58.0)  # before the next heartbeat
+
+        calls, entered = self._count_calls(scopes, run)
+        served = sum(h.stats.get("pct_served")
+                     for h in list(system.nodes.values()) + list(system.managers.values()))
+        return calls, entered, served, node, ts
+
+    def test_calls_per_announcement_and_per_served_report(self):
+        calls, entered, served, node, ts = self._announce_and_serve()
+        # One fan-out out, one report back from each of 5 peers + the manager.
+        assert entered == {"announce": 1, "serve": 6} and served == 6
+        assert all(value > ts for value in node.max_ts.values())
+        assert calls == self._announce_and_serve()[0]  # the counts repeat exactly
+        assert calls["announce"] <= self.CALLS_PER_ANNOUNCEMENT * 1.1, calls
+        assert calls["serve"] / 6 <= self.CALLS_PER_SERVED_REPORT * 1.1, calls
