@@ -281,9 +281,9 @@ def run_trial(trial: Trial, hooks: Optional[Callable] = None) -> TrialResult:
         open_cfg = OpenLoopConfig.from_dict(trial.open_loop)
         if topo_plan is not None or service_mults or open_cfg.keep_records:
             # The express path bypasses the submit-side freeze check, models
-            # a uniform CPU cost and recycles its transactions and results
-            # through pools; dynamic topology, heterogeneous service times
-            # and retained records each need the fully general path.
+            # a uniform CPU cost and recycles its transactions through a
+            # pool; dynamic topology, heterogeneous service times and
+            # retained records each need the fully general path.
             open_cfg.express = False
     recorder = LatencyRecorder(
         warm_start=trial.warmup_ms,

@@ -248,7 +248,7 @@ class LatencyRecorder:
                    finish: float, region: str) -> None:
         """Express fast path: fold one non-CRT completion from scalars,
         without materialising (or recycling) a TxnResult at all."""
-        series = self._series(region)
+        series = self._regions.get(region) or self._series(region)
         series.arrivals += 1
         if finish > series.last_finish:
             series.last_finish = finish

@@ -373,7 +373,7 @@ class DastNode(CoordinatorMixin):
             # entry to drop (submit_express never registered one).  Hand the
             # outcome straight back; the _try_execute sweep that popped this
             # record continues with the next head — no tail recursion.
-            cb(rec, outcome)
+            cb(rec.exec_arg, outcome)
             return
         # Push produced values to consumer shards (the §4.1 push mechanism).
         pushes: Dict[str, Dict[str, Any]] = {}
@@ -442,7 +442,7 @@ class DastNode(CoordinatorMixin):
         if rec.txn_id not in self.ready_q:
             self.ready_q.insert(ts, rec)
 
-    def submit_express(self, txn, exec_cb) -> bool:
+    def submit_express(self, txn, exec_cb, exec_arg=None) -> bool:
         """Sole-participant IRT fast path for the aggregate open-loop engine.
 
         The caller guarantees ``txn`` touches exactly this node's shard and
@@ -450,8 +450,9 @@ class DastNode(CoordinatorMixin):
         tick the dclock, self-prepare, self-commit, and let the ordinary
         readyQ/waitQ/PCT machinery execute it when every intra-region clock
         has passed its timestamp.  No RPC envelopes, timeouts, or coroutines
-        are involved; ``exec_cb(rec, outcome)`` fires at execution time (the
-        engine models the client-side network delays around this call).
+        are involved; ``exec_cb(exec_arg, outcome)`` fires at execution time
+        (the engine models the client-side network delays around this call
+        and hands its own per-transaction state in as ``exec_arg``).
         Returns False when the node is stopped (crashed) — the engine counts
         the submission as failed.
         """
@@ -470,6 +471,7 @@ class DastNode(CoordinatorMixin):
         rec = TxnRecord(txn, is_crt=False, coordinator=self.host,
                         status=TxnStatus.COMMITTED)
         rec.exec_cb = exec_cb
+        rec.exec_arg = exec_arg
         rec.participates = True
         rec.needed = _NO_NEEDS
         now = self.sim.now

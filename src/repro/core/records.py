@@ -66,7 +66,7 @@ class TxnRecord:
     __slots__ = (
         "txn", "txn_id", "is_crt", "coordinator", "status", "ts",
         "anticipated_ts", "participates", "inputs", "needed", "exec_cb",
-        "t_prepared", "t_committed", "t_order_ready", "t_input_ready",
+        "exec_arg", "t_prepared", "t_committed", "t_order_ready", "t_input_ready",
         "t_executed", "_relayed", "_input_announced", "_abort_relayed",
     )
 
@@ -92,8 +92,10 @@ class TxnRecord:
         self.inputs: Dict[str, Any] = {}
         self.needed: FrozenSet[str] = frozenset()
         # Express-path completion hook (repro.workloads.openloop): when set,
-        # execution calls ``exec_cb(rec, outcome)`` instead of sending an
-        # ExecDone RPC, and the record is garbage-collected immediately.
+        # execution calls ``exec_cb(exec_arg, outcome)`` instead of sending
+        # an ExecDone RPC, and the record is garbage-collected immediately.
+        # ``exec_arg`` is set only where ``exec_cb`` is (submit_express), so
+        # no other record pays for it.
         self.exec_cb = None
         # Phase instrumentation (virtual ms), used for Tables 3 and 4.
         self.t_prepared = 0.0

@@ -2,7 +2,7 @@
 
 from repro.txn.executor import BufferedStore, ExecOutcome, execute_on_shard
 from repro.txn.model import ConditionalAbort, Piece, PieceContext, Transaction
-from repro.txn.pool import ResultPool, TransactionPool
+from repro.txn.pool import TransactionPool
 from repro.txn.result import TxnResult
 
 __all__ = [
@@ -11,7 +11,6 @@ __all__ = [
     "ExecOutcome",
     "Piece",
     "PieceContext",
-    "ResultPool",
     "Transaction",
     "TransactionPool",
     "TxnResult",

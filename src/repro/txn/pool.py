@@ -1,34 +1,31 @@
-"""Slot-recycled transaction and result pools for the open-loop hot loop.
+"""Slot-recycled transactions for the open-loop express path.
 
 At millions of transactions per trial, allocating a fresh
 :class:`~repro.txn.model.Transaction` (pieces, validation DFS, producer
-map) and a fresh :class:`~repro.txn.result.TxnResult` per submission
-dominates the kernel hot loop.  These pools recycle fully-reset instances
-instead.
+map) per submission dominates the kernel hot loop.  This pool recycles
+reset instances instead.
 
 A pooled transaction is keyed by a **structural signature** chosen by the
-caller (e.g. ``("ycsb", shard_id)``): all transactions sharing a signature
-have identical piece structure (indexes, shards, needs/produces), so the
+caller (e.g. ``"ycsb/3"``): all transactions sharing a signature have
+identical piece structure (indexes, shards, needs/produces), so the
 validation work done when the first instance was constructed holds for
 every reuse and is skipped.  Only the per-instance fields change between
 uses: ``txn_id`` (freshly drawn from the same global counter a fresh
-``Transaction`` would use, so pooled and fresh runs see identical id
-streams), the mutable piece body state, ``lock_keys``, and the cached wire
-size (id strings change length, so it must be recomputed).
+``Transaction`` would use, so pooled and fresh draws see identical id
+streams), the mutable piece body state and ``lock_keys``.
 
-Correctness contract, enforced by ``tests/test_txn_pool.py``: a trial run
-with pools enabled is byte-identical (canonical JSON of its outcome) to
-the same trial with pools disabled.
+Correctness contract, enforced by ``tests/test_txn_pool.py``: a pooled
+draw and a fresh draw from the same RNG state give the same transaction
+(id, ops, ``lock_keys``, wire size) and leave the RNG in the same state.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, List, Optional
+from typing import Callable, Dict, Hashable, List
 
 from repro.txn.model import Transaction
-from repro.txn.result import TxnResult
 
-__all__ = ["TransactionPool", "ResultPool"]
+__all__ = ["TransactionPool"]
 
 
 class TransactionPool:
@@ -50,60 +47,31 @@ class TransactionPool:
             txn = free.pop()
             # Reset the per-instance fields a fresh construction would set.
             # The id draw matches Transaction.__init__, so pooled and fresh
-            # runs consume the global id stream identically.
+            # draws consume the global id stream identically.
             old_id = txn.txn_id
-            txn.txn_id = f"t{next(Transaction._ids):07d}"
+            txn.txn_id = new_id = f"t{next(Transaction._ids):07d}"
             txn.home_region = None
             txn.participating_regions = ()
-            txn.params.clear()
+            if txn.params:
+                txn.params.clear()
             # Only the id string's length feeds the cached wire size
             # (sizeof(str) is overhead + len and the structure is fixed per
-            # signature), so patch the cache instead of recomputing it.
-            cached = txn.__dict__.get("_wire_size")
-            if cached is not None:
-                txn._wire_size = cached + len(txn.txn_id) - len(old_id)
+            # signature), and ids are fixed-width: the cache needs a patch
+            # only when the counter outgrows the width.
+            if len(new_id) != len(old_id):
+                cached = txn.__dict__.get("_wire_size")
+                if cached is not None:
+                    txn._wire_size = cached + len(new_id) - len(old_id)
             return txn
         self.created += 1
         txn = build()
-        txn._pool_signature = signature
+        if free is None:
+            free = self._free[signature] = []
+        txn._pool_free = free
         return txn
 
     def release(self, txn: Transaction) -> None:
         """Return ``txn`` to its free-list (no-op for unpooled instances)."""
-        signature = getattr(txn, "_pool_signature", None)
-        if signature is None:
-            return
-        self._free.setdefault(signature, []).append(txn)
-
-
-class ResultPool:
-    """Free-list of recycled :class:`TxnResult` objects."""
-
-    def __init__(self) -> None:
-        self._free: List[TxnResult] = []
-        self.created = 0
-        self.reused = 0
-
-    def acquire(self, txn_id: str, txn_type: str, committed: bool,
-                is_crt: bool, abort_reason: str = "",
-                outputs: Optional[Dict[str, Any]] = None) -> TxnResult:
-        if self._free:
-            self.reused += 1
-            r = self._free.pop()
-            r.txn_id = txn_id
-            r.txn_type = txn_type
-            r.committed = committed
-            r.is_crt = is_crt
-            r.outputs = outputs if outputs is not None else {}
-            r.abort_reason = abort_reason
-            r.retries = 0
-            r.phases = {}
-            r.submit_time = 0.0
-            r.finish_time = 0.0
-            return r
-        self.created += 1
-        return TxnResult(txn_id, txn_type, committed, is_crt,
-                         outputs=outputs, abort_reason=abort_reason)
-
-    def release(self, result: TxnResult) -> None:
-        self._free.append(result)
+        free = getattr(txn, "_pool_free", None)
+        if free is not None:
+            free.append(txn)

@@ -69,6 +69,15 @@ class Workload:
     def next_transaction(self, binding: ClientBinding, rng: random.Random) -> Transaction:
         raise NotImplementedError
 
+    def next_transaction_pooled(self, binding: ClientBinding, rng: random.Random,
+                                pool) -> Transaction:
+        """:meth:`next_transaction` for the open-loop express path, which
+        recycles single-shard transactions through ``pool`` (a
+        :class:`repro.txn.pool.TransactionPool`) where the workload knows
+        how; it must draw exactly what :meth:`next_transaction` draws.  By
+        default every transaction is fresh."""
+        return self.next_transaction(binding, rng)
+
     # -- helpers ------------------------------------------------------------
     def remote_shard_index(self, binding: ClientBinding, rng: random.Random) -> Optional[int]:
         """A uniformly random shard hosted in a *different* region."""

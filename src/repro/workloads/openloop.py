@@ -24,27 +24,28 @@ Two submission paths:
   engine models the client→node network delay and the node's CPU queueing
   (``timing.service_time`` per submission) itself, calls
   :meth:`DastNode.submit_express`, and gets the outcome back through an
-  in-process callback.  Transactions and results are recycled through
-  :mod:`repro.txn.pool` on this path; byte/message accounting still flows
-  through ``network.stats`` so traffic analyses keep working.
+  in-process callback.  Transactions are recycled through
+  :mod:`repro.txn.pool` on this path and no ``TxnResult`` is built;
+  byte/message accounting still flows through ``network.stats`` so traffic
+  analyses keep working.
 * **Generic**: everything else (CRTs, baselines, replication > 1, tracing
   attached) goes through ``system.submit`` exactly like a closed-loop
   client, one short-lived coroutine per in-flight transaction.
 
 Determinism: all randomness comes from named streams of the system's
 :class:`~repro.sim.rng.RngRegistry`, and pooled generation draws the same
-RNG/id sequence as fresh generation, so a trial is byte-identical across
-processes and with pools on or off (``tests/test_txn_pool.py``).
+RNG/id sequence as fresh generation (``tests/test_txn_pool.py``), so a
+trial is byte-identical across processes.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from typing import Dict, List, Optional
 
 from repro.errors import ConfigError, NetworkError, RpcTimeout
 from repro.sim.rpc import RpcRemoteError
-from repro.txn.pool import ResultPool, TransactionPool
+from repro.txn.pool import TransactionPool
 from repro.workloads.arrivals import ArrivalStream
 from repro.workloads.base import ClientBinding, Workload
 from repro.workloads.zipf import ZipfGenerator
@@ -69,7 +70,7 @@ class OpenLoopConfig:
         "dwell_low_ms", "dwell_high_ms", "diurnal_period_ms",
         "diurnal_trough", "flash_at_ms", "flash_duration_ms", "flash_mult",
         "flash_region", "flash_redirect", "user_theta",
-        "max_inflight_per_region", "pool", "express", "keep_records",
+        "max_inflight_per_region", "express", "keep_records",
     )
 
     def __init__(
@@ -89,7 +90,6 @@ class OpenLoopConfig:
         flash_redirect: float = 0.0,
         user_theta: float = 0.9,
         max_inflight_per_region: int = 0,
-        pool: bool = True,
         express: bool = True,
         keep_records: bool = False,
     ):
@@ -118,7 +118,6 @@ class OpenLoopConfig:
         self.flash_redirect = flash_redirect
         self.user_theta = user_theta
         self.max_inflight_per_region = max_inflight_per_region
-        self.pool = pool
         self.express = express
         self.keep_records = keep_records
         # Validate the arrival knobs eagerly (rate 1.0 is a placeholder).
@@ -149,10 +148,44 @@ class OpenLoopConfig:
 
 
 class _Slot:
-    """Per-in-flight-transaction scratch state (recycled)."""
+    """Per-in-flight-transaction scratch state (recycled).  An express
+    transaction carries its ``route``; the RPC path fills ``client`` and
+    ``node_host`` instead."""
 
-    __slots__ = ("txn", "txn_id", "txn_type", "intended", "submit",
-                 "client", "node_host", "node", "rs")
+    __slots__ = ("txn", "intended", "submit", "rs", "route",
+                 "client", "node_host")
+
+
+class _Pipeline:
+    """A node's request CPU on the express path: busy until ``busy`` (ms).
+    ``stall`` pushes it forward to model a seized server."""
+
+    __slots__ = ("busy",)
+
+    def __init__(self) -> None:
+        self.busy = 0.0
+
+
+class _Route:
+    """One client's express path to its home node: the node, its pipeline,
+    the one-way delays both ways (``None`` while intra-region jitter makes
+    each one a fresh draw), and the client's share of the batched traffic
+    tallies (see ``OpenLoopEngine.flush_stats``)."""
+
+    __slots__ = ("client", "node_host", "node", "pipeline", "to_node",
+                 "to_client", "sent", "received", "replied", "done")
+
+    def __init__(self, client: str, node_host: str, node, pipeline: _Pipeline):
+        self.client = client
+        self.node_host = node_host
+        self.node = node
+        self.pipeline = pipeline
+        self.to_node: Optional[float] = None
+        self.to_client: Optional[float] = None
+        self.sent = 0       # submits the client sent
+        self.received = 0   # of those, received by the node
+        self.replied = 0    # replies the node sent
+        self.done = 0       # of those, received by the client
 
 
 class _RegionState:
@@ -161,7 +194,7 @@ class _RegionState:
     __slots__ = ("region", "stream", "users", "sample_uid", "gen_rng",
                  "route_rng", "bindings", "next_arrival", "inflight",
                  "backlog", "arrivals", "launched", "flash", "sub_bytes",
-                 "failed", "migrated")
+                 "failed", "migrated", "routes")
 
     def __init__(self, region: str, stream: ArrivalStream,
                  users: ZipfGenerator, gen_rng, route_rng,
@@ -173,6 +206,8 @@ class _RegionState:
         self.gen_rng = gen_rng
         self.route_rng = route_rng
         self.bindings = bindings
+        # Express route of each binding's client, built on first use.
+        self.routes: List[Optional[_Route]] = [None] * len(bindings)
         self.next_arrival = 0.0
         self.inflight = 0
         self.backlog: deque = deque()
@@ -218,35 +253,24 @@ class OpenLoopEngine:
             and system.topology.config.replication == 1
             and getattr(system, "tracer", None) is None
         )
-        self.pool_enabled = bool(
-            config.pool and self.express
-            and hasattr(workload, "next_transaction_pooled")
-        )
+        # The express path always draws from the pool (a workload without
+        # a pooled generator draws fresh), the generic path never does.
         self.txn_pool = TransactionPool()
-        self.result_pool = ResultPool()
         self._free_slots: List[_Slot] = []
-        self._pending: Dict[str, _Slot] = {}
         # Hot-loop caches (attribute chains hoisted out of per-arrival code).
         self._cap = config.max_inflight_per_region
         self._service = self.timing.service_time
         self._stats = self.network.stats
-        # Per-node-host CPU occupancy for the express path: the node's
-        # request pipeline is busy until this instant (ms).  ``stall``
-        # pushes it forward to model a seized server.
-        self._busy: Dict[str, float] = {}
+        # Per-node-host request CPU of the express path, shared by every
+        # route to the host.
+        self._pipelines: Dict[str, _Pipeline] = defaultdict(_Pipeline)
         # Express traffic accounting, batched: the express path's four
         # stats events per transaction (submit send/receive, reply
-        # send/receive) are tallied in these local counters and folded into
-        # ``network.stats`` on ``stop()`` — final totals are identical to
-        # per-call accounting, and nothing samples the stats mid-trial on
-        # the express path (obs probes imply a tracer, which disables it).
-        # Submit bytes accumulate on the _RegionState (one writer per
-        # region); the per-host dicts below are per-key single-writer, as
-        # every host belongs to exactly one region.
-        self._sub_by_client: Dict[str, int] = {}   # submits sent per client
-        self._recv_by_node: Dict[str, int] = {}    # submits received per node
-        self._resp_by_node: Dict[str, int] = {}    # replies sent per node
-        self._done_by_client: Dict[str, int] = {}  # replies received per client
+        # send/receive) are tallied on its route and folded into
+        # ``network.stats`` by ``flush_stats`` — final totals are identical
+        # to per-call accounting, and nothing samples the stats mid-trial
+        # on the express path (obs probes imply a tracer, which disables
+        # it).  Submit bytes accumulate on the _RegionState.
         # Uncapped express trials batch arrival generation (``_pump_chunk``):
         # nothing gates a launch on completions (no backlog), every launch's
         # timing derives from its *intended* instant, and each region's
@@ -305,11 +329,6 @@ class OpenLoopEngine:
                 rs.region == flash_region and config.flash_redirect
                 and config.flash_duration_ms > 0
             )
-        # (host, node object) per home shard (express path; replication == 1).
-        self._node_of_shard: Dict[str, tuple] = {}
-        # Cached client<->node one-way delays, valid while intra-region
-        # jitter is off (the delay model is then deterministic per pair).
-        self._delay_cache: Dict[tuple, float] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -336,15 +355,17 @@ class OpenLoopEngine:
         would have produced; the tallies reset, so calling this again (the
         harness flushes before summarising, ``stop`` flushes again after
         the drain) only adds what happened in between."""
+        routes = [route for rs in self.regions for route in rs.routes
+                  if route is not None]
+        n_sub = sum(route.sent for route in routes)
+        n_resp = sum(route.replied for route in routes)
+        if not n_sub and not n_resp:
+            return
         stats = self._stats
         sub_bytes = 0
         for rs in self.regions:
             sub_bytes += rs.sub_bytes
             rs.sub_bytes = 0
-        n_sub = sum(self._sub_by_client.values())
-        n_resp = sum(self._resp_by_node.values())
-        if not n_sub and not n_resp:
-            return
         resp_bytes = n_resp * _REPLY_BYTES
         stats.messages_sent += n_sub + n_resp
         stats.bytes_sent += sub_bytes + resp_bytes
@@ -355,19 +376,22 @@ class OpenLoopEngine:
                 stats.per_type_bytes[name] = stats.per_type_bytes.get(name, 0) + nbytes
         sent = stats.per_host_sent
         recv = stats.per_host_received
-        for tally, target in ((self._sub_by_client, sent),
-                              (self._resp_by_node, sent),
-                              (self._recv_by_node, recv),
-                              (self._done_by_client, recv)):
-            for host, n in tally.items():
-                target[host] = target.get(host, 0) + n
-            tally.clear()
+        for tally, host, target in (("sent", "client", sent),
+                                    ("replied", "node_host", sent),
+                                    ("received", "node_host", recv),
+                                    ("done", "client", recv)):
+            for route in routes:
+                n = getattr(route, tally)
+                if n:
+                    name = getattr(route, host)
+                    target[name] = target.get(name, 0) + n
+                    setattr(route, tally, 0)
 
     def stall(self, node_host: str, busy_ms: float) -> None:
         """Seize ``node_host``'s request CPU for ``busy_ms`` from now —
         the coordinated-omission fault used by the regression test."""
-        now = self.sim.now
-        self._busy[node_host] = max(self._busy.get(node_host, now), now) + busy_ms
+        pipeline = self._pipelines[node_host]
+        pipeline.busy = max(pipeline.busy, self.sim.now) + busy_ms
 
     # ------------------------------------------------------------------
     # Arrival loop
@@ -427,26 +451,27 @@ class OpenLoopEngine:
         instant the client sends (== ``intended`` except for backlog drains,
         where it is the drain time); under chunked pumping it may lie ahead
         of ``sim.now``, so all timing below derives from it."""
-        binding = rs.bindings[uid % len(rs.bindings)]
+        bindings = rs.bindings
+        i = uid % len(bindings)
         if (rs.flash and rs.stream.in_flash(submit)
                 and rs.gen_rng.random() < self.cfg.flash_redirect):
             # Flash crowd: the surge concentrates on the region's first
             # shard (whose zipf-hot keys become system-wide hot keys).
-            binding = rs.bindings[0]
-        if self.pool_enabled:
+            i = 0
+        binding = bindings[i]
+        express = self.express
+        if express:
             txn = self.workload.next_transaction_pooled(
                 binding, rs.gen_rng, self.txn_pool)
         else:
             txn = self.workload.next_transaction(binding, rs.gen_rng)
         rs.inflight += 1
         rs.launched += 1
-        slot = self._free_slots.pop() if self._free_slots else _Slot()
+        free = self._free_slots
+        slot = free.pop() if free else _Slot()
         slot.txn = txn
-        slot.txn_id = txn.txn_id
-        slot.txn_type = txn.txn_type
         slot.intended = intended
         slot.submit = submit
-        slot.client = binding.client
         slot.rs = rs
         migrated_to = rs.migrated.get(uid) if rs.migrated else None
         tracer = self._tracer
@@ -458,104 +483,89 @@ class OpenLoopEngine:
             else:
                 tracer.emit(submit, binding.client, "arrival",
                             txn=txn.txn_id, intended=intended, region=rs.region)
+        pieces = txn.pieces
+        if (express and migrated_to is None and len(pieces) == 1
+                and pieces[0].shard_id == binding.home_shard):
+            # The express launch: the submit's trip to the home node and
+            # its turn in the node's request pipeline, as one scheduled
+            # delivery.
+            route = rs.routes[i] or self._route(rs, i)
+            slot.route = route
+            route.sent += 1
+            rs.sub_bytes += txn.wire_size()
+            arrive = route.to_node
+            if arrive is None:
+                arrive = self.network.one_way_delay(route.client, route.node_host)
+            arrive += submit
+            # CPU queueing at the node: one submission costs service_time of
+            # the request pipeline; a seized pipeline (``stall``) delays
+            # every later submission, which is exactly what the
+            # coordinated-omission test measures.
+            pipeline = route.pipeline
+            start = pipeline.busy
+            if arrive > start:
+                start = arrive
+            pipeline.busy = start + self._service
+            self.sim.schedule_abs(start, self._deliver_express, slot)
+            return
+        slot.client = binding.client
         if migrated_to is not None:
             if submit > self.sim.now:
                 self.sim.schedule_abs(submit, self._launch_handoff, rs, slot,
-                                    binding, migrated_to)
+                                      binding, migrated_to)
             else:
                 self._launch_handoff(rs, slot, binding, migrated_to)
-            return
-        if (self.express and len(txn.pieces) == 1
-                and txn.pieces[0].shard_id == binding.home_shard):
-            self._launch_express(rs, slot, binding.home_shard)
         elif submit > self.sim.now:
             # Chunked pumping generated this (rare, e.g. CRT) arrival ahead
             # of simulated time; the RPC path runs through live coroutines,
             # so defer the spawn to the submission instant.
             self.sim.schedule_abs(submit, self._launch_rpc, rs, slot,
-                                binding.home_shard)
+                                  binding.home_shard)
         else:
             self._launch_rpc(rs, slot, binding.home_shard)
 
     # -- express path ----------------------------------------------------
-    def _node_for(self, shard: str) -> tuple:
-        info = self._node_of_shard.get(shard)
-        if info is None:
-            host = self.system.catalog.replicas_of(shard)[0]
-            info = (host, self.system.nodes[host])
-            self._node_of_shard[shard] = info
-        return info
+    def _route(self, rs: _RegionState, i: int) -> _Route:
+        """Build the express route of ``rs.bindings[i]``'s client.  Client
+        and home node share a region, so unless intra-region jitter is on
+        the delay model is deterministic per pair and both legs are fixed
+        once."""
+        binding = rs.bindings[i]
+        client = binding.client
+        host = self.system.catalog.replicas_of(binding.home_shard)[0]
+        route = _Route(client, host, self.system.nodes[host], self._pipelines[host])
+        if not self.network.intra_jitter:
+            route.to_node = self.network.one_way_delay(client, host)
+            route.to_client = self.network.one_way_delay(host, client)
+        rs.routes[i] = route
+        return route
 
-    def _delay(self, src: str, dst: str) -> float:
-        """One-way delay, cached per pair while the model is deterministic
-        (client and home node share a region, so only intra-region jitter
-        can make the sample random)."""
-        if self.network.intra_jitter:
-            return self.network.one_way_delay(src, dst)
-        key = (src, dst)
-        delay = self._delay_cache.get(key)
-        if delay is None:
-            delay = self.network.one_way_delay(src, dst)
-            self._delay_cache[key] = delay
-        return delay
+    def _deliver_express(self, slot: _Slot) -> None:
+        route = slot.route
+        route.received += 1
+        if not route.node.submit_express(slot.txn, self._exec_done, slot):
+            self._finish_failure(slot.rs, slot)
 
-    def _launch_express(self, rs: _RegionState, slot: _Slot, shard: str) -> None:
-        node_host, node = self._node_for(shard)
-        slot.node_host = node_host
-        slot.node = node
-        txn = slot.txn
-        client = slot.client
-        rs.sub_bytes += txn.wire_size()
-        try:
-            self._sub_by_client[client] += 1
-        except KeyError:
-            self._sub_by_client[client] = 1
-        arrive = slot.submit + self._delay(client, node_host)
-        # CPU queueing at the node: one submission costs service_time of
-        # the request pipeline; a seized pipeline (``stall``) delays every
-        # later submission, which is exactly what the coordinated-omission
-        # test measures.
-        start = max(arrive, self._busy.get(node_host, 0.0))
-        self._busy[node_host] = start + self._service
-        self._pending[slot.txn_id] = slot
-        self.sim.schedule_abs(start, self._deliver_express, rs, slot)
-
-    def _deliver_express(self, rs: _RegionState, slot: _Slot) -> None:
-        node_host = slot.node_host
-        try:
-            self._recv_by_node[node_host] += 1
-        except KeyError:
-            self._recv_by_node[node_host] = 1
-        if not slot.node.submit_express(slot.txn, self._exec_done):
-            self._pending.pop(slot.txn_id, None)
-            self._finish_failure(rs, slot)
-
-    def _exec_done(self, rec, outcome) -> None:
-        """Express completion callback, invoked inside ``DastNode._execute``.
+    def _exec_done(self, slot: _Slot, outcome) -> None:
+        """Express completion callback, invoked inside ``DastNode._execute``
+        with the slot ``_deliver_express`` handed to ``submit_express``.
 
         Deliberately minimal: the reply trip back to the client is a
         scheduled event, so backlog draining (which submits new work) never
         re-enters the node's execution stack.
         """
-        slot = self._pending.pop(rec.txn_id)
         self.txn_pool.release(slot.txn)
         slot.txn = None
-        node_host = slot.node_host
-        try:
-            self._resp_by_node[node_host] += 1
-        except KeyError:
-            self._resp_by_node[node_host] = 1
-        client = slot.client
-        delay = self._delay(node_host, client)
+        route = slot.route
+        route.replied += 1
+        delay = route.to_client
+        if delay is None:
+            delay = self.network.one_way_delay(route.node_host, route.client)
         if not self._cap:
             # Uncapped: nothing is gated on this completion (no backlog to
             # drain), so fold the reply leg in arithmetically instead of
-            # paying a kernel event — the recorded finish time is identical,
-            # and no TxnResult is materialised at all.
-            try:
-                self._done_by_client[client] += 1
-            except KeyError:
-                self._done_by_client[client] = 1
+            # paying a kernel event — the recorded finish time is identical.
+            route.done += 1
             rs = slot.rs
             self.recorder.record_irt(
                 not outcome.aborted, slot.intended, slot.submit,
@@ -563,22 +573,13 @@ class OpenLoopEngine:
             rs.inflight -= 1
             self._free_slots.append(slot)
             return
-        self.sim.schedule(delay, self._complete_express, slot,
-                             outcome.aborted, outcome.abort_reason)
+        self.sim.schedule(delay, self._complete_express, slot, outcome.aborted)
 
-    def _complete_express(self, slot: _Slot, aborted: bool, reason: str) -> None:
-        client = slot.client
-        try:
-            self._done_by_client[client] += 1
-        except KeyError:
-            self._done_by_client[client] = 1
-        result = self.result_pool.acquire(
-            slot.txn_id, slot.txn_type, not aborted, False, abort_reason=reason)
-        result.submit_time = slot.submit
-        result.finish_time = self.sim.now
+    def _complete_express(self, slot: _Slot, aborted: bool) -> None:
+        slot.route.done += 1
         rs = slot.rs
-        self.recorder.record(result, slot.intended, rs.region)
-        self.result_pool.release(result)
+        self.recorder.record_irt(not aborted, slot.intended, slot.submit,
+                                 self.sim.now, rs.region)
         rs.inflight -= 1
         self._free_slots.append(slot)
         self._drain(rs)
@@ -652,7 +653,7 @@ class OpenLoopEngine:
             self._finish_failure(rs, slot)
             return
         slot.node_host = rs.route_rng.choice(replicas)
-        self.sim.spawn(self._rpc(rs, slot), name=f"ol.{slot.txn_id}")
+        self.sim.spawn(self._rpc(rs, slot), name=f"ol.{slot.txn.txn_id}")
 
     def _rpc(self, rs: _RegionState, slot: _Slot):
         event = self.system.submit(slot.client, slot.node_host, slot.txn,
@@ -663,7 +664,7 @@ class OpenLoopEngine:
             # path then covers the client backlog wait too (attributed as
             # client-queue@client), matching the open-loop latency the
             # recorder reports.
-            root = tracer.roots.get(slot.txn_id)
+            root = tracer.roots.get(slot.txn.txn_id)
             if root is not None and slot.intended < root.t0:
                 root.t0 = slot.intended
         try:

@@ -29,34 +29,19 @@ __all__ = ["YcsbWorkload", "RECORDS_PER_SHARD"]
 RECORDS_PER_SHARD = 200
 
 
-def _ops_body(shard_index: int, ops, result_var: str):
-    """One piece running this shard's slice of the transaction's ops."""
+class _OpsBody:
+    """One piece running one shard's slice of a transaction's ops.
 
-    def body(ctx):
-        reads = {}
-        for kind, key, value in ops:
-            if kind == "read":
-                reads[key] = ctx.store.get("usertable", (shard_index, key))["value"]
-            else:
-                ctx.store.update("usertable", (shard_index, key), {"value": value})
-        ctx.put(result_var, reads)
-
-    return body
-
-
-class _PooledOps:
-    """Mutable piece body for pool-recycled single-shard transactions.
-
-    Behaviourally identical to :func:`_ops_body`; the op list is swapped in
-    per acquisition instead of being captured by a fresh closure.
+    Pool-recycled transactions keep their body and swap ``ops`` in per
+    acquisition; fresh ones get a body of their own.
     """
 
     __slots__ = ("shard_index", "result_var", "ops")
 
-    def __init__(self, shard_index: int, result_var: str):
+    def __init__(self, shard_index: int, result_var: str, ops=()):
         self.shard_index = shard_index
         self.result_var = result_var
-        self.ops: List = []
+        self.ops = ops
 
     def __call__(self, ctx):
         shard_index = self.shard_index
@@ -89,7 +74,7 @@ class YcsbWorkload(Workload):
         self.ops_per_txn = ops_per_txn
         self.crt_ratio = crt_ratio
         self._samplers: Dict[int, object] = {}
-        self._pool_keys: Dict[int, tuple] = {}
+        self._templates: Dict[int, tuple] = {}
 
     # -- schema & data ---------------------------------------------------
     def schemas(self) -> List[TableSchema]:
@@ -126,104 +111,76 @@ class YcsbWorkload(Workload):
             sampler = self._samplers[key] = zipf.sampler()
         return sampler
 
-    def _gen_ops(self, binding: ClientBinding, rng: random.Random):
-        """Draw one transaction's op list; the rng draw order here is the
-        single source of randomness, so the pooled and fresh build paths
-        below produce byte-identical transaction streams."""
-        home = binding.home_shard_index
-        ops_home: List = []
-        per_shard: Dict[int, List] = {home: ops_home}
+    def _piece(self, index: int, shard_index: int, ops=()) -> Piece:
+        var = f"reads_{shard_index}"
+        return Piece(
+            index,
+            self.topology.shard_name(shard_index),
+            _OpsBody(shard_index, var, ops),
+            produces=(var,),
+            lock_keys=tuple(("usertable", shard_index, key)
+                            for kind, key, _v in ops if kind == "update"),
+            name=f"ycsb_s{shard_index}",
+        )
+
+    def _template(self, home: int) -> tuple:
+        """(pool signature, single-shard builder, home-shard sampler) of the
+        clients homed on shard ``home``."""
+        template = self._templates.get(home)
+        if template is None:
+            template = self._templates[home] = (
+                f"ycsb/{home}",
+                lambda: Transaction("ycsb", [self._piece(0, home)]),
+                self._sampler(home))
+        return template
+
+    def next_transaction(self, binding: ClientBinding, rng: random.Random) -> Transaction:
+        return self.next_transaction_pooled(binding, rng, None)
+
+    def next_transaction_pooled(self, binding: ClientBinding, rng: random.Random,
+                                pool) -> Transaction:
+        """Draw one transaction.  With a ``pool`` (a :class:`repro.txn.pool.
+        TransactionPool`) a single-shard draw recycles a pooled transaction
+        of its home shard; CRT draws, and every draw without a pool, build
+        fresh objects (a CRT's records outlive the reply, so it cannot be
+        recycled).  The RNG draws are the same either way, in one order: the
+        CRT coin (and remote shard), then per op its key and read/update
+        coin (and update value), the remote op last."""
         random_ = rng.random
         remote = None
         if random_() < self.crt_ratio:
             remote = self.remote_shard_index(binding, rng)
+        home = binding.home_shard_index
+        signature, build, sample = self._templates.get(home) or self._template(home)
         read_ratio = self.read_ratio
-        sample_home = self._sampler(home)
-        last = self.ops_per_txn - 1
-        for i in range(self.ops_per_txn):
-            if remote is None or i != last:
-                target = home
-                key = sample_home()
-            else:
-                target = remote
-                spr = self.topology.config.shards_per_region
-                key = self._sampler(remote, home // spr)()
+        ops: List = []
+        writes: List = []
+        for _ in range(self.ops_per_txn if remote is None else self.ops_per_txn - 1):
+            key = sample()
             if random_() < read_ratio:
-                op = ("read", key, None)
+                ops.append(("read", key, None))
             else:
                 # Uniform update value drawn from the generation stream (a
                 # plain random() scaled — randint's rejection sampling costs
                 # ~3x as much per draw on this hot path).
-                op = ("update", key, 1 + int(random_() * 1_000_000))
-            if target == home:
-                ops_home.append(op)
-            else:
-                per_shard.setdefault(target, []).append(op)
-        return per_shard, remote
-
-    def _writes(self, shard_index: int, ops) -> tuple:
-        return tuple(
-            ("usertable", shard_index, key)
-            for kind, key, _v in ops if kind == "update"
-        )
-
-    def _fresh_single(self, shard_index: int) -> Transaction:
-        """A pool-template single-shard transaction (mutable body, empty ops)."""
-        return Transaction("ycsb", [Piece(
-            0,
-            self.topology.shard_name(shard_index),
-            _PooledOps(shard_index, f"reads_{shard_index}"),
-            produces=(f"reads_{shard_index}",),
-            name=f"ycsb_s{shard_index}",
-        )])
-
-    def next_transaction(self, binding: ClientBinding, rng: random.Random) -> Transaction:
-        per_shard, remote = self._gen_ops(binding, rng)
-        pieces = []
-        for index, (shard_index, ops) in enumerate(sorted(per_shard.items())):
-            if not ops:
-                continue
-            pieces.append(Piece(
-                index,
-                self.topology.shard_name(shard_index),
-                _ops_body(shard_index, list(ops), f"reads_{shard_index}"),
-                produces=(f"reads_{shard_index}",),
-                lock_keys=self._writes(shard_index, ops),
-                name=f"ycsb_s{shard_index}",
-            ))
-        txn_type = "ycsb_crt" if (remote is not None and len(pieces) > 1) else "ycsb"
-        return Transaction(txn_type, pieces)
-
-    def next_transaction_pooled(self, binding: ClientBinding, rng: random.Random,
-                                pool) -> Transaction:
-        """Like :meth:`next_transaction` but recycling single-shard
-        transactions through ``pool`` (a :class:`repro.txn.pool.
-        TransactionPool`).  Multi-shard (CRT) draws fall back to fresh
-        objects — their records outlive the reply, so they cannot be safely
-        recycled."""
-        per_shard, remote = self._gen_ops(binding, rng)
+                ops.append(("update", key, 1 + int(random_() * 1_000_000)))
+                writes.append(("usertable", home, key))
         if remote is None:
-            home = binding.home_shard_index
-            ops = per_shard[home]
-            template = self._pool_keys.get(home)
-            if template is None:
-                template = self._pool_keys[home] = (
-                    ("ycsb", home), lambda home=home: self._fresh_single(home))
-            txn = pool.acquire(template[0], template[1])
+            txn = build() if pool is None else pool.acquire(signature, build)
             piece = txn.pieces[0]
             piece.body.ops = ops
-            piece.lock_keys = self._writes(home, ops)
+            piece.lock_keys = tuple(writes)
             return txn
-        pieces = []
-        for index, (shard_index, ops) in enumerate(sorted(per_shard.items())):
-            if not ops:
-                continue
-            pieces.append(Piece(
-                index,
-                self.topology.shard_name(shard_index),
-                _ops_body(shard_index, list(ops), f"reads_{shard_index}"),
-                produces=(f"reads_{shard_index}",),
-                lock_keys=self._writes(shard_index, ops),
-                name=f"ycsb_s{shard_index}",
-            ))
+        spr = self.topology.config.shards_per_region
+        key = self._sampler(remote, home // spr)()
+        if random_() < read_ratio:
+            op = ("read", key, None)
+        else:
+            op = ("update", key, 1 + int(random_() * 1_000_000))
+        # One piece per shard in shard order; an empty home slice (one op
+        # per transaction) keeps its place in the numbering.
+        pieces = [self._piece(index, shard_index, shard_ops)
+                  for index, (shard_index, shard_ops)
+                  in enumerate(sorted([(home, ops), (remote, [op])]))
+                  if shard_ops]
         return Transaction("ycsb_crt" if len(pieces) > 1 else "ycsb", pieces)

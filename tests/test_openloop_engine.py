@@ -7,6 +7,7 @@ from repro.bench.harness import Trial, run_trial
 from repro.bench.metrics import LatencyRecorder, percentile
 from repro.config import Topology, TopologyConfig
 from repro.core.system import DastSystem
+from repro.fleet.spec import TrialSpec
 from repro.obs.critical_path import attribution
 from repro.obs.spans import assemble_spans
 from repro.workloads.openloop import OpenLoopConfig, OpenLoopEngine
@@ -45,7 +46,7 @@ class TestEngineBasics:
         res = run_trial(_trial())
         res.drain()  # stop the arrival pumps, let in-flight work finish
         engine = res.clients[0]
-        assert not engine._pending  # every launched txn completed or failed
+        assert engine.outstanding == 0  # every launched txn completed or failed
         assert engine.failed == 0
 
     def test_tracer_disables_express_but_trial_still_commits(self):
@@ -54,6 +55,45 @@ class TestEngineBasics:
         engine = res.clients[0]
         assert not engine.express
         assert res.summary.committed > 100
+
+
+class TestChunkedMatchesPerArrival:
+    @staticmethod
+    def _openloop_shape(**open_loop) -> TrialSpec:
+        """The ledger's ``dast-openloop`` trial (2 regions x 4 shards, 192k
+        txn/s offered, 1 CRT per 1,000) at its smoke length."""
+        knobs = {"users_per_region": 16_000, "txn_per_user_s": 6.0}
+        knobs.update(open_loop)
+        return TrialSpec(
+            system="dast", workload="ycsb",
+            workload_params={"theta": 0.7, "crt_ratio": 0.001,
+                             "read_ratio": 0.95, "ops_per_txn": 2},
+            num_regions=2, shards_per_region=4, replication=1,
+            clients_per_region=64, duration_ms=263.0, warmup_ms=60.0,
+            cooldown_ms=30.0, seed=1, timing={"service_time": 0.01},
+            open_loop=knobs)
+
+    def test_a_cap_that_never_binds_changes_nothing_measured(self):
+        """Uncapped express trials pump arrivals in chunks and fold the
+        reply leg into the completion; a cap that never binds takes the
+        per-arrival ``_pump`` and a scheduled reply instead.  Both must
+        measure the same trial.  ``summary.arrivals`` is left out on
+        purpose: it counts every completion handed to the recorder, and
+        the capped run's replies still in flight at the cut have not been
+        handed over yet."""
+        chunked = run_trial(self._openloop_shape().to_trial())
+        paced = run_trial(self._openloop_shape(
+            max_inflight_per_region=10**9).to_trial())
+        assert chunked.clients[0]._chunked and not paced.clients[0]._chunked
+        assert chunked.summary.committed > 10_000
+        for name in ("committed", "aborted"):
+            assert getattr(chunked.summary, name) == getattr(paced.summary, name)
+        assert chunked.recorder.latencies() == paced.recorder.latencies()
+        assert (chunked.recorder.service_latencies()
+                == paced.recorder.service_latencies())
+        for name in ("messages_sent", "bytes_sent"):
+            assert (getattr(chunked.system.network.stats, name)
+                    == getattr(paced.system.network.stats, name))
 
 
 class TestCoordinatedOmission:

@@ -293,6 +293,40 @@ class TestProfiler:
             profile_spec(spec, sort="ncalls")
 
 
+def _count_calls(scopes, run):
+    """Python calls made inside each function of ``scopes`` (code object
+    -> name) while ``run()`` executes, and how often each was entered."""
+    import sys
+
+    calls = dict.fromkeys(scopes.values(), 0)
+    entered = dict.fromkeys(scopes.values(), 0)
+    scope, depth = None, 0
+
+    def count(frame, event, _arg):
+        nonlocal scope, depth
+        if event == "call":
+            if scope is None:
+                scope = scopes.get(frame.f_code)
+                if scope is None:
+                    return
+                entered[scope] += 1
+                depth = 0
+            depth += 1
+            calls[scope] += 1
+        elif event == "return" and scope is not None:
+            depth -= 1
+            if depth == 0:
+                scope = None
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return calls, entered
+
+
 # ---------------------------------------------------------------------------
 # What PCT reports cost (docs/PERF.md, "Reports on demand"): counted, not
 # timed, so machine noise cannot trip it.  An idle system only heartbeats;
@@ -317,40 +351,6 @@ class TestPctTickCost:
         system.start()
         system.run(until=until)
         return system
-
-    @staticmethod
-    def _count_calls(scopes, run):
-        """Python calls made inside each function of ``scopes`` (code object
-        -> name) while ``run()`` executes, and how often each was entered."""
-        import sys
-
-        calls = dict.fromkeys(scopes.values(), 0)
-        entered = dict.fromkeys(scopes.values(), 0)
-        scope, depth = None, 0
-
-        def count(frame, event, _arg):
-            nonlocal scope, depth
-            if event == "call":
-                if scope is None:
-                    scope = scopes.get(frame.f_code)
-                    if scope is None:
-                        return
-                    entered[scope] += 1
-                    depth = 0
-                depth += 1
-                calls[scope] += 1
-            elif event == "return" and scope is not None:
-                depth -= 1
-                if depth == 0:
-                    scope = None
-
-        previous = sys.getprofile()
-        sys.setprofile(count)
-        try:
-            run()
-        finally:
-            sys.setprofile(previous)
-        return calls, entered
 
     def test_idle_system_sends_heartbeats_only(self):
         system = self._idle_system()
@@ -379,7 +379,7 @@ class TestPctTickCost:
             node._announce(ts)
             system.run(until=58.0)  # before the next heartbeat
 
-        calls, entered = self._count_calls(scopes, run)
+        calls, entered = _count_calls(scopes, run)
         served = sum(h.stats.get("pct_served")
                      for h in list(system.nodes.values()) + list(system.managers.values()))
         return calls, entered, served, node, ts
@@ -392,3 +392,48 @@ class TestPctTickCost:
         assert calls == self._announce_and_serve()[0]  # the counts repeat exactly
         assert calls["announce"] <= self.CALLS_PER_ANNOUNCEMENT * 1.1, calls
         assert calls["serve"] / 6 <= self.CALLS_PER_SERVED_REPORT * 1.1, calls
+
+
+# ---------------------------------------------------------------------------
+# What one express transaction costs the host (docs/PERF.md, "The express
+# path per arrival"): counted, not timed.  The scopes cover an arrival from
+# its draw to its recorded sample — generation and launch (``_pump_chunk``),
+# the submit at the node (``_deliver_express``), and execution through the
+# completion callback to ``record_irt`` (``DastNode._execute``).  The PCT
+# gating between submit and execution is not per-arrival work and is left
+# out.
+# ---------------------------------------------------------------------------
+class TestExpressPathCost:
+    # Python-level calls per express transaction, measured when the express
+    # path went one-pass (38.9 before: a slot dict, a per-shard op dict, a
+    # ResultPool, per-call delay and node lookups); +10 %.
+    CALLS_PER_EXPRESS_TXN = 29.8
+
+    @staticmethod
+    def _calls_per_txn():
+        from repro.bench.harness import Trial, run_trial
+        from repro.core.node import DastNode
+        from repro.workloads.openloop import OpenLoopEngine
+        from repro.workloads.registry import workload_factory
+
+        trial = Trial(
+            "dast", workload_factory("ycsb", {"theta": 0.7, "crt_ratio": 0.0,
+                                              "read_ratio": 0.95, "ops_per_txn": 2}),
+            replication=1, clients_per_region=4, duration_ms=300.0,
+            warmup_ms=50.0, cooldown_ms=50.0, seed=1,
+            open_loop={"users_per_region": 1000, "txn_per_user_s": 3.0})
+        scopes = {OpenLoopEngine._pump_chunk.__code__: "pump",
+                  OpenLoopEngine._deliver_express.__code__: "deliver",
+                  DastNode._execute.__code__: "execute"}
+        ran = []
+        calls, entered = _count_calls(scopes, lambda: ran.append(run_trial(trial)))
+        engine = ran[0].clients[0]
+        assert engine._chunked  # uncapped express: the path being counted
+        # No CRTs: every execution is an express completion.
+        assert entered["execute"] == ran[0].recorder.all_count > 1000
+        return sum(calls.values()) / entered["execute"]
+
+    def test_calls_per_express_transaction(self):
+        per_txn = self._calls_per_txn()
+        assert per_txn == self._calls_per_txn()  # the count repeats exactly
+        assert per_txn <= self.CALLS_PER_EXPRESS_TXN * 1.1, per_txn
