@@ -1,141 +1,88 @@
-"""Shared scaffolding for the baseline systems (Janus, Tapir, SLOG).
+"""What the baseline replicas (Janus, Tapir, SLOG) share.
 
-Every system under test exposes the same surface as :class:`DastSystem`:
-``submit(client, node, txn) -> Event[TxnResult]``, ``start()``, ``run()``,
-the same topology/catalog, identically loaded shard replicas, and the same
-measurement hooks — so the benchmark harness treats all four uniformly.
+Each baseline system is a :class:`repro.core.system.System` that plugs in
+its replica class through ``_build_node``; the scaffold builds the same
+topology, catalog and identically loaded shards as for DAST, so the harness
+treats all four uniformly.  :class:`BaselineNode` is the replica side: the
+fields every baseline node has, the submit prologue, and the coordinator
+that gathers one ``ExecDone`` per participating shard (Janus, SLOG).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict
 
-from repro.config import Topology
-from repro.errors import ConfigError
-from repro.sim.clocks import ClockSource
-from repro.sim.kernel import Event, Simulator
-from repro.sim.network import Network
-from repro.sim.rng import RngRegistry
 from repro.sim.rpc import Endpoint
-from repro.sim.trace import trace_client_rpc
-from repro.storage.catalog import Catalog
 from repro.storage.shard import Shard
-from repro.storage.table import TableSchema
 from repro.txn.model import Transaction
+from repro.txn.result import TxnResult
 from repro.util import Stats
-from repro.wire.messages import Submit
+from repro.wire.messages import ExecDone
 
-__all__ = ["BaselineSystem"]
+__all__ = ["BaselineNode"]
 
 
-class BaselineSystem:
-    """Common build-out; subclasses plug in their node class and extras."""
+class BaselineNode:
+    """One shard replica + coordinator role of a baseline system."""
 
-    name = "baseline"
-
-    def __init__(
-        self,
-        topology: Topology,
-        schemas: Sequence[TableSchema],
-        loader: Callable[[Shard, int], None],
-        seed: int = 1,
-        clock_skew: float = 0.0,
-    ):
-        self.topology = topology
-        self.timing = topology.config.timing
-        self.sim = Simulator()
-        self.rng = RngRegistry(seed)
-        self.network = Network(
-            self.sim,
-            self.rng,
-            intra_region_rtt=self.timing.intra_region_rtt,
-            cross_region_rtt=self.timing.cross_region_rtt,
-            drop_probability=self.timing.drop_probability,
+    def __init__(self, system, host: str, shard: Shard):
+        self.system = system
+        self.sim = system.sim
+        self.host = host
+        self.region = system.topology.region_of_node(host)
+        self.shard = shard
+        self.shard_id = shard.shard_id
+        self.timing = system.timing
+        self.endpoint = Endpoint(
+            self.sim, system.network, host, self.region,
+            service_time=self.timing.service_time,
         )
-        self.catalog = Catalog(self._partition)
-        self.schemas = list(schemas)
-        self.loader = loader
+        # txn_id -> {"shards", "reports", "done"} while gathering ExecDones.
+        self.coordinating: Dict[str, dict] = {}
         self.stats = Stats()
-        self.submitted: Dict[str, Transaction] = {}
-        # Observability attachments (None -> zero instrumentation work).
-        self.tracer = None
-        self.registry = None
-        self.probes = None
-        self.clock_sources: Dict[str, ClockSource] = {}
-        self.nodes: Dict[str, object] = {}
-        for region in topology.regions:
-            for shard_id in topology.shards_in_region(region):
-                self.catalog.add_shard(shard_id, region, topology.replicas_of(shard_id))
-        skew_rng = self.rng.stream("clock-skew")
-        self._build_extras()
-        nid = 0
-        for region in topology.regions:
-            for node_host in topology.nodes_in_region(region):
-                shard_id = topology.shard_of_node(node_host)
-                shard = Shard(shard_id, self.schemas)
-                self.loader(shard, topology.shard_index(shard_id))
-                offset = skew_rng.uniform(-clock_skew, clock_skew) if clock_skew else 0.0
-                source = ClockSource(self.sim, offset=offset)
-                self.clock_sources[node_host] = source
-                self.nodes[node_host] = self._build_node(node_host, shard, source, nid)
-                nid += 1
-        self.client_endpoints: Dict[str, Endpoint] = {}
-        for client in topology.all_clients():
-            region = client.split(".", 1)[0]
-            self.client_endpoints[client] = Endpoint(self.sim, self.network, client, region)
+        self.tracer = None  # optional repro.sim.trace.Tracer
 
-    # -- subclass hooks ----------------------------------------------------
-    def _build_extras(self) -> None:
-        """Create system-specific infrastructure (orderers, sequencers)."""
+    def _trace(self, kind: str, **fields) -> None:
+        if self.tracer is not None:
+            self.tracer.emit(self.sim.now, self.host, kind, **fields)
 
-    def _build_node(self, host: str, shard: Shard, source: ClockSource, nid: int):
-        raise NotImplementedError
-
-    def _partition(self, table: str, key) -> str:
-        raise ConfigError(f"{self.name} resolves shards from transaction pieces")
-
-    # -- uniform surface -----------------------------------------------------
     def start(self) -> None:
-        for node in self.nodes.values():
-            start = getattr(node, "start", None)
-            if start:
-                start()
+        pass
 
-    def run(self, until: Optional[float] = None) -> float:
-        return self.sim.run(until=until)
+    # ------------------------------------------------------------------
+    # Coordinator role
+    # ------------------------------------------------------------------
+    def _stamp(self, txn: Transaction) -> bool:
+        """The submit prologue: record where ``txn`` is coordinated and
+        which regions it touches; returns whether it is a CRT."""
+        txn.home_region = self.region
+        regions = sorted({self.system.catalog.region_of_shard(s) for s in txn.shard_ids})
+        txn.participating_regions = tuple(regions)
+        return len(regions) > 1 or regions[0] != self.region
 
-    def submit(self, client: str, node_host: str, txn: Transaction,
-               timeout: Optional[float] = None) -> Event:
-        endpoint = self.client_endpoints.get(client)
-        if endpoint is None:
-            region = client.split(".", 1)[0]
-            endpoint = Endpoint(self.sim, self.network, client, region)
-            self.client_endpoints[client] = endpoint
-        self.submitted[txn.txn_id] = txn
-        tracer = self.tracer
-        if tracer is not None and tracer.causal:
-            event = tracer.traced_submit(endpoint, client, node_host,
-                                         Submit(txn=txn), txn.txn_id, timeout)
-        else:
-            event = endpoint.call(node_host, Submit(txn=txn), timeout=timeout)
-        if tracer is not None:
-            trace_client_rpc(self.sim, tracer, client, txn.txn_id, event)
-        return event
+    def _gather(self, txn: Transaction, is_crt: bool, dispatch: Callable[[], None]):
+        """Generator: ``dispatch()`` ``txn`` for execution, wait for one
+        ``ExecDone`` per shard, and return the client's :class:`TxnResult`."""
+        done = self.sim.event()
+        self.coordinating[txn.txn_id] = {
+            "shards": set(txn.shard_ids), "reports": {}, "done": done,
+        }
+        dispatch()
+        yield done
+        state = self.coordinating.pop(txn.txn_id)
+        outputs: Dict[str, object] = {}
+        aborted, reason = False, ""
+        for report in state["reports"].values():
+            outputs.update(report.outputs)
+            if report.aborted:
+                aborted, reason = True, report.reason
+        return TxnResult(txn.txn_id, txn.txn_type, not aborted, is_crt,
+                         outputs=outputs, abort_reason=reason)
 
-    # -- fault injection -------------------------------------------------------
-    def skew_clocks(self, prefix: str, delta_ms: float) -> int:
-        """Step every clock whose host starts with ``prefix`` by ``delta_ms``."""
-        touched = 0
-        for host, source in self.clock_sources.items():
-            if host.startswith(prefix):
-                source.adjust(delta_ms)
-                touched += 1
-        return touched
-
-    # -- shared introspection -------------------------------------------------
-    def replicas_digest(self, shard_id: str) -> List[str]:
-        return [
-            self.nodes[host].shard.digest()
-            for host in self.catalog.replicas_of(shard_id)
-            if host in self.nodes
-        ]
+    def on_exec_done(self, src: str, payload: ExecDone) -> None:
+        state = self.coordinating.get(payload.txn_id)
+        if state is None:
+            return
+        state["reports"].setdefault(payload.shard, payload)
+        if set(state["reports"]) >= state["shards"] and not state["done"].triggered:
+            state["done"].succeed(None)

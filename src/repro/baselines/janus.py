@@ -29,15 +29,13 @@ from typing import Dict, List, Set, Tuple
 
 import networkx as nx
 
-from repro.baselines.base import BaselineSystem
+from repro.baselines.base import BaselineNode
+from repro.core.system import System
 from repro.sim.clocks import ClockSource
-from repro.sim.rpc import Endpoint
 from repro.storage.locks import LockManager, LockMode
 from repro.storage.shard import Shard
 from repro.txn.executor import execute_on_shard
 from repro.txn.model import Transaction
-from repro.txn.result import TxnResult
-from repro.util import Stats
 from repro.wire.messages import (
     ExecDone,
     JanusAccept,
@@ -76,21 +74,11 @@ class _JanusRec:
         self.abort_reason = ""
 
 
-class JanusNode:
+class JanusNode(BaselineNode):
     """One shard replica + coordinator role."""
 
     def __init__(self, system: "JanusSystem", host: str, shard: Shard):
-        self.system = system
-        self.sim = system.sim
-        self.host = host
-        self.region = system.topology.region_of_node(host)
-        self.shard = shard
-        self.shard_id = shard.shard_id
-        self.timing = system.timing
-        self.endpoint = Endpoint(
-            self.sim, system.network, host, self.region,
-            service_time=self.timing.service_time,
-        )
+        super().__init__(system, host, shard)
         self.records: Dict[str, _JanusRec] = {}
         self.executed_ids: Set[str] = set()
         self._enqueued: Set[str] = set()
@@ -98,9 +86,6 @@ class JanusNode:
         self.locks = LockManager(self.sim)
         # key -> unexecuted txn ids that touched it (conflict tracking)
         self.key_last: Dict[object, List[str]] = {}
-        self.coordinating: Dict[str, dict] = {}
-        self.stats = Stats()
-        self.tracer = None  # optional repro.sim.trace.Tracer
         ep = self.endpoint
         ep.register("submit", self.on_submit)
         ep.register("janus_preaccept", self.on_preaccept)
@@ -108,13 +93,6 @@ class JanusNode:
         ep.register("janus_commit", self.on_commit)
         ep.register("send_output", self.on_send_output)
         ep.register("exec_done", self.on_exec_done)
-
-    def _trace(self, kind: str, **fields) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(self.sim.now, self.host, kind, **fields)
-
-    def start(self) -> None:
-        pass
 
     # ------------------------------------------------------------------
     # Replica protocol
@@ -335,10 +313,7 @@ class JanusNode:
     def on_submit(self, src: str, payload: Submit):
         txn = payload.txn
         catalog = self.system.catalog
-        txn.home_region = self.region
-        regions = sorted({catalog.region_of_shard(s) for s in txn.shard_ids})
-        txn.participating_regions = tuple(regions)
-        is_crt = len(regions) > 1 or regions[0] != self.region
+        is_crt = self._stamp(txn)
         timeout = 6 * self.timing.cross_region_rtt
         # PreAccept at every replica of every shard; quorum replies per shard.
         replies: Dict[str, List[dict]] = {s: [] for s in txn.shard_ids}
@@ -394,39 +369,21 @@ class JanusNode:
                             acc_ev.succeed(None)
                 ev.add_callback(acc_cb)
             yield acc_ev
-        done = self.sim.event()
-        self.coordinating[txn.txn_id] = {
-            "shards": set(txn.shard_ids), "reports": {}, "done": done,
-        }
-        for shard_id in txn.shard_ids:
-            for replica in catalog.replicas_of(shard_id):
-                self.endpoint.call(
-                    replica,
-                    JanusCommit(txn_id=txn.txn_id, txn=txn, coord=self.host,
-                                deps=union),
-                    timeout=timeout,
-                )
-        yield done
-        state = self.coordinating.pop(txn.txn_id)
-        outputs: Dict[str, object] = {}
-        aborted, reason = False, ""
-        for report in state["reports"].values():
-            outputs.update(report.outputs)
-            if report.aborted:
-                aborted, reason = True, report.reason
-        return TxnResult(txn.txn_id, txn.txn_type, not aborted, is_crt,
-                         outputs=outputs, abort_reason=reason)
 
-    def on_exec_done(self, src: str, payload: ExecDone) -> None:
-        state = self.coordinating.get(payload.txn_id)
-        if state is None:
-            return
-        state["reports"].setdefault(payload.shard, payload)
-        if set(state["reports"]) >= state["shards"] and not state["done"].triggered:
-            state["done"].succeed(None)
+        def commit() -> None:
+            for shard_id in txn.shard_ids:
+                for replica in catalog.replicas_of(shard_id):
+                    self.endpoint.call(
+                        replica,
+                        JanusCommit(txn_id=txn.txn_id, txn=txn, coord=self.host,
+                                    deps=union),
+                        timeout=timeout,
+                    )
+
+        return (yield from self._gather(txn, is_crt, commit))
 
 
-class JanusSystem(BaselineSystem):
+class JanusSystem(System):
     """Janus deployment: one JanusNode per shard replica."""
 
     name = "janus"

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.baselines.base import BaselineSystem
+from repro.baselines.base import BaselineNode
+from repro.core.system import System
 from repro.errors import RpcTimeout
 from repro.sim.clocks import ClockSource
 from repro.sim.rpc import Endpoint
@@ -33,7 +34,6 @@ from repro.storage.locks import LockManager, LockMode
 from repro.storage.shard import Shard
 from repro.txn.executor import execute_on_shard
 from repro.txn.model import Transaction
-from repro.txn.result import TxnResult
 from repro.util import Stats
 from repro.wire.messages import (
     ExecDone,
@@ -174,76 +174,31 @@ class SlogSequencer:
         self.stats.inc("appended")
 
 
-class SlogNode:
+class SlogNode(BaselineNode):
     """A shard replica executing the regional log under deterministic 2PL."""
 
     def __init__(self, system: "SlogSystem", host: str, shard: Shard):
-        self.system = system
-        self.sim = system.sim
-        self.host = host
-        self.region = system.topology.region_of_node(host)
-        self.shard = shard
-        self.shard_id = shard.shard_id
-        self.timing = system.timing
-        self.endpoint = Endpoint(
-            self.sim, system.network, host, self.region,
-            service_time=self.timing.service_time,
-        )
+        super().__init__(system, host, shard)
         self.locks = LockManager(self.sim)
         self.next_index = 0
         self._pending_log: Dict[int, SlogLog] = {}
         self._inputs: Dict[str, Dict[str, object]] = {}
         self._input_events: Dict[str, object] = {}
-        self.coordinating: Dict[str, dict] = {}
-        self.stats = Stats()
-        self.tracer = None  # optional repro.sim.trace.Tracer
         ep = self.endpoint
         ep.register("submit", self.on_submit)
         ep.register("slog_log", self.on_log)
         ep.register("send_output", self.on_send_output)
         ep.register("exec_done", self.on_exec_done)
 
-    def _trace(self, kind: str, **fields) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(self.sim.now, self.host, kind, **fields)
-
-    def start(self) -> None:
-        pass
-
     # ------------------------------------------------------------------
     # Coordinator role: forward to sequencer, gather exec reports
     # ------------------------------------------------------------------
     def on_submit(self, src: str, payload: Submit):
         txn = payload.txn
-        txn.home_region = self.region
-        regions = sorted({self.system.catalog.region_of_shard(s) for s in txn.shard_ids})
-        txn.participating_regions = tuple(regions)
-        is_crt = len(regions) > 1 or regions[0] != self.region
-        done = self.sim.event()
-        self.coordinating[txn.txn_id] = {
-            "shards": set(txn.shard_ids), "reports": {}, "done": done,
-        }
-        self.endpoint.send(
-            f"{self.region}.seq", SlogSubmit(txn=txn, coord=self.host)
-        )
-        yield done
-        state = self.coordinating.pop(txn.txn_id)
-        outputs: Dict[str, object] = {}
-        aborted, reason = False, ""
-        for report in state["reports"].values():
-            outputs.update(report.outputs)
-            if report.aborted:
-                aborted, reason = True, report.reason
-        return TxnResult(txn.txn_id, txn.txn_type, not aborted, is_crt,
-                         outputs=outputs, abort_reason=reason)
-
-    def on_exec_done(self, src: str, payload: ExecDone) -> None:
-        state = self.coordinating.get(payload.txn_id)
-        if state is None:
-            return
-        state["reports"].setdefault(payload.shard, payload)
-        if set(state["reports"]) >= state["shards"] and not state["done"].triggered:
-            state["done"].succeed(None)
+        is_crt = self._stamp(txn)
+        submit = SlogSubmit(txn=txn, coord=self.host)
+        return (yield from self._gather(
+            txn, is_crt, lambda: self.endpoint.send(f"{self.region}.seq", submit)))
 
     # ------------------------------------------------------------------
     # Deterministic execution in log order
@@ -310,7 +265,7 @@ class SlogNode:
                 event.succeed(None)
 
 
-class SlogSystem(BaselineSystem):
+class SlogSystem(System):
     """SLOG deployment: nodes + per-region sequencers + the global orderer."""
 
     name = "slog"
@@ -327,3 +282,6 @@ class SlogSystem(BaselineSystem):
     def start(self) -> None:
         super().start()
         self.orderer.start()
+
+    def quiesce(self) -> None:
+        self.orderer.stop()

@@ -24,15 +24,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Set, Tuple
 
-from repro.baselines.base import BaselineSystem
+from repro.baselines.base import BaselineNode
+from repro.core.system import System
 from repro.errors import RpcTimeout
 from repro.sim.clocks import ClockSource
-from repro.sim.rpc import Endpoint, RpcRemoteError
+from repro.sim.rpc import RpcRemoteError
 from repro.storage.shard import Shard
 from repro.txn.executor import execute_on_shard
 from repro.txn.model import Transaction
 from repro.txn.result import TxnResult
-from repro.util import Stats
 from repro.wire.messages import (
     Submit,
     TapirAbort,
@@ -56,25 +56,13 @@ class _Prepared:
         self.writes = writes
 
 
-class TapirNode:
+class TapirNode(BaselineNode):
     """One shard replica + coordinator role."""
 
     def __init__(self, system: "TapirSystem", host: str, shard: Shard):
-        self.system = system
-        self.sim = system.sim
-        self.host = host
-        self.region = system.topology.region_of_node(host)
-        self.shard = shard
-        self.shard_id = shard.shard_id
-        self.timing = system.timing
-        self.endpoint = Endpoint(
-            self.sim, system.network, host, self.region,
-            service_time=self.timing.service_time,
-        )
+        super().__init__(system, host, shard)
         self.versions: Dict[Key, int] = {}
         self.prepared: Dict[str, _Prepared] = {}
-        self.stats = Stats()
-        self.tracer = None  # optional repro.sim.trace.Tracer
         self._rng = system.rng.stream(f"tapir.{host}")
         ep = self.endpoint
         ep.register("submit", self.on_submit)
@@ -82,10 +70,6 @@ class TapirNode:
         ep.register("tapir_prepare", self.on_prepare)
         ep.register("tapir_commit", self.on_commit)
         ep.register("tapir_abort", self.on_abort)
-
-    def _trace(self, kind: str, **fields) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(self.sim.now, self.host, kind, **fields)
 
     # ------------------------------------------------------------------
     # Replica side
@@ -155,10 +139,7 @@ class TapirNode:
     # ------------------------------------------------------------------
     def on_submit(self, src: str, payload: Submit):
         txn = payload.txn
-        txn.home_region = self.region
-        regions = sorted({self.system.catalog.region_of_shard(s) for s in txn.shard_ids})
-        txn.participating_regions = tuple(regions)
-        is_crt = len(regions) > 1 or regions[0] != self.region
+        is_crt = self._stamp(txn)
         retries = 0
         while True:
             outcome = yield from self._attempt(txn)
@@ -277,11 +258,8 @@ class TapirNode:
             return self.host
         return self._rng.choice(list(replicas))
 
-    def start(self) -> None:  # uniform lifecycle surface
-        pass
 
-
-class TapirSystem(BaselineSystem):
+class TapirSystem(System):
     """Tapir deployment: one TapirNode per shard replica."""
 
     name = "tapir"

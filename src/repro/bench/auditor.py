@@ -74,7 +74,7 @@ def audit_dast_run(system) -> AuditReport:
     topology = system.topology
 
     # 1 & 2: replica agreement and per-node timestamp monotonicity.
-    retired = getattr(system, "retired_replicas", None) or {}
+    retired = system.retired_replicas
     executed_by_shard: Dict[str, List[Tuple]] = {}
     for shard_id in topology.all_shards():
         logs = []

@@ -15,6 +15,7 @@ from repro.baselines.slog import SlogSystem
 from repro.baselines.tapir import TapirSystem
 from repro.bench.metrics import LatencyRecorder, Summary
 from repro.config import TimingConfig, Topology, TopologyConfig
+from repro.core.node import DastNode
 from repro.core.system import DastSystem
 from repro.errors import LivenessFailure
 from repro.workloads.base import Workload
@@ -125,7 +126,7 @@ class TrialResult:
         self.chaos = chaos  # ChaosRunner when the trial ran a fault plan
         self.topo = topo  # TopoRunner when the trial ran a topology plan
         self.summary: Summary = recorder.summarize(trial.system)
-        self.summary.attach_network(getattr(system.network, "stats", None))
+        self.summary.attach_network(system.network.stats)
         self._attach_late()
 
     def _attach_late(self) -> None:
@@ -134,9 +135,7 @@ class TrialResult:
         own — a closed-loop client has no other way to report one) and the
         churn counters."""
         self.summary.failed = sum(client.failed for client in self.clients)
-        counters = getattr(self.system, "topo_counters", None)
-        if counters is not None:
-            self.summary.attach_topology(counters())
+        self.summary.attach_topology(self.system.topo_counters())
 
     def stall(self) -> Optional[LivenessFailure]:
         """``None``, or why this trial counts as wedged: requests are still
@@ -161,19 +160,17 @@ class TrialResult:
         """Stop clients and let in-flight transactions finish (for audits)."""
         for client in self.clients:
             client.stop()
-        orderer = getattr(self.system, "orderer", None)
-        if orderer is not None:
-            orderer.stop()
+        self.system.quiesce()
         self.system.run(until=self.system.sim.now + extra_ms)
         # Topology events may still be completing, and requests timing out,
         # when the measured window closes.
         self._attach_late()
 
 
-def _dast_nodes(system) -> Dict[str, object]:
+def _dast_nodes(system) -> Dict[str, DastNode]:
     """The system's DAST nodes (none for the baselines)."""
-    return {host: node for host, node in getattr(system, "nodes", {}).items()
-            if hasattr(node, "wait_q")}
+    return {host: node for host, node in system.nodes.items()
+            if isinstance(node, DastNode)}
 
 
 def _dast_node_states(system) -> Dict[str, dict]:
@@ -221,7 +218,6 @@ def _reset_global_id_streams() -> None:
     """
     import itertools
 
-    from repro.core.node import DastNode
     from repro.sim.rpc import Endpoint
     from repro.txn.model import Transaction
     from repro.workloads.tpca import TpcaWorkload

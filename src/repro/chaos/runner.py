@@ -1,8 +1,9 @@
 """Compile fault plans onto simulator timers and judge the outcome.
 
 :class:`ChaosRunner` schedules every :class:`~repro.chaos.plan.FaultEvent`
-of a plan as a kernel timer against a built system (DAST or any baseline —
-the dispatch duck-types the system's fault surface).  Each applied fault is
+of a plan as a kernel timer against a built system (DAST or any baseline:
+all share the :class:`~repro.core.system.System` fault surface, which
+refuses by name a fault the protocol lacks).  Each applied fault is
 
 * counted into the system's ``stats`` bag (``chaos_faults`` plus one
   per-kind counter), which live probes can sample,
@@ -62,11 +63,9 @@ class ChaosRunner:
     def _apply(self, event: FaultEvent) -> None:
         result = self._dispatch(event)
         self.applied.append((self.system.sim.now, event, result))
-        stats = getattr(self.system, "stats", None)
-        if stats is not None and hasattr(stats, "inc"):
-            stats.inc("chaos_faults")
-            stats.inc(f"chaos_{event.kind}")
-        tracer = getattr(self.system, "tracer", None)
+        self.system.stats.inc("chaos_faults")
+        self.system.stats.inc(f"chaos_{event.kind}")
+        tracer = self.system.tracer
         if tracer is not None:
             tracer.emit(self.system.sim.now, "chaos", "chaos",
                         fault=event.kind, detail=dict(event.args))
@@ -75,28 +74,13 @@ class ChaosRunner:
         system, network, args = self.system, self.system.network, event.args
         kind = event.kind
         if kind == "crash_node":
-            host = args["host"]
-            if hasattr(system, "crash_node"):
-                return system.crash_node(host, report=args.get("report", True))
-            network.crash_host(host)
-            node = getattr(system, "nodes", {}).get(host)
-            if node is not None and hasattr(node, "stop"):
-                node.stop()
-            return None
+            return system.crash_node(args["host"], report=args.get("report", True))
         if kind == "readd_replica":
-            if not hasattr(system, "add_replica"):
-                raise ConfigError(f"{system.name}: readd_replica unsupported")
             return system.add_replica(args["region"], args["host"], args["shard"])
         if kind == "fail_manager":
-            if not hasattr(system, "fail_manager"):
-                raise ConfigError(f"{system.name}: fail_manager unsupported")
             return system.fail_manager(args["region"])
         if kind == "report_failure":
-            manager = system.managers[args["region"]]
-            return system.sim.spawn(
-                manager.remove_nodes(list(args["hosts"])),
-                name=f"chaos.report.{args['region']}",
-            )
+            return system.remove_nodes(args["region"], args["hosts"])
         if kind == "partition_hosts":
             return network.partition_hosts(args["a"], args["b"])
         if kind == "heal_hosts":
@@ -145,15 +129,7 @@ class ChaosRunner:
                 return 0
             source.adjust(args["delta"])
             return 1
-        prefix = f"{args.get('region', '')}."
-        if hasattr(self.system, "skew_clocks"):
-            return self.system.skew_clocks(prefix, args["delta"])
-        touched = 0
-        for name, source in self.system.clock_sources.items():
-            if name.startswith(prefix):
-                source.adjust(args["delta"])
-                touched += 1
-        return touched
+        return self.system.skew_clocks(f"{args.get('region', '')}.", args["delta"])
 
 
 class ChaosReport:

@@ -25,7 +25,6 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.clock.dclock import DClock
 from repro.clock.hlc import CrtLane, Timestamp, ZERO_TS
-from repro.config import TimingConfig, Topology
 from repro.core.coordinator import CoordinatorMixin
 from repro.core.records import (
     ReadyQueue,
@@ -36,10 +35,7 @@ from repro.core.records import (
 )
 from repro.errors import RpcTimeout
 from repro.sim.clocks import ClockSource
-from repro.sim.kernel import Simulator
-from repro.sim.network import Network
 from repro.sim.rpc import Endpoint, RpcRemoteError
-from repro.storage.catalog import Catalog
 from repro.storage.shard import Shard
 from repro.txn.executor import ExpressExecutor, execute_on_shard
 from repro.util import Stats
@@ -82,23 +78,14 @@ class DastNode(CoordinatorMixin):
 
     _obl_ids = itertools.count(1)
 
-    def __init__(
-        self,
-        sim: Simulator,
-        network: Network,
-        topology: Topology,
-        catalog: Catalog,
-        timing: TimingConfig,
-        host: str,
-        shard: Shard,
-        clock_source: ClockSource,
-        nid: int,
-        managers: Dict[str, str],
-    ):
-        self.sim = sim
-        self.topology = topology
-        self.catalog = catalog
-        self.timing = timing
+    def __init__(self, system: "DastSystem", host: str, shard: Shard,
+                 clock_source: ClockSource, nid: int):
+        # The deployment: its keep_records switch gates the executed log.
+        self.system = system
+        self.sim = sim = system.sim
+        self.topology = topology = system.topology
+        self.catalog = system.catalog
+        self.timing = timing = system.timing
         self.host = host
         self.region = topology.region_of_node(host)
         self.shard = shard
@@ -106,11 +93,11 @@ class DastNode(CoordinatorMixin):
         # Reusable zero-allocation executor for express submissions.
         self._express = ExpressExecutor(shard)
         self.nid = nid
-        self.managers = managers  # region -> manager host
-        self.manager = managers[self.region]
+        self.managers = system.manager_directory  # region -> manager host
+        self.manager = self.managers[self.region]
         self.vid = 0
         self.endpoint = Endpoint(
-            sim, network, host, self.region,
+            sim, system.network, host, self.region,
             service_time=timing.service_time,
         )
 
@@ -119,9 +106,6 @@ class DastNode(CoordinatorMixin):
         self.records: Dict[str, TxnRecord] = {}
         self.crt_log: Dict[str, dict] = {}  # failover-retrieval log (§4.4)
         self.executed_log: List = []  # (ts, txn_id) in execution order
-        # Open-loop scale trials disable this: at millions of transactions
-        # the log is pure memory growth (audits re-enable it explicitly).
-        self.keep_executed_log = True
         self.dclock = DClock(clock_source, nid, floor_fn=self.wait_q.min)
         self._crt_lane = CrtLane(nid)  # `.time` of the CRTs we coordinate
 
@@ -363,7 +347,7 @@ class DastNode(CoordinatorMixin):
             outcome = self._express.run(txn)
         else:
             outcome = execute_on_shard(txn, self.shard_id, self.shard, rec.inputs)
-        if self.keep_executed_log:
+        if self.system.keep_records:
             self.executed_log.append((rec.ts, rec.txn_id))
         self.stats.inc("executed")
         if cb is not None:

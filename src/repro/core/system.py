@@ -1,10 +1,23 @@
-"""Top-level assembly of a DAST deployment on the simulated edge network.
+"""Top-level assembly of a system under test on the simulated edge network.
 
-``DastSystem`` wires regions, nodes (one shard replica each), managers (one
-active + one standby per region), the per-region SMR service, and loads the
-workload's data into every replica.  It exposes the client-facing ``submit``
-API shared by all systems under test, plus fault-injection hooks used by the
-failover tests and robustness benchmarks (Figs 9-10).
+:class:`System` is the one scaffold DAST and the three baselines
+(``repro.baselines``) share.  It builds the simulator, the network, the
+catalog, identically loaded shard replicas, their clock sources and the
+client endpoints, and it owns the surface the harness and the chaos,
+topology and observability runners drive: ``submit``, ``start``, ``run``,
+``skew_clocks``, ``crash_node``, ``replicas_digest``, ``topo_counters`` and
+``quiesce``.  A fault a protocol has no machinery for (``fail_manager``,
+``add_replica``, ``remove_nodes``, ``reshard``) is refused by name here.
+
+A protocol supplies ``_build_node`` (one replica) and, where it has them,
+``_build_extras`` (built before any replica) and ``_build_region`` (built
+after each region's replicas).
+
+:class:`DastSystem` adds DAST's per-region managers (one active + one
+standby), the per-region SMR service and failure detector, failover,
+replica addition (Algorithm 4) and elastic resharding (``repro.topo``) —
+the fault-injection hooks used by the failover tests and robustness
+benchmarks (Figs 9-10).
 """
 
 from __future__ import annotations
@@ -30,13 +43,14 @@ from repro.txn.model import Transaction
 from repro.util import Stats
 from repro.wire.messages import Submit, ViewSync
 
-__all__ = ["DastSystem"]
+__all__ = ["System", "DastSystem"]
 
 
-class DastSystem:
-    """A complete DAST deployment ready to accept transactions."""
+class System:
+    """A deployment ready to accept transactions; subclasses plug in their
+    replica class and extras."""
 
-    name = "dast"
+    name = "system"
 
     def __init__(
         self,
@@ -45,16 +59,7 @@ class DastSystem:
         loader: Callable[[Shard, int], None],
         seed: int = 1,
         clock_skew: float = 0.0,
-        with_smr: bool = False,
-        with_failure_detector: bool = False,
-        variant: Optional[Dict[str, bool]] = None,
     ):
-        # Ablation variant flags: {"stretch": bool, "calibration": bool,
-        # "anticipation": bool}; all default True (full DAST).
-        self.variant = {"stretch": True, "calibration": True, "anticipation": True}
-        self.variant.update(variant or {})
-        self.with_failure_detector = with_failure_detector
-        self.failure_detectors: Dict[str, "FailureDetector"] = {}
         self.topology = topology
         self.timing = topology.config.timing
         self.sim = Simulator()
@@ -67,90 +72,73 @@ class DastSystem:
             drop_probability=self.timing.drop_probability,
         )
         self.catalog = Catalog(self._partition)
-        self._shard_of_key: Dict[str, str] = {}
         self.schemas = list(schemas)
         self.loader = loader
+        self.clock_skew = clock_skew
         self.stats = Stats()
         self.submitted: Dict[str, Transaction] = {}
-        # The submitted-transaction ledger feeds the post-hoc serializability
-        # audit; open-loop scale trials opt out (millions of retained txn
-        # objects) via the engine, which sets this False.
-        self.track_submitted = True
-        # Observability attachments (None/absent -> zero instrumentation work).
+        # The one record-retention switch.  The submitted-transaction ledger
+        # and DAST's executed logs only feed post-hoc audits; open-loop scale
+        # trials (millions of retained objects) turn it off via the engine.
+        self.keep_records = True
+        # Observability attachments (None -> zero instrumentation work) and
+        # the installed ChaosRunner, whose count the chaos_faults probe reads.
         self.tracer = None
         self.registry = None
         self.probes = None
-        # Elastic reshard bookkeeping (repro.topo): per-shard snapshots of
-        # retired donor replicas' executed logs (host, log, digest) for the
-        # serializability auditor, plus a per-region guest-name sequence.
-        self.retired_replicas: Dict[str, List] = {}
-        self._guest_seq: Dict[str, int] = {}
-
-        skew_rng = self.rng.stream("clock-skew")
-        nid = 0
+        self.chaos = None
         self.clock_sources: Dict[str, ClockSource] = {}
-        self.nodes: Dict[str, DastNode] = {}
-        self.managers: Dict[str, DastManager] = {}
-        self.standby_managers: Dict[str, DastManager] = {}
-        self.smr_clusters: Dict[str, SmrCluster] = {}
-        # Shared manager directory: updated on takeover so remote
-        # coordinators find the active manager (models a directory service).
-        self.manager_directory: Dict[str, str] = {
-            region: topology.manager_of(region) for region in topology.regions
-        }
+        self.nodes: Dict[str, object] = {}
+        # Every replica and manager built, each once, in construction order:
+        # a crashed, retired or failed-over one stays listed.
+        self.components: List = []
         for region in topology.regions:
             for shard_id in topology.shards_in_region(region):
                 self.catalog.add_shard(shard_id, region, topology.replicas_of(shard_id))
+        self._build_extras()
+        nid = 0
         for region in topology.regions:
-            if with_smr:
-                self.smr_clusters[region] = SmrCluster(self.sim, self.network, region)
             for node_host in topology.nodes_in_region(region):
                 shard_id = topology.shard_of_node(node_host)
                 shard = Shard(shard_id, self.schemas)
                 self.loader(shard, topology.shard_index(shard_id))
-                source = self._clock_source(node_host, clock_skew, skew_rng)
-                node = DastNode(
-                    self.sim, self.network, topology, self.catalog, self.timing,
-                    node_host, shard, source, nid, self.manager_directory,
-                )
-                node.dclock.stretch_enabled = self.variant["stretch"]
-                node.dclock.calibration_enabled = self.variant["calibration"]
-                self.nodes[node_host] = node
+                source = self._clock_source(node_host, clock_skew)
+                self._add_node(self._build_node(node_host, shard, source, nid))
                 nid += 1
-            for mgr_host, active in (
-                (topology.manager_of(region), True),
-                (topology.manager_backup_of(region), False),
-            ):
-                source = self._clock_source(mgr_host, clock_skew, skew_rng)
-                manager = DastManager(
-                    self.sim, self.network, topology, self.catalog, self.timing,
-                    mgr_host, region, source, nid,
-                    smr=self.smr_clusters.get(region), active=active,
-                )
-                manager.managers = self.manager_directory
-                manager.dclock.calibration_enabled = self.variant["calibration"]
-                manager.anticipation_enabled = self.variant["anticipation"]
-                nid += 1
-                if active:
-                    self.managers[region] = manager
-                else:
-                    self.standby_managers[region] = manager
-        self.client_endpoints: Dict[str, Endpoint] = {}
-        for client in topology.all_clients():
-            region = client.split(".", 1)[0]
-            self.client_endpoints[client] = Endpoint(self.sim, self.network, client, region)
+            nid = self._build_region(region, nid)
+        self.client_endpoints: Dict[str, Endpoint] = {
+            client: Endpoint(self.sim, self.network, client, client.split(".", 1)[0])
+            for client in topology.all_clients()
+        }
 
-    def _clock_source(self, host: str, skew: float, rng) -> ClockSource:
-        offset = rng.uniform(-skew, skew) if skew else 0.0
-        source = ClockSource(self.sim, offset=offset)
-        self.clock_sources[host] = source
+    # -- protocol hooks ------------------------------------------------------
+    def _build_extras(self) -> None:
+        """Create infrastructure built before any replica (SLOG's orderer
+        and sequencers)."""
+
+    def _build_node(self, host: str, shard: Shard, source: ClockSource, nid: int):
+        raise NotImplementedError
+
+    def _build_region(self, region: str, nid: int) -> int:
+        """Create what follows ``region``'s replicas (DAST's managers);
+        returns the next free ``nid``."""
+        return nid
+
+    def _clock_source(self, host: str, skew: float) -> ClockSource:
+        offset = self.rng.stream("clock-skew").uniform(-skew, skew) if skew else 0.0
+        source = self.clock_sources[host] = ClockSource(self.sim, offset=offset)
         return source
+
+    def _add_node(self, node) -> None:
+        self.nodes[node.host] = node
+        self.components.append(node)
 
     def _partition(self, table: str, key) -> str:
         # The workload maps keys to global shard indexes via its own logic;
         # systems see shard ids directly on the transaction's pieces, so this
         # partition function is only used for ad-hoc catalog lookups.
-        raise ConfigError("DAST resolves shards from transaction pieces, not the catalog")
+        raise ConfigError(f"{self.name} resolves shards from transaction pieces, "
+                          "not the catalog")
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -158,15 +146,13 @@ class DastSystem:
     def start(self) -> None:
         for node in self.nodes.values():
             node.start()
-        for manager in self.managers.values():
-            manager.start()
-            if self.with_failure_detector and manager.region not in self.failure_detectors:
-                detector = FailureDetector(manager)
-                detector.start()
-                self.failure_detectors[manager.region] = detector
 
     def run(self, until: Optional[float] = None) -> float:
         return self.sim.run(until=until)
+
+    def quiesce(self) -> None:
+        """Stop the background drivers that would admit more work, so a
+        drain ends with what is in flight (SLOG's global orderer)."""
 
     # ------------------------------------------------------------------
     # Client API
@@ -183,7 +169,7 @@ class DastSystem:
             region = client.split(".", 1)[0]
             endpoint = Endpoint(self.sim, self.network, client, region)
             self.client_endpoints[client] = endpoint
-        if self.track_submitted:
+        if self.keep_records:
             self.submitted[txn.txn_id] = txn
         tracer = self.tracer
         if tracer is not None and tracer.causal:
@@ -206,29 +192,14 @@ class DastSystem:
         if self.tracer is not None:
             self.tracer.emit(self.sim.now, "fault", "fault", fault=fault, detail=detail)
 
+    def _unsupported(self, fault: str):
+        raise ConfigError(f"{self.name}: {fault} unsupported")
+
     def crash_node(self, node_host: str, report: bool = True) -> None:
-        """Crash a data node; optionally report it to its region's manager."""
+        """Crash a data node.  ``report`` asks the protocol's membership
+        service to remove it; a system without one has nobody to tell."""
         self._trace_fault("crash_node", host=node_host)
         self.network.crash_host(node_host)
-        self.nodes[node_host].stop()
-        if report:
-            region = self.topology.region_of_node(node_host)
-            manager = self.managers[region]
-            self.sim.spawn(manager.remove_nodes([node_host]), name=f"remove.{node_host}")
-
-    def fail_manager(self, region: str) -> DastManager:
-        """Crash the active manager and promote the standby via SMR + 2PC."""
-        self._trace_fault("fail_manager", region=region)
-        old = self.managers[region]
-        old.stop()
-        self.network.crash_host(old.host)
-        if region in self.smr_clusters:
-            self.smr_clusters[region].elect()
-        standby = self.standby_managers[region]
-        self.manager_directory[region] = standby.host
-        self.managers[region] = standby
-        self.sim.spawn(standby.takeover(), name=f"takeover.{region}")
-        return standby
 
     def skew_clocks(self, prefix: str, delta_ms: float) -> int:
         """Step every clock whose host starts with ``prefix`` by ``delta_ms``.
@@ -244,30 +215,162 @@ class DastSystem:
                 touched += 1
         return touched
 
+    def fail_manager(self, region: str):
+        self._unsupported("fail_manager")
+
+    def add_replica(self, region: str, new_host: str, shard_id: str) -> Event:
+        self._unsupported("add_replica")
+
+    def remove_nodes(self, region: str, hosts: Sequence[str]) -> Event:
+        self._unsupported("remove_nodes")
+
+    def reshard(self, shard_id: str, dst_region: str):
+        self._unsupported("topology churn")
+
+    # ------------------------------------------------------------------
+    # Introspection for tests and benchmarks
+    # ------------------------------------------------------------------
+    def topo_counters(self) -> Dict[str, int]:
+        """The ``topo_*`` churn counters (none without resharding)."""
+        return {}
+
+    def replicas_digest(self, shard_id: str) -> List[str]:
+        """State digests of ``shard_id``'s live replicas: a crashed one
+        stopped applying, so it has nothing to agree on."""
+        return [
+            self.nodes[host].shard.digest()
+            for host in self.catalog.replicas_of(shard_id)
+            if host in self.nodes and not self.network.is_down(host)
+        ]
+
+
+class DastSystem(System):
+    """A complete DAST deployment ready to accept transactions."""
+
+    name = "dast"
+
+    def __init__(
+        self,
+        topology: Topology,
+        schemas: Sequence[TableSchema],
+        loader: Callable[[Shard, int], None],
+        seed: int = 1,
+        clock_skew: float = 0.0,
+        with_smr: bool = False,
+        with_failure_detector: bool = False,
+        variant: Optional[Dict[str, bool]] = None,
+    ):
+        # Ablation variant flags: {"stretch": bool, "calibration": bool,
+        # "anticipation": bool}; all default True (full DAST).
+        self.variant = {"stretch": True, "calibration": True, "anticipation": True}
+        self.variant.update(variant or {})
+        self.with_smr = with_smr
+        self.with_failure_detector = with_failure_detector
+        self.failure_detectors: Dict[str, FailureDetector] = {}
+        self.managers: Dict[str, DastManager] = {}
+        # Standbys not yet promoted (fail_manager promotes and removes one).
+        self.standby_managers: Dict[str, DastManager] = {}
+        self.smr_clusters: Dict[str, SmrCluster] = {}
+        # Shared manager directory: updated on takeover so remote
+        # coordinators find the active manager (models a directory service).
+        self.manager_directory: Dict[str, str] = {
+            region: topology.manager_of(region) for region in topology.regions
+        }
+        # Elastic reshard bookkeeping (repro.topo): per-shard snapshots of
+        # retired donor replicas' executed logs (host, log, digest) for the
+        # serializability auditor, plus a per-region guest-name sequence.
+        self.retired_replicas: Dict[str, List] = {}
+        self._guest_seq: Dict[str, int] = {}
+        super().__init__(topology, schemas, loader, seed=seed, clock_skew=clock_skew)
+
+    def _build_node(self, host: str, shard: Shard, source: ClockSource,
+                    nid: int) -> DastNode:
+        node = DastNode(self, host, shard, source, nid)
+        node.dclock.stretch_enabled = self.variant["stretch"]
+        node.dclock.calibration_enabled = self.variant["calibration"]
+        return node
+
+    def _build_region(self, region: str, nid: int) -> int:
+        if self.with_smr:
+            self.smr_clusters[region] = SmrCluster(self.sim, self.network, region)
+        for mgr_host, active in (
+            (self.topology.manager_of(region), True),
+            (self.topology.manager_backup_of(region), False),
+        ):
+            manager = DastManager(
+                self.sim, self.network, self.topology, self.catalog, self.timing,
+                mgr_host, region, self._clock_source(mgr_host, self.clock_skew), nid,
+                smr=self.smr_clusters.get(region), active=active,
+            )
+            manager.managers = self.manager_directory
+            manager.dclock.calibration_enabled = self.variant["calibration"]
+            manager.anticipation_enabled = self.variant["anticipation"]
+            nid += 1
+            self.components.append(manager)
+            (self.managers if active else self.standby_managers)[region] = manager
+        return nid
+
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+    def start(self) -> None:
+        super().start()
+        for manager in self.managers.values():
+            manager.start()
+            if self.with_failure_detector and manager.region not in self.failure_detectors:
+                detector = FailureDetector(manager)
+                detector.start()
+                self.failure_detectors[manager.region] = detector
+
+    # ------------------------------------------------------------------
+    # Fault injection
+    # ------------------------------------------------------------------
+    def crash_node(self, node_host: str, report: bool = True) -> None:
+        """Crash a data node; optionally report it to its region's manager."""
+        super().crash_node(node_host)
+        self.nodes[node_host].stop()
+        if report:
+            self.remove_nodes(self.topology.region_of_node(node_host), [node_host])
+
+    def remove_nodes(self, region: str, hosts: Sequence[str]) -> Event:
+        """Have ``region``'s manager remove ``hosts`` from the view
+        (Algorithm 3); returns the removal process."""
+        return self.sim.spawn(self.managers[region].remove_nodes(list(hosts)),
+                              name=f"remove.{region}")
+
+    def fail_manager(self, region: str) -> DastManager:
+        """Crash the active manager and promote the standby via SMR + 2PC."""
+        if region not in self.standby_managers:
+            raise ConfigError(f"{region}: no standby manager left to promote")
+        self._trace_fault("fail_manager", region=region)
+        old = self.managers[region]
+        old.stop()
+        self.network.crash_host(old.host)
+        if region in self.smr_clusters:
+            self.smr_clusters[region].elect()
+        standby = self.standby_managers.pop(region)
+        self.manager_directory[region] = standby.host
+        self.managers[region] = standby
+        self.sim.spawn(standby.takeover(), name=f"takeover.{region}")
+        return standby
+
     def _provision_node(self, new_host: str, shard_id: str,
                         manager_host: Optional[str] = None,
                         members: Optional[List[str]] = None) -> DastNode:
         """Build, register and start a fresh (empty) replica node."""
-        source = self._clock_source(new_host, 0.0, self.rng.stream("clock-skew"))
+        source = self._clock_source(new_host, 0.0)
         shard = Shard(shard_id, self.schemas)  # empty until checkpoint install
-        node = DastNode(
-            self.sim, self.network, self.topology, self.catalog, self.timing,
-            new_host, shard, source, nid=1000 + len(self.nodes), managers=self.manager_directory,
-        )
+        node = self._build_node(new_host, shard, source, 1000 + len(self.nodes))
         if manager_host is not None:
             # Migrating replica (repro.topo): managed by the *source*
             # region's manager until the post-move view flip.
             node.manager = manager_host
         if members is not None:
             node.members = list(members)
-        if not self.track_submitted:
-            # Open-loop scale trials run with executed logs off; a node
-            # provisioned mid-trial inherits that choice.
-            node.keep_executed_log = False
         # A re-added host may have been crashed before: revive its address.
         self.network.restart_host(new_host)
         node.tracer = self.tracer  # inherit the system-wide tracer, if any
-        self.nodes[new_host] = node
+        self._add_node(node)
         node.start()
         return node
 
@@ -417,13 +520,6 @@ class DastSystem:
                 if key.startswith("topo_") and value:
                     out[key] = out.get(key, 0) + value
         return out
-
-    def replicas_digest(self, shard_id: str) -> List[str]:
-        return [
-            self.nodes[host].shard.digest()
-            for host in self.catalog.replicas_of(shard_id)
-            if host in self.nodes
-        ]
 
     def total_stretches(self) -> int:
         return sum(n.dclock.stretch_count for n in self.nodes.values())

@@ -29,7 +29,7 @@ from repro.obs.critical_path import (
 from repro.obs.export import export_csv, export_jsonl, render_report, sparkline
 from repro.obs.trace import CausalTracer, HopSpan, RootSpan, TxnTrace, build_traces
 from repro.obs.probes import ProbeRunner, standard_probes
-from repro.obs.registry import Counter, MetricsRegistry, Series
+from repro.obs.registry import MetricsRegistry, Series
 from repro.obs.spans import (
     CRT_PHASES,
     IRT_PHASES,
@@ -50,7 +50,6 @@ __all__ = [
     "sparkline",
     "ProbeRunner",
     "standard_probes",
-    "Counter",
     "MetricsRegistry",
     "Series",
     "CRT_PHASES",

@@ -1,10 +1,11 @@
 """Attachment plumbing: wire tracer + registry + probes onto any system.
 
-Every system under test (DAST and the three baselines) exposes ``nodes``
-(and DAST additionally ``managers``/``standby_managers``); these helpers
-attach the observability instruments uniformly, so the harness and CLI do
-not care which system they are looking at.  Nothing here runs unless
-explicitly attached — an unobserved trial does strictly zero extra work.
+Every system under test (DAST and the three baselines) lists the replicas
+and managers it built in ``components`` (:class:`repro.core.system.System`);
+these helpers attach the observability instruments uniformly, so the
+harness and CLI do not care which system they are looking at.  Nothing here
+runs unless explicitly attached — an unobserved trial does strictly zero
+extra work.
 """
 
 from __future__ import annotations
@@ -14,17 +15,8 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.obs.probes import ProbeRunner, standard_probes
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import PhaseSpan, assemble_spans, phase_breakdown
-from repro.util import Stats
 
 __all__ = ["ObsBundle", "attach_tracer", "attach_registry", "attach_probes", "attach_obs"]
-
-
-def _observables(system) -> List:
-    """Every component that holds a ``tracer`` reference / a ``stats`` bag."""
-    out = list(getattr(system, "nodes", {}).values())
-    out.extend(getattr(system, "managers", {}).values())
-    out.extend(getattr(system, "standby_managers", {}).values())
-    return out
 
 
 def attach_tracer(system, kinds=None, hosts=None, capacity: int = 200_000,
@@ -44,9 +36,8 @@ def attach_tracer(system, kinds=None, hosts=None, capacity: int = 200_000,
         from repro.sim.trace import Tracer
 
         tracer = Tracer(kinds=kinds, hosts=hosts, capacity=capacity)
-    for component in _observables(system):
-        if hasattr(component, "tracer"):
-            component.tracer = tracer
+    for component in system.components:
+        component.tracer = tracer
     system.tracer = tracer
     return tracer
 
@@ -54,22 +45,20 @@ def attach_tracer(system, kinds=None, hosts=None, capacity: int = 200_000,
 def _read_stats(system) -> Iterator[Tuple[str, int]]:
     """Every count in every ``Stats`` bag the system holds *now*, as
     ``<host>.<counter>`` per component and ``system.<counter>``."""
-    bags = [(getattr(component, "host", component.__class__.__name__),
-             getattr(component, "stats", None))
-            for component in _observables(system)]
-    bags.append(("system", getattr(system, "stats", None)))
+    bags = [(component.host, component.stats) for component in system.components]
+    bags.append(("system", system.stats))
     for prefix, stats in bags:
-        if isinstance(stats, Stats):
-            for name, value in stats.counters.items():
-                yield f"{prefix}.{name}", value
+        for name, value in stats.counters.items():
+            yield f"{prefix}.{name}", value
 
 
 def attach_registry(system) -> MetricsRegistry:
     """Attach a metrics registry that reads every ``Stats`` bag.
 
     Nothing is bound or copied: the bags are walked when a snapshot is
-    taken, so a replica provisioned mid-trial is read like any other (and a
-    component the system no longer holds — a failed-over manager — is not).
+    taken, so a replica provisioned mid-trial is read like any other, and so
+    is a component that stopped serving (a crashed replica, a failed-over
+    manager): its counts happened.
     """
     registry = MetricsRegistry()
     registry.add_source(lambda: _read_stats(system))
@@ -80,7 +69,7 @@ def attach_registry(system) -> MetricsRegistry:
 def attach_probes(system, interval: float = 50.0,
                   registry: Optional[MetricsRegistry] = None) -> ProbeRunner:
     """Start the periodic probe sampler (creates a registry if needed)."""
-    registry = registry or getattr(system, "registry", None)
+    registry = registry or system.registry
     if registry is None:
         registry = attach_registry(system)
     runner = ProbeRunner(system.sim, registry, interval=interval)
@@ -140,7 +129,7 @@ class ObsBundle:
 def attach_obs(system, kinds=None, hosts=None, capacity: int = 200_000,
                probe_interval: float = 50.0, causal: bool = False) -> ObsBundle:
     """One-call full attachment: tracer + registry + probes."""
-    tracer = getattr(system, "tracer", None)
+    tracer = system.tracer
     if tracer is None:
         tracer = attach_tracer(system, kinds=kinds, hosts=hosts,
                                capacity=capacity, causal=causal)

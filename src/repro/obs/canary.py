@@ -199,7 +199,7 @@ def capture_scenario(result) -> Dict:
     stats = result.system.network.stats
     return {
         "trace_digest": hashlib.sha256(blob).hexdigest(),
-        "wire_digest": wire_digest(getattr(result.system.network, "wire_log", None)),
+        "wire_digest": wire_digest(result.system.network.wire_log),
         "traced_txns": len(traces),
         "row": result.summary.as_row(),
         "hops": hop_rows,

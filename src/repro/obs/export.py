@@ -55,7 +55,7 @@ def export_jsonl(bundle: ObsBundle, path: str) -> int:
         tracer = bundle.tracer
         emit({
             "type": "meta",
-            "system": getattr(bundle.system, "name", "unknown"),
+            "system": bundle.system.name,
             "virtual_now_ms": bundle.system.sim.now,
             "trace_events": len(tracer.events) if tracer is not None else 0,
             "trace_dropped": getattr(tracer, "dropped", 0) if tracer is not None else 0,

@@ -8,14 +8,15 @@ dclocks stretch, how deep the pending-CRT and wait queues run, how far the
 PCT watermark lags, how many messages are in flight — which is exactly the
 internal behaviour Figs 9/10 of the paper reason about.
 
-``standard_probes`` builds the probe set for any system under test by duck
-typing: DAST exposes everything; the baselines contribute whatever subset
-they have (network in-flight, executed counts).
+``standard_probes`` builds the probe set for any system under test: the
+network and chaos probes for every system, plus DAST's clock, queue and
+per-node ``executed.<host>`` probes.  Every probe reads the system when it
+ticks, so a replica provisioned mid-trial is sampled from then on.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.obs.registry import MetricsRegistry
 
@@ -49,9 +50,14 @@ class ProbeRunner:
             self._proc = None
 
     def tick(self) -> None:
-        """Take one sample of every probe (also usable manually in tests)."""
+        """Take one sample of every probe (also usable manually in tests).
+
+        A probe that returns a dict is a family: each ``key: value`` entry
+        is sampled into the series ``name + key``.
+        """
         self.ticks += 1
         now = self.sim.now
+        series = self.registry.timeseries
         for name, fn in self.probes:
             try:
                 value = fn()
@@ -59,57 +65,42 @@ class ProbeRunner:
                 continue
             if value is None:
                 continue
-            self.registry.timeseries(name).append(now, float(value))
+            if isinstance(value, dict):
+                for key, member in value.items():
+                    series(name + key).append(now, float(member))
+            else:
+                series(name).append(now, float(value))
 
 
-def standard_probes(system) -> List[Tuple[str, Callable[[], float]]]:
+def standard_probes(system) -> List[Tuple[str, Callable[[], object]]]:
     """The default probe set for a system under test (DAST or baseline)."""
-    probes: List[Tuple[str, Callable[[], float]]] = []
-    nodes: Dict[str, object] = getattr(system, "nodes", {})
-    network = getattr(system, "network", None)
-
-    dast_nodes = [n for n in nodes.values() if hasattr(n, "dclock")]
-    if dast_nodes:
-        probes.append((
-            "stretch_count",
-            lambda ns=dast_nodes: sum(n.dclock.stretch_count for n in ns),
-        ))
-        probes.append((
-            "waitq_depth",
-            lambda ns=dast_nodes: sum(len(n.wait_q) for n in ns if hasattr(n, "wait_q")),
-        ))
-        probes.append((
-            "readyq_depth",
-            lambda ns=dast_nodes: sum(len(n.ready_q) for n in ns if hasattr(n, "ready_q")),
-        ))
-        probes.append(("pct_lag_ms", lambda ns=dast_nodes: _pct_lag(ns)))
-
-    managers = list(getattr(system, "managers", {}).values())
-    if managers:
-        probes.append((
-            "pending_crts",
-            lambda ms=managers: sum(len(m.pending) for m in ms),
-        ))
-
-    if network is not None and hasattr(network, "stats"):
-        probes.append(("net_inflight", lambda nw=network: nw.stats.in_flight))
-        probes.append(("net_sent", lambda nw=network: nw.stats.messages_sent))
-        probes.append(("net_bytes", lambda nw=network: nw.stats.bytes_sent))
-
-    # When a chaos plan is (or gets) installed, sample how many of its fault
-    # events have fired — lines probe timeseries up against fault times.
-    probes.append((
-        "chaos_faults",
-        lambda s=system: (
-            len(s.chaos.applied) if getattr(s, "chaos", None) is not None else None
-        ),
-    ))
-
-    for host, node in sorted(nodes.items()):
-        if hasattr(node, "executed_log"):
-            probes.append((
-                f"executed.{host}", lambda n=node: len(n.executed_log)
-            ))
+    network = system.network
+    probes: List[Tuple[str, Callable[[], object]]] = []
+    if system.name == "dast":
+        # Live views: a guest provisioned mid-trial, or a standby promoted
+        # by a failover, is read at the next tick.
+        nodes = system.nodes.values()
+        managers = system.managers.values()
+        probes += [
+            ("stretch_count", lambda: sum(n.dclock.stretch_count for n in nodes)),
+            ("waitq_depth", lambda: sum(len(n.wait_q) for n in nodes)),
+            ("readyq_depth", lambda: sum(len(n.ready_q) for n in nodes)),
+            ("pct_lag_ms", lambda: _pct_lag(nodes)),
+            ("pending_crts", lambda: sum(len(m.pending) for m in managers)),
+        ]
+    probes += [
+        ("net_inflight", lambda: network.stats.in_flight),
+        ("net_sent", lambda: network.stats.messages_sent),
+        ("net_bytes", lambda: network.stats.bytes_sent),
+        # When a chaos plan is (or gets) installed, sample how many of its
+        # fault events have fired — lines probe timeseries up against fault
+        # times.
+        ("chaos_faults", lambda: (
+            len(system.chaos.applied) if system.chaos is not None else None)),
+    ]
+    if system.name == "dast":
+        probes.append(("executed.", lambda: {
+            host: len(node.executed_log) for host, node in sorted(system.nodes.items())}))
     return probes
 
 

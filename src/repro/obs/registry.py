@@ -1,4 +1,4 @@
-"""Virtual-time metrics registry: counters and probe time series.
+"""Virtual-time metrics registry: counter sources and probe time series.
 
 Everything is sampled in **virtual simulation time** (the kernel's
 millisecond clock), never wall clock: a run is deterministic, so its
@@ -13,25 +13,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-__all__ = ["Counter", "Series", "MetricsRegistry"]
-
-
-class Counter:
-    """A monotonically increasing count (events, messages, retries)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0.0
-
-    def inc(self, by: float = 1.0) -> None:
-        if by < 0:
-            raise ValueError(f"counter {self.name} cannot decrease (by={by})")
-        self.value += by
-
-    def __repr__(self) -> str:
-        return f"Counter({self.name}={self.value:g})"
+__all__ = ["Series", "MetricsRegistry"]
 
 
 class Series:
@@ -63,10 +45,7 @@ class Series:
 
 
 class MetricsRegistry:
-    """Named instrument factory + container.
-
-    Counters come from two places and read as one: the registry's own
-    :class:`Counter` objects, and **sources** — callables that report
+    """Probe time series plus the counter **sources**: callables that report
     ``(name, value)`` pairs from wherever the counts already live, read
     afresh each time :meth:`counter_values` (or :meth:`snapshot`) is called.
     The per-component :class:`repro.util.Stats` bags are one such source
@@ -76,16 +55,8 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
-        self.counters: Dict[str, Counter] = {}
         self.series: Dict[str, Series] = {}
         self._sources: List[Callable[[], Iterable[Tuple[str, float]]]] = []
-
-    # -- get-or-create factories ---------------------------------------
-    def counter(self, name: str) -> Counter:
-        inst = self.counters.get(name)
-        if inst is None:
-            inst = self.counters[name] = Counter(name)
-        return inst
 
     def timeseries(self, name: str) -> Series:
         inst = self.series.get(name)
@@ -100,8 +71,8 @@ class MetricsRegistry:
 
     # -- snapshot --------------------------------------------------------
     def counter_values(self) -> Dict[str, float]:
-        """Every counter's current value, sorted by name."""
-        values = {name: counter.value for name, counter in self.counters.items()}
+        """Every source's counters, sorted by name."""
+        values: Dict[str, float] = {}
         for source in self._sources:
             for name, value in source():
                 values[name] = float(value)

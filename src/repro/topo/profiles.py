@@ -106,20 +106,17 @@ def resolve_service_multipliers(
 
 
 def apply_service_multipliers(system, multipliers: Mapping[str, float]) -> int:
-    """Scale every node/manager endpoint service time by its region's factor.
+    """Scale every replica/manager endpoint service time by its region's
+    factor (each component the system built, once).
 
     Returns how many endpoints were touched.  Idempotence is the caller's
     concern (the harness applies this once, right after construction).
     """
     touched = 0
-    groups = [getattr(system, "nodes", {}).values(),
-              getattr(system, "managers", {}).values(),
-              getattr(system, "standby_managers", {}).values()]
-    for group in groups:
-        for member in group:
-            factor = multipliers.get(getattr(member, "region", None))
-            if factor is None or factor == 1.0:
-                continue
-            member.endpoint.service_time *= factor
-            touched += 1
+    for component in system.components:
+        factor = multipliers.get(component.region)
+        if factor is None or factor == 1.0:
+            continue
+        component.endpoint.service_time *= factor
+        touched += 1
     return touched

@@ -82,35 +82,29 @@ class TopoRunner:
 
     def _record(self, event: TopoEvent, result) -> None:
         self.applied.append((self.system.sim.now, event, result))
-        stats = getattr(self.system, "stats", None)
-        if stats is not None and hasattr(stats, "inc"):
-            stats.inc("topo_events")
-            stats.inc(f"topo_{event.kind}")
-        tracer = getattr(self.system, "tracer", None)
+        self.system.stats.inc("topo_events")
+        self.system.stats.inc(f"topo_{event.kind}")
+        tracer = self.system.tracer
         if tracer is not None:
             tracer.emit(self.system.sim.now, "topo", "topo",
                         fault=event.kind, detail=dict(event.args))
 
     # ------------------------------------------------------------------
     def _dispatch_structural(self, event: TopoEvent):
+        """Generator: one structural event.  A system without elastic
+        resharding refuses it by name (``System.reshard`` and friends)."""
         system, args, kind = self.system, event.args, event.kind
-        if not hasattr(system, "reshard"):
-            raise ConfigError(f"{system.name}: topology churn unsupported")
         if kind == "move_shard":
             moved = yield from system.reshard(args["shard"], args["dst"])
             return moved
         if kind == "region_join":
-            stats = getattr(system, "stats", None)
-            if stats is not None:
-                stats.inc("topo_region_joins")
+            system.stats.inc("topo_region_joins")
             moved = []
             for shard in args["shards"]:
                 moved.append((yield from system.reshard(shard, args["region"])))
             return moved
         if kind == "region_leave":
-            stats = getattr(system, "stats", None)
-            if stats is not None:
-                stats.inc("topo_region_leaves")
+            system.stats.inc("topo_region_leaves")
             src = args["region"]
             shards = sorted(system.catalog.shards_in_region(src))
             dst = args.get("dst") or self._leave_target(src)
@@ -132,12 +126,7 @@ class TopoRunner:
             for shard in shards:
                 if len(system.catalog.replicas_of(shard)) <= 1:
                     return None  # never remove a shard's last replica
-            region = system.topology.region_of_node(host)
-            manager = system.managers.get(region)
-            if manager is None:
-                return None
-            yield system.sim.spawn(manager.remove_nodes([host]),
-                                   name=f"topo.remove.{host}")
+            yield system.remove_nodes(system.topology.region_of_node(host), [host])
             return host
         raise ConfigError(f"unknown structural kind {kind!r}")  # unreachable
 

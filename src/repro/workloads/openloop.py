@@ -242,7 +242,7 @@ class OpenLoopEngine:
         self.timing = system.topology.config.timing
         self._running = False
         self._until = 0.0
-        self._tracer = getattr(system, "tracer", None)
+        self._tracer = system.tracer
         # Express eligibility is a whole-trial property: DAST only, no
         # replication (a sole replica makes every single-shard IRT
         # sole-participant), and no tracer (express has no RPC hops to
@@ -251,7 +251,7 @@ class OpenLoopEngine:
             config.express
             and system.name == "dast"
             and system.topology.config.replication == 1
-            and getattr(system, "tracer", None) is None
+            and system.tracer is None
         )
         # The express path always draws from the pool (a workload without
         # a pooled generator draws fresh), the generic path never does.
@@ -281,11 +281,7 @@ class OpenLoopEngine:
         # Large trials cannot afford to retain every submitted txn /
         # executed-log tuple; both ledgers only feed post-hoc audits.
         if not config.keep_records:
-            if hasattr(system, "track_submitted"):
-                system.track_submitted = False
-            for node in getattr(system, "nodes", {}).values():
-                if hasattr(node, "keep_executed_log"):
-                    node.keep_executed_log = False
+            system.keep_records = False
         rate = config.users_per_region * config.txn_per_user_s / 1000.0
         flash_region = config.flash_region
         regions = system.topology.regions
@@ -298,7 +294,6 @@ class OpenLoopEngine:
             by_region.setdefault(binding.region, []).append(binding)
         self.regions: List[_RegionState] = []
         self._rs_by_region: Dict[str, _RegionState] = {}
-        self._sys_stats = getattr(system, "stats", None)
         for region in regions:
             bindings = by_region.get(region)
             if not bindings:
@@ -337,7 +332,7 @@ class OpenLoopEngine:
         """Schedule each region's arrival process up to virtual ``until``."""
         self._running = True
         self._until = until
-        self._tracer = getattr(self.system, "tracer", None)
+        self._tracer = self.system.tracer
         pump = self._pump_chunk if self._chunked else self._pump
         for rs in self.regions:
             first = rs.stream.next_after(self.sim.now)
@@ -620,8 +615,7 @@ class OpenLoopEngine:
             if rs.migrated.get(uid) != dst:
                 moved += 1
             rs.migrated[uid] = dst
-        if self._sys_stats is not None:
-            self._sys_stats.inc("topo_migrated_users", moved)
+        self.system.stats.inc("topo_migrated_users", moved)
         return moved
 
     def _launch_handoff(self, rs: _RegionState, slot: _Slot,
@@ -638,8 +632,7 @@ class OpenLoopEngine:
             # The device is physically in the new region now: charge the
             # client<->coordinator legs at that region's delays.
             slot.client = dst_rs.bindings[0].client
-        if self._sys_stats is not None:
-            self._sys_stats.inc("topo_handoff_txns")
+        self.system.stats.inc("topo_handoff_txns")
         shard = shards[0] if len(shards) == 1 else rs.route_rng.choice(shards)
         self._launch_rpc(rs, slot, shard)
 

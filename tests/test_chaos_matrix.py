@@ -3,7 +3,9 @@
 Every generated scenario is *recoverable* by construction (partitions heal,
 windows close — see ``repro.chaos.generator``), so DAST must come out of
 each one serializable (``audit_dast_run(...).ok``) and with **zero** CRT
-conflict aborts (the paper's R2: cross-region conflicts never abort).
+conflict aborts (the paper's R2: cross-region conflicts never abort).  The
+baselines get the generic network/crash faults and are judged on replica
+agreement.
 
 On failure the test prints the seed plus a delta-debugged minimal
 reproducer, ready to pin as a regression (see
@@ -14,7 +16,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.chaos import FaultPlan, generate_plan, run_chaos_trial, shrink_plan
+from repro.chaos import (ChaosProfile, FaultPlan, generate_plan, run_chaos_trial,
+                         shrink_plan)
 from repro.chaos.runner import DEFAULT_SPEC
 
 # ≥10 seeded scenarios per the chaos-matrix contract; each seed yields a
@@ -55,6 +58,25 @@ class TestChaosMatrix:
         assert report.conflict_aborts == []  # R2: no conflict-driven CRT aborts
         assert report.committed > 0
         assert report.faults_applied == len(plan.events)
+
+
+class TestBaselineChaos:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("system", ["janus", "tapir", "slog"])
+    def test_a_crashed_replica_is_not_a_divergence(self, system, seed):
+        """``repro chaos --system S --seed N``: each plan crashes a replica,
+        which stops applying commits.  The baselines are judged on replica
+        digest agreement, and only live replicas have anything to agree on;
+        comparing the crashed one failed every such run."""
+        spec = replace(DEFAULT_SPEC, system=system, workload="tpcc",
+                       workload_params={}, num_regions=2, shards_per_region=2,
+                       clients_per_region=8, duration_ms=6000.0, seed=seed)
+        plan = generate_plan(seed, num_regions=2, shards_per_region=2,
+                             profile=ChaosProfile(allow_dast_faults=False))
+        assert "crash_node" in {event.kind for event in plan.events}
+        report = run_chaos_trial(plan, spec, drain_ms=6000.0)
+        assert report.ok, report.to_text()
+        assert report.committed > 0
 
 
 class TestPinnedRegressions:

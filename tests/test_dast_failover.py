@@ -10,6 +10,9 @@ read back from ``runner.applied``.
 import pytest
 
 from repro.core.records import TxnStatus
+from repro.errors import ConfigError
+from repro.obs import attach_registry
+from repro.topo import apply_service_multipliers
 from repro.txn.model import Transaction
 from tests.conftest import inject_faults, kv_set, make_dast, submit_and_run
 
@@ -146,6 +149,33 @@ class TestManagerFailover:
         # The view record landed in the region's SMR service.
         leader = system.smr_clusters["r0"].leader
         assert leader.state.get("view", {}).get("manager") == system.managers["r0"].host
+
+    def test_the_failed_manager_stays_in_the_counters(self, dast2):
+        """The registry reads every component the system built: the retired
+        manager's counts happened, so they stay in the artifact, next to the
+        promoted standby's."""
+        registry = attach_registry(dast2)
+        dast2.run(until=dast2.sim.now + 200.0)
+        old = dast2.managers["r1"]
+        new = dast2.fail_manager("r1")
+        dast2.run(until=dast2.sim.now + 200.0)
+        counters = registry.counter_values()
+        for manager in (old, new):
+            beats = manager.stats.get("pct_heartbeats")
+            assert beats > 0 and counters[f"{manager.host}.pct_heartbeats"] == beats
+        assert dast2.standby_managers == {"r0": dast2.standby_managers["r0"]}
+
+    def test_a_service_multiplier_scales_the_promoted_manager_once(self, dast2):
+        new = dast2.fail_manager("r1")
+        service_time = new.endpoint.service_time
+        touched = apply_service_multipliers(dast2, {"r1": 2.0})
+        assert new.endpoint.service_time == 2.0 * service_time
+        assert touched == 3 + 2  # r1's replicas, its retired and its new manager
+
+    def test_a_region_fails_over_once(self, dast2):
+        dast2.fail_manager("r1")
+        with pytest.raises(ConfigError, match="no standby manager"):
+            dast2.fail_manager("r1")
 
 
 class TestReplicaRecovery:

@@ -1,21 +1,7 @@
 """Tests for the virtual-time metrics registry and the Stats bags it reads."""
 
-import pytest
-
-from repro.obs.registry import Counter, MetricsRegistry, Series
+from repro.obs.registry import MetricsRegistry, Series
 from repro.util import Stats
-
-
-class TestCounter:
-    def test_increments(self):
-        c = Counter("x")
-        c.inc()
-        c.inc(2.5)
-        assert c.value == pytest.approx(3.5)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Counter("x").inc(-1)
 
 
 class TestSeries:
@@ -35,12 +21,11 @@ class TestSeries:
 class TestMetricsRegistry:
     def test_get_or_create_is_stable(self):
         reg = MetricsRegistry()
-        assert reg.counter("a") is reg.counter("a")
         assert reg.timeseries("d") is reg.timeseries("d")
 
     def test_snapshot_shape(self):
         reg = MetricsRegistry()
-        reg.counter("sent").inc(4)
+        reg.add_source(lambda: [("sent", 4)])
         reg.timeseries("q").append(0.0, 9)
         snap = reg.snapshot()
         assert snap == {"counters": {"sent": 4.0}, "series": {"q": [(0.0, 9.0)]}}
@@ -54,14 +39,13 @@ class TestMetricsRegistry:
         reg.add_source(lambda: ((f"{host}.{name}", value)
                                 for host, bag in bags.items()
                                 for name, value in bag.counters.items()))
-        reg.counter("own").inc()
         bags["r0.n0"].inc("executed", 5)
-        assert reg.counter_values() == {"own": 1.0, "r0.n0.executed": 5.0}
+        assert reg.counter_values() == {"r0.n0.executed": 5.0}
         bags["r0.g0"] = Stats()  # provisioned mid-run
         bags["r0.g0"].inc("executed")
         bags["r0.n0"].inc("executed")
         values = reg.snapshot()["counters"]
-        assert values == {"own": 1.0, "r0.g0.executed": 1.0, "r0.n0.executed": 6.0}
+        assert values == {"r0.g0.executed": 1.0, "r0.n0.executed": 6.0}
         assert list(values) == sorted(values)
         assert all(isinstance(v, float) for v in values.values())
 

@@ -57,6 +57,24 @@ class TestEngineBasics:
         assert res.summary.committed > 100
 
 
+class TestRecordRetention:
+    @pytest.mark.parametrize("keep", [False, True])
+    def test_a_baseline_honours_the_retention_switch(self, keep):
+        """Only the audits read ``system.submitted``; an open-loop trial
+        without ``keep_records`` retains none of its transactions, whichever
+        system runs it."""
+        spec = TrialSpec(
+            system="tapir", workload="tpca", num_regions=2, shards_per_region=1,
+            clients_per_region=2, duration_ms=500.0, warmup_ms=0.0,
+            cooldown_ms=0.0,
+            open_loop={"users_per_region": 50, "txn_per_user_s": 4.0,
+                       "keep_records": keep})
+        result = run_trial(spec.to_trial())
+        assert result.summary.committed > 0
+        assert result.system.keep_records is keep
+        assert bool(result.system.submitted) is keep
+
+
 class TestChunkedMatchesPerArrival:
     @staticmethod
     def _openloop_shape(**open_loop) -> TrialSpec:

@@ -160,16 +160,27 @@ class TestFaultComposition:
         assert counters.get("topo_migrated_users", 0) > 0, counters
 
 
+_JOINED = None
+
+
+def joined_result():
+    """An observed churn trial whose ``region_join`` provisions ``r3.g0``."""
+    global _JOINED
+    if _JOINED is None:
+        plan = TopologyPlan(name="join").add(
+            900.0, "region_join", region="r3", shards=["s0"])
+        trial = replace(_spec(3), topology=plan.to_dict()).to_trial()
+        trial.obs = True
+        _JOINED = run_trial(trial)
+    return _JOINED
+
+
 class TestGuestCounters:
     def test_registry_reads_replicas_provisioned_mid_trial(self):
         """A guest replica inherits the tracer when a ``region_join``
         provisions it; its counters reach the registry too, because the
         registry reads whatever bags exist when the snapshot is taken."""
-        plan = TopologyPlan(name="join").add(
-            900.0, "region_join", region="r3", shards=["s0"])
-        trial = replace(_spec(3), topology=plan.to_dict()).to_trial()
-        trial.obs = True
-        result = run_trial(trial)
+        result = joined_result()
         system = result.system
         guests = [host for host in system.nodes if host.startswith("r3.g")]
         assert guests, sorted(system.nodes)
@@ -179,6 +190,23 @@ class TestGuestCounters:
         for host, node in system.nodes.items():
             for name, count in node.stats.counters.items():
                 assert counters[f"{host}.{name}"] == count
+
+    def test_probes_sample_a_guest_once_it_exists(self):
+        """The probes were registered before the join; they read the system
+        at every tick, so ``r3.g0`` gets an ``executed`` series from the
+        join on and counts in the aggregates."""
+        result = joined_result()
+        system = result.system
+        guest = system.nodes["r3.g0"]
+        series = result.obs.registry.series["executed.r3.g0"]
+        assert series.times()[0] > 900.0
+        assert 0 < series.last() <= len(guest.executed_log)
+        assert len(guest.wait_q) > 0  # so the live read below is tested
+        nodes = list(system.nodes.values())
+        probes = dict(result.obs.probes.probes)
+        assert probes["waitq_depth"]() == sum(len(n.wait_q) for n in nodes)
+        assert probes["readyq_depth"]() == sum(len(n.ready_q) for n in nodes)
+        assert probes["stretch_count"]() == system.total_stretches()
 
 
 class TestMigrationSpans:
