@@ -199,7 +199,7 @@ def _shared_crt_times(system) -> List:
         for rec in node.records.values():
             if not rec.is_crt:
                 continue
-            for ts in (getattr(rec, "ts", None), getattr(rec, "anticipated_ts", None)):
+            for ts in (rec.ts, rec.anticipated_ts):
                 if ts is not None:
                     by_time.setdefault(ts.time, {})[rec.txn_id] = ts
     return sorted((time, txns) for time, txns in by_time.items() if len(txns) > 1)

@@ -61,7 +61,12 @@ class TxnStatus:
 
 
 class TxnRecord:
-    """One node's view of one relevant transaction."""
+    """One node's view of one relevant transaction.
+
+    A CRT this node knows by id only (an announcement, an early output push
+    or an abort outran its body) has ``txn`` None and is built with its
+    ``txn_id``; :meth:`DastNode._record` gives it the body when it comes.
+    """
 
     __slots__ = (
         "txn", "txn_id", "is_crt", "coordinator", "status", "ts",
@@ -72,17 +77,18 @@ class TxnRecord:
 
     def __init__(
         self,
-        txn: Transaction,
+        txn: Optional[Transaction],
         is_crt: bool,
         coordinator: str,
         status: str = TxnStatus.PREPARED,
+        txn_id: Optional[str] = None,
     ):
         self.txn = txn
         # Materialized copy of txn.txn_id: record ids key every queue and map
-        # on the hot path, and a record's txn is never swapped after
-        # construction (pool recycling re-ids a txn only after its express
-        # record has already been executed and dropped).
-        self.txn_id = txn.txn_id
+        # on the hot path, and a record's txn is set once (pool recycling
+        # re-ids a txn only after its express record has already been
+        # executed and dropped).
+        self.txn_id = txn.txn_id if txn is not None else txn_id
         self.is_crt = is_crt
         self.coordinator = coordinator
         self.status = status
@@ -103,6 +109,8 @@ class TxnRecord:
         self.t_order_ready = 0.0  # head-of-queue and all clocks passed
         self.t_input_ready = 0.0
         self.t_executed = 0.0
+        # Each relay (commit, input-ready, abort) leaves this node once.
+        self._relayed = self._input_announced = self._abort_relayed = False
 
     def input_ready(self) -> bool:
         return self.needed <= frozenset(self.inputs)

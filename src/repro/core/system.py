@@ -29,12 +29,12 @@ from repro.consensus.smr import SmrCluster
 from repro.core.failure_detector import FailureDetector
 from repro.core.manager import DastManager
 from repro.core.node import DastNode
-from repro.errors import ConfigError, RpcTimeout
+from repro.errors import ConfigError
 from repro.sim.clocks import ClockSource
 from repro.sim.kernel import Event, Simulator
 from repro.sim.network import Network
 from repro.sim.rng import RngRegistry
-from repro.sim.rpc import Endpoint, RpcRemoteError
+from repro.sim.rpc import Endpoint
 from repro.sim.trace import trace_client_rpc
 from repro.storage.catalog import Catalog
 from repro.storage.shard import Shard
@@ -285,10 +285,7 @@ class DastSystem(System):
 
     def _build_node(self, host: str, shard: Shard, source: ClockSource,
                     nid: int) -> DastNode:
-        node = DastNode(self, host, shard, source, nid)
-        node.dclock.stretch_enabled = self.variant["stretch"]
-        node.dclock.calibration_enabled = self.variant["calibration"]
-        return node
+        return DastNode(self, host, shard, source, nid)
 
     def _build_region(self, region: str, nid: int) -> int:
         if self.with_smr:
@@ -297,14 +294,9 @@ class DastSystem(System):
             (self.topology.manager_of(region), True),
             (self.topology.manager_backup_of(region), False),
         ):
-            manager = DastManager(
-                self.sim, self.network, self.topology, self.catalog, self.timing,
-                mgr_host, region, self._clock_source(mgr_host, self.clock_skew), nid,
-                smr=self.smr_clusters.get(region), active=active,
-            )
-            manager.managers = self.manager_directory
-            manager.dclock.calibration_enabled = self.variant["calibration"]
-            manager.anticipation_enabled = self.variant["anticipation"]
+            manager = DastManager(self, mgr_host, region,
+                                  self._clock_source(mgr_host, self.clock_skew), nid,
+                                  active)
             nid += 1
             self.components.append(manager)
             (self.managers if active else self.standby_managers)[region] = manager
@@ -389,17 +381,15 @@ class DastSystem(System):
         self._guest_seq[region] = seq + 1
         return f"{region}.g{seq}"
 
-    def _call_until_acked(self, endpoint: Endpoint, dst: str, msg,
-                          timeout: float):
-        """Generator: retry ``endpoint.call`` until acked or ``dst`` dies."""
-        while True:
-            try:
-                yield endpoint.call(dst, msg, timeout=timeout)
-                return
-            except (RpcTimeout, RpcRemoteError):
-                self.stats.inc("topo_retransmissions")
-                if self.network.is_down(dst):
-                    return
+    def member_timeout(self, region: str, dst: str) -> float:
+        """How long a node or manager of ``region`` waits for ``dst`` before
+        resending.  Members are usually intra-region, but during an elastic
+        shard move (repro.topo) migrating replicas sit in another region: an
+        intra-region timeout there is shorter than the one-way delay, so
+        every call would time out and retransmit forever."""
+        if self.topology.region_of_node(dst) == region:
+            return 4 * self.timing.intra_region_rtt
+        return 4 * self.timing.cross_region_rtt
 
     def _shard_quiesced(self, shard_id: str, hosts: Sequence[str]) -> bool:
         """No manager anticipates, and no donor replica coordinates or
@@ -483,17 +473,18 @@ class DastSystem(System):
                 mgr_dst.members.append(host)
         dst_view = ViewSync(shard=shard_id, region=dst_region,
                             manager=mgr_dst.host, members=list(mgr_dst.members))
+        flip_timeout = 4 * self.timing.intra_region_rtt
         for host in list(mgr_dst.members):
-            yield from self._call_until_acked(
-                mgr_dst.endpoint, host, dst_view,
-                timeout=4 * self.timing.intra_region_rtt)
+            yield from mgr_dst.endpoint.call_until(
+                host, dst_view, flip_timeout, lambda: self.network.is_down(host),
+                self.stats, "topo_retransmissions")
         src_members = [m for m in mgr_src.members if m not in guests]
         src_view = ViewSync(shard=shard_id, region=src_region,
                             manager=None, members=list(src_members))
         for host in src_members:
-            yield from self._call_until_acked(
-                mgr_src.endpoint, host, src_view,
-                timeout=4 * self.timing.intra_region_rtt)
+            yield from mgr_src.endpoint.call_until(
+                host, src_view, flip_timeout, lambda: self.network.is_down(host),
+                self.stats, "topo_retransmissions")
         mgr_src.members = src_members
         # Phase 5 — thaw once the shared catalog reflects the removal (the
         # RemoveCommit lands at a surviving member and prunes the donors),

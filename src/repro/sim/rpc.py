@@ -36,6 +36,7 @@ from typing import Any, Callable, Dict, Mapping, Optional, Sequence
 from repro.errors import ProtocolError, RpcTimeout
 from repro.sim.kernel import Event, Process, Simulator
 from repro.sim.network import Network
+from repro.util import Stats
 from repro.wire.schema import (
     Encoded,
     WireMessage,
@@ -308,6 +309,24 @@ class Endpoint:
         if timeout is not None:
             self.sim.schedule(timeout, self._expire, rpc_id, dst, method)
         return event
+
+    def call_until(self, dst: str, msg: WireMessage, timeout: float,
+                   stop: Callable[[], bool], stats: Stats,
+                   counter: str = "retransmissions"):
+        """Generator: :meth:`call` ``dst`` until it answers, and return the
+        answer.  Each failed try (a timeout or a remote error) counts one
+        ``counter`` in ``stats`` and then asks ``stop()``: once that holds,
+        no further call is made and the generator returns ``None``.
+
+        Run it with ``yield from`` inside a process, or spawn it: it
+        schedules nothing of its own beyond the calls."""
+        while True:
+            try:
+                return (yield self.call(dst, msg, timeout=timeout))
+            except (RpcTimeout, RpcRemoteError):
+                stats.inc(counter)
+                if stop():
+                    return None
 
     def _expire(self, rpc_id: int, dst: str, method: str) -> None:
         event = self._pending.pop(rpc_id, None)

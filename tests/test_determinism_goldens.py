@@ -159,6 +159,34 @@ class TestHotPathHygiene:
             + "\n".join(offenders)
         )
 
+    # Resending until answered is one primitive, Endpoint.call_until: under
+    # core/, a caught RPC failure is either a single probe or a retry loop
+    # that changes destination on each try.  Each is listed by name.
+    RPC_FAILURE_CATCHERS = {
+        "failure_detector.py:FailureDetector._probe",  # one ping, one miss
+        "manager.py:DastManager.add_replica",  # the TransferCkpt donor switch
+    }
+
+    def test_rpc_failures_are_caught_only_where_listed(self):
+        import ast
+
+        found = set()
+        for path in sorted((SRC / "core").rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            for cls in [None, *[n for n in tree.body if isinstance(n, ast.ClassDef)]]:
+                body = tree.body if cls is None else cls.body
+                for fn in body:
+                    if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        continue
+                    for node in ast.walk(fn):
+                        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                            caught = {n.id for n in ast.walk(node.type)
+                                      if isinstance(n, ast.Name)}
+                            if caught & {"RpcTimeout", "RpcRemoteError"}:
+                                owner = fn.name if cls is None else f"{cls.name}.{fn.name}"
+                                found.add(f"{path.relative_to(SRC / 'core')}:{owner}")
+        assert found == self.RPC_FAILURE_CATCHERS
+
     # Raw process forking is banned outright: process fan-out goes through
     # multiprocessing's spawn context (repro.fleet, repro.chaos.parallel),
     # which never inherits mutable simulation state.

@@ -7,6 +7,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.network import Network
 from repro.sim.rng import RngRegistry
 from repro.sim.rpc import Endpoint, RpcRemoteError
+from repro.util import Stats
 from repro.wire.messages import Suspect
 from repro.wire.schema import WireMessage, message
 
@@ -150,6 +151,49 @@ class TestRequestResponse:
         b.register("m", lambda s, p: None)
         with pytest.raises(ProtocolError):
             b.register("m", lambda s, p: None)
+
+
+class TestCallUntil:
+    """The one retransmission primitive: every reliable send in DAST's
+    nodes, managers and view flips resends through it."""
+
+    @staticmethod
+    def slow_then_answer(sim, slow_tries, arrivals):
+        """A handler that lets its first ``slow_tries`` requests time out."""
+
+        def handler(src, payload):
+            arrivals.append(sim.now)
+            if len(arrivals) <= slow_tries:
+                yield sim.timeout(50.0)
+            return payload.value
+
+        return handler
+
+    def test_answer_after_k_timeouts_counts_k_retries(self, setup):
+        sim, _net, a, b = setup
+        arrivals = []
+        b.register(NOTE, self.slow_then_answer(sim, 3, arrivals))
+        stats = Stats()
+        proc = sim.spawn(a.call_until("r0.b", Note(7), 10.0, lambda: False, stats,
+                                      "resent"))
+        sim.run()
+        assert proc.ok and proc.value == 7
+        assert len(arrivals) == 4
+        assert stats.get("resent") == 3
+        assert stats.get("retransmissions") == 0  # the caller's counter only
+
+    def test_no_call_once_the_stop_rule_holds(self, setup):
+        sim, net, a, b = setup
+        b.register(NOTE, lambda src, p: p.value)
+        net.partition_hosts("r0.a", "r0.b")
+        stats = Stats()
+        proc = sim.spawn(a.call_until("r0.b", Note(7), 10.0,
+                                      lambda: stats.get("retransmissions") == 2, stats))
+        sim.run()
+        assert proc.ok and proc.value is None
+        assert stats.get("retransmissions") == 2
+        assert net.stats.messages_sent == 2  # two tries, no third
+        assert sim.now == pytest.approx(20.0)
 
 
 class TestOneWay:
