@@ -115,6 +115,36 @@ class TestPinnedRegressions:
         assert report.conflict_aborts == []
 
 
+    def test_a_late_prep_remote_never_reacquires_a_resolved_crt(self, monkeypatch, capsys):
+        """``repro chaos --seed 0``: prep_remotes resent under loss arrive
+        after their CRT was resolved.  The manager used to re-create the
+        pending entry, whose floor then held every member's clock for ten
+        cross-region RTTs (four times in this run)."""
+        from repro.cli import main
+        from repro.core.manager import DastManager
+
+        resolved, reacquired = set(), []
+        resolve, prep = DastManager._resolve, DastManager.on_prep_remote
+
+        def spy_resolve(self, txn_id):
+            if txn_id in self.pending:
+                resolved.add((self.host, txn_id))
+            resolve(self, txn_id)
+
+        def spy_prep(self, src, payload):
+            reply = prep(self, src, payload)
+            key = (self.host, payload.txn.txn_id)
+            if key in resolved and key[1] in self.pending:
+                reacquired.append(key)
+            return reply
+
+        monkeypatch.setattr(DastManager, "_resolve", spy_resolve)
+        monkeypatch.setattr(DastManager, "on_prep_remote", spy_prep)
+        assert main(["chaos", "--seed", "0", "--no-shrink"]) == 0
+        assert " OK" in capsys.readouterr().out
+        assert resolved and reacquired == []
+
+
 class TestOraclePopulation:
     def test_completions_of_the_drain_are_judged_and_losses_reported(self, monkeypatch):
         """The judge's population is everything the recorder was handed.

@@ -119,6 +119,32 @@ class TestAnticipation:
         assert txn.txn_id not in manager.pending
         assert manager.stats.get("pending_gc") == 1
 
+    def test_resent_prep_after_resolution_holds_no_floor(self, mgr):
+        system, manager = mgr
+        txn = crt_txn()
+        payload = prep_payload(system, txn)
+        first = manager.on_prep_remote("r0.n0", payload)
+        manager.on_crt_update(
+            "r1.n0",
+            CrtUpdate(txn_id=txn.txn_id, txn=txn, coord="r0.n0",
+                      commit_ts=Timestamp(0.0, 0, 0), input_ready=True),
+        )
+        late = manager.on_prep_remote("r0.n0", payload)  # a retransmission
+        assert late["anticipated_ts"] == first["anticipated_ts"]
+        assert txn.txn_id not in manager.pending
+        assert manager._pending_floor() is None
+        assert manager.stats.get("crt_anticipated") == 1
+
+    def test_resolved_ids_are_forgotten_at_the_gc_horizon(self, mgr):
+        system, manager = mgr
+        txn = crt_txn()
+        manager.on_prep_remote("r0.n0", prep_payload(system, txn))
+        manager.on_abort_crt("r0.mgr", AbortCrt(txn_id=txn.txn_id))
+        assert txn.txn_id in manager.resolved
+        system.run(until=system.sim.now + 12 * system.timing.cross_region_rtt)
+        manager._gc_pending()
+        assert manager.resolved == {}
+
     def test_dispatch_reaches_only_local_participants(self, mgr):
         system, manager = mgr
         txn = crt_txn()
@@ -134,6 +160,23 @@ class TestAnticipation:
             assert rec is None or rec.anticipated_ts != manager.pending.get(
                 txn.txn_id
             )
+
+
+class TestViewChangeRetries:
+    def test_remove_prep_retries_are_counted(self, mgr):
+        """Every manager retry counts under ``retransmissions``; the
+        RemovePrep round used to count none."""
+        system, manager = mgr
+        network = system.network
+        network.partition_hosts(manager.host, "r1.n2")
+        removal = system.remove_nodes("r1", ["r1.n0"])
+        system.run(until=system.sim.now + 3.5 * system.member_timeout("r1", "r1.n2"))
+        assert not removal.triggered  # r1.n2 owes its RemovePrep answer
+        network.heal_hosts(manager.host, "r1.n2")
+        system.run(until=system.sim.now + 100.0)
+        assert removal.ok and removal.value["ok"]
+        assert manager.stats.get("retransmissions") >= 3
+        assert "r1.n0" not in manager.members
 
 
 class TestAnticipationSkewCoupling:
