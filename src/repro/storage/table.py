@@ -4,11 +4,16 @@ Rows are plain dicts validated against a :class:`TableSchema`.  Tables are
 deterministic containers: iteration orders and index lookups are stable, so
 replicas that apply the same operations in the same order reach bit-identical
 state (checked by :meth:`Table.digest`).
+
+Stored rows are copy-on-write: an update stores a new dict and never mutates
+the one it replaces, so a row handed out by reference stays a snapshot of the
+moment it was read.
 """
 
 from __future__ import annotations
 
 import hashlib
+from operator import itemgetter
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import DuplicateKeyError, MissingRowError, StorageError
@@ -37,16 +42,23 @@ class TableSchema:
         self.columns = tuple(columns)
         self.primary_key = tuple(primary_key)
         self.indexes = {iname: tuple(cols) for iname, cols in (indexes or {}).items()}
-        # Columns an update may touch (everything but the primary key) —
-        # precomputed so hot update paths can validate with one set check.
-        self.updatable = frozenset(self.columns) - frozenset(self.primary_key)
+        # Column sets precomputed so hot paths validate with one set check:
+        # all columns (inserts), and those an update may touch (everything
+        # but the primary key).
+        self.column_set = frozenset(self.columns)
+        self.updatable = self.column_set - frozenset(self.primary_key)
         for iname, cols in self.indexes.items():
             bad = [c for c in cols if c not in columns]
             if bad:
                 raise StorageError(f"index {iname!r} on {name!r}: unknown columns {bad}")
-
-    def key_of(self, row: Dict[str, Any]) -> Key:
-        return tuple(row[c] for c in self.primary_key)
+        # key_of(row) -> the row's primary-key tuple.
+        if len(self.primary_key) == 1:
+            column = self.primary_key[0]
+            self.key_of = lambda row: (row[column],)
+        elif self.primary_key:
+            self.key_of = itemgetter(*self.primary_key)
+        else:
+            self.key_of = lambda row: ()
 
 
 class Table:
@@ -62,18 +74,23 @@ class Table:
     # ------------------------------------------------------------------
     # Row operations
     # ------------------------------------------------------------------
-    def insert(self, row: Dict[str, Any]) -> None:
-        unknown = set(row) - set(self.schema.columns)
-        if unknown:
-            raise StorageError(f"{self.schema.name}: unknown columns {sorted(unknown)}")
-        key = self.schema.key_of(row)
+    def insert(self, row: Dict[str, Any], key: Optional[Key] = None) -> None:
+        """Store a copy of ``row``; ``key`` is its primary key when the
+        caller has already computed it."""
+        schema = self.schema
+        if not row.keys() <= schema.column_set:
+            unknown = row.keys() - schema.column_set
+            raise StorageError(f"{schema.name}: unknown columns {sorted(unknown)}")
+        if key is None:
+            key = schema.key_of(row)
         if key in self._rows:
-            raise DuplicateKeyError(f"{self.schema.name}: duplicate key {key}")
+            raise DuplicateKeyError(f"{schema.name}: duplicate key {key}")
         stored = dict(row)
         self._rows[key] = stored
-        for iname, cols in self.schema.indexes.items():
-            ikey = tuple(stored.get(c) for c in cols)
-            self._indexes[iname].setdefault(ikey, []).append(key)
+        if self._indexes:
+            for iname, cols in schema.indexes.items():
+                ikey = tuple(stored.get(c) for c in cols)
+                self._indexes[iname].setdefault(ikey, []).append(key)
 
     def get(self, key: Key) -> Dict[str, Any]:
         """Return a *copy* of the row (callers must write via :meth:`update`)."""
@@ -86,30 +103,35 @@ class Table:
         row = self._rows.get(tuple(key))
         return dict(row) if row is not None else None
 
-    def update(self, key: Key, changes: Dict[str, Any]) -> None:
+    def update(self, key: Key, changes: Dict[str, Any]) -> Dict[str, Any]:
+        """Store the row with ``changes`` applied as a new dict (the old one
+        is left untouched); returns the replaced row."""
         key = tuple(key)
         row = self._rows.get(key)
+        schema = self.schema
         if row is None:
-            raise MissingRowError(f"{self.schema.name}: no row with key {key}")
-        unknown = set(changes) - set(self.schema.columns)
-        if unknown:
-            raise StorageError(f"{self.schema.name}: unknown columns {sorted(unknown)}")
-        touched_pk = set(changes) & set(self.schema.primary_key)
-        if touched_pk:
-            raise StorageError(f"{self.schema.name}: cannot update primary key columns {sorted(touched_pk)}")
-        for iname, cols in self.schema.indexes.items():
-            if set(changes) & set(cols):
+            raise MissingRowError(f"{schema.name}: no row with key {key}")
+        if not changes.keys() <= schema.updatable:
+            unknown = changes.keys() - schema.column_set
+            if unknown:
+                raise StorageError(f"{schema.name}: unknown columns {sorted(unknown)}")
+            touched_pk = changes.keys() & set(schema.primary_key)
+            raise StorageError(f"{schema.name}: cannot update primary key columns {sorted(touched_pk)}")
+        new = {**row, **changes}
+        if self._indexes:
+            for iname, cols in schema.indexes.items():
+                if changes.keys().isdisjoint(cols):
+                    continue
+                index = self._indexes[iname]
                 old_ikey = tuple(row.get(c) for c in cols)
-                bucket = self._indexes[iname].get(old_ikey, [])
+                bucket = index.get(old_ikey, [])
                 if key in bucket:
                     bucket.remove(key)
                     if not bucket:
-                        del self._indexes[iname][old_ikey]
-        row.update(changes)
-        for iname, cols in self.schema.indexes.items():
-            if set(changes) & set(cols):
-                new_ikey = tuple(row.get(c) for c in cols)
-                self._indexes[iname].setdefault(new_ikey, []).append(key)
+                        del index[old_ikey]
+                index.setdefault(tuple(new.get(c) for c in cols), []).append(key)
+        self._rows[key] = new
+        return row
 
     def delete(self, key: Key) -> None:
         key = tuple(key)

@@ -1,10 +1,12 @@
 """Deterministic piece execution shared by every system under test.
 
 ``execute_on_shard`` runs all of a transaction's pieces that touch one shard,
-in piece-index order, against a write buffer.  The buffer gives each
-(transaction, shard) pair atomicity under user-level conditional aborts: if
-any piece raises :class:`ConditionalAbort`, no write of the transaction
-reaches the shard.  Because bodies are deterministic and inputs identical,
+in piece-index order, atomically: if any piece raises
+:class:`ConditionalAbort`, no write of the transaction is left on the shard.
+An execution that applies its writes writes through (:class:`DirectStore`)
+and rolls its undo log back on an abort; a deferred execution, which must not
+touch the shard, buffers its writes (:class:`BufferedStore`) and hands them
+back as an op list.  Because bodies are deterministic and inputs identical,
 every replica of the shard makes the same decision (§4.1).
 """
 
@@ -14,11 +16,12 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import MissingRowError, UnknownTableError
 from repro.storage.shard import Shard
+from repro.storage.table import Table
 from repro.txn.model import ConditionalAbort, PieceContext, Transaction
 
 __all__ = [
     "BufferedStore", "DirectStore", "ExpressExecutor", "execute_on_shard",
-    "execute_express", "execute_serially", "apply_ops", "ExecOutcome",
+    "execute_serially", "apply_ops", "ExecOutcome",
 ]
 
 
@@ -28,7 +31,9 @@ class BufferedStore:
     Reads observe the transaction's own buffered writes.  ``flush`` applies
     the buffered operations to the underlying shard in issue order.  When
     ``record`` is true, key-level read/write sets are captured for OCC
-    validation (used by the Tapir baseline).
+    validation (used by the Tapir baseline).  It serves the executions that
+    must leave the shard untouched: deferred execution (Tapir), and
+    :func:`execute_serially`, the auditor's independent reference replay.
     """
 
     def __init__(self, shard: Shard, record: bool = False):
@@ -152,28 +157,32 @@ class BufferedStore:
 
 
 class DirectStore:
-    """Write-through shard view with an undo log (express fast path).
+    """Write-through shard view with an undo log.
 
-    Observable behaviour matches :class:`BufferedStore` for a *committed*
-    single-piece transaction: reads see the transaction's own writes (they
-    are applied immediately).  On :class:`ConditionalAbort` the caller
-    invokes :meth:`rollback`, which reverses the applied operations,
-    restoring buffered-store atomicity.  Used only by the express
-    execution path, where no read/write-set recording is needed.
+    Every execution that applies its writes runs through it: the express
+    path (:class:`ExpressExecutor`) and ``execute_on_shard`` with
+    ``apply_writes=True, record=False`` (DAST, Janus, SLOG).  Writes reach
+    the shard at once, so reads see the transaction's own writes, as they
+    do through :class:`BufferedStore`.  On :class:`ConditionalAbort` the
+    caller invokes :meth:`rollback`, which puts back every row the
+    execution replaced, removed or added: no write is left behind.  A
+    commit costs nothing beyond the writes themselves.
 
-    Two deliberate divergences from the generic stores, both safe under
-    the piece-body contract (rows are read-only views; all writes go
-    through :meth:`update`): reads return the *live* stored row instead of
-    a copy, and updates of non-indexed tables skip per-call schema
-    re-validation (a cheap updatable-column set check still rejects
-    primary-key and unknown-column writes).
+    Reads return the *stored* row, not a copy.  That is safe because rows
+    are copy-on-write (an update stores a new dict, see
+    :class:`~repro.storage.table.Table`): a row a body read before its own
+    update still holds the values it read.  Bodies treat rows as read-only
+    and write only through :meth:`update`.  Updates of non-indexed tables
+    skip per-call schema re-validation (one updatable-column set check
+    still rejects primary-key and unknown-column writes).
     """
 
     __slots__ = ("_shard", "_undo")
 
     def __init__(self, shard: Shard):
         self._shard = shard
-        self._undo: List[Tuple] = []
+        # (table, key, the row before the write, or None if there was none)
+        self._undo: List[Tuple[Table, Tuple, Optional[Dict[str, Any]]]] = []
 
     # -- reads ----------------------------------------------------------
     def get(self, table: str, key: Tuple) -> Dict[str, Any]:
@@ -218,41 +227,46 @@ class DirectStore:
         if tbl._indexes or not changes.keys() <= tbl.schema.updatable:
             # Indexed tables (and out-of-schema writes, which must raise
             # the same errors as everywhere else) take the validated path.
-            prior = tbl.try_get(key)
-            if prior is None:
-                raise MissingRowError(f"{table}: no row with key {key}")
-            self._undo.append(
-                ("update", table, key, {c: prior[c] for c in changes}))
-            tbl.update(key, changes)
+            self._undo.append((tbl, key, tbl.update(key, changes)))
             return
-        row = tbl._rows.get(key)
+        rows = tbl._rows
+        row = rows.get(key)
         if row is None:
             raise MissingRowError(f"{table}: no row with key {key}")
-        self._undo.append(("update", table, key, {c: row[c] for c in changes}))
-        row.update(changes)
+        self._undo.append((tbl, key, row))
+        rows[key] = {**row, **changes}
 
     def insert(self, table: str, row: Dict[str, Any]) -> None:
-        key = self._shard.table(table).schema.key_of(row)
-        self._undo.append(("delete", table, key, None))
-        self._shard.insert(table, row)
+        shard = self._shard
+        shard.ops_applied += 1
+        try:
+            tbl = shard.tables[table]
+        except KeyError:
+            raise UnknownTableError(
+                f"shard {shard.shard_id}: no table {table!r}") from None
+        key = tbl.schema.key_of(row)
+        tbl.insert(row, key)
+        self._undo.append((tbl, key, None))
 
     def delete(self, table: str, key: Tuple) -> None:
+        shard = self._shard
+        shard.ops_applied += 1
+        tbl = shard.table(table)
         key = tuple(key)
-        prior = self._shard.try_get(table, key)
-        if prior is None:
-            raise MissingRowError(f"{table}: no row with key {key}")
-        self._undo.append(("insert", table, key, prior))
-        self._shard.delete(table, key)
+        prior = tbl._rows.get(key)
+        tbl.delete(key)
+        self._undo.append((tbl, key, prior))
 
     def rollback(self) -> None:
-        for op, table, key, payload in reversed(self._undo):
-            if op == "update":
-                self._shard.update(table, key, payload)
-            elif op == "insert":
-                self._shard.insert(table, payload)
-            else:
-                self._shard.delete(table, key)
-        self._undo = []
+        """Put back, newest first, every row this execution replaced,
+        removed or added."""
+        undo = self._undo
+        while undo:
+            tbl, key, prior = undo.pop()
+            if key in tbl._rows:
+                tbl.delete(key)
+            if prior is not None:
+                tbl.insert(prior, key)
 
 
 class ExecOutcome:
@@ -295,10 +309,17 @@ def execute_on_shard(
     ``preload_ops`` seeds the store with the transaction's earlier buffered
     writes.  Returns the produced outputs; on a conditional abort no write is
     applied and ``aborted`` is set.
+
+    An execution that applies its writes and records nothing writes through
+    (:class:`DirectStore`); any other buffers (:class:`BufferedStore`).
     """
-    store = BufferedStore(shard, record=record)
-    if preload_ops:
-        store.preload(preload_ops)
+    direct = apply_writes and not record and not preload_ops
+    if direct:
+        store = DirectStore(shard)
+    else:
+        store = BufferedStore(shard, record=record)
+        if preload_ops:
+            store.preload(preload_ops)
     env: Dict[str, Any] = dict(txn.params)
     env.update(external_inputs)
     outputs: Dict[str, Any] = {}
@@ -318,6 +339,9 @@ def execute_on_shard(
             env.update(ctx.outputs)
             outputs.update(ctx.outputs)
     except ConditionalAbort as abort:
+        if direct:
+            store.rollback()
+            return ExecOutcome(outputs, aborted=True, abort_reason=abort.reason)
         return ExecOutcome(
             outputs,
             aborted=True,
@@ -325,6 +349,13 @@ def execute_on_shard(
             read_set=store.read_set,
             write_set=store.write_set,
         )
+    except BaseException:
+        # Any other failure propagates, leaving no write behind either.
+        if direct:
+            store.rollback()
+        raise
+    if direct:
+        return ExecOutcome(outputs)
     ops = [] if apply_writes else store.buffered_ops
     if apply_writes:
         store.flush()
@@ -339,7 +370,7 @@ class ExpressExecutor:
     One instance lives on each :class:`~repro.core.node.DastNode`; the
     store, piece context, and committed-outcome objects are reused across
     millions of executions, so a committed express execution allocates
-    nothing beyond what the piece body itself creates.  The returned
+    nothing beyond what the piece body and its writes create.  The returned
     outcome is only valid until the next :meth:`run` call — the express
     completion callback consumes it synchronously (scalars only), which is
     the calling contract.
@@ -381,18 +412,6 @@ class ExpressExecutor:
         outcome = self._outcome
         outcome.outputs = outputs
         return outcome
-
-
-def execute_express(txn: Transaction, shard: Shard) -> ExecOutcome:
-    """Run a *single-piece, no-external-inputs* transaction on ``shard``.
-
-    Semantically identical to ``execute_on_shard(txn, piece.shard_id,
-    shard, {})`` for that shape, but writes through with an undo log
-    instead of buffering — roughly a third of the dict churn.  One-shot
-    wrapper around :class:`ExpressExecutor` for tests and occasional
-    callers; the node hot path holds a reusable instance instead.
-    """
-    return ExpressExecutor(shard).run(txn)
 
 
 def apply_ops(shard: Shard, ops: List[Tuple]) -> None:

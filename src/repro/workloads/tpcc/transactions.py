@@ -59,9 +59,12 @@ def build_new_order(
     item_ids = [i for i, _sw, _q in lines]
 
     def home_body(ctx) -> None:
+        items = []
         for i_id in item_ids:
-            if ctx.store.try_get("item", (i_id,)) is None:
+            item = ctx.store.try_get("item", (i_id,))
+            if item is None:
                 ctx.abort("invalid item")
+            items.append(item)
         ctx.store.get("warehouse", (w_id,))
         district = ctx.store.get("district", (w_id, d_id))
         o_id = district["d_next_o_id"]
@@ -75,9 +78,8 @@ def build_new_order(
         )
         ctx.store.insert("new_order", {"no_w_id": w_id, "no_d_id": d_id, "no_o_id": o_id})
         total = 0.0
-        for number, (i_id, supply_w, qty) in enumerate(lines):
-            price = ctx.store.get("item", (i_id,))["i_price"]
-            amount = price * qty
+        for number, ((i_id, supply_w, qty), item) in enumerate(zip(lines, items)):
+            amount = item["i_price"] * qty
             total += amount
             ctx.store.insert(
                 "order_line",

@@ -295,7 +295,14 @@ class TestProfiler:
 
 def _count_calls(scopes, run):
     """Python calls made inside each function of ``scopes`` (code object
-    -> name) while ``run()`` executes, and how often each was entered."""
+    -> name) while ``run()`` executes, and how often each was entered.
+
+    The cyclic garbage collector stays off while counting: a collection
+    inside a scope closes the suspended generators of earlier, unreachable
+    simulations there, and each close is a Python call the scope did not
+    make.
+    """
+    import gc
     import sys
 
     calls = dict.fromkeys(scopes.values(), 0)
@@ -318,12 +325,17 @@ def _count_calls(scopes, run):
             if depth == 0:
                 scope = None
 
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
     previous = sys.getprofile()
     sys.setprofile(count)
     try:
         run()
     finally:
         sys.setprofile(previous)
+        if collecting:
+            gc.enable()
     return calls, entered
 
 
@@ -437,3 +449,43 @@ class TestExpressPathCost:
         per_txn = self._calls_per_txn()
         assert per_txn == self._calls_per_txn()  # the count repeats exactly
         assert per_txn <= self.CALLS_PER_EXPRESS_TXN * 1.1, per_txn
+
+
+# ---------------------------------------------------------------------------
+# What one applying piece execution costs (docs/PERF.md, "Pieces write
+# through"): counted, not timed.  A TPC-C new-order home piece with ten home
+# lines runs through ``execute_on_shard`` the way DAST, Janus and SLOG run
+# it: applying its writes, recording nothing.
+# ---------------------------------------------------------------------------
+class TestPieceExecutionCost:
+    # Python-level calls per execution, measured when applying executions
+    # began to write through (463 through the write buffer); +10 %.
+    CALLS_PER_NEW_ORDER_HOME = 81
+
+    @staticmethod
+    def _calls_per_execution():
+        from repro.config import Topology, TopologyConfig
+        from repro.storage.shard import Shard
+        from repro.txn.executor import execute_on_shard
+        from repro.workloads.tpcc import build_new_order, load_warehouse, tpcc_schemas
+
+        topology = Topology(TopologyConfig(num_regions=1, shards_per_region=1))
+        shard = Shard(topology.shard_name(0), tpcc_schemas())
+        load_warehouse(shard, 0)
+        lines = [(i_id, 0, 5) for i_id in range(0, 100, 10)]
+        txn = build_new_order(topology, w_id=0, d_id=1, c_id=3, lines=lines)
+        outcomes = []
+
+        def run():
+            for _ in range(20):
+                outcomes.append(execute_on_shard(txn, shard.shard_id, shard, {}))
+
+        calls, entered = _count_calls({execute_on_shard.__code__: "execute"}, run)
+        assert entered["execute"] == 20
+        assert not any(outcome.aborted for outcome in outcomes)
+        return calls["execute"] / 20
+
+    def test_calls_per_new_order_home_piece(self):
+        per_execution = self._calls_per_execution()
+        assert per_execution == self._calls_per_execution()  # repeats exactly
+        assert per_execution <= self.CALLS_PER_NEW_ORDER_HOME * 1.1, per_execution

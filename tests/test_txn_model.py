@@ -3,15 +3,29 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.config import Topology, TopologyConfig
 from repro.errors import CyclicDependencyError, MissingRowError, TransactionError
 from repro.storage.shard import Shard
 from repro.storage.table import TableSchema
-from repro.txn.executor import BufferedStore, execute_on_shard
+from repro.txn.executor import (
+    BufferedStore,
+    DirectStore,
+    ExpressExecutor,
+    apply_ops,
+    execute_on_shard,
+    execute_serially,
+)
 from repro.txn.model import ConditionalAbort, Piece, Transaction
+from repro.workloads.tpca import TpcaWorkload, _account_update
+from repro.workloads.tpcc import load_warehouse, tpcc_schemas
 
 
 def kv_schema():
     return TableSchema("kv", ["k", "v"], ["k"])
+
+
+def indexed_kv_schema():
+    return TableSchema("ix", ["k", "v"], ["k"], indexes={"by_v": ["v"]})
 
 
 def make_shard(values):
@@ -260,6 +274,73 @@ class TestExecuteOnShard:
 
         assert run() == run()
 
+    def test_failure_other_than_abort_leaves_no_write(self):
+        shard = make_shard({"a": 1})
+
+        def p0(ctx):
+            ctx.store.update("kv", ("a",), {"v": 99})
+            ctx.store.get("kv", ("ghost",))
+
+        txn = Transaction("t", [Piece(0, "s0", p0)])
+        with pytest.raises(MissingRowError):
+            execute_on_shard(txn, "s0", shard, {})
+        assert shard.get("kv", ("a",))["v"] == 1
+
+
+def _tpca_account_case():
+    """The TPC-A body, which reads ``account["balance"]`` after its update."""
+    workload = TpcaWorkload(Topology(TopologyConfig(num_regions=1, shards_per_region=1)))
+    shard = Shard("s0", workload.schemas())
+    workload.load(shard, 0)  # every balance 1000
+    piece = Piece(0, "s0", _account_update((0, 5), (0, 5), (0,), 7, 1),
+                  produces=("balance_0_5",))
+    return shard, piece, "balance_0_5", ("account", (0, 5), "balance"), 1007
+
+
+def _tpcc_customer_case():
+    """The same shape on ``customer``, whose ``by_last`` index sends the
+    update through ``Table.update``."""
+    shard = Shard("s0", tpcc_schemas())
+    load_warehouse(shard, 0)
+    key = (0, 1, 3)
+    expected = shard.get("customer", key)["c_balance"] + 7
+
+    def body(ctx):
+        customer = ctx.store.get("customer", key)
+        ctx.store.update("customer", key, {"c_balance": customer["c_balance"] + 7})
+        ctx.put("c_balance", customer["c_balance"] + 7)
+
+    piece = Piece(0, "s0", body, produces=("c_balance",))
+    return shard, piece, "c_balance", ("customer", key, "c_balance"), expected
+
+
+class TestReadBeforeOwnUpdateIsASnapshot:
+    """A row a body read stays the row it read, even after the body's own
+    update of it, on every execution path.  Writing through without
+    copy-on-write rows would hand the TPC-A body 1014 instead of 1007."""
+
+    @staticmethod
+    def _run(path, shard, txn):
+        if path == "apply":
+            return execute_on_shard(txn, "s0", shard, {}).outputs
+        if path == "deferred":
+            outcome = execute_on_shard(txn, "s0", shard, {},
+                                       apply_writes=False, record=True)
+            apply_ops(shard, outcome.ops)
+            return outcome.outputs
+        if path == "express":
+            return dict(ExpressExecutor(shard).run(txn).outputs)
+        return execute_serially(txn, {"s0": shard}).outputs
+
+    @pytest.mark.parametrize("path", ["apply", "deferred", "express", "serial"])
+    @pytest.mark.parametrize("case", [_tpca_account_case, _tpcc_customer_case],
+                             ids=["tpca-account", "tpcc-customer"])
+    def test_output_and_stored_row_are_balance_plus_delta(self, case, path):
+        shard, piece, var, (table, key, column), expected = case()
+        outputs = self._run(path, shard, Transaction("t", [piece]))
+        assert outputs[var] == expected
+        assert shard.get(table, key)[column] == expected
+
 
 class TestShardCycleDetection:
     """§4.1/§5: circular cross-shard value dependencies are rejected."""
@@ -310,43 +391,56 @@ class TestShardCycleDetection:
 
 
 class TestBufferedStoreEquivalence:
-    """Property: buffering + flush is observationally identical to applying
-    the same operations directly."""
+    """Property: buffering + flush, and writing through with an undo log,
+    are each observationally identical to applying the same operations
+    directly; rolling the undo log back restores the starting shard."""
 
-    @given(st.lists(st.tuples(st.sampled_from(["ins", "upd", "del"]),
-                              st.integers(0, 8), st.integers(0, 99)),
+    @given(st.lists(st.tuples(st.sampled_from(["kv", "ix"]),
+                              st.sampled_from(["ins", "upd", "del"]),
+                              st.integers(0, 8), st.integers(0, 9)),
                     max_size=30))
     @settings(max_examples=80, deadline=None)
     def test_flush_equals_direct_application(self, ops):
-        from hypothesis import assume
-        from repro.txn.executor import BufferedStore
-
         def fresh():
-            shard = Shard("s0", [kv_schema()])
-            for k in range(4):
-                shard.insert("kv", {"k": k, "v": 0})
+            # "ix" is indexed, so its updates take Table.update's path.
+            shard = Shard("s0", [kv_schema(), indexed_kv_schema()])
+            for table in ("kv", "ix"):
+                for k in range(4):
+                    shard.insert(table, {"k": k, "v": 0})
             return shard
+
+        def lookups(target):
+            return [target.lookup("ix", "by_v", (v,)) for v in range(10)]
 
         direct = fresh()
         buffered_shard = fresh()
         store = BufferedStore(buffered_shard)
+        through_shard = fresh()
+        start = (through_shard.digest(), lookups(through_shard))
+        through = DirectStore(through_shard)
 
-        def apply(target, op, k, v):
-            """Apply with identical error-handling on both sides."""
+        def apply(target, table, op, k, v):
+            """Apply with identical error-handling on every side."""
             if op == "ins":
-                if target.try_get("kv", (k,)) is None:
-                    target.insert("kv", {"k": k, "v": v})
+                if target.try_get(table, (k,)) is None:
+                    target.insert(table, {"k": k, "v": v})
             elif op == "upd":
-                if target.try_get("kv", (k,)) is not None:
-                    target.update("kv", (k,), {"v": v})
+                if target.try_get(table, (k,)) is not None:
+                    target.update(table, (k,), {"v": v})
             else:
-                if target.try_get("kv", (k,)) is not None:
-                    target.delete("kv", (k,))
+                if target.try_get(table, (k,)) is not None:
+                    target.delete(table, (k,))
 
-        for op, k, v in ops:
-            apply(direct, op, k, v)
-            apply(store, op, k, v)
+        for table, op, k, v in ops:
+            for target in (direct, store, through):
+                apply(target, table, op, k, v)
             # Mid-stream reads agree too.
-            assert store.try_get("kv", (k,)) == direct.try_get("kv", (k,))
+            expected = direct.try_get(table, (k,))
+            assert store.try_get(table, (k,)) == expected
+            assert through.try_get(table, (k,)) == expected
+            assert lookups(through) == lookups(direct)
         store.flush()
         assert buffered_shard.digest() == direct.digest()
+        assert through_shard.digest() == direct.digest()
+        through.rollback()
+        assert (through_shard.digest(), lookups(through_shard)) == start
