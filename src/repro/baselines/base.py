@@ -40,7 +40,7 @@ class BaselineNode:
         # txn_id -> {"shards", "reports", "done"} while gathering ExecDones.
         self.coordinating: Dict[str, dict] = {}
         self.stats = Stats()
-        self.tracer = None  # optional repro.sim.trace.Tracer
+        self.tracer = None  # optional repro.obs.trace.Tracer
 
     def _trace(self, kind: str, **fields) -> None:
         if self.tracer is not None:

@@ -50,9 +50,6 @@ class Trial:
         clock_skew: float = 0.0,
         variant: Optional[dict] = None,
         obs: bool = False,
-        obs_interval: float = 50.0,
-        obs_capacity: int = 500_000,
-        obs_causal: bool = False,
         obs_wire: bool = False,
         fault_plan=None,
         request_timeout: float = 10000.0,
@@ -75,17 +72,13 @@ class Trial:
         self.timing = timing or TimingConfig()
         self.clock_skew = clock_skew
         self.variant = variant  # DAST ablation flags (ignored by baselines)
-        # Observability: when True the trial runs with a tracer + metrics
-        # registry + periodic probes attached and exposes the bundle on the
-        # TrialResult.  Off by default: an unobserved trial does zero
-        # instrumentation work.
+        # Observability: when True the trial runs with the causal tracer +
+        # metrics registry + periodic probes attached and exposes the bundle
+        # on the TrialResult.  Off by default: an unobserved trial does zero
+        # instrumentation work.  The trace context rides the RPC envelopes in
+        # a separate byte lane, so latency/byte results are identical with
+        # this on or off.
         self.obs = obs
-        self.obs_interval = obs_interval
-        self.obs_capacity = obs_capacity
-        # Causal tracing: record cross-node span trees (implies obs).  The
-        # trace context rides the RPC envelopes in a separate byte lane, so
-        # latency/byte results are identical with this on or off.
-        self.obs_causal = obs_causal
         # Wire-stream capture: record every delivered frame as a
         # (time, src, dst, type, size) tuple on network.wire_log.  The
         # golden canary digests this stream, so protocol changes that
@@ -230,6 +223,19 @@ def _reset_global_id_streams() -> None:
     tpcc_transactions._history_ids = itertools.count(1)
 
 
+def _express_eligible(trial: Trial, open_cfg) -> bool:
+    """Whether the open-loop engine may take its express path.  DAST with
+    one replica only (a sole replica makes every single-shard IRT
+    sole-participant), and nothing that needs the general path: a tracer
+    (express has no RPC hops to trace), a topology plan (the express path
+    bypasses the submit-side freeze check), service multipliers (it models
+    one uniform CPU cost) or retained records (it recycles its
+    transactions through a pool)."""
+    return (trial.system == "dast" and trial.replication == 1 and not trial.obs
+            and trial.topology_plan is None and not trial.service_multipliers
+            and not open_cfg.keep_records)
+
+
 def run_trial(trial: Trial, hooks: Optional[Callable] = None) -> TrialResult:
     """Execute one trial; ``hooks(system, recorder)`` runs once, after the
     system has started and its clients are spawned and before the simulation
@@ -275,12 +281,6 @@ def run_trial(trial: Trial, hooks: Optional[Callable] = None) -> TrialResult:
         from repro.workloads.openloop import OpenLoopConfig
 
         open_cfg = OpenLoopConfig.from_dict(trial.open_loop)
-        if topo_plan is not None or service_mults or open_cfg.keep_records:
-            # The express path bypasses the submit-side freeze check, models
-            # a uniform CPU cost and recycles its transactions through a
-            # pool; dynamic topology, heterogeneous service times and
-            # retained records each need the fully general path.
-            open_cfg.express = False
     recorder = LatencyRecorder(
         warm_start=trial.warmup_ms,
         warm_end=trial.duration_ms - trial.cooldown_ms,
@@ -290,12 +290,10 @@ def run_trial(trial: Trial, hooks: Optional[Callable] = None) -> TrialResult:
         keep_results=open_cfg is None or open_cfg.keep_records,
     )
     bundle = None
-    if trial.obs or trial.obs_causal:
+    if trial.obs:
         from repro.obs import attach_obs
 
-        bundle = attach_obs(system, capacity=trial.obs_capacity,
-                            probe_interval=trial.obs_interval,
-                            causal=trial.obs_causal)
+        bundle = attach_obs(system, capacity=500_000)
     if trial.obs_wire:
         system.network.wire_log = []
     system.start()
@@ -304,7 +302,8 @@ def run_trial(trial: Trial, hooks: Optional[Callable] = None) -> TrialResult:
         from repro.workloads.openloop import OpenLoopEngine
 
         engine = OpenLoopEngine(system, workload, open_cfg, recorder,
-                                request_timeout=trial.request_timeout)
+                                request_timeout=trial.request_timeout,
+                                express=_express_eligible(trial, open_cfg))
         engine.start(until=trial.duration_ms)
         clients = [engine]
     else:

@@ -2,15 +2,14 @@
 
 One trial is one command: ``repro run`` builds a :class:`TrialSpec` from the
 trial flags (or reads one with ``--spec``), runs it once, and hangs any of
-``--attach obs,trace,profile,audit`` on that one simulation.
+``--attach obs,profile,audit`` on that one simulation.
 
 Examples::
 
     python -m repro run --system dast --workload tpcc --regions 3
     python -m repro run --system slog --workload payment --crt-ratio 0.4
-    python -m repro run --regions 3 --attach obs --out artifacts
-    python -m repro run --workload tpcc --attach trace   # causal trace + attribution
-    python -m repro run --attach obs,trace,profile,audit --out artifacts
+    python -m repro run --workload tpcc --attach obs   # phases + critical paths
+    python -m repro run --attach obs,profile,audit --out artifacts
     python -m repro run --spec artifacts/spec.json  # the same trial again
     python -m repro experiment fig2 table3
     python -m repro experiment fig2 fig8 --jobs 4   # parallel, cached
@@ -76,9 +75,12 @@ EXPERIMENTS = {
 }
 
 # What ``repro run --attach`` can hang on the one simulation.
-ATTACHMENTS = ("obs", "trace", "profile", "audit")
-# The trace report's sizes: slow-transaction exemplars printed, transactions
-# in a Chrome trace-event export.
+ATTACHMENTS = ("obs", "profile", "audit")
+# Removed ``repro <name>`` subcommands -> the attachment that replaced each.
+REMOVED_SUBCOMMANDS = {"obs": "obs", "trace": "obs", "profile": "profile",
+                       "audit": "audit"}
+# The critical-path report's sizes: slow-transaction exemplars printed,
+# transactions in a Chrome trace-event export.
 SLOWEST_EXEMPLARS = 3
 CHROME_TRACE_LIMIT = 200
 
@@ -175,12 +177,12 @@ def _load_plan(plan_cls, path: str, flag: str):
         raise ConfigError(f"cannot read {flag} plan: {exc}") from exc
 
 
-def _print_trace_report(result) -> None:
-    """Critical-path attribution tables and the slowest transactions of a
-    causally-traced trial."""
+def _print_trace_report(bundle) -> None:
+    """Critical-path attribution tables and the slowest transactions of an
+    observed trial."""
     from repro.obs import attribution, render_attribution, render_exemplar, slowest
 
-    traces = result.obs.traces()
+    traces = bundle.traces()
     for label, crt in (("CRT", True), ("IRT", False)):
         table = attribution(traces.values(), crt=crt)
         if table["txns"]:
@@ -194,9 +196,9 @@ def _print_trace_report(result) -> None:
             print(render_exemplar(trace, path_result))
     orphans = sum(len(t.orphans()) for t in traces.values())
     print()
-    print(f"traces={len(traces)} partial_spans={result.obs.partial_count()} "
-          f"orphan_spans={orphans} "
-          f"trace_ctx_bytes={result.system.network.stats.trace_bytes_sent}")
+    print(f"traces={len(traces)} partial_spans={bundle.partial_count()} "
+          f"orphan_spans={orphans} dropped={bundle.tracer.dropped} "
+          f"trace_ctx_bytes={bundle.system.network.stats.trace_bytes_sent}")
 
 
 def _write_artifacts(directory: str, result, profile) -> None:
@@ -211,11 +213,11 @@ def _write_artifacts(directory: str, result, profile) -> None:
         written.append("obs.jsonl")
         written += sorted(os.path.basename(path)
                           for path in export_csv(bundle, directory).values())
-        if bundle.causal:  # load in chrome://tracing or ui.perfetto.dev
-            export_chrome(bundle.traces().values(),
-                          os.path.join(directory, "trace_events.json"),
-                          limit=CHROME_TRACE_LIMIT)
-            written.append("trace_events.json")
+        # Load in chrome://tracing or ui.perfetto.dev.
+        export_chrome(bundle.traces().values(),
+                      os.path.join(directory, "trace_events.json"),
+                      limit=CHROME_TRACE_LIMIT)
+        written.append("trace_events.json")
     if profile is not None:
         _write_json(os.path.join(directory, "profile.json"), profile.to_dict())
         written.append("profile.json")
@@ -232,10 +234,10 @@ def cmd_run(args) -> int:
     if "audit" in attach and spec.system != "dast":
         raise ConfigError(
             f"--attach audit: no serializability auditor for --system "
-            f"{spec.system} yet (ROADMAP item 5); only dast can be audited")
+            f"{spec.system} yet (it needs a protocol-independent "
+            f"serializability oracle); only dast can be audited")
     trial = spec.to_trial()
     trial.obs = "obs" in attach
-    trial.obs_causal = "trace" in attach
     if args.out:
         try:
             os.makedirs(args.out, exist_ok=True)
@@ -267,8 +269,7 @@ def cmd_run(args) -> int:
 
         print()
         print(render_report(result.obs))
-    if "trace" in attach:
-        _print_trace_report(result)
+        _print_trace_report(result.obs)
     if profile is not None:
         print()
         print(profile.to_text())
@@ -566,6 +567,9 @@ def cmd_topo(args) -> int:
 def _attachments(text: str) -> frozenset:
     """argparse type of ``--attach``: a comma-separated subset of ATTACHMENTS."""
     names = frozenset(name for name in text.split(",") if name)
+    if "trace" in names:
+        raise argparse.ArgumentTypeError(
+            "the trace attachment was folded into obs: use --attach obs")
     unknown = sorted(names - set(ATTACHMENTS))
     if unknown:
         raise argparse.ArgumentTypeError(
@@ -642,8 +646,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--attach", type=_attachments, default=frozenset(),
                        metavar="LIST",
                        help="comma-separated instruments on this one run: "
-                            "obs (phase spans + probes), trace (causal "
-                            "critical-path attribution), profile (cProfile + "
+                            "obs (causal traces: phase spans, critical-path "
+                            "attribution, probes), profile (cProfile + "
                             "kernel hot callbacks), audit (drain, then verify "
                             "serializability; dast only)")
     run_p.add_argument("--out", metavar="DIR", default=None,
@@ -751,10 +755,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in ATTACHMENTS:
+    if argv and argv[0] in REMOVED_SUBCOMMANDS:
         parser.error(f"the `{argv[0]}` subcommand was removed: use "
-                     f"`repro run --attach {argv[0]}` with the same trial flags "
-                     f"(files go under `--out DIR`)")
+                     f"`repro run --attach {REMOVED_SUBCOMMANDS[argv[0]]}` with "
+                     f"the same trial flags (files go under `--out DIR`)")
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

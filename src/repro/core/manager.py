@@ -135,7 +135,7 @@ class DastManager:
         # manager's current time instead of one estimated RTT in the future
         # (the §3.2 strawman).
         self.anticipation_enabled = system.variant["anticipation"]
-        self.tracer = None  # optional repro.sim.trace.Tracer
+        self.tracer = None  # optional repro.obs.trace.Tracer
         self._running = False
         self.reports = ReportLedger(
             sim, self.endpoint, self.stats, timing.pct_interval, self.dclock,

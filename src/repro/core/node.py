@@ -122,7 +122,7 @@ class DastNode(CoordinatorMixin):
         # The replica this node last sent a checkpoint to, and what it covers.
         self._ckpt_donor_state: Optional[Dict[str, Any]] = None
         self.stats = Stats()
-        self.tracer = None  # optional repro.sim.trace.Tracer
+        self.tracer = None  # optional repro.obs.trace.Tracer
         self._running = False
         self.reports = ReportLedger(
             sim, self.endpoint, self.stats, timing.pct_interval, self.dclock,

@@ -35,7 +35,6 @@ from repro.sim.kernel import Event, Simulator
 from repro.sim.network import Network
 from repro.sim.rng import RngRegistry
 from repro.sim.rpc import Endpoint
-from repro.sim.trace import trace_client_rpc
 from repro.storage.catalog import Catalog
 from repro.storage.shard import Shard
 from repro.storage.table import TableSchema
@@ -171,17 +170,12 @@ class System:
             self.client_endpoints[client] = endpoint
         if self.keep_records:
             self.submitted[txn.txn_id] = txn
-        tracer = self.tracer
-        if tracer is not None and tracer.causal:
-            # Causal tracing: open the root span and issue the submit under
-            # its context so the request hop parents to it.
-            event = tracer.traced_submit(endpoint, client, node_host,
+        if self.tracer is None:
+            return endpoint.call(node_host, Submit(txn=txn), timeout=timeout)
+        # Traced: open the root span and issue the submit under its context
+        # so the request hop parents to it.
+        return self.tracer.traced_submit(endpoint, client, node_host,
                                          Submit(txn=txn), txn.txn_id, timeout)
-        else:
-            event = endpoint.call(node_host, Submit(txn=txn), timeout=timeout)
-        if tracer is not None:
-            trace_client_rpc(self.sim, tracer, client, txn.txn_id, event)
-        return event
 
     # ------------------------------------------------------------------
     # Fault injection

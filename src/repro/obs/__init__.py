@@ -1,10 +1,11 @@
-"""Unified observability layer: metrics, phase spans, probes, exporters.
+"""Unified observability layer: the tracer, metrics, phase spans, probes,
+critical paths, exporters.
 
 See ``docs/OBSERVABILITY.md`` for the full tour.  Quick start::
 
     from repro.obs import attach_obs, render_report
 
-    bundle = attach_obs(system)      # tracer + registry + probes
+    bundle = attach_obs(system)      # causal tracer + registry + probes
     ... run the trial ...
     print(render_report(bundle))     # phase breakdowns + probe sparklines
 """
@@ -27,7 +28,7 @@ from repro.obs.critical_path import (
     slowest,
 )
 from repro.obs.export import export_csv, export_jsonl, render_report, sparkline
-from repro.obs.trace import CausalTracer, HopSpan, RootSpan, TxnTrace, build_traces
+from repro.obs.trace import HopSpan, RootSpan, TraceEvent, Tracer, TxnTrace, build_traces
 from repro.obs.probes import ProbeRunner, standard_probes
 from repro.obs.registry import MetricsRegistry, Series
 from repro.obs.spans import (
@@ -57,7 +58,8 @@ __all__ = [
     "PhaseSpan",
     "assemble_spans",
     "phase_breakdown",
-    "CausalTracer",
+    "Tracer",
+    "TraceEvent",
     "HopSpan",
     "RootSpan",
     "TxnTrace",

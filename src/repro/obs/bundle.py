@@ -15,27 +15,18 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.obs.probes import ProbeRunner, standard_probes
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import PhaseSpan, assemble_spans, phase_breakdown
+from repro.obs.trace import Tracer, TxnTrace, build_traces
 
 __all__ = ["ObsBundle", "attach_tracer", "attach_registry", "attach_probes", "attach_obs"]
 
 
-def attach_tracer(system, kinds=None, hosts=None, capacity: int = 200_000,
-                  causal: bool = False):
-    """Attach one shared :class:`~repro.sim.trace.Tracer` system-wide.
-
-    With ``causal=True`` a :class:`repro.obs.trace.CausalTracer` is attached
-    instead and hooked into the network's RPC layer, so every message hop is
-    recorded into per-transaction span trees (see ``docs/TRACING.md``).
-    """
-    if causal:
-        from repro.obs.trace import CausalTracer
-
-        tracer = CausalTracer(kinds=kinds, hosts=hosts, capacity=capacity)
-        system.network.causal = tracer
-    else:
-        from repro.sim.trace import Tracer
-
-        tracer = Tracer(kinds=kinds, hosts=hosts, capacity=capacity)
+def attach_tracer(system, capacity: int = 200_000) -> Tracer:
+    """Attach one shared :class:`~repro.obs.trace.Tracer` system-wide: to
+    every component's emit sites, to the client submit path, and to the
+    network's RPC layer, so every message hop is recorded into
+    per-transaction span trees (see ``docs/TRACING.md``)."""
+    tracer = Tracer(capacity=capacity)
+    system.network.tracer = tracer
     for component in system.components:
         component.tracer = tracer
     system.tracer = tracer
@@ -81,42 +72,36 @@ def attach_probes(system, interval: float = 50.0,
 
 
 class ObsBundle:
-    """Everything one observed trial produced, with lazy span assembly."""
+    """Everything one observed trial produced; the trace trees and the
+    phase spans read off them are assembled on first use."""
 
-    def __init__(self, system, tracer, registry: MetricsRegistry,
+    def __init__(self, system, tracer: Tracer, registry: MetricsRegistry,
                  probes: Optional[ProbeRunner] = None):
         self.system = system
         self.tracer = tracer
         self.registry = registry
         self.probes = probes
         self._spans: Optional[List[PhaseSpan]] = None
-        self._traces = None
+        self._traces: Optional[Dict[str, TxnTrace]] = None
+
+    def traces(self, refresh: bool = False) -> Dict[str, TxnTrace]:
+        """Per-transaction causal trees, in submit order."""
+        if self._traces is None or refresh:
+            self._traces = build_traces(self.tracer)
+        return self._traces
 
     def spans(self, refresh: bool = False,
               include_partial: bool = False) -> List[PhaseSpan]:
         if self._spans is None or refresh:
-            self._spans = assemble_spans(self.tracer, include_partial=True)
+            self._spans = assemble_spans(self.traces(refresh).values(),
+                                         include_partial=True)
         if include_partial:
             return self._spans
         return [s for s in self._spans if not s.partial]
 
     def partial_count(self) -> int:
-        """Transactions surfaced as partial spans (truncated or in flight)."""
+        """Transactions surfaced as partial spans (still in flight)."""
         return sum(1 for s in self.spans(include_partial=True) if s.partial)
-
-    @property
-    def causal(self) -> bool:
-        return bool(getattr(self.tracer, "causal", False))
-
-    def traces(self, refresh: bool = False):
-        """Per-transaction causal trees (causal attachment only)."""
-        if not self.causal:
-            return {}
-        if self._traces is None or refresh:
-            from repro.obs.trace import build_traces
-
-            self._traces = build_traces(self.tracer)
-        return self._traces
 
     def breakdown(self, crt: Optional[bool] = None) -> List[Dict]:
         return phase_breakdown(self.spans(), crt=crt)
@@ -126,13 +111,12 @@ class ObsBundle:
             self.probes.stop()
 
 
-def attach_obs(system, kinds=None, hosts=None, capacity: int = 200_000,
-               probe_interval: float = 50.0, causal: bool = False) -> ObsBundle:
+def attach_obs(system, capacity: int = 200_000,
+               probe_interval: float = 50.0) -> ObsBundle:
     """One-call full attachment: tracer + registry + probes."""
     tracer = system.tracer
     if tracer is None:
-        tracer = attach_tracer(system, kinds=kinds, hosts=hosts,
-                               capacity=capacity, causal=causal)
+        tracer = attach_tracer(system, capacity=capacity)
     registry = attach_registry(system)
     probes = attach_probes(system, interval=probe_interval, registry=registry)
     bundle = ObsBundle(system, tracer, registry, probes)

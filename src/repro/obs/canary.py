@@ -18,7 +18,7 @@ depends only on observable behaviour, never on allocation order.
   ``max(rel * |golden|, abs_floor)``; anything beyond is a violation.  A
   latency violation names the **offending hop**: the critical-path segment
   whose per-transaction mean grew the most, plus a one-line ``repro run
-  --attach trace --spec <file>`` command that re-runs the scenario's exact
+  --attach obs --spec <file>`` command that re-runs the scenario's exact
   :class:`TrialSpec` locally.
 
 The CI ``canary`` job captures goldens on the base ref and compares the PR
@@ -121,7 +121,7 @@ def run_scenario(spec: TrialSpec, timing_override: Optional[Mapping] = None):
         merged.update(timing_override)
         spec = replace(spec, timing=merged)
     trial = spec.to_trial()
-    trial.obs_causal = True
+    trial.obs = True
     trial.obs_wire = True
     return run_trial(trial)
 
@@ -163,7 +163,7 @@ def _serialize_traces(traces: Mapping) -> List[Dict]:
         out.append({
             "root": root,
             "hops": hop_dicts,
-            "marks": sorted([t, host, kind] for t, host, kind in trace.marks),
+            "marks": sorted([m.time, m.host, m.kind] for m in trace.marks),
         })
     return out
 
@@ -275,7 +275,7 @@ def repro_command(spec: TrialSpec, directory: str = ".") -> str:
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, f"{spec.label}.spec.json")
     spec.dump(path)
-    return f"python -m repro run --attach trace --spec {path}"
+    return f"python -m repro run --attach obs --spec {path}"
 
 
 def _offending_hop(golden_hops: List[Dict], candidate_hops: List[Dict]) -> Optional[Dict]:

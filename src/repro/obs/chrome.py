@@ -85,10 +85,10 @@ def chrome_events(traces: Iterable[TxnTrace],
                          "queue_ms": h.queue_ms, "service_ms": h.service_ms,
                          "size": h.size},
             })
-        for t, host, mark_kind in trace.marks:
+        for mark in trace.marks:
             events.append({
-                "name": mark_kind, "cat": "phase", "ph": "i", "s": "t",
-                "ts": _us(t), "pid": pid(host), "tid": 1,
+                "name": mark.kind, "cat": "phase", "ph": "i", "s": "t",
+                "ts": _us(mark.time), "pid": pid(mark.host), "tid": 1,
                 "args": {"trace_id": root.trace_id},
             })
     meta = []

@@ -149,18 +149,17 @@ def critical_path(trace: TxnTrace) -> Optional[PathResult]:
         return None
     t0, t1 = root.t0, root.t1
     total = t1 - t0
-    # Marks grouped by host (phase marks only carry time/host/kind).
-    # ``arrival`` marks are kept aside: an open-loop root is anchored at the
+    # Marks grouped by host.  ``arrival`` marks are kept aside: an open-loop root is anchored at the
     # *intended* arrival time while the arrival mark sits at the launch
     # instant, and the gap between the two is client-side queueing — it gets
     # its own named segment below instead of a generic host:arrival split.
     marks_by_host: Dict[str, List[Tuple[float, str]]] = {}
     arrival_marks: List[float] = []
-    for t, host, kind in trace.marks:
-        if kind == "arrival":
-            arrival_marks.append(t)
+    for mark in trace.marks:
+        if mark.kind == "arrival":
+            arrival_marks.append(mark.time)
             continue
-        marks_by_host.setdefault(host, []).append((t, kind))
+        marks_by_host.setdefault(mark.host, []).append((mark.time, mark.kind))
     delivered = [h for h in trace.hops
                  if h.status == "delivered" and h.t_recv is not None]
     by_dst: Dict[str, List[HopSpan]] = {}

@@ -57,8 +57,8 @@ def export_jsonl(bundle: ObsBundle, path: str) -> int:
             "type": "meta",
             "system": bundle.system.name,
             "virtual_now_ms": bundle.system.sim.now,
-            "trace_events": len(tracer.events) if tracer is not None else 0,
-            "trace_dropped": getattr(tracer, "dropped", 0) if tracer is not None else 0,
+            "trace_events": len(tracer.events),
+            "trace_dropped": tracer.dropped,
         })
         for name, value in snapshot["counters"].items():
             emit({"type": "counter", "name": name, "value": value})
@@ -134,8 +134,8 @@ def render_report(bundle: ObsBundle, max_series: Optional[int] = None) -> str:
     partial = bundle.partial_count()
     if partial:
         chunks.append(f"partial spans: {partial} transaction(s) without a "
-                      f"complete submit..reply pair (in flight at trial end "
-                      f"or events truncated) — excluded from the breakdown")
+                      f"reply (in flight at trial end) — excluded from the "
+                      f"breakdown")
         chunks.append("")
 
     series = sorted(bundle.registry.series.items())
@@ -155,7 +155,8 @@ def render_report(bundle: ObsBundle, max_series: Optional[int] = None) -> str:
         chunks.append("")
 
     tracer = bundle.tracer
-    if tracer is not None and getattr(tracer, "dropped", 0):
-        chunks.append(f"WARNING: tracer dropped {tracer.dropped} events "
-                      f"(capacity {tracer.capacity}); spans may be incomplete")
+    if tracer.dropped:
+        chunks.append(f"WARNING: tracer dropped {tracer.dropped} records "
+                      f"(capacity {tracer.capacity} events, {tracer.max_hops} "
+                      f"hops); spans may be incomplete")
     return "\n".join(chunks).rstrip() + "\n"

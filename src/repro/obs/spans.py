@@ -1,8 +1,8 @@
-"""Per-transaction phase spans assembled from tracer events.
+"""Per-transaction phase spans: a view of the causal trace trees.
 
 A :class:`PhaseSpan` decomposes one transaction's client-observed latency
 into consecutive protocol phases, reproducing the shape of the paper's
-Tables 3/4 (CRT commit-path breakdown) from runtime events instead of
+Tables 3/4 (CRT commit-path breakdown) from runtime traces instead of
 coordinator bookkeeping:
 
 * **CRT** (2DA): ``submit -> anticipate -> dispatch -> ready -> execute
@@ -11,32 +11,29 @@ coordinator bookkeeping:
   pass the timestamp (order-ready), for execution, and for the reply to
   travel back to the client.
 * **IRT**: ``submit -> timestamp -> execute -> reply``.
-* Systems without phase events (the baselines) degrade to a single
+* Systems without phase marks (the baselines) degrade to a single
   ``reply`` phase covering the whole round trip.
 * **Open-loop** transactions (:mod:`repro.workloads.openloop`) carry an
-  ``arrival`` event whose ``intended`` field is the arrival instant the
-  generator drew.  Such spans are anchored at the *intended* time and gain
-  a leading ``queue`` phase (intended -> first submit) covering client-side
-  backlog delay, so the span total is the open-loop latency — immune to
-  coordinated omission, matching what ``LatencyRecorder`` reports for an
-  arrival handed in with its intended time.
+  ``arrival`` mark, and their root span is anchored at the *intended*
+  arrival instant the generator drew.  Such spans gain a leading ``queue``
+  phase (intended -> first submit) covering client-side backlog delay, so
+  the span total is the open-loop latency — immune to coordinated omission,
+  matching what ``LatencyRecorder`` reports for an arrival handed in with
+  its intended time.
 
-Boundary times are picked from the **critical path** — the latest event of
-each kind not after the reply — and clamped monotone, so phase durations
-always telescope: their sum equals the client-observed latency *exactly*.
-A re-submitted transaction (client retry) contributes one span from its
-first ``submit`` to its last ``reply``, with ``retries`` counting the
-extra submissions.
+A span's start, end, retries and CRT flag are its trace's root span
+(:class:`repro.obs.trace.RootSpan`): a re-submitted transaction (client
+retry) contributes one span from its first submit to its last reply.  The
+interior boundaries are picked from the trace's marks along the **critical
+path** — the latest mark of each kind not after the reply — and clamped
+monotone, so phase durations always telescope: their sum equals the
+client-observed latency *exactly*.
 
-Transactions whose events were truncated (tracer capacity hit, or still in
-flight at trial end) have no complete submit..reply pair.  By default they
-are skipped; with ``include_partial=True`` they are surfaced as explicit
-**partial** spans (``span.partial`` set, phases covering whatever events
-survived) so summaries can report how many transactions were dropped from
-the breakdown instead of silently under-counting.  A span whose ``submit``
-event was truncated but whose ``arrival`` survived is *not* partial — the
-arrival anchors its start, so the submit..reply pair is recoverable (this
-previously under-counted complete open-loop spans).
+A transaction still in flight at trial end has an open root.  By default
+it is skipped; with ``include_partial=True`` it is surfaced as an explicit
+**partial** span (``span.partial`` set, phases covering whatever marks
+survived) so summaries can report how many transactions were left out of
+the breakdown instead of silently under-counting.
 """
 
 from __future__ import annotations
@@ -44,10 +41,11 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.bench.metrics import percentile
+from repro.obs.trace import TxnTrace
 
 __all__ = ["PhaseSpan", "assemble_spans", "phase_breakdown", "CRT_PHASES", "IRT_PHASES"]
 
-# Phase name -> trace event kind that *ends* the phase.  The first entry is
+# Phase name -> mark kind that *ends* the phase.  The first entry is
 # the span start (the client-side submit) and contributes no duration.
 CRT_PHASES: Tuple[Tuple[str, str], ...] = (
     ("submit", "submit"),
@@ -69,21 +67,18 @@ class PhaseSpan:
     """One transaction's phase decomposition (all durations in virtual ms)."""
 
     __slots__ = ("txn_id", "is_crt", "start", "end", "phases", "retries",
-                 "events", "partial")
+                 "partial")
 
     def __init__(self, txn_id: str, is_crt: bool, start: float, end: float,
-                 phases: Dict[str, float], retries: int, events: int,
-                 partial: bool = False):
+                 phases: Dict[str, float], retries: int, partial: bool = False):
         self.txn_id = txn_id
         self.is_crt = is_crt
         self.start = start
         self.end = end
         self.phases = phases  # ordered phase -> duration
         self.retries = retries
-        self.events = events
-        # True when the submit..reply pair was incomplete (truncated tracer
-        # buffer or still in flight); such spans carry best-effort phases and
-        # are excluded from phase_breakdown.
+        # True when the root never closed (still in flight); such spans
+        # carry best-effort phases and are excluded from phase_breakdown.
         self.partial = partial
 
     @property
@@ -99,75 +94,42 @@ class PhaseSpan:
 
 
 def _boundary(times: Sequence[float], prev: float, end: float) -> float:
-    """Latest event not after the reply, clamped into ``[prev, end]``."""
+    """Latest mark not after the reply, clamped into ``[prev, end]``."""
     candidates = [t for t in times if t <= end]
     t = max(candidates) if candidates else prev
     return min(max(t, prev), end)
 
 
-def assemble_spans(tracer, txn: Optional[str] = None,
+def assemble_spans(traces: Iterable[TxnTrace],
                    include_partial: bool = False) -> List[PhaseSpan]:
-    """Build spans for every transaction with a complete submit..reply pair.
+    """One span per transaction trace (:func:`repro.obs.trace.build_traces`).
 
-    ``tracer`` is a :class:`repro.sim.trace.Tracer` (or anything with an
-    ``events`` list of objects carrying ``time``/``kind``/``txn_id``).
-    Transactions without a complete pair (still in flight, or their events
-    truncated at the tracer's capacity) are skipped unless
-    ``include_partial=True``, in which case they become explicit spans with
-    ``partial=True`` spanning whatever events survived.
+    Start, end, retries and the CRT flag come from the trace's root span;
+    the interior boundaries from its marks.  A trace whose root never closed
+    (still in flight at trial end) is skipped unless ``include_partial=True``,
+    in which case it becomes an explicit ``partial=True`` span ending at its
+    last surviving mark.
     """
-    by_txn: Dict[str, List] = {}
-    for ev in tracer.events:
-        tid = ev.txn_id
-        if tid is None or (txn is not None and tid != txn):
-            continue
-        by_txn.setdefault(tid, []).append(ev)
-
     spans: List[PhaseSpan] = []
-    for tid, events in by_txn.items():
+    for trace in traces:
+        root = trace.root
+        marks = trace.marks
         times: Dict[str, List[float]] = {}
-        for ev in events:
+        for ev in marks:
             times.setdefault(ev.kind, []).append(ev.time)
-        submits = sorted(times.get("submit", ()))
-        replies = sorted(times.get("reply", ()))
-        # Open-loop anchoring: the arrival event's ``intended`` field is the
-        # instant the generator drew; it precedes (or equals) the submit.
-        intended: Optional[float] = None
-        migrated = False
-        for ev in events:
-            if ev.kind == "arrival":
-                t = ev.fields.get("intended", ev.time)
-                if intended is None or t < intended:
-                    intended = t
-                if ev.fields.get("migrated"):
-                    migrated = True
-        # A span is partial only when its *end* is missing, or when it has
-        # no start anchor at all — an arrival event is a valid anchor even
-        # if the submit was truncated at tracer capacity.
-        partial = not replies or (not submits and intended is None)
-        if partial:
-            if not include_partial:
-                continue  # still in flight, or events truncated
-            ev_times = sorted(ev.time for ev in events)
-            start = ev_times[0] if intended is None else min(intended, ev_times[0])
-            end = ev_times[-1]
-        else:
-            start = submits[0] if submits else replies[-1]
-            if intended is not None:
-                start = min(intended, start)
-            end = replies[-1]
-        if end < start:
-            continue
+        partial = root.t1 is None
+        if partial and not include_partial:
+            continue  # still in flight
+        start = root.t0
+        end = max([start] + [ev.time for ev in marks]) if partial else root.t1
         # Classification: the client reply carries the authoritative flag;
-        # fall back to the presence of CRT-path protocol events.
-        reply_flags = [ev.fields.get("crt") for ev in events if ev.kind == "reply"]
-        authoritative = next((f for f in reply_flags if f is not None), None)
-        if authoritative is not None:
-            is_crt = bool(authoritative)
+        # without a successful reply, fall back to CRT-path protocol marks.
+        if root.is_crt is not None:
+            is_crt = bool(root.is_crt)
         else:
             is_crt = bool(
                 times.get("anticipate") or times.get("crt_prepare")
-                or any(ev.kind == "execute" and ev.fields.get("crt") for ev in events)
+                or any(ev.kind == "execute" and ev.fields.get("crt") for ev in marks)
             )
         layout = CRT_PHASES if is_crt else IRT_PHASES
         # Keep only the interior phases actually observed: a baseline that
@@ -180,15 +142,17 @@ def assemble_spans(tracer, txn: Optional[str] = None,
         layout = (layout[0],) + interior + (layout[-1],)
         phases: Dict[str, float] = {}
         prev = start
-        if intended is not None and submits:
-            # Open-loop: the gap from the intended arrival to the *first*
-            # submit is client-side queueing (backlog under an in-flight
-            # cap).  Zero-width when the arrival launched immediately.
-            # A re-homed user (repro.topo client mobility) spends this gap
-            # in the handoff instead — submitting through its destination
-            # region's coordinator — so the span stays anchored at the
-            # original arrival and the leading phase is ``migration``.
-            t = min(max(submits[0], prev), end)
+        arrivals = [ev for ev in marks if ev.kind == "arrival"]
+        if arrivals and times.get("submit"):
+            # Open-loop: the root is anchored at the intended arrival, and
+            # the gap to the *first* submit is client-side queueing (backlog
+            # under an in-flight cap), zero-width when the arrival launched
+            # immediately.  A re-homed user (repro.topo client mobility)
+            # spends this gap in the handoff instead — submitting through
+            # its destination region's coordinator — so the leading phase is
+            # ``migration``.
+            t = min(max(min(times["submit"]), prev), end)
+            migrated = any(ev.fields.get("migrated") for ev in arrivals)
             phases["migration" if migrated else "queue"] = t - prev
             prev = t
         for name, kind in layout[1:]:
@@ -198,9 +162,8 @@ def assemble_spans(tracer, txn: Optional[str] = None,
                 t = _boundary(times.get(kind, ()), prev, end)
             phases[name] = t - prev
             prev = t
-        spans.append(PhaseSpan(tid, is_crt, start, end, phases,
-                               retries=max(len(submits) - 1, 0),
-                               events=len(events), partial=partial))
+        spans.append(PhaseSpan(root.trace_id, is_crt, start, end, phases,
+                               retries=root.retries, partial=partial))
     spans.sort(key=lambda s: s.start)
     return spans
 
@@ -208,7 +171,7 @@ def assemble_spans(tracer, txn: Optional[str] = None,
 def phase_breakdown(spans: Iterable[PhaseSpan], crt: Optional[bool] = None) -> List[Dict]:
     """Reduce spans to per-phase rows (mean/p50/p99), Tables 3/4 style.
 
-    Partial spans (truncated submit..reply) are excluded — their phases are
+    Partial spans (root still open) are excluded — their phases are
     best-effort and would skew the telescoping durations.
     """
     selected = [s for s in spans

@@ -1,16 +1,22 @@
-"""Causal cross-node tracing: one span tree per transaction.
+"""The tracer: one causal span tree per transaction, plus the protocol's events.
 
-A :class:`CausalTracer` extends the flat event :class:`~repro.sim.trace.Tracer`
-with *causal* structure:
+One :class:`Tracer` records everything an observed trial traces:
 
+* **events** — every guarded protocol emit site (``anticipate``, ``ready``,
+  ``execute``, ...), the client's ``submit`` / ``reply``, open-loop
+  ``arrival`` and injected faults, as ``(time, host, kind, fields)``.  The
+  events that carry a transaction id are that transaction's zero-width
+  phase **marks**;
 * a **root span** per transaction, opened at the client ``submit()`` and
   closed when the reply resolves — it brackets the exact client-observed
   latency;
 * a **hop span** per network message carrying the transaction (requests,
   responses, one-way fan-outs), recording send time, receive time, and the
-  receiver-side CPU queue/service split;
-* **marks** — the existing guarded protocol emit sites (``anticipate``,
-  ``ready``, ``execute``, ...) double as zero-width phase marks on the tree.
+  receiver-side CPU queue/service split.
+
+Phase spans (``repro.obs.spans``) and critical paths
+(``repro.obs.critical_path``) are both views of the trees
+:func:`build_traces` assembles.
 
 Trace context is a compact ``(trace_id, span_id)`` pair stamped onto the RPC
 envelope at send time (envelope schema v2, see ``repro.sim.rpc``).  The
@@ -23,22 +29,46 @@ Parenting: sends made synchronously inside a message handler inherit the
 handler's context (the tracer keeps an *active context* stack around handler
 invocation).  Sends made from coroutine processes resume outside any handler
 and fall back to the transaction's root span — the tree stays connected by
-construction, and the critical-path analyzer (``repro.obs.critical_path``)
-derives attribution from hop *timing*, not parent pointers, so the fallback
-never skews latency attribution.
+construction, and the critical-path analyzer derives attribution from hop
+*timing*, not parent pointers, so the fallback never skews latency
+attribution.
+
+Memory is bounded twice: ``capacity`` events and ``max_hops`` hops.  Either
+bound counts what it turns away in the one ``dropped`` tally, and every
+reader of a truncated trace says so (:meth:`Tracer.truncation_notice`).
 """
 
 from __future__ import annotations
 
 import itertools
+import warnings
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.sim.trace import Tracer
 from repro.wire.schema import Encoded
 
-__all__ = ["HopSpan", "RootSpan", "TxnTrace", "CausalTracer", "build_traces"]
+__all__ = ["TraceEvent", "HopSpan", "RootSpan", "TxnTrace", "Tracer", "build_traces"]
 
 TraceCtx = Tuple[str, int]  # (trace_id, span_id)
+
+
+class TraceEvent:
+    """One recorded protocol event: (time, host, kind, fields)."""
+
+    __slots__ = ("time", "host", "kind", "fields")
+
+    def __init__(self, time: float, host: str, kind: str, fields: Dict[str, Any]):
+        self.time = time
+        self.host = host
+        self.kind = kind
+        self.fields = fields
+
+    @property
+    def txn_id(self) -> Optional[str]:
+        return self.fields.get("txn")
+
+    def __repr__(self) -> str:
+        extra = " ".join(f"{k}={v}" for k, v in sorted(self.fields.items()))
+        return f"[{self.time:10.3f}] {self.host:<10} {self.kind:<14} {extra}"
 
 
 class HopSpan:
@@ -116,14 +146,15 @@ class RootSpan:
 
 
 class TxnTrace:
-    """One transaction's assembled causal tree: root + hops + phase marks."""
+    """One transaction's assembled causal tree: root + hops + phase marks
+    (the transaction's :class:`TraceEvent` s, in emission order)."""
 
     __slots__ = ("root", "hops", "marks")
 
     def __init__(self, root: RootSpan):
         self.root = root
         self.hops: List[HopSpan] = []
-        self.marks: List[Tuple[float, str, str]] = []  # (time, host, kind)
+        self.marks: List[TraceEvent] = []
 
     @property
     def trace_id(self) -> str:
@@ -165,26 +196,93 @@ def _txn_of(payload: Any) -> Optional[str]:
     return tid if isinstance(tid, str) else None
 
 
-class CausalTracer(Tracer):
-    """A :class:`Tracer` that additionally records the causal span tree.
+class Tracer:
+    """Events, root spans and hop spans of one trial.
 
     Span ids are drawn from a per-instance counter (the tracer is built
     fresh for every trial), so span numbering is deterministic and
     position-independent.
     """
 
-    causal = True  # duck-typed flag checked by submit()/rpc attach sites
-
-    def __init__(self, kinds=None, hosts=None, capacity: int = 200_000,
-                 max_hops: int = 2_000_000):
-        super().__init__(kinds=kinds, hosts=hosts, capacity=capacity)
-        self._span_ids = itertools.count(1)
+    def __init__(self, capacity: int = 200_000, max_hops: int = 2_000_000):
+        self.capacity = capacity
+        self.max_hops = max_hops
+        self.events: List[TraceEvent] = []
         self.hops: List[HopSpan] = []
         self.roots: Dict[str, RootSpan] = {}
-        self.max_hops = max_hops
-        self.hops_dropped = 0
+        # Events and hops turned away at their bounds.
+        self.dropped = 0
+        self._warned = False
+        self._span_ids = itertools.count(1)
         self._by_id: Dict[int, HopSpan] = {}
         self._active: List[Optional[TraceCtx]] = []
+
+    # -- events ----------------------------------------------------------
+    def emit(self, time: float, host: str, kind: str, **fields: Any) -> None:
+        if len(self.events) >= self.capacity:
+            self.dropped += 1
+            return
+        self.events.append(TraceEvent(time, host, kind, fields))
+
+    @property
+    def truncated(self) -> bool:
+        """True when at least one event or hop was dropped at its bound."""
+        return self.dropped > 0
+
+    def truncation_notice(self) -> str:
+        """One-line description of trace loss (empty when none occurred)."""
+        if not self.dropped:
+            return ""
+        return (f"(warning: {self.dropped} trace records dropped at capacity "
+                f"{self.capacity} events / {self.max_hops} hops; results are "
+                f"incomplete)")
+
+    def _warn_if_truncated(self) -> None:
+        if self.dropped and not self._warned:
+            self._warned = True
+            warnings.warn(self.truncation_notice(), RuntimeWarning, stacklevel=3)
+
+    def query(
+        self,
+        kind: Optional[str] = None,
+        host: Optional[str] = None,
+        txn: Optional[str] = None,
+        since: float = 0.0,
+    ) -> List[TraceEvent]:
+        self._warn_if_truncated()
+        out = []
+        for ev in self.events:
+            if ev.time < since:
+                continue
+            if kind is not None and ev.kind != kind:
+                continue
+            if host is not None and ev.host != host:
+                continue
+            if txn is not None and ev.txn_id != txn:
+                continue
+            out.append(ev)
+        return out
+
+    def timeline(self, txn_id: str) -> str:
+        """A transaction's events across all hosts, rendered as text."""
+        events = self.query(txn=txn_id)
+        if not events:
+            text = f"(no events for {txn_id})"
+        else:
+            text = "\n".join(repr(ev) for ev in sorted(events, key=lambda e: e.time))
+        notice = self.truncation_notice()
+        return f"{text}\n{notice}" if notice else text
+
+    def counts(self) -> Dict[str, int]:
+        out: Dict[str, int] = {}
+        for ev in self.events:
+            out[ev.kind] = out.get(ev.kind, 0) + 1
+        return out
+
+    def clear(self) -> None:
+        self.events.clear()
+        self.dropped = 0
+        self._warned = False
 
     # -- active-context stack (around handler invocation) ---------------
     def push_active(self, ctx: Optional[TraceCtx]) -> None:
@@ -208,8 +306,9 @@ class CausalTracer(Tracer):
 
     def traced_submit(self, endpoint, client: str, dst: str, msg,
                       trace_id: str, timeout: Optional[float] = None):
-        """Open the root span, issue the submit call under its context, and
-        close the root when the reply event resolves."""
+        """Open the root span, issue the submit call under its context, mark
+        the client's ``submit``, and close the root and mark its ``reply``
+        when the reply event resolves."""
         sim = endpoint.sim
         root = self.begin_root(client, trace_id, sim.now)
         self.push_active((trace_id, root.span_id))
@@ -217,11 +316,14 @@ class CausalTracer(Tracer):
             event = endpoint.call(dst, msg, timeout=timeout)
         finally:
             self.pop_active()
+        self.emit(sim.now, client, "submit", txn=trace_id)
 
         def _close(ev) -> None:
             root.t1 = sim.now
             root.ok = ev.ok
             root.is_crt = getattr(ev.value, "is_crt", None) if ev.ok else None
+            self.emit(sim.now, client, "reply", txn=trace_id, ok=ev.ok,
+                      crt=root.is_crt)
 
         event.add_callback(_close)
         return event
@@ -244,7 +346,7 @@ class CausalTracer(Tracer):
                 root = self.roots.get(trace_id)
                 parent_id = root.span_id if root is not None else None
         if len(self.hops) >= self.max_hops:
-            self.hops_dropped += 1
+            self.dropped += 1
             return None
         span = HopSpan(next(self._span_ids), parent_id, trace_id,
                        method, src, dst, t_send=0.0)
@@ -274,16 +376,13 @@ class CausalTracer(Tracer):
             span.status = "dropped"
 
 
-def build_traces(tracer: CausalTracer,
-                 complete_only: bool = False) -> Dict[str, TxnTrace]:
-    """Assemble per-transaction :class:`TxnTrace` trees from a causal tracer.
+def build_traces(tracer: Tracer, complete_only: bool = False) -> Dict[str, TxnTrace]:
+    """Assemble per-transaction :class:`TxnTrace` trees, in root order.
 
     ``complete_only`` keeps only transactions whose root span closed (the
-    client saw a reply).  Hops whose transaction never opened a root (e.g.
-    recovery traffic for a transaction submitted before attachment) are
-    grouped under a synthetic root-less trace only if a hop exists for them —
-    they are dropped here, since without a root there is no client latency
-    to attribute.
+    client saw a reply).  Hops and events of a transaction that never
+    opened a root (submitted before the tracer was attached) are dropped:
+    without a root there is no client latency to attribute.
     """
     traces: Dict[str, TxnTrace] = {}
     for root in tracer.roots.values():
@@ -298,7 +397,7 @@ def build_traces(tracer: CausalTracer,
             continue
         trace = traces.get(tid)
         if trace is not None:
-            trace.marks.append((ev.time, ev.host, ev.kind))
+            trace.marks.append(ev)
     if complete_only:
         return {tid: tr for tid, tr in traces.items() if tr.complete}
     return traces

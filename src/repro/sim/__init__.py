@@ -5,7 +5,6 @@ from repro.sim.kernel import AllOf, AnyOf, Event, Process, Simulator, Timeout
 from repro.sim.network import Network, NetworkStats
 from repro.sim.rng import RngRegistry
 from repro.sim.rpc import Endpoint, RpcRemoteError
-from repro.sim.trace import TraceEvent, Tracer
 
 __all__ = [
     "AllOf",
@@ -20,6 +19,4 @@ __all__ = [
     "RpcRemoteError",
     "Simulator",
     "Timeout",
-    "TraceEvent",
-    "Tracer",
 ]

@@ -150,10 +150,10 @@ class Network:
         # to incarnation k is undeliverable once the host is on k+1.
         self._incarnation: Dict[str, int] = {}
         self.stats = NetworkStats()
-        # Causal tracer (repro.obs.trace.CausalTracer) or None.  Every
+        # The tracer (repro.obs.trace.Tracer) or None.  Every
         # tracing touchpoint in the send/deliver path is guarded by a single
         # ``is None`` check on this attribute.
-        self.causal = None
+        self.tracer = None
         # Optional wire tap: a list collecting (send_time, src, dst,
         # type_name, size) for every send — the canary's wire-message
         # stream digest.  None (the default) costs one attribute check.
@@ -343,19 +343,19 @@ class Network:
         self.stats.record_send(src, type_name, size)
         if self.wire_log is not None:
             self.wire_log.append((self.sim.now, src, dst, type_name, size))
-        causal = self.causal
+        tracer = self.tracer
         ctx = None
-        if causal is not None:
+        if tracer is not None:
             ctx = getattr(payload, "trace_ctx", None)
             if ctx is not None:
                 self.stats.trace_bytes_sent += TRACE_CTX_BYTES
-                causal.stamp_send(ctx, self.sim.now, size)
+                tracer.stamp_send(ctx, self.sim.now, size)
         if self._blocked(src, dst) or (
             self.drop_probability and self._rng.random() < self.drop_probability
         ):
             self.stats.record_drop()
             if ctx is not None:
-                causal.mark_dropped(ctx)
+                tracer.mark_dropped(ctx)
             return
         self._schedule_delivery(src, dst, payload)
         if self.duplicate_probability and self._rng.random() < self.duplicate_probability:
@@ -417,7 +417,7 @@ class Network:
     def _uniform_delay(self, src: str, dsts: Sequence[str]) -> Optional[float]:
         """The one delay every ``src -> dst`` send would get right now, or
         ``None`` if the per-destination path has anything to decide."""
-        if (self.causal is not None or not self._fault_free
+        if (self.tracer is not None or not self._fault_free
                 or self.intra_jitter or self.reorder_spread or self.drop_probability
                 or self.duplicate_probability):
             return None
@@ -452,10 +452,10 @@ class Network:
                     current and current.get(dst, 0)
                     != (incarnations[i] if incarnations is not None else 0)):
                 stats.record_drop()
-                if self.causal is not None:
+                if self.tracer is not None:
                     ctx = getattr(envelope, "trace_ctx", None)
                     if ctx is not None:
-                        self.causal.mark_dropped(ctx)
+                        self.tracer.mark_dropped(ctx)
                 continue
             try:
                 received[dst] += 1
@@ -486,10 +486,10 @@ class Network:
         # crash/restart cycle (new incarnation) voids stale pre-crash traffic.
         if self._blocked(src, dst) or self._incarnation.get(dst, 0) != incarnation:
             self.stats.record_drop()
-            if self.causal is not None:
+            if self.tracer is not None:
                 ctx = getattr(payload, "trace_ctx", None)
                 if ctx is not None:
-                    self.causal.mark_dropped(ctx)
+                    self.tracer.mark_dropped(ctx)
             return
         self.stats.record_receive(dst)
         acct = self.sim._acct

@@ -19,12 +19,12 @@ typed messages at delivery — an unknown or malformed frame raises
 
 Envelope schema v2 (causal tracing): every envelope carries an optional
 ``trace_ctx`` — a compact ``(trace_id, span_id)`` pair stamped at send time
-when a :class:`repro.obs.trace.CausalTracer` is attached to the network
-(``network.causal``), and ``None`` otherwise.  The context's virtual wire
+when a :class:`repro.obs.trace.Tracer` is attached to the network
+(``network.tracer``), and ``None`` otherwise.  The context's virtual wire
 cost is modelled by ``repro.wire.schema.TRACE_CTX_BYTES`` and accounted in
 the *separate* ``NetworkStats.trace_bytes_sent`` lane, so ``wire_size()``
 (and therefore every golden byte count) is identical with tracing on or
-off.  All tracing work below is guarded by a single ``network.causal is
+off.  All tracing work below is guarded by a single ``network.tracer is
 None`` check per site: a detached run does no extra work.
 """
 
@@ -173,7 +173,7 @@ class Endpoint:
         self._busy_until = max(self.sim.now, self._busy_until) + cost
 
     def _on_message(self, src: str, envelope: Any) -> None:
-        causal = self.network.causal
+        tracer = self.network.tracer
         # Cheap one-ways (clock reports) dominate traffic: dispatch them
         # inline without the _process indirection.
         if envelope.__class__ is _Oneway:
@@ -185,42 +185,42 @@ class Endpoint:
                 payload = envelope.decoded
                 if payload is None:
                     payload = envelope.decoded = decode_shared(envelope.payload)
-                if causal is None:
+                if tracer is None:
                     handler(src, payload)
                     return
                 ctx = envelope.trace_ctx
                 if ctx is not None:
-                    causal.end_hop(ctx, self.sim.now, 0.0, 0.0)
-                causal.push_active(ctx)
+                    tracer.end_hop(ctx, self.sim.now, 0.0, 0.0)
+                tracer.push_active(ctx)
                 try:
                     handler(src, payload)
                 finally:
-                    causal.pop_active()
+                    tracer.pop_active()
                 return
         # Serialize processing through the node's single CPU.
         start = max(self.sim.now, self._busy_until)
         self._busy_until = start + self.service_time
-        if causal is not None:
+        if tracer is not None:
             ctx = envelope.trace_ctx
             if ctx is not None:
                 # The receive-side split: CPU queueing behind earlier
                 # messages, then this message's own service time.
-                causal.end_hop(ctx, self.sim.now,
+                tracer.end_hop(ctx, self.sim.now,
                                start - self.sim.now, self.service_time)
         self.sim.schedule(self._busy_until - self.sim.now, self._process, src, envelope)
 
     def _process(self, src: str, envelope: Any) -> None:
-        causal = self.network.causal
-        if causal is None:
+        tracer = self.network.tracer
+        if tracer is None:
             self._dispatch(src, envelope)
             return
         # Handlers run under the envelope's trace context so every send they
         # make synchronously parents to this hop (repro.obs.trace).
-        causal.push_active(envelope.trace_ctx)
+        tracer.push_active(envelope.trace_ctx)
         try:
             self._dispatch(src, envelope)
         finally:
-            causal.pop_active()
+            tracer.pop_active()
 
     def _dispatch(self, src: str, envelope: Any) -> None:
         # Dispatch ordered by observed frequency: one-way fan-outs (clock
@@ -256,13 +256,13 @@ class Endpoint:
             self._reply(src, req, True, result)
 
     def _reply(self, dst: str, req: _Request, ok: bool, value: Any) -> None:
-        causal = self.network.causal
+        tracer = self.network.tracer
         ctx = None
-        if causal is not None and req.trace_ctx is not None:
+        if tracer is not None and req.trace_ctx is not None:
             # The response hop parents to the request hop explicitly: with a
             # coroutine handler the reply fires from a process callback,
             # outside any active handler context.
-            ctx = causal.begin_hop(self.host, dst, f"resp:{req.method}",
+            ctx = tracer.begin_hop(self.host, dst, f"resp:{req.method}",
                                    None, parent=req.trace_ctx)
         self.network.send(self.host, dst,
                           _Response(req.rpc_id, req.method, ok, value, ctx))
@@ -301,10 +301,10 @@ class Endpoint:
         rpc_id = next(self._ids)
         event = self.sim.event()
         self._pending[rpc_id] = event
-        causal = self.network.causal
+        tracer = self.network.tracer
         ctx = None
-        if causal is not None:
-            ctx = causal.begin_hop(self.host, dst, method, payload)
+        if tracer is not None:
+            ctx = tracer.begin_hop(self.host, dst, method, payload)
         self.network.send(self.host, dst, _Request(rpc_id, method, payload, ctx))
         if timeout is not None:
             self.sim.schedule(timeout, self._expire, rpc_id, dst, method)
@@ -338,10 +338,10 @@ class Endpoint:
     def send(self, dst: str, msg: WireMessage) -> None:
         """One-way message; no response, no delivery guarantee."""
         payload = self._encode(msg)
-        causal = self.network.causal
+        tracer = self.network.tracer
         ctx = None
-        if causal is not None:
-            ctx = causal.begin_hop(self.host, dst, payload.name, payload)
+        if tracer is not None:
+            ctx = tracer.begin_hop(self.host, dst, payload.name, payload)
         self.network.send(self.host, dst, _Oneway(payload.name, payload, ctx))
 
     def multicast(
@@ -362,7 +362,7 @@ class Endpoint:
         (:meth:`Network.multicast`).
         """
         network = self.network
-        if network.causal is not None:
+        if network.tracer is not None:
             for dst in dsts:
                 self.send(dst, overrides.get(dst, msg) if overrides else msg)
             return

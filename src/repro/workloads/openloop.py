@@ -20,7 +20,8 @@ arrival process down and thereby hide its own tail).
 Two submission paths:
 
 * **Express** (DAST, ``replication == 1``, sole-participant IRT, tracing
-  detached): bypasses the RPC envelope/coroutine machinery entirely.  The
+  detached, no topology plan, service multipliers or retained records):
+  bypasses the RPC envelope/coroutine machinery entirely.  The
   engine models the client→node network delay and the node's CPU queueing
   (``timing.service_time`` per submission) itself, calls
   :meth:`DastNode.submit_express`, and gets the outcome back through an
@@ -70,7 +71,7 @@ class OpenLoopConfig:
         "dwell_low_ms", "dwell_high_ms", "diurnal_period_ms",
         "diurnal_trough", "flash_at_ms", "flash_duration_ms", "flash_mult",
         "flash_region", "flash_redirect", "user_theta",
-        "max_inflight_per_region", "express", "keep_records",
+        "max_inflight_per_region", "keep_records",
     )
 
     def __init__(
@@ -90,7 +91,6 @@ class OpenLoopConfig:
         flash_redirect: float = 0.0,
         user_theta: float = 0.9,
         max_inflight_per_region: int = 0,
-        express: bool = True,
         keep_records: bool = False,
     ):
         if users_per_region <= 0:
@@ -118,7 +118,6 @@ class OpenLoopConfig:
         self.flash_redirect = flash_redirect
         self.user_theta = user_theta
         self.max_inflight_per_region = max_inflight_per_region
-        self.express = express
         self.keep_records = keep_records
         # Validate the arrival knobs eagerly (rate 1.0 is a placeholder).
         self._stream_kwargs_check()
@@ -231,7 +230,8 @@ class OpenLoopEngine:
     (``stop()``), so ``TrialResult.drain`` works unchanged."""
 
     def __init__(self, system, workload: Workload, config: OpenLoopConfig,
-                 recorder, request_timeout: Optional[float] = None):
+                 recorder, request_timeout: Optional[float] = None,
+                 express: bool = False):
         self.system = system
         self.workload = workload
         self.cfg = config
@@ -243,16 +243,9 @@ class OpenLoopEngine:
         self._running = False
         self._until = 0.0
         self._tracer = system.tracer
-        # Express eligibility is a whole-trial property: DAST only, no
-        # replication (a sole replica makes every single-shard IRT
-        # sole-participant), and no tracer (express has no RPC hops to
-        # trace, so traced trials take the fully-instrumented path).
-        self.express = bool(
-            config.express
-            and system.name == "dast"
-            and system.topology.config.replication == 1
-            and system.tracer is None
-        )
+        # Express eligibility is a whole-trial property, decided by the
+        # caller (``repro.bench.harness._express_eligible``).
+        self.express = express
         # The express path always draws from the pool (a workload without
         # a pooled generator draws fresh), the generic path never does.
         self.txn_pool = TransactionPool()
@@ -652,7 +645,7 @@ class OpenLoopEngine:
         event = self.system.submit(slot.client, slot.node_host, slot.txn,
                                    timeout=self.request_timeout)
         tracer = self._tracer
-        if tracer is not None and getattr(tracer, "causal", False):
+        if tracer is not None:
             # Anchor the causal root at the *intended* arrival: the critical
             # path then covers the client backlog wait too (attributed as
             # client-queue@client), matching the open-loop latency the

@@ -43,7 +43,7 @@ class TestCapture:
             # printed command to the real parser and compare fingerprints.
             cmd = repro_command(spec, str(tmp_path))
             prefix = "python -m repro "
-            assert cmd.startswith(prefix + "run --attach trace --spec ")
+            assert cmd.startswith(prefix + "run --attach obs --spec ")
             args = build_parser().parse_args(cmd[len(prefix):].split())
             rerun = _spec_from_args(args)
             assert rerun.fingerprint() == spec.fingerprint()
@@ -90,8 +90,8 @@ class TestCompare:
         report = compare(gold, candidate, repro_dir=str(out_dir))
         path = out_dir / "dast-openloop.spec.json"
         assert report["scenarios"][pinned.label]["repro"] == (
-            f"python -m repro run --attach trace --spec {path}")
-        assert f"repro: python -m repro run --attach trace --spec {path}" in (
+            f"python -m repro run --attach obs --spec {path}")
+        assert f"repro: python -m repro run --attach obs --spec {path}" in (
             render_report(report))
         assert TrialSpec.load(str(path)) == pinned
 

@@ -242,11 +242,11 @@ class TestChaosRunnerDispatch:
         from tests.conftest import make_dast
 
         system = make_dast()
-        tracer = attach_tracer(system, kinds={"chaos"})
+        tracer = attach_tracer(system)
         system.start()
         ChaosRunner(system, FaultPlan().add(50.0, "set_jitter", jitter=3.0)).install()
         system.run(until=100.0)
-        chaos_events = [ev for ev in tracer.events if ev.kind == "chaos"]
+        chaos_events = tracer.query(kind="chaos")
         assert len(chaos_events) == 1
         assert chaos_events[0].fields["fault"] == "set_jitter"
         # The chaos_faults probe samples the applied count once a plan exists.

@@ -22,7 +22,7 @@ def chaotic_result():
                   # on demand moved the timings; under seed 11 no request of
                   # this plan times out any more, under 3 two do).
                   warmup_ms=300.0, cooldown_ms=200.0, seed=3,
-                  obs_causal=True, fault_plan=plan, request_timeout=1500.0)
+                  obs=True, fault_plan=plan, request_timeout=1500.0)
     result = run_trial(trial)
     return result, result.obs.traces()
 

@@ -16,7 +16,7 @@ from repro.workloads.tpcc import TpccWorkload
 def traced_result():
     trial = Trial("dast", lambda topo: TpccWorkload(topo),
                   clients_per_region=4, duration_ms=1500.0,
-                  warmup_ms=300.0, cooldown_ms=200.0, obs_causal=True)
+                  warmup_ms=300.0, cooldown_ms=200.0, obs=True)
     result = run_trial(trial)
     return result, result.obs.traces()
 

@@ -153,7 +153,7 @@ def test_repro_run_prints_the_report_and_exits_nonzero(monkeypatch, capsys):
     assert "sharing .time 162.98100209999996: t0000006=" in err
 
 
-@pytest.mark.parametrize("attach", ["audit", "obs", "trace", "profile"])
+@pytest.mark.parametrize("attach", ["audit", "obs", "profile"])
 def test_every_trial_subcommand_reports_a_wedge(monkeypatch, capsys, attach):
     # ``audit`` most of all: a run that stopped is vacuously serializable.
     from repro.cli import main

@@ -184,7 +184,7 @@ class TestDeliveryTimeChecks:
         (_t, _seq, fn, (_src, _dsts, envelopes, _inc)), = sim._heap
         assert fn == network._deliver_many
         envelopes[0].trace_ctx = "ctx-of-the-shared-envelope"
-        network.causal = Causal()
+        network.tracer = Causal()
         network.crash_host("r0.n3")
         network.partition_hosts("r0.n0", "r0.n5")
         sim.run(until=2.5)
@@ -275,7 +275,7 @@ def _chaos():
 
 def _traced():
     trial = _closed_loop()
-    trial.obs_causal = True
+    trial.obs = True
     return trial
 
 
@@ -299,7 +299,7 @@ def _signature(make_trial):
         "stats": dict(vars(stats)),
         "now": result.system.sim.now,
     }
-    if trial.obs_causal:
+    if trial.obs:
         signature["traces"] = capture_scenario(result)["trace_digest"]
     assert summary.committed > 0 and stats.per_type_sent["pct_report"] > 0
     return signature, acct.by_callsite.get("Network._deliver_many", 0)

@@ -5,9 +5,24 @@ import pytest
 from repro.obs import attach_tracer
 from repro.obs.spans import (CRT_PHASES, IRT_PHASES, PhaseSpan, assemble_spans,
                              phase_breakdown)
-from repro.sim.trace import Tracer
+from repro.obs.trace import RootSpan, TraceEvent, TxnTrace, build_traces
 from repro.txn.model import Transaction
 from tests.conftest import kv_set, make_dast, submit_and_run
+
+
+def synthetic(t0, t1, *marks, retries=0, is_crt=False, tid="t1"):
+    """A trace whose root opened at ``t0`` and closed at ``t1`` (None: still
+    in flight), with ``(time, kind[, fields])`` marks in emission order."""
+    root = RootSpan(1, tid, "c", t0)
+    root.t1, root.retries = t1, retries
+    if t1 is not None:
+        root.ok, root.is_crt = True, is_crt
+    trace = TxnTrace(root)
+    for time, kind, *fields in marks:
+        host = "c" if kind in ("submit", "reply", "arrival") else "n"
+        trace.marks.append(TraceEvent(time, host, kind,
+                                      {"txn": tid, **(fields[0] if fields else {})}))
+    return trace
 
 
 def span_for(system, tracer, txn):
@@ -23,7 +38,7 @@ def span_for(system, tracer, txn):
     while not reply_at and system.sim.now < deadline:
         system.run(until=system.sim.now + 100.0)
     assert reply_at, "transaction did not complete"
-    spans = assemble_spans(tracer, txn=txn.txn_id)
+    spans = assemble_spans([build_traces(tracer)[txn.txn_id]])
     assert len(spans) == 1
     return spans[0], reply_at[0] - t0
 
@@ -54,7 +69,8 @@ class TestCrtSpans:
             txn = Transaction(f"crt{i}",
                               [kv_set(0, i, 1), kv_set(1, i, 2, piece_index=1)])
             submit_and_run(system, txn)
-        rows = phase_breakdown(assemble_spans(tracer), crt=True)
+        rows = phase_breakdown(assemble_spans(build_traces(tracer).values()),
+                               crt=True)
         phases = [r["phase"] for r in rows]
         assert phases[-1] == "total"
         assert "anticipate" in phases and "ready" in phases
@@ -79,130 +95,117 @@ class TestIrtSpans:
 
 class TestSyntheticSpans:
     def test_retry_counts_extra_submits(self):
-        tracer = Tracer()
-        tracer.emit(0.0, "c", "submit", txn="t1")
-        tracer.emit(5.0, "c", "submit", txn="t1")   # client retry
-        tracer.emit(6.0, "n", "irt_ts", txn="t1")
-        tracer.emit(8.0, "n", "execute", txn="t1")
-        tracer.emit(10.0, "c", "reply", txn="t1", ok=True, crt=False)
-        (span,) = assemble_spans(tracer)
+        trace = synthetic(0.0, 10.0, (0.0, "submit"), (5.0, "submit"),
+                          (6.0, "irt_ts"), (8.0, "execute"), (10.0, "reply"),
+                          retries=1)  # client retry: same root
+        (span,) = assemble_spans([trace])
         assert span.retries == 1
         assert span.start == 0.0 and span.end == 10.0
         assert sum(span.phases.values()) == pytest.approx(10.0)
 
     def test_degrades_without_interior_events(self):
         """Baselines only trace submit/reply: one phase spans the trip."""
-        tracer = Tracer()
-        tracer.emit(0.0, "c", "submit", txn="t1")
-        tracer.emit(30.0, "c", "reply", txn="t1", ok=True, crt=True)
-        (span,) = assemble_spans(tracer)
+        trace = synthetic(0.0, 30.0, (0.0, "submit"), (30.0, "reply"), is_crt=True)
+        (span,) = assemble_spans([trace])
         assert span.is_crt  # classification from the reply flag alone
         assert list(span.phases) == ["reply"]
         assert span.phases["reply"] == pytest.approx(30.0)
 
     def test_partial_layout_keeps_only_observed_phases(self):
         """SLOG/Janus trace only ``execute``: no zero-width phantom phases."""
-        tracer = Tracer()
-        tracer.emit(0.0, "c", "submit", txn="t1")
-        tracer.emit(20.0, "n", "execute", txn="t1")
-        tracer.emit(25.0, "c", "reply", txn="t1", ok=True, crt=True)
-        (span,) = assemble_spans(tracer)
+        trace = synthetic(0.0, 25.0, (0.0, "submit"), (20.0, "execute"),
+                          (25.0, "reply"), is_crt=True)
+        (span,) = assemble_spans([trace])
         assert list(span.phases) == ["execute", "reply"]
         assert span.phases["execute"] == pytest.approx(20.0)
         assert span.phases["reply"] == pytest.approx(5.0)
 
     def test_in_flight_transactions_skipped(self):
-        tracer = Tracer()
-        tracer.emit(0.0, "c", "submit", txn="t1")
-        tracer.emit(1.0, "n", "irt_ts", txn="t1")
-        assert assemble_spans(tracer) == []
+        trace = synthetic(0.0, None, (0.0, "submit"), (1.0, "irt_ts"))
+        assert assemble_spans([trace]) == []
 
     def test_events_after_reply_ignored(self):
-        tracer = Tracer()
-        tracer.emit(0.0, "c", "submit", txn="t1")
-        tracer.emit(4.0, "n", "irt_ts", txn="t1")
-        tracer.emit(6.0, "n", "execute", txn="t1")
-        tracer.emit(8.0, "c", "reply", txn="t1", ok=True, crt=False)
-        tracer.emit(9.0, "n", "execute", txn="t1")  # lagging replica
-        (span,) = assemble_spans(tracer)
+        trace = synthetic(0.0, 8.0, (0.0, "submit"), (4.0, "irt_ts"),
+                          (6.0, "execute"), (8.0, "reply"),
+                          (9.0, "execute"))  # lagging replica
+        (span,) = assemble_spans([trace])
         assert span.end == 8.0
         assert span.phases["execute"] == pytest.approx(2.0)  # 4.0 -> 6.0
 
     def test_boundaries_clamped_monotone(self):
-        """An out-of-order event time cannot produce a negative phase."""
-        tracer = Tracer()
-        tracer.emit(0.0, "c", "submit", txn="t1")
-        tracer.emit(6.0, "n", "execute", txn="t1")
-        tracer.emit(4.0, "n", "irt_ts", txn="t1")  # would invert without clamp
-        tracer.emit(8.0, "c", "reply", txn="t1", ok=True, crt=False)
-        (span,) = assemble_spans(tracer)
+        """An out-of-order mark time cannot produce a negative phase."""
+        trace = synthetic(0.0, 8.0, (0.0, "submit"), (6.0, "execute"),
+                          (4.0, "irt_ts"),  # would invert without clamp
+                          (8.0, "reply"))
+        (span,) = assemble_spans([trace])
         assert all(d >= 0 for d in span.phases.values())
         assert sum(span.phases.values()) == pytest.approx(span.total)
 
     def test_txn_filter(self):
-        tracer = Tracer()
-        for tid in ("a", "b"):
-            tracer.emit(0.0, "c", "submit", txn=tid)
-            tracer.emit(1.0, "c", "reply", txn=tid, ok=True, crt=False)
-        assert len(assemble_spans(tracer)) == 2
-        assert len(assemble_spans(tracer, txn="a")) == 1
+        """One span per trace handed in: selecting traces selects spans."""
+        traces = {tid: synthetic(0.0, 1.0, (0.0, "submit"), (1.0, "reply"), tid=tid)
+                  for tid in ("a", "b")}
+        assert len(assemble_spans(traces.values())) == 2
+        (span,) = assemble_spans([traces["a"]])
+        assert span.txn_id == "a"
 
     def test_breakdown_empty(self):
         assert phase_breakdown([]) == []
 
+    def test_crt_flag_falls_back_to_crt_marks_without_a_reply(self):
+        """A root closed by a timeout carries no flag: CRT-path marks decide."""
+        trace = synthetic(0.0, 9.0, (0.0, "submit"), (3.0, "execute", {"crt": True}),
+                          (9.0, "reply", {"ok": False}))
+        trace.root.ok, trace.root.is_crt = False, None
+        (span,) = assemble_spans([trace])
+        assert span.is_crt
+
 
 class TestPartialSpans:
-    """Truncated transactions surface as explicit partial spans instead of
-    silently vanishing from the summary."""
+    """Transactions still in flight surface as explicit partial spans instead
+    of silently vanishing from the summary."""
 
     def test_in_flight_txn_surfaces_as_partial(self):
-        tracer = Tracer()
-        tracer.emit(0.0, "c", "submit", txn="t1")
-        tracer.emit(1.0, "n", "irt_ts", txn="t1")
-        assert assemble_spans(tracer) == []  # default behaviour unchanged
-        (span,) = assemble_spans(tracer, include_partial=True)
+        trace = synthetic(0.0, None, (0.0, "submit"), (1.0, "irt_ts"))
+        assert assemble_spans([trace]) == []  # default behaviour unchanged
+        (span,) = assemble_spans([trace], include_partial=True)
         assert span.partial
         assert span.start == 0.0 and span.end == 1.0
 
     def test_truncated_head_is_partial(self):
-        """Tracer capacity evicted the submit: reply alone is partial."""
-        tracer = Tracer()
-        tracer.emit(5.0, "n", "execute", txn="t1")
-        tracer.emit(8.0, "c", "reply", txn="t1", ok=True, crt=False)
-        (span,) = assemble_spans(tracer, include_partial=True)
+        """Tracer capacity evicted the submit mark and no reply came: the
+        span is partial, anchored at the root."""
+        trace = synthetic(0.0, None, (5.0, "execute"))
+        (span,) = assemble_spans([trace], include_partial=True)
         assert span.partial and span.retries == 0
+        assert span.start == 0.0 and span.end == 5.0
 
     def test_partial_excluded_from_breakdown(self):
-        tracer = Tracer()
-        tracer.emit(0.0, "c", "submit", txn="done")
-        tracer.emit(4.0, "c", "reply", txn="done", ok=True, crt=False)
-        tracer.emit(1.0, "c", "submit", txn="cut")
-        spans = assemble_spans(tracer, include_partial=True)
+        done = synthetic(0.0, 4.0, (0.0, "submit"), (4.0, "reply"), tid="done")
+        cut = synthetic(1.0, None, (1.0, "submit"), tid="cut")
+        spans = assemble_spans([done, cut], include_partial=True)
         assert len(spans) == 2
         assert sum(1 for s in spans if s.partial) == 1
         rows = phase_breakdown(spans)
         assert rows[-1]["count"] == 1  # only the complete txn counted
 
     def test_complete_spans_not_marked_partial(self):
-        tracer = Tracer()
-        tracer.emit(0.0, "c", "submit", txn="t1")
-        tracer.emit(3.0, "c", "reply", txn="t1", ok=True, crt=False)
-        (span,) = assemble_spans(tracer, include_partial=True)
+        trace = synthetic(0.0, 3.0, (0.0, "submit"), (3.0, "reply"))
+        (span,) = assemble_spans([trace], include_partial=True)
         assert not span.partial
 
 
 class TestArrivalAnchoredSpans:
-    """Open-loop spans: an ``arrival`` event anchors the span at the
-    *intended* arrival instant and prepends a client-side ``queue`` phase."""
+    """Open-loop spans: the root is anchored at the *intended* arrival
+    instant, and an ``arrival`` mark prepends a client-side ``queue``
+    phase."""
 
     def test_queue_phase_covers_intended_to_first_submit(self):
-        tracer = Tracer()
-        tracer.emit(5.0, "c", "arrival", txn="t1", intended=2.0, region="r0")
-        tracer.emit(5.0, "c", "submit", txn="t1")
-        tracer.emit(7.0, "n", "irt_ts", txn="t1")
-        tracer.emit(9.0, "n", "execute", txn="t1")
-        tracer.emit(11.0, "c", "reply", txn="t1", ok=True, crt=False)
-        (span,) = assemble_spans(tracer)
+        trace = synthetic(2.0, 11.0,
+                          (5.0, "arrival", {"intended": 2.0, "region": "r0"}),
+                          (5.0, "submit"), (7.0, "irt_ts"), (9.0, "execute"),
+                          (11.0, "reply"))
+        (span,) = assemble_spans([trace])
         assert not span.partial
         assert span.start == 2.0  # intended, not submit
         assert list(span.phases)[0] == "queue"
@@ -211,42 +214,37 @@ class TestArrivalAnchoredSpans:
         assert sum(span.phases.values()) == pytest.approx(span.total)
 
     def test_immediate_launch_has_zero_width_queue(self):
-        tracer = Tracer()
-        tracer.emit(4.0, "c", "arrival", txn="t1", intended=4.0, region="r0")
-        tracer.emit(4.0, "c", "submit", txn="t1")
-        tracer.emit(9.0, "c", "reply", txn="t1", ok=True, crt=False)
-        (span,) = assemble_spans(tracer)
+        trace = synthetic(4.0, 9.0,
+                          (4.0, "arrival", {"intended": 4.0, "region": "r0"}),
+                          (4.0, "submit"), (9.0, "reply"))
+        (span,) = assemble_spans([trace])
         assert span.start == 4.0
         assert span.phases["queue"] == pytest.approx(0.0)
         assert span.total == pytest.approx(5.0)
 
     def test_truncated_submit_with_arrival_is_still_complete(self):
-        """The partial-counting fix: an arrival event is a valid start
-        anchor, so losing the submit at tracer capacity no longer drops
-        the span from the breakdown."""
-        tracer = Tracer()
-        tracer.emit(3.0, "c", "arrival", txn="t1", intended=1.0, region="r0")
-        tracer.emit(6.0, "n", "execute", txn="t1")
-        tracer.emit(8.0, "c", "reply", txn="t1", ok=True, crt=False)
-        (span,) = assemble_spans(tracer)
+        """Losing the submit mark at tracer capacity does not drop the span
+        from the breakdown: the root carries its start and end."""
+        trace = synthetic(1.0, 8.0,
+                          (3.0, "arrival", {"intended": 1.0, "region": "r0"}),
+                          (6.0, "execute"), (8.0, "reply"))
+        (span,) = assemble_spans([trace])
         assert not span.partial
         assert span.start == 1.0
         assert "queue" not in span.phases  # no submit to bound it
         assert sum(span.phases.values()) == pytest.approx(span.total)
 
     def test_arrival_only_txn_is_partial_anchored_at_intended(self):
-        """Backlogged at trial end: launched but nothing more survived."""
-        tracer = Tracer()
-        tracer.emit(9.0, "c", "arrival", txn="t1", intended=2.0, region="r0")
-        assert assemble_spans(tracer) == []
-        (span,) = assemble_spans(tracer, include_partial=True)
+        """Launched at trial end: nothing after the arrival survived."""
+        trace = synthetic(2.0, None,
+                          (9.0, "arrival", {"intended": 2.0, "region": "r0"}))
+        assert assemble_spans([trace]) == []
+        (span,) = assemble_spans([trace], include_partial=True)
         assert span.partial
         assert span.start == 2.0 and span.end == 9.0
 
     def test_closed_loop_spans_never_gain_a_queue_phase(self):
-        tracer = Tracer()
-        tracer.emit(0.0, "c", "submit", txn="t1")
-        tracer.emit(6.0, "c", "reply", txn="t1", ok=True, crt=False)
-        (span,) = assemble_spans(tracer)
+        trace = synthetic(0.0, 6.0, (0.0, "submit"), (6.0, "reply"))
+        (span,) = assemble_spans([trace])
         assert "queue" not in span.phases
         assert span.start == 0.0

@@ -4,34 +4,63 @@ the separate trace-context byte lane (envelope schema v2)."""
 import pytest
 
 from repro.bench.harness import Trial, run_trial
-from repro.fleet.spec import canonical_json
-from repro.obs.trace import CausalTracer, build_traces
+from repro.fleet.spec import TrialSpec, canonical_json
+from repro.obs.trace import Tracer, build_traces
 from repro.sim.rpc import ENVELOPE_VERSION, _Oneway, _Request, _Response
+from repro.topo import generate_topology_plan
 from repro.wire import TRACE_CTX_BYTES
 from repro.workloads.tpcc import TpccWorkload
 
 
-def small_trial(**kw):
+def small_trial(system="dast", **kw):
     kw.setdefault("clients_per_region", 4)
     kw.setdefault("duration_ms", 1200.0)
     kw.setdefault("warmup_ms", 300.0)
     kw.setdefault("cooldown_ms", 200.0)
-    return Trial("dast", lambda topo: TpccWorkload(topo), **kw)
+    return Trial(system, lambda topo: TpccWorkload(topo), **kw)
+
+
+def capped_open_loop_ycsb():
+    return TrialSpec(
+        workload="ycsb", workload_params={"theta": 0.7, "crt_ratio": 0.1},
+        clients_per_region=4, duration_ms=1200.0, warmup_ms=300.0,
+        cooldown_ms=150.0, seed=4,
+        open_loop={"users_per_region": 300, "txn_per_user_s": 2.0,
+                   "max_inflight_per_region": 16}).to_trial()
+
+
+def churn():
+    """CI's churn trial: the topo seed-3 plan under open-loop tpca."""
+    return TrialSpec(
+        workload="tpca", workload_params={"theta": 0.5, "crt_ratio": 0.1},
+        num_regions=3, shards_per_region=1, clients_per_region=2,
+        spare_regions=1, duration_ms=5000.0,
+        open_loop={"users_per_region": 60, "txn_per_user_s": 0.67},
+        topology=generate_topology_plan(3).to_dict()).to_trial()
 
 
 class TestZeroCostWhenDetached:
     def test_results_byte_identical_with_tracing_on_vs_off(self):
-        """The satellite-1 golden-digest guarantee: every latency, byte, and
-        message count is identical whether causal tracing is attached or
-        not — trace context rides a separate lane."""
-        off = run_trial(small_trial())
-        on = run_trial(small_trial(obs_causal=True))
-        assert canonical_json(off.summary.as_row()) == \
-            canonical_json(on.summary.as_row())
+        """The golden-digest guarantee: every latency, byte, and message
+        count is identical whether the tracer is attached or not — trace
+        context rides a separate lane.  Closed and capped open loop, a
+        churn plan, and a baseline."""
+        for make in (small_trial, capped_open_loop_ycsb, churn,
+                     lambda: small_trial("janus")):
+            off = run_trial(make())
+            traced = make()
+            traced.obs = True
+            on = run_trial(traced)
+            assert on.obs.traces()
+            assert canonical_json(off.summary.as_row()) == \
+                canonical_json(on.summary.as_row())
+            for name in ("bytes_sent", "messages_sent"):
+                assert (getattr(off.system.network.stats, name)
+                        == getattr(on.system.network.stats, name)), name
 
     def test_trace_bytes_live_in_their_own_lane(self):
         off = run_trial(small_trial())
-        on = run_trial(small_trial(obs_causal=True))
+        on = run_trial(small_trial(obs=True))
         assert off.system.network.stats.trace_bytes_sent == 0
         stats = on.system.network.stats
         assert stats.trace_bytes_sent > 0
@@ -56,7 +85,7 @@ class TestZeroCostWhenDetached:
 class TestSpanTrees:
     @pytest.fixture(scope="class")
     def traced(self):
-        result = run_trial(small_trial(obs_causal=True))
+        result = run_trial(small_trial(obs=True))
         return result, result.obs.traces()
 
     def test_every_committed_txn_yields_single_connected_tree(self, traced):
@@ -103,14 +132,14 @@ class TestSpanTrees:
 
 class TestCausalTracerUnit:
     def test_root_retry_reuses_root_span(self):
-        tracer = CausalTracer()
+        tracer = Tracer()
         a = tracer.begin_root("c", "t1", 0.0)
         b = tracer.begin_root("c", "t1", 5.0)
         assert a is b
         assert a.retries == 1
 
     def test_hop_fallback_parents_to_root(self):
-        tracer = CausalTracer()
+        tracer = Tracer()
         tracer.begin_root("c", "t9", 0.0)
 
         class Payload:
@@ -121,12 +150,38 @@ class TestCausalTracerUnit:
         assert tracer.hops[-1].parent_id == tracer.roots["t9"].span_id
 
     def test_untraceable_payload_yields_no_hop(self):
-        tracer = CausalTracer()
+        tracer = Tracer()
         assert tracer.begin_hop("a", "b", "pct_report", object()) is None
         assert tracer.hops == []
 
+    def test_hop_drops_reach_the_notice_and_the_report(self, tmp_path):
+        """The hop bound counts into the one ``dropped`` tally, so every
+        reader of a truncated trace says so."""
+        import json
+
+        from repro.obs import attach_obs, export_jsonl, render_report
+        from repro.txn.model import Transaction
+        from tests.conftest import kv_set, make_dast, submit_and_run
+
+        system = make_dast(regions=2, spr=1)
+        bundle = attach_obs(system)
+        tracer = bundle.tracer
+        tracer.max_hops = 3
+        system.start()
+        submit_and_run(system, Transaction(
+            "crt", [kv_set(0, 1, 1), kv_set(1, 1, 2, piece_index=1)]))
+        bundle.stop()
+        assert len(tracer.hops) == 3 and len(tracer.events) < tracer.capacity
+        assert tracer.truncated and tracer.dropped > 0
+        assert f"{tracer.dropped} trace records dropped" in tracer.truncation_notice()
+        assert "/ 3 hops" in tracer.truncation_notice()
+        assert f"WARNING: tracer dropped {tracer.dropped} records" in render_report(bundle)
+        export_jsonl(bundle, str(tmp_path / "obs.jsonl"))
+        meta = json.loads((tmp_path / "obs.jsonl").read_text().splitlines()[0])
+        assert meta["trace_dropped"] == tracer.dropped
+
     def test_build_traces_drops_rootless_hops(self):
-        tracer = CausalTracer()
+        tracer = Tracer()
         tracer.begin_root("c", "t1", 0.0)
 
         class Payload:

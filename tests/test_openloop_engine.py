@@ -16,14 +16,14 @@ from repro.workloads.registry import workload_factory
 _YCSB = {"theta": 0.7, "crt_ratio": 0.0, "read_ratio": 0.95, "ops_per_txn": 2}
 
 
-def _trial(seed=1, duration=500.0, obs_causal=False, **open_loop) -> Trial:
+def _trial(seed=1, duration=500.0, obs=False, **open_loop) -> Trial:
     knobs = {"users_per_region": 1000, "txn_per_user_s": 3.0}
     knobs.update(open_loop)
     return Trial(
         "dast", workload_factory("ycsb", _YCSB),
         replication=1, clients_per_region=4,
         duration_ms=duration, warmup_ms=50.0, cooldown_ms=50.0, seed=seed,
-        obs_causal=obs_causal, open_loop=knobs,
+        obs=obs, open_loop=knobs,
     )
 
 
@@ -50,7 +50,7 @@ class TestEngineBasics:
         assert engine.failed == 0
 
     def test_tracer_disables_express_but_trial_still_commits(self):
-        res = run_trial(_trial(duration=400.0, obs_causal=True,
+        res = run_trial(_trial(duration=400.0, obs=True,
                                users_per_region=300))
         engine = res.clients[0]
         assert not engine.express
@@ -130,7 +130,7 @@ class TestCoordinatedOmission:
             system, workload,
             OpenLoopConfig(users_per_region=400, txn_per_user_s=2.0,
                            max_inflight_per_region=8),
-            recorder)
+            recorder, express=True)
         engine.start(until=500.0)
         if stall_ms:
             for host in topo.nodes_in_region("r0"):
@@ -169,12 +169,12 @@ class TestArrivalAnchoredObservability:
         """A capped, bursty, causally-traced open-loop trial: the cap binds
         during bursts, so some arrivals queue before submitting."""
         return run_trial(_trial(
-            seed=2, duration=400.0, obs_causal=True,
+            seed=2, duration=400.0, obs=True,
             users_per_region=200, txn_per_user_s=3.0,
             model="mmpp", burst_mult=6.0, max_inflight_per_region=4))
 
     def test_spans_gain_queue_phase_and_telescope(self, traced):
-        spans = assemble_spans(traced.obs.tracer)
+        spans = assemble_spans(traced.obs.traces().values())
         assert spans
         queued = [s for s in spans if s.phases.get("queue", 0.0) > 1e-9]
         assert queued, "cap never bound: no queued arrivals traced"
@@ -196,10 +196,8 @@ class TestArrivalAnchoredObservability:
         """A queued txn's causal root opens at the intended arrival, so
         root.total equals the open-loop latency, not the service time."""
         tracer = traced.obs.tracer
-        intended = {}
-        for ev in tracer.events:
-            if ev.kind == "arrival":
-                intended[ev.txn_id] = ev.fields["intended"]
+        intended = {ev.txn_id: ev.fields["intended"]
+                    for ev in tracer.query(kind="arrival")}
         anchored = 0
         for root in tracer.roots.values():
             want = intended.get(root.trace_id)

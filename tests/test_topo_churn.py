@@ -228,8 +228,7 @@ class TestMigrationSpans:
         result = run_trial(trial)
         result.drain(extra_ms=DRAIN_MS)
         assert result.system.topo_counters().get("topo_migrated_users", 0) > 0
-        tracer = result.obs.tracer if hasattr(result.obs, "tracer") else result.obs
-        spans = assemble_spans(tracer)
+        spans = assemble_spans(result.obs.traces().values())
         migration = [s for s in spans if "migration" in s.phases]
         assert migration, "no spans carried the migration phase"
         for span in migration:

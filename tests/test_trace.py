@@ -3,7 +3,7 @@
 import pytest
 
 from repro.obs import attach_tracer
-from repro.sim.trace import TraceEvent, Tracer
+from repro.obs.trace import Tracer
 from repro.txn.model import Transaction
 from tests.conftest import kv_set, make_dast, submit_and_run
 
@@ -18,18 +18,6 @@ class TestTracerUnit:
         assert len(tracer.query(host="a")) == 2
         assert len(tracer.query(txn="t1")) == 2
         assert len(tracer.query(since=2.5)) == 1
-
-    def test_kind_filter_drops_unwanted(self):
-        tracer = Tracer(kinds={"execute"})
-        tracer.emit(1.0, "a", "execute", txn="t1")
-        tracer.emit(1.0, "a", "commit", txn="t1")
-        assert tracer.counts() == {"execute": 1}
-
-    def test_host_filter(self):
-        tracer = Tracer(hosts={"a"})
-        tracer.emit(1.0, "a", "x")
-        tracer.emit(1.0, "b", "x")
-        assert len(tracer.events) == 1
 
     def test_capacity_bounds_memory(self):
         tracer = Tracer(capacity=3)
@@ -70,7 +58,7 @@ class TestTruncationSignal:
         tracer = self.make_truncated()
         with pytest.warns(RuntimeWarning):
             text = tracer.timeline("t1")
-        assert "3 trace events dropped at capacity 2" in text.splitlines()[-1]
+        assert "3 trace records dropped at capacity 2 events" in text.splitlines()[-1]
 
     def test_untruncated_timeline_has_no_notice(self):
         tracer = Tracer()
@@ -81,7 +69,7 @@ class TestTruncationSignal:
         import warnings as warnings_mod
 
         tracer = self.make_truncated()
-        with pytest.warns(RuntimeWarning, match="3 trace events dropped"):
+        with pytest.warns(RuntimeWarning, match="3 trace records dropped"):
             tracer.query(kind="x")
         with warnings_mod.catch_warnings():
             warnings_mod.simplefilter("error")
@@ -119,13 +107,6 @@ class TestTracerIntegration:
         submit_and_run(system, Transaction("w", [kv_set(0, 0, 1)]))
         assert system.nodes["r0.n0"].tracer is None
 
-    def test_kind_scoped_system_tracer(self):
-        system = make_dast(regions=1, spr=1)
-        tracer = attach_tracer(system, kinds={"execute"})
-        system.start()
-        submit_and_run(system, Transaction("w", [kv_set(0, 0, 1)]))
-        assert set(tracer.counts()) == {"execute"}
-
 
 class TestLemma1ViaTraces:
     def test_execution_order_monotone_per_host(self):
@@ -141,7 +122,7 @@ class TestLemma1ViaTraces:
         topo = make_topology(regions=2, spr=1, clients=4)
         workload = TpcaWorkload(topo, theta=0.9, crt_ratio=0.25)
         system = DastSystem(topo, workload.schemas(), workload.load, seed=2)
-        tracer = attach_tracer(system, kinds={"execute"})
+        tracer = attach_tracer(system)
         recorder = LatencyRecorder()
         system.start()
         clients = spawn_clients(system, workload, recorder.record)
@@ -152,7 +133,7 @@ class TestLemma1ViaTraces:
 
         from collections import defaultdict
         per_host = defaultdict(list)
-        for ev in tracer.events:
+        for ev in tracer.query(kind="execute"):
             per_host[ev.host].append(ev.fields["ts"])
         assert per_host  # traffic happened
         for host, stamps in per_host.items():

@@ -90,8 +90,11 @@ class TestPooledDrawEquivalence:
         assert engine.txn_pool.created < res.summary.committed / 10
 
     def test_the_pool_knob_is_refused_by_name(self):
-        with pytest.raises(ConfigError, match="pool"):
-            OpenLoopConfig.from_dict({"users_per_region": 10, "pool": False})
+        # Neither path is a knob: express eligibility is decided from the
+        # trial, and the express path always pools.
+        for knob in ("pool", "express"):
+            with pytest.raises(ConfigError, match=knob):
+                OpenLoopConfig.from_dict({"users_per_region": 10, knob: False})
 
 
 class TestTransactionPool:
