@@ -27,8 +27,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Set, Tuple
 
-import networkx as nx
-
 from repro.baselines.base import BaselineNode
 from repro.core.system import System
 from repro.sim.clocks import ClockSource
@@ -54,9 +52,11 @@ class _JanusRec:
         "pieces_left", "local_env", "outputs", "aborted", "abort_reason",
     )
 
+    STUB = "stub"  # outputs pushed before the transaction itself arrived
     PREACCEPTED = "preaccepted"
     ACCEPTED = "accepted"
     COMMITTED = "committed"
+    ENQUEUED = "enqueued"  # in the local serial order, pieces running
     EXECUTED = "executed"
 
     def __init__(self, txn: Transaction, coord: str):
@@ -74,6 +74,87 @@ class _JanusRec:
         self.abort_reason = ""
 
 
+def admission_order(deps: Dict[str, List[str]], blocked: Set[str]) -> List[str]:
+    """The waiting transactions that join the local serial order now, in order.
+
+    ``deps`` maps each committed, not yet enqueued transaction (in arrival
+    order) to the waiting transactions it is ordered after, and ``blocked``
+    holds those with a dependency not committed here yet.  A strongly
+    connected component (SCC) of that graph joins whole, in txn-id order,
+    when no member is blocked and every SCC it depends on joins too.
+
+    SCCs are numbered in the order Tarjan's algorithm completes them, walked
+    from each transaction in arrival order; joining SCCs then follow the
+    reverse of Kahn's generation order over the SCC graph (dependents of
+    nobody first), so dependencies always precede their dependents.  Any
+    such order is serializable; this one is pinned, because the order in
+    which pieces are launched fixes every later event of a Janus trial.
+    """
+    # Tarjan, iteratively: an SCC completes after every SCC it reaches.
+    index: Dict[str, int] = {}
+    low: Dict[str, int] = {}
+    stack: List[str] = []
+    comp_of: Dict[str, int] = {}
+    comps: List[List[str]] = []
+    for root in deps:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        walk = [(root, iter(deps[root]))]
+        while walk:
+            tid, rest = walk[-1]
+            for dep_id in rest:
+                if dep_id not in index:
+                    index[dep_id] = low[dep_id] = len(index)
+                    stack.append(dep_id)
+                    walk.append((dep_id, iter(deps[dep_id])))
+                    break
+                if dep_id not in comp_of:  # still on the stack
+                    low[tid] = min(low[tid], index[dep_id])
+            else:
+                walk.pop()
+                if walk:
+                    parent = walk[-1][0]
+                    low[parent] = min(low[parent], low[tid])
+                if low[tid] == index[tid]:
+                    comp: List[str] = []
+                    while not comp or comp[-1] != tid:
+                        comp_of[stack[-1]] = len(comps)
+                        comp.append(stack.pop())
+                    comps.append(comp)
+    # SCC graph: each SCC's dependency SCCs, first-seen order, no repeats.
+    succ: List[Dict[int, None]] = [{} for _ in comps]
+    indegree = [0] * len(comps)
+    for tid, dep_ids in deps.items():
+        here = succ[comp_of[tid]]
+        for dep_id in dep_ids:
+            there = comp_of[dep_id]
+            if there != comp_of[tid] and there not in here:
+                here[there] = None
+                indegree[there] += 1
+    # Kahn's generations, then reversed: dependencies first.
+    order: List[int] = []
+    generation = [c for c, n in enumerate(indegree) if n == 0]
+    while generation:
+        order += generation
+        following = []
+        for c in generation:
+            for there in succ[c]:
+                indegree[there] -= 1
+                if indegree[there] == 0:
+                    following.append(there)
+        generation = following
+    ready = [False] * len(comps)
+    admitted: List[str] = []
+    for c in reversed(order):
+        ready[c] = (all(ready[there] for there in succ[c])
+                    and not any(tid in blocked for tid in comps[c]))
+        if ready[c]:
+            admitted += sorted(comps[c])
+    return admitted
+
+
 class JanusNode(BaselineNode):
     """One shard replica + coordinator role."""
 
@@ -81,7 +162,6 @@ class JanusNode(BaselineNode):
         super().__init__(system, host, shard)
         self.records: Dict[str, _JanusRec] = {}
         self.executed_ids: Set[str] = set()
-        self._enqueued: Set[str] = set()
         self._input_waiters: Dict[str, List] = {}
         self.locks = LockManager(self.sim)
         # key -> unexecuted txn ids that touched it (conflict tracking)
@@ -102,7 +182,7 @@ class JanusNode(BaselineNode):
         if txn.txn_id in self.executed_ids:
             return {"deps": {}, "node": self.host}
         rec = self.records.get(txn.txn_id)
-        if rec is None or rec.status == "stub":
+        if rec is None or rec.status == _JanusRec.STUB:
             stashed = rec.inputs if rec is not None else {}
             rec = _JanusRec(txn, payload.coord)
             rec.inputs.update(stashed)
@@ -133,14 +213,14 @@ class JanusNode(BaselineNode):
         if txn_id in self.executed_ids:
             return {"ok": True}
         rec = self.records.get(txn_id)
-        if rec is None or rec.status == "stub":
+        if rec is None or rec.status == _JanusRec.STUB:
             stashed = rec.inputs if rec is not None else {}
             rec = _JanusRec(payload.txn, payload.coord)
             rec.inputs.update(stashed)
             self.records[txn_id] = rec
             for key in rec.txn.lock_keys_on(self.shard_id):
                 self.key_last.setdefault(key, []).append(txn_id)
-        if rec.status in (_JanusRec.COMMITTED, _JanusRec.EXECUTED):
+        if rec.status not in (_JanusRec.PREACCEPTED, _JanusRec.ACCEPTED):
             return {"ok": True}
         rec.deps = payload.deps
         rec.status = _JanusRec.COMMITTED
@@ -153,7 +233,7 @@ class JanusNode(BaselineNode):
         return {"ok": True}
 
     # ------------------------------------------------------------------
-    # Dependency-ordered execution (SCC condensation, as in Janus §4)
+    # Dependency-ordered execution (SCC order, as in Janus §4)
     # ------------------------------------------------------------------
     def _try_execute(self) -> None:
         """Admit committed transactions into the deterministic local order.
@@ -169,51 +249,37 @@ class JanusNode(BaselineNode):
         ("a dependent piece ... blocked by other CRTs' pieces waiting for
         inputs" costs one extra RTT rather than deadlocking).
 
+        Only a commit can make a transaction enqueueable, so only
+        :meth:`on_commit` calls this: an execution finishes a transaction
+        that was already enqueued, which unblocks nothing.
+
         Determinism: the dependency sets come from the coordinator's commit
         message (identical at every replica), SCCs break ties by txn id,
         and the lock manager grants FIFO — so all replicas serialize
         conflicting pieces identically.
         """
-        while True:
-            candidates = {
-                tid: rec for tid, rec in self.records.items()
-                if rec.status == _JanusRec.COMMITTED and tid not in self._enqueued
-            }
-            if not candidates:
-                return
-            graph = nx.DiGraph()
-            graph.add_nodes_from(candidates)
-            blocked = set()
-            for tid, rec in candidates.items():
-                for dep_id in rec.relevant_deps:
-                    if dep_id in self.executed_ids or dep_id in self._enqueued:
-                        continue
-                    if dep_id in candidates:
-                        graph.add_edge(tid, dep_id)  # tid ordered after dep_id
-                    else:
+        deps: Dict[str, List[str]] = {}
+        blocked: Set[str] = set()
+        for tid, rec in self.records.items():
+            if rec.status != _JanusRec.COMMITTED:
+                continue
+            waits_on = deps[tid] = []
+            for dep_id in rec.relevant_deps:
+                dep = self.records.get(dep_id)
+                if dep is None:
+                    if dep_id not in self.executed_ids:
                         blocked.add(tid)  # dep not committed here yet
-            condensed = nx.condensation(graph)
-            comp_ready: Dict[int, bool] = {}
-            progressed = False
-            # Reverse topological order: dependencies (successors) first.
-            for comp in reversed(list(nx.topological_sort(condensed))):
-                members = sorted(condensed.nodes[comp]["members"])
-                ready = (
-                    all(comp_ready[s] for s in condensed.successors(comp))
-                    and not any(m in blocked for m in members)
-                )
-                comp_ready[comp] = ready
-                if ready:
-                    for tid in members:
-                        self._enqueue(candidates[tid])
-                    progressed = True
-            if not progressed:
-                return
+                elif dep.status == _JanusRec.COMMITTED:
+                    waits_on.append(dep_id)  # tid ordered after dep_id
+                elif dep.status != _JanusRec.ENQUEUED:
+                    blocked.add(tid)
+        for tid in admission_order(deps, blocked):
+            self._enqueue(self.records[tid])
 
     def _enqueue(self, rec: _JanusRec) -> None:
         """Fix ``rec``'s position in the local serial order; launch pieces."""
         txn = rec.txn
-        self._enqueued.add(txn.txn_id)
+        rec.status = _JanusRec.ENQUEUED
         pieces = txn.pieces_on(self.shard_id)
         rec.pieces_left = len(pieces)
         rec.local_env = dict(rec.inputs)
@@ -279,9 +345,7 @@ class JanusNode(BaselineNode):
             reason=rec.abort_reason,
         ))
         self.records.pop(txn.txn_id, None)
-        self._enqueued.discard(txn.txn_id)
         self._input_waiters.pop(txn.txn_id, None)
-        self._try_execute()
 
     def _wake_waiters(self, txn_id: str) -> None:
         waiters = self._input_waiters.pop(txn_id, [])
@@ -295,13 +359,8 @@ class JanusNode(BaselineNode):
             return
         rec = self.records.get(txn_id)
         if rec is None:
-            rec = _JanusRec.__new__(_JanusRec)
-            rec.txn = None  # early outputs before preaccept: stash inputs
-            rec.coord = ""
-            rec.status = "stub"
-            rec.deps = {}
-            rec.inputs = {}
-            rec.relevant_deps = set()
+            rec = _JanusRec(None, "")  # early outputs before preaccept: stash inputs
+            rec.status = _JanusRec.STUB
             self.records[txn_id] = rec
         for var, value in payload.values.items():
             rec.inputs.setdefault(var, value)

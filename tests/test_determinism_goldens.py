@@ -187,6 +187,29 @@ class TestHotPathHygiene:
                                 found.add(f"{path.relative_to(SRC / 'core')}:{owner}")
         assert found == self.RPC_FAILURE_CATCHERS
 
+    # The package runs on the standard library alone, as pyproject.toml
+    # declares: an import of anything else fails on a clean install.
+    def test_every_import_is_stdlib_or_repro(self):
+        import ast
+        import sys
+
+        offenders = []
+        for path in sorted(SRC.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                for name in names:
+                    top = name.split(".")[0]
+                    if top != "repro" and top not in sys.stdlib_module_names:
+                        offenders.append(f"{path.relative_to(SRC)}:{node.lineno}: {name}")
+        assert not offenders, "undeclared dependency under src/:\n" + "\n".join(offenders)
+        pyproject = (SRC.parent.parent / "pyproject.toml").read_text()
+        assert re.search(r"^dependencies = \[\]$", pyproject, re.M)
+
     # Raw process forking is banned outright: process fan-out goes through
     # multiprocessing's spawn context (repro.fleet, repro.chaos.parallel),
     # which never inherits mutable simulation state.

@@ -489,3 +489,36 @@ class TestPieceExecutionCost:
         per_execution = self._calls_per_execution()
         assert per_execution == self._calls_per_execution()  # repeats exactly
         assert per_execution <= self.CALLS_PER_NEW_ORDER_HOME * 1.1, per_execution
+
+
+# ---------------------------------------------------------------------------
+# What admitting committed transactions costs a Janus replica (docs/PERF.md,
+# "Janus admits without networkx"): counted, not timed.  ``_try_execute``
+# runs once per commit and covers building the waiting graph, ordering it
+# and launching the admitted transactions' pieces.
+# ---------------------------------------------------------------------------
+class TestJanusAdmissionCost:
+    # Python-level calls per admission, measured when the networkx
+    # condensation was replaced by plain dicts (119 through networkx); +10 %.
+    CALLS_PER_ADMISSION = 35.0
+
+    @staticmethod
+    def _calls_per_admission():
+        from repro.baselines.janus import JanusNode
+        from repro.bench.harness import Trial, run_trial
+        from repro.workloads.registry import workload_factory
+
+        trial = Trial("janus", workload_factory("tpcc", {}), clients_per_region=4,
+                      duration_ms=1000.0, warmup_ms=200.0, cooldown_ms=100.0, seed=1)
+        scopes = {JanusNode._try_execute.__code__: "admit"}
+        ran = []
+        calls, entered = _count_calls(scopes, lambda: ran.append(run_trial(trial)))
+        executed = sum(node.stats.get("executed") for node in ran[0].system.nodes.values())
+        # Once per commit: a finished execution does not re-run admission.
+        assert executed <= entered["admit"] < executed * 1.1, (entered, executed)
+        return calls["admit"] / entered["admit"]
+
+    def test_calls_per_admission(self):
+        per_admission = self._calls_per_admission()
+        assert per_admission == self._calls_per_admission()  # repeats exactly
+        assert per_admission <= self.CALLS_PER_ADMISSION * 1.1, per_admission
