@@ -9,13 +9,15 @@ arrival whose intended time is its submit time.
 
 from __future__ import annotations
 
+import heapq
 import math
 from array import array
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.txn.result import TxnResult
 
-__all__ = ["LatencyRecorder", "NO_PHASE_BREAKDOWN", "percentile", "Summary"]
+__all__ = ["LatencyRecorder", "NO_PHASE_BREAKDOWN", "percentile", "percentiles", "Summary"]
 
 # What a caller that was asked for phase_breakdown() says when the recorder
 # was built with keep_results off, instead of showing an unexplained nothing.
@@ -23,8 +25,10 @@ NO_PHASE_BREAKDOWN = ("no phase breakdown: this trial recycles its results "
                       "(open loop without keep_records)")
 
 
-def percentile(values: Sequence[float], p: float, interpolate: bool = False) -> float:
-    """Percentile of ``values``; 0 for empty input.
+def percentiles(values: Iterable[float], ps: Sequence[float],
+                interpolate: bool = False) -> List[float]:
+    """The percentiles ``ps`` of ``values``, all read off one sort; 0 each
+    for empty input.
 
     The default is the classic **nearest-rank** estimator (what the paper's
     figures use, and what every existing call site expects).  With
@@ -33,17 +37,30 @@ def percentile(values: Sequence[float], p: float, interpolate: bool = False) -> 
     observability layer uses for histogram/span quantiles where smooth
     estimates matter more than reproducing a sample exactly.
     """
-    if not values:
-        return 0.0
     ordered = sorted(values)
-    if interpolate:
-        rank = max(0.0, min(1.0, p / 100.0)) * (len(ordered) - 1)
-        lo = int(math.floor(rank))
-        hi = min(lo + 1, len(ordered) - 1)
-        frac = rank - lo
-        return ordered[lo] + (ordered[hi] - ordered[lo]) * frac
-    k = max(0, min(len(ordered) - 1, math.ceil(p / 100.0 * len(ordered)) - 1))
-    return ordered[k]
+    n = len(ordered)
+    if not n:
+        return [0.0] * len(ps)
+    out = []
+    for p in ps:
+        if interpolate:
+            rank = max(0.0, min(1.0, p / 100.0)) * (n - 1)
+            lo = int(math.floor(rank))
+            hi = min(lo + 1, n - 1)
+            out.append(ordered[lo] + (ordered[hi] - ordered[lo]) * (rank - lo))
+        else:
+            out.append(ordered[_nearest_rank(p, n)])
+    return out
+
+
+def percentile(values: Iterable[float], p: float, interpolate: bool = False) -> float:
+    """One percentile of ``values`` (see :func:`percentiles`); 0 for empty input."""
+    return percentiles(values, (p,), interpolate)[0]
+
+
+def _nearest_rank(p: float, n: int) -> int:
+    """Index of the nearest-rank ``p``-th percentile in ``n`` sorted samples."""
+    return max(0, min(n - 1, math.ceil(p / 100.0 * n) - 1))
 
 
 class Summary:
@@ -268,33 +285,35 @@ class LatencyRecorder:
         series.failures += 1
 
     # ------------------------------------------------------------------
-    def _samples(self, field: str, crt: Optional[bool] = None,
-                 region: Optional[str] = None) -> List[float]:
-        """The ``irt_<field>`` and/or ``crt_<field>`` samples of one region,
-        or of all of them in region-name order."""
-        if crt is None:
-            return self._samples(field, False, region) + self._samples(field, True, region)
-        name = ("crt_" if crt else "irt_") + field
+    def _arrays(self, field: str, crt: Optional[bool] = None,
+                region: Optional[str] = None) -> List[array]:
+        """The ``irt_<field>`` and/or ``crt_<field>`` arrays of one region,
+        or of all of them in region-name order (IRTs first), read in place."""
+        kinds = ("irt_", "crt_") if crt is None else ("crt_" if crt else "irt_",)
         names = sorted(self._regions) if region is None else [region]
-        out: List[float] = []
-        for key in names:
-            if key in self._regions:
-                out.extend(getattr(self._regions[key], name))
-        return out
+        return [getattr(self._regions[key], kind + field)
+                for kind in kinds for key in names if key in self._regions]
+
+    def _iter(self, field: str, crt: Optional[bool] = None,
+              region: Optional[str] = None) -> Iterator[float]:
+        return chain.from_iterable(self._arrays(field, crt, region))
 
     def latencies(self, crt: Optional[bool] = None,
                   region: Optional[str] = None) -> List[float]:
         """Intended-arrival-anchored latencies: the headline measurement."""
-        return self._samples("open", crt, region)
+        return list(self._iter("open", crt, region))
 
     def service_latencies(self, crt: Optional[bool] = None,
                           region: Optional[str] = None) -> List[float]:
         """Submit-anchored latencies (what a closed-loop client would see)."""
-        return self._samples("svc", crt, region)
+        return list(self._iter("svc", crt, region))
 
     # ------------------------------------------------------------------
     def summarize(self, system: str = "") -> Summary:
-        window = min(self.warm_end, max(self._samples("finish"), default=0.0))
+        """Reduce the packed arrays in place: one sort per series, alive one
+        at a time, and the queue p99 by selecting the top 1 %."""
+        window = min(self.warm_end,
+                     max((max(a) for a in self._arrays("finish") if a), default=0.0))
         window -= self.warm_start
         window = max(window, 1e-9)
         summary = Summary(system, window, open_loop=self.open_loop)
@@ -305,29 +324,29 @@ class LatencyRecorder:
         summary.failed = self.failed
         total = summary.committed + summary.aborted
         summary.throughput = total / (window / 1000.0)
-        irts_open = self.latencies(crt=False)
-        crts_open = self.latencies(crt=True)
-        irts_svc = self.service_latencies(crt=False)
-        crts_svc = self.service_latencies(crt=True)
-        summary.irt_median = percentile(irts_open, 50)
-        summary.irt_p99 = percentile(irts_open, 99)
-        summary.crt_median = percentile(crts_open, 50)
-        summary.crt_p99 = percentile(crts_open, 99)
-        summary.irt_p50_svc = percentile(irts_svc, 50)
-        summary.irt_p99_svc = percentile(irts_svc, 99)
-        summary.crt_p99_svc = percentile(crts_svc, 99)
-        queue = [o - s for o, s in zip(irts_open, irts_svc)]
-        queue.extend(o - s for o, s in zip(crts_open, crts_svc))
-        summary.queue_p99 = percentile(queue, 99)
+        summary.irt_median, summary.irt_p99 = percentiles(self._iter("open", False), (50, 99))
+        summary.crt_median, summary.crt_p99 = percentiles(self._iter("open", True), (50, 99))
+        summary.irt_p50_svc, summary.irt_p99_svc = percentiles(self._iter("svc", False), (50, 99))
+        summary.crt_p99_svc = percentile(self._iter("svc", True), 99)
+        summary.queue_p99 = self._queue_p99()
         summary.abort_rate = (summary.aborted / total) if total else 0.0
         summary.mean_retries = (
             sum(s.retries for s in regions) / total if total else 0.0)
         return summary
 
+    def _queue_p99(self) -> float:
+        """Nearest-rank p99 of the queue delay (intended -> submit) without
+        materialising the series: the (n - k) largest hold rank k."""
+        n = sum(len(a) for a in self._arrays("open"))
+        if not n:
+            return 0.0
+        delays = (o - s for o, s in zip(self._iter("open"), self._iter("svc")))
+        return heapq.nlargest(n - _nearest_rank(99, n), delays)[-1]
+
     # ------------------------------------------------------------------
     def cdf(self, crt: Optional[bool] = None, points: int = 50) -> List[Tuple[float, float]]:
         """(latency_ms, cumulative fraction) pairs for CDF plots (Fig 5d)."""
-        values = sorted(self.latencies(crt))
+        values = sorted(self._iter("open", crt))
         if not values:
             return []
         step = max(1, len(values) // points)
@@ -341,19 +360,21 @@ class LatencyRecorder:
         """Per-bucket throughput and median latency (Figs 9b, 10a)."""
         buckets: Dict[int, Dict[str, List[float]]] = {}
         for crt, key in ((False, "irt"), (True, "crt")):
-            for finish, lat in zip(self._samples("finish", crt), self.latencies(crt)):
+            for finish, lat in zip(self._iter("finish", crt), self._iter("open", crt)):
                 bucket = buckets.setdefault(int(finish // bucket_ms), {"irt": [], "crt": []})
                 bucket[key].append(lat)
         series = []
         for b in sorted(buckets):
             irts, crts = buckets[b]["irt"], buckets[b]["crt"]
+            irt_p50, irt_p99 = percentiles(irts, (50, 99))
+            crt_p50, crt_p99 = percentiles(crts, (50, 99))
             series.append({
                 "t_ms": b * bucket_ms,
                 "throughput_tps": (len(irts) + len(crts)) / (bucket_ms / 1000.0),
-                "irt_p50_ms": percentile(irts, 50),
-                "irt_p99_ms": percentile(irts, 99),
-                "crt_p50_ms": percentile(crts, 50),
-                "crt_p99_ms": percentile(crts, 99),
+                "irt_p50_ms": irt_p50,
+                "irt_p99_ms": irt_p99,
+                "crt_p50_ms": crt_p50,
+                "crt_p99_ms": crt_p99,
             })
         return series
 

@@ -49,15 +49,6 @@ class FleetError(RuntimeError):
         super().__init__(f"{len(failures)} trial(s) failed: {lines}{more}")
 
 
-def _peak_rss_kb() -> int:
-    try:
-        import resource
-
-        return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-    except (ImportError, OSError, ValueError):
-        return 0
-
-
 def _phase_breakdown(result, opts) -> Dict:
     return {
         "without_dependency": result.recorder.phase_breakdown(with_dependency=False),
@@ -102,7 +93,6 @@ def run_spec(spec: TrialSpec) -> TrialOutcome:
         committed=result.summary.committed,
         aborted=result.summary.aborted,
         wall_clock_s=round(time.perf_counter() - start, 3),
-        peak_rss_kb=_peak_rss_kb(),
     )
     # Normalise through JSON so in-process results are indistinguishable
     # from worker/cache results: tuples -> lists, int/float identity, and

@@ -259,9 +259,11 @@ def _TIMING_FIELDS() -> set:
 class TrialOutcome:
     """Compact result of one executed spec (JSON round-trippable).
 
-    ``wall_clock_s``/``peak_rss_kb``/``cached`` are provenance, not
-    content: :meth:`deterministic_blob` excludes them so byte-equality
-    checks compare only what the simulation computed.
+    ``wall_clock_s``/``cached`` are provenance, not content:
+    :meth:`deterministic_blob` excludes them so byte-equality checks compare
+    only what the simulation computed.  No memory figure is carried: a
+    worker's high-water mark spans every trial it ran before this one
+    (``benchmarks/ledger`` measures RSS, one trial per process).
     """
 
     fingerprint: str
@@ -271,7 +273,6 @@ class TrialOutcome:
     committed: int = 0
     aborted: int = 0
     wall_clock_s: float = 0.0
-    peak_rss_kb: int = 0
     cached: bool = False
 
     ok: ClassVar[bool] = True
@@ -294,7 +295,6 @@ class TrialOutcome:
             "committed": self.committed,
             "aborted": self.aborted,
             "wall_clock_s": self.wall_clock_s,
-            "peak_rss_kb": self.peak_rss_kb,
         }
 
     @classmethod

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.bench.metrics import percentile
+from repro.bench.metrics import percentile, percentiles
 from repro.obs.trace import HopSpan, TxnTrace
 
 __all__ = [
@@ -272,13 +272,14 @@ def attribution(traces: Iterable[TxnTrace],
     rows = []
     for name, values in by_name.items():
         total_ms = sum(values)
+        p50, p99 = percentiles(values, (50, 99), interpolate=True)
         rows.append({
             "segment": name,
             "count": len(values),
             "total_ms": total_ms,
             "mean_ms": total_ms / len(values),
-            "p50_ms": percentile(values, 50, interpolate=True),
-            "p99_ms": percentile(values, 99, interpolate=True),
+            "p50_ms": p50,
+            "p99_ms": p99,
             "share": total_ms / grand if grand > _EPS else 0.0,
             "tail_share": (tail_by_name.get(name, 0.0) / tail_grand
                            if tail_grand > _EPS else 0.0),

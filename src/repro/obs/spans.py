@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.bench.metrics import percentile
+from repro.bench.metrics import percentiles
 from repro.obs.trace import TxnTrace
 
 __all__ = ["PhaseSpan", "assemble_spans", "phase_breakdown", "CRT_PHASES", "IRT_PHASES"]
@@ -186,19 +186,21 @@ def phase_breakdown(spans: Iterable[PhaseSpan], crt: Optional[bool] = None) -> L
     rows = []
     for name in order:
         values = [s.phases[name] for s in selected if name in s.phases]
+        p50, p99 = percentiles(values, (50, 99), interpolate=True)
         rows.append({
             "phase": name,
             "count": len(values),
             "mean_ms": sum(values) / len(values),
-            "p50_ms": percentile(values, 50, interpolate=True),
-            "p99_ms": percentile(values, 99, interpolate=True),
+            "p50_ms": p50,
+            "p99_ms": p99,
         })
     totals = [s.total for s in selected]
+    p50, p99 = percentiles(totals, (50, 99), interpolate=True)
     rows.append({
         "phase": "total",
         "count": len(totals),
         "mean_ms": sum(totals) / len(totals),
-        "p50_ms": percentile(totals, 50, interpolate=True),
-        "p99_ms": percentile(totals, 99, interpolate=True),
+        "p50_ms": p50,
+        "p99_ms": p99,
     })
     return rows

@@ -24,7 +24,7 @@ def outcome_for(spec: TrialSpec, **overrides) -> TrialOutcome:
     base = dict(
         fingerprint=spec.fingerprint(), label=spec.display_label(),
         row={"throughput_tps": 10.0}, committed=7, aborted=1,
-        wall_clock_s=0.5, peak_rss_kb=1000,
+        wall_clock_s=0.5,
     )
     base.update(overrides)
     return TrialOutcome(**base)
@@ -154,8 +154,8 @@ class TestFingerprint:
 class TestOutcome:
     def test_deterministic_blob_excludes_provenance(self):
         spec = small_spec()
-        fast = outcome_for(spec, wall_clock_s=0.1, peak_rss_kb=10, cached=False)
-        slow = outcome_for(spec, wall_clock_s=9.9, peak_rss_kb=99, cached=True)
+        fast = outcome_for(spec, wall_clock_s=0.1, cached=False)
+        slow = outcome_for(spec, wall_clock_s=9.9, cached=True)
         assert fast.deterministic_blob() == slow.deterministic_blob()
 
     def test_round_trip(self):

@@ -1,11 +1,14 @@
 """Tests for metrics reduction, the harness, features table, and reporting."""
 
+import math
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bench.features import FEATURE_MATRIX, IMPLEMENTED, feature_rows
 from repro.bench.harness import SYSTEMS, Trial, run_trial
-from repro.bench.metrics import LatencyRecorder, percentile
+from repro.bench.metrics import LatencyRecorder, percentile, percentiles
 from repro.bench.report import format_series, format_table
 from repro.txn.result import TxnResult
 from repro.workloads.tpca import TpcaWorkload
@@ -39,6 +42,19 @@ class TestPercentile:
         p99 = percentile(values, 99)
         assert p50 in values and p99 in values
         assert p50 <= p99
+
+    @given(st.lists(st.floats(0, 1e6), max_size=200),
+           st.lists(st.floats(0, 100), min_size=1, max_size=5))
+    @settings(max_examples=60, deadline=None)
+    def test_many_ranks_off_one_pass(self, values, ps):
+        """``percentiles`` takes a one-shot iterator and reads every rank
+        off the one sort, each as the textbook nearest rank."""
+        ordered = sorted(values)
+        want = [ordered[max(1, math.ceil(p / 100 * len(ordered))) - 1] if ordered else 0.0
+                for p in ps]
+        assert percentiles(iter(values), ps) == want
+        assert percentiles(iter(values), ps, interpolate=True) == [
+            percentile(values, p, interpolate=True) for p in ps]
 
 
 class TestInterpolatedPercentile:
@@ -205,14 +221,8 @@ class TestOneRecorder:
     """The one recorder, whichever loop feeds it, against a reference
     computed straight from the list of what it was handed."""
 
-    @given(_COMPLETIONS, st.sampled_from([(0.0, float("inf")), (100.0, 300.0)]))
-    @settings(max_examples=120, deadline=None)
-    def test_every_view_equals_the_reference(self, completions, window):
-        stream = []
-        for finish, service, queue, crt, committed, retries, region in completions:
-            r = result(latency=service, finish=finish, crt=crt,
-                       committed=committed, retries=retries)
-            stream.append((r, None if queue is None else r.submit_time - queue, region))
+    @staticmethod
+    def _assert_every_view_equals_the_reference(stream, window, regions):
         rec = LatencyRecorder(*window)
         for r, intended, region in stream:
             rec.record(r, intended, region)
@@ -228,8 +238,40 @@ class TestOneRecorder:
             assert rec.cdf(crt, points=7) == cdf(crt)
             assert sorted(rec.latencies(crt)) == sorted(lat(crt))
             assert sorted(rec.service_latencies(crt)) == sorted(lat(crt, col=2))
-            for region in ("", "r0", "r1", "nowhere"):
+            for region in regions + ("nowhere",):
                 assert rec.latencies(crt, region=region) == lat(crt, region)
+
+    @given(_COMPLETIONS, st.sampled_from([(0.0, float("inf")), (100.0, 300.0)]))
+    @settings(max_examples=120, deadline=None)
+    def test_every_view_equals_the_reference(self, completions, window):
+        stream = []
+        for finish, service, queue, crt, committed, retries, region in completions:
+            r = result(latency=service, finish=finish, crt=crt,
+                       committed=committed, retries=retries)
+            stream.append((r, None if queue is None else r.submit_time - queue, region))
+        self._assert_every_view_equals_the_reference(stream, window, ("", "r0", "r1"))
+
+    def test_a_large_stream_equals_the_reference(self):
+        """Hypothesis keeps its lists short; this stream is long enough for
+        every percentile rank to fall deep inside a series, with tied
+        latencies, samples either side of the window, and a region (r2)
+        that sees no CRT."""
+        rng = random.Random(11)
+
+        def half_tied(top):  # a quarter-ms grid for half the draws
+            return rng.randrange(4 * top) / 4.0 if rng.random() < 0.5 else rng.uniform(0, top)
+
+        stream = []
+        for i in range(6000):
+            region = ("r0", "r1", "r2")[i % 3]
+            crt = region != "r2" and rng.random() < 0.2
+            r = result(latency=half_tied(10), finish=rng.uniform(0.0, 400.0),
+                       crt=crt, committed=rng.random() > 0.1, retries=rng.randrange(3))
+            queue = None if i % 4 == 0 else half_tied(4)
+            stream.append((r, None if queue is None else r.submit_time - queue, region))
+        assert not any(r.is_crt for r, _, region in stream if region == "r2")
+        self._assert_every_view_equals_the_reference(
+            stream, (100.0, 300.0), ("r0", "r1", "r2"))
 
     def test_closed_loop_row_has_no_open_loop_keys(self):
         rec = LatencyRecorder()

@@ -522,3 +522,54 @@ class TestJanusAdmissionCost:
         per_admission = self._calls_per_admission()
         assert per_admission == self._calls_per_admission()  # repeats exactly
         assert per_admission <= self.CALLS_PER_ADMISSION * 1.1, per_admission
+
+
+# ---------------------------------------------------------------------------
+# What summarising costs in memory (docs/PERF.md, "Summaries in bounded
+# memory"): counted by tracemalloc, not timed.  The recorder's samples are
+# packed doubles; a summary may hold one working copy of one series at a
+# time, never all of them at once.
+# ---------------------------------------------------------------------------
+class TestSummaryMemory:
+    # Peak transient bytes per sample, measured when every reduction began
+    # to read the packed arrays in place (108 while summarize() unpacked
+    # every series into lists alive together); +10 %.
+    BYTES_PER_SAMPLE = 36.1
+
+    @staticmethod
+    def _recorder():
+        from repro.bench.metrics import LatencyRecorder
+        from repro.txn.result import TxnResult
+
+        rng = random.Random(7)
+        rec = LatencyRecorder(open_loop=True)
+        for i in range(200_000):
+            intended = i * 0.005
+            submit = intended + rng.expovariate(2.0)
+            rec.record_irt(rng.random() > 0.01, intended, submit,
+                           submit + rng.uniform(5.0, 12.0), ("r0", "r1")[i % 2])
+        for i in range(200):
+            crt = TxnResult(f"c{i}", "crt", True, True, retries=i % 3)
+            crt.submit_time = i * 5.0
+            crt.finish_time = crt.submit_time + rng.uniform(150.0, 250.0)
+            rec.record(crt, intended=crt.submit_time - 1.0, region=("r0", "r1")[i % 2])
+        return rec
+
+    def test_peak_bytes_per_sample(self):
+        import gc
+        import tracemalloc
+
+        rec = self._recorder()
+        samples = len(rec.latencies())
+        assert samples == 200_200
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            summary = rec.summarize("x")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert summary.committed + summary.aborted == samples
+        assert summary.queue_p99 > 0 and summary.crt_p99 > summary.irt_p99
+        assert peak / samples <= self.BYTES_PER_SAMPLE * 1.1, peak / samples
