@@ -84,7 +84,9 @@ class SlogGlobalOrderer:
         self._running = False
 
     def on_submit(self, src: str, payload: SlogGlobalSubmit) -> None:
-        self.batch.append(payload)
+        # The received message is read-only (shared with its sender); the
+        # batch loop stamps ``seq`` on a copy of its own.
+        self.batch.append(SlogGlobalSubmit(txn=payload.txn, coord=payload.coord))
         self.stats.inc("global_submits")
 
     def _batch_loop(self):

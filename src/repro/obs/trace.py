@@ -44,8 +44,6 @@ import itertools
 import warnings
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.wire.schema import Encoded
-
 __all__ = ["TraceEvent", "HopSpan", "RootSpan", "TxnTrace", "Tracer", "build_traces"]
 
 TraceCtx = Tuple[str, int]  # (trace_id, span_id)
@@ -180,14 +178,6 @@ def _txn_of(payload: Any) -> Optional[str]:
     """Extract the transaction id a payload carries, if any."""
     if payload is None:
         return None
-    if payload.__class__ is Encoded:
-        fields = payload.fields
-        tid = fields.get("txn_id")
-        if tid is None:
-            txn = fields.get("txn")
-            if txn is not None:
-                tid = getattr(txn, "txn_id", None)
-        return tid
     tid = getattr(payload, "txn_id", None)
     if tid is None:
         txn = getattr(payload, "txn", None)

@@ -12,14 +12,14 @@ the response directly) or generator coroutines (spawned as kernel processes;
 their return value is the response).
 
 Wire layer: payloads travel as typed envelopes.  A sender passes a
-:class:`repro.wire.WireMessage`: the method name is taken from the schema and
-the payload is encoded into a sized frame.  Frames are decoded back into
-typed messages at delivery — an unknown or malformed frame raises
-:class:`repro.wire.WireError` naming the message.
+:class:`repro.wire.WireMessage`: the method name is taken from the schema,
+the message is frozen in place (:func:`repro.wire.encode`; an unregistered
+type raises :class:`repro.wire.WireError` naming it) and rides the envelope
+itself.  Every receiver is handed that one read-only object.
 
-Envelope schema v2 (causal tracing): every envelope carries an optional
-``trace_ctx`` — a compact ``(trace_id, span_id)`` pair stamped at send time
-when a :class:`repro.obs.trace.Tracer` is attached to the network
+Causal tracing: every envelope carries an optional ``trace_ctx`` — a
+compact ``(trace_id, span_id)`` pair stamped at send time when a
+:class:`repro.obs.trace.Tracer` is attached to the network
 (``network.tracer``), and ``None`` otherwise.  The context's virtual wire
 cost is modelled by ``repro.wire.schema.TRACE_CTX_BYTES`` and accounted in
 the *separate* ``NetworkStats.trace_bytes_sent`` lane, so ``wire_size()``
@@ -37,25 +37,12 @@ from repro.errors import ProtocolError, RpcTimeout
 from repro.sim.kernel import Event, Process, Simulator
 from repro.sim.network import Network
 from repro.util import Stats
-from repro.wire.schema import (
-    Encoded,
-    WireMessage,
-    decode,
-    decode_shared,
-    encode,
-    encode_shared,
-    sizeof,
-)
+from repro.wire.schema import WireMessage, encode, sizeof
 
-__all__ = ["Endpoint", "RpcRemoteError", "ENVELOPE_VERSION"]
+__all__ = ["Endpoint", "RpcRemoteError"]
 
 # Virtual bytes of framing around a payload (kind tag, rpc id, method name).
 _ENVELOPE_OVERHEAD = 16
-# Envelope schema version: bumped to 2 when the optional trace_ctx field was
-# added (see module docstring and docs/WIRE.md).  The context is a local
-# object reference in the simulator, so no version negotiation is needed —
-# the constant documents the wire-format lineage for the size model.
-ENVELOPE_VERSION = 2
 
 
 class RpcRemoteError(ProtocolError):
@@ -65,7 +52,7 @@ class RpcRemoteError(ProtocolError):
 class _Request:
     __slots__ = ("rpc_id", "method", "payload", "trace_ctx")
 
-    def __init__(self, rpc_id: int, method: str, payload: Any, trace_ctx=None):
+    def __init__(self, rpc_id: int, method: str, payload: WireMessage, trace_ctx=None):
         self.rpc_id = rpc_id
         self.method = method
         self.payload = payload
@@ -76,9 +63,7 @@ class _Request:
         return self.method
 
     def wire_size(self) -> int:
-        payload = self.payload
-        inner = payload.size if payload.__class__ is Encoded else sizeof(payload)
-        return _ENVELOPE_OVERHEAD + len(self.method) + inner
+        return _ENVELOPE_OVERHEAD + len(self.method) + self.payload.wire_size()
 
 
 class _Response:
@@ -101,26 +86,19 @@ class _Response:
 
 
 class _Oneway:
-    __slots__ = ("method", "payload", "trace_ctx", "decoded")
+    __slots__ = ("method", "payload", "trace_ctx")
 
-    def __init__(self, method: str, payload: Any, trace_ctx=None, decoded=None):
+    def __init__(self, method: str, payload: WireMessage, trace_ctx=None):
         self.method = method
         self.payload = payload
         self.trace_ctx = trace_ctx
-        # The typed payload as cheap handlers see it: built with the frame by
-        # a multicast (repro.wire.encode_shared), else decoded on first
-        # delivery (decode_shared).  A multicast shares one envelope across
-        # its destinations, so they share this too — it is read-only.
-        self.decoded = decoded
 
     @property
     def type_name(self) -> str:
         return self.method
 
     def wire_size(self) -> int:
-        payload = self.payload
-        inner = payload.size if payload.__class__ is Encoded else sizeof(payload)
-        return _ENVELOPE_OVERHEAD + len(self.method) + inner
+        return _ENVELOPE_OVERHEAD + len(self.method) + self.payload.wire_size()
 
 
 class Endpoint:
@@ -179,12 +157,7 @@ class Endpoint:
         if envelope.__class__ is _Oneway:
             handler = self._cheap.get(envelope.method)
             if handler is not None:
-                # Cheap handlers only read their payload, so one decode
-                # serves every destination of a shared envelope; everything
-                # else goes through _dispatch and gets a copy of its own.
-                payload = envelope.decoded
-                if payload is None:
-                    payload = envelope.decoded = decode_shared(envelope.payload)
+                payload = envelope.payload
                 if tracer is None:
                     handler(src, payload)
                     return
@@ -227,7 +200,7 @@ class Endpoint:
         # reports) dominate, then request/response pairs.
         kind = envelope.__class__
         if kind is _Oneway:
-            self._invoke(envelope.method, src, decode(envelope.payload))
+            self._invoke(envelope.method, src, envelope.payload)
         elif kind is _Request:
             self._handle_request(src, envelope)
         elif kind is _Response:
@@ -245,7 +218,7 @@ class Endpoint:
         return result
 
     def _handle_request(self, src: str, req: _Request) -> None:
-        result = self._invoke(req.method, src, decode(req.payload))
+        result = self._invoke(req.method, src, req.payload)
         if isinstance(result, Process):
             result.add_callback(
                 lambda ev: self._reply(
@@ -283,29 +256,21 @@ class Endpoint:
     # ------------------------------------------------------------------
     # Client side
     # ------------------------------------------------------------------
-    def _encode(self, msg: WireMessage) -> Encoded:
-        if not isinstance(msg, WireMessage):
-            raise ProtocolError(
-                f"{self.host}: {msg!r} is not a wire message; "
-                "sends take a typed repro.wire message, not a method name")
-        return encode(msg)
-
     def call(self, dst: str, msg: WireMessage, timeout: Optional[float] = None) -> Event:
         """Send a request; the returned event resolves with the response.
 
         On ``timeout`` (ms) the event fails with :class:`RpcTimeout` and any
         late response is discarded.
         """
-        payload = self._encode(msg)
-        method = payload.name
+        method = encode(msg).NAME
         rpc_id = next(self._ids)
         event = self.sim.event()
         self._pending[rpc_id] = event
         tracer = self.network.tracer
         ctx = None
         if tracer is not None:
-            ctx = tracer.begin_hop(self.host, dst, method, payload)
-        self.network.send(self.host, dst, _Request(rpc_id, method, payload, ctx))
+            ctx = tracer.begin_hop(self.host, dst, method, msg)
+        self.network.send(self.host, dst, _Request(rpc_id, method, msg, ctx))
         if timeout is not None:
             self.sim.schedule(timeout, self._expire, rpc_id, dst, method)
         return event
@@ -336,13 +301,14 @@ class Endpoint:
             event.fail(RpcTimeout(f"{self.host}->{dst} {method} timed out"))
 
     def send(self, dst: str, msg: WireMessage) -> None:
-        """One-way message; no response, no delivery guarantee."""
-        payload = self._encode(msg)
+        """One-way message; no response, no delivery guarantee.  ``msg`` is
+        frozen: assigning to it after this call raises ``WireError``."""
+        method = encode(msg).NAME
         tracer = self.network.tracer
         ctx = None
         if tracer is not None:
-            ctx = tracer.begin_hop(self.host, dst, payload.name, payload)
-        self.network.send(self.host, dst, _Oneway(payload.name, payload, ctx))
+            ctx = tracer.begin_hop(self.host, dst, method, msg)
+        self.network.send(self.host, dst, _Oneway(method, msg, ctx))
 
     def multicast(
         self,
@@ -355,10 +321,8 @@ class Endpoint:
         ``overrides`` maps a destination to the message it gets instead, in
         its own slot of the order.  Equivalent to one :meth:`send` per
         destination, and exactly that when sends carry a per-hop trace
-        context.  Otherwise the destinations share one envelope —
-        encoded once, with the read-only message cheap handlers will be
-        handed built beside the frame (:func:`repro.wire.encode_shared`) —
-        and the network may deliver the whole fan-out as one event
+        context.  Otherwise the destinations share one envelope and the
+        network may deliver the whole fan-out as one event
         (:meth:`Network.multicast`).
         """
         network = self.network
@@ -366,13 +330,11 @@ class Endpoint:
             for dst in dsts:
                 self.send(dst, overrides.get(dst, msg) if overrides else msg)
             return
-        frame, view = encode_shared(msg)
-        envelopes = (_Oneway(msg.NAME, frame, None, view),) * len(dsts)
+        envelopes = (_Oneway(encode(msg).NAME, msg),) * len(dsts)
         if overrides:
             envelopes = list(envelopes)
             for i, dst in enumerate(dsts):
                 other = overrides.get(dst)
                 if other is not None:
-                    frame, view = encode_shared(other)
-                    envelopes[i] = _Oneway(other.NAME, frame, None, view)
+                    envelopes[i] = _Oneway(encode(other).NAME, other)
         network.multicast(self.host, dsts, envelopes)

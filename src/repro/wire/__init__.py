@@ -1,6 +1,7 @@
-"""Typed wire protocol: schemas, codec and size model.
+"""Typed wire protocol: schemas, the send-time freeze and the size model.
 
-``repro.wire.schema`` holds the registry/codec machinery, and
+``repro.wire.schema`` holds the registry, :func:`encode` (which freezes a
+message at send: a message is its own frame) and the size model, and
 ``repro.wire.messages`` the concrete taxonomy (importing it registers every
 message).  See ``docs/WIRE.md`` for the taxonomy table and the virtual-byte
 size model.
@@ -10,13 +11,10 @@ from repro.wire import messages  # noqa: F401  (imports register all schemas)
 from repro.wire.messages import *  # noqa: F401,F403
 from repro.wire.schema import (
     TRACE_CTX_BYTES,
-    Encoded,
     WireError,
     WireMessage,
     decode,
-    decode_shared,
     encode,
-    encode_shared,
     message,
     registered_messages,
     schema_for,
@@ -24,13 +22,10 @@ from repro.wire.schema import (
 )
 
 __all__ = [
-    "Encoded",
     "WireError",
     "WireMessage",
     "decode",
-    "decode_shared",
     "encode",
-    "encode_shared",
     "message",
     "registered_messages",
     "schema_for",

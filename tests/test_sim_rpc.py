@@ -9,7 +9,7 @@ from repro.sim.rng import RngRegistry
 from repro.sim.rpc import Endpoint, RpcRemoteError
 from repro.util import Stats
 from repro.wire.messages import Suspect
-from repro.wire.schema import WireMessage, message
+from repro.wire.schema import WireError, WireMessage, message
 
 
 @message("test_rpc_note")
@@ -217,6 +217,54 @@ class TestOneWay:
         # Send order, and the override lands on its own destination only.
         assert seen == [("c", "r0.a", "x"), ("b", "r0.a", "y")]
         assert net.stats.messages_sent == 2
+
+
+class TestReadOnlyOnEveryPath:
+    """A message is frozen at send and every receiver is handed that one
+    object, whatever the path: cheap or not, one-way or request."""
+
+    @staticmethod
+    def vandal(src, msg):
+        msg.value = "edited"
+
+    def test_a_one_way_handler_cannot_assign(self, setup):
+        sim, _net, a, b = setup
+        b.register(NOTE, self.vandal)
+        a.send("r0.b", Note(1))
+        with pytest.raises(WireError, match="shared with other receivers") as exc:
+            sim.run()
+        assert exc.value.message_name == NOTE
+
+    def test_a_request_handler_cannot_assign(self, setup):
+        sim, _net, a, b = setup
+        b.register(NOTE, self.vandal)
+        a.call("r0.b", Note(1))
+        with pytest.raises(WireError, match="shared with other receivers") as exc:
+            sim.run()
+        assert exc.value.message_name == NOTE
+
+    def test_the_sender_cannot_assign_after_sending(self, setup):
+        sim, _net, a, b = setup
+        seen = []
+        b.register(NOTE, lambda src, p: seen.append(p.value))
+        msg = Note(1)
+        a.send("r0.b", msg)
+        with pytest.raises(WireError, match="shared with other receivers") as exc:
+            msg.value = 2
+        assert exc.value.message_name == NOTE
+        sim.run()
+        assert seen == [1]
+
+    def test_one_object_sent_twice_is_delivered_twice(self, setup):
+        # What call_until does: the same message goes out on every try.
+        sim, _net, a, b = setup
+        seen = []
+        b.register(NOTE, lambda src, p: seen.append(p))
+        msg = Note(1)
+        a.call("r0.b", msg)
+        a.call("r0.b", msg)
+        sim.run()
+        assert len(seen) == 2 and all(p is msg for p in seen)
 
 
 class TestCpuModel:

@@ -66,15 +66,25 @@ class TestGlobalOrderer:
 
     def test_sequence_numbers_assigned_in_arrival_order(self, system):
         orderer = system.orderer
-        entries = []
-        for i in range(3):
-            entry = SlogGlobalSubmit(txn=Transaction(
-                "w", [kv_set(0, i, i), kv_set(1, i, i, piece_index=1)]),
-                coord="r0.n0")
-            entries.append(entry)
-            orderer.on_submit("r0.seq", entry)
+        batches = []
+        send = orderer.endpoint.send
+
+        def spy(dst, msg):
+            batches.append(msg)
+            send(dst, msg)
+
+        orderer.endpoint.send = spy
+        txns = [Transaction("w", [kv_set(0, i, i), kv_set(1, i, i, piece_index=1)])
+                for i in range(3)]
+        for txn in txns:
+            orderer.on_submit("r0.seq", SlogGlobalSubmit(txn=txn, coord="r0.n0"))
         system.run(until=system.sim.now + 30.0)
-        assert [e.seq for e in entries] == [0, 1, 2]
+        # One batch, fanned out to every region; the orderer stamps the
+        # sequence numbers on its own copies of the submits it received.
+        assert len(batches) == len(system.topology.regions)
+        for batch in batches:
+            assert [(e.txn, e.seq) for e in batch.entries] == \
+                [(txn, i) for i, txn in enumerate(txns)]
 
     def test_raft_retry_counter_under_cpu_pressure(self, system):
         orderer = system.orderer

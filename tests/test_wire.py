@@ -1,11 +1,10 @@
-"""Tests for the typed wire schema layer: registry, codec, size model."""
+"""Tests for the typed wire schema layer: registry, send-time freeze, size model."""
 
 import pytest
 
 from repro.txn.model import Transaction
 from repro.wire.messages import PctReport, Submit
 from repro.wire.schema import (
-    Encoded,
     WireError,
     WireMessage,
     decode,
@@ -36,55 +35,27 @@ class TestRegistry:
 
 
 class TestCodec:
+    """A message is its own frame: ``encode`` freezes it in place at send,
+    and ``decode`` is the identity."""
+
     def test_round_trip(self):
         txn = Transaction("w", [kv_set(0, 1, 1)])
-        frame = encode(Submit(txn=txn))
-        assert isinstance(frame, Encoded)
-        assert frame.name == "submit" and frame.version == 1
-        msg = decode(frame)
-        assert isinstance(msg, Submit)
+        msg = Submit(txn=txn)
+        frozen = encode(msg)
+        assert frozen is msg and decode(frozen) is msg
+        assert isinstance(msg, Submit) and msg.NAME == "submit"
         assert msg.txn is txn
-
-    def test_unknown_name_raises_named_error(self):
-        frame = Encoded("ghost_msg", 1, {}, 10)
-        with pytest.raises(WireError) as exc:
-            decode(frame)
-        assert exc.value.message_name == "ghost_msg"
-        assert "ghost_msg" in str(exc.value)
-
-    def test_version_mismatch_raises(self):
-        frame = encode(PctReport(value=3))
-        bad = Encoded(frame.name, frame.version + 1, frame.fields, frame.size)
-        with pytest.raises(WireError) as exc:
-            decode(bad)
-        assert exc.value.message_name == "pct_report"
-        assert "version" in exc.value.reason
-
-    def test_missing_required_field_raises(self):
-        bad = Encoded("pct_report", 1, {}, 10)
-        with pytest.raises(WireError) as exc:
-            decode(bad)
-        assert "missing" in exc.value.reason
-
-    def test_unexpected_field_raises(self):
-        bad = Encoded("pct_report", 1, {"value": 1, "bogus": 2}, 10)
-        with pytest.raises(WireError) as exc:
-            decode(bad)
-        assert "bogus" in exc.value.reason
-
-    def test_optional_fields_may_be_omitted(self):
-        # slog_global_submit's seq defaults to None (stamped by the orderer).
-        frame = Encoded("slog_global_submit",
-                        1, {"txn": None, "coord": "r0.n0"}, 10)
-        msg = decode(frame)
-        assert msg.seq is None
+        with pytest.raises(WireError, match="shared with other receivers"):
+            msg.txn = None
+        assert encode(msg) is msg  # idempotent: a resend freezes nothing new
 
     def test_encode_unregistered_type_rejected(self):
         class Rogue(WireMessage):
             pass
 
-        with pytest.raises(WireError):
+        with pytest.raises(WireError) as exc:
             encode(Rogue())
+        assert exc.value.message_name == "Rogue"
 
 
 class TestSizeModel:
@@ -102,7 +73,7 @@ class TestSizeModel:
     def test_sizes_are_deterministic(self):
         m1 = PctReport(value=123)
         m2 = PctReport(value=123)
-        assert encode(m1).size == encode(m2).size > 0
+        assert m1.wire_size() == m2.wire_size() > 0
 
     def test_transaction_delegates_wire_size(self):
         txn = Transaction("w", [kv_set(0, 1, 1)])
@@ -111,6 +82,6 @@ class TestSizeModel:
         assert txn.wire_size() == txn.wire_size()
 
     def test_larger_message_is_larger(self):
-        small = encode(PctReport(value=1))
-        big = encode(Submit(txn=Transaction("w", [kv_set(0, 1, 1)])))
-        assert big.size > small.size
+        small = PctReport(value=1)
+        big = Submit(txn=Transaction("w", [kv_set(0, 1, 1)]))
+        assert big.wire_size() > small.wire_size()

@@ -7,7 +7,7 @@ from repro.sim.network import Network
 from repro.sim.rng import RngRegistry
 from repro.sim.rpc import Endpoint
 from repro.wire.messages import CrtExecuted, PctReport
-from repro.wire.schema import WireMessage, encode, message
+from repro.wire.schema import WireMessage, message
 from repro.clock.hlc import Timestamp
 
 
@@ -74,8 +74,8 @@ class TestByteAccounting:
         b.register("pct_report", lambda src, p: None)
         a.send("r0.b", PctReport(value=TS))
         sim.run()
-        frame_size = encode(PctReport(value=TS)).size
-        # Envelope framing adds a constant on top of the encoded frame.
+        frame_size = PctReport(value=TS).wire_size()
+        # Envelope framing adds a constant on top of the message's frame.
         assert net.stats.per_type_bytes["pct_report"] > frame_size
 
 
