@@ -21,14 +21,16 @@ bytes).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.chaos.plan import FaultEvent, FaultPlan
 from repro.errors import ConfigError
 from repro.fleet.spec import TrialSpec
 
-__all__ = ["ChaosRunner", "ChaosReport", "run_chaos_trial", "judge_results",
-           "audit_every_completion", "DEFAULT_SPEC", "BENIGN_ABORT_REASONS"]
+__all__ = ["ChaosRunner", "ChaosReport", "run_chaos_trial", "judge_run",
+           "judge_results", "audit_every_completion", "DEFAULT_SPEC",
+           "BENIGN_ABORT_REASONS"]
 
 # Abort reasons a healthy run may legitimately produce: workload-level
 # conditional aborts and client-visible timeouts.  Anything else — in
@@ -222,25 +224,39 @@ def judge_results(result, shard_ids) -> Dict:
     }
 
 
-def run_chaos_trial(plan: FaultPlan, spec: TrialSpec = DEFAULT_SPEC,
-                    drain_ms: float = 6000.0) -> ChaosReport:
-    """Run ``spec`` under ``plan`` end to end, drain, and audit the outcome."""
-    from repro.bench.harness import run_trial
+def judge_run(result, drain_ms: float):
+    """The audit oracle, for a trial run under :func:`audit_every_completion`:
+    stop its clients, drain ``drain_ms`` more virtual ms, then judge what the
+    run left behind.  A trial that ran a topology plan gets a
+    :class:`~repro.topo.runner.TopoReport`, any other a :class:`ChaosReport`.
+    The ``verdict`` collector (:mod:`repro.fleet.executor`),
+    :func:`run_chaos_trial` and :func:`~repro.topo.runner.run_topo_trial`
+    all judge through here."""
+    from repro.bench.auditor import audit_dast_run
 
-    trial = spec.to_trial()
-    trial.fault_plan = plan
-    result = run_trial(trial, hooks=audit_every_completion)
     result.drain(extra_ms=drain_ms)
+    trial = result.trial
+    audit = audit_dast_run(result.system) if trial.system == "dast" else None
+    if trial.topology_plan is not None:
+        from repro.topo.runner import topo_report
 
-    audit = None
-    if spec.system == "dast":
-        from repro.bench.auditor import audit_dast_run
-
-        audit = audit_dast_run(result.system)
+        return topo_report(result, audit)
     return ChaosReport(
-        plan,
-        system_name=spec.system,
+        FaultPlan() if trial.fault_plan is None else trial.fault_plan,
+        system_name=trial.system,
         audit=audit,
-        faults_applied=len(result.chaos.applied),
+        faults_applied=len(result.chaos.applied) if result.chaos else 0,
         **judge_results(result, result.system.topology.all_shards()),
     )
+
+
+def run_chaos_trial(plan: FaultPlan, spec: TrialSpec = DEFAULT_SPEC,
+                    drain_ms: float = 6000.0) -> ChaosReport:
+    """Run ``spec`` under ``plan`` end to end, drain, and audit the outcome:
+    the in-process form of a ``TrialSpec`` carrying the plan in ``faults``
+    and collecting a ``verdict``."""
+    from repro.fleet.executor import run_spec_trial
+
+    spec = replace(spec, faults=plan.to_dict(),
+                   collect={"verdict": {"drain_ms": drain_ms}})
+    return judge_run(run_spec_trial(spec), drain_ms)

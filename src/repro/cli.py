@@ -21,7 +21,7 @@ Examples::
     python -m repro chaos --plan plan.json --out report.txt
     python -m repro canary capture --seeds 3        # distribution-level bands
     python -m repro topo --seed 3                   # one generated churn scenario
-    python -m repro topo --fuzz 4 --seed 0          # seeded churn matrix
+    python -m repro topo --fuzz 4 --seed 0 --jobs 2 # parallel churn matrix
     python -m repro run --topology plan.json --spare-regions 1
     python -m repro run --rtt-profile aws-like --service-profile edge-tiers
     python -m repro bench --jobs 4                  # pinned trial matrix
@@ -35,7 +35,6 @@ import os
 import sys
 import time
 from dataclasses import replace
-from functools import partial
 from typing import List, Optional
 
 from repro.bench import experiments as exp
@@ -436,17 +435,18 @@ def cmd_bench(args) -> int:
     return 1 if payload["failures"] else 0
 
 
-def _run_scenarios(args, spec, plan_cls, generate, run_plan, run_parallel=None) -> int:
+def _run_scenarios(args, spec, plan_cls, generate, plan_field: str) -> int:
     """The loop ``chaos`` and ``topo`` share: emit a plan, or run a plan
     file, one generated seed or a fuzz matrix against the audit oracle, then
     ddmin-shrink and write out the first failure.
 
-    ``generate(seed)`` makes a plan, ``run_plan(plan, spec)`` returns a
-    report with ``.ok`` / ``.summary_line()`` / ``.to_text()``, and
-    ``run_parallel(scenarios)``, when given, returns one row per scenario
-    from worker processes instead.  Every scenario's seed is its trial seed.
+    A scenario is one :class:`TrialSpec`: ``spec`` at the scenario's seed,
+    the plan in its ``plan_field`` (``faults`` / ``topology``) and the
+    ``verdict`` collector.  The fleet runs them all (``--jobs``); rows print
+    in scenario order, and the shrinker reruns the first failure here.
     """
     from repro.chaos.shrink import shrink_plan
+    from repro.fleet import FleetExecutor, run_spec
 
     for path, what in ((args.out, "--out"), (args.shrunk_out, "--shrunk-out"),
                        (args.emit_plan, "--emit-plan")):
@@ -465,30 +465,25 @@ def _run_scenarios(args, spec, plan_cls, generate, run_plan, run_parallel=None) 
     else:
         scenarios = [(s, generate(s))
                      for s in range(args.seed, args.seed + max(args.fuzz, 1))]
+    collect = {"verdict": {"drain_ms": args.drain_ms}}
 
-    def serial():
-        for seed, plan in scenarios:
-            report = run_plan(plan, replace(spec, seed=seed))
-            yield seed, plan, report.summary_line(), report.ok, report.to_text()
+    def scenario(plan, seed) -> TrialSpec:
+        return replace(spec, seed=seed, collect=collect,
+                       **{plan_field: plan.to_dict()})
 
-    def parallel():
-        # Rows come back in scenario order, so the printed lines match a
-        # serial run's (a serial run stops at the first failure, a parallel
-        # one reports every scenario it already paid for).
-        for (seed, plan), row in zip(scenarios, run_parallel(scenarios)):
-            yield seed, plan, row["line"], row["ok"], row.get("text")
-
-    fan_out = run_parallel is not None and len(scenarios) > 1
+    results = FleetExecutor(jobs=args.jobs, progress=_progress).run(
+        [scenario(plan, seed) for seed, plan in scenarios])
     report_lines = []
     failed = None  # (seed, plan, report text, printed line) of the first failure
-    for seed, plan, line, ok, text in (parallel() if fan_out else serial()):
-        line = f"seed={seed} {line} {'OK' if ok else 'FAIL'}"
+    for (seed, plan), result in zip(scenarios, results):
+        # A trial that raised or took its worker down leaves no report.
+        verdict = (result.extras["verdict"] if result.ok else
+                   {"ok": False, "line": result.message, "text": None})
+        line = f"seed={seed} {verdict['line']} {'OK' if verdict['ok'] else 'FAIL'}"
         print(line)
         report_lines.append(line)
-        if not ok and failed is None:
-            failed = (seed, plan, text, line)
-            if not fan_out:
-                break
+        if not verdict["ok"] and failed is None:
+            failed = (seed, plan, verdict["text"], line)
 
     if failed is None:
         if args.out:
@@ -498,15 +493,15 @@ def _run_scenarios(args, spec, plan_cls, generate, run_plan, run_parallel=None) 
         return 0
 
     seed, plan, report_text, line = failed
-    shrinkable = report_text is not None  # a crashed worker leaves no report
+    shrinkable = report_text is not None
     report_text = report_text or line
     print()
     print(report_text)
     text = "\n".join(report_lines) + "\n\n" + report_text + "\n"
     if args.shrink and shrinkable:
-        failing = replace(spec, seed=seed)  # reruns keep the failing trial
         result = shrink_plan(
-            plan, lambda p: not run_plan(p, failing).ok, max_runs=args.shrink_budget,
+            plan, lambda p: not run_spec(scenario(p, seed)).extras["verdict"]["ok"],
+            max_runs=args.shrink_budget,
         )
         print()
         print(f"shrunk to {len(result.plan)} events in {result.runs} runs:")
@@ -527,32 +522,24 @@ def _run_scenarios(args, spec, plan_cls, generate, run_plan, run_parallel=None) 
 
 def cmd_chaos(args) -> int:
     """Run fault scenarios: a plan file, one generated seed, or a fuzz matrix."""
-    from repro.chaos import ChaosProfile, FaultPlan, generate_plan, run_chaos_trial
+    from repro.chaos import ChaosProfile, FaultPlan, generate_plan
 
     spec = _spec_from_args(args)
     # Baselines lack DAST's recovery paths (manager failover, replica
     # re-add), so generate only the generic network/crash faults for them.
     profile = ChaosProfile(allow_dast_faults=(spec.system == "dast"))
-    run_parallel = None
-    if args.jobs > 1:
-        from repro.chaos.parallel import run_scenarios_parallel
-
-        run_parallel = lambda scenarios: run_scenarios_parallel(
-            scenarios, spec, args.drain_ms, jobs=args.jobs, progress=_progress)
     return _run_scenarios(
         args, spec, FaultPlan,
         generate=lambda seed: generate_plan(
             seed, num_regions=spec.num_regions,
             shards_per_region=spec.shards_per_region, profile=profile),
-        run_plan=partial(run_chaos_trial, drain_ms=args.drain_ms),
-        run_parallel=run_parallel)
+        plan_field="faults")
 
 
 def cmd_topo(args) -> int:
     """Run topology-churn scenarios: a plan file, one generated seed, or a
     fuzz matrix — every scenario gated by the serializability auditor."""
     from repro.topo import TopologyPlan, generate_topology_plan
-    from repro.topo.runner import run_topo_trial
 
     spec = _spec_from_args(args)
     return _run_scenarios(
@@ -561,7 +548,7 @@ def cmd_topo(args) -> int:
             seed, num_regions=spec.num_regions,
             shards_per_region=spec.shards_per_region,
             spare_regions=spec.spare_regions),
-        run_plan=partial(run_topo_trial, drain_ms=args.drain_ms))
+        plan_field="topology")
 
 
 def _attachments(text: str) -> frozenset:
@@ -725,6 +712,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="skip delta-debugging a failing scenario")
         p.add_argument("--shrink-budget", type=int, default=shrink_budget,
                        help="max trial runs the shrinker may spend")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="worker processes for --fuzz matrices (1 = in-process)")
 
     # A fault or churn scenario is judged from retained closed-loop (chaos)
     # or keep_records open-loop (topo) results, so neither takes the
@@ -732,8 +721,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_p = sub.add_parser(
         "chaos", help="run fault scenarios against the audit oracle")
     add_scenario_args(chaos_p, "fault plan", shrink_budget=48, drain_ms=6000.0)
-    chaos_p.add_argument("--jobs", type=int, default=1,
-                         help="worker processes for --fuzz matrices (1 = serial)")
     add_trial_args(chaos_p, omit=_OPEN_LOOP_FLAGS + ("--topology", "--spare-regions"))
     chaos_p.set_defaults(fn=cmd_chaos, base=CHAOS_SPEC)
 

@@ -34,7 +34,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.fleet.spec import TrialFailure, TrialOutcome, TrialSpec
 
-__all__ = ["FleetExecutor", "run_spec", "run_specs", "FleetError"]
+__all__ = ["FleetExecutor", "run_spec", "run_spec_trial", "run_specs", "FleetError"]
 
 FleetResult = Union[TrialOutcome, TrialFailure]
 
@@ -56,8 +56,18 @@ def _phase_breakdown(result, opts) -> Dict:
     }
 
 
+def _verdict(result, opts) -> Dict:
+    """Drain a judged scenario and render the audit oracle's report."""
+    from repro.chaos.runner import judge_run
+
+    report = judge_run(result, float(opts.get("drain_ms", 6000.0)))
+    return {"ok": report.ok, "line": report.summary_line(), "text": report.to_text()}
+
+
 # ``TrialSpec.collect`` key -> ``(result, opts) -> JSON-safe extra``.  The one
 # table: ``TrialSpec.validate`` refuses any other key before a trial runs.
+# Collectors run in key order, so ``verdict`` (which drains the run) reads
+# after every other one.
 COLLECTORS: Dict[str, Callable] = {
     "crt_cdf": lambda result, opts: result.recorder.cdf(
         crt=True, points=int(opts.get("points", 50))),
@@ -67,6 +77,7 @@ COLLECTORS: Dict[str, Callable] = {
     "timeseries": lambda result, opts: result.recorder.timeseries(
         bucket_ms=float(opts.get("bucket_ms", 500.0))),
     "stretches": lambda result, opts: result.system.total_stretches(),
+    "verdict": _verdict,
 }
 
 
@@ -76,14 +87,31 @@ def _collect_extras(spec: TrialSpec, result) -> Dict:
             for key in sorted(spec.collect)}
 
 
-def run_spec(spec: TrialSpec) -> TrialOutcome:
-    """Execute one spec in this process (exceptions propagate to the caller)."""
+def run_spec_trial(spec: TrialSpec):
+    """Simulate ``spec`` in this process and return the live
+    :class:`~repro.bench.harness.TrialResult`.  A spec that collects a
+    ``verdict`` is an audit, not a measurement: its recorder keeps every
+    completion (:func:`~repro.chaos.runner.audit_every_completion`)."""
     from repro.bench.harness import run_trial
     from repro.fleet.hooks import make_hook
 
+    named = make_hook(spec.hook, spec.hook_params)
+    if "verdict" not in spec.collect:
+        return run_trial(spec.to_trial(), hooks=named)
+    from repro.chaos.runner import audit_every_completion
+
+    def hooks(system, recorder):
+        if named is not None:
+            named(system, recorder)
+        audit_every_completion(system, recorder)
+
+    return run_trial(spec.to_trial(), hooks=hooks)
+
+
+def run_spec(spec: TrialSpec) -> TrialOutcome:
+    """Execute one spec in this process (exceptions propagate to the caller)."""
     start = time.perf_counter()
-    trial = spec.to_trial()
-    result = run_trial(trial, hooks=make_hook(spec.hook, spec.hook_params))
+    result = run_spec_trial(spec)
     extras = _collect_extras(spec, result)
     outcome = TrialOutcome(
         fingerprint=spec.fingerprint(),

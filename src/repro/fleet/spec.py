@@ -14,10 +14,10 @@ change moves the hash.
 
 A :class:`TrialOutcome` is the compact, JSON-safe result of running a
 spec: the summary row, any requested extras (CDFs, breakdowns,
-timelines), abort counts, and the trial's wall-clock/RSS footprint.  The
-deterministic part (everything except wall clock, RSS, and cache
-provenance) is exposed as a canonical byte string so determinism guards
-can compare runs across processes byte-for-byte.
+timelines, a judged scenario's verdict), abort counts, and the trial's
+wall-clock time.  The deterministic part (everything except wall clock
+and cache provenance) is exposed as a canonical byte string so
+determinism guards can compare runs across processes byte-for-byte.
 """
 
 from __future__ import annotations
@@ -100,11 +100,14 @@ class TrialSpec:
     # keeps its exact semantics); a mapping of OpenLoopConfig knobs runs
     # the aggregate arrival engine instead (docs/WORKLOADS.md).
     open_loop: Optional[Mapping] = None
-    # repro.topo (docs/TOPOLOGY.md): a mid-trial reconfiguration schedule
-    # (``TopologyPlan.to_dict()``), a named cross-region RTT preset, a
-    # per-region CPU service-tier map (or named preset string), and extra
-    # initially-empty regions for elastic joins.  All content-bearing:
-    # every one changes the deterministic output, so all are hashed.
+    # repro.chaos (docs/CHAOS.md): a fault schedule (``FaultPlan.to_dict()``)
+    # compiled onto the system at start.  repro.topo (docs/TOPOLOGY.md): a
+    # mid-trial reconfiguration schedule (``TopologyPlan.to_dict()``), a
+    # named cross-region RTT preset, a per-region CPU service-tier map (or
+    # named preset string), and extra initially-empty regions for elastic
+    # joins.  All content-bearing: every one changes the deterministic
+    # output, so all are hashed.
+    faults: Optional[Mapping] = None
     topology: Optional[Mapping] = None
     rtt_profile: Optional[str] = None
     service_multipliers: Optional[Any] = None
@@ -141,6 +144,10 @@ class TrialSpec:
                 from repro.bench.metrics import NO_PHASE_BREAKDOWN
 
                 raise ConfigError(NO_PHASE_BREAKDOWN)
+        if self.faults is not None:
+            from repro.chaos.plan import FaultPlan
+
+            FaultPlan.from_dict(dict(self.faults)).validate()
         if self.topology is not None:
             from repro.topo.plan import TopologyPlan
 
@@ -225,6 +232,11 @@ class TrialSpec:
 
         self.validate()
         timing = TimingConfig(**dict(self.timing)) if self.timing else None
+        fault_plan = None
+        if self.faults is not None:
+            from repro.chaos.plan import FaultPlan
+
+            fault_plan = FaultPlan.from_dict(dict(self.faults))
         return Trial(
             self.system,
             workload_factory(self.workload, self.workload_params),
@@ -241,6 +253,7 @@ class TrialSpec:
             variant=dict(self.variant) if self.variant else None,
             request_timeout=self.request_timeout,
             open_loop=dict(self.open_loop) if self.open_loop is not None else None,
+            fault_plan=fault_plan,
             topology_plan=(TopologyPlan.from_dict(dict(self.topology))
                            if self.topology is not None else None),
             rtt_profile=self.rtt_profile,

@@ -32,7 +32,7 @@ from repro.fleet.spec import TrialSpec
 from repro.topo.plan import STRUCTURAL_KINDS, TopoEvent, TopologyPlan
 from repro.topo.profiles import apply_rtt_profile, apply_service_multipliers
 
-__all__ = ["TopoRunner", "TopoReport", "run_topo_trial", "DEFAULT_SPEC"]
+__all__ = ["TopoRunner", "TopoReport", "run_topo_trial", "topo_report", "DEFAULT_SPEC"]
 
 
 class TopoRunner:
@@ -228,21 +228,11 @@ DEFAULT_SPEC = TrialSpec(
 )
 
 
-def run_topo_trial(plan: TopologyPlan, spec: TrialSpec = DEFAULT_SPEC,
-                   drain_ms: float = 8000.0) -> TopoReport:
-    """Run ``spec`` (a DAST trial) under ``plan`` end to end, drain, and
-    audit it.  The plan rides ``TrialSpec.topology``."""
-    from repro.bench.auditor import audit_dast_run
-    from repro.bench.harness import run_trial
-    from repro.chaos.runner import audit_every_completion, judge_results
+def topo_report(result, audit) -> TopoReport:
+    """The churn half of :func:`repro.chaos.runner.judge_run`: fold a drained
+    run of a topology plan, and its DAST ``audit``, into a report."""
+    from repro.chaos.runner import judge_results
 
-    if spec.system != "dast":
-        raise ConfigError(f"{spec.system}: topology churn unsupported")
-    result = run_trial(replace(spec, topology=plan.to_dict()).to_trial(),
-                       hooks=audit_every_completion)
-    result.drain(extra_ms=drain_ms)
-
-    audit = audit_dast_run(result.system)
     tc = result.system.topo_counters()
     counters = {
         "reshards": tc.get("topo_reshards", 0),
@@ -253,10 +243,25 @@ def run_topo_trial(plan: TopologyPlan, spec: TrialSpec = DEFAULT_SPEC,
         "parked_aborts": tc.get("topo_parked_aborts", 0),
     }
     return TopoReport(
-        plan,
-        system_name=spec.system,
+        result.trial.topology_plan,
+        system_name=result.trial.system,
         audit=audit,
         events_applied=len(result.topo.applied) if result.topo else 0,
         counters=counters,
         **judge_results(result, result.system.catalog.all_shards()),
     )
+
+
+def run_topo_trial(plan: TopologyPlan, spec: TrialSpec = DEFAULT_SPEC,
+                   drain_ms: float = 8000.0) -> TopoReport:
+    """Run ``spec`` (a DAST trial) under ``plan`` end to end, drain, and
+    audit it: the in-process form of a ``TrialSpec`` carrying the plan in
+    ``topology`` and collecting a ``verdict``."""
+    from repro.chaos.runner import judge_run
+    from repro.fleet.executor import run_spec_trial
+
+    if spec.system != "dast":
+        raise ConfigError(f"{spec.system}: topology churn unsupported")
+    spec = replace(spec, topology=plan.to_dict(),
+                   collect={"verdict": {"drain_ms": drain_ms}})
+    return judge_run(run_spec_trial(spec), drain_ms)

@@ -213,3 +213,52 @@ class TestShrinkerAcceptance:
         kinds = {e.kind for e in result.plan.events}
         assert "partition_regions" in kinds
         assert "heal_regions" not in kinds
+
+
+SHORT_SPEC = replace(DEFAULT_SPEC, clients_per_region=2, duration_ms=2500.0)
+
+
+class TestVerdictCollector:
+    def test_a_faulted_spec_judged_by_the_fleet_matches_run_chaos_trial(self):
+        """A chaos scenario is an ordinary spec: its plan rides ``faults`` and
+        the ``verdict`` collector renders exactly the report the in-process
+        oracle does."""
+        from repro.fleet import run_spec
+
+        plan, spec = generate_plan(3), replace(SHORT_SPEC, seed=3)
+        report = run_chaos_trial(plan, spec, drain_ms=4000.0)
+        outcome = run_spec(replace(spec, faults=plan.to_dict(),
+                                   collect={"verdict": {"drain_ms": 4000.0}}))
+        assert outcome.extras["verdict"] == {
+            "ok": report.ok, "line": report.summary_line(),
+            "text": report.to_text()}
+        assert report.faults_applied == len(plan.events)
+
+
+    def test_an_empty_plan_is_reported_under_its_own_name(self):
+        plan = FaultPlan(name="quiet", seed=4)
+        report = run_chaos_trial(plan, replace(SHORT_SPEC, duration_ms=1500.0),
+                                 drain_ms=2000.0)
+        assert report.to_text().startswith(plan.timeline() + "\n")
+        assert report.ok and report.faults_applied == 0
+
+
+class TestQuickStart:
+    def test_the_package_docstring_quick_start_runs(self, monkeypatch):
+        """``repro.chaos``'s quick start, run as written on a short spec (the
+        call form README and docs/CHAOS.md use too)."""
+        import textwrap
+
+        import repro.chaos
+        from repro.chaos import runner
+
+        body = repro.chaos.__doc__.split("Quick start::\n", 1)[1]
+        lines = []
+        for line in body.splitlines():
+            if line and not line.startswith("    "):
+                break
+            lines.append(line)
+        code = textwrap.dedent("\n".join(lines))
+        assert "run_chaos_trial(plan, replace(DEFAULT_SPEC, seed=7))" in code
+        monkeypatch.setattr(runner, "DEFAULT_SPEC", SHORT_SPEC)
+        exec(compile(code, "repro.chaos quick start", "exec"), {})

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import dataclasses
+
 import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main
@@ -242,6 +244,29 @@ class TestOneTrialAnyInstruments:
         row = run_trial(spec.to_trial()).summary.as_row()
         assert _row(capsys.readouterr().out) == format_table([row]).rstrip("\n")
 
+    def test_a_faulted_spec_replays_through_run_spec(self, capsys, tmp_path):
+        """``TrialSpec.faults`` is spec content: ``repro run --spec`` runs the
+        plan with no flag of its own, as the fleet does."""
+        from repro.bench.harness import run_trial
+        from repro.bench.report import format_table
+        from repro.chaos import FaultPlan
+        from repro.cli import _spec_from_args
+
+        plan = (FaultPlan(name="replay")
+                .add(300.0, "set_rtt", rtt=160.0)
+                .add(1800.0, "set_rtt", rtt=100.0))
+        spec = dataclasses.replace(
+            _spec_from_args(build_parser().parse_args(["run", *SMALL_TRIAL])),
+            faults=plan.to_dict())
+        spec.dump(str(tmp_path / "spec.json"))
+        assert main(["run", "--spec", str(tmp_path / "spec.json")]) == 0
+        row = _row(capsys.readouterr().out)
+        result = run_trial(spec.to_trial())
+        assert len(result.chaos.applied) == 2
+        assert row == format_table([result.summary.as_row()]).rstrip("\n")
+        assert main(["run", *SMALL_TRIAL]) == 0
+        assert _row(capsys.readouterr().out) != row
+
     def test_every_attachment_reports_from_one_run(self, capsys, tmp_path):
         import json
 
@@ -421,3 +446,40 @@ class TestChaosCommand:
         shrunk = FaultPlan.from_json(shrunk_path.read_text())
         assert {e.kind for e in shrunk.events} <= {e.kind for e in broken.events}
         assert "partition_regions" in {e.kind for e in shrunk.events}
+
+    def test_a_trial_that_raises_is_a_fail_row_and_not_shrunk(self, capsys, monkeypatch):
+        from repro.fleet import executor
+
+        def boom(spec):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(executor, "run_spec", boom)
+        code = main(["chaos", "--fuzz", "2", "--seed", "3", *CHAOS_TRIAL])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out.startswith("seed=3 RuntimeError: boom FAIL\n"
+                              "seed=4 RuntimeError: boom FAIL\n")
+        assert "shrunk to" not in out
+
+
+# A short churn scenario: every generated seed's events still land in it.
+TOPO_TRIAL = ["--duration-ms", "2000", "--drain-ms", "7000"]
+
+
+class TestScenarioFleet:
+    @pytest.mark.parametrize("command", ["chaos", "topo"])
+    def test_fuzz_report_is_the_same_serial_and_with_jobs(self, capsys, tmp_path, command):
+        """Scenarios are fleet trials: ``--jobs 2`` runs them in spawned
+        workers and writes the serial run's report, byte for byte."""
+        trial = {"chaos": CHAOS_TRIAL, "topo": TOPO_TRIAL}[command]
+        codes, outputs, reports = [], [], []
+        for jobs in ("1", "2"):
+            path = tmp_path / f"report-{jobs}.txt"
+            codes.append(main([command, "--fuzz", "2", "--seed", "0", "--jobs", jobs,
+                               "--no-shrink", "--out", str(path), *trial]))
+            outputs.append(capsys.readouterr().out.replace(str(path), "<out>"))
+            reports.append(path.read_bytes())
+        assert codes == [0, 0]
+        assert outputs[0] == outputs[1]
+        assert reports[0] == reports[1]
+        assert b"seed=0 " in reports[0] and b"seed=1 " in reports[0]

@@ -134,15 +134,15 @@ class TestHotPathHygiene:
             + "\n".join(offenders)
         )
 
-    # Concurrency primitives are confined to the two process-pool fan-out
-    # harnesses (repro.fleet, repro.chaos.parallel), which run whole trials
-    # in spawned workers.  Anywhere else, a thread or a process is an
-    # undeclared determinism hazard.  Mirrors the ruff TID251 ban.
+    # Concurrency primitives are confined to the one process-pool fan-out
+    # harness (repro.fleet), which runs whole trials in spawned workers.
+    # Anywhere else, a thread or a process is an undeclared determinism
+    # hazard.  Mirrors the ruff TID253 ban.
     BANNED_CONCURRENCY = re.compile(
         r"^\s*(?:import\s+(?:threading|multiprocessing)\b"
         r"|from\s+(?:threading|multiprocessing)[.\s])"
     )
-    CONCURRENCY_ALLOWED = ("fleet/", "chaos/parallel.py")
+    CONCURRENCY_ALLOWED = ("fleet/",)
 
     def test_threading_confined_to_par_and_fleet(self):
         offenders = []
@@ -155,7 +155,7 @@ class TestHotPathHygiene:
                 if self.BANNED_CONCURRENCY.search(code):
                     offenders.append(f"{rel}:{lineno}: {line.strip()}")
         assert not offenders, (
-            "threading/multiprocessing outside repro.fleet / repro.chaos.parallel:\n"
+            "threading/multiprocessing outside repro.fleet:\n"
             + "\n".join(offenders)
         )
 
@@ -211,7 +211,7 @@ class TestHotPathHygiene:
         assert re.search(r"^dependencies = \[\]$", pyproject, re.M)
 
     # Raw process forking is banned outright: process fan-out goes through
-    # multiprocessing's spawn context (repro.fleet, repro.chaos.parallel),
+    # multiprocessing's spawn context (repro.fleet),
     # which never inherits mutable simulation state.
     BANNED_FORK = re.compile(r"\bos\.(?:fork|forkpty)\s*\(")
 

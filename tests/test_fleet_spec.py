@@ -107,6 +107,49 @@ class TestSpecRoundTrip:
         assert trial.num_regions == 2 and trial.seed == 3
 
 
+def _jitter_plan(jitter: float = 5.0):
+    from repro.chaos import FaultPlan
+
+    return (FaultPlan(name="spec")
+            .add(500.0, "set_jitter", jitter=jitter)
+            .add(900.0, "set_drop", probability=0.01)
+            .add(1100.0, "set_jitter", jitter=0.0))
+
+
+class TestFaults:
+    """``TrialSpec.faults``: a fault plan as spec content, like ``topology``."""
+
+    def test_json_round_trip(self):
+        plan = _jitter_plan()
+        spec = small_spec(faults=plan.to_dict())
+        again = TrialSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        assert again == spec
+        assert again.fingerprint() == spec.fingerprint()
+        assert again.to_trial().fault_plan.to_json() == plan.to_json()
+        assert small_spec().to_trial().fault_plan is None
+
+    def test_one_changed_event_moves_the_fingerprint(self):
+        base = small_spec(faults=_jitter_plan(5.0).to_dict())
+        assert small_spec(faults=_jitter_plan(5.0).to_dict()).fingerprint() == base.fingerprint()
+        assert small_spec(faults=_jitter_plan(6.0).to_dict()).fingerprint() != base.fingerprint()
+        shorter = _jitter_plan(5.0).subset([0, 1])
+        assert small_spec(faults=shorter.to_dict()).fingerprint() != base.fingerprint()
+
+    def test_validate_refuses_a_malformed_plan_by_name(self):
+        def event(kind, **args):
+            return small_spec(faults={"events": [
+                {"time": 100.0, "kind": kind, "args": args}]})
+
+        with pytest.raises(ConfigError, match="unknown fault kind 'explode'"):
+            event("explode").validate()
+        with pytest.raises(ConfigError, match=r"set_drop: missing args \['probability'\]"):
+            event("set_drop").validate()
+        with pytest.raises(ConfigError, match=r"set_jitter: unexpected args \['host'\]"):
+            event("set_jitter", jitter=1.0, host="r0.n0").validate()
+        with pytest.raises(ConfigError, match="unknown fault kind"):
+            event("explode").to_trial()  # never reaches a simulator
+
+
 class TestFingerprint:
     def test_every_content_field_moves_the_hash(self):
         """Any timing/topology/seed/workload change must address a different
@@ -132,6 +175,8 @@ class TestFingerprint:
             "hook_params": {"jitter": 10.0},
             "collect": {"crt_cdf": {"points": 10}},
             "open_loop": {"users_per_region": 100, "txn_per_user_s": 2.0},
+            "faults": {"events": [{"time": 100.0, "kind": "set_jitter",
+                                   "args": {"jitter": 5.0}}]},
             "topology": {"events": [{"time": 100.0, "kind": "move_shard",
                                      "args": {"shard": "s0", "dst": "r1"}}]},
             "rtt_profile": "aws-like",
