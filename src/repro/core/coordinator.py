@@ -166,7 +166,9 @@ class CoordinatorMixin:
         state.commit_ts = ts
         self._commit_local(txn.txn_id, ts)
         state.t_commit_sent = self.sim.now
-        for node in participants:
+        # Recipients from the catalog as it is now: a replica admitted since
+        # the prepare got the body in its catch-up and needs the decision.
+        for node in self._participants_of(txn):
             if node == self.host:
                 continue
             self._reliable(node, IrtCommit(txn_id=txn.txn_id, ts=ts, vid=self.vid))

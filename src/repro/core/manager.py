@@ -327,20 +327,30 @@ class DastManager:
             self.vid += 1
             pend_irts: Dict[str, dict] = {}
             pend_crts: Dict[str, dict] = {}
-            remaining = list(self.members)
-            for node in remaining:
+            heard: List[Timestamp] = []
+            survivors: List[str] = []
+            for node in list(self.members):
                 reply = yield from self._call(
                     node, RemovePrep(vid=self.vid, to_remove=to_remove))
                 if reply is None:
                     # Cascading failure: recurse per Algorithm 3 L18.
                     yield self.sim.spawn(self.remove_nodes([node]))
                     continue
-                for entry in reply["pend_irts"]:
-                    pend_irts[entry["txn_id"]] = entry
+                survivors.append(node)
+                heard.append(reply["heard"])
                 for entry in reply["pend_crts"]:
                     prev = pend_crts.get(entry["txn_id"])
                     if prev is None or (entry["committed"] and not prev["committed"]):
                         pend_crts[entry["txn_id"]] = entry
+            # A survivor can lack only a victim IRT above what it heard of
+            # the victim's clock: collect those, bodies included.
+            if heard:
+                since = min(heard)
+                for node in survivors:
+                    reply = yield from self._call(node, RemovePrep(
+                        vid=self.vid, to_remove=to_remove, since=since))
+                    for entry in reply["irts"] if reply is not None else ():
+                        pend_irts[entry["txn_id"]] = entry
             # Policy (§4.4): commit IRTs seen by >= 1 node; abort CRTs unless
             # some node already saw their commit decision.
             commit_irts = list(pend_irts.values())
@@ -456,6 +466,7 @@ class DastManager:
                 ts_ins=ts_ins,
                 members=list(self.members),
                 shard=shard_id,
+                ts_ckpt=ts_ckpt,
             )
             for node in targets:
                 self._reliable(node, msg)

@@ -106,6 +106,8 @@ class DastNode(CoordinatorMixin):
         self.records: Dict[str, TxnRecord] = {}
         self.crt_log: Dict[str, dict] = {}  # failover-retrieval log (§4.4)
         self.executed_log: List = []  # (ts, txn_id) in execution order
+        # The shard's state holds every execution up to this timestamp.
+        self.executed_ts = ZERO_TS
         self.dclock = DClock(clock_source, nid, floor_fn=self.wait_q.min)
         self.dclock.stretch_enabled = system.variant["stretch"]
         self.dclock.calibration_enabled = system.variant["calibration"]
@@ -119,8 +121,6 @@ class DastNode(CoordinatorMixin):
         self._targets: Optional[Tuple[str, ...]] = None  # _peers_and_manager() cache
         self.coordinating: Dict[str, Any] = {}
         self._early_commits: Dict[str, Timestamp] = {}
-        # The replica this node last sent a checkpoint to, and what it covers.
-        self._ckpt_donor_state: Optional[Dict[str, Any]] = None
         self.stats = Stats()
         self.tracer = None  # optional repro.obs.trace.Tracer
         self._running = False
@@ -237,6 +237,7 @@ class DastNode(CoordinatorMixin):
 
     def _view_changed(self) -> None:
         self._targets = None
+        self.reports.view_changed()
 
     def on_pct_report(self, src: str, payload: PctReport) -> None:
         # Registered without _guard: the commonest message by far.
@@ -336,6 +337,7 @@ class DastNode(CoordinatorMixin):
     def _execute(self, rec: TxnRecord) -> None:
         rec.status = TxnStatus.EXECUTED
         rec.t_executed = self.sim.now
+        self.executed_ts = rec.ts
         if self.tracer is not None:
             self._trace("execute", txn=rec.txn_id, ts=str(rec.ts), crt=rec.is_crt)
         if not rec.t_input_ready:
@@ -566,6 +568,8 @@ class DastNode(CoordinatorMixin):
         )
 
     def on_crt_announce(self, src: str, payload: CrtAnnounce) -> None:
+        if src not in self.members:
+            return  # sent to the view this node left (a reshard flip)
         txn_id = payload.txn_id
         rec = self.records.get(txn_id)
         if rec is not None and rec.status != TxnStatus.ANNOUNCED:
@@ -596,7 +600,8 @@ class DastNode(CoordinatorMixin):
         self._adopt_commit(rec, commit_ts)
         return {"node": self.host}
 
-    def _adopt_commit(self, rec: TxnRecord, commit_ts: Timestamp) -> None:
+    def _adopt_commit(self, rec: TxnRecord, commit_ts: Timestamp,
+                      execute: bool = True) -> None:
         """Atomically move a CRT from prepared/announced to committed."""
         if self.tracer is not None:
             self._trace("crt_commit", txn=rec.txn_id, ts=str(commit_ts))
@@ -631,7 +636,8 @@ class DastNode(CoordinatorMixin):
             self._reliable(self.manager, update, obligation_ts=commit_ts)
         if rec.participates:
             self._announce(commit_ts)
-        self._try_execute()
+        if execute:
+            self._try_execute()
 
     def on_crt_update(self, src: str, payload: CrtUpdate):
         txn_id = payload.txn_id
@@ -793,15 +799,28 @@ class DastNode(CoordinatorMixin):
     # ------------------------------------------------------------------
     def on_remove_prep(self, src: str, payload: RemovePrep):
         to_remove = set(payload.to_remove)
-        pend_irts, pend_crts = [], []
+        since = payload.since
+        if since is not None:
+            # Every victim-coordinated IRT a survivor may lack: one whose
+            # prepare a participant never acknowledged sits above what that
+            # participant heard of the victim's clock (the obligation cap),
+            # and ``since`` is the lowest of those.  Prepared ones go too:
+            # nobody else will ever commit them.
+            irts = [
+                {"txn_id": rec.txn_id, "txn": rec.txn, "ts": rec.ts,
+                 "coord": rec.coordinator}
+                for rec in self.records.values()
+                if rec.coordinator in to_remove and not rec.is_crt
+                and rec.ts is not None and rec.status != TxnStatus.ABORTED
+                and (rec.ts > since or rec.status == TxnStatus.PREPARED)]
+            return {"node": self.host, "irts": irts}
+        pend_crts = []
         for rec in self.records.values():
-            if rec.coordinator in to_remove and rec.status == TxnStatus.PREPARED:
-                if rec.is_crt:
-                    pend_crts.append(
-                        {"txn_id": rec.txn_id, "txn": rec.txn, "committed": False, "commit_ts": None}
-                    )
-                else:
-                    pend_irts.append({"txn_id": rec.txn_id, "ts": rec.ts})
+            if (rec.coordinator in to_remove and rec.status == TxnStatus.PREPARED
+                    and rec.is_crt):
+                pend_crts.append(
+                    {"txn_id": rec.txn_id, "txn": rec.txn, "committed": False, "commit_ts": None}
+                )
         for txn_id, entry in self.crt_log.items():
             coord = entry["coord"]
             if coord in to_remove:
@@ -817,7 +836,8 @@ class DastNode(CoordinatorMixin):
                         "commit_ts": entry["commit_ts"] or (rec.ts if committed else None),
                     }
                 )
-        return {"node": self.host, "pend_irts": pend_irts, "pend_crts": pend_crts}
+        heard = min(self.max_ts.get(node, ZERO_TS) for node in to_remove)
+        return {"node": self.host, "heard": heard, "pend_crts": pend_crts}
 
     def on_remove_commit(self, src: str, payload: RemoveCommit):
         self.vid = payload.vid
@@ -831,12 +851,27 @@ class DastNode(CoordinatorMixin):
             self.reports.forget(node)
             for shard_id in self.catalog.shards_on_node(node):
                 self.catalog.remove_replica(shard_id, node)
-        # Commit orphaned IRTs seen by at least one node (low latency policy).
+        # Commit orphaned IRTs seen by at least one node (low latency
+        # policy).  A participant whose prepare was lost inserts the IRT
+        # here: the victim's obligation cap kept its clock report to this
+        # node below the IRT's timestamp, so nothing past it has executed.
+        # (Below what this shard's state holds — a checkpoint installed
+        # here covers IRTs it has no record of — there is nothing to lack.)
         for entry in payload.commit_irts:
             rec = self.records.get(entry["txn_id"])
+            txn = entry["txn"]
+            if ((rec is None or rec.txn is None) and self._i_participate(txn)
+                    and entry["ts"] > self.executed_ts):
+                rec = self._record(txn, is_crt=False, coordinator=entry["coord"])
+                rec.participates = True
+                rec.needed = txn.external_needs(self.shard_id)
+                rec.t_prepared = self.sim.now
             if rec is not None and rec.status == TxnStatus.PREPARED:
                 rec.status = TxnStatus.COMMITTED
                 rec.t_committed = self.sim.now
+                if rec.txn_id not in self.ready_q:
+                    self.ready_q.insert(entry["ts"], rec)
+                    self._announce(entry["ts"])
         # Abort orphaned CRTs (cross-region status retrieval is too costly).
         for entry in payload.abort_crts:
             self.on_abort_crt(src, AbortCrt(txn_id=entry["txn_id"]))
@@ -872,11 +907,8 @@ class DastNode(CoordinatorMixin):
     # ------------------------------------------------------------------
     def on_transfer_ckpt(self, src: str, payload: TransferCkpt):
         new_node = payload.node
-        ts_ckpt = self.executed_log[-1][0] if self.executed_log else self.dclock.peek()
+        ts_ckpt = self.executed_ts  # the snapshot holds everything up to it
         snapshot = self.shard.snapshot()
-        # Remember what the checkpoint covers: after the view installs we
-        # redeliver everything newer (the paper's notifiedTs[n] = ts_ckpt).
-        self._ckpt_donor_state = {"node": new_node, "ts_ckpt": ts_ckpt}
 
         def proc():
             yield self.endpoint.call(
@@ -888,22 +920,18 @@ class DastNode(CoordinatorMixin):
 
         return proc()
 
-    def _send_catchup(self, new_node: str, ts_ckpt: Timestamp) -> None:
-        """Redeliver post-checkpoint relevant transactions to a new replica.
-
-        Covers executed/committed transactions the checkpoint missed and
-        in-flight prepared ones whose commits may race the view install.
-        """
-        entries = []
+    def _send_catchup(self, new_node: str, shard_id: str, ts_ckpt: Timestamp) -> None:
+        """Give a new replica of ``shard_id`` every live transaction on it
+        that this node holds or coordinates and the checkpoint does not
+        (the paper's notifiedTs[new] = ts_ckpt): until the new replica
+        acknowledges, what it hears of this clock stays below the lowest."""
+        entries, keys = [], []
         for rec in self.records.values():
-            if rec.ts is None:
+            key = rec.ts or rec.anticipated_ts
+            if (rec.txn is None or rec.status == TxnStatus.ABORTED or key is None
+                    or key <= ts_ckpt or shard_id not in rec.txn.shard_ids):
                 continue
-            if self.shard_id not in rec.txn.shard_ids:
-                continue
-            if rec.status == TxnStatus.ABORTED:
-                continue
-            if rec.status == TxnStatus.EXECUTED and rec.ts <= ts_ckpt:
-                continue  # already inside the checkpoint
+            keys.append(key)
             entries.append({
                 "txn": rec.txn,
                 "ts": rec.ts,
@@ -913,10 +941,30 @@ class DastNode(CoordinatorMixin):
                 "inputs": dict(rec.inputs),
                 "anticipated_ts": rec.anticipated_ts,
             })
+        for txn_id, state in self.coordinating.items():
+            # An IRT coordinated here on shards this node does not host.
+            ts = state.ts
+            if (state.is_crt or ts is None or ts <= ts_ckpt or txn_id in self.records
+                    or shard_id not in state.txn.shard_ids):
+                continue
+            keys.append(ts)
+            entries.append({
+                "txn": state.txn,
+                "ts": ts,
+                "status": (TxnStatus.PREPARED if state.commit_ts is None
+                           else TxnStatus.COMMITTED),
+                "is_crt": False,
+                "coord": self.host,
+                "inputs": {},
+                "anticipated_ts": None,
+            })
         if entries:
-            self._reliable(new_node, ReplicaCatchup(entries=entries))
+            self._reliable(new_node, ReplicaCatchup(entries=entries),
+                           obligation_ts=min(keys))
 
     def on_replica_catchup(self, src: str, payload: ReplicaCatchup):
+        # Every entry is in place before anything executes: an entry below
+        # another must not run after it.
         for entry in payload.entries:
             txn = entry["txn"]
             rec = self._record(txn, entry["is_crt"], entry["coord"])
@@ -925,13 +973,14 @@ class DastNode(CoordinatorMixin):
             rec.needed = txn.external_needs(self.shard_id)
             status = entry["status"]
             if status in (TxnStatus.COMMITTED, TxnStatus.EXECUTED):
+                self._early_commits.pop(rec.txn_id, None)
                 if rec.status not in (TxnStatus.COMMITTED, TxnStatus.EXECUTED):
-                    self._adopt_commit(rec, entry["ts"])
+                    self._adopt_commit(rec, entry["ts"], execute=False)
                 elif rec.status == TxnStatus.COMMITTED and rec.input_ready():
-                    # The donor's second delivery completed the inputs of a
-                    # record adopted short of them: its input-wait floor
-                    # sits at its own timestamp and must go, exactly as
-                    # when the last pushed output arrives.
+                    # A later entry completed the inputs of a record adopted
+                    # short of them: its input-wait floor sits at its own
+                    # timestamp and must go, exactly as when the last pushed
+                    # output arrives.
                     self.wait_q.remove(rec.txn_id)
             elif rec.status == TxnStatus.PREPARED and rec.txn_id not in self.ready_q:
                 if entry["is_crt"]:
@@ -940,12 +989,17 @@ class DastNode(CoordinatorMixin):
                         self.wait_q.insert(rec.txn_id, entry["anticipated_ts"])
                 else:
                     self.ready_q.insert(entry["ts"], rec)
+                    if self._early_commits.pop(rec.txn_id, None) is not None:
+                        # The coordinator's decision outran the body.
+                        rec.status = TxnStatus.COMMITTED
+                        rec.t_committed = self.sim.now
                     self._announce(entry["ts"])
         self._try_execute()
         return {"node": self.host}
 
     def on_install_ckpt(self, src: str, payload: InstallCkpt):
         self.shard.restore(payload.snapshot)
+        self.executed_ts = payload.ts_ckpt
         return {"node": self.host, "ts_ckpt": payload.ts_ckpt}
 
     def on_add_prep(self, src: str, payload: AddPrep):
@@ -972,15 +1026,7 @@ class DastNode(CoordinatorMixin):
                 self._view_changed()
             self.catalog.add_replica(payload.shard, new_node)
             self.max_ts[new_node] = ts_ins
-            donor_state = self._ckpt_donor_state
-            if donor_state and donor_state["node"] == new_node:
-                # Redeliver now and once more after the dust settles, in
-                # case a commit raced the catalog update.
-                self._send_catchup(new_node, donor_state["ts_ckpt"])
-                def later():
-                    yield self.sim.timeout(10 * self.timing.intra_region_rtt)
-                    self._send_catchup(new_node, donor_state["ts_ckpt"])
-                self.sim.spawn(later(), name=f"{self.host}.catchup2")
+            self._send_catchup(new_node, payload.shard, payload.ts_ckpt)
         self._reannounce()
         self._try_execute()
         return {"node": self.host}
@@ -1002,6 +1048,12 @@ class DastNode(CoordinatorMixin):
             self.max_ts.pop(self.manager, None)
             self.reports.forget(self.manager)
             self.manager = payload.manager
+            # This node changes regions.  A CRT it knows by id only was
+            # announced by a member of the region it leaves, which resolves
+            # it in that view and will not tell this node: drop its floor.
+            for txn_id, rec in self.records.items():
+                if rec.txn is None:
+                    self.wait_q.remove(txn_id)
         if payload.members is not None:
             self.members = list(payload.members)
             keep = set(self.members)

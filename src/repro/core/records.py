@@ -21,9 +21,13 @@ asked, not every ``pct_interval``:
   ``want=ts``;
 * **serve** — the asked host answers the moment its reportable value (its
   ``dclock.tick()`` under the floor and obligation caps) passes ``ts``;
-* **heartbeat** — every ``HEARTBEAT_TICKS`` periods each host reports to
-  everyone regardless, which repairs a lost want or answer, keeps the
-  dclock calibration fed and brings new members and managers up to date.
+* **heartbeat** — every ``HEARTBEAT_TICKS`` intervals each host reports to
+  everyone, unless it already did within the last period (an announce, a
+  heartbeat or a streamed tick; a served answer reaches only its asker and
+  does not count).  That repairs a lost want or answer within two periods,
+  keeps the dclock calibration fed and brings new members and managers up
+  to date: a view change forgets the last fan-out, so they hear the next
+  beat.
 
 The ledger is the one place a report leaves a node or a manager.  Every
 value it sends is the owner's ``dclock.tick()`` under the same caps as
@@ -362,6 +366,9 @@ class ReportLedger:
         # than half their life left: no need to ask again before.
         self.streaming_until = 0.0
         self.armed = False
+        # When this host last sent its value to every target (an announce,
+        # a heartbeat, a streamed tick); a view change forgets it.
+        self.full_at = float("-inf")
         # The floor :meth:`serve` last examined the wants against.  Between
         # ticks there is nothing new to find until the floor is another one;
         # a want arriving or an obligation acknowledged resets it.
@@ -431,6 +438,7 @@ class ReportLedger:
         value = self._reportable(floor)
         self._send(self._targets(), value,
                    self._caps(value) if self.obligations else None, want)
+        self.full_at = self.sim.now
         self.stats.inc(counter)
         self._rearm(value, floor)
 
@@ -473,8 +481,14 @@ class ReportLedger:
             self.settled = self
             self.serve()
 
+    def view_changed(self) -> None:
+        """The targets changed: whoever joined has heard no fan-out yet, so
+        the next heartbeat goes out."""
+        self.full_at = float("-inf")
+
     def forget(self, host: str) -> None:
         """``host`` left the view."""
+        self.view_changed()
         self.told.pop(host, None)
         if self.lease.pop(host, None) is not None:
             self._feed = None
@@ -504,6 +518,7 @@ class ReportLedger:
             want, self.stream_want = self.stream_want, None
             if want is not None and now >= self.streaming_until:
                 self.streaming_until = now + self.period / 2
+                self.full_at = now
                 feed = self._targets()
             else:
                 want = None  # no express work, or the members stream already
@@ -574,5 +589,11 @@ class ReportLedger:
         self.heartbeat()
 
     def heartbeat(self) -> None:
+        """Report to everyone, unless this host already did within the last
+        period: then every target holds a value at most one period old, and
+        the next beat is at most two periods after that fan-out."""
         self._sweep()
+        if self.full_at + self.period > self.sim.now:
+            self.stats.inc("pct_heartbeats_skipped")
+            return
         self._fan_out("pct_heartbeats", self._own_want())

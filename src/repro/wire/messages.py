@@ -226,10 +226,13 @@ class Suspect(WireMessage):
 # ----------------------------------------------------------------------
 @message("remove_prep")
 class RemovePrep(WireMessage):
-    """Manager -> members: phase 1 of view change removing nodes."""
+    """Manager -> members: phase 1 of view change removing nodes.  Without
+    ``since`` a member reports how far it heard the victims' clocks and
+    their pending CRTs; with it, the victims' IRTs some member may lack."""
 
     vid: int
     to_remove: List[str]
+    since: Optional[Timestamp] = None
 
 
 @message("remove_commit")
@@ -279,18 +282,21 @@ class AddPrep(WireMessage):
 
 @message("add_commit")
 class AddCommit(WireMessage):
-    """Manager -> members: admit the new replica at ``ts_ins``."""
+    """Manager -> members: admit the new replica at ``ts_ins``; its
+    checkpoint holds every execution up to ``ts_ckpt``."""
 
     vid: int
     node: str
     ts_ins: Timestamp
     members: List[str]
     shard: str
+    ts_ckpt: Timestamp
 
 
 @message("replica_catchup")
 class ReplicaCatchup(WireMessage):
-    """Donor replica -> new replica: post-checkpoint transactions."""
+    """Member -> new replica: the transactions on its shard that the
+    checkpoint does not hold."""
 
     entries: List[dict]
 

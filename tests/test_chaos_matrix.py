@@ -144,6 +144,24 @@ class TestPinnedRegressions:
         assert " OK" in capsys.readouterr().out
         assert resolved and reacquired == []
 
+    def test_a_prepare_that_races_the_replica_add_reaches_the_new_replica(
+            self, tmp_path, capsys):
+        """``repro chaos --seed 36``, its re-add alone.  A member prepared an
+        IRT on the new replica's shard just before its own ``add_commit``,
+        so the new replica was no participant; only the donor's catch-up
+        carried transactions, built before that prepare arrived, and its
+        second pass came after the new replica had executed past the IRT.
+        Every member now hands the new replica what it holds or
+        coordinates, under an obligation."""
+        from repro.cli import main
+
+        plan = FaultPlan(name="readd-race").add(
+            1886.2, "readd_replica", region="r0", host="r0.n3x", shard="s1")
+        path = tmp_path / "plan.json"
+        path.write_text(plan.to_json())
+        assert main(["chaos", "--seed", "36", "--plan", str(path), "--no-shrink"]) == 0
+        assert " OK" in capsys.readouterr().out
+
 
 class TestOraclePopulation:
     def test_completions_of_the_drain_are_judged_and_losses_reported(self, monkeypatch):

@@ -61,6 +61,31 @@ class TestNodeRemoval:
             assert rec.status == TxnStatus.EXECUTED
             assert dast2.nodes[host].shard.get("kv", ("s0-2",))["v"] == 9
 
+    @pytest.mark.parametrize("crash_at", [60.0, 100.0, 150.0])
+    def test_an_irt_a_participant_never_saw_reaches_it_on_failover(self, crash_at):
+        """The victim committed an IRT with a majority whose third replica
+        never got the prepare, then crashed.  The survivors hand that
+        replica the IRT with its body in the view change; before, only
+        records still prepared were committed, and only where they
+        existed, so ``r0.n1`` skipped it and its replica diverged."""
+        system = make_dast(regions=1, spr=1)
+        system.start()
+        system.run(until=50.0)
+        system.network.partition_hosts_oneway("r0.n0", "r0.n1")
+        first = Transaction("w", [kv_set(0, 0, 1)])
+        system.submit("r0.c0", "r0.n0", first, timeout=60000.0)
+        system.sim.schedule_at(crash_at, system.crash_node, "r0.n0")
+        system.sim.schedule_at(crash_at + 1.0, system.network.heal_hosts_oneway,
+                               "r0.n0", "r0.n1")
+        second = Transaction("w", [kv_set(0, 1, 2)])
+        system.sim.schedule_at(crash_at + 20.0, system.submit, "r0.c0", "r0.n2",
+                               second, 60000.0)
+        system.run(until=crash_at + 2000.0)
+        logs = [[tid for _ts, tid in system.nodes[h].executed_log]
+                for h in ("r0.n1", "r0.n2")]
+        assert logs == [[first.txn_id, second.txn_id]] * 2
+        assert len(set(system.replicas_digest("s0"))) == 1
+
     def test_orphaned_crt_aborted_on_failover(self, dast2):
         """A CRT whose coordinator dies before commit must abort everywhere."""
         txn = Transaction("crt", [kv_set(0, 3, 1), kv_set(1, 3, 1, piece_index=1)])
@@ -332,7 +357,7 @@ class TestFanOutTargetsFollowTheView:
     that change ``members`` / ``manager`` must drop the cache."""
 
     def test_every_view_handler_refreshes_the_targets(self):
-        from repro.clock.hlc import Timestamp
+        from repro.clock.hlc import Timestamp, ZERO_TS
         from repro.wire.messages import AddCommit, MgrTakeover, RemoveCommit, ViewSync
 
         system = make_dast(regions=1, spr=2)
@@ -352,7 +377,7 @@ class TestFanOutTargetsFollowTheView:
         assert node._peers_and_manager() == recomputed()
         node.on_add_commit("r0.mgrb", AddCommit(  # appends to members in place
             vid=3, node="r0.n4", ts_ins=Timestamp(500.0, 0, 7),
-            members=list(node.members) + ["r0.n4"], shard="s1"))
+            members=list(node.members) + ["r0.n4"], shard="s1", ts_ckpt=ZERO_TS))
         assert "r0.n4" in node._peers_and_manager()
         assert node._peers_and_manager() == recomputed()
         node.on_view_sync("r0.mgrb", ViewSync(

@@ -332,12 +332,9 @@ class TestReportsOnDemand:
         system, node, period = self._quiet_region()
         rtt = system.timing.intra_region_rtt
         t0 = system.sim.now
-        if lost == "want":
-            system.network.partition_hosts_oneway("r0.n0", "r0.n1")
-        else:
-            system.network.partition_hosts_oneway("r0.n1", "r0.n0")
-        system.sim.schedule(rtt / 2 + 1.0, system.network.heal_hosts_oneway,
-                            *(("r0.n0", "r0.n1") if lost == "want" else ("r0.n1", "r0.n0")))
+        cut = ("r0.n0", "r0.n1") if lost == "want" else ("r0.n1", "r0.n0")
+        system.network.partition_hosts_oneway(*cut)
+        system.sim.schedule(rtt / 2 + 1.0, system.network.heal_hosts_oneway, *cut)
         ts = node.dclock.tick()
         node._announce(ts)
         system.run(until=t0 + rtt + 0.1)
@@ -347,6 +344,49 @@ class TestReportsOnDemand:
         assert (asked.told.get("r0.n0", ts) > ts) == (lost == "reply")
         system.run(until=t0 + period + rtt)
         assert node.max_ts["r0.n1"] > ts
+        # Again, but the asked host has just announced: it skips its next
+        # beat, and the one after repairs the loss — two periods at most.
+        t1 = system.sim.now
+        system.nodes["r0.n1"]._announce(system.nodes["r0.n1"].dclock.tick())
+        system.run(until=t1 + rtt)
+        system.network.partition_hosts_oneway(*cut)
+        system.sim.schedule(rtt / 2 + 1.0, system.network.heal_hosts_oneway, *cut)
+        ts = node.dclock.tick()
+        node._announce(ts)
+        beat = (t1 // period + 1) * period
+        system.run(until=beat + rtt)
+        assert node.max_ts["r0.n1"] < ts
+        assert asked.stats.get("pct_heartbeats_skipped") == 1
+        system.run(until=t1 + 2 * period + rtt)
+        assert node.max_ts["r0.n1"] > ts
+
+    def test_a_host_that_announced_within_the_period_skips_its_beat(self):
+        """A full fan-out less than a period old stands in for the beat; a
+        served answer reaches only the asker, so the server still beats."""
+        system, node, period = self._quiet_region()
+        peer = system.nodes["r0.n1"]
+        before = {h: (h.stats.get("pct_heartbeats"), h.stats.get("pct_served"))
+                  for h in (node, peer)}
+        node._announce(node.dclock.tick())
+        system.run(until=6 * period + 0.5)
+        assert node.stats.get("pct_heartbeats") == before[node][0]
+        assert node.stats.get("pct_heartbeats_skipped") == 1
+        assert peer.stats.get("pct_served") == before[peer][1] + 1
+        assert peer.stats.get("pct_heartbeats") == before[peer][0] + 1
+        # The skip lasts one beat: the next one goes out.
+        system.run(until=7 * period + 0.5)
+        assert node.stats.get("pct_heartbeats") == before[node][0] + 1
+
+    def test_a_view_change_forgets_the_last_fan_out(self):
+        """Whoever joined heard none of the fan-outs before the change."""
+        system, node, period = self._quiet_region()
+        beats = node.stats.get("pct_heartbeats")
+        node._announce(node.dclock.tick())
+        node.on_view_sync("r0.mgr", ViewSync(
+            shard="s0", region="r0", manager=None, members=list(node.members)))
+        system.run(until=6 * period + 0.5)
+        assert node.stats.get("pct_heartbeats") == beats + 1
+        assert node.stats.get("pct_heartbeats_skipped") == 0
 
     @pytest.mark.parametrize("hook", ["view_sync", "mgr_takeover", "add_commit"])
     def test_a_view_change_reannounces_outstanding_wants(self, hook):
@@ -370,7 +410,8 @@ class TestReportsOnDemand:
         else:
             node.max_ts.clear()  # as on a replica fresh from its checkpoint
             node.on_add_commit("r0.mgr", AddCommit(
-                vid=1, node=node.host, ts_ins=ts, members=list(node.members), shard="s0"))
+                vid=1, node=node.host, ts_ins=ts, members=list(node.members), shard="s0",
+                ts_ckpt=ts))
         waited_for = standby.host if hook != "add_commit" else "r0.mgr"
         assert node.manager == waited_for
         assert node.max_ts.get(waited_for, ts) <= ts
@@ -406,7 +447,7 @@ class TestReportsOnDemand:
 class TestCatchUpCompletesInputs:
     def test_second_delivery_lifts_the_input_wait_floor(self, dast2):
         """A replica that adopted a committed CRT short of its inputs holds a
-        floor at the CRT's own timestamp; when the donor's second catch-up
+        floor at the CRT's own timestamp; when a later catch-up
         delivery brings the inputs, the floor must go or the CRT can never
         execute (it would have to pass itself)."""
         from repro.wire.messages import ReplicaCatchup

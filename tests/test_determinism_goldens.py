@@ -61,8 +61,17 @@ class TestGoldens:
         # inside their noise (irt_p50 10.25 = 10.25, irt_p99 16.0 -> 15.95,
         # crt_p50 226.75 -> 225.75, crt_p99 265.4 -> 271.71, committed in
         # the window 311 -> 308).
+        #
+        # Re-pinned a third time, when a host that reported to everyone
+        # within the last period skips its heartbeat (docs/PROTOCOL.md):
+        # pct_report 26,862 -> 20,396, msgs_total 40,991 -> 34,570 (bytes
+        # 4.23 M -> 3.65 M), which is the change; the latencies moved inside
+        # their noise (irt_p50 10.25 = 10.25, irt_p99 15.95 = 15.95, crt_p50
+        # 225.75 -> 225.71, crt_p99 271.71 -> 263.51, committed in the
+        # window 308 -> 313).  The failover fixes that came with it leave
+        # this fault-free digest as the skip alone makes it.
         assert _virtual_digest(outcome) == (
-            "874a7f11e7b5c5522bc24cd2264836d2b5fed192052783c591044ab34b608b82"
+            "bb78bc4ff9a1fe813733153cf2390c25f752ac618c1ae7e09a84ab4aa4f60379"
         )
 
     def test_chaos_trial_golden(self):

@@ -12,21 +12,45 @@ from dataclasses import replace
 from repro.bench.harness import run_trial
 from repro.chaos import generate_plan, run_chaos_trial
 from repro.chaos.runner import DEFAULT_SPEC
+from repro.clock.hlc import Timestamp
 from repro.core import records
 from repro.core.records import ReportLedger
 from repro.errors import LivenessFailure
 from repro.fleet.spec import TrialSpec
 from repro.txn.model import Transaction
+from repro.wire.messages import Ping
 from tests.conftest import kv_apply_input, kv_read_forward, kv_set, make_dast
 from tests.test_dast_protocol import spy_on_reports
+
+
+def _obligation_violations():
+    """What the promise spy catches while ``r0.n0`` owes ``r0.n1`` a message
+    at ``ts`` that ``r0.n1`` cannot acknowledge, and ``r0.n1`` waits for
+    ``r0.n0``'s clock to pass ``ts``: the clock passes it, the answer may
+    not."""
+    system = make_dast(regions=1, spr=1)
+    violations = spy_on_reports(system)
+    system.start()
+    system.run(until=50.0)
+    node, peer = system.nodes["r0.n0"], system.nodes["r0.n1"]
+    ts = Timestamp(system.sim.now + 30.0, 0, 0)
+    peer.reports.announce(ts)
+    system.run(until=system.sim.now + 3.0)
+    system.network.partition_hosts_oneway("r0.n1", "r0.n0")
+    node._reliable("r0.n1", Ping(), obligation_ts=ts)
+    system.run(until=system.sim.now + 60.0)
+    assert node.dclock.peek() > ts
+    return [v for v in violations if v[3] == "obligation"]
 
 
 def test_served_report_without_the_obligation_cap_breaks_timestamp_order(monkeypatch):
     """(a) A served reply that ignores the obligations toward its
     destination lets a participant's ``max_ts`` pass a prepare it has not
-    seen: the auditor finds executions out of timestamp order.  Chaos seed 2
-    (a drop burst: prepares are retransmitted while their wants are
-    answered) is green unmutated — ``tests/test_chaos_matrix.py``."""
+    seen.  The promise spy names the reply; on chaos seed 2 (a drop burst:
+    prepares are retransmitted while their wants are answered; green
+    unmutated, ``tests/test_chaos_matrix.py``) the auditor finds the
+    executions out of timestamp order."""
+    assert _obligation_violations() == []
     serve = ReportLedger.serve
 
     def serve_uncapped(self, tick=False):
@@ -37,6 +61,7 @@ def test_served_report_without_the_obligation_cap_breaks_timestamp_order(monkeyp
             self.obligations = owed
 
     monkeypatch.setattr(ReportLedger, "serve", serve_uncapped)
+    assert _obligation_violations()
     report = run_chaos_trial(generate_plan(2), replace(DEFAULT_SPEC, seed=102))
     assert not report.ok
     assert report.audit.order_violations and report.audit.replica_mismatches
@@ -109,3 +134,39 @@ def test_wants_never_reexamined_when_the_floor_lifts_stall_the_trial(monkeypatch
     assert any(ts < failure.nodes[host]["dclock"]
                for pending in wants.values() for ts in pending)
     assert f"owes   {next(iter(wants))} a report past" in failure.report()
+
+
+def _lost_reply_repaired(system):
+    """``r0.n1``'s answer to ``r0.n0`` is lost while ``r0.n1`` serves
+    ``r0.n2``'s announcement every period: is ``r0.n0`` told within the
+    repair bound, two heartbeat periods plus an intra-region RTT?"""
+    system.start()
+    period = records.HEARTBEAT_TICKS * system.timing.pct_interval
+    rtt = system.timing.intra_region_rtt
+    system.run(until=5 * period + 0.5)
+    node, busy = system.nodes["r0.n0"], system.nodes["r0.n2"]
+    for k in range(6, 12):
+        system.sim.schedule_at(k * period - 0.25, lambda: busy._announce(busy.dclock.tick()))
+    t0 = system.sim.now
+    system.network.partition_hosts_oneway("r0.n1", "r0.n0")
+    system.sim.schedule(rtt / 2 + 1.0, system.network.heal_hosts_oneway, "r0.n1", "r0.n0")
+    ts = node.dclock.tick()
+    node._announce(ts)
+    system.run(until=t0 + 2 * period + rtt)
+    return node.max_ts["r0.n1"] > ts
+
+
+def test_a_skip_that_counts_a_served_answer_as_a_beat_loses_the_repair(monkeypatch):
+    """(d) Only a report to every target stands in for the heartbeat.  A
+    host that counts its answers to one asker as beats stops beating
+    while someone keeps asking it, and an answer it lost is never
+    repeated: the repair bound fails."""
+    assert _lost_reply_repaired(make_dast(regions=1, spr=1))
+    send = ReportLedger._send
+
+    def send_counted_as_a_beat(self, dsts, value, caps, want=None, stream=False):
+        send(self, dsts, value, caps, want, stream)
+        self.full_at = self.sim.now
+
+    monkeypatch.setattr(ReportLedger, "_send", send_counted_as_a_beat)
+    assert not _lost_reply_repaired(make_dast(regions=1, spr=1))
