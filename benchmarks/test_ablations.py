@@ -15,17 +15,12 @@ import pytest
 from repro.bench.experiments import ablation_sweep
 from repro.bench.report import format_table
 
-from _helpers import write_result
-
 _cache = {}
 
 
 def _rows():
     if "rows" not in _cache:
-        _cache["rows"] = ablation_sweep(
-            num_regions=2, shards_per_region=2, clients_per_region=8,
-            duration_ms=6000.0, seed=1,
-        )
+        _cache["rows"] = ablation_sweep()
     return _cache["rows"]
 
 
@@ -35,7 +30,6 @@ def test_ablations_run(benchmark):
                                "irt_p99_ms", "crt_p50_ms", "crt_p99_ms",
                                "stretches"])
     print(text)
-    write_result("ablations", text)
     assert {r["variant"] for r in rows} == {
         "full", "no-stretch", "no-anticipation", "no-calibration",
     }

@@ -14,29 +14,19 @@ import pytest
 from repro.bench.experiments import fig10a_clock_skew_timeline, fig10b_asymmetric_delay
 from repro.bench.report import format_table
 
-from _helpers import write_result
-
 FRACTIONS = (0.5, 0.65)
 _cache = {}
 
 
 def _timeline():
     if "a" not in _cache:
-        _cache["a"] = fig10a_clock_skew_timeline(
-            skew_ms=200.0, inject_at_ms=4000.0, num_regions=2,
-            shards_per_region=2, clients_per_region=8,
-            duration_ms=12000.0, seed=1,
-        )
+        _cache["a"] = fig10a_clock_skew_timeline()
     return _cache["a"]
 
 
 def _asym_rows():
     if "b" not in _cache:
-        _cache["b"] = fig10b_asymmetric_delay(
-            forward_fractions=FRACTIONS, skew_ms=200.0, num_regions=2,
-            shards_per_region=2, clients_per_region=8,
-            duration_ms=6000.0, seed=1,
-        )
+        _cache["b"] = fig10b_asymmetric_delay()
     return _cache["b"]
 
 
@@ -45,7 +35,6 @@ def test_fig10a_run(benchmark):
     text = format_table(series, ["t_ms", "throughput_tps", "irt_p50_ms",
                                  "irt_p99_ms", "crt_p50_ms", "crt_p99_ms"])
     print(text)
-    write_result("fig10a_clock_skew", text)
     assert len(series) > 10
 
 
@@ -76,7 +65,6 @@ def test_fig10b_run(benchmark):
                                "irt_p50_ms", "irt_p99_ms", "crt_p50_ms",
                                "crt_p99_ms"])
     print(text)
-    write_result("fig10b_asymmetric_delay", text)
     assert len(rows) == len(FRACTIONS)
 
 

@@ -10,8 +10,6 @@ import pytest
 from repro.bench.experiments import fig2_tail_latency
 from repro.bench.report import format_table
 
-from _helpers import write_result
-
 COLUMNS = ["system", "irt_p99_ms", "crt_p99_ms", "irt_p50_ms", "crt_p50_ms",
            "throughput_tps", "abort_rate"]
 _cache = {}
@@ -19,10 +17,7 @@ _cache = {}
 
 def _rows():
     if "rows" not in _cache:
-        _cache["rows"] = fig2_tail_latency(
-            num_regions=3, shards_per_region=2, clients_per_region=10,
-            duration_ms=8000.0, seed=1,
-        )
+        _cache["rows"] = fig2_tail_latency()
     return _cache["rows"]
 
 
@@ -30,7 +25,6 @@ def test_fig2_run(benchmark):
     rows = benchmark.pedantic(_rows, rounds=1, iterations=1)
     text = format_table(rows, COLUMNS)
     print(text)
-    write_result("fig2_tail_latency", text)
     assert len(rows) == 4
 
 

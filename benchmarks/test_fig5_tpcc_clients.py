@@ -10,37 +10,13 @@ import pytest
 
 from repro.bench.experiments import fig5_client_sweep
 from repro.bench.report import format_series
-from repro.config import TimingConfig
 
-from _helpers import write_result
-
-CLIENTS = (2, 8, 20)
 _cache = {}
 
 
 def _series():
     if "series" not in _cache:
-        import repro.bench.experiments as exp
-        from repro.bench.harness import Trial, run_trial
-        from repro.workloads.tpcc import TpccWorkload
-
-        # Heavier per-message CPU cost so saturation appears at this scale.
-        timing = TimingConfig(service_time=0.25)
-        series = {}
-        for system in ("dast", "janus", "tapir", "slog"):
-            series[system] = []
-            for clients in CLIENTS:
-                result = run_trial(Trial(
-                    system, lambda t: TpccWorkload(t),
-                    num_regions=2, shards_per_region=2,
-                    clients_per_region=clients, duration_ms=6000.0,
-                    seed=1, timing=timing,
-                ))
-                row = result.summary.as_row()
-                row["clients_per_region"] = clients
-                row["crt_cdf"] = result.recorder.cdf(crt=True, points=12)
-                series[system].append(row)
-        _cache["series"] = series
+        _cache["series"] = fig5_client_sweep()
     return _cache["series"]
 
 
@@ -57,7 +33,7 @@ def test_fig5_run(benchmark):
         cdf_lines.append(f"== {system} CRT CDF at {peak['clients_per_region']} clients ==")
         for x, y in peak["crt_cdf"]:
             cdf_lines.append(f"  {x:9.1f} ms  {y:5.2f}")
-    write_result("fig5_tpcc_clients", text + "\n\n" + "\n".join(cdf_lines))
+    print("\n".join(cdf_lines))
     assert set(series) == {"dast", "janus", "tapir", "slog"}
 
 

@@ -12,18 +12,13 @@ import pytest
 from repro.bench.experiments import fig6_crt_ratio_sweep
 from repro.bench.report import format_series
 
-from _helpers import write_result
-
 RATIOS = (0.01, 0.2, 0.6)
 _cache = {}
 
 
 def _series():
     if "series" not in _cache:
-        _cache["series"] = fig6_crt_ratio_sweep(
-            ratios=RATIOS, num_regions=3, shards_per_region=1,
-            clients_per_region=8, duration_ms=6000.0, seed=1,
-        )
+        _cache["series"] = fig6_crt_ratio_sweep()
     return _cache["series"]
 
 
@@ -33,7 +28,6 @@ def test_fig6_run(benchmark):
                                   "irt_p99_ms", "crt_p50_ms", "crt_p99_ms",
                                   "abort_rate"])
     print(text)
-    write_result("fig6_crt_ratio", text)
     assert all(len(rows) == len(RATIOS) for rows in series.values())
 
 

@@ -11,18 +11,13 @@ import pytest
 from repro.bench.experiments import fig7_conflict_sweep
 from repro.bench.report import format_series
 
-from _helpers import write_result
-
 THETAS = (0.5, 0.8, 0.99)
 _cache = {}
 
 
 def _series():
     if "series" not in _cache:
-        _cache["series"] = fig7_conflict_sweep(
-            thetas=THETAS, num_regions=2, shards_per_region=1,
-            clients_per_region=8, duration_ms=6000.0, seed=1,
-        )
+        _cache["series"] = fig7_conflict_sweep()
     return _cache["series"]
 
 
@@ -32,7 +27,6 @@ def test_fig7_run(benchmark):
                                   "irt_p99_ms", "crt_p50_ms", "crt_p99_ms",
                                   "abort_rate"])
     print(text)
-    write_result("fig7_tpca_zipf", text)
     assert all(len(rows) == len(THETAS) for rows in series.values())
 
 

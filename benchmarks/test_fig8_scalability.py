@@ -11,9 +11,6 @@ import pytest
 
 from repro.bench.experiments import fig8_region_scalability
 from repro.bench.report import format_series
-from repro.config import TimingConfig
-
-from _helpers import write_result
 
 REGIONS = (2, 4, 10)
 _cache = {}
@@ -21,29 +18,7 @@ _cache = {}
 
 def _series():
     if "series" not in _cache:
-        from repro.bench.harness import Trial, run_trial
-        from repro.workloads.tpcc import TpccWorkload
-
-        # Make per-message CPU visible so the global orderer's per-region
-        # fan-out cost (regions x entries) bites at this scale.
-        timing = TimingConfig(service_time=0.5)
-        series = {}
-        for system in ("dast", "janus", "tapir", "slog"):
-            series[system] = []
-            for regions in REGIONS:
-                result = run_trial(Trial(
-                    system, lambda t: TpccWorkload(t),
-                    num_regions=regions, shards_per_region=1,
-                    clients_per_region=10, duration_ms=5000.0, seed=1,
-                    timing=timing,
-                ))
-                row = result.summary.as_row()
-                row["regions"] = regions
-                if system == "slog":
-                    row["global_ordered"] = result.system.orderer.stats.get("global_ordered")
-                    row["global_submitted"] = result.system.orderer.stats.get("global_submits")
-                series[system].append(row)
-        _cache["series"] = series
+        _cache["series"] = fig8_region_scalability()
     return _cache["series"]
 
 
@@ -52,7 +27,6 @@ def test_fig8_run(benchmark):
     text = format_series(series, ["regions", "throughput_tps", "irt_p50_ms",
                                   "crt_p50_ms", "crt_p99_ms"])
     print(text)
-    write_result("fig8_scalability", text)
     assert all(len(rows) == len(REGIONS) for rows in series.values())
 
 

@@ -14,27 +14,19 @@ import pytest
 from repro.bench.experiments import fig9a_rtt_jitter, fig9b_rtt_steps
 from repro.bench.report import format_table
 
-from _helpers import write_result
-
 JITTERS = (0.0, 20.0, 50.0)
 _cache = {}
 
 
 def _jitter_rows():
     if "a" not in _cache:
-        _cache["a"] = fig9a_rtt_jitter(
-            jitters=JITTERS, num_regions=2, shards_per_region=2,
-            clients_per_region=8, duration_ms=6000.0, seed=1,
-        )
+        _cache["a"] = fig9a_rtt_jitter()
     return _cache["a"]
 
 
 def _step_series():
     if "b" not in _cache:
-        _cache["b"] = fig9b_rtt_steps(
-            num_regions=2, shards_per_region=2, clients_per_region=8,
-            phase_ms=3000.0, seed=1,
-        )
+        _cache["b"] = fig9b_rtt_steps()
     return _cache["b"]
 
 
@@ -43,7 +35,6 @@ def test_fig9a_run(benchmark):
     text = format_table(rows, ["jitter_ms", "throughput_tps", "irt_p50_ms",
                                "irt_p99_ms", "crt_p50_ms", "crt_p99_ms"])
     print(text)
-    write_result("fig9a_rtt_jitter", text)
     assert len(rows) == len(JITTERS)
 
 
@@ -69,7 +60,6 @@ def test_fig9b_run(benchmark):
     text = format_table(series, ["t_ms", "throughput_tps", "irt_p50_ms",
                                  "irt_p99_ms", "crt_p50_ms", "crt_p99_ms"])
     print(text)
-    write_result("fig9b_rtt_steps", text)
     assert len(series) > 10
 
 

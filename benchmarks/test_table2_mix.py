@@ -10,16 +10,12 @@ import pytest
 from repro.bench.experiments import table2_transaction_mix
 from repro.bench.report import format_table
 
-from _helpers import write_result
-
 _cache = {}
 
 
 def _mix():
     if "mix" not in _cache:
-        _cache["mix"] = table2_transaction_mix(
-            num_regions=10, shards_per_region=2, samples=30000, seed=1,
-        )
+        _cache["mix"] = table2_transaction_mix()
     return _cache["mix"]
 
 
@@ -31,7 +27,6 @@ def test_table2_rows(benchmark):
     ]
     text = format_table(rows, ["txn_type", "irt_ratio", "crt_ratio", "total_ratio"])
     print(text)
-    write_result("table2_mix", text)
     assert abs(sum(r["total_ratio"] for r in rows) - 1.0) < 1e-6
 
 

@@ -11,17 +11,12 @@ import pytest
 from repro.bench.experiments import table3_crt_breakdown
 from repro.bench.report import format_table
 
-from _helpers import write_result
-
 _cache = {}
 
 
 def _breakdown():
     if "bd" not in _cache:
-        _cache["bd"] = table3_crt_breakdown(
-            num_regions=4, shards_per_region=2, clients_per_region=10,
-            duration_ms=9000.0, seed=1,
-        )
+        _cache["bd"] = table3_crt_breakdown()
     return _cache["bd"]
 
 
@@ -36,7 +31,6 @@ def test_table3_rows(benchmark):
                                "wait_exec", "wait_input", "wait_output",
                                "total", "count"])
     print(text)
-    write_result("table3_breakdown", text)
     assert bd["with_dependency"]["count"] > 0
     assert bd["without_dependency"]["count"] > 0
 

@@ -10,22 +10,15 @@ import pytest
 from repro.bench.experiments import table3_crt_breakdown, table4_payment_breakdown
 from repro.bench.report import format_table
 
-from _helpers import write_result
-
 _cache = {}
 
 
 def _both():
+    """Table 3's TPC-C trial beside Table 4's payment-only one."""
     if "both" not in _cache:
         _cache["both"] = {
-            "tpcc_default": table3_crt_breakdown(
-                num_regions=3, shards_per_region=1, clients_per_region=6,
-                duration_ms=7000.0, seed=1,
-            ),
-            "payment_only_40pct": table4_payment_breakdown(
-                crt_ratio=0.4, num_regions=3, shards_per_region=1,
-                clients_per_region=6, duration_ms=7000.0, seed=1,
-            ),
+            "tpcc_default": table3_crt_breakdown(),
+            "payment_only_40pct": table4_payment_breakdown(),
         }
     return _cache["both"]
 
@@ -44,7 +37,6 @@ def test_table4_rows(benchmark):
                                "remote_prepare", "wait_exec", "wait_input",
                                "wait_output", "total", "count"])
     print(text)
-    write_result("table4_breakdown", text)
     assert len(rows) >= 3
 
 

@@ -1,14 +1,15 @@
 """Per-table / per-figure experiment runners (the §6 evaluation).
 
 Each function regenerates one paper artifact at simulation scale and returns
-the same rows/series the paper reports.  EXPERIMENTS.md records the measured
-values next to the paper's.  Scales are parameterised so the benchmark suite
-can run quickly while `examples/full_evaluation.py` can run closer to paper
-scale.
+the same rows/series the paper reports.  Every trial-shaped artifact is a
+``<name>_specs()`` builder of JSON-serializable
+:class:`repro.fleet.spec.TrialSpec` objects plus a reduction over the
+resulting :class:`~repro.fleet.spec.TrialOutcome` rows.  A builder's
+defaults are the artifact's one scale: the one ``repro experiment``, the
+benchmark suite and the pinned outcomes in ``PINS.json`` (which render
+EXPERIMENTS.md) all run.  Each runner passes its keyword arguments to its
+builder, so ``examples/full_evaluation.py`` can vary the scale.
 
-Every trial-shaped artifact is expressed as a list of JSON-serializable
-:class:`repro.fleet.spec.TrialSpec` objects (``<name>_specs`` builders) plus
-a reduction over the resulting :class:`~repro.fleet.spec.TrialOutcome` rows.
 Passing ``fleet=FleetExecutor(jobs=N, cache=...)`` fans the trials out over
 worker processes and serves unchanged configurations from the result cache;
 the default ``fleet=None`` runs the same specs serially in-process, so
@@ -20,7 +21,8 @@ directly (no trial) and stays serial.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence
+from dataclasses import replace
+from typing import Callable, Dict, List, Sequence
 
 from repro.config import Topology, TopologyConfig
 from repro.fleet.executor import run_specs
@@ -28,6 +30,7 @@ from repro.fleet.spec import TrialSpec
 from repro.workloads.registry import workload_factory
 
 __all__ = [
+    "ARTIFACT_SPECS",
     "fig2_tail_latency",
     "table2_transaction_mix",
     "fig5_client_sweep",
@@ -43,15 +46,31 @@ __all__ = [
     "ablation_sweep",
 ]
 
+SYSTEMS = ("dast", "janus", "tapir", "slog")
+
+
+def _rows(specs: List[TrialSpec], fleet, annotate: Callable) -> List[Dict]:
+    """Each outcome's summary row, with ``annotate(spec, outcome)`` merged in."""
+    return [{**outcome.row, **annotate(spec, outcome)}
+            for spec, outcome in zip(specs, run_specs(specs, fleet=fleet))]
+
+
+def _by_system(specs: List[TrialSpec], fleet, annotate: Callable) -> Dict[str, List[Dict]]:
+    """:func:`_rows` grouped by system, in spec order."""
+    series: Dict[str, List[Dict]] = {}
+    for spec, row in zip(specs, _rows(specs, fleet, annotate)):
+        series.setdefault(spec.system, []).append(row)
+    return series
+
 
 # ----------------------------------------------------------------------
 # Figure 2: 99th-percentile IRT and CRT latency, TPC-C, all four systems
 # ----------------------------------------------------------------------
 def fig2_specs(
-    systems: Sequence[str] = ("dast", "janus", "tapir", "slog"),
+    systems: Sequence[str] = SYSTEMS,
     num_regions: int = 3,
     shards_per_region: int = 2,
-    clients_per_region: int = 8,
+    clients_per_region: int = 10,
     duration_ms: float = 8000.0,
     seed: int = 1,
 ) -> List[TrialSpec]:
@@ -66,18 +85,8 @@ def fig2_specs(
     ]
 
 
-def fig2_tail_latency(
-    systems: Sequence[str] = ("dast", "janus", "tapir", "slog"),
-    num_regions: int = 3,
-    shards_per_region: int = 2,
-    clients_per_region: int = 8,
-    duration_ms: float = 8000.0,
-    seed: int = 1,
-    fleet=None,
-) -> List[Dict[str, float]]:
-    specs = fig2_specs(systems, num_regions, shards_per_region,
-                       clients_per_region, duration_ms, seed)
-    return [outcome.row for outcome in run_specs(specs, fleet=fleet)]
+def fig2_tail_latency(fleet=None, **scale) -> List[Dict[str, float]]:
+    return _rows(fig2_specs(**scale), fleet, lambda spec, outcome: {})
 
 
 # ----------------------------------------------------------------------
@@ -86,7 +95,7 @@ def fig2_tail_latency(
 def table2_transaction_mix(
     num_regions: int = 10,
     shards_per_region: int = 2,
-    samples: int = 20000,
+    samples: int = 30000,
     seed: int = 1,
 ) -> Dict[str, Dict[str, float]]:
     config = TopologyConfig(
@@ -122,19 +131,21 @@ def table2_transaction_mix(
 # Figure 5: throughput + median latencies vs client count; CRT CDFs
 # ----------------------------------------------------------------------
 def fig5_specs(
-    client_counts: Sequence[int] = (2, 4, 8, 16),
-    systems: Sequence[str] = ("dast", "janus", "tapir", "slog"),
+    client_counts: Sequence[int] = (2, 8, 20),
+    systems: Sequence[str] = SYSTEMS,
     num_regions: int = 2,
     shards_per_region: int = 2,
     duration_ms: float = 6000.0,
     seed: int = 1,
 ) -> List[TrialSpec]:
+    # Heavier per-message CPU cost so saturation appears at this scale.
     return [
         TrialSpec(
             system=system, workload="tpcc",
             num_regions=num_regions, shards_per_region=shards_per_region,
             clients_per_region=clients, duration_ms=duration_ms, seed=seed,
-            collect={"crt_cdf": {"points": 20}},
+            timing={"service_time": 0.25},
+            collect={"crt_cdf": {"points": 12}},
             label=f"fig5/{system}/c{clients}",
         )
         for system in systems
@@ -142,79 +153,56 @@ def fig5_specs(
     ]
 
 
-def fig5_client_sweep(
-    client_counts: Sequence[int] = (2, 4, 8, 16),
-    systems: Sequence[str] = ("dast", "janus", "tapir", "slog"),
-    num_regions: int = 2,
-    shards_per_region: int = 2,
-    duration_ms: float = 6000.0,
-    seed: int = 1,
-    fleet=None,
-) -> Dict[str, List[Dict[str, float]]]:
-    specs = fig5_specs(client_counts, systems, num_regions,
-                       shards_per_region, duration_ms, seed)
-    outcomes = run_specs(specs, fleet=fleet)
-    series: Dict[str, List[Dict[str, float]]] = {s: [] for s in systems}
-    it = iter(outcomes)
-    for system in systems:
-        for clients in client_counts:
-            outcome = next(it)
-            row = outcome.row
-            row["clients_per_region"] = clients
-            row["crt_cdf"] = outcome.extras["crt_cdf"]
-            series[system].append(row)
-    return series
+def fig5_client_sweep(fleet=None, **scale) -> Dict[str, List[Dict[str, float]]]:
+    return _by_system(fig5_specs(**scale), fleet, lambda spec, outcome: {
+        "clients_per_region": spec.clients_per_region,
+        "crt_cdf": outcome.extras["crt_cdf"],
+    })
 
 
 # ----------------------------------------------------------------------
 # Tables 3 & 4: DAST CRT latency phase breakdown
 # ----------------------------------------------------------------------
-def table3_crt_breakdown(
-    num_regions: int = 3,
+def table3_specs(
+    num_regions: int = 4,
     shards_per_region: int = 2,
-    clients_per_region: int = 8,
-    duration_ms: float = 8000.0,
+    clients_per_region: int = 10,
+    duration_ms: float = 9000.0,
     seed: int = 1,
-    workload: str = "tpcc",
-    workload_params: Optional[Dict] = None,
-    fleet=None,
-) -> Dict[str, Dict[str, float]]:
-    spec = TrialSpec(
-        system="dast", workload=workload, workload_params=workload_params or {},
+) -> List[TrialSpec]:
+    return [TrialSpec(
+        system="dast", workload="tpcc",
         num_regions=num_regions, shards_per_region=shards_per_region,
         clients_per_region=clients_per_region, duration_ms=duration_ms,
-        seed=seed, collect={"phase_breakdown": {}},
-        label=f"table3/{workload}",
-    )
-    [outcome] = run_specs([spec], fleet=fleet)
+        seed=seed, collect={"phase_breakdown": {}}, label="table3/tpcc",
+    )]
+
+
+def table4_specs(crt_ratio: float = 0.4, **scale) -> List[TrialSpec]:
+    """Table 3's trial, payment-only: the paper sets the two side by side."""
+    return [replace(spec, workload="payment", workload_params={"crt_ratio": crt_ratio},
+                    label="table4/payment")
+            for spec in table3_specs(**scale)]
+
+
+def table3_crt_breakdown(fleet=None, **scale) -> Dict[str, Dict[str, float]]:
+    [outcome] = run_specs(table3_specs(**scale), fleet=fleet)
     return outcome.extras["phase_breakdown"]
 
 
-def table4_payment_breakdown(
-    crt_ratio: float = 0.4,
-    num_regions: int = 3,
-    shards_per_region: int = 2,
-    clients_per_region: int = 8,
-    duration_ms: float = 8000.0,
-    seed: int = 1,
-    fleet=None,
-) -> Dict[str, Dict[str, float]]:
-    return table3_crt_breakdown(
-        num_regions=num_regions, shards_per_region=shards_per_region,
-        clients_per_region=clients_per_region, duration_ms=duration_ms,
-        seed=seed, workload="payment", workload_params={"crt_ratio": crt_ratio},
-        fleet=fleet,
-    )
+def table4_payment_breakdown(fleet=None, **scale) -> Dict[str, Dict[str, float]]:
+    [outcome] = run_specs(table4_specs(**scale), fleet=fleet)
+    return outcome.extras["phase_breakdown"]
 
 
 # ----------------------------------------------------------------------
 # Figure 6: payment-only, CRT ratio sweep
 # ----------------------------------------------------------------------
 def fig6_specs(
-    ratios: Sequence[float] = (0.01, 0.1, 0.4, 0.8),
-    systems: Sequence[str] = ("dast", "janus", "tapir", "slog"),
-    num_regions: int = 2,
-    shards_per_region: int = 2,
+    ratios: Sequence[float] = (0.01, 0.2, 0.6),
+    systems: Sequence[str] = SYSTEMS,
+    num_regions: int = 3,
+    shards_per_region: int = 1,
     clients_per_region: int = 8,
     duration_ms: float = 6000.0,
     seed: int = 1,
@@ -232,37 +220,19 @@ def fig6_specs(
     ]
 
 
-def fig6_crt_ratio_sweep(
-    ratios: Sequence[float] = (0.01, 0.1, 0.4, 0.8),
-    systems: Sequence[str] = ("dast", "janus", "tapir", "slog"),
-    num_regions: int = 2,
-    shards_per_region: int = 2,
-    clients_per_region: int = 8,
-    duration_ms: float = 6000.0,
-    seed: int = 1,
-    fleet=None,
-) -> Dict[str, List[Dict[str, float]]]:
-    specs = fig6_specs(ratios, systems, num_regions, shards_per_region,
-                       clients_per_region, duration_ms, seed)
-    outcomes = run_specs(specs, fleet=fleet)
-    series: Dict[str, List[Dict[str, float]]] = {s: [] for s in systems}
-    it = iter(outcomes)
-    for system in systems:
-        for ratio in ratios:
-            row = next(it).row
-            row["crt_ratio"] = ratio
-            series[system].append(row)
-    return series
+def fig6_crt_ratio_sweep(fleet=None, **scale) -> Dict[str, List[Dict[str, float]]]:
+    return _by_system(fig6_specs(**scale), fleet, lambda spec, outcome: {
+        "crt_ratio": spec.workload_params["crt_ratio"]})
 
 
 # ----------------------------------------------------------------------
 # Figure 7: TPC-A, zipf conflict-rate sweep
 # ----------------------------------------------------------------------
 def fig7_specs(
-    thetas: Sequence[float] = (0.5, 0.7, 0.9, 0.99),
-    systems: Sequence[str] = ("dast", "janus", "tapir", "slog"),
+    thetas: Sequence[float] = (0.5, 0.8, 0.99),
+    systems: Sequence[str] = SYSTEMS,
     num_regions: int = 2,
-    shards_per_region: int = 2,
+    shards_per_region: int = 1,
     clients_per_region: int = 8,
     duration_ms: float = 6000.0,
     seed: int = 1,
@@ -280,79 +250,48 @@ def fig7_specs(
     ]
 
 
-def fig7_conflict_sweep(
-    thetas: Sequence[float] = (0.5, 0.7, 0.9, 0.99),
-    systems: Sequence[str] = ("dast", "janus", "tapir", "slog"),
-    num_regions: int = 2,
-    shards_per_region: int = 2,
-    clients_per_region: int = 8,
-    duration_ms: float = 6000.0,
-    seed: int = 1,
-    fleet=None,
-) -> Dict[str, List[Dict[str, float]]]:
-    specs = fig7_specs(thetas, systems, num_regions, shards_per_region,
-                       clients_per_region, duration_ms, seed)
-    outcomes = run_specs(specs, fleet=fleet)
-    series: Dict[str, List[Dict[str, float]]] = {s: [] for s in systems}
-    it = iter(outcomes)
-    for system in systems:
-        for theta in thetas:
-            row = next(it).row
-            row["theta"] = theta
-            series[system].append(row)
-    return series
+def fig7_conflict_sweep(fleet=None, **scale) -> Dict[str, List[Dict[str, float]]]:
+    return _by_system(fig7_specs(**scale), fleet, lambda spec, outcome: {
+        "theta": spec.workload_params["theta"]})
 
 
 # ----------------------------------------------------------------------
 # Figure 8: scalability with the number of regions
 # ----------------------------------------------------------------------
 def fig8_specs(
-    region_counts: Sequence[int] = (2, 4, 8),
-    systems: Sequence[str] = ("dast", "janus", "tapir", "slog"),
+    region_counts: Sequence[int] = (2, 4, 10),
+    systems: Sequence[str] = SYSTEMS,
     shards_per_region: int = 1,
-    clients_per_region: int = 6,
+    clients_per_region: int = 10,
     duration_ms: float = 5000.0,
     seed: int = 1,
 ) -> List[TrialSpec]:
+    # Per-message CPU made visible, so the global orderer's per-region
+    # fan-out cost (regions x entries) bites at this scale.
     return [
         TrialSpec(
             system=system, workload="tpcc",
             num_regions=regions, shards_per_region=shards_per_region,
             clients_per_region=clients_per_region, duration_ms=duration_ms,
-            seed=seed, label=f"fig8/{system}/r{regions}",
+            seed=seed, timing={"service_time": 0.5},
+            collect={"orderer_load": {}} if system == "slog" else {},
+            label=f"fig8/{system}/r{regions}",
         )
         for system in systems
         for regions in region_counts
     ]
 
 
-def fig8_region_scalability(
-    region_counts: Sequence[int] = (2, 4, 8),
-    systems: Sequence[str] = ("dast", "janus", "tapir", "slog"),
-    shards_per_region: int = 1,
-    clients_per_region: int = 6,
-    duration_ms: float = 5000.0,
-    seed: int = 1,
-    fleet=None,
-) -> Dict[str, List[Dict[str, float]]]:
-    specs = fig8_specs(region_counts, systems, shards_per_region,
-                       clients_per_region, duration_ms, seed)
-    outcomes = run_specs(specs, fleet=fleet)
-    series: Dict[str, List[Dict[str, float]]] = {s: [] for s in systems}
-    it = iter(outcomes)
-    for system in systems:
-        for regions in region_counts:
-            row = next(it).row
-            row["regions"] = regions
-            series[system].append(row)
-    return series
+def fig8_region_scalability(fleet=None, **scale) -> Dict[str, List[Dict[str, float]]]:
+    return _by_system(fig8_specs(**scale), fleet, lambda spec, outcome: {
+        "regions": spec.num_regions, **outcome.extras.get("orderer_load", {})})
 
 
 # ----------------------------------------------------------------------
 # Figure 9a: uniform cross-region RTT jitter +/- x
 # ----------------------------------------------------------------------
 def fig9a_specs(
-    jitters: Sequence[float] = (0.0, 10.0, 30.0, 50.0),
+    jitters: Sequence[float] = (0.0, 20.0, 50.0),
     num_regions: int = 2,
     shards_per_region: int = 2,
     clients_per_region: int = 8,
@@ -371,23 +310,9 @@ def fig9a_specs(
     ]
 
 
-def fig9a_rtt_jitter(
-    jitters: Sequence[float] = (0.0, 10.0, 30.0, 50.0),
-    num_regions: int = 2,
-    shards_per_region: int = 2,
-    clients_per_region: int = 8,
-    duration_ms: float = 6000.0,
-    seed: int = 1,
-    fleet=None,
-) -> List[Dict[str, float]]:
-    specs = fig9a_specs(jitters, num_regions, shards_per_region,
-                        clients_per_region, duration_ms, seed)
-    rows = []
-    for jitter, outcome in zip(jitters, run_specs(specs, fleet=fleet)):
-        row = outcome.row
-        row["jitter_ms"] = jitter
-        rows.append(row)
-    return rows
+def fig9a_rtt_jitter(fleet=None, **scale) -> List[Dict[str, float]]:
+    return _rows(fig9a_specs(**scale), fleet, lambda spec, outcome: {
+        "jitter_ms": spec.hook_params["jitter"]})
 
 
 # ----------------------------------------------------------------------
@@ -411,17 +336,8 @@ def fig9b_specs(
     )]
 
 
-def fig9b_rtt_steps(
-    num_regions: int = 2,
-    shards_per_region: int = 2,
-    clients_per_region: int = 8,
-    phase_ms: float = 3000.0,
-    seed: int = 1,
-    fleet=None,
-) -> List[Dict[str, float]]:
-    specs = fig9b_specs(num_regions, shards_per_region, clients_per_region,
-                        phase_ms, seed)
-    [outcome] = run_specs(specs, fleet=fleet)
+def fig9b_rtt_steps(fleet=None, **scale) -> List[Dict[str, float]]:
+    [outcome] = run_specs(fig9b_specs(**scale), fleet=fleet)
     return outcome.extras["timeseries"]
 
 
@@ -434,7 +350,7 @@ def fig10a_specs(
     num_regions: int = 2,
     shards_per_region: int = 2,
     clients_per_region: int = 8,
-    duration_ms: float = 10000.0,
+    duration_ms: float = 12000.0,
     seed: int = 1,
 ) -> List[TrialSpec]:
     return [TrialSpec(
@@ -450,20 +366,8 @@ def fig10a_specs(
     )]
 
 
-def fig10a_clock_skew_timeline(
-    skew_ms: float = 200.0,
-    inject_at_ms: float = 4000.0,
-    num_regions: int = 2,
-    shards_per_region: int = 2,
-    clients_per_region: int = 8,
-    duration_ms: float = 10000.0,
-    seed: int = 1,
-    fleet=None,
-) -> List[Dict[str, float]]:
-    specs = fig10a_specs(skew_ms, inject_at_ms, num_regions,
-                         shards_per_region, clients_per_region,
-                         duration_ms, seed)
-    [outcome] = run_specs(specs, fleet=fleet)
+def fig10a_clock_skew_timeline(fleet=None, **scale) -> List[Dict[str, float]]:
+    [outcome] = run_specs(fig10a_specs(**scale), fleet=fleet)
     return outcome.extras["timeseries"]
 
 
@@ -471,7 +375,7 @@ def fig10a_clock_skew_timeline(
 # Figure 10b: constant skew + asymmetric one-way delay
 # ----------------------------------------------------------------------
 def fig10b_specs(
-    forward_fractions: Sequence[float] = (0.5, 0.6, 0.7),
+    forward_fractions: Sequence[float] = (0.5, 0.65),
     skew_ms: float = 200.0,
     num_regions: int = 2,
     shards_per_region: int = 2,
@@ -493,25 +397,9 @@ def fig10b_specs(
     ]
 
 
-def fig10b_asymmetric_delay(
-    forward_fractions: Sequence[float] = (0.5, 0.6, 0.7),
-    skew_ms: float = 200.0,
-    num_regions: int = 2,
-    shards_per_region: int = 2,
-    clients_per_region: int = 8,
-    duration_ms: float = 6000.0,
-    seed: int = 1,
-    fleet=None,
-) -> List[Dict[str, float]]:
-    specs = fig10b_specs(forward_fractions, skew_ms, num_regions,
-                         shards_per_region, clients_per_region,
-                         duration_ms, seed)
-    rows = []
-    for fraction, outcome in zip(forward_fractions, run_specs(specs, fleet=fleet)):
-        row = outcome.row
-        row["forward_fraction"] = fraction
-        rows.append(row)
-    return rows
+def fig10b_asymmetric_delay(fleet=None, **scale) -> List[Dict[str, float]]:
+    return _rows(fig10b_specs(**scale), fleet, lambda spec, outcome: {
+        "forward_fraction": spec.hook_params["forward_fraction"]})
 
 
 # ----------------------------------------------------------------------
@@ -544,20 +432,25 @@ def ablation_specs(
     ]
 
 
-def ablation_sweep(
-    num_regions: int = 2,
-    shards_per_region: int = 2,
-    clients_per_region: int = 8,
-    duration_ms: float = 6000.0,
-    seed: int = 1,
-    fleet=None,
-) -> List[Dict[str, float]]:
-    specs = ablation_specs(num_regions, shards_per_region,
-                           clients_per_region, duration_ms, seed)
-    rows = []
-    for (name, _), outcome in zip(ABLATION_VARIANTS, run_specs(specs, fleet=fleet)):
-        row = outcome.row
-        row["variant"] = name
-        row["stretches"] = outcome.extras["stretches"]
-        rows.append(row)
-    return rows
+def ablation_sweep(fleet=None, **scale) -> List[Dict[str, float]]:
+    return _rows(ablation_specs(**scale), fleet, lambda spec, outcome: {
+        "variant": spec.label.split("/", 1)[1],
+        "stretches": outcome.extras["stretches"]})
+
+
+# Every trial-shaped artifact's builder, by ``repro experiment`` name
+# (table1 reads fig7's trials; table2 runs none).
+ARTIFACT_SPECS: Dict[str, Callable[[], List[TrialSpec]]] = {
+    "fig2": fig2_specs,
+    "fig5": fig5_specs,
+    "table3": table3_specs,
+    "fig6": fig6_specs,
+    "table4": table4_specs,
+    "fig7": fig7_specs,
+    "fig8": fig8_specs,
+    "fig9a": fig9a_specs,
+    "fig9b": fig9b_specs,
+    "fig10a": fig10a_specs,
+    "fig10b": fig10b_specs,
+    "ablations": ablation_specs,
+}

@@ -1,4 +1,4 @@
-"""Command-line interface: ``python -m repro run|experiment|canary|chaos|topo|bench``.
+"""Command-line interface: ``python -m repro run|experiment|canary|chaos|topo|pins``.
 
 One trial is one command: ``repro run`` builds a :class:`TrialSpec` from the
 trial flags (or reads one with ``--spec``), runs it once, and hangs any of
@@ -19,12 +19,12 @@ Examples::
     python -m repro chaos --fuzz 10 --seed 0        # seeded scenario matrix
     python -m repro chaos --fuzz 10 --jobs 4        # parallel scenario matrix
     python -m repro chaos --plan plan.json --out report.txt
-    python -m repro canary capture --seeds 3        # distribution-level bands
     python -m repro topo --seed 3                   # one generated churn scenario
     python -m repro topo --fuzz 4 --seed 0 --jobs 2 # parallel churn matrix
     python -m repro run --topology plan.json --spare-regions 1
     python -m repro run --rtt-profile aws-like --service-profile edge-tiers
-    python -m repro bench --jobs 4                  # pinned trial matrix
+    python -m repro pins check --jobs 2             # every pinned outcome, exact
+    python -m repro pins update --jobs 2            # re-pin, re-render EXPERIMENTS.md
 """
 
 from __future__ import annotations
@@ -47,30 +47,52 @@ from repro.fleet.spec import TrialSpec
 from repro.topo.runner import DEFAULT_SPEC as TOPO_SPEC
 from repro.workloads.registry import WORKLOADS
 
+# The latency columns every trial table prints after its own lead column.
+_LATENCY = ["throughput_tps", "irt_p50_ms", "irt_p99_ms", "crt_p50_ms", "crt_p99_ms"]
+_CONTENTION = ["abort_rate", "mean_retries"]
+_PHASES = ["case", "local_prepare", "remote_prepare", "wait_exec", "wait_input",
+           "wait_output", "total", "count"]
+
+
+def _breakdown_rows(breakdown) -> List[dict]:
+    return [{"case": k, **v} for k, v in breakdown.items() if v]
+
+
 # Each artifact renderer takes (args, fleet); trial-shaped artifacts hand
-# ``fleet`` down to repro.bench.experiments so --jobs/--cache apply.
+# ``fleet`` down to repro.bench.experiments so --jobs/--cache apply.  The
+# same renderers write EXPERIMENTS.md's generated blocks (``repro pins``).
 EXPERIMENTS = {
     "table1": lambda a, f: format_table(
-        __import__("repro.bench.features", fromlist=["feature_rows"]).feature_rows()),
-    "fig2": lambda a, f: format_table(exp.fig2_tail_latency(fleet=f)),
+        __import__("repro.bench.features", fromlist=["feature_rows"]).feature_rows(),
+        ["system", "implemented", "serializable", "r1", "r2", "r3"]),
+    "fig2": lambda a, f: format_table(exp.fig2_tail_latency(fleet=f),
+                                      ["system"] + _LATENCY),
     "table2": lambda a, f: format_table(
-        [{"txn_type": t, **v} for t, v in exp.table2_transaction_mix().items()]
-    ),
-    "fig5": lambda a, f: format_series(exp.fig5_client_sweep(fleet=f)),
+        [{"txn_type": t, **{k.replace("ratio", "%"): 100 * x for k, x in v.items()}}
+         for t, v in exp.table2_transaction_mix().items()],
+        ["txn_type", "total_%", "irt_%", "crt_%"]),
+    "fig5": lambda a, f: format_series(exp.fig5_client_sweep(fleet=f),
+                                       ["clients_per_region"] + _LATENCY + _CONTENTION),
     "table3": lambda a, f: format_table(
-        [{"case": k, **v} for k, v in exp.table3_crt_breakdown(fleet=f).items() if v]
-    ),
-    "fig6": lambda a, f: format_series(exp.fig6_crt_ratio_sweep(fleet=f)),
+        _breakdown_rows(exp.table3_crt_breakdown(fleet=f)), _PHASES),
+    "fig6": lambda a, f: format_series(exp.fig6_crt_ratio_sweep(fleet=f),
+                                       ["crt_ratio"] + _LATENCY + _CONTENTION),
     "table4": lambda a, f: format_table(
-        [{"case": k, **v} for k, v in exp.table4_payment_breakdown(fleet=f).items() if v]
-    ),
-    "fig7": lambda a, f: format_series(exp.fig7_conflict_sweep(fleet=f)),
-    "fig8": lambda a, f: format_series(exp.fig8_region_scalability(fleet=f)),
-    "fig9a": lambda a, f: format_table(exp.fig9a_rtt_jitter(fleet=f)),
-    "fig9b": lambda a, f: format_table(exp.fig9b_rtt_steps(fleet=f)),
-    "fig10a": lambda a, f: format_table(exp.fig10a_clock_skew_timeline(fleet=f)),
-    "fig10b": lambda a, f: format_table(exp.fig10b_asymmetric_delay(fleet=f)),
-    "ablations": lambda a, f: format_table(exp.ablation_sweep(fleet=f)),
+        _breakdown_rows(exp.table4_payment_breakdown(fleet=f)), _PHASES),
+    "fig7": lambda a, f: format_series(exp.fig7_conflict_sweep(fleet=f),
+                                       ["theta"] + _LATENCY + _CONTENTION),
+    "fig8": lambda a, f: format_series(exp.fig8_region_scalability(fleet=f),
+                                       ["regions"] + _LATENCY + ["global_ordered"]),
+    "fig9a": lambda a, f: format_table(exp.fig9a_rtt_jitter(fleet=f),
+                                       ["jitter_ms"] + _LATENCY),
+    "fig9b": lambda a, f: format_table(exp.fig9b_rtt_steps(fleet=f),
+                                       ["t_ms"] + _LATENCY),
+    "fig10a": lambda a, f: format_table(exp.fig10a_clock_skew_timeline(fleet=f),
+                                        ["t_ms"] + _LATENCY),
+    "fig10b": lambda a, f: format_table(exp.fig10b_asymmetric_delay(fleet=f),
+                                        ["forward_fraction"] + _LATENCY),
+    "ablations": lambda a, f: format_table(exp.ablation_sweep(fleet=f),
+                                           ["variant"] + _LATENCY + ["stretches"]),
 }
 
 # What ``repro run --attach`` can hang on the one simulation.
@@ -318,16 +340,12 @@ def cmd_canary(args) -> int:
             specs = tuple(scenario_by_label(s) for s in args.scenario)
         except KeyError as exc:
             raise ConfigError(exc.args[0]) from None
-    if args.seeds < 1:
-        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
 
     if args.mode == "capture":
         _check_out_path(args.goldens, "--goldens")
-        doc = capture(specs, progress=_progress, seeds=args.seeds)
+        doc = capture(specs, progress=_progress)
         _write_json(args.goldens, doc)
-        suffix = f" ({args.seeds} seeds each)" if args.seeds > 1 else ""
-        print(f"captured {len(doc['scenarios'])} golden scenario(s)"
-              f"{suffix} to {args.goldens}")
+        print(f"captured {len(doc['scenarios'])} golden scenario(s) to {args.goldens}")
         return 0
 
     try:
@@ -363,22 +381,16 @@ def _progress(line: str) -> None:
     sys.stderr.flush()
 
 
-def _build_fleet(args):
-    """A FleetExecutor from the shared --jobs/--cache/--refresh flags."""
+def cmd_experiment(args) -> int:
     from repro.fleet import FleetExecutor, ResultCache
 
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    fleet = FleetExecutor(jobs=args.jobs, cache=cache, refresh=args.refresh,
-                          progress=_progress)
-    return fleet, cache
-
-
-def cmd_experiment(args) -> int:
     unknown = [n for n in args.names if n not in EXPERIMENTS]
     if unknown:
         raise ConfigError(
             f"unknown experiments: {unknown}; choose from {sorted(EXPERIMENTS)}")
-    fleet, cache = _build_fleet(args)
+    cache = None if args.no_cache else ResultCache(args.cache_dir)
+    fleet = FleetExecutor(jobs=args.jobs, cache=cache, refresh=args.refresh,
+                          progress=_progress)
     failed: List[str] = []
     total_start = time.perf_counter()
     for i, name in enumerate(args.names, 1):
@@ -405,34 +417,33 @@ def cmd_experiment(args) -> int:
     return 1 if failed else 0
 
 
-def cmd_bench(args) -> int:
-    """Run the pinned trial matrix and write the BENCH_fleet.json payload."""
-    from repro.fleet import run_bench
+def cmd_pins(args) -> int:
+    """Rerun every pinned trial (no cache); ``check`` names each difference
+    from PINS.json and EXPERIMENTS.md, ``update`` rewrites both."""
+    from repro import pins
+    from repro.fleet import FleetExecutor
 
-    _check_out_path(args.out, "--out")
-    fleet, cache = _build_fleet(args)
+    specs = pins.pinned_specs()
     start = time.perf_counter()
-    payload = run_bench(jobs=args.jobs, quick=args.quick, cache=cache,
-                        refresh=args.refresh, progress=_progress,
-                        timeout_s=args.timeout_s)
-    wall_clock_s = time.perf_counter() - start
-    _write_json(args.out, payload)
-    print(format_table([
-        {k: row.get(k, "") for k in ("label", "cached", "throughput_tps",
-                                     "irt_p99_ms", "crt_p99_ms", "msgs_total")}
-        for row in payload["rows"]
-    ]))
-    print(f"trials={payload['trials']} executed={payload['executed']} "
-          f"cached={payload.get('cached', 0)} "
-          f"failures={payload['failures']} wall_clock_s={wall_clock_s:.2f}")
-    if payload["cache"] is not None:
-        stats = payload["cache"]
-        hits = stats["hits"] + stats["misses"]
-        rate = (stats["hits"] / hits * 100.0) if hits else 0.0
-        print(f"cache: {stats['hits']} hits, {stats['misses']} misses "
-              f"({rate:.0f}% hit rate), {stats['stores']} stored")
-    print(f"wrote {args.out}")
-    return 1 if payload["failures"] else 0
+    outcomes = FleetExecutor(jobs=args.jobs, progress=_progress).run(specs)
+    wall_s = time.perf_counter() - start
+    with open(pins.DOC) as fh:
+        doc = fh.read()
+    if args.mode == "update":
+        store = pins.entries(specs, outcomes)
+        pins.write(store)
+        with open(pins.DOC, "w") as fh:
+            fh.write(pins.render_doc(store, doc))
+        print(f"pinned {len(store)} trials to {pins.STORE} and re-rendered "
+              f"{pins.DOC} ({wall_s:.1f}s)")
+        return 0
+    store = pins.load()
+    problems = pins.check(specs, store, outcomes) + pins.check_doc(store, doc)
+    for line in problems:
+        print(line)
+    print(f"pins: {len(specs)} trials, {len(problems)} difference(s) "
+          f"({wall_s:.1f}s) {'FAIL' if problems else 'OK'}")
+    return 1 if problems else 0
 
 
 def _run_scenarios(args, spec, plan_cls, generate, plan_field: str) -> int:
@@ -656,43 +667,33 @@ def build_parser() -> argparse.ArgumentParser:
                           help="restrict to named pinned scenario(s); repeatable")
     canary_p.add_argument("--tolerance", type=float, default=None,
                           help="override every metric's relative tolerance band")
-    canary_p.add_argument("--seeds", type=int, default=1, metavar="N",
-                          help="capture: run each scenario at N sibling seeds "
-                               "and store distribution-level tolerance bands "
-                               "(min/max across seeds widen the gate)")
     canary_p.add_argument("--chrome-dir", metavar="DIR", default=None,
                           help="on failure, write the worst-regressing "
                                "scenario's Chrome trace into DIR")
     canary_p.set_defaults(fn=cmd_canary)
 
-    def add_fleet_args(p):
-        from repro.fleet import DEFAULT_CACHE_DIR
-
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for trial fan-out (1 = in-process)")
-        p.add_argument("--cache-dir", metavar="DIR", default=DEFAULT_CACHE_DIR,
-                       help="content-addressed result cache directory")
-        p.add_argument("--no-cache", action="store_true",
-                       help="disable the on-disk result cache")
-        p.add_argument("--refresh", action="store_true",
-                       help="ignore cached results but store fresh ones")
+    from repro.fleet import DEFAULT_CACHE_DIR
 
     exp_p = sub.add_parser("experiment", help="regenerate paper tables/figures")
     exp_p.add_argument("names", nargs="+", metavar="NAME",
                        help=f"one of: {', '.join(sorted(EXPERIMENTS))}")
-    add_fleet_args(exp_p)
+    exp_p.add_argument("--jobs", type=int, default=1,
+                       help="worker processes for trial fan-out (1 = in-process)")
+    exp_p.add_argument("--cache-dir", metavar="DIR", default=DEFAULT_CACHE_DIR,
+                       help="content-addressed result cache directory")
+    exp_p.add_argument("--no-cache", action="store_true",
+                       help="disable the on-disk result cache")
+    exp_p.add_argument("--refresh", action="store_true",
+                       help="ignore cached results but store fresh ones")
     exp_p.set_defaults(fn=cmd_experiment)
 
-    bench_p = sub.add_parser(
-        "bench", help="run the pinned trial matrix (virtual-result determinism gate)")
-    bench_p.add_argument("--quick", action="store_true",
-                         help="run the trimmed 9-trial matrix")
-    bench_p.add_argument("--out", metavar="PATH", default="BENCH_fleet.json",
-                         help="where to write the benchmark payload JSON")
-    bench_p.add_argument("--timeout-s", type=float, default=None,
-                         help="per-trial wall-clock timeout in seconds")
-    add_fleet_args(bench_p)
-    bench_p.set_defaults(fn=cmd_bench)
+    pins_p = sub.add_parser(
+        "pins", help="rerun every pinned trial and check it against PINS.json "
+                     "(check), or rewrite PINS.json and EXPERIMENTS.md (update)")
+    pins_p.add_argument("mode", choices=["check", "update"])
+    pins_p.add_argument("--jobs", type=int, default=1,
+                        help="worker processes (1 = in-process)")
+    pins_p.set_defaults(fn=cmd_pins)
 
     def add_scenario_args(p, what: str, shrink_budget: int, drain_ms: float):
         """The plan / fuzz / report / shrink flags ``chaos`` and ``topo`` share."""

@@ -10,14 +10,11 @@ loop into a deterministic multi-process run:
 * :class:`FleetExecutor` — a spawn-based process pool with deterministic
   result ordering, structured crash/timeout capture, and live progress;
 * :class:`ResultCache` — an on-disk ``<fingerprint>.json`` store so
-  unchanged configurations are never recomputed;
-* :func:`run_bench` — the pinned trial matrix behind
-  ``repro bench`` / ``BENCH_fleet.json``.
+  unchanged configurations are never recomputed.
 
 See docs/FLEET.md for the determinism contract.
 """
 
-from repro.fleet.benchmark import bench_matrix, run_bench
 from repro.fleet.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.fleet.executor import FleetError, FleetExecutor, run_spec, run_specs
 from repro.fleet.hooks import HOOKS, make_hook, register_hook
@@ -38,12 +35,10 @@ __all__ = [
     "TrialFailure",
     "TrialOutcome",
     "TrialSpec",
-    "bench_matrix",
     "canonical_json",
     "code_version",
     "make_hook",
     "register_hook",
-    "run_bench",
     "run_spec",
     "run_specs",
 ]

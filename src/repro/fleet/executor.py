@@ -73,6 +73,11 @@ COLLECTORS: Dict[str, Callable] = {
         crt=True, points=int(opts.get("points", 50))),
     "irt_cdf": lambda result, opts: result.recorder.cdf(
         crt=False, points=int(opts.get("points", 50))),
+    # SLOG's global orderer: the centralized ordering load (Fig 8).
+    "orderer_load": lambda result, opts: {
+        "global_ordered": result.system.orderer.stats.get("global_ordered"),
+        "global_submitted": result.system.orderer.stats.get("global_submits"),
+    },
     "phase_breakdown": _phase_breakdown,
     "timeseries": lambda result, opts: result.recorder.timeseries(
         bucket_ms=float(opts.get("bucket_ms", 500.0))),

@@ -209,64 +209,21 @@ def capture_scenario(result) -> Dict:
     }
 
 
-def _seed_band(base_seed: int, seeds: int, rows: List[Mapping]) -> Dict:
-    """Per-metric distribution over the sibling-seed runs."""
-    metrics: Dict[str, Dict] = {}
-    for metric in BANDS:
-        values = [r.get(metric) for r in rows]
-        values = [v for v in values if isinstance(v, (int, float))]
-        if not values:
-            continue
-        metrics[metric] = {
-            "mean": sum(values) / len(values),
-            "min": min(values),
-            "max": max(values),
-        }
-    return {"seeds": list(range(base_seed, base_seed + seeds)),
-            "metrics": metrics}
-
-
 def capture(specs: Iterable[TrialSpec] = SCENARIOS,
             timing_override: Optional[Mapping] = None,
-            progress=None, seeds: int = 1) -> Dict:
-    """Run every scenario and assemble the golden document.
-
-    ``seeds > 1`` additionally runs each scenario at the sibling seeds
-    ``seed+1 .. seed+N-1`` and stores a per-metric distribution
-    (``seed_band``): min/max/mean across seeds.  :func:`compare` then
-    accepts a candidate metric anywhere inside the *observed seed range*
-    plus the usual tolerance slack — a distribution-level band that
-    separates genuine regressions from seed-to-seed variance.  The trace
-    digest (exact-match fast path) always comes from the base seed, so a
-    single-seed candidate still compares exactly against a multi-seed
-    golden.
-    """
+            progress=None) -> Dict:
+    """Run every scenario and assemble the golden document."""
     scenarios = {}
     for spec in specs:
         if progress is not None:
             progress(f"[canary] capture {spec.label} ...")
         result = run_scenario(spec, timing_override=timing_override)
-        entry = capture_scenario(result)
-        if seeds > 1:
-            rows: List[Mapping] = [entry["row"]]
-            for k in range(1, seeds):
-                sibling = replace(spec, seed=spec.seed + k)
-                if progress is not None:
-                    progress(f"[canary] capture {spec.label} "
-                             f"seed {sibling.seed} ...")
-                sib_result = run_scenario(sibling,
-                                          timing_override=timing_override)
-                rows.append(capture_scenario(sib_result)["row"])
-            entry["seed_band"] = _seed_band(spec.seed, seeds, rows)
-        scenarios[spec.label] = entry
-    doc = {
+        scenarios[spec.label] = capture_scenario(result)
+    return {
         "schema": CANARY_SCHEMA,
         "code_version": code_version(),
         "scenarios": scenarios,
     }
-    if seeds > 1:
-        doc["seeds"] = seeds
-    return doc
 
 
 def repro_command(spec: TrialSpec, directory: str = ".") -> str:
@@ -297,30 +254,11 @@ def _band_violations(golden: Mapping, candidate: Mapping,
                      tolerance: Optional[float]) -> List[Dict]:
     out = []
     g_row, c_row = golden["row"], candidate["row"]
-    # Multi-seed goldens (capture --seeds N) carry per-metric
-    # distributions: the acceptance interval is the observed cross-seed
-    # range widened by the tolerance slack, so a candidate is only flagged
-    # when it falls outside what seed variance alone produces.
-    dist_metrics = (golden.get("seed_band") or {}).get("metrics", {})
     for metric, (rel, floor) in BANDS.items():
-        c = c_row.get(metric)
-        if not isinstance(c, (int, float)):
+        c, g = c_row.get(metric), g_row.get(metric)
+        if not isinstance(c, (int, float)) or not isinstance(g, (int, float)):
             continue
-        rel_used = tolerance if tolerance is not None else rel
-        dist = dist_metrics.get(metric)
-        if dist is not None:
-            slack = max(rel_used * abs(dist["mean"]), floor)
-            if not (dist["min"] - slack <= c <= dist["max"] + slack):
-                out.append({
-                    "metric": metric, "golden": dist["mean"], "candidate": c,
-                    "delta": c - dist["mean"], "band": slack,
-                    "seed_range": [dist["min"], dist["max"]],
-                })
-            continue
-        g = g_row.get(metric)
-        if not isinstance(g, (int, float)):
-            continue
-        band = max(rel_used * abs(g), floor)
+        band = max((tolerance if tolerance is not None else rel) * abs(g), floor)
         if abs(c - g) > band:
             out.append({
                 "metric": metric, "golden": g, "candidate": c,

@@ -271,26 +271,3 @@ class TestFleetSpecTopology:
             replace(base, service_multipliers="edge-tiers").fingerprint(),
         }
         assert len(prints) == 4  # each knob lands in the cache key
-
-
-class TestCanarySeedBand:
-    def test_seed_band_accepts_range_and_flags_outliers(self):
-        from repro.obs.canary import _band_violations, _seed_band
-
-        rows = [{"throughput_tps": 100.0}, {"throughput_tps": 110.0},
-                {"throughput_tps": 104.0}]
-        band = _seed_band(1, 3, rows)
-        assert band["seeds"] == [1, 2, 3]
-        dist = band["metrics"]["throughput_tps"]
-        assert (dist["min"], dist["max"]) == (100.0, 110.0)
-
-        golden = {"row": rows[0], "seed_band": band}
-        # Inside the observed seed range: no violation even though it is
-        # far from the base-seed point value.
-        inside = {"row": {"throughput_tps": 109.0}}
-        assert _band_violations(golden, inside, tolerance=None) == []
-        # Outside range + slack (10% of mean): flagged with the seed range.
-        outlier = {"row": {"throughput_tps": 130.0}}
-        violations = _band_violations(golden, outlier, tolerance=None)
-        assert [v["metric"] for v in violations] == ["throughput_tps"]
-        assert violations[0]["seed_range"] == [100.0, 110.0]
