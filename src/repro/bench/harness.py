@@ -125,9 +125,11 @@ class TrialResult:
     def _attach_late(self) -> None:
         """Fold in what can still move after the measured run, during a
         drain: the requests that never completed (each driver counts its
-        own — a closed-loop client has no other way to report one) and the
-        churn counters."""
+        own — a closed-loop client has no other way to report one), the
+        carried clock reports, and the churn counters."""
         self.summary.failed = sum(client.failed for client in self.clients)
+        self.summary.pct_carried = sum(
+            component.stats.get("pct_carried") for component in self.system.components)
         self.summary.attach_topology(self.system.topo_counters())
 
     def stall(self) -> Optional[LivenessFailure]:

@@ -102,6 +102,10 @@ class Summary:
         self.msgs_total = 0
         self.bytes_total = 0
         self.msg_top_types: List[Tuple[str, int]] = []
+        # Messages that rode another envelope instead of a frame of their
+        # own (DAST's clock reports, repro.sim.rpc.Endpoint.hold): not in
+        # msgs_total, their bytes are in their carriers'.
+        self.pct_carried = 0
         # Topology-churn counters (repro.topo): reshards, region joins and
         # leaves, migrated users, CRT handoffs.  Empty for every trial
         # without topology events, and then absent from as_row().
@@ -135,6 +139,9 @@ class Summary:
             "bytes_total": self.bytes_total,
             "msg_top_types": {name: count for name, count in self.msg_top_types},
         }
+        if self.pct_carried:
+            # Like ``topo``: absent for a system that carries nothing.
+            row["pct_carried"] = self.pct_carried
         if self.topo:
             row["topo"] = dict(self.topo)
         if self.open_loop:

@@ -32,7 +32,12 @@ asked, not every ``pct_interval``:
 The ledger is the one place a report leaves a node or a manager.  Every
 value it sends is the owner's ``dclock.tick()`` under the same caps as
 ever; only when and to whom changed, so the promise a report makes
-(Lemma 1) is untouched.
+(Lemma 1) is untouched.  A report is not sent on the spot but held until
+the end of its instant (:meth:`repro.sim.rpc.Endpoint.hold`): the first
+envelope the owner sends its destination meanwhile carries it, and what
+none carried leaves in one multicast.  It leaves with the value the ledger
+computed, under the floor and that destination's obligations as they stand
+when it leaves (``docs/PROTOCOL.md``, "Carried reports").
 """
 
 from __future__ import annotations
@@ -309,6 +314,62 @@ class WaitQueue:
 HEARTBEAT_TICKS = 10
 
 
+class _HeldReport:
+    """One report a ledger holds for its destinations: the message with the
+    value it computed, and the floor and obligations table it computed it
+    under, which cap it again when it leaves (:meth:`leave`)."""
+
+    __slots__ = ("ledger", "msg", "floor", "obligations")
+
+    def __init__(self, ledger: "ReportLedger", msg: PctReport,
+                 floor: Callable[[], Optional[Timestamp]],
+                 obligations: Dict[str, Dict[int, Timestamp]]):
+        self.ledger = ledger
+        self.msg = msg
+        self.floor = floor
+        self.obligations = obligations
+
+    def leave(self, dsts: Sequence[str], carried: bool
+              ) -> Tuple[PctReport, Optional[Dict[str, PctReport]]]:
+        """What this report tells each of ``dsts`` as it leaves, as the
+        message most get and the others' own: its value, kept below the
+        floor and each destination's lowest unacknowledged obligation as
+        they stand now — one registered since the hold caps a report riding
+        the very message that registered it.  The ledger's book says so."""
+        msg = self.msg
+        value = msg.value
+        floor = self.floor()
+        if floor is not None and value >= floor:
+            value = just_below(floor)
+            msg = PctReport(value, msg.want, msg.stream)
+        ledger = self.ledger
+        told = ledger.told
+        obligations = self.obligations
+        overrides = capped = None
+        for dst in dsts:
+            sent = value
+            owed = obligations.get(dst) if obligations else None
+            if owed:
+                lowest = min(owed.values())
+                if value >= lowest:
+                    # Destinations capped by one obligation timestamp (a
+                    # prepare fanned out to every peer) share one message.
+                    if capped is None:
+                        capped, overrides = {}, {}
+                    other = capped.get(lowest)
+                    if other is None:
+                        other = capped[lowest] = PctReport(
+                            just_below(lowest), msg.want, msg.stream)
+                    overrides[dst] = other
+                    sent = other.value
+            booked = told.get(dst)
+            if booked is not sent and booked is not None and sent != booked:
+                ledger._rebook(dst, booked, sent)
+        if carried:
+            ledger.stats.inc("pct_carried", len(dsts))
+        return msg, overrides
+
+
 class ReportLedger:
     """Who waits on this host's clock, and the sending of its reports.
 
@@ -404,12 +465,13 @@ class ReportLedger:
     def _send(self, dsts: Sequence[str], value: Timestamp,
               caps: Optional[Dict[str, Timestamp]],
               want: Optional[Timestamp] = None, stream: bool = False) -> None:
-        """One multicast; afterwards the book says what each was told."""
-        overrides = None
-        if caps:
-            overrides = {dst: PctReport(capped, want, stream)
-                         for dst, capped in caps.items()}
-        self.endpoint.multicast(dsts, PctReport(value, want, stream), overrides)
+        """Hold the report for each of ``dsts``: it rides the next envelope
+        to it this instant, or leaves in the instant's last multicast.
+        Afterwards the book says what each was told (``caps`` holds the
+        capped values); :meth:`_HeldReport.leave` corrects that should the
+        caps move before the report leaves."""
+        self.endpoint.hold(dsts, _HeldReport(
+            self, PctReport(value, want, stream), self._floor, self.obligations))
         told = self.told
         if not caps and self.low is None:
             told.update(dict.fromkeys(dsts, value))  # the saturated tick
@@ -423,6 +485,21 @@ class ReportLedger:
                 del pending[:bisect_left(pending, sent)]
                 passed = True
         if passed:
+            self._bounds()
+
+    def _rebook(self, dst: str, booked: Timestamp, value: Timestamp) -> None:
+        """The caps moved between the hold and the leave of a report: ``dst``
+        was booked as told ``booked`` and was told ``value``."""
+        self.told[dst] = value
+        if value < booked:
+            # Wants the book let pass below ``booked`` are asked again: a
+            # tick serves this peer once its value passes ``booked``.
+            self.add(dst, just_below(booked), False)
+            self.arm()
+            return
+        pending = self.wants.get(dst)
+        if pending and pending[0] < value:
+            del pending[:bisect_left(pending, value)]
             self._bounds()
 
     def _bounds(self) -> None:

@@ -283,6 +283,9 @@ class Simulator:
         self._ready: deque = deque()
         self._seq = itertools.count()
         self._stopped = False
+        # Callbacks run once the current instant has no work left
+        # (:meth:`at_instant_end`): (fn, args) entries, FIFO.
+        self._at_end: List = []
         # Opt-in hot-callback accounting (repro.perf); None = zero overhead.
         self._acct = None
 
@@ -326,6 +329,24 @@ class Simulator:
             self._ready.append((next(self._seq), fn, args))
         else:
             heapq.heappush(self._heap, (when, next(self._seq), fn, args))
+
+    def at_instant_end(self, fn: Callable, *args: Any) -> None:
+        """Run ``fn(*args)`` once, when the current instant is over: after
+        every ready entry and every heap entry due now — including those the
+        instant's callbacks schedule for it — and before virtual time
+        advances or :meth:`run` returns.  Callbacks registered for one
+        instant run in registration order; one registered while they run
+        (or scheduling work at this instant) extends the instant.  They take
+        no ``(time, seq)`` slot, so a simulation that registers none fires
+        exactly the sequence it would without this primitive."""
+        self._at_end.append((fn, args))
+
+    def _end_instant(self) -> None:
+        at_end = self._at_end
+        batch = list(at_end)
+        at_end.clear()
+        for fn, args in batch:
+            fn(*args)
 
     def event(self) -> Event:
         return Event(self)
@@ -376,6 +397,9 @@ class Simulator:
                 _seq, fn, args = ready.popleft()
                 fn(*args)
             return True
+        if self._at_end and (not heap or heap[0][0] > self.now):
+            self._end_instant()
+            return True
         if not heap:
             return False
         t, _seq, fn, args = heapq.heappop(heap)
@@ -400,6 +424,7 @@ class Simulator:
             # lookups; semantics identical to step() in a while-loop.
             ready = self._ready
             heap = self._heap
+            at_end = self._at_end
             heappop = heapq.heappop
             while not self._stopped:
                 if ready:
@@ -415,6 +440,9 @@ class Simulator:
                     else:
                         _seq, fn, args = ready.popleft()
                         fn(*args)
+                    continue
+                if at_end and (not heap or heap[0][0] > self.now):
+                    self._end_instant()
                     continue
                 if not heap:
                     break
@@ -434,6 +462,7 @@ class Simulator:
         acct = self._acct
         ready = self._ready
         heap = self._heap
+        at_end = self._at_end
         heappop = heapq.heappop
         while not self._stopped:
             hlen = len(heap)
@@ -454,6 +483,9 @@ class Simulator:
                     _seq, fn, args = ready.popleft()
                     acct.record(fn, True, False)
                     fn(*args)
+                continue
+            if at_end and (not heap or heap[0][0] > self.now):
+                self._end_instant()
                 continue
             if not heap:
                 break
@@ -481,4 +513,4 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        return len(self._heap) + len(self._ready)
+        return len(self._heap) + len(self._ready) + len(self._at_end)

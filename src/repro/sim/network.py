@@ -135,7 +135,7 @@ class Network:
         self._host_region: Dict[str, str] = {}
         # src -> the last destination tuple found to hold only *other* hosts
         # of src's region.  A host never changes region and a tuple never
-        # changes content, so multicast() need not walk that tuple again.
+        # changes content, so multicast() need not walk an equal tuple again.
         self._same_region: Dict[str, Tuple[str, ...]] = {}
         self._handlers: Dict[str, Callable] = {}
         self._rtt_overrides: Dict[Tuple[str, str], float] = {}
@@ -421,7 +421,7 @@ class Network:
                 or self.intra_jitter or self.reorder_spread or self.drop_probability
                 or self.duplicate_probability):
             return None
-        if self._same_region.get(src) is not dsts:
+        if self._same_region.get(src) != dsts:
             regions = self._host_region
             region = regions.get(src)
             if region is None:

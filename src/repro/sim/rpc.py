@@ -17,6 +17,15 @@ the message is frozen in place (:func:`repro.wire.encode`; an unregistered
 type raises :class:`repro.wire.WireError` naming it) and rides the envelope
 itself.  Every receiver is handed that one read-only object.
 
+Carried messages: an owner may :meth:`Endpoint.hold` a small message for a
+destination instead of sending it.  The first envelope the endpoint sends
+to that destination before virtual time advances carries it in its
+``carried`` slot (its frame counts in the carrier's ``wire_size``), and the
+receiver hands it to its cheap handler before the carrier's own path.
+Whatever no envelope carried leaves at the end of the instant
+(:meth:`Simulator.at_instant_end`) as one multicast.  DAST's clock reports
+travel this way (``docs/PROTOCOL.md``, "Carried reports").
+
 Causal tracing: every envelope carries an optional ``trace_ctx`` — a
 compact ``(trace_id, span_id)`` pair stamped at send time when a
 :class:`repro.obs.trace.Tracer` is attached to the network
@@ -50,55 +59,66 @@ class RpcRemoteError(ProtocolError):
 
 
 class _Request:
-    __slots__ = ("rpc_id", "method", "payload", "trace_ctx")
+    __slots__ = ("rpc_id", "method", "payload", "trace_ctx", "carried")
 
-    def __init__(self, rpc_id: int, method: str, payload: WireMessage, trace_ctx=None):
+    def __init__(self, rpc_id: int, method: str, payload: WireMessage, trace_ctx=None,
+                 carried: Optional[WireMessage] = None):
         self.rpc_id = rpc_id
         self.method = method
         self.payload = payload
         self.trace_ctx = trace_ctx
+        self.carried = carried
 
     @property
     def type_name(self) -> str:
         return self.method
 
     def wire_size(self) -> int:
-        return _ENVELOPE_OVERHEAD + len(self.method) + self.payload.wire_size()
+        size = _ENVELOPE_OVERHEAD + len(self.method) + self.payload.wire_size()
+        carried = self.carried
+        return size if carried is None else size + carried.wire_size()
 
 
 class _Response:
-    __slots__ = ("rpc_id", "method", "ok", "value", "trace_ctx")
+    __slots__ = ("rpc_id", "method", "ok", "value", "trace_ctx", "carried")
 
     def __init__(self, rpc_id: int, method: str, ok: bool, value: Any,
-                 trace_ctx=None):
+                 trace_ctx=None, carried: Optional[WireMessage] = None):
         self.rpc_id = rpc_id
         self.method = method
         self.ok = ok
         self.value = value
         self.trace_ctx = trace_ctx
+        self.carried = carried
 
     @property
     def type_name(self) -> str:
         return f"resp:{self.method}"
 
     def wire_size(self) -> int:
-        return _ENVELOPE_OVERHEAD + len(self.method) + sizeof(self.value)
+        size = _ENVELOPE_OVERHEAD + len(self.method) + sizeof(self.value)
+        carried = self.carried
+        return size if carried is None else size + carried.wire_size()
 
 
 class _Oneway:
-    __slots__ = ("method", "payload", "trace_ctx")
+    __slots__ = ("method", "payload", "trace_ctx", "carried")
 
-    def __init__(self, method: str, payload: WireMessage, trace_ctx=None):
+    def __init__(self, method: str, payload: WireMessage, trace_ctx=None,
+                 carried: Optional[WireMessage] = None):
         self.method = method
         self.payload = payload
         self.trace_ctx = trace_ctx
+        self.carried = carried
 
     @property
     def type_name(self) -> str:
         return self.method
 
     def wire_size(self) -> int:
-        return _ENVELOPE_OVERHEAD + len(self.method) + self.payload.wire_size()
+        size = _ENVELOPE_OVERHEAD + len(self.method) + self.payload.wire_size()
+        carried = self.carried
+        return size if carried is None else size + carried.wire_size()
 
 
 class Endpoint:
@@ -125,6 +145,9 @@ class Endpoint:
         self._cheap: Dict[str, Callable] = {}
         self._handlers: Dict[str, Callable] = {}
         self._pending: Dict[int, Event] = {}
+        # dst -> the item the next envelope to dst carries (:meth:`hold`).
+        self._outbox: Dict[str, Any] = {}
+        self._flush_armed = False
         network.register(host, region, self._on_message)
 
     # ------------------------------------------------------------------
@@ -134,10 +157,11 @@ class Endpoint:
         """Register ``handler(src, payload)`` for ``method``.
 
         ``cheap`` methods bypass the CPU service-time queue — used for
-        control-plane traffic (clock reports) that a real implementation
-        piggybacks on other messages at negligible cost.  As one-ways they
-        are also called straight from delivery, so a cheap handler must be a
-        plain function: a generator would never be spawned there.
+        control-plane traffic (clock reports) that costs next to nothing to
+        handle.  As one-ways, and as messages another envelope carries
+        (:meth:`hold`), they are called straight from delivery, so a cheap
+        handler must be a plain function: a generator would never be
+        spawned there.
         """
         if method in self._handlers:
             raise ProtocolError(f"{self.host}: handler for {method!r} already registered")
@@ -152,6 +176,19 @@ class Endpoint:
 
     def _on_message(self, src: str, envelope: Any) -> None:
         tracer = self.network.tracer
+        carried = envelope.carried
+        if carried is not None:
+            # What the envelope carries is handled first, inline, like the
+            # standalone cheap one-way it stands in for.
+            handler = self._cheap[carried.NAME]
+            if tracer is None:
+                handler(src, carried)
+            else:
+                tracer.push_active(None)
+                try:
+                    handler(src, carried)
+                finally:
+                    tracer.pop_active()
         # Cheap one-ways (clock reports) dominate traffic: dispatch them
         # inline without the _process indirection.
         if envelope.__class__ is _Oneway:
@@ -237,8 +274,9 @@ class Endpoint:
             # outside any active handler context.
             ctx = tracer.begin_hop(self.host, dst, f"resp:{req.method}",
                                    None, parent=req.trace_ctx)
+        carried = self._carry(dst) if self._outbox else None
         self.network.send(self.host, dst,
-                          _Response(req.rpc_id, req.method, ok, value, ctx))
+                          _Response(req.rpc_id, req.method, ok, value, ctx, carried))
 
     def _handle_response(self, rpc_id: int, ok: bool, value: Any) -> None:
         event = self._pending.pop(rpc_id, None)
@@ -270,7 +308,8 @@ class Endpoint:
         ctx = None
         if tracer is not None:
             ctx = tracer.begin_hop(self.host, dst, method, msg)
-        self.network.send(self.host, dst, _Request(rpc_id, method, msg, ctx))
+        carried = self._carry(dst) if self._outbox else None
+        self.network.send(self.host, dst, _Request(rpc_id, method, msg, ctx, carried))
         if timeout is not None:
             self.sim.schedule(timeout, self._expire, rpc_id, dst, method)
         return event
@@ -308,7 +347,8 @@ class Endpoint:
         ctx = None
         if tracer is not None:
             ctx = tracer.begin_hop(self.host, dst, method, msg)
-        self.network.send(self.host, dst, _Oneway(method, msg, ctx))
+        carried = self._carry(dst) if self._outbox else None
+        self.network.send(self.host, dst, _Oneway(method, msg, ctx, carried))
 
     def multicast(
         self,
@@ -321,9 +361,9 @@ class Endpoint:
         ``overrides`` maps a destination to the message it gets instead, in
         its own slot of the order.  Equivalent to one :meth:`send` per
         destination, and exactly that when sends carry a per-hop trace
-        context.  Otherwise the destinations share one envelope and the
-        network may deliver the whole fan-out as one event
-        (:meth:`Network.multicast`).
+        context.  Otherwise the destinations share one envelope (but for
+        those whose envelope carries a held item) and the network may
+        deliver the whole fan-out as one event (:meth:`Network.multicast`).
         """
         network = self.network
         if network.tracer is not None:
@@ -331,10 +371,73 @@ class Endpoint:
                 self.send(dst, overrides.get(dst, msg) if overrides else msg)
             return
         envelopes = (_Oneway(encode(msg).NAME, msg),) * len(dsts)
-        if overrides:
+        outbox = self._outbox
+        if overrides or outbox:
             envelopes = list(envelopes)
             for i, dst in enumerate(dsts):
-                other = overrides.get(dst)
-                if other is not None:
-                    envelopes[i] = _Oneway(encode(other).NAME, other)
+                other = overrides.get(dst) if overrides else None
+                carried = self._carry(dst) if outbox and dst in outbox else None
+                if other is not None or carried is not None:
+                    sent = msg if other is None else other
+                    envelopes[i] = _Oneway(encode(sent).NAME, sent, None, carried)
         network.multicast(self.host, dsts, envelopes)
+
+    # ------------------------------------------------------------------
+    # Held messages
+    # ------------------------------------------------------------------
+    def hold(self, dsts: Sequence[str], item: Any) -> None:
+        """Hold ``item`` for each of ``dsts`` until the first envelope this
+        endpoint sends there — a request, a response or a one-way — or else
+        the end of the current instant, whichever comes first.  When it
+        leaves for some destinations, ``item.leave(those, carried)`` gives
+        what they are sent as ``(msg, overrides)``, like :meth:`multicast`'s
+        arguments: carried in that envelope's slot, or in the end-of-instant
+        multicast of everything still held.  The messages must be of a
+        method the receivers registered ``cheap``.  One item per
+        destination: holding a second sends the first at once, as its own
+        frame."""
+        outbox = self._outbox
+        if outbox and not outbox.keys().isdisjoint(dsts):
+            for dst in dsts:
+                if dst in outbox:
+                    self.send(dst, _the_one(outbox.pop(dst).leave((dst,), False), dst))
+        outbox.update(dict.fromkeys(dsts, item))
+        if not self._flush_armed:
+            self._flush_armed = True
+            self.sim.at_instant_end(self._flush)
+
+    def _carry(self, dst: str) -> Optional[WireMessage]:
+        """The message an envelope to ``dst`` carries, if one is held."""
+        item = self._outbox.pop(dst, None)
+        if item is None:
+            return None
+        return encode(_the_one(item.leave((dst,), True), dst))
+
+    def _flush(self) -> None:
+        """The end of the instant: what no envelope carried leaves as one
+        :meth:`multicast`, in the order it was held."""
+        self._flush_armed = False
+        outbox = self._outbox
+        if not outbox:
+            return
+        self._outbox = {}
+        groups: Dict[Any, list] = {}
+        for dst, item in outbox.items():
+            groups.setdefault(item, []).append(dst)
+        msg = None
+        overrides: Dict[str, WireMessage] = {}
+        for item, group in groups.items():
+            group_msg, group_overrides = item.leave(group, False)
+            if msg is None:
+                msg = group_msg
+            elif group_msg is not msg:
+                overrides.update(dict.fromkeys(group, group_msg))
+            if group_overrides:
+                overrides.update(group_overrides)
+        self.multicast(tuple(outbox), msg, overrides or None)
+
+
+def _the_one(left, dst: str) -> WireMessage:
+    """The message ``dst`` gets of a ``leave`` result."""
+    msg, overrides = left
+    return overrides[dst] if overrides else msg

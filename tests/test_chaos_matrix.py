@@ -180,8 +180,10 @@ class TestOraclePopulation:
             return runs[-1]
 
         monkeypatch.setattr(harness, "run_trial", spy)
-        spec = replace(DEFAULT_SPEC, seed=_trial_seed(7))
-        report = run_chaos_trial(generate_plan(7), spec)
+        # A scenario that loses requests: plan 0 loses four.  (Plan 7 lost
+        # one until clock reports began to ride other messages.)
+        spec = replace(DEFAULT_SPEC, seed=_trial_seed(0))
+        report = run_chaos_trial(generate_plan(0), spec)
         assert report.ok, report.to_text()
         (result,) = runs
         recorder = result.recorder

@@ -242,37 +242,87 @@ class TestLossTolerance:
 # ---------------------------------------------------------------------------
 def spy_on_reports(system):
     """Check the promise at every send: no ``pct_report`` leaving a node or
-    a manager reaches the sender's floor or an unacknowledged obligation
-    toward that destination.  Returns the list the violations land in."""
+    a manager — in a frame of its own or carried by another envelope —
+    reaches the sender's floor or an unacknowledged obligation toward that
+    destination at the moment it leaves.  Returns the list the violations
+    land in."""
     violations = []
-
-    def watch(owner, floor, obligations):
-        send = owner.endpoint.multicast
-
-        def multicast(dsts, msg, overrides=None):
-            for dst in dsts:
-                sent = (overrides or {}).get(dst, msg)
-                if not isinstance(sent, PctReport):
-                    continue
-                limit = floor()
-                owed = obligations.get(dst)
-                if limit is not None and sent.value >= limit:
-                    violations.append((owner.host, dst, sent.value, "floor", limit))
-                if owed and sent.value >= min(owed.values()):
-                    violations.append((owner.host, dst, sent.value, "obligation",
-                                       min(owed.values())))
-            send(dsts, msg, overrides)
-
-        owner.endpoint.multicast = multicast
-
-    for node in system.nodes.values():
-        watch(node, node.wait_q.min, node._obligations)
+    owners = {node.host: (node.wait_q.min, node._obligations)
+              for node in system.nodes.values()}
     for manager in list(system.managers.values()) + list(system.standby_managers.values()):
-        watch(manager, manager._pending_floor, {})
+        owners[manager.host] = (manager._pending_floor, {})
+    network = system.network
+    send, multicast = network.send, network.multicast
+    inside = []  # a multicast's own sends are checked once, by the multicast
+
+    def check(src, dst, envelope):
+        owner = owners.get(src)
+        if owner is None:
+            return
+        floor, obligations = owner
+        for sent in (getattr(envelope, "payload", None), getattr(envelope, "carried", None)):
+            if not isinstance(sent, PctReport):
+                continue
+            limit = floor()
+            owed = obligations.get(dst)
+            if limit is not None and sent.value >= limit:
+                violations.append((src, dst, sent.value, "floor", limit))
+            if owed and sent.value >= min(owed.values()):
+                violations.append((src, dst, sent.value, "obligation", min(owed.values())))
+
+    def spied_send(src, dst, payload):
+        if not inside:
+            check(src, dst, payload)
+        send(src, dst, payload)
+
+    def spied_multicast(src, dsts, envelopes):
+        for dst, envelope in zip(dsts, envelopes):
+            check(src, dst, envelope)
+        inside.append(True)
+        try:
+            multicast(src, dsts, envelopes)
+        finally:
+            inside.pop()
+
+    network.send = spied_send
+    network.multicast = spied_multicast
     return violations
 
 
+def held_report_then_obligation():
+    """``r0.n0`` announces — holding a report for every target — and later
+    in the same instant registers an obligation toward ``r0.n1`` at exactly
+    the value it booked for ``r0.n1``.  The obligation's own request is the
+    next envelope to ``r0.n1``, so it carries the report.  Returns the
+    spy's violations, the obligation's timestamp, what ``r0.n1`` heard of
+    ``r0.n0``'s clock, and how many reports ``r0.n0`` sent carried."""
+    system = make_dast(regions=1, spr=1)
+    violations = spy_on_reports(system)
+    system.start()
+    system.run(until=50.0)
+    node, peer = system.nodes["r0.n0"], system.nodes["r0.n1"]
+    obligation = []
+
+    def same_instant():
+        node.reports.announce(node.dclock.tick())
+        booked = node.reports.told["r0.n1"]
+        assert "r0.n1" in node.endpoint._outbox  # held, not sent
+        obligation.append(booked)
+        node._reliable("r0.n1", Ping(), obligation_ts=booked)
+
+    system.sim.schedule_at(60.25, same_instant)  # off the tick grid
+    system.run(until=60.25 + system.timing.intra_region_rtt)
+    return (violations, obligation[0], peer.max_ts["r0.n0"],
+            node.stats.get("pct_carried"))
+
+
 class TestReportsOnDemand:
+    def test_a_held_report_leaves_capped_by_an_obligation_registered_after_it(self):
+        violations, obligation, heard, carried = held_report_then_obligation()
+        assert violations == []
+        assert carried == 1  # it rode the obligation's own request
+        assert heard < obligation
+
     @given(
         ops=st.lists(
             st.tuples(st.floats(0.0, 40.0), st.booleans(), st.integers(0, 2),

@@ -20,7 +20,7 @@ from repro.fleet.spec import TrialSpec
 from repro.txn.model import Transaction
 from repro.wire.messages import Ping
 from tests.conftest import kv_apply_input, kv_read_forward, kv_set, make_dast
-from tests.test_dast_protocol import spy_on_reports
+from tests.test_dast_protocol import held_report_then_obligation, spy_on_reports
 
 
 def _obligation_violations():
@@ -170,3 +170,34 @@ def test_a_skip_that_counts_a_served_answer_as_a_beat_loses_the_repair(monkeypat
 
     monkeypatch.setattr(ReportLedger, "_send", send_counted_as_a_beat)
     assert not _lost_reply_repaired(make_dast(regions=1, spr=1))
+
+
+def test_a_carried_report_without_the_obligation_cap_breaks_timestamp_order(monkeypatch):
+    """(e) A report that rides another envelope is capped when it leaves by
+    the obligations toward its destination, including one registered after
+    the report was held.  A carrier that skips the cap lets the receiver's
+    ``max_ts`` pass the very prepare it carries the report on (the report
+    is handled before the prepare is queued).  The promise spy names the
+    carried report.  On chaos seed 9 (green unmutated) the auditor finds
+    executions out of timestamp order, as with (a); not on seed 2, where a
+    carrier and its report are mostly lost together."""
+    violations, obligation, heard, carried = held_report_then_obligation()
+    assert violations == [] and carried == 1 and heard < obligation
+    leave = records._HeldReport.leave
+
+    def leave_uncapped_when_carried(self, dsts, carried):
+        if not carried:
+            return leave(self, dsts, carried)
+        owed, self.obligations = self.obligations, {}
+        try:
+            return leave(self, dsts, carried)
+        finally:
+            self.obligations = owed
+
+    monkeypatch.setattr(records._HeldReport, "leave", leave_uncapped_when_carried)
+    violations, obligation, heard, carried = held_report_then_obligation()
+    assert carried == 1 and heard >= obligation
+    assert [v[3] for v in violations] == ["obligation"]
+    report = run_chaos_trial(generate_plan(9), replace(DEFAULT_SPEC, seed=109))
+    assert not report.ok
+    assert report.audit.order_violations and report.audit.replica_mismatches

@@ -420,3 +420,116 @@ class TestScheduleAt:
         sim.schedule(10.0, late)
         sim.run()
         assert seen == [10.0]
+
+
+class _HeapOnly:
+    """The order reference: one heap of ``(time, seq, fn, args)`` entries,
+    every callback — zero-delay ones too — pushed through it."""
+
+    def __init__(self):
+        import heapq
+        import itertools
+
+        self._heapq = heapq
+        self.now = 0.0
+        self._heap = []
+        self._seq = itertools.count()
+
+    def schedule(self, delay, fn, *args):
+        self._heapq.heappush(self._heap, (self.now + delay, next(self._seq), fn, args))
+
+    def call_soon(self, fn, *args):
+        self.schedule(0.0, fn, *args)
+
+    def run(self, until):
+        while self._heap and self._heap[0][0] <= until:
+            self.now, _seq, fn, args = self._heapq.heappop(self._heap)
+            fn(*args)
+
+
+class TestAtInstantEnd:
+    """``Simulator.at_instant_end``: a callback once the instant's work is
+    done, before virtual time moves on."""
+
+    def test_runs_after_every_entry_due_at_the_instant(self, sim):
+        log = []
+
+        def work():
+            log.append("work")
+            sim.at_instant_end(lambda: log.append(("end", sim.now)))
+            sim.call_soon(log.append, "soon")
+            sim.schedule(0.0, lambda: sim.call_soon(log.append, "soon.soon"))
+
+        sim.schedule(1.0, work)
+        sim.schedule(1.0, log.append, "due")  # a heap entry at the same instant
+        sim.schedule(1.0 + 1e-9, log.append, "next instant")
+        sim.run()
+        assert log == ["work", "due", "soon", "soon.soon", ("end", 1.0), "next instant"]
+
+    def test_runs_before_run_until_returns(self, sim):
+        log = []
+        sim.schedule(5.0, sim.at_instant_end, lambda: log.append(sim.now))
+        sim.schedule(6.0, log.append, "later")
+        sim.run(until=5.0)
+        assert log == [5.0] and sim.now == 5.0
+        sim.at_instant_end(log.append, "idle")  # registered between runs
+        sim.run()
+        assert log == [5.0, "idle", "later"]
+
+    def test_fires_once_per_registration(self, sim):
+        log = []
+
+        def end(tag):
+            log.append((tag, sim.now))
+            if tag == "first":
+                # Registered while the instant's callbacks run: the instant
+                # is extended, time does not move.
+                sim.at_instant_end(end, "again")
+                sim.call_soon(log.append, ("work", sim.now))
+
+        sim.schedule(2.0, sim.at_instant_end, end, "first")
+        sim.schedule(2.0, sim.at_instant_end, end, "second")
+        sim.schedule(3.0, log.append, ("later", 3.0))
+        sim.run(until=10.0)
+        assert log == [("first", 2.0), ("second", 2.0), ("work", 2.0),
+                       ("again", 2.0), ("later", 3.0)]
+
+    def test_step_ends_the_instant_too(self, sim):
+        log = []
+        sim.schedule(1.0, sim.at_instant_end, log.append, "end")
+        sim.schedule(2.0, log.append, "later")
+        while sim.step():
+            pass
+        assert log == ["end", "later"] and sim.pending_events == 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_simulator_that_registers_none_fires_the_heap_order(self, seed):
+        """No callback registered (or only ones that do nothing): the
+        callbacks fire in exactly the ``(time, seq)`` order of a heap-only
+        kernel — the hook takes no slot of its own."""
+        import random
+
+        def workload(kernel, idle_ends):
+            rng = random.Random(seed)
+            log = []
+
+            def work(tag, depth=0):
+                log.append((kernel.now, tag))
+                if rng.random() < 0.3 and idle_ends:
+                    kernel.at_instant_end(lambda: None)
+                for i in range(2):
+                    if depth < 3 and rng.random() < 0.5:
+                        kernel.call_soon(work, f"{tag}.s{i}", depth + 1)
+                    if depth < 3 and rng.random() < 0.5:
+                        kernel.schedule(rng.choice([0.0, 0.5, 1.0, 2.0]),
+                                        work, f"{tag}.l{i}", depth + 1)
+
+            for i in range(40):
+                kernel.schedule(rng.choice([0.0, 0.5, 1.0, 1.5, 3.0]), work, f"t{i}")
+            kernel.run(until=20.0)
+            return log
+
+        reference = workload(_HeapOnly(), False)
+        assert len(reference) > 100
+        assert workload(Simulator(), False) == reference
+        assert workload(Simulator(), True) == reference

@@ -292,3 +292,73 @@ class TestCpuModel:
         a.send("r0.b", Note())
         sim.run()
         assert stamps[0] == pytest.approx(10.5)  # waits out the charge
+
+
+@message("test_rpc_carried")
+class Carried(WireMessage):
+    """A small message an endpoint holds for the next envelope."""
+
+    value: object = None
+
+
+class _Held:
+    """A held item: the message it leaves as, and how it left."""
+
+    def __init__(self, value, log):
+        self.value = value
+        self.log = log
+
+    def leave(self, dsts, carried):
+        self.log.extend((dst, carried) for dst in dsts)
+        return Carried(self.value), None
+
+
+class TestHeldMessages:
+    @pytest.fixture
+    def hosts(self):
+        sim = Simulator()
+        network = Network(sim, RngRegistry(1), intra_region_rtt=5.0, cross_region_rtt=100.0)
+        network.wire_log = []
+        a, b, c = (Endpoint(sim, network, f"r0.{h}", "r0", service_time=1.0) for h in "abc")
+        seen = []
+        for ep in (b, c):
+            ep.register(Carried.NAME, lambda src, p, ep=ep: seen.append(
+                (sim.now, ep.host, "carried", p.value)), cheap=True)
+            ep.register(NOTE, lambda src, p, ep=ep: seen.append(
+                (sim.now, ep.host, "note", p.value)))
+        return sim, network, a, seen
+
+    def test_the_next_envelope_to_the_destination_carries_it(self, hosts):
+        sim, network, a, seen = hosts
+        left = []
+        a.hold(["r0.b", "r0.c"], _Held(7, left))
+        a.send("r0.b", Note(1))  # the same instant: it rides this one
+        sim.run()
+        assert left == [("r0.b", True), ("r0.c", False)]
+        # Handled on arrival, before the carrier waits for the CPU; the
+        # copy nothing carried left at the end of the instant on its own.
+        assert seen == [(2.5, "r0.b", "carried", 7), (2.5, "r0.c", "carried", 7),
+                        (3.5, "r0.b", "note", 1)]
+        assert network.stats.per_type_sent == {NOTE: 1, Carried.NAME: 1}
+        note_size = {dst: size for _t, _s, dst, _n, size in network.wire_log}["r0.b"]
+        assert note_size == (16 + len(NOTE) + Note(1).wire_size() + Carried(7).wire_size())
+
+    def test_a_later_instant_carries_nothing(self, hosts):
+        sim, network, a, seen = hosts
+        left = []
+        a.hold(["r0.b"], _Held(7, left))
+        sim.schedule(0.5, a.send, "r0.b", Note(1))
+        sim.run()
+        assert left == [("r0.b", False)]
+        assert network.stats.per_type_sent == {NOTE: 1, Carried.NAME: 1}
+
+    def test_a_second_hold_sends_the_first_at_once(self, hosts):
+        sim, network, a, seen = hosts
+        left = []
+        a.hold(["r0.b"], _Held(1, left))
+        a.hold(["r0.b"], _Held(2, left))
+        a.multicast(["r0.b", "r0.c"], Note(0))
+        sim.run()
+        assert left == [("r0.b", False), ("r0.b", True)]
+        assert [v for _t, h, kind, v in seen if kind == "carried"] == [1, 2]
+        assert network.stats.per_type_sent == {NOTE: 2, Carried.NAME: 1}
