@@ -26,6 +26,7 @@ from repro.consensus.smr import SmrCluster
 from repro.core.records import ReportLedger
 from repro.errors import RpcTimeout
 from repro.sim.clocks import ClockSource
+from repro.sim.kernel import Event
 from repro.sim.rpc import Endpoint, RpcRemoteError
 from repro.util import Stats
 from repro.wire.messages import (
@@ -296,13 +297,15 @@ class DastManager:
             return {"ok": True}
         return self.remove_nodes([node])
 
-    def _call(self, dst: str, msg: WireMessage):
-        """Generator: resend ``msg`` until ``dst`` answers or is down; the
-        answer, or None.  The view-change rounds below go member by member
-        this way."""
-        return self.endpoint.call_until(
+    def _call(self, dst: str, msg: WireMessage) -> Event:
+        """Resend ``msg`` until ``dst`` answers or is down: an event that
+        resolves with the answer, or None.  The view-change rounds below go
+        member by member this way."""
+        done = self.sim.event()
+        self.endpoint.retry(
             dst, msg, self.system.member_timeout(self.region, dst),
-            lambda: self.network.is_down(dst), self.stats)
+            lambda: self.network.is_down(dst), self.stats, then=done.succeed_now)
+        return done
 
     def _reliable(self, dst: str, msg: WireMessage,
                   timeout: Optional[float] = None) -> None:
@@ -310,12 +313,11 @@ class DastManager:
         decisions — a node that misses one keeps a removed member in its
         PCT table and wedges its watermark forever.  Gives up only when the
         destination is down/removed or this manager lost its mandate."""
-        self.sim.spawn(
-            self.endpoint.call_until(
-                dst, msg, timeout or self.system.member_timeout(self.region, dst),
-                lambda: self.network.is_down(dst) or dst in self.removed or not self.active,
-                self.stats),
-            name=f"{self.host}.reliable.{msg.NAME}")
+        self.sim.call_soon(
+            self.endpoint.retry,
+            dst, msg, timeout or self.system.member_timeout(self.region, dst),
+            lambda: self.network.is_down(dst) or dst in self.removed or not self.active,
+            self.stats)
 
     def remove_nodes(self, to_remove: List[str]):
         """Generator: run the 2PC that installs a view without ``to_remove``."""
@@ -330,7 +332,7 @@ class DastManager:
             heard: List[Timestamp] = []
             survivors: List[str] = []
             for node in list(self.members):
-                reply = yield from self._call(
+                reply = yield self._call(
                     node, RemovePrep(vid=self.vid, to_remove=to_remove))
                 if reply is None:
                     # Cascading failure: recurse per Algorithm 3 L18.
@@ -347,7 +349,7 @@ class DastManager:
             if heard:
                 since = min(heard)
                 for node in survivors:
-                    reply = yield from self._call(node, RemovePrep(
+                    reply = yield self._call(node, RemovePrep(
                         vid=self.vid, to_remove=to_remove, since=since))
                     for entry in reply["irts"] if reply is not None else ():
                         pend_irts[entry["txn_id"]] = entry
@@ -458,7 +460,7 @@ class DastManager:
             if new_node not in targets:
                 targets.append(new_node)
             for node in targets:
-                yield from self._call(node, AddPrep(vid=self.vid, node=new_node, ts_ins=ts_ins))
+                yield self._call(node, AddPrep(vid=self.vid, node=new_node, ts_ins=ts_ins))
             self.members = targets
             msg = AddCommit(
                 vid=self.vid,
@@ -489,7 +491,7 @@ class DastManager:
                 # A node that misses the takeover would keep reporting to
                 # the dead manager and wedge its own PCT watermark: retry
                 # until it answers or dies.
-                reply = yield from self._call(node, MgrTakeover(vid=self.vid))
+                reply = yield self._call(node, MgrTakeover(vid=self.vid))
                 if reply is None:
                     continue
                 for key in ("mgr_max_ts", "my_clock"):

@@ -33,6 +33,7 @@ from repro.core.records import (
     TxnStatus,
     WaitQueue,
 )
+from repro.errors import ProtocolError
 from repro.sim.clocks import ClockSource
 from repro.sim.rpc import Endpoint
 from repro.storage.shard import Shard
@@ -776,13 +777,16 @@ class DastNode(CoordinatorMixin):
         def gone() -> bool:
             return dst in self.removed or not self._running
 
-        def proc():
+        def done(reply) -> None:
             try:
-                reply = yield from self.endpoint.call_until(
-                    dst, msg, timeout, gone, self.stats)
                 # None is also a handler's answer: only giving up is not one.
                 if on_ack is not None and (reply is not None or not gone()):
-                    on_ack(reply)
+                    try:
+                        on_ack(reply)
+                    except Exception as exc:
+                        raise ProtocolError(
+                            f"{self.host}: acknowledging {msg.NAME} from {dst} "
+                            f"raised {exc!r}") from exc
             finally:
                 pending = self._obligations.get(dst)
                 if pending is not None:
@@ -792,7 +796,8 @@ class DastNode(CoordinatorMixin):
                 if obligation_ts is not None:
                     self.reports.released()
 
-        self.sim.spawn(proc(), name=f"{self.host}.reliable.{msg.NAME}")
+        self.sim.call_soon(self.endpoint.retry, dst, msg, timeout, gone,
+                           self.stats, "retransmissions", done)
 
     # ------------------------------------------------------------------
     # Failover: node removal (Algorithm 3)

@@ -402,6 +402,16 @@ class DastSystem(System):
                 return False
         return True
 
+    def _flip(self, manager: DastManager, host: str, view: ViewSync,
+              timeout: float) -> Event:
+        """Resend ``view`` from ``manager`` until ``host`` answers or is
+        down: an event that resolves with the answer, or None.  Retries
+        count as ``topo_retransmissions`` in the system's bag."""
+        done = self.sim.event()
+        manager.endpoint.retry(host, view, timeout, lambda: self.network.is_down(host),
+                               self.stats, "topo_retransmissions", done.succeed_now)
+        return done
+
     def reshard(self, shard_id: str, dst_region: str):
         """Generator: elastically move ``shard_id`` to ``dst_region``.
 
@@ -469,16 +479,12 @@ class DastSystem(System):
                             manager=mgr_dst.host, members=list(mgr_dst.members))
         flip_timeout = 4 * self.timing.intra_region_rtt
         for host in list(mgr_dst.members):
-            yield from mgr_dst.endpoint.call_until(
-                host, dst_view, flip_timeout, lambda: self.network.is_down(host),
-                self.stats, "topo_retransmissions")
+            yield self._flip(mgr_dst, host, dst_view, flip_timeout)
         src_members = [m for m in mgr_src.members if m not in guests]
         src_view = ViewSync(shard=shard_id, region=src_region,
                             manager=None, members=list(src_members))
         for host in src_members:
-            yield from mgr_src.endpoint.call_until(
-                host, src_view, flip_timeout, lambda: self.network.is_down(host),
-                self.stats, "topo_retransmissions")
+            yield self._flip(mgr_src, host, src_view, flip_timeout)
         mgr_src.members = src_members
         # Phase 5 — thaw once the shared catalog reflects the removal (the
         # RemoveCommit lands at a surviving member and prunes the donors),

@@ -27,7 +27,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
@@ -72,6 +72,20 @@ class Event:
     def succeed(self, value: Any = None) -> "Event":
         self._trigger(True, value, None)
         return self
+
+    def succeed_now(self, value: Any = None) -> None:
+        """Succeed with ``value`` and run the waiters in the running slot
+        instead of one ready slot each: for a callback primitive that
+        stands in for a ``yield from``, whose caller resumed in the slot
+        that finished it (:meth:`repro.sim.rpc.Endpoint.retry`)."""
+        if self.triggered:
+            raise SimulationError("event already triggered")
+        self.triggered = True
+        self.ok = True
+        self.value = value
+        callbacks, self._callbacks = self._callbacks, []
+        for fn in callbacks:
+            fn(self)
 
     def fail(self, exc: BaseException) -> "Event":
         if not isinstance(exc, BaseException):
@@ -329,6 +343,26 @@ class Simulator:
             self._ready.append((next(self._seq), fn, args))
         else:
             heapq.heappush(self._heap, (when, next(self._seq), fn, args))
+
+    def reserve(self, delay: float) -> Tuple[float, int]:
+        """Take the ``(time, seq)`` slot ``schedule(delay, ...)`` would take
+        now, without queueing anything.  :meth:`fill` runs a callback in it
+        later; a slot never filled costs nothing.  The RPC deadline queue
+        reserves one per timed call and arms only the slot of its earliest
+        pending deadline (:class:`repro.sim.rpc.Endpoint`)."""
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        return self.now + delay, next(self._seq)
+
+    def fill(self, when: float, seq: int, fn: Callable, *args: Any) -> None:
+        """Run ``fn(*args)`` in the slot ``(when, seq)`` that :meth:`reserve`
+        returned: it fires exactly where an entry scheduled at reservation
+        time would have, provided the slot is filled before any later
+        ``(time, seq)`` has run.  A slot whose time has passed is refused."""
+        if when < self.now:
+            raise SimulationError(
+                f"cannot fill a slot in the past (when={when} < now={self.now})")
+        heapq.heappush(self._heap, (when, seq, fn, args))
 
     def at_instant_end(self, fn: Callable, *args: Any) -> None:
         """Run ``fn(*args)`` once, when the current instant is over: after

@@ -26,6 +26,13 @@ Whatever no envelope carried leaves at the end of the instant
 (:meth:`Simulator.at_instant_end`) as one multicast.  DAST's clock reports
 travel this way (``docs/PROTOCOL.md``, "Carried reports").
 
+Timeouts and resends: a timed call's timeout waits in the endpoint's
+deadline queue for that timeout value, in a slot reserved from the kernel
+(:meth:`Simulator.reserve`), and only each queue's head is a kernel entry,
+so an answered call costs no expiry event.  :meth:`Endpoint.retry` resends
+until answered, as callbacks in the slots a process looping over
+:meth:`Endpoint.call` would take.
+
 Causal tracing: every envelope carries an optional ``trace_ctx`` — a
 compact ``(trace_id, span_id)`` pair stamped at send time when a
 :class:`repro.obs.trace.Tracer` is attached to the network
@@ -40,6 +47,7 @@ None`` check per site: a detached run does no extra work.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence
 
 from repro.errors import ProtocolError, RpcTimeout
@@ -121,6 +129,35 @@ class _Oneway:
         return size if carried is None else size + carried.wire_size()
 
 
+class _Retry:
+    """One :meth:`Endpoint.retry` in flight: what its next try sends, and
+    what it does with the outcome of the last one."""
+
+    __slots__ = ("endpoint", "dst", "msg", "timeout", "stop", "stats", "counter", "then")
+
+    def __init__(self, endpoint: "Endpoint", dst: str, msg: WireMessage, timeout: float,
+                 stop: Callable[[], bool], stats: Stats, counter: str,
+                 then: Optional[Callable[[Any], Any]]):
+        self.endpoint = endpoint
+        self.dst = dst
+        self.msg = msg
+        self.timeout = timeout
+        self.stop = stop
+        self.stats = stats
+        self.counter = counter
+        self.then = then
+
+    def resume(self, ok: bool, value: Any) -> None:
+        if not ok:
+            self.stats.inc(self.counter)
+            if not self.stop():
+                self.endpoint._request(self.dst, self.msg, self.timeout, self)
+                return
+            value = None
+        if self.then is not None:
+            self.then(value)
+
+
 class Endpoint:
     """One RPC endpoint per simulated host."""
 
@@ -144,7 +181,13 @@ class Endpoint:
         self._busy_until = 0.0
         self._cheap: Dict[str, Callable] = {}
         self._handlers: Dict[str, Callable] = {}
-        self._pending: Dict[int, Event] = {}
+        # rpc id -> the Event of a call, or the _Retry of a retry.
+        self._pending: Dict[int, Any] = {}
+        # Deadline queues, one per timeout value: FIFOs of (when, seq,
+        # rpc_id, dst, method), the (when, seq) a slot the kernel reserved.
+        # One timeout means deadlines only grow, so only the head's slot
+        # is armed as a kernel entry (:meth:`_expire`).
+        self._deadlines: Dict[float, deque] = {}
         # dst -> the item the next envelope to dst carries (:meth:`hold`).
         self._outbox: Dict[str, Any] = {}
         self._flush_armed = False
@@ -279,17 +322,20 @@ class Endpoint:
                           _Response(req.rpc_id, req.method, ok, value, ctx, carried))
 
     def _handle_response(self, rpc_id: int, ok: bool, value: Any) -> None:
-        event = self._pending.pop(rpc_id, None)
-        if event is None:
+        waiter = self._pending.pop(rpc_id, None)
+        if waiter is None:
             return  # late response after timeout/expiry: drop, like a real stub
-        if event.triggered:
+        if waiter.__class__ is _Retry:
+            self.sim.call_soon(waiter.resume, ok, value)
+            return
+        if waiter.triggered:
             # Defensive: never double-resolve (e.g. a duplicated response
             # racing an expiry that already failed the event).
             return
         if ok:
-            event.succeed(value)
+            waiter.succeed(value)
         else:
-            event.fail(RpcRemoteError(value))
+            waiter.fail(RpcRemoteError(value))
 
     # ------------------------------------------------------------------
     # Client side
@@ -300,10 +346,32 @@ class Endpoint:
         On ``timeout`` (ms) the event fails with :class:`RpcTimeout` and any
         late response is discarded.
         """
+        event = self.sim.event()
+        self._request(dst, msg, timeout, event)
+        return event
+
+    def retry(self, dst: str, msg: WireMessage, timeout: float,
+              stop: Callable[[], bool], stats: Stats,
+              counter: str = "retransmissions",
+              then: Optional[Callable[[Any], Any]] = None) -> None:
+        """Call ``dst`` with ``msg`` until it answers, then hand the answer
+        to ``then``.  Each failed try (a timeout or a remote error) counts
+        one ``counter`` in ``stats`` and then asks ``stop()``: once that
+        holds, no further call is made and ``then(None)`` runs.
+
+        The first try leaves at once.  Each answer or expiry is one ready
+        slot, in which the next try leaves or ``then`` runs: the slots a
+        process looping over :meth:`call` would take, without the process.
+        A process waits on it through an event that ``then`` resolves with
+        :meth:`Event.succeed_now`, so it resumes in that same slot."""
+        self._request(dst, msg, timeout,
+                      _Retry(self, dst, msg, timeout, stop, stats, counter, then))
+
+    def _request(self, dst: str, msg: WireMessage, timeout: Optional[float],
+                 waiter: Any) -> None:
         method = encode(msg).NAME
         rpc_id = next(self._ids)
-        event = self.sim.event()
-        self._pending[rpc_id] = event
+        self._pending[rpc_id] = waiter
         tracer = self.network.tracer
         ctx = None
         if tracer is not None:
@@ -311,33 +379,31 @@ class Endpoint:
         carried = self._carry(dst) if self._outbox else None
         self.network.send(self.host, dst, _Request(rpc_id, method, msg, ctx, carried))
         if timeout is not None:
-            self.sim.schedule(timeout, self._expire, rpc_id, dst, method)
-        return event
+            when, seq = self.sim.reserve(timeout)
+            fifo = self._deadlines.get(timeout)
+            if fifo is None:
+                fifo = self._deadlines[timeout] = deque()
+            if not fifo:
+                self.sim.fill(when, seq, self._expire, fifo)
+            fifo.append((when, seq, rpc_id, dst, method))
 
-    def call_until(self, dst: str, msg: WireMessage, timeout: float,
-                   stop: Callable[[], bool], stats: Stats,
-                   counter: str = "retransmissions"):
-        """Generator: :meth:`call` ``dst`` until it answers, and return the
-        answer.  Each failed try (a timeout or a remote error) counts one
-        ``counter`` in ``stats`` and then asks ``stop()``: once that holds,
-        no further call is made and the generator returns ``None``.
-
-        Run it with ``yield from`` inside a process, or spawn it: it
-        schedules nothing of its own beyond the calls."""
-        while True:
-            try:
-                return (yield self.call(dst, msg, timeout=timeout))
-            except (RpcTimeout, RpcRemoteError):
-                stats.inc(counter)
-                if stop():
-                    return None
-
-    def _expire(self, rpc_id: int, dst: str, method: str) -> None:
-        event = self._pending.pop(rpc_id, None)
-        if event is None:
-            return  # already resolved (or already expired)
-        if not event.triggered:
-            event.fail(RpcTimeout(f"{self.host}->{dst} {method} timed out"))
+    def _expire(self, fifo: deque) -> None:
+        """The armed head of a deadline queue is due: expire its call if it
+        is still pending, drop the answered calls behind it and arm the
+        next pending one's own slot."""
+        _when, _seq, rpc_id, dst, method = fifo.popleft()
+        pending = self._pending
+        waiter = pending.pop(rpc_id, None)
+        if waiter is not None:
+            if waiter.__class__ is _Retry:
+                self.sim.call_soon(waiter.resume, False, None)
+            elif not waiter.triggered:
+                waiter.fail(RpcTimeout(f"{self.host}->{dst} {method} timed out"))
+        while fifo and fifo[0][2] not in pending:
+            fifo.popleft()
+        if fifo:
+            when, seq = fifo[0][:2]
+            self.sim.fill(when, seq, self._expire, fifo)
 
     def send(self, dst: str, msg: WireMessage) -> None:
         """One-way message; no response, no delivery guarantee.  ``msg`` is

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.clock.hlc import Timestamp
 from repro.config import TimingConfig
 from repro.core.records import HEARTBEAT_TICKS, ReportLedger, TxnStatus
+from repro.errors import ProtocolError
 from repro.txn.model import Transaction
 from repro.wire.messages import AddCommit, MgrTakeover, PctReport, Ping, ViewSync
 from tests.conftest import (
@@ -208,6 +209,23 @@ class TestObligations:
         assert node.stats.get("pct_heartbeats") == beats
         system.run(until=system.sim.now + 3.0)
         assert peer.max_ts["r0.n0"] > ts
+
+    def test_an_acknowledgement_that_raises_names_the_message(self):
+        # The answer is handed to on_ack in a plain kernel callback, so its
+        # error stops the run instead of failing an unobserved process.
+        system = make_dast(regions=1, spr=1)
+        system.start()
+        system.run(until=50.0)
+        node = system.nodes["r0.n0"]
+
+        def on_ack(_reply):
+            raise KeyError("lost")
+
+        node._reliable("r0.n1", Ping(), obligation_ts=node.dclock.peek(), on_ack=on_ack)
+        with pytest.raises(ProtocolError, match="r0.n0: acknowledging ping from r0.n1") as exc:
+            system.run(until=100.0)
+        assert isinstance(exc.value.__cause__, KeyError)
+        assert "r0.n1" not in node._obligations  # released all the same
 
     def test_obligations_cleared_after_delivery(self, dast2):
         submit_and_run(dast2, Transaction("w", [kv_set(0, 1, 1)]))

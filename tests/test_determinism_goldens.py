@@ -87,7 +87,7 @@ class TestHotPathHygiene:
             + "\n".join(offenders)
         )
 
-    # Resending until answered is one primitive, Endpoint.call_until: under
+    # Resending until answered is one primitive, Endpoint.retry: under
     # core/, a caught RPC failure is either a single probe or a retry loop
     # that changes destination on each try.  Each is listed by name.
     RPC_FAILURE_CATCHERS = {

@@ -114,18 +114,36 @@ class TestSameInstantFifo:
 # Equivalence against a reference heap-only kernel.
 # ---------------------------------------------------------------------------
 class ReferenceKernel:
-    """The pre-optimization kernel semantics: one heap, (time, seq) order."""
+    """The pre-optimization kernel semantics: one heap, (time, seq) order.
+    A reserved slot is pushed at reservation time and runs whatever was
+    filled into it by the time it is due (nothing if never filled)."""
 
     def __init__(self):
         self.now = 0.0
         self._heap = []
         self._seq = itertools.count()
+        self._boxes = {}
 
     def schedule(self, delay, fn, *args):
         heapq.heappush(self._heap, (self.now + delay, next(self._seq), fn, args))
 
     def call_soon(self, fn, *args):
         self.schedule(0.0, fn, *args)
+
+    def reserve(self, delay):
+        box = []
+        when, seq = self.now + delay, next(self._seq)
+        heapq.heappush(self._heap, (when, seq, self._run_box, (box,)))
+        self._boxes[seq] = box
+        return when, seq
+
+    def fill(self, when, seq, fn, *args):
+        self._boxes.pop(seq).append((fn, args))
+
+    @staticmethod
+    def _run_box(box):
+        for fn, args in box:
+            fn(*args)
 
     def run(self):
         while self._heap:
@@ -145,13 +163,30 @@ class TestReferenceEquivalence:
                 choice = rng.random()
                 if len(log) > 4000:
                     return
-                if choice < 0.4:
+                if choice < 0.3:
                     kernel.call_soon(cb, f"{tag}.s{j}", rng.randint(0, 2))
-                elif choice < 0.6:
+                elif choice < 0.45:
                     kernel.schedule(0.0, cb, f"{tag}.z{j}", rng.randint(0, 2))
+                elif choice < 0.7:
+                    reserved(f"{tag}.r{j}")
                 else:
                     kernel.schedule(round(rng.uniform(0.1, 5.0), 3),
                                     cb, f"{tag}.d{j}", rng.randint(0, 2))
+
+        def reserved(tag):
+            # A reserved slot, filled at once, late (from a same-instant
+            # ready entry or an earlier heap entry), or never.  Few distinct
+            # delays, so slots share instants with each other.
+            delay = rng.choice([0.0, 1.0, 2.0, 2.5])
+            when, seq = kernel.reserve(delay)
+            args = (when, seq, cb, tag, rng.randint(0, 2))
+            how = rng.random()
+            if how < 0.3 or delay == 0.0 and how < 0.8:
+                kernel.fill(*args)
+            elif how < 0.55:
+                kernel.call_soon(kernel.fill, *args)
+            elif how < 0.8:
+                kernel.schedule(round(delay / 2, 4), kernel.fill, *args)
 
         for i in range(20):
             kernel.schedule(round(rng.uniform(0.0, 3.0), 3), cb, f"root{i}", 3)
@@ -168,6 +203,7 @@ class TestReferenceEquivalence:
         opt.run()
 
         assert opt_log == ref_log
+        assert any(".r" in tag for _t, tag in opt_log)
         assert opt.now == ref.now
 
 
@@ -462,6 +498,50 @@ class TestWireCost:
         assert entered == {"send": 0, "call": 1, "process": 2}
         assert calls == self._calls("call")[0]
         assert calls <= self.CALLS_PER_CALL * 1.1, calls
+
+    # One answered reliable send (``Endpoint.retry``), everything counted
+    # from the start of its first try to its acknowledgement and the
+    # deadline queue drained; measured with ten sends from one endpoint in
+    # one instant, as a protocol node sends them (docs/PERF.md, "Timeouts
+    # off the heap").  Python-level calls +10 %, kernel events exact: 69.3
+    # calls and 7.0 events through a process over a generator loop, whose
+    # ten deadlines were ten heap entries.
+    CALLS_PER_RELIABLE_ROUND_TRIP = 54.6
+    EVENTS_PER_RELIABLE_ROUND_TRIP = 6.1
+
+    @staticmethod
+    def _reliable_round_trips(n=10):
+        from repro.sim.network import Network
+        from repro.sim.rng import RngRegistry
+        from repro.sim.rpc import Endpoint
+        from repro.util import Stats
+        from repro.wire import Ping
+
+        sim = Simulator()
+        network = Network(sim, RngRegistry(1))
+        client = Endpoint(sim, network, "a", "r1", service_time=0.05)
+        server = Endpoint(sim, network, "b", "r1", service_time=0.05)
+        server.register("ping", lambda _src, _msg: True)
+        stats, answers = Stats(), []
+        acct = KernelAccounting()
+        sim.attach_accounting(acct)
+
+        def run():
+            for _ in range(n):
+                sim.call_soon(client.retry, "b", Ping(), 500.0, lambda: False,
+                              stats, "retransmissions", answers.append)
+            sim.run()
+
+        calls, _entered = _count_calls({run.__code__: "run"}, run)
+        assert answers == [True] * n and stats.get("retransmissions") == 0
+        assert acct.by_callsite["Endpoint._expire"] == 1  # the armed head only
+        return calls["run"] / n, acct.events_total / n
+
+    def test_calls_per_reliable_round_trip(self):
+        calls, events = self._reliable_round_trips()
+        assert (calls, events) == self._reliable_round_trips()  # repeats exactly
+        assert calls <= self.CALLS_PER_RELIABLE_ROUND_TRIP * 1.1, calls
+        assert events <= self.EVENTS_PER_RELIABLE_ROUND_TRIP, events
 
 
 # ---------------------------------------------------------------------------

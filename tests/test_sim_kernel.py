@@ -263,6 +263,42 @@ class TestDeterminism:
         assert run_once() == run_once()
 
 
+class TestReservedSlots:
+    """``reserve`` takes the slot ``schedule`` would; ``fill`` runs a
+    callback in it later."""
+
+    def test_a_filled_slot_runs_before_ready_entries_queued_after_it(self, sim):
+        seen = []
+        now_slot = sim.reserve(0.0)
+        sim.call_soon(seen.append, "ready")
+        sim.fill(*now_slot, seen.append, "slot")
+        sim.run()
+        assert seen == ["slot", "ready"]
+
+    def test_filled_slot_keeps_its_seq_among_same_instant_heap_entries(self, sim):
+        seen = []
+        sim.schedule(5.0, seen.append, "before")
+        slot = sim.reserve(5.0)
+        sim.schedule(5.0, seen.append, "after")
+        sim.schedule(1.0, sim.fill, *slot, seen.append, "slot")
+        sim.run()
+        assert seen == ["before", "slot", "after"]
+
+    def test_an_unfilled_slot_costs_nothing(self, sim):
+        sim.reserve(3.0)
+        assert sim.pending_events == 0
+        sim.run()
+        assert sim.now == 0.0
+
+    def test_a_slot_in_the_past_is_refused(self, sim):
+        slot = sim.reserve(1.0)
+        sim.run(until=2.0)
+        with pytest.raises(SimulationError, match="past"):
+            sim.fill(*slot, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.reserve(-1.0)
+
+
 class TestEvery:
     def test_ticks_at_fixed_interval(self, sim):
         ticks = []

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ProtocolError, RpcTimeout
+from repro.perf import KernelAccounting
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
 from repro.sim.rng import RngRegistry
@@ -153,9 +154,9 @@ class TestRequestResponse:
             b.register("m", lambda s, p: None)
 
 
-class TestCallUntil:
-    """The one retransmission primitive: every reliable send in DAST's
-    nodes, managers and view flips resends through it."""
+class TestRetry:
+    """The one retransmission primitive, ``Endpoint.retry``: every reliable
+    send in DAST's nodes, managers and view flips resends through it."""
 
     @staticmethod
     def slow_then_answer(sim, slow_tries, arrivals):
@@ -174,10 +175,10 @@ class TestCallUntil:
         arrivals = []
         b.register(NOTE, self.slow_then_answer(sim, 3, arrivals))
         stats = Stats()
-        proc = sim.spawn(a.call_until("r0.b", Note(7), 10.0, lambda: False, stats,
-                                      "resent"))
+        answers = []
+        a.retry("r0.b", Note(7), 10.0, lambda: False, stats, "resent", answers.append)
         sim.run()
-        assert proc.ok and proc.value == 7
+        assert answers == [7]
         assert len(arrivals) == 4
         assert stats.get("resent") == 3
         assert stats.get("retransmissions") == 0  # the caller's counter only
@@ -187,13 +188,122 @@ class TestCallUntil:
         b.register(NOTE, lambda src, p: p.value)
         net.partition_hosts("r0.a", "r0.b")
         stats = Stats()
-        proc = sim.spawn(a.call_until("r0.b", Note(7), 10.0,
-                                      lambda: stats.get("retransmissions") == 2, stats))
+        answers = []
+        a.retry("r0.b", Note(7), 10.0, lambda: stats.get("retransmissions") == 2,
+                stats, then=answers.append)
         sim.run()
-        assert proc.ok and proc.value is None
+        assert answers == [None]
         assert stats.get("retransmissions") == 2
         assert net.stats.messages_sent == 2  # two tries, no third
         assert sim.now == pytest.approx(20.0)
+
+    def test_a_process_resumes_in_the_slot_that_answered(self, setup):
+        # A process waiting on a retry resumes where a ``yield from`` over
+        # call() would have: in the ready slot the answer took, ahead of
+        # the work that answer queued behind it.
+        sim, _net, a, b = setup
+        b.register(NOTE, lambda src, p: p.value)
+        order = []
+        done = sim.event()
+
+        def then(value):
+            sim.call_soon(order.append, "queued")
+            done.succeed_now(value)
+
+        def waiter():
+            a.retry("r0.b", Note(3), 10.0, lambda: False, Stats(), then=then)
+            order.append((yield done))
+
+        proc = sim.spawn(waiter())
+        sim.run()
+        assert proc.ok and order == [3, "queued"]
+        assert a._pending == {}
+
+
+class TestDeadlineQueue:
+    """Timed calls wait in per-endpoint deadline queues, one per timeout
+    value; only a queue's earliest pending deadline is a kernel entry, in
+    the slot the call reserved."""
+
+    @staticmethod
+    def recorder(sim, out):
+        """``watch(label, event)``: append ``(now, label)`` to ``out`` when
+        ``event`` times out."""
+
+        def watch(label, event):
+            event.add_callback(lambda e: out.append((sim.now, label))
+                               if isinstance(e.exception, RpcTimeout) else None)
+
+        return watch
+
+    def test_equal_deadlines_on_two_endpoints_expire_in_call_order(self, setup):
+        sim, net, a, b = setup
+        net.partition_hosts("r0.a", "r0.b")
+        out = []
+        watch = self.recorder(sim, out)
+        for i in range(3):
+            watch(f"a{i}", a.call("r0.b", Note(i), timeout=20.0))
+            watch(f"b{i}", b.call("r0.a", Note(i), timeout=20.0))
+        sim.run()
+        assert out == [(20.0, label) for label in ("a0", "b0", "a1", "b1", "a2", "b2")]
+
+    def test_mixed_timeouts_on_one_endpoint_expire_in_deadline_order(self, setup):
+        sim, net, a, _b = setup
+        net.partition_hosts("r0.a", "r0.b")
+        out = []
+        watch = self.recorder(sim, out)
+
+        def calls(i):
+            watch(f"long{i}", a.call("r0.b", Note(i), timeout=400.0))
+            watch(f"short{i}", a.call("r0.b", Note(i), timeout=20.0))
+
+        for i in range(3):
+            sim.schedule(i * 100.0, calls, i)
+        sim.run()
+        assert out == [
+            (20.0, "short0"), (120.0, "short1"), (220.0, "short2"),
+            (400.0, "long0"), (500.0, "long1"), (600.0, "long2")]
+        assert set(a._deadlines) == {20.0, 400.0}
+
+    def test_an_answered_call_fires_no_expiry(self, setup):
+        sim, net, a, b = setup
+        b.register(NOTE, lambda src, p: p.value)
+        acct = KernelAccounting()
+        sim.attach_accounting(acct)
+        net.partition_hosts("r0.a", "r0.b")
+        lost = a.call("r0.b", Note(0), timeout=20.0)
+        net.heal_hosts("r0.a", "r0.b")
+        answered = [a.call("r0.b", Note(i), timeout=20.0) for i in range(1, 6)]
+        sim.run()
+        assert isinstance(lost.exception, RpcTimeout)
+        assert [e.value for e in answered] == [1, 2, 3, 4, 5]
+        # Only the lost call's deadline was ever a kernel entry.
+        assert acct.by_callsite["Endpoint._expire"] == 1
+
+    def test_everything_drains(self, setup):
+        sim, net, a, b = setup
+        b.register(NOTE, lambda src, p: p.value)
+        net.open_duplicate_window(1.0, 30.0)
+        for i in range(4):
+            sim.schedule(i * 7.0, a.call, "r0.b", Note(i), 10.0)
+            sim.schedule(i * 7.0, a.retry, "r0.b", Note(i), 10.0,
+                         lambda: False, Stats())
+        sim.schedule(3.0, net.partition_hosts, "r0.a", "r0.b")
+        sim.schedule(40.0, net.heal_hosts, "r0.a", "r0.b")
+        sim.run()
+        assert a._pending == {} and b._pending == {}
+        assert all(not fifo for fifo in a._deadlines.values())
+
+    def test_an_acknowledgement_that_raises_stops_the_run(self, setup):
+        sim, _net, a, b = setup
+        b.register(NOTE, lambda src, p: p.value)
+
+        def then(_value):
+            raise ValueError("bad ack")
+
+        a.retry("r0.b", Note(1), 10.0, lambda: False, Stats(), then=then)
+        with pytest.raises(ValueError, match="bad ack"):
+            sim.run()
 
 
 class TestOneWay:
@@ -256,7 +366,7 @@ class TestReadOnlyOnEveryPath:
         assert seen == [1]
 
     def test_one_object_sent_twice_is_delivered_twice(self, setup):
-        # What call_until does: the same message goes out on every try.
+        # What retry does: the same message goes out on every try.
         sim, _net, a, b = setup
         seen = []
         b.register(NOTE, lambda src, p: seen.append(p))
